@@ -86,8 +86,8 @@ type Fabric interface {
 	AddCommCycles(cycles int64)
 }
 
-// Config parameterizes a Loop (and Run, the Jacobi-shaped driver on
-// top of it).
+// Config parameterizes a Loop (and Run, the iteration driver on top
+// of it).
 type Config struct {
 	Fabric  Fabric
 	Part    *Partition
@@ -123,11 +123,13 @@ type Config struct {
 
 	// The fields below drive Run; Loop-level clients ignore them.
 
-	// Instr selects the instruction rank r executes on a sweep;
-	// PlaneOf names the memory plane that sweep writes (the halo
-	// exchange plane).
-	Instr   func(sweep, rank int) *microcode.Instr
-	PlaneOf func(sweep int) int
+	// Step runs iteration it up to the residual combine — one sweep
+	// for Jacobi, one V-cycle plus the fine residual for multigrid —
+	// through lp's phases, leaving each rank's residual in ResidualFU.
+	// It names the plane Run exchanges after the combine (-1 for none).
+	// A BudgetError rolls the run back exactly like one from a phase
+	// Run drives itself; a DeadRankError goes to Recover.
+	Step func(lp *Loop, it int) (plane int, be *BudgetError, err error)
 
 	// MaxSweeps bounds the loop; StopAfter, when positive, runs exactly
 	// that many sweeps regardless of the residual; Tol is the
@@ -172,8 +174,8 @@ type Config struct {
 // Loop is the phase-structured sweep loop: Dispatch runs one
 // instruction on every rank, CombineResidual reduces the convergence
 // signal, Exchange swaps ghost faces between ring neighbours. All
-// fault/retry/stat accounting lives here; clients sequence the phases
-// (or use Run for the standard sweep-combine-exchange shape).
+// fault/retry/stat accounting lives here; clients sequence the phases,
+// usually inside a Run Step hook.
 type Loop struct {
 	cfg   *Config
 	retry RetryPolicy
@@ -651,19 +653,42 @@ type RunResult struct {
 	Recovery RecoveryStats
 }
 
-// Run drives the standard sweep → combine → exchange loop to
-// convergence: the exact phase order, accounting and rollback
-// semantics of the original hypercube Jacobi driver, now scheme- and
-// machine-agnostic. A retry budget that exhausts rolls the run back
-// through cfg.Rollback (when a snapshot exists and MaxRestores
-// allows); simulated time is not rolled back — the lost work cost real
-// cycles.
+// NodeTotals are the simulator counters a solve reports, summed over
+// the boards that ran it on top of any base restored from a
+// checkpoint.
+type NodeTotals struct {
+	FLOPs     int64
+	PlanCache sim.PlanCacheStats
+	Traps     sim.TrapStats
+}
+
+// AddNode adds one node's FLOP, plan-cache and trap counters. Callers
+// add nodes in a fixed order, so totals match at every worker count.
+func (t *NodeTotals) AddNode(nd *sim.Node) {
+	t.FLOPs += nd.Stats.FLOPs
+	st := nd.PlanCacheStats()
+	t.PlanCache.Hits += st.Hits
+	t.PlanCache.Misses += st.Misses
+	t.PlanCache.Entries += st.Entries
+	t.Traps.Add(nd.TrapCounters)
+}
+
+// Run drives the iteration loop to convergence, the one loop every
+// solver runs on: cfg.Step runs each iteration's phases up to the
+// residual combine, then Run combines, tests convergence and exchanges
+// the plane Step named. For Jacobi (one sweep per step) this is the
+// exact phase order, accounting and rollback semantics of the original
+// hypercube driver; multigrid runs one V-cycle per step on the same
+// loop, fault coordinates and recovery protocol included. A retry
+// budget that exhausts rolls the run back through cfg.Rollback (when a
+// snapshot exists and MaxRestores allows); simulated time is not
+// rolled back — the lost work cost real cycles.
 //
 // Permanent node loss (FaultKillForever) surfaces as a DeadRankError
 // unless cfg.Recover is set, in which case Run re-enters the loop on
 // the recovered configuration — same observability timeline, fault
-// counters accumulated across generations — and resumes from the sweep
-// boundary the hook restored. Each recovery round consumes at least
+// counters accumulated across generations — and resumes from the
+// iteration boundary the hook restored. Each recovery round consumes at least
 // one fired plan event, so the rounds are bounded by the plan length.
 func Run(cfg *Config) (*RunResult, error) {
 	var acc FaultStats
@@ -712,6 +737,13 @@ func Run(cfg *Config) (*RunResult, error) {
 		}
 		if o := cfg.Obs; o != nil {
 			o.Inc("engine.recovery.recoveries")
+			mode := "spare+shrink"
+			switch {
+			case info.Spared == 0:
+				mode = "shrink"
+			case info.Shrunk == 0:
+				mode = "spare"
+			}
 			if info.Spared > 0 {
 				o.Add("engine.recovery.spare", int64(info.Spared))
 			}
@@ -720,7 +752,7 @@ func Run(cfg *Config) (*RunResult, error) {
 			}
 			o.Inc("engine.recovery.source." + info.Source)
 			o.Observe("engine.recovery.resweeps", resweep)
-			o.Event(0, "engine", "recovery", ts, info.Mode, map[string]int64{
+			o.Event(0, "engine", "recovery", ts, mode, map[string]int64{
 				"resume_sweep": int64(info.ResumeSweep),
 				"spared":       int64(info.Spared),
 				"shrunk":       int64(info.Shrunk),
@@ -767,13 +799,6 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error)
 		return at, nil
 	}
 
-	// One instruction-lookup closure for the whole run: allocating it
-	// per sweep shows up once the dispatch itself stops allocating
-	// (plan cache + specialized kernels make the steady state
-	// alloc-free).
-	sweep := cfg.StartSweep
-	instrAt := func(r int) *microcode.Instr { return cfg.Instr(sweep, r) }
-
 	for it := cfg.StartSweep; it < cfg.MaxSweeps; it++ {
 		// Sweep-boundary snapshot.
 		if cfg.CheckpointEvery > 0 && cfg.Take != nil && it%cfg.CheckpointEvery == 0 && it != skipAt {
@@ -796,8 +821,7 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error)
 			lp.observe("buddy", it, 0)
 		}
 
-		sweep = it
-		be, err := lp.Dispatch(it, instrAt, cfg.PlaneOf(it))
+		plane, be, err := cfg.Step(lp, it)
 		if err != nil {
 			var dre *DeadRankError
 			if errors.As(err, &dre) {
@@ -838,8 +862,11 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error)
 			res.Converged = true
 			break
 		}
+		if plane < 0 {
+			continue
+		}
 
-		ebe, err := lp.Exchange(it, cfg.PlaneOf(it))
+		ebe, err := lp.Exchange(it, plane)
 		if err != nil {
 			return nil, lp.simTS, err
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -35,12 +36,12 @@ func (e *DeadRankError) Error() string {
 }
 
 // RecoveryInfo is the Recover hook's report of what it did, used for
-// stats and observability. Mode is how the dead slots were filled
-// ("spare", "shrink", or "spare+shrink" when spares ran out mid-event);
+// stats and observability. Spared and Shrunk count the dead slots
+// refilled from spares and retired by re-partitioning (the recovery
+// event's mode is "spare", "shrink" or "spare+shrink" accordingly);
 // Source is where the restored state came from ("buddy" or
 // "checkpoint").
 type RecoveryInfo struct {
-	Mode        string
 	Source      string
 	ResumeSweep int
 	Spared      int
@@ -108,6 +109,32 @@ func ChargeScatter(f Fabric, words []int64) int64 {
 	}
 	f.AddMachineCycles(worst)
 	return worst
+}
+
+// RestoreSlabs writes global plane images back into every rank's
+// slab, ghost planes included: images[i] is the global N×N×Nz image of
+// planes[i]. It then prices the scatter with ChargeScatter. Survivors
+// rewriting their own planes is a simulation artifact (a real survivor
+// keeps its memory), so only the dead slots a spare refilled pay —
+// unless moved is set, because a re-partition may have moved every
+// slab boundary and then every rank pays.
+func RestoreSlabs(f Fabric, part *Partition, dead []int, moved bool, planes []int, images ...[]float64) error {
+	nn := part.NN()
+	words := make([]int64, part.P)
+	for r := 0; r < part.P; r++ {
+		lo := (part.Lo[r] - 1) * nn
+		w := (part.Planes[r] + 2) * nn
+		for i, pl := range planes {
+			if err := f.Node(r).WriteWords(pl, 0, images[i][lo:lo+w]); err != nil {
+				return err
+			}
+		}
+		if moved || slices.Contains(dead, r) {
+			words[r] = int64(len(planes) * w)
+		}
+	}
+	ChargeScatter(f, words)
+	return nil
 }
 
 // deadSet returns the sorted dead ranks marked in the loop's dead

@@ -15,7 +15,8 @@
 // halo exchange, convergence reduction, fault injection, retry and
 // checkpoint rollback — lives in internal/engine; SolveJacobi is a
 // thin client that adapts the machine to the engine's Fabric interface
-// and supplies the scheme (instructions, planes, checkpoint hooks).
+// and supplies the scheme (the sweep Step, checkpoint and recovery
+// hooks).
 package hypercube
 
 import (
@@ -99,23 +100,12 @@ type Machine struct {
 	// exact seed behaviour.
 	Trap arch.TrapConfig
 
-	// NoKernel pins every node to the reference interpreter instead of
-	// the specialized execution kernels (sim.Node.KernelOff). Results
-	// are bit-identical either way; the knob exists for differential
-	// testing and the nscsim -no-kernel escape hatch.
-	NoKernel bool
-
 	// Obs, when non-nil, arms the unified observability layer on every
 	// solve: the engine loop's phase spans and counters land on tracer
 	// shard 0 and each node's dispatch/trap/ECC stream lands on shard
 	// rank+1 (ring rank order, so a Perfetto track per rank). Nil keeps
 	// every instrumented path on its zero-cost branch.
 	Obs *obs.Obs
-
-	// Observe, when non-nil, receives one sample per completed engine
-	// phase (see engine.Config.Observe). The callback runs on the
-	// engine's coordinating goroutine, never concurrently.
-	Observe func(phase string, sweep int, cycles int64)
 
 	// Spares holds cold standby boards (see AddSpares). Degraded-mode
 	// recovery wires one into a permanently dead rank's slot — the spare
@@ -448,7 +438,6 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	p := m.P()
 	for _, nd := range m.participants() {
 		nd.TrapCfg = m.Trap
-		nd.KernelOff = m.NoKernel
 	}
 	m.ArmObs()
 	inner := global.Nz - 2
@@ -460,7 +449,7 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &jacobiSolve{m: m, global: global}
+	s := newJacobiSolve(m, global)
 	if err := s.build(part); err != nil {
 		return nil, err
 	}
@@ -478,7 +467,8 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 		startSeries = ck.Residuals
 		m.MachineCycles, m.CommCycles = ck.MachineCycles, ck.CommCycles
 		m.Faults.SetFired(ck.FaultFired)
-		s.base, s.pcBase, s.trapBase = ck.Faults, ck.PlanCache, ck.Traps
+		s.base = ck.Faults
+		s.nodeBase = engine.NodeTotals{PlanCache: ck.PlanCache, Traps: ck.Traps}
 		m.LastCheckpoint = ck
 	}
 
@@ -508,23 +498,16 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 		}
 		copy(res.U[part.Lo[r]*nn:(part.Lo[r]+part.Planes[r])*nn], data)
 	}
-	res.PlanCache = s.pcBase
+	tot := s.nodeBase
 	for _, nd := range m.participants() {
-		res.TotalFLOPs += nd.Stats.FLOPs
-		st := nd.PlanCacheStats()
-		res.PlanCache.Hits += st.Hits
-		res.PlanCache.Misses += st.Misses
-		res.PlanCache.Entries += st.Entries
+		tot.AddNode(nd)
 	}
+	res.TotalFLOPs, res.PlanCache, res.Traps = tot.FLOPs, tot.PlanCache, tot.Traps
 	res.Faults = s.base
 	res.Faults.Add(er.Faults)
 	m.FaultCounters.Add(er.Faults)
 	res.Recovery = er.Recovery
 	m.RecoveryCounters.Add(er.Recovery)
-	res.Traps = s.trapBase
-	for _, nd := range m.participants() {
-		res.Traps.Add(nd.TrapCounters)
-	}
 	res.Cycles = m.MachineCycles
 	if res.Cycles > 0 {
 		res.GFLOPS = float64(res.TotalFLOPs) / (float64(res.Cycles) / m.Cfg.ClockHz) / 1e9
@@ -565,7 +548,7 @@ func (m *Machine) corruptNode(nd *sim.Node, plane int, addr int64, count int) er
 // counters. An uneven partition (the shape a shrink leaves behind)
 // records its per-rank plane counts and serializes as version 3.
 func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Problem,
-	series []float64, faults FaultStats, pcBase sim.PlanCacheStats, trapBase sim.TrapStats) (*Checkpoint, error) {
+	series []float64, faults FaultStats, base engine.NodeTotals) (*Checkpoint, error) {
 	nn := global.N * global.N
 	ck := &Checkpoint{
 		Sweep: it, P: part.P, N: global.N, Nz: global.Nz,
@@ -575,7 +558,6 @@ func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Proble
 		CommCycles:    m.CommCycles,
 		Faults:        faults,
 		FaultFired:    m.Faults.FiredSnapshot(),
-		PlanCache:     pcBase,
 	}
 	if part.Uniform() {
 		ck.Slab = part.Planes[0]
@@ -595,16 +577,11 @@ func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Proble
 		ck.U = append(ck.U, u)
 		ck.V = append(ck.V, v)
 	}
+	tot := base
 	for _, nd := range m.participants() {
-		st := nd.PlanCacheStats()
-		ck.PlanCache.Hits += st.Hits
-		ck.PlanCache.Misses += st.Misses
-		ck.PlanCache.Entries += st.Entries
+		tot.AddNode(nd)
 	}
-	ck.Traps = trapBase
-	for _, nd := range m.participants() {
-		ck.Traps.Add(nd.TrapCounters)
-	}
+	ck.PlanCache, ck.Traps = tot.PlanCache, tot.Traps
 	return ck, nil
 }
 

@@ -3,17 +3,20 @@ package hypercube
 import (
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/engine"
 )
 
-// TestObserveHookCoverage pins the engine.Config.Observe contract as
-// surfaced by the machine: on a fault-free fixed-length solve every
-// sweep reports exactly one dispatch and one combine sample, every
-// sweep but the last reports exactly one exchange sample (the final
-// sweep has no successor to feed), and nothing else fires. The hook is
-// documented to run on the engine's coordinating goroutine only, so
-// the callback mutates its tallies without locks and the test runs at
-// several worker counts — under -race this doubles as proof that the
-// worker pool never calls the hook concurrently.
+// TestObserveHookCoverage pins the engine.Config.Observe contract on
+// the Jacobi client's own engine configuration: on a fault-free
+// fixed-length solve every sweep reports exactly one dispatch and one
+// combine sample, every sweep but the last reports exactly one
+// exchange sample (the final sweep has no successor to feed), and
+// nothing else fires. The hook is documented to run on the engine's
+// coordinating goroutine only, so the callback mutates its tallies
+// without locks and the test runs at several worker counts — under
+// -race this doubles as proof that the worker pool never calls the
+// hook concurrently.
 func TestObserveHookCoverage(t *testing.T) {
 	const sweeps = 6
 	for _, workers := range []int{1, 4, 8} {
@@ -30,7 +33,17 @@ func TestObserveHookCoverage(t *testing.T) {
 		}
 		counts := map[key]int{}
 		var calls int64 // atomic: guards against concurrent invocation
-		m.Observe = func(phase string, sweep int, cycles int64) {
+		g := parallelProblem(m.P())
+		part, err := engine.NewPartition(m.P(), g.N, g.Nz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js := newJacobiSolve(m, g)
+		if err := js.build(part); err != nil {
+			t.Fatal(err)
+		}
+		cfg := js.engineConfig(0, nil, -1)
+		cfg.Observe = func(phase string, sweep int, cycles int64) {
 			if atomic.AddInt64(&calls, 1) != atomic.LoadInt64(&calls) {
 				t.Errorf("workers=%d: Observe invoked concurrently", workers)
 			}
@@ -39,7 +52,7 @@ func TestObserveHookCoverage(t *testing.T) {
 			}
 			counts[key{phase, sweep}]++
 		}
-		if _, err := m.SolveJacobi(parallelProblem(m.P())); err != nil {
+		if _, err := engine.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 

@@ -88,7 +88,6 @@ func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 		sp := m.Spares[0]
 		m.Spares = m.Spares[1:]
 		sp.TrapCfg = m.Trap
-		sp.KernelOff = m.NoKernel
 		m.deadAddrs = append(m.deadAddrs, m.ringAddr[d])
 		m.ring[d] = sp
 		m.activated = append(m.activated, sp)
@@ -200,13 +199,24 @@ type jacobiSolve struct {
 
 	part     *engine.Partition
 	fwd, bwd []*microcode.Instr
+	// fwdAt and bwdAt are the dispatch lookups, bound once per solve so
+	// sweeps stay allocation-free; they read fwd/bwd at call time.
+	fwdAt, bwdAt func(rank int) *microcode.Instr
 
 	buddy buddyStore
 
 	// Restore bases (from m.Restore), added to live engine counters.
 	base     FaultStats
-	pcBase   sim.PlanCacheStats
-	trapBase sim.TrapStats
+	nodeBase engine.NodeTotals
+}
+
+// newJacobiSolve starts the state of one SolveJacobi call, binding its
+// dispatch lookups.
+func newJacobiSolve(m *Machine, global *jacobi.Problem) *jacobiSolve {
+	s := &jacobiSolve{m: m, global: global}
+	s.fwdAt = func(r int) *microcode.Instr { return s.fwd[r] }
+	s.bwdAt = func(r int) *microcode.Instr { return s.bwd[r] }
+	return s
 }
 
 // build partitions the problem, compiles both sweep pipelines per rank
@@ -252,22 +262,10 @@ func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int)
 	m := s.m
 	cfg := &engine.Config{
 		Fabric: m.Fabric(), Part: s.part, Workers: m.Workers,
-		Faults: m.Faults, Retry: m.Retry, SerialExchange: m.SerialExchange,
-		Obs: m.Obs, Observe: m.Observe,
+		Faults: m.Faults, Retry: m.Retry, SerialExchange: m.SerialExchange, Obs: m.Obs,
 		ResidualFU: arch.FUID(11), // T4 slot 2 under the default triplet layout
-		Instr: func(it, r int) *microcode.Instr {
-			if it%2 == 1 {
-				return s.bwd[r]
-			}
-			return s.fwd[r]
-		},
-		PlaneOf: func(it int) int {
-			if it%2 == 1 {
-				return jacobi.PlaneU
-			}
-			return jacobi.PlaneV
-		},
-		MaxSweeps: s.global.MaxIter, StopAfter: m.StopAfter, Tol: s.global.Tol,
+		Step:       s.step,
+		MaxSweeps:  s.global.MaxIter, StopAfter: m.StopAfter, Tol: s.global.Tol,
 		CheckpointEvery: m.CheckpointEvery,
 		StartSweep:      startSweep, StartSeries: series, SkipSnapshotAt: skipAt,
 		Take:     s.take,
@@ -283,12 +281,24 @@ func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int)
 	return cfg
 }
 
+// step is the engine's iteration hook: one sweep, forward on even
+// iterations (writing v) and backward on odd ones (writing u), whose
+// written plane is the one exchanged after the combine.
+func (s *jacobiSolve) step(lp *engine.Loop, it int) (int, *engine.BudgetError, error) {
+	plane, instr := jacobi.PlaneV, s.fwdAt
+	if it%2 == 1 {
+		plane, instr = jacobi.PlaneU, s.bwdAt
+	}
+	be, err := lp.Dispatch(it, instr, plane)
+	return plane, be, err
+}
+
 // take is the engine's checkpoint hook.
 func (s *jacobiSolve) take(sweep int, series []float64, live engine.FaultStats) error {
 	m := s.m
 	combined := s.base
 	combined.Add(live)
-	ck, err := m.snapshot(sweep, s.part, s.global, series, combined, s.pcBase, s.trapBase)
+	ck, err := m.snapshot(sweep, s.part, s.global, series, combined, s.nodeBase)
 	if err != nil {
 		return err
 	}
@@ -329,7 +339,6 @@ func (s *jacobiSolve) mirror(sweep int, series []float64) error {
 func (s *jacobiSolve) recover(dre *engine.DeadRankError) (*engine.Config, *engine.RecoveryInfo, error) {
 	m := s.m
 	oldPart := s.part
-	nn := oldPart.NN()
 
 	var gu, gv []float64
 	var resume int
@@ -374,50 +383,25 @@ func (s *jacobiSolve) recover(dre *engine.DeadRankError) (*engine.Config, *engin
 		return nil, nil, err
 	}
 
-	// Restore the full local grids everywhere: CompileSweeps reloaded
-	// every slab's initial guess, so survivors rewrite their planes from
-	// their own (local, free) mirror region while dead slots — and, on a
-	// shrink, every displaced slab — receive theirs over the fabric.
-	words := make([]int64, newPart.P)
-	for r := 0; r < newPart.P; r++ {
-		lo := (newPart.Lo[r] - 1) * nn
-		w := (newPart.Planes[r] + 2) * nn
-		if err := m.ring[r].WriteWords(jacobi.PlaneU, 0, gu[lo:lo+w]); err != nil {
-			return nil, nil, err
-		}
-		if err := m.ring[r].WriteWords(jacobi.PlaneV, 0, gv[lo:lo+w]); err != nil {
-			return nil, nil, err
-		}
-		if shrunk > 0 {
-			words[r] = int64(2 * w)
-		}
+	// CompileSweeps reloaded every slab's initial guess, so every rank
+	// gets its full local grids back.
+	if err := engine.RestoreSlabs(m.Fabric(), newPart, dre.Ranks, shrunk > 0,
+		[]int{jacobi.PlaneU, jacobi.PlaneV}, gu, gv); err != nil {
+		return nil, nil, err
 	}
-	if shrunk == 0 {
-		for _, d := range dre.Ranks {
-			words[d] = int64(2 * (newPart.Planes[d] + 2) * nn)
-		}
-	}
-	engine.ChargeScatter(m.Fabric(), words)
 
 	// A stale pre-recovery checkpoint can no longer restore the new
 	// shape, so synthesize a fresh one at the resume boundary (internal
 	// only — not sent to the sink; its counters are the restore base,
 	// which rollback never reads).
 	if m.CheckpointEvery > 0 || m.LastCheckpoint != nil {
-		ck, err := m.snapshot(resume, newPart, s.global, series, s.base, s.pcBase, s.trapBase)
+		ck, err := m.snapshot(resume, newPart, s.global, series, s.base, s.nodeBase)
 		if err != nil {
 			return nil, nil, err
 		}
 		m.LastCheckpoint = ck
 	}
 
-	mode := "shrink"
-	switch {
-	case spared > 0 && shrunk > 0:
-		mode = "spare+shrink"
-	case spared > 0:
-		mode = "spare"
-	}
-	info := &engine.RecoveryInfo{Mode: mode, Source: source, ResumeSweep: resume, Spared: spared, Shrunk: shrunk}
+	info := &engine.RecoveryInfo{Source: source, ResumeSweep: resume, Spared: spared, Shrunk: shrunk}
 	return s.engineConfig(resume, series, resume), info, nil
 }

@@ -1,7 +1,6 @@
 package multigrid
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/arch"
@@ -14,9 +13,10 @@ import (
 )
 
 // Distributed runs the V-cycle across an engine fabric (the hypercube,
-// through Machine.Fabric()): the finest grid is slab-decomposed over
-// the ranks exactly like the parallel Jacobi driver — every smoothing
-// sweep and the residual evaluation execute on partitioned slabs with
+// through Machine.Fabric()) as a client of engine.Run, one V-cycle per
+// engine iteration: the finest grid is slab-decomposed over the ranks
+// exactly like the parallel Jacobi driver — every smoothing sweep and
+// the residual evaluation execute on partitioned slabs with
 // ghost-plane exchange through the engine loop — while the coarse
 // chain, too small to be worth distributing, runs as a standalone
 // Solver resident on rank 0's node behind its fine slab. The host
@@ -30,16 +30,18 @@ import (
 // (associative, so bitwise equal to the global max), and the grid
 // transfers consume only owned interior planes.
 //
-// Degraded-mode recovery works at V-cycle granularity. When the fault
-// plan carries a permanent kill, the driver mirrors the global fine
-// iterate to the host at the top of every cycle (free in simulated
-// time, like buddy checkpoints). A DeadRankError mid-cycle repairs the
-// ring through the fabric (hot spare or shrinking re-partition),
-// rebuilds the slabs and the coarse chain over the survivors, scatters
-// the mirrored iterate back, and replays the interrupted cycle. The
-// fine U is the whole cross-cycle state — residual, correction and
-// coarse grids are recomputed inside each cycle — so the replayed
-// trajectory is bit-identical to the fault-free run.
+// Faults use V-cycle coordinates: a plan event at sweep c fires in
+// V-cycle c. Degraded-mode recovery is the engine's protocol. When the
+// fault plan carries a permanent kill, the engine's buddy hook mirrors
+// the global fine iterate to the host at the top of every cycle (free
+// in simulated time). A rank that dies mid-cycle reaches the Recover
+// hook, which repairs the ring through the fabric (hot spare or
+// shrinking re-partition), rebuilds the slabs and the coarse chain
+// over the survivors and scatters the mirrored iterate back; the
+// engine then replays the interrupted cycle. The fine U is the whole
+// cross-cycle state — residual, correction and coarse grids are
+// recomputed inside each cycle — so the replayed trajectory is
+// bit-identical to the fault-free run.
 type Distributed struct {
 	Fabric engine.Fabric
 	Cfg    arch.Config
@@ -54,16 +56,20 @@ type Distributed struct {
 	dc     DistConfig
 	slabs  []*Level // per-rank fine-grid slab levels
 	coarse *Solver  // coarse chain on rank 0's node; nil when levels=1
-	loop   *engine.Loop
 	n      int
 	u0     []float64 // global fine initial guess (boundary assembly)
-	base   engine.FaultStats
 
-	// Host-transfer scratch, allocated once and reused every cycle.
-	fineR   []float64
-	zeroU   []float64
-	op      int // monotone phase counter for the engine loop
-	gatherW []int64
+	// mirror is the global fine iterate at the top of V-cycle
+	// mirrorCycle, with the residual series up to it: the buddy
+	// mirror recovery restores.
+	mirror       []float64
+	mirrorCycle  int
+	mirrorSeries []float64
+
+	// Host-transfer scratch, reused every cycle.
+	fineR []float64
+	zeroU []float64
+	words []int64
 }
 
 // DistConfig parameterizes NewDistributed.
@@ -81,9 +87,10 @@ type DistConfig struct {
 	// SerialExchange forces the two-parity pairwise halo schedule
 	// (identical results; see engine.Config.SerialExchange).
 	SerialExchange bool
-	// Faults injects a deterministic fault plan into the engine loop.
-	// Transient faults retry under Retry; a permanent kill arms the
-	// cycle-boundary mirror and the ring-repair recovery path.
+	// Faults injects a deterministic fault plan into the engine loop;
+	// an event's sweep names the V-cycle it fires in. Transient faults
+	// retry under Retry; a permanent kill arms the cycle-boundary
+	// mirror and the ring-repair recovery path.
 	Faults *engine.FaultPlan
 	// Retry bounds transient-fault retries (zero fields take defaults).
 	Retry engine.RetryPolicy
@@ -94,10 +101,6 @@ type DistConfig struct {
 	// level streams are armed by the fabric's owner
 	// (hypercube.Machine.Obs), not here.
 	Obs *obs.Obs
-	// NoKernel pins every rank to the reference interpreter instead of
-	// the specialized execution kernels (sim.Node.KernelOff). Results
-	// are bit-identical either way.
-	NoKernel bool
 }
 
 // DistResult reports a distributed multigrid solve. Machine clocks
@@ -144,7 +147,7 @@ func NewDistributed(dc DistConfig) (*Distributed, error) {
 
 // build (re)constructs everything that depends on the current ring:
 // the partition, the per-rank slab levels and their compiled
-// pipelines, the coarse chain on rank 0's node and the engine loop.
+// pipelines, and the coarse chain on rank 0's node.
 // Called once at construction and again after a ring repair, when the
 // rank count or the slab boundaries may have changed.
 func (d *Distributed) build() error {
@@ -161,7 +164,7 @@ func (d *Distributed) build() error {
 	gp.H = 1 / float64(n-1)
 	d.Part = part
 	d.slabs = make([]*Level, p)
-	d.gatherW = nil
+	d.words = make([]int64, p)
 	for r := 0; r < p; r++ {
 		lp, err := part.Local(dc.Cfg, gp, r)
 		if err != nil {
@@ -177,7 +180,6 @@ func (d *Distributed) build() error {
 	// rank touches only its own node and level.
 	if err := engine.ParallelFor(dc.Workers, p, func(r int) error {
 		nd := dc.Fabric.Node(r)
-		nd.KernelOff = dc.NoKernel
 		lv := d.slabs[r]
 		if err := buildLevel(dc.Cfg, codegen.New(nd.Inv), lv, dc.Tol); err != nil {
 			return fmt.Errorf("multigrid: rank %d slab: %w", r, err)
@@ -204,100 +206,93 @@ func (d *Distributed) build() error {
 		}
 		d.zeroU = make([]float64, d.coarse.Levels[0].P.Cells())
 	}
-	d.loop, err = engine.NewLoop(&engine.Config{
-		Fabric: dc.Fabric, Part: part, Workers: dc.Workers,
+	return nil
+}
+
+// engineConfig builds the engine configuration for one loop
+// generation, resuming at V-cycle start with the given residual
+// series.
+func (d *Distributed) engineConfig(start int, series []float64) *engine.Config {
+	dc := d.dc
+	cfg := &engine.Config{
+		Fabric: dc.Fabric, Part: d.Part, Workers: dc.Workers,
 		ResidualFU:     arch.FUID(11), // T4 slot 2: the residual reduce
 		SerialExchange: dc.SerialExchange,
 		Faults:         dc.Faults,
 		Retry:          dc.Retry,
 		Observe:        dc.Observe,
 		Obs:            dc.Obs,
-	})
-	return err
+		Step:           d.step,
+		MaxSweeps:      d.MaxCycles,
+		Tol:            d.Tol,
+		StartSweep:     start,
+		StartSeries:    series,
+	}
+	if dc.Faults.HasPermanent() {
+		cfg.BuddyEvery, cfg.Buddy, cfg.Recover = 1, d.mirrorFine, d.recoverDead
+	}
+	return cfg
 }
 
-// barrier folds a loop phase's two-channel result into one error: a
-// retry budget exhausted by transient faults is fatal here, because
-// the distributed V-cycle recovers at cycle granularity, not at sweep
-// checkpoints.
-func barrier(bud *engine.BudgetError, err error) error {
-	if err != nil {
-		return err
+// step is the engine's iteration hook: V-cycle it plus the fine
+// residual the engine then combines. It names no plane to exchange:
+// the cycle's last smoothing sweep already exchanged the iterate's
+// ghosts.
+func (d *Distributed) step(lp *engine.Loop, it int) (int, *engine.BudgetError, error) {
+	be, err := d.vcycle(lp, it)
+	if be == nil && err == nil {
+		be, err = d.residual(lp, it)
 	}
-	if bud != nil {
-		return bud
-	}
-	return nil
+	return -1, be, err
 }
 
 // smooth runs `sweeps` damped-Jacobi sweeps on the slabs, exchanging
 // the freshly written plane's ghosts after every sweep so the next
 // sweep reads the current global iterate. Even sweep counts end in
 // plane U, like the single-node smoother.
-func (d *Distributed) smooth(sweeps int) error {
+func (d *Distributed) smooth(lp *engine.Loop, it, sweeps int) (*engine.BudgetError, error) {
 	for i := 0; i < sweeps; i++ {
 		fwd := i%2 == 0
 		plane := jacobi.PlaneV
 		if !fwd {
 			plane = jacobi.PlaneU
 		}
-		if err := barrier(d.loop.Dispatch(d.op, func(r int) *microcode.Instr {
+		if be, err := lp.Dispatch(it, func(r int) *microcode.Instr {
 			if fwd {
 				return d.slabs[r].fwd
 			}
 			return d.slabs[r].bwd
-		}, plane)); err != nil {
-			return err
+		}, plane); be != nil || err != nil {
+			return be, err
 		}
-		if err := barrier(d.loop.Exchange(d.op, plane)); err != nil {
-			return err
-		}
-		d.op++
-	}
-	return nil
-}
-
-// hostTransfer charges the fabric for a host-mediated gather or
-// scatter: every rank moves words[r] words to or from rank 0, all
-// transfers concurrent, so CommCycles grows by the sum and the
-// critical path by the worst single transfer.
-func (d *Distributed) hostTransfer(words []int64) {
-	f := d.Fabric
-	wb := int64(f.WordBytes())
-	var worst int64
-	for r := 0; r < f.P(); r++ {
-		c := f.SendCost(words[r]*wb, f.Hops(r, 0))
-		f.AddCommCycles(c)
-		if c > worst {
-			worst = c
+		if be, err := lp.Exchange(it, plane); be != nil || err != nil {
+			return be, err
 		}
 	}
-	f.AddMachineCycles(worst)
+	return nil, nil
 }
 
 // residual evaluates the fine residual on every slab (reduce registers
 // hold the local maxima afterwards).
-func (d *Distributed) residual() error {
-	err := barrier(d.loop.Dispatch(d.op, func(r int) *microcode.Instr {
+func (d *Distributed) residual(lp *engine.Loop, it int) (*engine.BudgetError, error) {
+	return lp.Dispatch(it, func(r int) *microcode.Instr {
 		return d.slabs[r].residual
-	}, -1))
-	d.op++
-	return err
+	}, -1)
 }
 
 // vcycle runs one distributed V-cycle: slab smoothing and residual on
 // the fabric, grid transfers through the host, the coarse chain on
 // rank 0's node.
-func (d *Distributed) vcycle() error {
+func (d *Distributed) vcycle(lp *engine.Loop, it int) (*engine.BudgetError, error) {
 	if d.coarse == nil {
 		// Single level: the finest grid is also the coarsest.
-		return d.smooth(d.Pre + d.Post)
+		return d.smooth(lp, it, d.Pre+d.Post)
 	}
-	if err := d.smooth(d.Pre); err != nil {
-		return err
+	if be, err := d.smooth(lp, it, d.Pre); be != nil || err != nil {
+		return be, err
 	}
-	if err := d.residual(); err != nil {
-		return err
+	if be, err := d.residual(lp, it); be != nil || err != nil {
+		return be, err
 	}
 	// Gather the owned residual planes to the host (boundary planes
 	// stay zero; restriction never reads them), restrict, and seed the
@@ -305,36 +300,33 @@ func (d *Distributed) vcycle() error {
 	f := d.Fabric
 	nn := d.n * d.n
 	pt := d.Part
-	if d.gatherW == nil {
-		d.gatherW = make([]int64, f.P())
-	}
 	for r := 0; r < f.P(); r++ {
 		lo := pt.Lo[r]
 		if err := f.Node(r).ReadWordsInto(PlaneR, int64(nn), d.fineR[lo*nn:(lo+pt.Planes[r])*nn]); err != nil {
-			return err
+			return nil, err
 		}
-		d.gatherW[r] = int64(pt.Planes[r] * nn)
+		d.words[r] = int64(pt.Planes[r] * nn)
 	}
-	d.hostTransfer(d.gatherW)
+	engine.ChargeScatter(f, d.words)
 	coarse := d.coarse.Levels[0]
 	cf := Restrict(d.fineR, d.n, coarse.P.N)
 	nd0 := f.Node(0)
 	if err := nd0.WriteWords(jacobi.PlaneF, coarse.P.VarBase, cf); err != nil {
-		return err
+		return nil, err
 	}
 	if err := nd0.WriteWords(jacobi.PlaneU, coarse.P.VarBase, d.zeroU); err != nil {
-		return err
+		return nil, err
 	}
 	// The coarse chain runs on rank 0 while the other ranks wait: its
 	// node time is machine critical path.
 	before := nd0.Stats.Cycles
 	if err := d.coarse.VCycle(); err != nil {
-		return err
+		return nil, err
 	}
 	f.AddMachineCycles(nd0.Stats.Cycles - before)
 	cu, err := nd0.ReadWords(jacobi.PlaneU, coarse.P.VarBase, coarse.P.Cells())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Prolong the correction and scatter each rank's whole slab —
 	// ghost planes included, so the correction leaves them globally
@@ -343,61 +335,54 @@ func (d *Distributed) vcycle() error {
 	for r := 0; r < f.P(); r++ {
 		lo := pt.Lo[r]
 		if err := f.Node(r).WriteWords(PlaneE, 0, e[(lo-1)*nn:(lo+pt.Planes[r]+1)*nn]); err != nil {
-			return err
+			return nil, err
 		}
-		d.gatherW[r] = int64((pt.Planes[r] + 2) * nn)
+		d.words[r] = int64((pt.Planes[r] + 2) * nn)
 	}
-	d.hostTransfer(d.gatherW)
-	if err := barrier(d.loop.Dispatch(d.op, func(r int) *microcode.Instr {
+	engine.ChargeScatter(f, d.words)
+	if be, err := lp.Dispatch(it, func(r int) *microcode.Instr {
 		return d.slabs[r].correct
-	}, -1)); err != nil {
-		return err
+	}, -1); be != nil || err != nil {
+		return be, err
 	}
-	d.op++
-	if err := barrier(d.loop.Dispatch(d.op, func(r int) *microcode.Instr {
+	if be, err := lp.Dispatch(it, func(r int) *microcode.Instr {
 		return d.slabs[r].copyVU
-	}, -1)); err != nil {
-		return err
+	}, -1); be != nil || err != nil {
+		return be, err
 	}
-	d.op++
-	return d.smooth(d.Post)
+	return d.smooth(lp, it, d.Post)
 }
 
-// cycle runs one V-cycle plus the convergence residual and combine,
-// returning the global residual maximum.
-func (d *Distributed) cycle() (float64, error) {
-	if err := d.vcycle(); err != nil {
-		return 0, err
-	}
-	if err := d.residual(); err != nil {
-		return 0, err
-	}
-	worst, bud := d.loop.CombineResidual(d.op)
-	d.op++
-	if bud != nil {
-		return 0, bud
-	}
-	return worst, nil
-}
-
-// mirrorFine snapshots the global fine iterate to the host: each
-// rank's owned interior planes plus the fixed boundary planes from the
-// initial guess. Host-side bookkeeping, zero simulated cycles — the
-// exact analogue of the Jacobi driver's buddy mirror.
-func (d *Distributed) mirrorFine(buf *[]float64) error {
+// fineU assembles the global fine iterate into u (allocated when nil):
+// each rank's owned interior planes plus the fixed boundary planes
+// from the initial guess.
+func (d *Distributed) fineU(u []float64) ([]float64, error) {
 	nn := d.n * d.n
-	if *buf == nil {
-		*buf = make([]float64, d.n*nn)
-		copy((*buf)[:nn], d.u0[:nn])
-		copy((*buf)[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
+	if u == nil {
+		u = make([]float64, d.n*nn)
+		copy(u[:nn], d.u0[:nn])
+		copy(u[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
 	}
 	for r := 0; r < d.Fabric.P(); r++ {
 		lo := d.Part.Lo[r]
-		if err := d.Fabric.Node(r).ReadWordsInto(jacobi.PlaneU, int64(nn),
-			(*buf)[lo*nn:(lo+d.Part.Planes[r])*nn]); err != nil {
-			return err
+		if err := d.Fabric.Node(r).ReadWordsInto(jacobi.PlaneU, int64(nn), u[lo*nn:(lo+d.Part.Planes[r])*nn]); err != nil {
+			return nil, err
 		}
 	}
+	return u, nil
+}
+
+// mirrorFine is the engine's buddy hook: it snapshots the global fine
+// iterate to the host at the top of V-cycle `cycle`. Host-side
+// bookkeeping, zero simulated cycles — the exact analogue of the
+// Jacobi driver's buddy mirror.
+func (d *Distributed) mirrorFine(cycle int, series []float64) error {
+	u, err := d.fineU(d.mirror)
+	if err != nil {
+		return err
+	}
+	d.mirror, d.mirrorCycle = u, cycle
+	d.mirrorSeries = append(d.mirrorSeries[:0], series...)
 	return nil
 }
 
@@ -408,119 +393,54 @@ type ringRepair interface {
 	RecoverRanks(dead []int) (spared, shrunk int, err error)
 }
 
-// recoverDead repairs the ring after a permanent death, rebuilds the
-// solver over the surviving ranks and scatters the cycle-boundary
-// mirror back into the slabs. The interrupted cycle replays from its
-// top afterwards; the fault plan's firing counters persist across the
-// rebuild, so the replay does not re-suffer the death.
-func (d *Distributed) recoverDead(dre *engine.DeadRankError, mirror []float64, rs *engine.RecoveryStats) error {
+// recoverDead is the engine's permanent-loss hook: it repairs the
+// ring, rebuilds the solver over the surviving ranks and scatters the
+// cycle-boundary mirror back into the slabs. The engine then replays
+// the interrupted cycle; the fault plan's firing counters persist
+// across the rebuild, so the replay does not re-suffer the death.
+func (d *Distributed) recoverDead(dre *engine.DeadRankError) (*engine.Config, *engine.RecoveryInfo, error) {
 	rr, ok := d.Fabric.(ringRepair)
 	if !ok {
-		return fmt.Errorf("multigrid: fabric cannot repair dead ranks: %w", dre)
-	}
-	if mirror == nil {
-		return fmt.Errorf("multigrid: no cycle-boundary mirror to restore: %w", dre)
+		return nil, nil, fmt.Errorf("multigrid: fabric cannot repair dead ranks")
 	}
 	spared, shrunk, err := rr.RecoverRanks(dre.Ranks)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	d.base.Add(d.loop.Stats())
 	if err := d.build(); err != nil {
-		return err
+		return nil, nil, err
 	}
-	// Restore the mirrored iterate into every rank's slab, ghost planes
-	// included. Survivors restoring their own planes is a simulation
-	// artifact (a real survivor keeps its memory), so only the refilled
-	// slots — or the whole ring after a re-partition, when every slab
-	// boundary may have moved — pay for the scatter.
-	nn := d.n * d.n
-	words := make([]int64, d.Fabric.P())
-	deadSlot := map[int]bool{}
-	for _, r := range dre.Ranks {
-		deadSlot[r] = true
+	if err := engine.RestoreSlabs(d.Fabric, d.Part, dre.Ranks, shrunk > 0,
+		[]int{jacobi.PlaneU}, d.mirror); err != nil {
+		return nil, nil, err
 	}
-	for r := 0; r < d.Fabric.P(); r++ {
-		lo := d.Part.Lo[r]
-		w := (d.Part.Planes[r] + 2) * nn
-		if err := d.Fabric.Node(r).WriteWords(jacobi.PlaneU, 0, mirror[(lo-1)*nn:(lo-1)*nn+w]); err != nil {
-			return err
-		}
-		if shrunk > 0 || deadSlot[r] {
-			words[r] = int64(w)
-		}
-	}
-	engine.ChargeScatter(d.Fabric, words)
-	rs.Recoveries++
-	rs.DeadRanks += int64(len(dre.Ranks))
-	rs.SpareActivations += int64(spared)
-	rs.Shrinks += int64(shrunk)
-	rs.BuddyRestores++
-	rs.ResweptSweeps++ // one replayed V-cycle
-	return nil
+	info := &engine.RecoveryInfo{Source: "buddy", ResumeSweep: d.mirrorCycle, Spared: spared, Shrunk: shrunk}
+	return d.engineConfig(d.mirrorCycle, d.mirrorSeries), info, nil
 }
 
-// Run iterates distributed V-cycles until the combined fine-grid
-// residual drops below tolerance, then assembles the global field from
-// the owned slab planes. Permanent node deaths are recovered at cycle
-// granularity when the fault plan carries any (see recoverDead); the
-// result is bit-identical to the fault-free run, only the clocks grow.
+// Run iterates distributed V-cycles on engine.Run until the combined
+// fine-grid residual drops below tolerance, then assembles the global
+// field from the owned slab planes. Permanent node deaths are
+// recovered through the engine when the fault plan carries any (see
+// recoverDead); the result is bit-identical to the fault-free run,
+// only the clocks grow.
 func (d *Distributed) Run() (*DistResult, error) {
-	res := &DistResult{}
-	armed := d.dc.Faults.HasPermanent()
-	maxRecoveries := 0
-	if d.dc.Faults != nil {
-		maxRecoveries = len(d.dc.Faults.Events)
+	er, err := engine.Run(d.engineConfig(0, nil))
+	if err != nil {
+		return nil, err
 	}
-	var mirror []float64
-	for res.VCycles < d.MaxCycles {
-		if armed {
-			if err := d.mirrorFine(&mirror); err != nil {
-				return nil, err
-			}
-		}
-		opStart := d.op
-		worst, err := d.cycle()
-		if err != nil {
-			var dre *engine.DeadRankError
-			if !errors.As(err, &dre) || !armed || int(res.Recovery.Recoveries) >= maxRecoveries {
-				return nil, err
-			}
-			if rerr := d.recoverDead(dre, mirror, &res.Recovery); rerr != nil {
-				return nil, rerr
-			}
-			d.op = opStart // replay the interrupted cycle on the repaired ring
-			continue
-		}
-		res.VCycles++
-		res.Residual = worst
-		res.ResidualSeries = append(res.ResidualSeries, worst)
-		if worst < d.Tol {
-			res.Converged = true
-			break
-		}
+	res := &DistResult{
+		VCycles: er.Sweeps, Residual: er.Residual, Converged: er.Converged,
+		ResidualSeries: er.Series, Faults: er.Faults, Recovery: er.Recovery,
 	}
-	f := d.Fabric
-	nn := d.n * d.n
-	res.U = make([]float64, d.n*nn)
-	copy(res.U[:nn], d.u0[:nn])
-	copy(res.U[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
-	for r := 0; r < f.P(); r++ {
-		lo := d.Part.Lo[r]
-		if err := f.Node(r).ReadWordsInto(jacobi.PlaneU, int64(nn), res.U[lo*nn:(lo+d.Part.Planes[r])*nn]); err != nil {
-			return nil, err
-		}
+	if res.U, err = d.fineU(nil); err != nil {
+		return nil, err
 	}
-	for r := 0; r < f.P(); r++ {
-		nd := f.Node(r)
-		res.TotalFLOPs += nd.Stats.FLOPs
-		st := nd.PlanCacheStats()
-		res.PlanCache.Hits += st.Hits
-		res.PlanCache.Misses += st.Misses
-		res.PlanCache.Entries += st.Entries
+	var tot engine.NodeTotals
+	for r := 0; r < d.Fabric.P(); r++ {
+		tot.AddNode(d.Fabric.Node(r))
 	}
-	res.Faults = d.base
-	res.Faults.Add(d.loop.Stats())
+	res.TotalFLOPs, res.PlanCache = tot.FLOPs, tot.PlanCache
 	if !res.Converged {
 		return res, fmt.Errorf("multigrid: no convergence in %d V-cycles (residual %g)", res.VCycles, res.Residual)
 	}

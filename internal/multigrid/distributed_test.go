@@ -6,6 +6,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/engine"
 	"repro/internal/hypercube"
+	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
 // The distributed V-cycle must reproduce the single-node solver's
@@ -190,8 +192,11 @@ func TestDistributedPermanentKillRecovers(t *testing.T) {
 				t.Fatalf("spares=%d: u[%d] = %g, fault-free %g", spares, g, res.U[g], ref.U[g])
 			}
 		}
+		// The mirror is taken at the top of the dying V-cycle, so the
+		// engine resumes at the cycle that died: no sweep boundary is
+		// re-crossed.
 		r := res.Recovery
-		if r.Recoveries != 1 || r.DeadRanks != 1 || r.BuddyRestores != 1 || r.ResweptSweeps != 1 {
+		if r.Recoveries != 1 || r.DeadRanks != 1 || r.BuddyRestores != 1 || r.ResweptSweeps != 0 {
 			t.Fatalf("spares=%d: recovery stats %s", spares, r)
 		}
 		lv := m.Liveness()
@@ -210,6 +215,146 @@ func TestDistributedPermanentKillRecovers(t *testing.T) {
 		if m1.MachineCycles != m.MachineCycles || m1.CommCycles != m.CommCycles {
 			t.Fatalf("spares=%d: recovered clocks differ across workers: %d/%d vs %d/%d",
 				spares, m1.MachineCycles, m1.CommCycles, m.MachineCycles, m.CommCycles)
+		}
+	}
+}
+
+// TestDistributedRecoveryOnEngineTimeline: multigrid recovery runs the
+// engine's protocol, so a recovered run keeps one simulated-clock
+// timeline across the loop generations — shard-0 engine span
+// timestamps never decrease — and records the engine's recovery
+// metrics, not just the dead rank.
+func TestDistributedRecoveryOnEngineTimeline(t *testing.T) {
+	cfg := arch.Default()
+	m, err := hypercube.New(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New() // engine spans only: the nodes are not armed
+	d, err := NewDistributed(DistConfig{
+		Fabric: m.Fabric(), Cfg: cfg,
+		N: 17, Levels: 2, Tol: 1e-6, MaxCycles: 100, Workers: 2, Obs: o,
+		Faults: engine.MustFaultPlan(engine.FaultEvent{
+			Sweep: 9, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKillForever}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	last := int64(0)
+	for _, sp := range o.Tr.Spans() {
+		if sp.Cat != "engine" {
+			continue
+		}
+		if sp.TS < last {
+			t.Fatalf("engine %s span at ts=%d after ts=%d: the timeline restarted", sp.Name, sp.TS, last)
+		}
+		last = sp.TS
+	}
+	totals := o.Reg.Totals()
+	for _, name := range []string{"recoveries", "shrink", "source.buddy"} {
+		if got := totals["counter/engine.recovery."+name]; got != 1 {
+			t.Errorf("engine.recovery.%s = %d, want 1", name, got)
+		}
+	}
+}
+
+// TestDistributedKillFiresInVCycle: multigrid fault events use V-cycle
+// coordinates. A kill-forever at sweep c fires in V-cycle c — after c
+// completed residual combines — and the dead-rank event names it.
+func TestDistributedKillFiresInVCycle(t *testing.T) {
+	cfg := arch.Default()
+	for _, c := range []int{0, 5, 20} {
+		tp, err := topo.New("hypercube", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := hypercube.NewWithTopology(cfg, tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddSpares(1); err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		d, err := NewDistributed(DistConfig{
+			Fabric: m.Fabric(), Cfg: cfg,
+			N: 17, Levels: 2, Tol: 1e-6, MaxCycles: 100, Workers: 2, Obs: o,
+			Faults: engine.MustFaultPlan(engine.FaultEvent{
+				Sweep: c, Phase: engine.PhaseDispatch, Rank: 3, Kind: engine.FaultKillForever}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		combines, sweep := 0, int64(-1)
+		for _, sp := range o.Tr.Spans() {
+			if sp.Name == "dead-rank" {
+				sweep = sp.Args["sweep"]
+				break
+			}
+			if sp.Name == "combine" {
+				combines++
+			}
+		}
+		if sweep != int64(c) || combines != c {
+			t.Errorf("kill at sweep %d: dead-rank event names sweep %d after %d combines, want V-cycle %d",
+				c, sweep, combines, c)
+		}
+	}
+}
+
+// TestDistributedObserveHook: DistConfig.Observe receives the engine's
+// phase samples keyed by V-cycle, on the coordinating goroutine. A
+// 2-level cycle is two smoothing sweeps (a dispatch and an exchange
+// each), the residual, the correction, the copy, two more sweeps and
+// the fine residual — eight dispatches and four exchanges — and then
+// one combine.
+func TestDistributedObserveHook(t *testing.T) {
+	cfg := arch.Default()
+	m, err := hypercube.New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		phase string
+		cycle int
+	}
+	counts := map[key]int{}
+	charged := map[string]int64{}
+	d, err := NewDistributed(DistConfig{
+		Fabric: m.Fabric(), Cfg: cfg,
+		N: 9, Levels: 2, Tol: 1e-6, MaxCycles: 60, Workers: 2,
+		Observe: func(phase string, cycle int, cycles int64) {
+			counts[key{phase, cycle}]++
+			charged[phase] += cycles
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"dispatch": 8, "exchange": 4, "combine": 1}
+	for c := 0; c < res.VCycles; c++ {
+		for phase, n := range want {
+			if got := counts[key{phase, c}]; got != n {
+				t.Errorf("V-cycle %d: %s observed %d times, want %d", c, phase, got, n)
+			}
+		}
+	}
+	if len(counts) != len(want)*res.VCycles {
+		t.Errorf("%d distinct (phase, cycle) samples over %d V-cycles: %v", len(counts), res.VCycles, counts)
+	}
+	for phase := range want {
+		if charged[phase] == 0 {
+			t.Errorf("phase %s charged no cycles", phase)
 		}
 	}
 }

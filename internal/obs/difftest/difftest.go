@@ -457,10 +457,12 @@ func KernelBattery(topology string) []Scenario {
 	jacobiPair := func(configure func(*hypercube.Machine) error) func(int) (*Signature, error) {
 		run := func(workers int, noKernel bool) (*Signature, error) {
 			return jacobiSignatureOn(topology, workers, func(m *hypercube.Machine) error {
-				m.NoKernel = noKernel
 				if configure != nil {
-					return configure(m)
+					if err := configure(m); err != nil {
+						return err
+					}
 				}
+				pinInterpreter(m, noKernel)
 				return nil
 			})
 		}
@@ -500,7 +502,7 @@ func KernelBattery(topology string) []Scenario {
 		},
 		{
 			// A permanent loss absorbed by a spare: the activated spare
-			// must inherit the kernel pin.
+			// must run the pinned path too.
 			Name: "kernel/jacobi-degraded-spare@" + topology,
 			Run: jacobiPair(func(m *hypercube.Machine) error {
 				m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
@@ -511,7 +513,7 @@ func KernelBattery(topology string) []Scenario {
 			}),
 		},
 		{
-			// The distributed multigrid engine, pinned through DistConfig.
+			// The distributed multigrid engine, pinned node by node.
 			Name: "kernel/multigrid@" + topology,
 			Run: func(workers int) (*Signature, error) {
 				run := func(noKernel bool) (*Signature, error) {
@@ -520,6 +522,7 @@ func KernelBattery(topology string) []Scenario {
 						return nil, err
 					}
 					m.Workers = workers
+					pinInterpreter(m, noKernel)
 					o := obs.New()
 					m.Obs = o
 					m.ArmObs()
@@ -532,7 +535,6 @@ func KernelBattery(topology string) []Scenario {
 						MaxCycles: 100,
 						Workers:   workers,
 						Obs:       o,
-						NoKernel:  noKernel,
 					})
 					if err != nil {
 						return nil, err
@@ -563,6 +565,18 @@ func KernelBattery(topology string) []Scenario {
 				return on, nil
 			},
 		},
+	}
+}
+
+// pinInterpreter sets sim.Node.KernelOff on every board of m, spares
+// included, so a spare that recovery activates runs the same path as
+// the board it replaces.
+func pinInterpreter(m *hypercube.Machine, off bool) {
+	for _, nd := range m.Nodes {
+		nd.KernelOff = off
+	}
+	for _, nd := range m.Spares {
+		nd.KernelOff = off
 	}
 }
 

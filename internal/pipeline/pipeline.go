@@ -2,7 +2,8 @@
 // visual programming environment as a sequence of explicit, observable
 // passes: parse → build-diagram → check → codegen → validate. Each
 // pass reports problems as typed diag.Diagnostic records, each run is
-// timed per pass into a trace.PhaseRecorder, and whole compilations
+// timed per pass (Result.Passes and, when armed, the obs layer's
+// "pipeline.pass.<name>" metrics), and whole compilations
 // are memoized in a content-addressed Cache keyed by the semantic
 // inputs (machine configuration plus source statements or diagram
 // document) — the same self-invalidating design as the simulator's
@@ -25,7 +26,6 @@ import (
 	"repro/internal/diagram"
 	"repro/internal/microcode"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // State is the working set a run threads through its passes: inputs on
@@ -107,10 +107,6 @@ type Pipeline struct {
 	// Cache memoizes whole compilations by content address. Nil
 	// disables compile caching.
 	Cache *Cache
-	// Rec receives one Observe sample per pass per run, phase names
-	// "pipeline:<pass>", cycles = wall-clock microseconds. Nil disables
-	// timing export (Result.Passes is always filled).
-	Rec *trace.PhaseRecorder
 	// Obs, when non-nil, routes pass runs and compile-cache probes into
 	// the unified observability layer: a "pipeline.pass.<name>" counter
 	// and ".us" wall-clock histogram per pass, one span per pass on
@@ -148,9 +144,6 @@ func (pl *Pipeline) run(st *State, passes []Pass) (*Result, error) {
 		err := p.Run(pl, st)
 		d := time.Since(t0)
 		res.Passes = append(res.Passes, PassTiming{Name: p.Name(), Duration: d})
-		if pl.Rec != nil {
-			pl.Rec.Observe("pipeline:"+p.Name(), 0, d.Microseconds())
-		}
 		if o := pl.Obs; o != nil {
 			us := d.Microseconds()
 			o.Inc("pipeline.pass." + p.Name())

@@ -17,7 +17,7 @@ import (
 	"repro/internal/editor"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 func progHash(t *testing.T, p *microcode.Program) string {
@@ -308,11 +308,11 @@ func TestDocumentCache(t *testing.T) {
 }
 
 // TestPassTimings verifies the pass framework reports every pass, in
-// order, and exports phase samples to the recorder.
+// order, and counts each pass once in the obs layer.
 func TestPassTimings(t *testing.T) {
 	inv := arch.MustInventory(arch.Default())
 	pl := New(inv)
-	pl.Rec = trace.NewPhaseRecorder()
+	pl.Obs = obs.New()
 
 	res, err := pl.CompileSource([]string{sduStencilSrc}, sduStencilOpt)
 	if err != nil {
@@ -327,9 +327,10 @@ func TestPassTimings(t *testing.T) {
 			t.Errorf("pass %d = %q, want %q", i, pt.Name, want[i])
 		}
 	}
+	totals := pl.Obs.Reg.Totals()
 	for _, name := range want {
-		if n, _ := pl.Rec.Totals("pipeline:" + name); n != 1 {
-			t.Errorf("recorder has %d samples for %q, want 1", n, name)
+		if n := totals["counter/pipeline.pass."+name]; n != 1 {
+			t.Errorf("pipeline.pass.%s counted %d runs, want 1", name, n)
 		}
 	}
 }
