@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diagram"
 	"repro/internal/editor"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
@@ -921,7 +922,7 @@ func BenchmarkS11FaultOverhead(b *testing.B) {
 		}
 		return g
 	}
-	run := func(plan *hypercube.FaultPlan, every int) (*hypercube.JacobiResult, *hypercube.Machine) {
+	run := func(plan *engine.FaultPlan, every int) (*hypercube.JacobiResult, *hypercube.Machine) {
 		m, err := hypercube.New(cfg, 2)
 		if err != nil {
 			b.Fatal(err)
@@ -945,12 +946,12 @@ func BenchmarkS11FaultOverhead(b *testing.B) {
 	})
 	b.Run("armed-empty", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			emptyRes, emptyM = run(hypercube.MustFaultPlan(), 0)
+			emptyRes, emptyM = run(engine.MustFaultPlan(), 0)
 		}
 	})
 	b.Run("faulted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			faultedRes, faultedM = run(hypercube.RandomFaultPlan(42, 10, 4, 4), 3)
+			faultedRes, faultedM = run(engine.RandomFaultPlan(42, 10, 4, 4), 3)
 		}
 	})
 	if nilRes == nil || emptyRes == nil || faultedRes == nil {

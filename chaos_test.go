@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/multigrid"
@@ -48,14 +49,14 @@ func chaosProblem(p int) *jacobi.Problem {
 // chaosPlan draws a seeded transient plan over sweeps [0,permSweep)
 // and appends a permanent kill at permSweep, so the kill never
 // collides with a generated event.
-func chaosPlan(t *testing.T, seed int64, permSweep, ranks, n int) *hypercube.FaultPlan {
+func chaosPlan(t *testing.T, seed int64, permSweep, ranks, n int) *engine.FaultPlan {
 	t.Helper()
-	base := hypercube.RandomChaosPlan(seed, permSweep, ranks, n)
-	events := append(append([]hypercube.FaultEvent(nil), base.Events...), hypercube.FaultEvent{
-		Sweep: permSweep, Phase: hypercube.PhaseDispatch,
-		Rank: int(seed) % ranks, Kind: hypercube.FaultKillForever,
+	base := engine.RandomChaosPlan(seed, permSweep, ranks, n)
+	events := append(append([]engine.FaultEvent(nil), base.Events...), engine.FaultEvent{
+		Sweep: permSweep, Phase: engine.PhaseDispatch,
+		Rank: int(seed) % ranks, Kind: engine.FaultKillForever,
 	})
-	plan, err := hypercube.NewFaultPlan(events...)
+	plan, err := engine.NewFaultPlan(events...)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -72,7 +73,7 @@ func chaosCfg() arch.Config {
 // seeded plan with sweep-boundary checkpoints armed and asserts the
 // degraded run reproduces the clean run bit for bit.
 func TestChaosJacobi(t *testing.T) {
-	run := func(plan *hypercube.FaultPlan, spares int) (*hypercube.JacobiResult, *hypercube.Machine) {
+	run := func(plan *engine.FaultPlan, spares int) (*hypercube.JacobiResult, *hypercube.Machine) {
 		m, err := hypercube.New(chaosCfg(), 3)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +123,7 @@ func TestChaosJacobi(t *testing.T) {
 // fabric's degraded run must reproduce its residual series and
 // assembled field bit for bit, at one worker and at four.
 func TestChaosTopologies(t *testing.T) {
-	run := func(topology string, workers int, plan *hypercube.FaultPlan, spares int) *hypercube.JacobiResult {
+	run := func(topology string, workers int, plan *engine.FaultPlan, spares int) *hypercube.JacobiResult {
 		tp, err := topo.New(topology, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +179,7 @@ func TestChaosTopologies(t *testing.T) {
 // seeded transient chaos plus a permanent mid-cycle kill and asserts
 // the V-cycle trajectory and solution survive unchanged.
 func TestChaosMultigrid(t *testing.T) {
-	run := func(plan *hypercube.FaultPlan, spares int) *multigrid.DistResult {
+	run := func(plan *engine.FaultPlan, spares int) *multigrid.DistResult {
 		m, err := hypercube.New(chaosCfg(), 2)
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/codegen"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/multigrid"
@@ -46,17 +47,17 @@ func record(name string, r testing.BenchmarkResult, metrics map[string]float64) 
 // benchOpts selects the robustness machinery a bench solve arms on top
 // of the fault-free baseline.
 type benchOpts struct {
-	serial     bool
 	o          *obs.Obs
-	faults     *hypercube.FaultPlan
+	faults     *engine.FaultPlan
 	spares     int
 	buddyEvery int
 	topology   string // fabric name; empty means hypercube
 }
 
 // benchSolve runs the 8-node Jacobi solve the performance probes time:
-// fault-free by default, with the halo schedule, fabric, observability
-// layer, fault plan, spare pool and buddy-mirror stride chosen by opts.
+// fault-free by default, with the fabric, observability layer, fault
+// plan, spare pool and buddy-mirror stride chosen by opts. An empty
+// fault plan selects the pairwise halo schedule.
 func benchSolve(cfg arch.Config, opts benchOpts) (*hypercube.JacobiResult, *hypercube.Machine, error) {
 	name := opts.topology
 	if name == "" {
@@ -72,7 +73,6 @@ func benchSolve(cfg arch.Config, opts benchOpts) (*hypercube.JacobiResult, *hype
 	}
 	m.Workers = runtime.GOMAXPROCS(0)
 	m.StopAfter = 12
-	m.SerialExchange = opts.serial
 	m.Obs = opts.o
 	m.Faults = opts.faults
 	m.BuddyEvery = opts.buddyEvery
@@ -104,15 +104,19 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 	var out []benchRecord
 
 	// Engine overlap: the fault-free distributed solve under both halo
-	// schedules. Simulated clocks must agree; wall time may differ.
+	// schedules, the pairwise one selected by an empty fault plan.
+	// Simulated clocks must agree; wall time may differ.
 	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"engine-overlap/overlap", false}, {"engine-overlap/serial", true}} {
+		name string
+		opts benchOpts
+	}{
+		{"engine-overlap/overlap", benchOpts{}},
+		{"engine-overlap/serial", benchOpts{faults: engine.MustFaultPlan()}},
+	} {
 		var cycles, comm int64
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, m, err := benchSolve(cfg, benchOpts{serial: mode.serial})
+				_, m, err := benchSolve(cfg, mode.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -321,10 +325,10 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 	// re-partition reports the simulated cycles the recovery cost over
 	// the clean baseline.
 	{
-		killPlan := func() *hypercube.FaultPlan {
-			return hypercube.MustFaultPlan(hypercube.FaultEvent{
-				Sweep: 6, Phase: hypercube.PhaseDispatch, Rank: 3,
-				Kind: hypercube.FaultKillForever,
+		killPlan := func() *engine.FaultPlan {
+			return engine.MustFaultPlan(engine.FaultEvent{
+				Sweep: 6, Phase: engine.PhaseDispatch, Rank: 3,
+				Kind: engine.FaultKillForever,
 			})
 		}
 		var cleanCycles int64
@@ -338,7 +342,7 @@ func runBenchJSON(stdout io.Writer, cfg arch.Config) error {
 			{"recovery-overhead/kill-shrink", func() benchOpts { return benchOpts{faults: killPlan()} }},
 		} {
 			var cycles, comm int64
-			var rec hypercube.RecoveryStats
+			var rec engine.RecoveryStats
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, m, err := benchSolve(cfg, mode.opts())

@@ -25,7 +25,7 @@
 // simulated comm clocks: grids and residual series are bit-identical
 // across fabrics. -sweeps fixes the sweep count (0 runs to
 // convergence). -faults arms a deterministic fault plan (see
-// hypercube.ParseFaultPlan for the syntax: either an event list like
+// engine.ParseFaultPlan for the syntax: either an event list like
 // "dispatch:kill@2:1:repeat=2" or "seed@S:sweeps=N:ranks=P:events=K"),
 // -checkpoint-every snapshots the solve at sweep boundaries,
 // -checkpoint persists the latest snapshot to a file, and -restore
@@ -85,6 +85,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
@@ -283,7 +284,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// SPMD dispatch: every node runs the same program against its own
 	// state, bounded by the worker pool; the first failure cancels.
 	results := make([]sim.RunResult, len(nodes))
-	if err := hypercube.ParallelFor(*par, len(nodes), func(i int) error {
+	if err := engine.ParallelFor(*par, len(nodes), func(i int) error {
 		var err error
 		results[i], err = nodes[i].Run(prog, *max)
 		if err != nil {
@@ -386,7 +387,7 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 		}
 	}
 	if faultSpec != "" || killSpec != "" {
-		plan, err := hypercube.ParseFaultPlan(faultSpec)
+		plan, err := engine.ParseFaultPlan(faultSpec)
 		if err != nil {
 			return err
 		}
@@ -405,12 +406,12 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 				if err != nil {
 					return fmt.Errorf("nscsim: -kill %q: rank %q is not an integer", tok, rk)
 				}
-				events = append(events, hypercube.FaultEvent{
-					Sweep: sweep, Phase: hypercube.PhaseDispatch, Rank: rank,
-					Kind: hypercube.FaultKillForever,
+				events = append(events, engine.FaultEvent{
+					Sweep: sweep, Phase: engine.PhaseDispatch, Rank: rank,
+					Kind: engine.FaultKillForever,
 				})
 			}
-			if plan, err = hypercube.NewFaultPlan(events...); err != nil {
+			if plan, err = engine.NewFaultPlan(events...); err != nil {
 				return err
 			}
 		}
@@ -465,7 +466,7 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 	fmt.Fprintf(stdout, "traps: %s\n", res.Traps)
 	// The recovery line appears only when the degraded-mode machinery is
 	// armed, so fault-free reports stay byte-identical to before.
-	if m.Faults.HasPermanent() || res.Recovery != (hypercube.RecoveryStats{}) {
+	if m.Faults.HasPermanent() || res.Recovery != (engine.RecoveryStats{}) {
 		lv := m.Liveness()
 		fmt.Fprintf(stdout, "recovery: %s; %d node(s) live, %d spare(s) used, %d free\n",
 			res.Recovery, lv.Live, lv.SparesUsed, lv.SparesFree)

@@ -19,9 +19,9 @@ func difftestWorkers() []int {
 	return []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)}
 }
 
-// TestDifferentialSolvers runs the full battery — Jacobi clean, serial
-// exchange, faulted with checkpoint recovery, ECC with trap retry, and
-// distributed multigrid — across the worker ladder.
+// TestDifferentialSolvers runs the full battery — Jacobi clean,
+// pairwise exchange, faulted with checkpoint recovery, ECC with trap
+// retry, and distributed multigrid — across the worker ladder.
 func TestDifferentialSolvers(t *testing.T) {
 	for _, sc := range difftest.Scenarios() {
 		sc := sc
@@ -35,31 +35,33 @@ func TestDifferentialSolvers(t *testing.T) {
 }
 
 // TestDifferentialSchedules cross-checks the two halo schedules: the
-// overlapped gather/scatter path and the serial two-parity path promise
-// identical simulated observables, not just internal consistency.
+// overlapped gather/scatter path and the two-parity pairwise path (an
+// empty fault plan) promise identical simulated observables — grid,
+// residual series, both clocks and metrics — not just internal
+// consistency.
 func TestDifferentialSchedules(t *testing.T) {
 	scs := difftest.Scenarios()
-	var clean, serial *difftest.Scenario
+	var clean, pairwise *difftest.Scenario
 	for i := range scs {
 		switch scs[i].Name {
 		case "jacobi/clean":
 			clean = &scs[i]
-		case "jacobi/serial-exchange":
-			serial = &scs[i]
+		case "jacobi/pairwise-exchange":
+			pairwise = &scs[i]
 		}
 	}
-	if clean == nil || serial == nil {
-		t.Fatal("battery is missing the clean or serial-exchange scenario")
+	if clean == nil || pairwise == nil {
+		t.Fatal("battery is missing the clean or pairwise-exchange scenario")
 	}
 	a, err := clean.Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := serial.Run(4)
+	b, err := pairwise.Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := difftest.Diff("overlap", a, "serial", b); err != nil {
+	if err := difftest.Diff("overlap", a, "pairwise", b); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/diagram"
 )
 
@@ -214,8 +215,11 @@ func (c *Checker) CheckPipeline(doc *diagram.Document, p *diagram.Pipeline) []Di
 		}
 		rule := "R000"
 		msg := err.Error()
-		if re, ok := err.(*RuleError); ok {
-			rule, msg = re.Rule, re.Msg
+		switch e := err.(type) {
+		case *RuleError:
+			rule, msg = e.Rule, e.Msg
+		case *diag.DiagError:
+			rule = e.Rule()
 		}
 		diags = append(diags, Diagnostic{Rule: rule, Severity: Error, Pipe: p.ID, Icon: icon, Msg: msg})
 	}

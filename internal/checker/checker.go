@@ -14,6 +14,7 @@ package checker
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/diag"
@@ -220,6 +221,25 @@ func (c *Checker) CanSetOp(ic *diagram.Icon, slot int, u diagram.UnitConfig) err
 	}
 	if u.Reduce && u.ConstB != nil {
 		return ruleErr(RuleConstConfl, "reduction feedback occupies the B operand; constant B is impossible")
+	}
+	if u.ConstA != nil {
+		if err := CheckFinite("constant A", *u.ConstA); err != nil {
+			return err
+		}
+	}
+	if u.ConstB != nil {
+		if err := CheckFinite("constant B", *u.ConstB); err != nil {
+			return err
+		}
+	}
+	return CheckFinite("reduction initial value", u.RedInit)
+}
+
+// CheckFinite rejects a NaN or ±Inf value the editor would store in
+// the document (R041): its JSON form has no spelling for one.
+func CheckFinite(what string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return diag.Errorf(diag.RuleNonFinite, "%s %v is not finite", what, v)
 	}
 	return nil
 }

@@ -1,10 +1,13 @@
 package checker
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/diagram"
 )
 
@@ -222,6 +225,34 @@ func TestCanConnectRules(t *testing.T) {
 	}
 	if err := c.CanConnect(p, pr(m, "rd"), diagram.PadRef{Icon: 99, Pad: "u0.a"}, 0); err == nil {
 		t.Error("unknown target icon accepted")
+	}
+}
+
+// TestNonFiniteConstants: NaN and ±Inf operands and reduction initial
+// values are R041 errors at edit time, and CheckPipeline reports the
+// same rule for a document assembled without the editor.
+func TestNonFiniteConstants(t *testing.T) {
+	c := newChecker(t)
+	d, p := buildAXPY(t)
+	db, _ := p.IconByName("D1")
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, u := range map[string]diagram.UnitConfig{
+		"consta": {Op: arch.OpMul, ConstA: &nan},
+		"constb": {Op: arch.OpMul, ConstB: &inf},
+		"init":   {Op: arch.OpAdd, Reduce: true, RedInit: -inf},
+	} {
+		var de *diag.DiagError
+		if err := c.CanSetOp(db, 0, u); !errors.As(err, &de) || de.Rule() != diag.RuleNonFinite {
+			t.Errorf("%s: err = %v, want a %s diagnostic", name, err, diag.RuleNonFinite)
+		}
+	}
+	db.Units[0].ConstB = &inf
+	var found bool
+	for _, dg := range c.CheckPipeline(d, p) {
+		found = found || (dg.Rule == diag.RuleNonFinite && dg.Severity == Error && dg.Icon == db.ID)
+	}
+	if !found {
+		t.Errorf("CheckPipeline did not report %s on %s", diag.RuleNonFinite, db.Name)
 	}
 }
 

@@ -172,6 +172,9 @@ dma Mv wr var=v stride=1 count=64
 		_, err := engine.ParseFaultPlan("teleport:kill@1:0")
 		return err
 	},
+	diag.RuleNonFinite: func(t *testing.T) error { // R041
+		return sourceErr(t, []string{"v = u * (1e308 * 10)"}, gridOpt)
+	},
 }
 
 // TestFrontendRuleCoverage cross-checks the trigger table against the

@@ -10,7 +10,6 @@ package codegen
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/checker"
@@ -24,11 +23,6 @@ type Generator struct {
 	Inv *arch.Inventory
 	F   *microcode.Format
 	Chk *checker.Checker
-	// Workers bounds concurrent pipeline elaboration in Lower and
-	// concurrent documents in Documents (0 or 1: sequential). Parallel
-	// output is identical to sequential — elaboration state is
-	// per-pipeline.
-	Workers int
 }
 
 // New returns a generator (and its embedded checker) for the inventory.
@@ -468,41 +462,10 @@ func (g *Generator) Validate(prog *microcode.Program) error {
 	return nil
 }
 
-// Documents lowers a batch of independent documents, concurrently when
-// g.Workers > 1. Results are positional: progs[i], reps[i] and errs[i]
-// belong to docs[i]. Each document runs the full Document composition.
-func (g *Generator) Documents(docs []*diagram.Document) (progs []*microcode.Program, reps []*Report, errs []error) {
-	progs = make([]*microcode.Program, len(docs))
-	reps = make([]*Report, len(docs))
-	errs = make([]error, len(docs))
-	workers := g.Workers
-	if workers <= 1 || len(docs) <= 1 {
-		for i, doc := range docs {
-			progs[i], reps[i], errs[i] = g.Document(doc)
-		}
-		return progs, reps, errs
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, doc := range docs {
-		wg.Add(1)
-		go func(i int, doc *diagram.Document) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			progs[i], reps[i], errs[i] = g.Document(doc)
-		}(i, doc)
-	}
-	wg.Wait()
-	return progs, reps, errs
-}
-
 // Lower is the codegen pass alone: elaborate an already-checked
 // document into a microcode program, without re-running the document
 // check or the final program validation. The caller fills the report's
-// Warnings. With g.Workers > 1 the distinct pipelines elaborate
-// concurrently — elaboration state is per-pipeline, so the result is
-// identical to the sequential pass.
+// Warnings.
 func (g *Generator) Lower(doc *diagram.Document) (*microcode.Program, *Report, error) {
 	rep := &Report{}
 
@@ -518,60 +481,26 @@ func (g *Generator) Lower(doc *diagram.Document) (*microcode.Program, *Report, e
 	}
 
 	// Elaborate each referenced pipeline once, in first-reference order.
-	instrs := map[int]*microcode.Instr{}
-	var pipeOrder []int
-	var pipeRefs []*diagram.Pipeline
+	var order []int
 	seen := map[int]bool{}
 	for _, op := range flow {
 		if op.Pipe < 0 || seen[op.Pipe] {
 			continue
 		}
 		seen[op.Pipe] = true
-		p, err := doc.Pipe(op.Pipe)
+		if _, err := doc.Pipe(op.Pipe); err != nil {
+			return nil, nil, err
+		}
+		order = append(order, op.Pipe)
+	}
+	instrs := map[int]*microcode.Instr{}
+	for _, id := range order {
+		in, info, err := g.Pipeline(doc, doc.Pipes[id])
 		if err != nil {
 			return nil, nil, err
 		}
-		pipeOrder = append(pipeOrder, op.Pipe)
-		pipeRefs = append(pipeRefs, p)
-	}
-	type pipeOut struct {
-		in   *microcode.Instr
-		info *PipeInfo
-		err  error
-	}
-	outs := make([]pipeOut, len(pipeOrder))
-	if workers := g.Workers; workers > 1 && len(pipeOrder) > 1 {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for idx := range pipeOrder {
-			wg.Add(1)
-			go func(idx int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				outs[idx].in, outs[idx].info, outs[idx].err = g.Pipeline(doc, pipeRefs[idx])
-			}(idx)
-		}
-		wg.Wait()
-	} else {
-		for idx := range pipeOrder {
-			outs[idx].in, outs[idx].info, outs[idx].err = g.Pipeline(doc, pipeRefs[idx])
-			if outs[idx].err != nil {
-				break
-			}
-		}
-	}
-	for idx, id := range pipeOrder {
-		if outs[idx].err != nil {
-			// First flow-order failure wins, matching sequential.
-			return nil, nil, outs[idx].err
-		}
-		if outs[idx].in == nil {
-			// Sequential pass stopped at an earlier error.
-			break
-		}
-		instrs[id] = outs[idx].in
-		rep.Pipes = append(rep.Pipes, *outs[idx].info)
+		instrs[id] = in
+		rep.Pipes = append(rep.Pipes, *info)
 	}
 
 	labels := map[string]int{}

@@ -3,7 +3,6 @@ package compiler
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/diag"
@@ -20,11 +19,6 @@ type Options struct {
 	// memory plane. Arrays are assumed based at word 0 of their plane,
 	// with tail padding for the stream drain.
 	Planes map[string]int
-	// Workers bounds the number of statements compiled concurrently by
-	// CompileProgram/BuildProgram (0 or 1: sequential). Statements are
-	// independent once declarations are fixed, so the parallel build is
-	// bit-identical to the sequential one.
-	Workers int
 }
 
 // Result reports what the compiler produced.
@@ -132,10 +126,8 @@ func programDecls(parsed []*Stmt, opt Options, maxBase int) ([]diagram.VarDecl, 
 }
 
 // BuildProgram is the build-diagram pass: parsed statements to one
-// multi-pipeline document. Statements share declarations but are
-// otherwise independent, so with opt.Workers > 1 they compile
-// concurrently into scratch documents merged in statement order; the
-// merged document is bit-identical to the sequential build.
+// multi-pipeline document, one pipeline per statement in statement
+// order, over the shared declarations.
 func BuildProgram(parsed []*Stmt, inv *arch.Inventory, opt Options) (*ProgramResult, error) {
 	if len(parsed) == 0 {
 		return nil, diag.Errorf(diag.RuleProgram, "compiler: empty program")
@@ -155,14 +147,13 @@ func BuildProgram(parsed []*Stmt, inv *arch.Inventory, opt Options) (*ProgramRes
 	if err != nil {
 		return nil, err
 	}
-	if opt.Workers > 1 && len(parsed) > 1 {
-		return buildParallel(parsed, inv, opt, bases, decls)
-	}
 
 	ed := editor.New(inv, "compiled")
 	for _, d := range decls {
 		if err := ed.Declare(d); err != nil {
-			return nil, err
+			// A plane outside the node, or a variable whose padded
+			// length overflows its plane.
+			return nil, diag.Errorf(diag.RuleCapacity, "compiler: %w", err)
 		}
 	}
 	out := &ProgramResult{}
@@ -175,77 +166,6 @@ func BuildProgram(parsed []*Stmt, inv *arch.Inventory, opt Options) (*ProgramRes
 			return nil, stmtErr(err, i)
 		}
 		out.Stmts = append(out.Stmts, res)
-		if err := ed.AddFlow(diagram.FlowOp{Pipe: i}); err != nil {
-			return nil, err
-		}
-	}
-	ed.Doc.Flow[len(ed.Doc.Flow)-1].Cond = diagram.CondHalt
-	ed.Doc.Name = "compiled-program"
-	out.Doc = ed.Doc
-	for _, r := range out.Stmts {
-		r.Doc = ed.Doc
-	}
-	return out, nil
-}
-
-// buildParallel compiles every statement into its own scratch editor
-// concurrently (at most opt.Workers at a time) and merges the scratch
-// pipelines, in statement order, into one document identical to the
-// sequential build: same declarations, same pipeline IDs and labels,
-// same flow region. Statement isolation is what makes this race-free —
-// each scratch editor owns its document until the deterministic merge.
-func buildParallel(parsed []*Stmt, inv *arch.Inventory, opt Options, bases []int, decls []diagram.VarDecl) (*ProgramResult, error) {
-	ed := editor.New(inv, "compiled")
-	for _, d := range decls {
-		if err := ed.Declare(d); err != nil {
-			return nil, err
-		}
-	}
-
-	n := len(parsed)
-	results := make([]*Result, n)
-	pipes := make([]*diagram.Pipeline, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, opt.Workers)
-	var wg sync.WaitGroup
-	for i := range parsed {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sed := editor.New(inv, "compiled")
-			p := sed.Doc.Pipes[0]
-			p.ID = i
-			if i > 0 {
-				p.Label = fmt.Sprintf("stmt%d", i)
-			}
-			for _, d := range decls {
-				if err := sed.Declare(d); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			res, err := compileStmt(sed, parsed[i], inv, opt, bases[i])
-			if err != nil {
-				errs[i] = stmtErr(err, i)
-				return
-			}
-			results[i] = res
-			pipes[i] = sed.Doc.Pipes[0]
-		}(i)
-	}
-	wg.Wait()
-	// Lowest statement index wins, matching the sequential error.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	ed.Doc.Pipes = pipes
-	out := &ProgramResult{Stmts: results}
-	for i := range parsed {
 		if err := ed.AddFlow(diagram.FlowOp{Pipe: i}); err != nil {
 			return nil, err
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/diagram"
 	"repro/internal/editor"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/microcode"
 	"repro/internal/multigrid"
@@ -223,9 +224,9 @@ func (env *Environment) TrapStats() sim.TrapStats {
 // FaultStats reports the cumulative fault/recovery counters of the
 // session's multi-node machine (zero when no cube was ever built or no
 // faults were injected).
-func (env *Environment) FaultStats() hypercube.FaultStats {
+func (env *Environment) FaultStats() engine.FaultStats {
 	if env.Cube == nil {
-		return hypercube.FaultStats{}
+		return engine.FaultStats{}
 	}
 	return env.Cube.FaultCounters
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/hypercube"
+	"repro/internal/engine"
 	"repro/internal/jacobi"
 )
 
@@ -199,7 +199,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // fault counters.
 func TestHypercubeSession(t *testing.T) {
 	env := MustNew(arch.Default())
-	if env.FaultStats() != (hypercube.FaultStats{}) {
+	if env.FaultStats() != (engine.FaultStats{}) {
 		t.Error("fresh session has fault counters")
 	}
 	m, err := env.Hypercube(2)
@@ -222,8 +222,8 @@ func TestHypercubeSession(t *testing.T) {
 
 	// Run a faulted solve through the session machine; its counters
 	// show up in the environment.
-	m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-		Sweep: 1, Phase: hypercube.PhaseDispatch, Rank: 0, Kind: hypercube.FaultKill, Repeat: 2})
+	m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+		Sweep: 1, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKill, Repeat: 2})
 	g := jacobi.NewModelProblem(8, 1e-4, 400)
 	g.Nz = 10 // 8 interior planes over 4 nodes
 	g.F = make([]float64, g.Cells())

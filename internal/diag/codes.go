@@ -21,8 +21,9 @@ const (
 	RuleNoPlane = "R032"
 	// RuleCapacity marks a statement whose stencil shape exceeds the
 	// machine: too many shifted variables for the SDUs, too many taps,
-	// a span beyond the SDU buffer, or more operations than the node's
-	// function units.
+	// a span beyond the SDU buffer, more operations than the node's
+	// function units, or a variable mapped to a plane the node lacks or
+	// padded past the end of its plane.
 	RuleCapacity = "R033"
 	// RuleGenResource marks microcode generation running out of a
 	// physical resource (ALSs, shift/delay units, constant-pool slots).
@@ -48,4 +49,9 @@ const (
 	// an unparseable token, a bad phase/kind/option, or duplicate
 	// events targeting the same (sweep, phase, rank).
 	RuleFaultPlan = "R040"
+	// RuleNonFinite marks a NaN or ±Inf operation constant, reduction
+	// initial value or compare threshold. A document's JSON form cannot
+	// hold one, and the editor's undo stack and the compile-cache key
+	// both serialize the document.
+	RuleNonFinite = "R041"
 )

@@ -416,6 +416,9 @@ func (e *Editor) SetCompare(iconName string, slot int, op string, threshold floa
 	if err != nil {
 		return err
 	}
+	if err := checker.CheckFinite("compare threshold", threshold); err != nil {
+		return err
+	}
 	e.mark()
 	e.Current().Compare = &diagram.CompareSpec{Icon: ic.ID, Slot: slot, Op: op, Threshold: threshold, Flag: flag}
 	if ds := e.Chk.CheckPipeline(e.Doc, e.Current()); hasRule(ds, checker.RuleCompareSpec) {

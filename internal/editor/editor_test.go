@@ -1,12 +1,16 @@
 package editor
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/checker"
+	"repro/internal/diag"
 	"repro/internal/diagram"
 )
 
@@ -251,6 +255,48 @@ func TestSetCompareRollsBackInvalid(t *testing.T) {
 	}
 	if e2.Current().Compare != nil {
 		t.Error("invalid compare left in document")
+	}
+}
+
+// TestNonFiniteValuesRejected: a NaN or ±Inf constant or compare
+// threshold is an R041 diagnostic raised before the undo stack is
+// marked, so every document the editor holds stays savable and the
+// session goes on. Had the second script line stored its NaN, the
+// third line's undo snapshot could not serialize the document.
+func TestNonFiniteValuesRejected(t *testing.T) {
+	e := newEd(t)
+	isNonFinite := func(err error) bool {
+		var de *diag.DiagError
+		return errors.As(err, &de) && de.Rule() == diag.RuleNonFinite
+	}
+	for i, line := range []string{
+		"place singlet S at 1 1",
+		"op S.u0 add consta=NaN",
+		"place singlet S2 at 5 5",
+		"op S.u0 add reduce",
+	} {
+		_, err := e.Exec(line)
+		if i == 1 != isNonFinite(err) {
+			t.Fatalf("%q: err = %v", line, err)
+		}
+	}
+	if err := e.SetCompare("S", 0, "lt", math.Inf(-1), 1); !isNonFinite(err) {
+		t.Errorf("-Inf threshold: err = %v, want %s", err, diag.RuleNonFinite)
+	}
+	if e.Current().Compare != nil {
+		t.Error("rejected compare left in the document")
+	}
+	var buf bytes.Buffer
+	if err := e.Doc.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := e.Undo(); err != nil {
+			t.Fatalf("undo %d: %v", i, err)
+		}
+	}
+	if len(e.Current().Icons) != 0 || e.Undo() == nil {
+		t.Errorf("three undos left %d icons and more history", len(e.Current().Icons))
 	}
 }
 

@@ -21,11 +21,13 @@
 // buffers inside the dispatch barrier (right after its own sweep, while
 // other ranks are still computing), and the exchange phase is then a
 // single scatter barrier in which every rank writes only its own ghost
-// planes. The simulated cost model is identical to the serial
-// two-phase schedule — overlap is a host-time optimization, measured
-// by BenchmarkEngineOverlap — and the faulted path keeps the seed's
-// two-parity pairwise schedule exactly, because fault triggering and
-// retry accounting are defined per pair.
+// planes. Whenever a fault plan is armed the loop keeps the seed's
+// two-parity pairwise schedule instead, because fault triggering and
+// retry accounting are defined per pair; an empty plan
+// (MustFaultPlan()) runs that schedule with nothing to inject, which
+// makes it the reference the overlap is measured against. The
+// simulated cost model of the two schedules is identical — overlap is
+// a host-time optimization, measured by BenchmarkEngineOverlap.
 package engine
 
 import (
@@ -100,12 +102,6 @@ type Config struct {
 
 	// ResidualFU is the reduce register the convergence combine reads.
 	ResidualFU arch.FUID
-
-	// SerialExchange disables the overlapped gather/scatter halo path
-	// on the fault-free schedule, forcing the two-parity pairwise
-	// exchange — the knob BenchmarkEngineOverlap flips. Simulated
-	// results and clocks are identical either way.
-	SerialExchange bool
 
 	// Observe, when non-nil, receives one sample per completed phase
 	// with the simulated cycles it added to the critical path. Called
@@ -236,7 +232,7 @@ func NewLoop(cfg *Config) (*Loop, error) {
 		lp.deltas = make([]FaultStats, p)
 		lp.budget = make([]*BudgetError, p)
 		lp.dead = make([]bool, p)
-	} else if !cfg.SerialExchange && p > 1 {
+	} else if p > 1 {
 		lp.halo = make([][]float64, 2*p)
 		for i := range lp.halo {
 			lp.halo[i] = make([]float64, cfg.Part.NN())
@@ -480,10 +476,10 @@ func (lp *Loop) CombineResidual(sweepNo int) (float64, *BudgetError) {
 //
 // On the overlapped fault-free path the outgoing faces were already
 // gathered during Dispatch, so this is a single barrier in which each
-// rank writes only its own ghost planes. Otherwise pair (r, r+1)
-// touches exactly two nodes, so even-r pairs are mutually disjoint (as
-// are odd-r pairs) and the exchange dispatches over the pool in two
-// parity phases.
+// rank writes only its own ghost planes. Under a fault plan, pair
+// (r, r+1) touches exactly two nodes, so even-r pairs are mutually
+// disjoint (as are odd-r pairs) and the exchange dispatches over the
+// pool in two parity phases.
 func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 	cfg := lp.cfg
 	f := cfg.Fabric
@@ -519,22 +515,7 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 		for phase := 0; phase < 2; phase++ {
 			pairs := lp.pairs[phase]
 			if err := ParallelFor(cfg.Workers, len(pairs), func(k int) error {
-				r := pairs[k]
-				if cfg.Faults == nil {
-					// r's last owned plane → (r+1)'s low ghost.
-					down, err := f.Copy(r, plane, int64(pt.Planes[r]*nn), r+1, plane, 0, nn)
-					if err != nil {
-						return err
-					}
-					// (r+1)'s first owned plane → r's high ghost.
-					up, err := f.Copy(r+1, plane, int64(nn), r, plane, int64((pt.Planes[r]+1)*nn), nn)
-					if err != nil {
-						return err
-					}
-					lp.cost[r] = down + up
-					return nil
-				}
-				return lp.exchangePair(sweepNo, r, plane)
+				return lp.exchangePair(sweepNo, pairs[k], plane)
 			}); err != nil {
 				return nil, err
 			}
@@ -699,21 +680,21 @@ func Run(cfg *Config) (*RunResult, error) {
 		maxRecoveries = len(cfg.Faults.Events)
 	}
 	for {
-		res, tsEnd, err := runOnce(cfg, ts, acc)
-		if res != nil {
-			merged := acc
-			merged.Add(res.Faults)
-			res.Faults = merged
-			res.Recovery = rec
+		res, tsEnd, dre, err := runOnce(cfg, ts, acc)
+		if err != nil {
+			return nil, err
 		}
-		var dre *DeadRankError
-		if err == nil || cfg.Recover == nil || !errors.As(err, &dre) {
-			return res, err
+		merged := acc
+		merged.Add(res.Faults)
+		res.Faults = merged
+		res.Recovery = rec
+		if dre == nil {
+			return res, nil
 		}
-		if int(rec.Recoveries) >= maxRecoveries {
-			// Backstop: a Recover hook that makes no progress cannot spin
-			// the loop past one round per plan event.
-			return res, err
+		if cfg.Recover == nil || int(rec.Recoveries) >= maxRecoveries {
+			// No hook, or the backstop: a Recover hook that makes no
+			// progress cannot spin the loop past one round per plan event.
+			return res, dre
 		}
 		acc = res.Faults
 		ts = tsEnd
@@ -767,11 +748,13 @@ func Run(cfg *Config) (*RunResult, error) {
 // observability timeline (continuous across recovery generations);
 // base is the fault-counter accumulation of prior generations, merged
 // into the live counters handed to Take so persisted checkpoints carry
-// full totals.
-func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error) {
+// full totals. A dead rank is not an error here: runOnce returns it
+// with the partial result (counters and timeline so far) for Run's
+// recovery protocol. On error the result is nil.
+func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, *DeadRankError, error) {
 	lp, err := NewLoop(cfg)
 	if err != nil {
-		return nil, ts0, err
+		return nil, ts0, nil, err
 	}
 	lp.simTS = ts0
 	res := &RunResult{
@@ -806,7 +789,7 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error)
 			live := base
 			live.Add(lp.fst)
 			if err := cfg.Take(it, res.Series, live); err != nil {
-				return nil, lp.simTS, err
+				return nil, lp.simTS, nil, err
 			}
 			// Snapshots are host-side and free in simulated time; the
 			// zero-cycle phase still marks the boundary on the timeline.
@@ -816,7 +799,7 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error)
 		// time; the zero-cycle phase marks the boundary on the timeline.
 		if cfg.BuddyEvery > 0 && cfg.Buddy != nil && it%cfg.BuddyEvery == 0 {
 			if err := cfg.Buddy(it, res.Series); err != nil {
-				return nil, lp.simTS, err
+				return nil, lp.simTS, nil, err
 			}
 			lp.observe("buddy", it, 0)
 		}
@@ -825,17 +808,15 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error)
 		if err != nil {
 			var dre *DeadRankError
 			if errors.As(err, &dre) {
-				// Partial result for the recovery protocol: counters so
-				// far, timeline so far.
 				res.Faults = lp.fst
-				return res, lp.simTS, err
+				return res, lp.simTS, dre, nil
 			}
-			return nil, lp.simTS, err
+			return nil, lp.simTS, nil, err
 		}
 		if be != nil {
 			at, err := rollback(be)
 			if err != nil {
-				return nil, lp.simTS, err
+				return nil, lp.simTS, nil, err
 			}
 			it = at - 1
 			continue
@@ -846,7 +827,7 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error)
 		if mergeBE != nil {
 			at, err := rollback(mergeBE)
 			if err != nil {
-				return nil, lp.simTS, err
+				return nil, lp.simTS, nil, err
 			}
 			it = at - 1
 			continue
@@ -868,17 +849,17 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, error)
 
 		ebe, err := lp.Exchange(it, plane)
 		if err != nil {
-			return nil, lp.simTS, err
+			return nil, lp.simTS, nil, err
 		}
 		if ebe != nil {
 			at, err := rollback(ebe)
 			if err != nil {
-				return nil, lp.simTS, err
+				return nil, lp.simTS, nil, err
 			}
 			it = at - 1
 			continue
 		}
 	}
 	res.Faults = lp.fst
-	return res, lp.simTS, nil
+	return res, lp.simTS, nil, nil
 }

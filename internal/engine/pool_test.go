@@ -1,4 +1,4 @@
-package hypercube
+package engine
 
 import (
 	"errors"

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/diag"
 	"repro/internal/sim"
 )
@@ -163,6 +164,51 @@ func TestDeadRankErrorAndStats(t *testing.T) {
 	want := "recoveries=2 dead=3 spares=1 shrinks=1 buddy=1 checkpoint=1 resweeps=3"
 	if s.String() != want {
 		t.Errorf("stats = %q, want %q", s, want)
+	}
+}
+
+// nodeFabric is scatterFabric with real nodes behind the ranks, so a
+// Run can combine residuals.
+type nodeFabric struct {
+	scatterFabric
+	nodes []*sim.Node
+}
+
+func (f *nodeFabric) Node(r int) *sim.Node { return f.nodes[r] }
+
+// TestRunSurfacesDeadRankWithoutRecover: with no Recover hook, a dead
+// rank ends Run with the *DeadRankError the step reported and the
+// partial result — the iterations completed and the fault counters so
+// far.
+func TestRunSurfacesDeadRankWithoutRecover(t *testing.T) {
+	f := &nodeFabric{scatterFabric: scatterFabric{p: 2}}
+	for r := 0; r < 2; r++ {
+		nd, err := sim.NewNode(arch.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.RedReg[0] = 1
+		f.nodes = append(f.nodes, nd)
+	}
+	part, err := NewPartition(2, 4, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := &DeadRankError{Sweep: 3, Ranks: []int{1}}
+	res, err := Run(&Config{
+		Fabric: f, Part: part, MaxSweeps: 10, Tol: 0.5,
+		Step: func(lp *Loop, it int) (int, *BudgetError, error) {
+			if it == dead.Sweep {
+				return -1, nil, dead
+			}
+			return -1, nil, nil
+		},
+	})
+	if err != error(dead) {
+		t.Fatalf("err = %v, want the step's DeadRankError", err)
+	}
+	if res == nil || res.Sweeps != 3 || len(res.Series) != 3 || res.Faults != (FaultStats{}) {
+		t.Errorf("partial result = %+v, want 3 sweeps and zero counters", res)
 	}
 }
 

@@ -6,15 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
 // BenchmarkEngineOverlap measures the host wall-time effect of the
 // engine's overlapped halo path (ghost faces gathered inside the
 // dispatch barrier, exchange reduced to one scatter barrier) against
-// the serial two-parity pairwise schedule. Simulated observables are
-// asserted identical before timing starts — the overlap may only move
-// host time, never machine time.
+// the two-parity pairwise schedule, which an empty fault plan selects.
+// Simulated observables are asserted identical before timing starts —
+// the overlap may only move host time, never machine time.
 func BenchmarkEngineOverlap(b *testing.B) {
 	solve := func(serial bool) (*JacobiResult, *Machine) {
 		m, err := New(smallCfg(), 3) // 8 nodes
@@ -23,7 +24,9 @@ func BenchmarkEngineOverlap(b *testing.B) {
 		}
 		m.Workers = runtime.GOMAXPROCS(0)
 		m.StopAfter = 12
-		m.SerialExchange = serial
+		if serial {
+			m.Faults = engine.MustFaultPlan()
+		}
 		res, err := m.SolveJacobi(parallelProblem(m.P()))
 		if err != nil {
 			b.Fatal(err)

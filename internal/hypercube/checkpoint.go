@@ -78,7 +78,7 @@ type Checkpoint struct {
 	MachineCycles, CommCycles int64
 	// Faults, PlanCache and Traps carry the counters accumulated before
 	// the snapshot, so a run restored in a fresh process reports totals.
-	Faults    FaultStats
+	Faults    engine.FaultStats
 	PlanCache sim.PlanCacheStats
 	Traps     sim.TrapStats
 	// FaultFired is the fault plan's per-event firing counters: a
@@ -163,7 +163,7 @@ func (ck *Checkpoint) partition() (*engine.Partition, error) {
 type checkpointHeader struct {
 	Sweep, P, N, Nz, Slab     int64
 	MachineCycles, CommCycles int64
-	Faults                    FaultStats
+	Faults                    engine.FaultStats
 	PlanHits, PlanMisses      int64
 	PlanEntries               int64
 	Traps                     sim.TrapStats

@@ -136,9 +136,9 @@ func TestRestoreResumesBitIdentical(t *testing.T) {
 // plan's firing counters (no re-suffering) and reports the snapshot's
 // counters plus its own.
 func TestRestoreCarriesFaultState(t *testing.T) {
-	plan := MustFaultPlan(
-		FaultEvent{Sweep: 1, Phase: PhaseDispatch, Rank: 0, Kind: FaultKill, Repeat: 2},
-		FaultEvent{Sweep: 8, Phase: PhaseExchange, Rank: 1, Kind: FaultKill, Repeat: 1},
+	plan := engine.MustFaultPlan(
+		engine.FaultEvent{Sweep: 1, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKill, Repeat: 2},
+		engine.FaultEvent{Sweep: 8, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultKill, Repeat: 1},
 	)
 	m, err := New(smallCfg(), 2)
 	if err != nil {
@@ -168,7 +168,7 @@ func TestRestoreCarriesFaultState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2.Faults = MustFaultPlan(plan.Events...) // fresh plan, counters zero
+	m2.Faults = engine.MustFaultPlan(plan.Events...) // fresh plan, counters zero
 	m2.Restore = keep
 	res, err := m2.SolveJacobi(parallelProblem(m2.P()))
 	if err != nil {

@@ -3,10 +3,12 @@ package hypercube
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // solveWith runs the 4-node model problem with the given fault setup.
-func solveWith(t *testing.T, workers int, plan *FaultPlan, every int) (*JacobiResult, *Machine, error) {
+func solveWith(t *testing.T, workers int, plan *engine.FaultPlan, every int) (*JacobiResult, *Machine, error) {
 	t.Helper()
 	m, err := New(smallCfg(), 2) // 4 nodes
 	if err != nil {
@@ -69,7 +71,7 @@ func TestFaultMatrix(t *testing.T) {
 	if !cleanRes.Converged {
 		t.Fatalf("clean run did not converge (residual %g)", cleanRes.Residual)
 	}
-	if cleanRes.Faults != (FaultStats{}) {
+	if cleanRes.Faults != (engine.FaultStats{}) {
 		t.Fatalf("clean run has fault counters: %+v", cleanRes.Faults)
 	}
 
@@ -78,28 +80,28 @@ func TestFaultMatrix(t *testing.T) {
 	// leftover firings clear within the post-restore budget).
 	cases := []struct {
 		name  string
-		ev    FaultEvent
+		ev    engine.FaultEvent
 		every int
 		want  faultOutcome
 	}{
-		{"dispatch-kill-retried", FaultEvent{Sweep: 2, Phase: PhaseDispatch, Rank: 1, Kind: FaultKill, Repeat: 2}, 0, retriedOK},
-		{"dispatch-kill-restored", FaultEvent{Sweep: 3, Phase: PhaseDispatch, Rank: 2, Kind: FaultKill, Repeat: 4}, 2, restoredOK},
-		{"dispatch-kill-exhausted", FaultEvent{Sweep: 3, Phase: PhaseDispatch, Rank: 2, Kind: FaultKill, Repeat: 4}, 0, exhausted},
-		{"dispatch-stall-absorbed", FaultEvent{Sweep: 2, Phase: PhaseDispatch, Rank: 0, Kind: FaultStall, Stall: 5000}, 0, retriedOK},
-		{"exchange-kill-retried", FaultEvent{Sweep: 2, Phase: PhaseExchange, Rank: 0, Kind: FaultKill, Repeat: 2}, 0, retriedOK},
-		{"exchange-kill-restored", FaultEvent{Sweep: 3, Phase: PhaseExchange, Rank: 1, Kind: FaultKill, Repeat: 5}, 2, restoredOK},
-		{"exchange-kill-exhausted", FaultEvent{Sweep: 3, Phase: PhaseExchange, Rank: 1, Kind: FaultKill, Repeat: 5}, 0, exhausted},
-		{"exchange-corrupt-retried", FaultEvent{Sweep: 2, Phase: PhaseExchange, Rank: 2, Kind: FaultCorrupt, Repeat: 1}, 0, retriedOK},
-		{"exchange-corrupt-restored", FaultEvent{Sweep: 3, Phase: PhaseExchange, Rank: 0, Kind: FaultCorrupt, Repeat: 4}, 2, restoredOK},
-		{"exchange-corrupt-exhausted", FaultEvent{Sweep: 3, Phase: PhaseExchange, Rank: 0, Kind: FaultCorrupt, Repeat: 4}, 0, exhausted},
-		{"exchange-stall-absorbed", FaultEvent{Sweep: 2, Phase: PhaseExchange, Rank: 1, Kind: FaultStall, Stall: 2500}, 0, retriedOK},
-		{"merge-kill-retried", FaultEvent{Sweep: 2, Phase: PhaseMerge, Rank: 1, Kind: FaultKill, Repeat: 2}, 0, retriedOK},
-		{"merge-kill-restored", FaultEvent{Sweep: 3, Phase: PhaseMerge, Rank: 0, Kind: FaultKill, Repeat: 4}, 2, restoredOK},
-		{"merge-kill-exhausted", FaultEvent{Sweep: 3, Phase: PhaseMerge, Rank: 0, Kind: FaultKill, Repeat: 4}, 0, exhausted},
-		{"merge-corrupt-retried", FaultEvent{Sweep: 2, Phase: PhaseMerge, Rank: 0, Kind: FaultCorrupt, Repeat: 2}, 0, retriedOK},
-		{"merge-corrupt-restored", FaultEvent{Sweep: 3, Phase: PhaseMerge, Rank: 1, Kind: FaultCorrupt, Repeat: 4}, 2, restoredOK},
-		{"merge-corrupt-exhausted", FaultEvent{Sweep: 3, Phase: PhaseMerge, Rank: 1, Kind: FaultCorrupt, Repeat: 4}, 0, exhausted},
-		{"merge-stall-absorbed", FaultEvent{Sweep: 2, Phase: PhaseMerge, Rank: 0, Kind: FaultStall, Stall: 1234}, 0, retriedOK},
+		{"dispatch-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK},
+		{"dispatch-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKill, Repeat: 4}, 2, restoredOK},
+		{"dispatch-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKill, Repeat: 4}, 0, exhausted},
+		{"dispatch-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultStall, Stall: 5000}, 0, retriedOK},
+		{"exchange-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK},
+		{"exchange-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultKill, Repeat: 5}, 2, restoredOK},
+		{"exchange-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultKill, Repeat: 5}, 0, exhausted},
+		{"exchange-corrupt-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 2, Kind: engine.FaultCorrupt, Repeat: 1}, 0, retriedOK},
+		{"exchange-corrupt-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 4}, 2, restoredOK},
+		{"exchange-corrupt-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 4}, 0, exhausted},
+		{"exchange-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultStall, Stall: 2500}, 0, retriedOK},
+		{"merge-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK},
+		{"merge-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultKill, Repeat: 4}, 2, restoredOK},
+		{"merge-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultKill, Repeat: 4}, 0, exhausted},
+		{"merge-corrupt-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 2}, 0, retriedOK},
+		{"merge-corrupt-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultCorrupt, Repeat: 4}, 2, restoredOK},
+		{"merge-corrupt-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultCorrupt, Repeat: 4}, 0, exhausted},
+		{"merge-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultStall, Stall: 1234}, 0, retriedOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,13 +112,13 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			runs := map[int]run{}
 			for _, workers := range []int{1, -1} {
-				plan := MustFaultPlan(tc.ev)
+				plan := engine.MustFaultPlan(tc.ev)
 				res, m, err := solveWith(t, workers, plan, tc.every)
 				runs[workers] = run{res, m, err}
 
 				switch tc.want {
 				case exhausted:
-					var be *BudgetError
+					var be *engine.BudgetError
 					if !errors.As(err, &be) {
 						t.Fatalf("workers=%d: err = %v, want BudgetError", workers, err)
 					}
@@ -140,15 +142,15 @@ func TestFaultMatrix(t *testing.T) {
 					t.Errorf("workers=%d: injected %d faults, plan repeat %d", workers, f.Injected, wantFires)
 				}
 				switch tc.ev.Kind {
-				case FaultKill:
+				case engine.FaultKill:
 					if f.Kills != f.Injected || f.Retries == 0 || f.BackoffCycles == 0 {
 						t.Errorf("workers=%d: kill counters %+v", workers, f)
 					}
-				case FaultCorrupt:
+				case engine.FaultCorrupt:
 					if f.Corruptions != f.Injected || f.Retries == 0 {
 						t.Errorf("workers=%d: corrupt counters %+v", workers, f)
 					}
-				case FaultStall:
+				case engine.FaultStall:
 					if f.Stalls != 1 || f.StallCycles != tc.ev.Stall || f.Retries != 0 {
 						t.Errorf("workers=%d: stall counters %+v", workers, f)
 					}
@@ -200,7 +202,7 @@ func TestSeededKillPlanRecoversBitIdentical(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 42, 7777} {
 		for _, workers := range []int{1, -1} {
-			plan := RandomFaultPlan(seed, 6, 4, 5)
+			plan := engine.RandomFaultPlan(seed, 6, 4, 5)
 			res, _, err := solveWith(t, workers, plan, 3)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
@@ -216,7 +218,7 @@ func TestSeededKillPlanRecoversBitIdentical(t *testing.T) {
 // TestPermanentFaultExhaustsRestores: a fault that never heals burns
 // through MaxRestores checkpoint rollbacks and then surfaces.
 func TestPermanentFaultExhaustsRestores(t *testing.T) {
-	plan := MustFaultPlan(FaultEvent{Sweep: 3, Phase: PhaseDispatch, Rank: 1, Kind: FaultKill, Repeat: 1 << 20})
+	plan := engine.MustFaultPlan(engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKill, Repeat: 1 << 20})
 	m, err := New(smallCfg(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +226,7 @@ func TestPermanentFaultExhaustsRestores(t *testing.T) {
 	m.Faults = plan
 	m.CheckpointEvery = 2
 	_, err = m.SolveJacobi(parallelProblem(m.P()))
-	var be *BudgetError
+	var be *engine.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want BudgetError", err)
 	}
@@ -241,7 +243,7 @@ func TestEmptyPlanZeroOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, emptyM, err := solveWith(t, 1, MustFaultPlan(), 0)
+	empty, emptyM, err := solveWith(t, 1, engine.MustFaultPlan(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,26 +252,26 @@ func TestEmptyPlanZeroOverhead(t *testing.T) {
 		t.Errorf("empty plan changed the clock: %d/%d vs %d/%d",
 			emptyM.MachineCycles, emptyM.CommCycles, bareM.MachineCycles, bareM.CommCycles)
 	}
-	if empty.Faults != (FaultStats{}) {
+	if empty.Faults != (engine.FaultStats{}) {
 		t.Errorf("empty plan produced counters: %+v", empty.Faults)
 	}
 	assertSameSolve(t, empty, bare)
 }
 
 func TestFaultPlanValidation(t *testing.T) {
-	if _, err := NewFaultPlan(FaultEvent{Phase: PhaseDispatch, Kind: FaultCorrupt}); err == nil {
+	if _, err := engine.NewFaultPlan(engine.FaultEvent{Phase: engine.PhaseDispatch, Kind: engine.FaultCorrupt}); err == nil {
 		t.Error("corrupt dispatch accepted: a dispatch moves no payload")
 	}
-	if _, err := NewFaultPlan(FaultEvent{Phase: PhaseExchange, Kind: FaultStall, Stall: 0}); err == nil {
+	if _, err := engine.NewFaultPlan(engine.FaultEvent{Phase: engine.PhaseExchange, Kind: engine.FaultStall, Stall: 0}); err == nil {
 		t.Error("stall without cycles accepted")
 	}
-	if _, err := NewFaultPlan(FaultEvent{Sweep: -1, Kind: FaultKill}); err == nil {
+	if _, err := engine.NewFaultPlan(engine.FaultEvent{Sweep: -1, Kind: engine.FaultKill}); err == nil {
 		t.Error("negative sweep accepted")
 	}
-	if _, err := NewFaultPlan(FaultEvent{Kind: FaultKind(99)}); err == nil {
+	if _, err := engine.NewFaultPlan(engine.FaultEvent{Kind: engine.FaultKind(99)}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := NewFaultPlan(FaultEvent{Phase: Phase(99), Kind: FaultKill}); err == nil {
+	if _, err := engine.NewFaultPlan(engine.FaultEvent{Phase: engine.Phase(99), Kind: engine.FaultKill}); err == nil {
 		t.Error("unknown phase accepted")
 	}
 }
@@ -281,10 +283,10 @@ func TestCustomRetryPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Faults = MustFaultPlan(FaultEvent{Sweep: 1, Phase: PhaseDispatch, Rank: 0, Kind: FaultKill})
-	m.Retry = RetryPolicy{MaxAttempts: 1, BackoffCycles: 1, MaxBackoffCycles: 1, MaxRestores: 1}
+	m.Faults = engine.MustFaultPlan(engine.FaultEvent{Sweep: 1, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKill})
+	m.Retry = engine.RetryPolicy{MaxAttempts: 1, BackoffCycles: 1, MaxBackoffCycles: 1, MaxRestores: 1}
 	_, err = m.SolveJacobi(parallelProblem(m.P()))
-	var be *BudgetError
+	var be *engine.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want BudgetError", err)
 	}
@@ -297,24 +299,24 @@ func TestFaultStringForms(t *testing.T) {
 	for _, tc := range []struct {
 		got, want string
 	}{
-		{FaultKill.String(), "kill"},
-		{FaultCorrupt.String(), "corrupt"},
-		{FaultStall.String(), "stall"},
-		{PhaseDispatch.String(), "dispatch"},
-		{PhaseExchange.String(), "exchange"},
-		{PhaseMerge.String(), "merge"},
-		{FaultEvent{Sweep: 2, Phase: PhaseExchange, Rank: 1, Kind: FaultStall, Repeat: 3, Stall: 9}.String(),
+		{engine.FaultKill.String(), "kill"},
+		{engine.FaultCorrupt.String(), "corrupt"},
+		{engine.FaultStall.String(), "stall"},
+		{engine.PhaseDispatch.String(), "dispatch"},
+		{engine.PhaseExchange.String(), "exchange"},
+		{engine.PhaseMerge.String(), "merge"},
+		{engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultStall, Repeat: 3, Stall: 9}.String(),
 			"exchange:stall@2:1:repeat=3:stall=9"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%q != %q", tc.got, tc.want)
 		}
 	}
-	s := FaultStats{Injected: 2, Kills: 1, Stalls: 1, Retries: 1, BackoffCycles: 64, StallCycles: 9}
+	s := engine.FaultStats{Injected: 2, Kills: 1, Stalls: 1, Retries: 1, BackoffCycles: 64, StallCycles: 9}
 	if s.String() != "injected=2 (kill=1 corrupt=0 stall=1) retries=1 backoff=64 stallcycles=9 exhausted=0 checkpoints=0 restores=0" {
 		t.Errorf("stats string = %q", s.String())
 	}
-	var e error = &BudgetError{Sweep: 3, Phase: PhaseMerge, Rank: 1, Attempts: 3}
+	var e error = &engine.BudgetError{Sweep: 3, Phase: engine.PhaseMerge, Rank: 1, Attempts: 3}
 	if e.Error() == "" {
 		t.Error("empty budget error")
 	}

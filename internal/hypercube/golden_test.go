@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // The refactor-equivalence goldens: every observable of the multi-node
@@ -74,7 +76,7 @@ func recordOf(res *JacobiResult, m *Machine) goldenRecord {
 func goldenScenarios(t *testing.T) map[string]goldenRecord {
 	t.Helper()
 	out := map[string]goldenRecord{}
-	solve := func(dim, workers int, plan *FaultPlan, every int) (*JacobiResult, *Machine) {
+	solve := func(dim, workers int, plan *engine.FaultPlan, every int) (*JacobiResult, *Machine) {
 		m, err := New(smallCfg(), dim)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +103,7 @@ func goldenScenarios(t *testing.T) map[string]goldenRecord {
 		out[sc.name] = recordOf(res, m)
 	}
 	for _, workers := range []int{1, 4} {
-		res, m := solve(2, workers, RandomFaultPlan(42, 6, 4, 5), 3)
+		res, m := solve(2, workers, engine.RandomFaultPlan(42, 6, 4, 5), 3)
 		out[fmt.Sprintf("p4-fault-w%d", workers)] = recordOf(res, m)
 	}
 
@@ -143,10 +145,10 @@ func goldenScenarios(t *testing.T) map[string]goldenRecord {
 }
 
 // TestOverlapExchangeEquivalence: the overlapped gather/scatter halo
-// path (the fault-free default) and the serial two-parity pairwise
-// schedule must agree on every observable — field bits, residual
-// series, and above all the simulated clocks. The overlap only changes
-// host wall time, never machine time.
+// path (the fault-free default) and the two-parity pairwise schedule
+// (an empty fault plan) must agree on every observable — field bits,
+// residual series, and above all the simulated clocks. The overlap
+// only changes host wall time, never machine time.
 func TestOverlapExchangeEquivalence(t *testing.T) {
 	run := func(serial bool, workers int) goldenRecord {
 		m, err := New(smallCfg(), 2)
@@ -154,7 +156,9 @@ func TestOverlapExchangeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Workers = workers
-		m.SerialExchange = serial
+		if serial {
+			m.Faults = engine.MustFaultPlan()
+		}
 		res, err := m.SolveJacobi(parallelProblem(m.P()))
 		if err != nil {
 			t.Fatal(err)

@@ -64,19 +64,15 @@ type Machine struct {
 	// accounting is merged in rank order after each barrier.
 	Workers int
 
-	// SerialExchange forces the engine's two-parity pairwise halo
-	// schedule instead of the overlapped gather/scatter path on
-	// fault-free solves. Results and simulated clocks are identical
-	// either way; the knob exists for measurement
-	// (BenchmarkEngineOverlap).
-	SerialExchange bool
-
 	// Faults, when non-nil, injects the plan's deterministic faults
 	// into SolveJacobi. Nil (the default) keeps the solve loop on the
 	// exact fault-free path: no extra simulated cycles, no counters.
-	Faults *FaultPlan
+	// An empty plan (engine.MustFaultPlan()) injects nothing but runs
+	// the engine's pairwise halo schedule, the reference for the
+	// overlapped one: results and simulated clocks are identical.
+	Faults *engine.FaultPlan
 	// Retry bounds fault recovery; zero fields take DefaultRetryPolicy.
-	Retry RetryPolicy
+	Retry engine.RetryPolicy
 	// CheckpointEvery, when positive, snapshots the solve at every
 	// sweep boundary divisible by it (sweep 0 included, so a restore
 	// point always exists once the solve starts).
@@ -93,7 +89,7 @@ type Machine struct {
 	Restore *Checkpoint
 	// FaultCounters accumulates fault/recovery counters across
 	// completed solves on this machine.
-	FaultCounters FaultStats
+	FaultCounters engine.FaultStats
 
 	// Trap is the node-level exception policy, applied to every node at
 	// the start of each solve. The zero value (policy off) keeps the
@@ -405,7 +401,7 @@ type JacobiResult struct {
 	PlanCache sim.PlanCacheStats
 	// Faults counts injected faults and the recovery work they caused;
 	// all-zero on fault-free runs.
-	Faults FaultStats
+	Faults engine.FaultStats
 	// Traps aggregates the nodes' exception counters in rank order
 	// (plus any counters carried in from a restored checkpoint), so
 	// parallel runs report identical totals.
@@ -548,7 +544,7 @@ func (m *Machine) corruptNode(nd *sim.Node, plane int, addr int64, count int) er
 // counters. An uneven partition (the shape a shrink leaves behind)
 // records its per-rank plane counts and serializes as version 3.
 func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Problem,
-	series []float64, faults FaultStats, base engine.NodeTotals) (*Checkpoint, error) {
+	series []float64, faults engine.FaultStats, base engine.NodeTotals) (*Checkpoint, error) {
 	nn := global.N * global.N
 	ck := &Checkpoint{
 		Sweep: it, P: part.P, N: global.N, Nz: global.Nz,

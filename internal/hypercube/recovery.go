@@ -206,7 +206,7 @@ type jacobiSolve struct {
 	buddy buddyStore
 
 	// Restore bases (from m.Restore), added to live engine counters.
-	base     FaultStats
+	base     engine.FaultStats
 	nodeBase engine.NodeTotals
 }
 
@@ -262,7 +262,7 @@ func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int)
 	m := s.m
 	cfg := &engine.Config{
 		Fabric: m.Fabric(), Part: s.part, Workers: m.Workers,
-		Faults: m.Faults, Retry: m.Retry, SerialExchange: m.SerialExchange, Obs: m.Obs,
+		Faults: m.Faults, Retry: m.Retry, Obs: m.Obs,
 		ResidualFU: arch.FUID(11), // T4 slot 2 under the default triplet layout
 		Step:       s.step,
 		MaxSweeps:  s.global.MaxIter, StopAfter: m.StopAfter, Tol: s.global.Tol,

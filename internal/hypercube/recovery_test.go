@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // killPlan builds a plan with one permanent kill per (sweep, rank).
-func killPlan(t *testing.T, kills ...[2]int) *FaultPlan {
+func killPlan(t *testing.T, kills ...[2]int) *engine.FaultPlan {
 	t.Helper()
-	var evs []FaultEvent
+	var evs []engine.FaultEvent
 	for _, k := range kills {
-		evs = append(evs, FaultEvent{Sweep: k[0], Phase: PhaseDispatch, Rank: k[1], Kind: FaultKillForever})
+		evs = append(evs, engine.FaultEvent{Sweep: k[0], Phase: engine.PhaseDispatch, Rank: k[1], Kind: engine.FaultKillForever})
 	}
-	plan, err := NewFaultPlan(evs...)
+	plan, err := engine.NewFaultPlan(evs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +24,7 @@ func killPlan(t *testing.T, kills ...[2]int) *FaultPlan {
 
 // recoverySolve runs the parallel model problem on a 2^dim machine
 // with the given plan and spare pool.
-func recoverySolve(t *testing.T, dim, workers, spares, every int, plan *FaultPlan) (*JacobiResult, *Machine) {
+func recoverySolve(t *testing.T, dim, workers, spares, every int, plan *engine.FaultPlan) (*JacobiResult, *Machine) {
 	t.Helper()
 	m, err := New(smallCfg(), dim)
 	if err != nil {

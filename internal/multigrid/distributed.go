@@ -84,9 +84,6 @@ type DistConfig struct {
 	MaxCycles int
 	// Workers bounds the host worker pool, as in hypercube.Machine.
 	Workers int
-	// SerialExchange forces the two-parity pairwise halo schedule
-	// (identical results; see engine.Config.SerialExchange).
-	SerialExchange bool
 	// Faults injects a deterministic fault plan into the engine loop;
 	// an event's sweep names the V-cycle it fires in. Transient faults
 	// retry under Retry; a permanent kill arms the cycle-boundary
@@ -216,17 +213,16 @@ func (d *Distributed) engineConfig(start int, series []float64) *engine.Config {
 	dc := d.dc
 	cfg := &engine.Config{
 		Fabric: dc.Fabric, Part: d.Part, Workers: dc.Workers,
-		ResidualFU:     arch.FUID(11), // T4 slot 2: the residual reduce
-		SerialExchange: dc.SerialExchange,
-		Faults:         dc.Faults,
-		Retry:          dc.Retry,
-		Observe:        dc.Observe,
-		Obs:            dc.Obs,
-		Step:           d.step,
-		MaxSweeps:      d.MaxCycles,
-		Tol:            d.Tol,
-		StartSweep:     start,
-		StartSeries:    series,
+		ResidualFU:  arch.FUID(11), // T4 slot 2: the residual reduce
+		Faults:      dc.Faults,
+		Retry:       dc.Retry,
+		Observe:     dc.Observe,
+		Obs:         dc.Obs,
+		Step:        d.step,
+		MaxSweeps:   d.MaxCycles,
+		Tol:         d.Tol,
+		StartSweep:  start,
+		StartSeries: series,
 	}
 	if dc.Faults.HasPermanent() {
 		cfg.BuddyEvery, cfg.Buddy, cfg.Recover = 1, d.mirrorFine, d.recoverDead

@@ -13,7 +13,8 @@ import (
 // The distributed V-cycle must reproduce the single-node solver's
 // trajectory bit for bit: same V-cycle count, same residual after
 // every cycle, same final field — at every hypercube size and worker
-// count, with either halo schedule.
+// count, with either halo schedule (the pairwise one selected by an
+// empty fault plan).
 
 func distRef(t *testing.T, cfg arch.Config, n, levels int, tol float64, maxCycles int) *Result {
 	t.Helper()
@@ -47,11 +48,15 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := NewDistributed(DistConfig{
+				dc := DistConfig{
 					Fabric: m.Fabric(), Cfg: cfg,
 					N: n, Levels: levels, Tol: tol, MaxCycles: maxCycles,
-					Workers: workers, SerialExchange: serial,
-				})
+					Workers: workers,
+				}
+				if serial {
+					dc.Faults = engine.MustFaultPlan()
+				}
+				d, err := NewDistributed(dc)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/multigrid"
@@ -233,7 +234,7 @@ func newMachine(topology string) (*hypercube.Machine, error) {
 // jacobiSignature runs a distributed Jacobi solve on the hypercube
 // with the obs layer armed and fingerprints it. configure mutates the
 // machine before the solve (fault plans, trap policy, ECC injection,
-// schedule knobs).
+// spares).
 func jacobiSignature(workers int, configure func(*hypercube.Machine) error) (*Signature, error) {
 	return jacobiSignatureOn("hypercube", workers, configure)
 }
@@ -279,12 +280,13 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
-			// The serial two-parity halo schedule: same contract, other
-			// exchange path.
-			Name: "jacobi/serial-exchange",
+			// The two-parity pairwise halo schedule, selected by an
+			// empty fault plan that injects nothing: same contract,
+			// other exchange path.
+			Name: "jacobi/pairwise-exchange",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					m.SerialExchange = true
+					m.Faults = engine.MustFaultPlan()
 					return nil
 				})
 			},
@@ -296,7 +298,7 @@ func Scenarios() []Scenario {
 			Name: "jacobi/faulted",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					plan, err := hypercube.ParseFaultPlan(
+					plan, err := engine.ParseFaultPlan(
 						"dispatch:kill@2:1:repeat=2,exchange:stall@3:0:stall=500")
 					if err != nil {
 						return err
@@ -329,9 +331,9 @@ func Scenarios() []Scenario {
 			Name: "jacobi/degraded-spare",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 1,
-						Kind: hypercube.FaultKillForever,
+					m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1,
+						Kind: engine.FaultKillForever,
 					})
 					return m.AddSpares(1)
 				})
@@ -343,9 +345,9 @@ func Scenarios() []Scenario {
 			Name: "jacobi/degraded-shrink",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 2,
-						Kind: hypercube.FaultKillForever,
+					m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2,
+						Kind: engine.FaultKillForever,
 					})
 					return nil
 				})
@@ -415,9 +417,9 @@ func Scenarios() []Scenario {
 					MaxCycles: 100,
 					Workers:   workers,
 					Obs:       o,
-					Faults: hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 9, Phase: hypercube.PhaseDispatch, Rank: 1,
-						Kind: hypercube.FaultKillForever,
+					Faults: engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 9, Phase: engine.PhaseDispatch, Rank: 1,
+						Kind: engine.FaultKillForever,
 					}),
 				})
 				if err != nil {
@@ -505,9 +507,9 @@ func KernelBattery(topology string) []Scenario {
 			// must run the pinned path too.
 			Name: "kernel/jacobi-degraded-spare@" + topology,
 			Run: jacobiPair(func(m *hypercube.Machine) error {
-				m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-					Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 1,
-					Kind: hypercube.FaultKillForever,
+				m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+					Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1,
+					Kind: engine.FaultKillForever,
 				})
 				return m.AddSpares(1)
 			}),
@@ -599,9 +601,9 @@ func TopologyBattery(topology string) []Scenario {
 			Name: "jacobi/degraded-spare@" + topology,
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignatureOn(topology, workers, func(m *hypercube.Machine) error {
-					m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 1,
-						Kind: hypercube.FaultKillForever,
+					m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1,
+						Kind: engine.FaultKillForever,
 					})
 					return m.AddSpares(1)
 				})
@@ -611,9 +613,9 @@ func TopologyBattery(topology string) []Scenario {
 			Name: "jacobi/degraded-shrink@" + topology,
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignatureOn(topology, workers, func(m *hypercube.Machine) error {
-					m.Faults = hypercube.MustFaultPlan(hypercube.FaultEvent{
-						Sweep: 3, Phase: hypercube.PhaseDispatch, Rank: 2,
-						Kind: hypercube.FaultKillForever,
+					m.Faults = engine.MustFaultPlan(engine.FaultEvent{
+						Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2,
+						Kind: engine.FaultKillForever,
 					})
 					return nil
 				})

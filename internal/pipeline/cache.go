@@ -98,9 +98,8 @@ func cloneProgram(p *microcode.Program) *microcode.Program {
 	return out
 }
 
-// sourceCacheKey content-addresses a source compilation. Only the
-// semantic inputs participate: Workers changes scheduling, never
-// output, so it is excluded.
+// sourceCacheKey content-addresses a source compilation by its
+// semantic inputs: configuration, statements, grid and planes.
 func sourceCacheKey(cfg arch.Config, stmts []string, opt compiler.Options) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)

@@ -29,6 +29,8 @@ func FuzzPipeline(f *testing.F) {
 		"v == u",
 		"@(1,2,3)",
 		"v = u@(999999,0,0)",
+		"v = u * (1e308 * 10)",
+		"v = u@(20000000,0,0)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

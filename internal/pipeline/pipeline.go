@@ -93,10 +93,7 @@ type Result struct {
 	CacheHit bool
 }
 
-// Pipeline orchestrates the passes over one machine description. The
-// zero Workers value keeps every stage sequential; Workers > 1 enables
-// parallel statement compilation and pipeline elaboration (output is
-// identical either way).
+// Pipeline orchestrates the passes over one machine description.
 type Pipeline struct {
 	Inv *arch.Inventory
 	Gen *codegen.Generator
@@ -115,9 +112,6 @@ type Pipeline struct {
 	// metrics they vary run to run, so differential comparisons exclude
 	// the ".us" histograms.
 	Obs *obs.Obs
-	// Workers bounds intra-run parallelism (statements in the build
-	// pass, pipelines in the codegen pass).
-	Workers int
 }
 
 // New returns a pipeline for the inventory with compile caching
@@ -184,11 +178,7 @@ func parsePass() Pass {
 
 func buildPass() Pass {
 	return passFunc{"build-diagram", func(pl *Pipeline, st *State) error {
-		opt := st.Opt
-		if opt.Workers == 0 {
-			opt.Workers = pl.Workers
-		}
-		out, err := compiler.BuildProgram(st.Parsed, pl.Inv, opt)
+		out, err := compiler.BuildProgram(st.Parsed, pl.Inv, st.Opt)
 		if err != nil {
 			return err
 		}
@@ -217,14 +207,7 @@ func checkPass() Pass {
 
 func codegenPass() Pass {
 	return passFunc{"codegen", func(pl *Pipeline, st *State) error {
-		gen := pl.Gen
-		if pl.Workers > 1 && gen.Workers != pl.Workers {
-			// Copy so concurrent runs sharing a generator stay safe.
-			g := *gen
-			g.Workers = pl.Workers
-			gen = &g
-		}
-		prog, rep, err := gen.Lower(st.Doc)
+		prog, rep, err := pl.Gen.Lower(st.Doc)
 		if err != nil {
 			return err
 		}
@@ -298,32 +281,4 @@ func (pl *Pipeline) CompileDocument(doc *diagram.Document) (*Result, error) {
 		pl.Cache.store(key, res)
 	}
 	return res, err
-}
-
-// CompileDocuments compiles independent documents, concurrently when
-// Workers > 1. Results and errors are positional. Each document runs
-// the standard CompileDocument path, including the compile cache.
-func (pl *Pipeline) CompileDocuments(docs []*diagram.Document) ([]*Result, []error) {
-	results := make([]*Result, len(docs))
-	errs := make([]error, len(docs))
-	if pl.Workers <= 1 || len(docs) <= 1 {
-		for i, doc := range docs {
-			results[i], errs[i] = pl.CompileDocument(doc)
-		}
-		return results, errs
-	}
-	sem := make(chan struct{}, pl.Workers)
-	done := make(chan struct{})
-	for i, doc := range docs {
-		go func(i int, doc *diagram.Document) {
-			sem <- struct{}{}
-			results[i], errs[i] = pl.CompileDocument(doc)
-			<-sem
-			done <- struct{}{}
-		}(i, doc)
-	}
-	for range docs {
-		<-done
-	}
-	return results, errs
 }

@@ -10,10 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/codegen"
 	"repro/internal/compiler"
 	"repro/internal/diag"
-	"repro/internal/diagram"
 	"repro/internal/editor"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
@@ -137,78 +135,6 @@ func TestGoldenEquivalence(t *testing.T) {
 	})
 }
 
-// TestParallelMatchesSequential proves the parallel front end is
-// bit-identical to the sequential one, for both the statement-level
-// build and the pipeline-level codegen. Run with -race in CI.
-func TestParallelMatchesSequential(t *testing.T) {
-	inv := arch.MustInventory(arch.Default())
-
-	seq := New(inv)
-	seq.Cache = nil
-	seqRes, err := seq.CompileSource(programMultiSrc, programMultiOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{2, 4, 8} {
-		par := New(inv)
-		par.Cache = nil
-		par.Workers = workers
-		parRes, err := par.CompileSource(programMultiSrc, programMultiOpt)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if hs, hp := progHash(t, seqRes.Prog), progHash(t, parRes.Prog); hs != hp {
-			t.Errorf("workers=%d: parallel hash %s != sequential %s", workers, hp, hs)
-		}
-		// Documents must match too (the merged diagram, not just the
-		// microcode).
-		var sb, pb bytes.Buffer
-		if err := seqRes.Doc.Save(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := parRes.Doc.Save(&pb); err != nil {
-			t.Fatal(err)
-		}
-		if sb.String() != pb.String() {
-			t.Errorf("workers=%d: parallel document differs from sequential", workers)
-		}
-	}
-}
-
-// TestParallelDocuments exercises the concurrent batch APIs.
-func TestParallelDocuments(t *testing.T) {
-	inv := arch.MustInventory(arch.Default())
-	pl := New(inv)
-	pl.Cache = nil
-	pl.Workers = 4
-
-	var docs []*diagram.Document
-	var want []string
-	for i := 0; i < 6; i++ {
-		src := fmt.Sprintf("v = u@(%d,0,0) + %d", i%3, i+1)
-		res, err := compiler.Compile(src, inv, sduStencilOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, res.Doc)
-		prog, _, err := codegen.New(inv).Document(res.Doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, progHash(t, prog))
-	}
-	results, errs := pl.CompileDocuments(docs)
-	for i, res := range results {
-		if errs[i] != nil {
-			t.Fatalf("doc %d: %v", i, errs[i])
-		}
-		if h := progHash(t, res.Prog); h != want[i] {
-			t.Errorf("doc %d: hash %s, want %s", i, h, want[i])
-		}
-	}
-}
-
 // TestCompileCache exercises the content-addressed compile cache: a
 // repeat compile is a hit with identical bits, any input change is a
 // miss, and counters track both.
@@ -256,17 +182,6 @@ func TestCompileCache(t *testing.T) {
 	}
 	if st := pl.Cache.Stats(); st.Entries != 2 {
 		t.Errorf("entries = %d after distinct compile, want 2", st.Entries)
-	}
-
-	// Workers must NOT participate in the key (same output).
-	optW := programMultiOpt
-	optW.Workers = 8
-	resW, err := pl.CompileSource(programMultiSrc, optW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resW.CacheHit {
-		t.Error("Workers changed the cache key; scheduling must not affect content address")
 	}
 
 	pl.Cache.Reset()
@@ -336,7 +251,10 @@ func TestPassTimings(t *testing.T) {
 }
 
 // TestDiagnosticsTyped asserts each front-end layer surfaces its
-// stable rule code through the pipeline.
+// stable rule code through the pipeline, as the returned error and as
+// a finding. The non-finite case is a constant folding to +Inf, which
+// the compiler's editor must reject before its undo snapshot has to
+// serialize it.
 func TestDiagnosticsTyped(t *testing.T) {
 	inv := arch.MustInventory(arch.Default())
 	cases := []struct {
@@ -349,6 +267,9 @@ func TestDiagnosticsTyped(t *testing.T) {
 		{"const-expr", []string{"v = 1 + 2"}, sduStencilOpt, diag.RuleConstExpr},
 		{"no-plane", []string{"v = q"}, sduStencilOpt, diag.RuleNoPlane},
 		{"bad-grid", []string{"v = u"}, compiler.Options{N: 0, Nz: 0, Planes: sduStencilOpt.Planes}, diag.RuleProgram},
+		{"plane-range", []string{"v = u"}, compiler.Options{N: 8, Nz: 4, Planes: map[string]int{"u": 99, "v": 1}}, diag.RuleCapacity},
+		{"plane-overflow", []string{"v = u@(20000000,0,0)"}, sduStencilOpt, diag.RuleCapacity},
+		{"non-finite", []string{"v = u * (1e308 * 10)"}, sduStencilOpt, diag.RuleNonFinite},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -356,6 +277,9 @@ func TestDiagnosticsTyped(t *testing.T) {
 			res, err := pl.CompileSource(tc.stmts, tc.opt)
 			if err == nil {
 				t.Fatal("compile succeeded, want error")
+			}
+			if got := diag.AsDiagnostic(err, "").Rule; got != tc.rule {
+				t.Errorf("error %q has rule %q, want %s", err, got, tc.rule)
 			}
 			found := false
 			for _, d := range res.Diags {
