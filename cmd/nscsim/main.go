@@ -48,10 +48,11 @@
 // and exits; any flipped bit or truncation is reported with the
 // section name and byte offset.
 //
-// -bench-json runs the repo's performance probes (engine halo overlap,
-// decoded-plan cache, trap-detection overhead) through the benchmark
-// harness and emits one JSON record per probe; BENCH_PR4.json in the
-// repo root is a committed reference run.
+// nscsim runs no benchmarks. Performance is measured by the whole-solve
+// workloads of the nscbench module; the kernel's allocation and speed
+// contracts are tests in internal/sim (TestKernelGates) and the
+// simulated clocks of the recovery, observability and fabric machinery
+// are pinned in internal/hypercube (TestSimulatedClocks).
 //
 // -no-kernel pins every node to the reference interpreter instead of
 // the specialized execution kernels the plan compiler lowers by
@@ -126,7 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	watchdog := fs.Int64("watchdog", 0, "sequencer watchdog budget in cycles per instruction (0 = off)")
 	eccFaults := fs.String("ecc-faults", "", "seed ECC events for -jacobi: rank:plane:addr:{single|double},...")
 	verifyCk := fs.String("verify-checkpoint", "", "verify a snapshot file's section checksums and exit")
-	benchJSON := fs.Bool("bench-json", false, "run the performance probes and emit JSON records")
 	noKernel := fs.Bool("no-kernel", false, "pin every node to the reference interpreter (disable specialized kernels)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -177,14 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "nscsim:", err)
 			}
 		}()
-	}
-
-	if *benchJSON {
-		if err := runBenchJSON(stdout, cfg); err != nil {
-			fmt.Fprintln(stderr, "nscsim:", err)
-			return 1
-		}
-		return 0
 	}
 
 	if *verifyCk != "" {

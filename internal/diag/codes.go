@@ -47,7 +47,10 @@ const (
 	RuleDocIO = "R039"
 	// RuleFaultPlan marks a malformed -faults/-kill fault-plan spec:
 	// an unparseable token, a bad phase/kind/option, or duplicate
-	// events targeting the same (sweep, phase, rank).
+	// events targeting the same (sweep, phase, rank). engine.Run also
+	// raises it before the first sweep for an event outside the
+	// starting machine: a dispatch rank ≥ P, an exchange pair ≥ P−1 or
+	// a merge round ≥ the combine tree's depth.
 	RuleFaultPlan = "R040"
 	// RuleNonFinite marks a NaN or ±Inf operation constant, reduction
 	// initial value or compare threshold. A document's JSON form cannot

@@ -671,7 +671,15 @@ func (t *NodeTotals) AddNode(nd *sim.Node) {
 // counters accumulated across generations — and resumes from the
 // iteration boundary the hook restored. Each recovery round consumes at least
 // one fired plan event, so the rounds are bounded by the plan length.
+//
+// The plan is checked once, against the starting machine: an event
+// naming a rank, exchange pair or combine round the machine does not
+// have fails the run with an R040 diagnostic before the first sweep.
+// Later generations are not re-checked, since a shrink lowers P.
 func Run(cfg *Config) (*RunResult, error) {
+	if err := cfg.Faults.checkRanks(cfg.Fabric); err != nil {
+		return nil, err
+	}
 	var acc FaultStats
 	var rec RecoveryStats
 	var ts int64

@@ -161,6 +161,37 @@ func NewFaultPlan(events ...FaultEvent) (*FaultPlan, error) {
 	return p, nil
 }
 
+// checkRanks rejects an event that names a point the machine does not
+// have: such an event could never fire, and the run would report a
+// clean solve for a plan that injected nothing. A dispatch event names
+// a rank (< P), an exchange event the lower rank of a ring pair
+// (< P−1) and a merge event a combine round (< len(CombineHops())).
+// Sweeps are not checked: a run may legitimately stop before an event.
+func (p *FaultPlan) checkRanks(f Fabric) error {
+	if p == nil {
+		return nil
+	}
+	for _, ev := range p.Events {
+		what, n := "rank", f.P()
+		switch ev.Phase {
+		case PhaseExchange:
+			what, n = "exchange pair", f.P()-1
+		case PhaseMerge:
+			what, n = "combine round", len(f.CombineHops())
+		}
+		if ev.Rank < n {
+			continue
+		}
+		valid := "none"
+		if n > 0 {
+			valid = fmt.Sprintf("0..%d", n-1)
+		}
+		return planErrf("event %s names %s %d, but the %d-rank machine's %ss are %s",
+			ev, what, ev.Rank, f.P(), what, valid)
+	}
+	return nil
+}
+
 // MustFaultPlan is NewFaultPlan for known-good plans.
 func MustFaultPlan(events ...FaultEvent) *FaultPlan {
 	p, err := NewFaultPlan(events...)

@@ -212,6 +212,56 @@ func TestRunSurfacesDeadRankWithoutRecover(t *testing.T) {
 	}
 }
 
+// roundsFabric is nodeFabric with a two-round combine tree.
+type roundsFabric struct{ nodeFabric }
+
+func (f *roundsFabric) CombineHops() []int { return []int{1, 1} }
+
+// TestRunRejectsFaultsOutsideMachine: an event naming a rank, exchange
+// pair or combine round the starting machine does not have could never
+// fire, so Run refuses the plan with an R040 diagnostic that names the
+// event and the valid range. In-range events pass, and so does a sweep
+// past the run's end.
+func TestRunRejectsFaultsOutsideMachine(t *testing.T) {
+	f := &roundsFabric{nodeFabric{scatterFabric: scatterFabric{p: 4}}}
+	for r := 0; r < 4; r++ {
+		nd, err := sim.NewNode(arch.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.nodes = append(f.nodes, nd)
+	}
+	part, err := NewPartition(4, 4, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(spec string) error {
+		plan, err := ParseFaultPlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(&Config{
+			Fabric: f, Part: part, Faults: plan, MaxSweeps: 3, Tol: 0.5,
+			Step: func(*Loop, int) (int, *BudgetError, error) { return -1, nil, nil },
+		})
+		return err
+	}
+	if err := run("dispatch:kill@99:3,exchange:corrupt@0:2,merge:stall@0:1:stall=5"); err != nil {
+		t.Errorf("in-range plan rejected: %v", err)
+	}
+	for spec, want := range map[string]string{
+		"dispatch:kill-forever@1:4":  "event dispatch:kill-forever@1:4 names rank 4, but the 4-rank machine's ranks are 0..3",
+		"exchange:stall@0:3:stall=5": "event exchange:stall@0:3:stall=5 names exchange pair 3, but the 4-rank machine's exchange pairs are 0..2",
+		"merge:corrupt@2:2":          "event merge:corrupt@2:2 names combine round 2, but the 4-rank machine's combine rounds are 0..1",
+	} {
+		err := run(spec)
+		var de *diag.DiagError
+		if !errors.As(err, &de) || de.Rule() != diag.RuleFaultPlan || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %s %q", spec, err, diag.RuleFaultPlan, want)
+		}
+	}
+}
+
 // badPairFabric returns an exchange schedule naming a rank beyond the
 // live count — the misconfiguration NewLoop must reject up front, per
 // the Fabric.Hops invariant.

@@ -2,6 +2,7 @@ package microcode
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -29,21 +30,29 @@ import (
 // Operand syntax: "-" (none), "sw" (switch), "const<K>", "fb"
 // (feedback); any may carry "+z<D>" for a register-file delay.
 func (f *Format) Assemble(r io.Reader) (*Instr, error) {
-	in := f.NewInstr()
+	var lines []string
 	sc := bufio.NewScanner(r)
-	lineNo := 0
 	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return f.assemble(lines, 1)
+}
+
+// assemble builds one instruction from its listing lines, the first of
+// which is line `first` of the input, so errors name the input line.
+func (f *Format) assemble(lines []string, first int) (*Instr, error) {
+	in := f.NewInstr()
+	for i, line := range lines {
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		if err := f.asmLine(in, line); err != nil {
-			return nil, fmt.Errorf("microcode: line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("microcode: line %d: %w", first+i, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return in, nil
 }
@@ -125,15 +134,21 @@ func (f *Format) asmLine(in *Instr, line string) error {
 			return fmt.Errorf("bad plane %q", head)
 		}
 		d := MemDMA{Enable: true}
-		kv, err := asmKV(fields[1:], &d.Write)
-		if err != nil {
-			return err
-		}
+		kv := asmKV(fields[1:], &d.Write)
 		d.Addr = kv.i64("addr")
 		d.Stride = kv.i64("stride")
 		d.Count = kv.i64("count")
 		d.Skip = kv.i64("skip")
 		d.Start = int(kv.i64("start"))
+		if err := errors.Join(
+			fits(f.memAddr[p], d.Addr),
+			fitsSigned(f.memStrd[p], d.Stride),
+			fits(f.memCnt[p], d.Count),
+			fits(f.memSkip[p], d.Skip),
+			fits(f.memStrt[p], int64(d.Start)),
+		); err != nil {
+			return err
+		}
 		in.SetMemDMA(p, d)
 		return nil
 
@@ -143,10 +158,7 @@ func (f *Format) asmLine(in *Instr, line string) error {
 			return fmt.Errorf("bad cache %q", head)
 		}
 		d := CacheDMA{Enable: true}
-		kv, err := asmKV(fields[1:], &d.Write)
-		if err != nil {
-			return err
-		}
+		kv := asmKV(fields[1:], &d.Write)
 		d.Buf = int(kv.i64("buf"))
 		d.Addr = kv.i64("addr")
 		d.Stride = kv.i64("stride")
@@ -154,6 +166,16 @@ func (f *Format) asmLine(in *Instr, line string) error {
 		d.Skip = kv.i64("skip")
 		d.Start = int(kv.i64("start"))
 		d.Swap = kv.flags["swap"] || kv.vals["swap"] == "true"
+		if err := errors.Join(
+			fits(f.cchBuf[p], int64(d.Buf)),
+			fits(f.cchAddr[p], d.Addr),
+			fitsSigned(f.cchStrd[p], d.Stride),
+			fits(f.cchCnt[p], d.Count),
+			fits(f.cchSkip[p], d.Skip),
+			fits(f.cchStrt[p], int64(d.Start)),
+		); err != nil {
+			return err
+		}
 		in.SetCacheDMA(p, d)
 		return nil
 
@@ -171,6 +193,11 @@ func (f *Format) asmLine(in *Instr, line string) error {
 			v, err := strconv.Atoi(tok)
 			if err != nil {
 				return fmt.Errorf("bad tap %q", tok)
+			}
+			if t := len(taps); t < len(f.sduTap[u]) {
+				if err := fits(f.sduTap[u][t], int64(v)); err != nil {
+					return err
+				}
 			}
 			taps = append(taps, v)
 		}
@@ -244,10 +271,41 @@ func (f *Format) asmLine(in *Instr, line string) error {
 				return fmt.Errorf("unknown seq token %q", tok)
 			}
 		}
+		if err := errors.Join(
+			fits(f.seqNext, int64(s.Next)),
+			fits(f.seqBranch, int64(s.Branch)),
+			fits(f.seqCond, int64(s.Cond)),
+			fits(f.seqFlag, int64(s.Flag)),
+			fits(f.seqCtr, int64(s.Ctr)),
+			fits(f.seqCtrVal, s.CtrValue),
+			fits(f.cmpFU, int64(s.CmpFU)),
+			fits(f.cmpConst, int64(s.CmpConst)),
+			fits(f.cmpFlag, int64(s.CmpFlag)),
+		); err != nil {
+			return err
+		}
 		in.SetSeq(s)
 		return nil
 	}
 	return fmt.Errorf("unknown statement %q", head)
+}
+
+// fits checks a parsed value against the width of the field it goes
+// to. The Word setters panic on an overflow, which is the generator's
+// programmer-error contract, so the assembler checks text first.
+func fits(fl Field, v int64) error {
+	if v < 0 || fl.Width < 64 && v >= 1<<uint(fl.Width) {
+		return fmt.Errorf("%s=%d does not fit its %d-bit field", fl.Name, v, fl.Width)
+	}
+	return nil
+}
+
+// fitsSigned is fits for a two's-complement field.
+func fitsSigned(fl Field, v int64) error {
+	if lim := int64(1) << uint(fl.Width-1); v < -lim || v >= lim {
+		return fmt.Errorf("%s=%d does not fit its signed %d-bit field", fl.Name, v, fl.Width)
+	}
+	return nil
 }
 
 // asmInput parses an operand descriptor: "-", "sw", "const<K>", "fb",
@@ -258,6 +316,13 @@ func (f *Format) asmInput(in *Instr, fu arch.FUID, side int, tok string) error {
 		d, err := strconv.Atoi(tok[i+2:])
 		if err != nil {
 			return fmt.Errorf("bad delay in %q", tok)
+		}
+		fl := f.fuADel[fu]
+		if side == 1 {
+			fl = f.fuBDel[fu]
+		}
+		if err := fits(fl, int64(d)); err != nil {
+			return err
 		}
 		delay = d
 		tok = tok[:i]
@@ -339,35 +404,29 @@ func scan2(s, format string, a, b *int) bool {
 func (f *Format) AssembleProgram(r io.Reader) (*Program, error) {
 	prog := NewProgram(f)
 	var cur []string
+	first := 0 // input line of cur[0]; 0 before the first separator
 	flush := func() error {
-		if cur == nil {
+		if first == 0 {
 			return nil
 		}
-		in, err := f.Assemble(strings.NewReader(strings.Join(cur, "\n")))
+		in, err := f.assemble(cur, first)
 		if err != nil {
 			return err
 		}
 		prog.Append(in)
-		cur = nil
 		return nil
 	}
 	sc := bufio.NewScanner(r)
-	started := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "--- instr") {
-			if started {
-				if err := flush(); err != nil {
-					return nil, err
-				}
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if strings.HasPrefix(strings.TrimSpace(line), "--- instr") {
+			if err := flush(); err != nil {
+				return nil, err
 			}
-			started = true
-			cur = []string{}
+			cur, first = nil, n+1
 			continue
 		}
-		if started && line != "" {
-			cur = append(cur, line)
-		}
+		cur = append(cur, line)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -386,7 +445,7 @@ type asmKVMap struct {
 	flags map[string]bool
 }
 
-func asmKV(fields []string, write *bool) (asmKVMap, error) {
+func asmKV(fields []string, write *bool) asmKVMap {
 	kv := asmKVMap{vals: map[string]string{}, flags: map[string]bool{}}
 	for _, tok := range fields {
 		switch tok {
@@ -402,7 +461,7 @@ func asmKV(fields []string, write *bool) (asmKVMap, error) {
 			}
 		}
 	}
-	return kv, nil
+	return kv
 }
 
 func (kv asmKVMap) i64(name string) int64 {

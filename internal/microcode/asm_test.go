@@ -149,6 +149,33 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// overwide holds one listing line per microcode field kind, each with
+// a value wider than its field; the setters would panic on every one.
+var overwide = []struct{ line, want string }{
+	{"mem0 read addr=0 stride=1 count=8 skip=100000000", "mem0.skip=100000000 does not fit its 24-bit field"},
+	{"mem0 read count=-5", "mem0.count=-5 does not fit its 24-bit field"},
+	{"mem0 read addr=0 stride=-99999999 count=8", "mem0.stride=-99999999 does not fit its signed 16-bit field"},
+	{"cache0 read buf=7 addr=0 count=8", "cache0.buf=7 does not fit its 1-bit field"},
+	{"sdu0 taps=[99999999]", "sdu0.tap0=99999999 does not fit its 17-bit field"},
+	{"fu0 add a=sw+z999999 b=-", "fu0.adelay=999999 does not fit its 7-bit field"},
+	{"seq next=0 branch=0 cond=9 flag=0", "seq.cond=9 does not fit its 3-bit field"},
+	{"seq cmp(fu1 < const99 -> flag1)", "seq.cmp.const=99 does not fit its 3-bit field"},
+}
+
+// TestAssembleRejectsOverwideValues: a value wider than its field is a
+// line error naming the input line, the field and its width, never a
+// panic from the setter.
+func TestAssembleRejectsOverwideValues(t *testing.T) {
+	f := MustFormat(arch.Default())
+	for _, tc := range overwide {
+		src := "--- instr 0 ---\nfu1 add a=sw b=sw\n\n--- instr 1 ---\n# comment\n" + tc.line + "\n"
+		_, err := f.AssembleProgram(strings.NewReader(src))
+		if want := "microcode: line 6: " + tc.want; err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", tc.line, err, want)
+		}
+	}
+}
+
 func TestParsePortNamesExhaustive(t *testing.T) {
 	f := MustFormat(arch.Default())
 	cfg := f.Cfg

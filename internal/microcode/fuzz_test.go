@@ -21,9 +21,13 @@ func FuzzAssemble(f *testing.F) {
 		"seq cmp(fu1 < const0 -> flag1)\n",
 		"# only a comment\n",
 		"fu99 add\nmem99 read\nroute X <- Y\n",
+		"const0 = -0\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
+	}
+	for _, tc := range overwide {
+		f.Add(tc.line + "\n")
 	}
 	fmt := MustFormat(arch.Default())
 	f.Fuzz(func(t *testing.T, src string) {

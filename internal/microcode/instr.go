@@ -2,6 +2,7 @@ package microcode
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/arch"
@@ -327,7 +328,7 @@ func (in *Instr) Disassemble() string {
 		sb.WriteByte('\n')
 	}
 	for k := 0; k < ConstPoolSize; k++ {
-		if v := in.Const(k); v != 0 {
+		if v := in.Const(k); math.Float64bits(v) != 0 { // keeps -0
 			fmt.Fprintf(&sb, "const%d = %g\n", k, v)
 		}
 	}

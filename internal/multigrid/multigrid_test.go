@@ -201,75 +201,6 @@ func TestResidualPipelineAgainstHost(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeBitIdentical: a fresh solver restored from a
-// V-cycle boundary snapshot finishes with the same field, residual and
-// cycle count as the uninterrupted run, bit for bit.
-func TestCheckpointResumeBitIdentical(t *testing.T) {
-	cfg := arch.Default()
-	full, err := New(cfg, 9, 2, 1e-6, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.CheckpointEvery = 2
-	var kept []*Checkpoint
-	full.CheckpointSink = func(ck *Checkpoint) error {
-		kept = append(kept, ck)
-		return nil
-	}
-	fullRes, err := full.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fullRes.VCycles <= 2 {
-		t.Fatalf("solve too short (%d cycles) to restart", fullRes.VCycles)
-	}
-	if fullRes.Checkpoints != len(kept) || len(kept) == 0 {
-		t.Fatalf("checkpoints: result says %d, sink saw %d", fullRes.Checkpoints, len(kept))
-	}
-	if full.LastCheckpoint != kept[len(kept)-1] {
-		t.Error("LastCheckpoint is not the latest snapshot")
-	}
-	for _, ck := range kept {
-		if ck.Cycle%2 != 0 || ck.Cycle == 0 {
-			t.Errorf("snapshot at cycle %d, want positive multiples of 2", ck.Cycle)
-		}
-	}
-
-	resumed, err := New(cfg, 9, 2, 1e-6, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.Restore = kept[0]
-	res, err := resumed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.VCycles != fullRes.VCycles || res.Converged != fullRes.Converged {
-		t.Fatalf("resumed trajectory %d/%v, uninterrupted %d/%v",
-			res.VCycles, res.Converged, fullRes.VCycles, fullRes.Converged)
-	}
-	if res.Residual != fullRes.Residual {
-		t.Errorf("resumed residual %g, uninterrupted %g", res.Residual, fullRes.Residual)
-	}
-	for i := range fullRes.U {
-		if res.U[i] != fullRes.U[i] {
-			t.Fatalf("u[%d] = %g, uninterrupted %g", i, res.U[i], fullRes.U[i])
-		}
-	}
-}
-
-func TestCheckpointRejectsWrongGrid(t *testing.T) {
-	cfg := arch.Default()
-	s, err := New(cfg, 9, 2, 1e-6, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Restore = &Checkpoint{Cycle: 1, N: 17, U: make([]float64, 17*17*17)}
-	if _, err := s.Run(); err == nil {
-		t.Error("wrong-grid checkpoint accepted")
-	}
-}
-
 // TestRunReportsTraps: an ECC event on the solver node under the retry
 // policy recovers to a bit-identical solve, with the recovery counted
 // on Result.Traps.

@@ -1,0 +1,78 @@
+package sim_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/arch"
+	"repro/internal/codegen"
+	"repro/internal/jacobi"
+	"repro/internal/microcode"
+	"repro/internal/sim"
+)
+
+// gateNode loads the 12³ model problem onto a fresh node and compiles
+// its forward Jacobi sweep, the instruction the kernel gates time.
+func gateNode(t *testing.T, kernelOff bool) (*sim.Node, *microcode.Instr) {
+	t.Helper()
+	cfg := arch.Default()
+	node, err := sim.NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.KernelOff = kernelOff
+	p := jacobi.NewModelProblem(12, 1e-6, 1)
+	doc, _, err := p.BuildDocument(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := codegen.New(node.Inv).Pipeline(doc, doc.Pipes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Load(node); err != nil {
+		t.Fatal(err)
+	}
+	return node, in
+}
+
+// TestKernelGates holds the specialized kernel to its two performance
+// contracts on a whole Jacobi sweep. Once warm, a dispatch makes at
+// most one allocation and never falls back to the interpreter; and
+// the interpreter, which KernelOff pins, never takes the kernel and
+// runs slower than it. Each side's time is its fastest of several
+// interleaved dispatches, so host noise hits both alike; the kernel is
+// several times faster, with or without the race detector.
+func TestKernelGates(t *testing.T) {
+	fast, fastIn := gateNode(t, false)
+	slow, slowIn := gateNode(t, true)
+	exec := func(n *sim.Node, in *microcode.Instr) time.Duration {
+		start := time.Now()
+		if err := n.Exec(in); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	exec(fast, fastIn) // warm-up: the first dispatch compiles the plan
+
+	if allocs := testing.AllocsPerRun(20, func() { exec(fast, fastIn) }); allocs > 1 {
+		t.Errorf("warm kernel makes %v allocs per Exec, want at most 1", allocs)
+	}
+	if ks := fast.KernelStatsOf(); ks.Slow != 0 || ks.Fast == 0 {
+		t.Errorf("warm kernel took the interpreter: %+v", ks)
+	}
+
+	bestFast, bestSlow := time.Duration(1<<62), time.Duration(1<<62)
+	for i := 0; i < 15; i++ {
+		bestFast = min(bestFast, exec(fast, fastIn))
+		bestSlow = min(bestSlow, exec(slow, slowIn))
+	}
+	if ks := slow.KernelStatsOf(); ks.Fast != 0 {
+		t.Errorf("KernelOff node took the kernel: %+v", ks)
+	}
+	t.Logf("kernel %v, interpreter %v per Exec (%.1f× slower)",
+		bestFast, bestSlow, float64(bestSlow)/float64(bestFast))
+	if bestSlow <= bestFast {
+		t.Errorf("interpreter (%v per Exec) is not slower than the kernel (%v)", bestSlow, bestFast)
+	}
+}
