@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		doc, err := diagram.Load(f)
 		f.Close()
 		if err != nil {
-			return fatal(stderr, err)
+			return fatal(stderr, fmt.Errorf("%s: %w", diag.AsDiagnostic(err, diag.RuleDocIO).Rule, err))
 		}
 		res, cerr := pl.CompileDocument(doc)
 		if *diagJSON {

@@ -42,7 +42,7 @@ func writeDoc(t *testing.T, script string) string {
 	t.Helper()
 	inv := arch.MustInventory(arch.Default())
 	ed := editor.New(inv, "fixture")
-	if _, err := ed.ExecScript(strings.NewReader(script), false); err != nil {
+	if _, err := ed.ExecScript(strings.NewReader(script)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "doc.json")

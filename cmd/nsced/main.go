@@ -52,7 +52,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		events, err := env.Ed.ExecScript(f, false)
+		events, err := env.Ed.ExecScript(f)
 		f.Close()
 		for _, ev := range events {
 			fmt.Println(ev)

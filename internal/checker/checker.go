@@ -19,6 +19,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/diag"
 	"repro/internal/diagram"
+	"repro/internal/microcode"
 )
 
 // Severity grades a diagnostic. It aliases the shared diag.Severity so
@@ -60,7 +61,7 @@ const (
 	RuleConnection  = "R004" // connection violates switch topology
 	RuleOpCap       = "R005" // op not supported by this unit (asymmetry)
 	RuleDelayBound  = "R006" // delay outside register-file/SDU capacity
-	RuleDMABounds   = "R007" // DMA access outside plane/variable
+	RuleDMABounds   = "R007" // DMA access outside plane/variable or field
 	RuleVarUnknown  = "R008" // undeclared variable or wrong plane
 	RuleTapCount    = "R009" // too many SDU taps
 	RuleCycle       = "R010" // combinational cycle in the diagram
@@ -245,15 +246,19 @@ func CheckFinite(what string, v float64) error {
 }
 
 // CanSetDMA validates a DMA specification for a plane icon against the
-// plane geometry and the document's variable declarations (R007, R008).
+// microcode field widths, the plane geometry and the document's
+// variable declarations (R007, R008).
 func (c *Checker) CanSetDMA(doc *diagram.Document, ic *diagram.Icon, spec diagram.DMASpec) error {
 	cfg := c.Inv.Cfg
 	var planeWords int64
+	var strideBits, countBits, skipBits int
 	switch ic.Kind {
 	case diagram.IconMemPlane:
 		planeWords = cfg.PlaneWords()
+		strideBits, countBits, skipBits = microcode.MemStrideBits, microcode.MemCountBits, microcode.MemSkipBits
 	case diagram.IconCache:
 		planeWords = cfg.CacheWords()
+		strideBits, countBits, skipBits = microcode.CacheStrideBits, microcode.CacheCountBits, microcode.CacheSkipBits
 		if spec.Buf != 0 && spec.Buf != 1 {
 			return ruleErr(RuleDMABounds, "cache buffer select must be 0 or 1")
 		}
@@ -265,6 +270,17 @@ func (c *Checker) CanSetDMA(doc *diagram.Document, ic *diagram.Icon, spec diagra
 	}
 	if spec.Skip < 0 {
 		return ruleErr(RuleDMABounds, "skip %d must be non-negative", spec.Skip)
+	}
+	// Each value must fit its microcode field before the range below is
+	// computed: an oversized count times the stride can wrap.
+	if lim := int64(1) << (strideBits - 1); spec.Stride < -lim || spec.Stride >= lim {
+		return ruleErr(RuleDMABounds, "stride %d does not fit the %d-bit signed stride field", spec.Stride, strideBits)
+	}
+	if spec.Count >= 1<<countBits {
+		return ruleErr(RuleDMABounds, "count %d does not fit the %d-bit count field", spec.Count, countBits)
+	}
+	if spec.Skip >= 1<<skipBits {
+		return ruleErr(RuleDMABounds, "skip %d does not fit the %d-bit skip field", spec.Skip, skipBits)
 	}
 	base := spec.Offset
 	limit := planeWords

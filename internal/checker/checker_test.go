@@ -392,6 +392,49 @@ func TestCanSetDMABounds(t *testing.T) {
 	}
 }
 
+// TestCanSetDMAFieldWidths feeds DMA values that fit the variable's
+// range but not their microcode field. Each must fail R007 naming the
+// field and its width, before codegen's word setters would panic on it.
+func TestCanSetDMAFieldWidths(t *testing.T) {
+	c := newChecker(t)
+	d := diagram.NewDocument("x")
+	d.Declare(diagram.VarDecl{Name: "u", Plane: 0, Base: 0, Len: 16})
+	p := d.AddPipeline("p")
+	m, _ := p.AddIcon(diagram.IconMemPlane, "Mu", 0, 0)
+	ch, _ := p.AddIcon(diagram.IconCache, "C", 0, 0)
+	for _, tc := range []struct {
+		name string
+		icon *diagram.Icon
+		spec diagram.DMASpec
+		want string
+	}{
+		{"signed 16-bit stride", m, diagram.DMASpec{Var: "u", Stride: 70000, Count: 1}, "16-bit signed stride"},
+		{"24-bit count", m, diagram.DMASpec{Var: "u", Stride: 0, Count: 99999999}, "24-bit count"},
+		{"range wraps to 0", m, diagram.DMASpec{Var: "u", Stride: 4, Count: 4611686018427387905}, "24-bit count"},
+		{"24-bit skip", m, diagram.DMASpec{Var: "u", Stride: 1, Count: 16, Skip: 16777216}, "24-bit skip"},
+		{"signed 8-bit cache stride", ch, diagram.DMASpec{Stride: 200, Count: 1}, "8-bit signed stride"},
+		{"12-bit cache skip", ch, diagram.DMASpec{Stride: 1, Count: 1, Skip: 5000}, "12-bit skip"},
+	} {
+		err := c.CanSetDMA(d, tc.icon, tc.spec)
+		if re, _ := err.(*RuleError); re == nil || re.Rule != RuleDMABounds || !strings.Contains(re.Msg, tc.want) {
+			t.Errorf("%s: got %v, want %s naming the %s field", tc.name, err, RuleDMABounds, tc.want)
+		}
+	}
+	// The widest values that fit still pass.
+	for _, tc := range []struct {
+		icon *diagram.Icon
+		spec diagram.DMASpec
+	}{
+		{m, diagram.DMASpec{Stride: -32768, Count: 1, Skip: 1<<24 - 1}},
+		{m, diagram.DMASpec{Stride: 32767, Count: 1}},
+		{ch, diagram.DMASpec{Stride: -128, Count: 1, Skip: 4095}},
+	} {
+		if err := c.CanSetDMA(d, tc.icon, tc.spec); err != nil {
+			t.Errorf("%s %+v rejected: %v", tc.icon.Name, tc.spec, err)
+		}
+	}
+}
+
 func TestCanSetTaps(t *testing.T) {
 	c := newChecker(t)
 	d := diagram.NewDocument("x")

@@ -73,7 +73,7 @@ func sourceErr(t *testing.T, stmts []string, opt compiler.Options) error {
 func scriptDoc(t *testing.T, script string) *diagram.Document {
 	t.Helper()
 	ed := editor.New(arch.MustInventory(arch.Default()), "gate")
-	if _, err := ed.ExecScript(strings.NewReader(script), false); err != nil {
+	if _, err := ed.ExecScript(strings.NewReader(script)); err != nil {
 		t.Fatal(err)
 	}
 	return ed.Doc

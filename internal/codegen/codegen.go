@@ -427,17 +427,6 @@ func (e *elaboration) emitCompare() error {
 // callers that do not need the passes individually.
 func (g *Generator) Document(doc *diagram.Document) (*microcode.Program, *Report, error) {
 	docDiags := g.Chk.CheckDocument(doc)
-	prog, rep, err := g.Finish(doc, docDiags)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, rep, nil
-}
-
-// Finish runs the lower and validate passes over a document whose
-// check pass already ran (docDiags are its findings): pipeline clients
-// call it so the cached or freshly computed check is not repeated.
-func (g *Generator) Finish(doc *diagram.Document, docDiags []checker.Diagnostic) (*microcode.Program, *Report, error) {
 	if es := checker.Errors(docDiags); len(es) > 0 {
 		return nil, nil, &CheckError{Diags: es}
 	}

@@ -91,7 +91,7 @@ func MustNew(cfg arch.Config) *Environment {
 
 // Script feeds editor commands (one per line) to the graphical editor.
 func (env *Environment) Script(src string) ([]editor.Event, error) {
-	return env.Ed.ExecScript(strings.NewReader(src), false)
+	return env.Ed.ExecScript(strings.NewReader(src))
 }
 
 // Check runs the full checker over the document.

@@ -43,7 +43,8 @@ const (
 	// RuleProgram marks program-level compile errors: an empty
 	// statement list or an invalid grid.
 	RuleProgram = "R038"
-	// RuleDocIO marks a semantic document that failed to decode.
+	// RuleDocIO marks a semantic document that failed to decode or has
+	// a shape the editor never writes (diagram.Load lists them).
 	RuleDocIO = "R039"
 	// RuleFaultPlan marks a malformed -faults/-kill fault-plan spec:
 	// an unparseable token, a bad phase/kind/option, or duplicate

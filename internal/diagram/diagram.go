@@ -539,18 +539,57 @@ func (d *Document) Save(w io.Writer) error {
 }
 
 // Load deserializes a document saved with Save and rebuilds per-
-// pipeline bookkeeping.
+// pipeline bookkeeping. It rejects (R039) shapes the editor never
+// produces and later stages cannot handle: a null pipeline, icon or
+// wire, an unknown icon kind, an ALS icon with fewer units than its
+// kind exposes, an undefined opcode, and a wire naming an absent icon.
 func Load(r io.Reader) (*Document, error) {
 	var d Document
 	if err := json.NewDecoder(r).Decode(&d); err != nil {
 		return nil, diag.Errorf(diag.RuleDocIO, "diagram: decoding document: %w", err)
 	}
-	for _, p := range d.Pipes {
-		for _, ic := range p.Icons {
-			if ic.ID >= p.nextID {
-				p.nextID = ic.ID + 1
-			}
+	for i, p := range d.Pipes {
+		if p == nil {
+			return nil, diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d is null", i)
+		}
+		if err := p.checkLoaded(); err != nil {
+			return nil, err
 		}
 	}
 	return &d, nil
+}
+
+// checkLoaded validates a decoded pipeline's icons and wires and rebuilds
+// its next icon ID.
+func (p *Pipeline) checkLoaded() error {
+	for _, ic := range p.Icons {
+		if ic == nil {
+			return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d has a null icon", p.ID)
+		}
+		if ic.Kind < 0 || ic.Kind >= numIconKinds {
+			return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d icon #%d %q has unknown kind %d", p.ID, ic.ID, ic.Name, int(ic.Kind))
+		}
+		if n := ic.Kind.ActiveUnits(); len(ic.Units) < n {
+			return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d icon #%d %q: a %s needs %d units, has %d", p.ID, ic.ID, ic.Name, ic.Kind, n, len(ic.Units))
+		}
+		for slot, u := range ic.Units {
+			if !u.Op.Valid() {
+				return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d icon #%d %q unit %d: invalid opcode %d", p.ID, ic.ID, ic.Name, slot, uint8(u.Op))
+			}
+		}
+		if ic.ID >= p.nextID {
+			p.nextID = ic.ID + 1
+		}
+	}
+	for _, w := range p.Wires {
+		if w == nil {
+			return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d has a null wire", p.ID)
+		}
+		for _, end := range [2]PadRef{w.From, w.To} {
+			if _, err := p.Icon(end.Icon); err != nil {
+				return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d wire %s -> %s names absent icon #%d", p.ID, w.From, w.To, end.Icon)
+			}
+		}
+	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 )
 
 func TestIconKindNamesRoundTrip(t *testing.T) {
@@ -331,6 +332,41 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestLoadRejectsMalformed covers the shapes the editor never writes
+// and later stages used to crash on or silently drop. Each must fail
+// R039 naming the pipeline and the icon.
+func TestLoadRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *Pipeline)
+		want   string
+	}{
+		{"invalid opcode", func(p *Pipeline) { p.Icons[1].Units[0].Op = 99 }, `icon #1 "S1" unit 0: invalid opcode 99`},
+		{"unknown kind", func(p *Pipeline) { p.Icons[1].Kind = 77 }, `icon #1 "S1" has unknown kind 77`},
+		{"missing units", func(p *Pipeline) { p.Icons[1].Units = nil }, `icon #1 "S1": a singlet needs 1 units, has 0`},
+		{"absent wire endpoint", func(p *Pipeline) {
+			p.Wires = append(p.Wires, &Wire{From: PadRef{99, "rd"}, To: PadRef{98, "u0.a"}})
+		}, "names absent icon #99"},
+		{"null icon", func(p *Pipeline) { p.Icons = append(p.Icons, nil) }, "null icon"},
+		{"null wire", func(p *Pipeline) { p.Wires = append(p.Wires, nil) }, "null wire"},
+	} {
+		d, p := buildSample(t)
+		tc.mutate(p)
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if de, _ := err.(*diag.DiagError); de == nil || de.Rule() != diag.RuleDocIO ||
+			!strings.Contains(de.Error(), "pipeline 0") || !strings.Contains(de.Error(), tc.want) {
+			t.Errorf("%s: got %v, want %s naming pipeline 0 and %q", tc.name, err, diag.RuleDocIO, tc.want)
+		}
+	}
+	if _, err := Load(strings.NewReader(`{"pipes":[null]}`)); err == nil {
+		t.Error("null pipeline accepted")
 	}
 }
 

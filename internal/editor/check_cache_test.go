@@ -32,7 +32,7 @@ var q plane=3 base=0 len=256
 dma Nu rd var=p stride=1 count=256
 dma Nv wr var=q stride=1 count=256
 `
-	if _, err := e.ExecScript(strings.NewReader(script), false); err != nil {
+	if _, err := e.ExecScript(strings.NewReader(script)); err != nil {
 		t.Fatal(err)
 	}
 	return e

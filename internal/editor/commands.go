@@ -414,15 +414,15 @@ func (e *Editor) execPipe(args []string) (string, error) {
 }
 
 // ExecScript runs a whole command script (one command per line, '#'
-// comments). It stops at the first error unless keepGoing is set, and
-// returns the message-strip events generated.
-func (e *Editor) ExecScript(r io.Reader, keepGoing bool) ([]Event, error) {
+// comments). It stops at the first error and returns the
+// message-strip events generated.
+func (e *Editor) ExecScript(r io.Reader) ([]Event, error) {
 	start := len(e.Log)
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		if _, err := e.Exec(sc.Text()); err != nil && !keepGoing {
+		if _, err := e.Exec(sc.Text()); err != nil {
 			return e.Log[start:], fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}

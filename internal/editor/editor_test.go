@@ -358,7 +358,7 @@ compare R1.u0 gt 100 flag=3
 flow label=go pipe=0 cond=halt
 check
 `
-	events, err := e.ExecScript(strings.NewReader(script), false)
+	events, err := e.ExecScript(strings.NewReader(script))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,26 +429,14 @@ func TestCommandErrors(t *testing.T) {
 	}
 }
 
-func TestExecScriptKeepGoing(t *testing.T) {
+func TestExecScriptStopsAtError(t *testing.T) {
 	e := newEd(t)
 	script := "place singlet A at 0 0\nbogus command\nplace singlet B at 1 1\n"
-	events, err := e.ExecScript(strings.NewReader(script), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 3 {
-		t.Fatalf("events = %d", len(events))
-	}
-	if events[1].OK() {
-		t.Error("bogus command marked ok")
-	}
-	if _, err := e.Current().IconByName("B"); err != nil {
-		t.Error("keepGoing did not continue past the error")
-	}
-	// Stop-on-error variant.
-	e2 := newEd(t)
-	if _, err := e2.ExecScript(strings.NewReader(script), false); err == nil {
+	if _, err := e.ExecScript(strings.NewReader(script)); err == nil {
 		t.Error("stop-on-error did not report")
+	}
+	if _, err := e.Current().IconByName("B"); err == nil {
+		t.Error("script ran past the failing line")
 	}
 }
 

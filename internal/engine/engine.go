@@ -1,11 +1,12 @@
 // Package engine is the distributed solver runtime extracted from the
 // hypercube Jacobi driver: the reusable parallel skeleton — slab
-// partitioning, per-rank code generation, and a phase-structured sweep
-// loop (dispatch → combine → exchange) with fault injection, bounded
-// retry, checkpoint hooks and rank-ordered stat merges — separated
-// from any particular numerical scheme, so that Jacobi, multigrid and
-// future workloads (SOR, red-black, new stencils) are small clients of
-// one substrate instead of copies of a 400-line loop.
+// partitioning and a phase-structured sweep loop (dispatch → combine →
+// exchange) with fault injection, bounded retry, checkpoint hooks and
+// rank-ordered stat merges — separated from any particular numerical
+// scheme, so that Jacobi, multigrid and future workloads (SOR,
+// red-black, new stencils) are small clients of one substrate instead
+// of copies of a 400-line loop. Clients compile their slab
+// instructions before the loop starts; the engine generates no code.
 //
 // The engine addresses ranks on a ring; the Fabric interface maps ring
 // ranks onto real machine topology (the hypercube adapter routes them

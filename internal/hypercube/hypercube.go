@@ -11,12 +11,12 @@
 // the scaling experiment (P2): 1-D domain decomposition along k with
 // ghost-plane exchange between ring neighbours (one hop on every
 // pristine embedding) and a residual combine over the topology's tree.
-// Since PR 4 the sweep loop itself — partitioning, per-rank codegen,
-// halo exchange, convergence reduction, fault injection, retry and
-// checkpoint rollback — lives in internal/engine; SolveJacobi is a
-// thin client that adapts the machine to the engine's Fabric interface
-// and supplies the scheme (the sweep Step, checkpoint and recovery
-// hooks).
+// The sweep loop itself — partitioning, halo exchange, convergence
+// reduction, fault injection, retry and checkpoint rollback — lives in
+// internal/engine; SolveJacobi is a thin client that adapts the
+// machine to the engine's Fabric interface, compiles each distinct
+// slab once (ranks with the same slab share its instructions), and
+// supplies the scheme (the sweep Step, checkpoint and recovery hooks).
 package hypercube
 
 import (

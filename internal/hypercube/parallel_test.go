@@ -9,9 +9,12 @@ import (
 
 // parallelProblem builds an 8×8×(8·2^dim + 2) model problem whose
 // interior planes decompose evenly over the machine's nodes.
-func parallelProblem(p int) *jacobi.Problem {
-	g := jacobi.NewModelProblem(8, 1e-4, 400)
-	g.Nz = p*2 + 2
+func parallelProblem(p int) *jacobi.Problem { return boxProblem(8, p*2+2) }
+
+// boxProblem is the N=n model problem stretched to nz planes.
+func boxProblem(n, nz int) *jacobi.Problem {
+	g := jacobi.NewModelProblem(n, 1e-4, 400)
+	g.Nz = nz
 	g.F = make([]float64, g.Cells())
 	g.U0 = make([]float64, g.Cells())
 	g.Mask = make([]float64, g.Cells())

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/arch"
+	"repro/internal/codegen"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
@@ -219,22 +220,39 @@ func newJacobiSolve(m *Machine, global *jacobi.Problem) *jacobiSolve {
 	return s
 }
 
-// build partitions the problem, compiles both sweep pipelines per rank
-// and loads the slabs onto the ring. Loading rewrites PlaneU with the
-// initial guess, so a rebuild mid-run must be followed by an iterate
-// restore.
+// build partitions the problem, compiles both sweep pipelines once per
+// distinct slab and loads the slabs onto the ring. A compile is a pure
+// function of the machine and the slab's editor script, so every rank
+// whose script matches an earlier rank's shares that rank's
+// instructions. Loading rewrites PlaneU with the initial guess, so a
+// rebuild mid-run must be followed by an iterate restore.
 func (s *jacobiSolve) build(part *engine.Partition) error {
 	m := s.m
 	locals := make([]*jacobi.Problem, part.P)
+	fwd := make([]*microcode.Instr, part.P)
+	bwd := make([]*microcode.Instr, part.P)
+	gen := codegen.New(arch.MustInventory(m.Cfg))
+	first := map[string]int{} // script → first rank compiled from it
 	for r := 0; r < part.P; r++ {
-		var err error
-		if locals[r], err = part.Local(m.Cfg, s.global, r); err != nil {
+		lp, err := part.Local(m.Cfg, s.global, r)
+		if err != nil {
+			return err
+		}
+		locals[r] = lp
+		script := lp.Script()
+		if q, ok := first[script]; ok {
+			fwd[r], bwd[r] = fwd[q], bwd[q]
+			continue
+		}
+		first[script] = r
+		if fwd[r], bwd[r], err = lp.Sweeps(gen); err != nil {
 			return err
 		}
 	}
 	fab := m.Fabric()
-	fwd, bwd, err := engine.CompileSweeps(m.Cfg, m.Workers, locals, fab.Node)
-	if err != nil {
+	if err := engine.ParallelFor(m.Workers, part.P, func(r int) error {
+		return locals[r].Load(fab.Node(r))
+	}); err != nil {
 		return err
 	}
 	s.part, s.fwd, s.bwd = part, fwd, bwd
@@ -383,8 +401,8 @@ func (s *jacobiSolve) recover(dre *engine.DeadRankError) (*engine.Config, *engin
 		return nil, nil, err
 	}
 
-	// CompileSweeps reloaded every slab's initial guess, so every rank
-	// gets its full local grids back.
+	// build reloaded every slab's initial guess, so every rank gets
+	// its full local grids back.
 	if err := engine.RestoreSlabs(m.Fabric(), newPart, dre.Ranks, shrunk > 0,
 		[]int{jacobi.PlaneU, jacobi.PlaneV}, gu, gv); err != nil {
 		return nil, nil, err

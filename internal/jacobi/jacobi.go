@@ -28,6 +28,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/diagram"
 	"repro/internal/editor"
+	"repro/internal/microcode"
 	"repro/internal/sim"
 )
 
@@ -270,10 +271,27 @@ func (p *Problem) BuildDocument(cfg arch.Config) (*diagram.Document, *editor.Edi
 		return nil, nil, err
 	}
 	ed := editor.New(inv, "jacobi3d")
-	if _, err := ed.ExecScript(strings.NewReader(p.Script()), false); err != nil {
+	if _, err := ed.ExecScript(strings.NewReader(p.Script())); err != nil {
 		return nil, nil, fmt.Errorf("jacobi: editor script: %w", err)
 	}
 	return ed.Doc, ed, nil
+}
+
+// Sweeps builds the problem's document through the editor and
+// generates its two sweep pipelines, forward (u→v) and backward
+// (v→u), as standalone instructions for the generator's machine.
+func (p *Problem) Sweeps(gen *codegen.Generator) (fwd, bwd *microcode.Instr, err error) {
+	doc, _, err := p.BuildDocument(gen.Inv.Cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if fwd, _, err = gen.Pipeline(doc, doc.Pipes[0]); err != nil {
+		return nil, nil, err
+	}
+	if bwd, _, err = gen.Pipeline(doc, doc.Pipes[1]); err != nil {
+		return nil, nil, err
+	}
+	return fwd, bwd, nil
 }
 
 // Result is the outcome of an NSC simulation run.

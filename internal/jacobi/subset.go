@@ -200,7 +200,7 @@ func (p *Problem) SubsetBuild(cfg arch.Config) (*diagram.Document, *editor.Edito
 		return nil, nil, err
 	}
 	ed := editor.New(inv, "jacobi3d-subset")
-	if _, err := ed.ExecScript(strings.NewReader(p.SubsetScript()), false); err != nil {
+	if _, err := ed.ExecScript(strings.NewReader(p.SubsetScript())); err != nil {
 		return nil, nil, fmt.Errorf("jacobi: subset script: %w", err)
 	}
 	return ed.Doc, ed, nil

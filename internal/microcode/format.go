@@ -31,6 +31,18 @@ const ConstPoolSize = 8
 // wrapped modulo NumCounters.
 const NumCounters = 4
 
+// DMA field widths. Strides are two's-complement signed; counts and
+// skips are unsigned element counts. The checker rejects values that
+// do not fit before they reach an instruction word.
+const (
+	MemStrideBits   = 16
+	MemCountBits    = 24
+	MemSkipBits     = 24
+	CacheStrideBits = 8
+	CacheCountBits  = 12
+	CacheSkipBits   = 12
+)
+
 // Field is one named bit range within the instruction word.
 type Field struct {
 	Name   string
@@ -192,9 +204,9 @@ func NewFormat(cfg arch.Config) (*Format, error) {
 		f.memEn = append(f.memEn, add(pre+"en", 1))
 		f.memDir = append(f.memDir, add(pre+"dir", 1))
 		f.memAddr = append(f.memAddr, add(pre+"addr", addrW))
-		f.memStrd = append(f.memStrd, add(pre+"stride", 16))
-		f.memCnt = append(f.memCnt, add(pre+"count", 24))
-		f.memSkip = append(f.memSkip, add(pre+"skip", 24))
+		f.memStrd = append(f.memStrd, add(pre+"stride", MemStrideBits))
+		f.memCnt = append(f.memCnt, add(pre+"count", MemCountBits))
+		f.memSkip = append(f.memSkip, add(pre+"skip", MemSkipBits))
 		f.memStrt = append(f.memStrt, add(pre+"start", 16))
 	}
 
@@ -205,9 +217,9 @@ func NewFormat(cfg arch.Config) (*Format, error) {
 		f.cchDir = append(f.cchDir, add(pre+"dir", 1))
 		f.cchBuf = append(f.cchBuf, add(pre+"buf", 1))
 		f.cchAddr = append(f.cchAddr, add(pre+"addr", cAddrW))
-		f.cchStrd = append(f.cchStrd, add(pre+"stride", 8))
-		f.cchCnt = append(f.cchCnt, add(pre+"count", 12))
-		f.cchSkip = append(f.cchSkip, add(pre+"skip", 12))
+		f.cchStrd = append(f.cchStrd, add(pre+"stride", CacheStrideBits))
+		f.cchCnt = append(f.cchCnt, add(pre+"count", CacheCountBits))
+		f.cchSkip = append(f.cchSkip, add(pre+"skip", CacheSkipBits))
 		f.cchStrt = append(f.cchStrt, add(pre+"start", 16))
 		f.cchSwap = append(f.cchSwap, add(pre+"swap", 1))
 	}

@@ -162,6 +162,11 @@ func (d *Distributed) build() error {
 	d.Part = part
 	d.slabs = make([]*Level, p)
 	d.words = make([]int64, p)
+	// Compile each distinct slab once: a level's five instructions are
+	// a pure function of the machine and its two editor scripts, so a
+	// rank whose scripts match an earlier rank's shares its code.
+	gen := codegen.New(dc.Fabric.Node(0).Inv)
+	compiled := map[string]*Level{}
 	for r := 0; r < p; r++ {
 		lp, err := part.Local(dc.Cfg, gp, r)
 		if err != nil {
@@ -172,15 +177,21 @@ func (d *Distributed) build() error {
 			lp.Mask[i] = mv * DefaultOmega
 		}
 		d.slabs[r] = lv
+		key := lp.Script() + auxScript(lp, dc.Tol)
+		if c, ok := compiled[key]; ok {
+			lv.fwd, lv.bwd, lv.residual, lv.correct, lv.copyVU = c.fwd, c.bwd, c.residual, c.correct, c.copyVU
+			continue
+		}
+		if err := buildLevel(gen, lv, dc.Tol); err != nil {
+			return fmt.Errorf("multigrid: rank %d slab: %w", r, err)
+		}
+		compiled[key] = lv
 	}
-	// Compile and load every rank's slab pipelines concurrently: each
-	// rank touches only its own node and level.
+	// Load every rank's slab concurrently: each rank touches only its
+	// own node.
 	if err := engine.ParallelFor(dc.Workers, p, func(r int) error {
 		nd := dc.Fabric.Node(r)
 		lv := d.slabs[r]
-		if err := buildLevel(dc.Cfg, codegen.New(nd.Inv), lv, dc.Tol); err != nil {
-			return fmt.Errorf("multigrid: rank %d slab: %w", r, err)
-		}
 		if err := lv.P.Load(nd); err != nil {
 			return err
 		}

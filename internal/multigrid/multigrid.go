@@ -133,7 +133,7 @@ func NewOnNode(cfg arch.Config, node *sim.Node, n, levels int, tol float64, maxC
 				p.F[i] = 0
 			}
 		}
-		if err := buildLevel(s.Cfg, gen, lv, tol); err != nil {
+		if err := buildLevel(gen, lv, tol); err != nil {
 			return nil, fmt.Errorf("multigrid: level %d: %w", l, err)
 		}
 		s.Levels = append(s.Levels, lv)
@@ -161,22 +161,15 @@ func prevSize(s *Solver) int { return s.Levels[len(s.Levels)-1].P.N }
 // buildLevel programs the level's five instructions through the
 // editor. It is a free function so the distributed driver can compile
 // a slab level without a Solver around it.
-func buildLevel(cfg arch.Config, gen *codegen.Generator, lv *Level, tol float64) error {
-	p := lv.P
+func buildLevel(gen *codegen.Generator, lv *Level, tol float64) error {
 	// Smoothing sweeps come straight from the paper's example.
-	doc, _, err := p.BuildDocument(cfg)
-	if err != nil {
-		return err
-	}
-	if lv.fwd, _, err = gen.Pipeline(doc, doc.Pipes[0]); err != nil {
-		return err
-	}
-	if lv.bwd, _, err = gen.Pipeline(doc, doc.Pipes[1]); err != nil {
+	var err error
+	if lv.fwd, lv.bwd, err = lv.P.Sweeps(gen); err != nil {
 		return err
 	}
 
 	ed := editor.New(gen.Inv, "mg-aux")
-	if _, err := ed.ExecScript(strings.NewReader(auxScript(p, tol)), false); err != nil {
+	if _, err := ed.ExecScript(strings.NewReader(auxScript(lv.P, tol))); err != nil {
 		return err
 	}
 	if lv.residual, _, err = gen.Pipeline(ed.Doc, ed.Doc.Pipes[0]); err != nil {

@@ -1,13 +1,19 @@
 package pipeline
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/codegen"
 	"repro/internal/compiler"
 	"repro/internal/diag"
+	"repro/internal/diagram"
+	"repro/internal/editor"
 	"repro/internal/microcode"
 )
 
@@ -79,6 +85,93 @@ func FuzzPipeline(f *testing.F) {
 		}
 		if err := res1.Prog.Validate(); err != nil {
 			t.Fatalf("compile of %q produced invalid microcode: %v", src, err)
+		}
+	})
+}
+
+// smokeScript is a complete one-pipeline document (v = 3·u); its read
+// channel is icon 0 and its singlet icon 2.
+const smokeScript = `doc smoke
+var u plane=0 base=0 len=16
+var v plane=1 base=0 len=16
+place memplane Mu at 1 2 plane=0
+place memplane Mv at 40 2 plane=1
+place singlet S at 20 2
+op S.u0 mul constb=3
+connect Mu.rd -> S.u0.a
+connect S.u0.o -> Mv.wr
+dma Mu rd var=u stride=1 count=16
+dma Mv wr var=v stride=1 count=16
+`
+
+// cacheScript is smokeScript reading from a cache (icon 0) instead.
+const cacheScript = `doc smoke
+var v plane=1 base=0 len=16
+place cache C at 1 2 plane=0
+place memplane Mv at 40 2 plane=1
+place singlet S at 20 2
+op S.u0 mul constb=3
+connect C.rd -> S.u0.a
+connect S.u0.o -> Mv.wr
+dma C rd buf=0 offset=0 stride=1 count=1
+dma Mv wr var=v stride=1 count=1
+`
+
+// FuzzLoadCompile feeds document JSON through diagram.Load and
+// CompileDocument, the nscasm -in path: every input must either
+// compile to valid microcode or fail with a typed diagnostic, never
+// panic. The seeds are the smoke document and variants that once
+// crashed the checker or codegen: DMA values wider than their field,
+// an invalid opcode, an unknown icon kind, missing units, and a wire
+// between absent icons.
+func FuzzLoadCompile(f *testing.F) {
+	inv := arch.MustInventory(arch.Default())
+	seed := func(script string, mutate func(p *diagram.Pipeline)) {
+		ed := editor.New(inv, "fuzz")
+		if _, err := ed.ExecScript(strings.NewReader(script)); err != nil {
+			f.Fatal(err)
+		}
+		mutate(ed.Doc.Pipes[0])
+		var buf bytes.Buffer
+		if err := ed.Doc.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	readDMA := func(spec diagram.DMASpec) func(p *diagram.Pipeline) {
+		return func(p *diagram.Pipeline) { p.Icons[0].RdDMA = &spec }
+	}
+	seed(smokeScript, func(*diagram.Pipeline) {})
+	seed(smokeScript, readDMA(diagram.DMASpec{Var: "u", Stride: 70000, Count: 1}))
+	seed(smokeScript, readDMA(diagram.DMASpec{Var: "u", Stride: 0, Count: 99999999}))
+	seed(smokeScript, readDMA(diagram.DMASpec{Var: "u", Stride: 4, Count: 4611686018427387905}))
+	seed(smokeScript, readDMA(diagram.DMASpec{Var: "u", Stride: 1, Count: 16, Skip: 16777216}))
+	seed(cacheScript, readDMA(diagram.DMASpec{Stride: 200, Count: 1}))
+	seed(cacheScript, readDMA(diagram.DMASpec{Stride: 1, Count: 1, Skip: 5000}))
+	seed(smokeScript, func(p *diagram.Pipeline) { p.Icons[2].Units[0].Op = 99 })
+	seed(smokeScript, func(p *diagram.Pipeline) { p.Icons[2].Kind = 77 })
+	seed(smokeScript, func(p *diagram.Pipeline) { p.Icons[2].Units = nil })
+	seed(smokeScript, func(p *diagram.Pipeline) {
+		p.Wires = append(p.Wires, &diagram.Wire{From: diagram.PadRef{Icon: 99, Pad: "rd"}, To: diagram.PadRef{Icon: 98, Pad: "u0.a"}})
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, err := diagram.Load(bytes.NewReader(data))
+		if err != nil {
+			if diag.AsDiagnostic(err, "").Rule == "" {
+				t.Fatalf("Load failed untyped: %v", err)
+			}
+			return
+		}
+		res, err := New(inv).CompileDocument(doc)
+		if err != nil {
+			var ce *codegen.CheckError
+			if !errors.As(err, &ce) && diag.AsDiagnostic(err, "").Rule == "" {
+				t.Fatalf("compile failed untyped: %v", err)
+			}
+			return
+		}
+		if err := res.Prog.Validate(); err != nil {
+			t.Fatalf("compiled program invalid: %v", err)
 		}
 	})
 }

@@ -28,9 +28,9 @@ import (
 	"repro/internal/obs"
 )
 
-// State is the working set a run threads through its passes: inputs on
+// state is the working set a run threads through its passes: inputs on
 // top, pass products below. Each pass reads what earlier passes wrote.
-type State struct {
+type state struct {
 	// Source inputs (CompileSource).
 	Stmts []string
 	Opt   compiler.Options
@@ -49,24 +49,13 @@ type State struct {
 	Rep  *codegen.Report
 }
 
-// Pass is one observable stage of a compilation.
-type Pass interface {
-	// Name is the stable pass name used in timings ("parse",
-	// "build-diagram", "check", "codegen", "validate").
-	Name() string
-	// Run advances the state; a non-nil error aborts the run and is
-	// recorded as a diagnostic.
-	Run(pl *Pipeline, st *State) error
-}
-
-// passFunc adapts a function to the Pass interface.
-type passFunc struct {
+// pass is one observable stage of a compilation: the stable name used
+// in timings and the function that advances the state. A non-nil error
+// aborts the run and is recorded as a diagnostic.
+type pass struct {
 	name string
-	run  func(pl *Pipeline, st *State) error
+	run  func(pl *Pipeline, st *state) error
 }
-
-func (p passFunc) Name() string                      { return p.name }
-func (p passFunc) Run(pl *Pipeline, st *State) error { return p.run(pl, st) }
 
 // PassTiming is one pass's wall-clock cost within a run.
 type PassTiming struct {
@@ -129,20 +118,20 @@ func New(inv *arch.Inventory) *Pipeline {
 
 // run executes the passes in order, timing each and converting a pass
 // failure into a diagnostic on the result.
-func (pl *Pipeline) run(st *State, passes []Pass) (*Result, error) {
+func (pl *Pipeline) run(st *state, passes []pass) (*Result, error) {
 	res := &Result{}
 	var failed error
 	var runTS int64 // span timeline: μs into this run
 	for _, p := range passes {
 		t0 := time.Now()
-		err := p.Run(pl, st)
+		err := p.run(pl, st)
 		d := time.Since(t0)
-		res.Passes = append(res.Passes, PassTiming{Name: p.Name(), Duration: d})
+		res.Passes = append(res.Passes, PassTiming{Name: p.name, Duration: d})
 		if o := pl.Obs; o != nil {
 			us := d.Microseconds()
-			o.Inc("pipeline.pass." + p.Name())
-			o.Observe("pipeline.pass."+p.Name()+".us", us)
-			o.Span(0, "pipeline", p.Name(), runTS, us, nil)
+			o.Inc("pipeline.pass." + p.name)
+			o.Observe("pipeline.pass."+p.name+".us", us)
+			o.Span(0, "pipeline", p.name, runTS, us, nil)
 			runTS += us
 		}
 		if err != nil {
@@ -165,73 +154,67 @@ func (pl *Pipeline) run(st *State, passes []Pass) (*Result, error) {
 
 // --- The passes ---
 
-func parsePass() Pass {
-	return passFunc{"parse", func(pl *Pipeline, st *State) error {
-		parsed, err := compiler.ParseProgram(st.Stmts)
-		if err != nil {
-			return err
-		}
-		st.Parsed = parsed
-		return nil
-	}}
+// sourcePasses is the full front-to-back pass list. documentPasses is
+// its check → codegen → validate tail, for a compile that starts from
+// an existing diagram document.
+var (
+	sourcePasses = []pass{
+		{"parse", (*Pipeline).parse},
+		{"build-diagram", (*Pipeline).buildDiagram},
+		{"check", (*Pipeline).check},
+		{"codegen", (*Pipeline).lower},
+		{"validate", (*Pipeline).validate},
+	}
+	documentPasses = sourcePasses[2:]
+)
+
+func (pl *Pipeline) parse(st *state) error {
+	parsed, err := compiler.ParseProgram(st.Stmts)
+	if err != nil {
+		return err
+	}
+	st.Parsed = parsed
+	return nil
 }
 
-func buildPass() Pass {
-	return passFunc{"build-diagram", func(pl *Pipeline, st *State) error {
-		out, err := compiler.BuildProgram(st.Parsed, pl.Inv, st.Opt)
-		if err != nil {
-			return err
-		}
-		st.Doc = out.Doc
-		st.StmtInfo = out.Stmts
-		return nil
-	}}
+func (pl *Pipeline) buildDiagram(st *state) error {
+	out, err := compiler.BuildProgram(st.Parsed, pl.Inv, st.Opt)
+	if err != nil {
+		return err
+	}
+	st.Doc = out.Doc
+	st.StmtInfo = out.Stmts
+	return nil
 }
 
-func checkPass() Pass {
-	return passFunc{"check", func(pl *Pipeline, st *State) error {
-		var ds []checker.Diagnostic
-		if pl.ChkCache != nil {
-			ds = pl.ChkCache.CheckDocument(pl.Chk, st.Doc)
-		} else {
-			ds = pl.Chk.CheckDocument(st.Doc)
-		}
-		st.Diags = append(st.Diags, ds...)
-		if es := checker.Errors(ds); len(es) > 0 {
-			// The same error type direct codegen clients receive.
-			return &codegen.CheckError{Diags: es}
-		}
-		return nil
-	}}
+func (pl *Pipeline) check(st *state) error {
+	var ds []checker.Diagnostic
+	if pl.ChkCache != nil {
+		ds = pl.ChkCache.CheckDocument(pl.Chk, st.Doc)
+	} else {
+		ds = pl.Chk.CheckDocument(st.Doc)
+	}
+	st.Diags = append(st.Diags, ds...)
+	if es := checker.Errors(ds); len(es) > 0 {
+		// The same error type direct codegen clients receive.
+		return &codegen.CheckError{Diags: es}
+	}
+	return nil
 }
 
-func codegenPass() Pass {
-	return passFunc{"codegen", func(pl *Pipeline, st *State) error {
-		prog, rep, err := pl.Gen.Lower(st.Doc)
-		if err != nil {
-			return err
-		}
-		rep.Warnings = st.Diags
-		st.Prog = prog
-		st.Rep = rep
-		return nil
-	}}
+func (pl *Pipeline) lower(st *state) error {
+	prog, rep, err := pl.Gen.Lower(st.Doc)
+	if err != nil {
+		return err
+	}
+	rep.Warnings = st.Diags
+	st.Prog = prog
+	st.Rep = rep
+	return nil
 }
 
-func validatePass() Pass {
-	return passFunc{"validate", func(pl *Pipeline, st *State) error {
-		return pl.Gen.Validate(st.Prog)
-	}}
-}
-
-// sourcePasses is the full front-to-back pass list.
-func sourcePasses() []Pass {
-	return []Pass{parsePass(), buildPass(), checkPass(), codegenPass(), validatePass()}
-}
-
-// documentPasses starts from an existing diagram document.
-func documentPasses() []Pass {
-	return []Pass{checkPass(), codegenPass(), validatePass()}
+func (pl *Pipeline) validate(st *state) error {
+	return pl.Gen.Validate(st.Prog)
 }
 
 // CompileSource compiles stencil statements to validated microcode:
@@ -249,8 +232,8 @@ func (pl *Pipeline) CompileSource(stmts []string, opt compiler.Options) (*Result
 		}
 		pl.Obs.Inc("pipeline.cache.miss")
 	}
-	st := &State{Stmts: stmts, Opt: opt}
-	res, err := pl.run(st, sourcePasses())
+	st := &state{Stmts: stmts, Opt: opt}
+	res, err := pl.run(st, sourcePasses)
 	if err == nil && pl.Cache != nil {
 		pl.Cache.store(key, res)
 	}
@@ -275,8 +258,8 @@ func (pl *Pipeline) CompileDocument(doc *diagram.Document) (*Result, error) {
 			key = "" // unhashable document: compile uncached
 		}
 	}
-	st := &State{Doc: doc}
-	res, err := pl.run(st, documentPasses())
+	st := &state{Doc: doc}
+	res, err := pl.run(st, documentPasses)
 	if err == nil && pl.Cache != nil && key != "" {
 		pl.Cache.store(key, res)
 	}

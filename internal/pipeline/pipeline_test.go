@@ -122,7 +122,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	t.Run("document-flow", func(t *testing.T) {
 		pl := New(inv)
 		ed := editor.New(inv, "flow")
-		if _, err := ed.ExecScript(strings.NewReader(flowScript), false); err != nil {
+		if _, err := ed.ExecScript(strings.NewReader(flowScript)); err != nil {
 			t.Fatal(err)
 		}
 		res, err := pl.CompileDocument(ed.Doc)
@@ -196,7 +196,7 @@ func TestDocumentCache(t *testing.T) {
 	inv := arch.MustInventory(arch.Default())
 	pl := New(inv)
 	ed := editor.New(inv, "flow")
-	if _, err := ed.ExecScript(strings.NewReader(flowScript), false); err != nil {
+	if _, err := ed.ExecScript(strings.NewReader(flowScript)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pl.CompileDocument(ed.Doc); err != nil {

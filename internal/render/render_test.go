@@ -26,7 +26,7 @@ connect D1.u0.o -> Mv.wr
 dma Mu rd var=u stride=1 count=100
 dma Mv wr var=v stride=1 count=100
 `
-	if _, err := ed.ExecScript(strings.NewReader(script), false); err != nil {
+	if _, err := ed.ExecScript(strings.NewReader(script)); err != nil {
 		t.Fatal(err)
 	}
 	z, _ := ed.Current().IconByName("Z")

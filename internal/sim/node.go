@@ -169,12 +169,12 @@ type Node struct {
 	Stats Stats
 
 	// plans is the decoded-instruction cache: instruction bit pattern →
-	// compiled ExecPlan, with hit/miss accounting. scratch holds the
-	// reusable per-plan working sets of the run layer. Both are
-	// node-private, keeping concurrent multi-node execution free of
-	// shared mutable state.
+	// compiled ExecPlan, with hit/miss accounting. scratch is the run
+	// layer's working set, shared by every plan and sized to the
+	// largest. Both are node-private, keeping concurrent multi-node
+	// execution free of shared mutable state.
 	plans                map[string]*ExecPlan
-	scratch              map[*ExecPlan]*runScratch
+	scratch              runScratch
 	planHits, planMisses int64
 	// keyBuf is the reusable plan-cache key serialization buffer; the
 	// hit path probes the cache without materializing a key string.

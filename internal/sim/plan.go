@@ -496,7 +496,7 @@ func (n *Node) PlanCacheStats() PlanCacheStats {
 // including the kernel path counters.
 func (n *Node) ResetPlanCache() {
 	n.plans = nil
-	n.scratch = nil
+	n.scratch = runScratch{}
 	n.planHits, n.planMisses = 0, 0
 	n.kernelFast, n.kernelSlow = 0, 0
 }
@@ -522,8 +522,8 @@ type redState struct {
 	accOK bool
 }
 
-// runScratch is the reusable per-plan working set: one value/valid
-// lane per producer slot, T cycles long, stored slot-major in a single
+// runScratch is the node's reusable working set: one value/valid lane
+// per producer slot, T cycles long, stored slot-major in a single
 // contiguous array (lane s occupies val[s*T : (s+1)*T]). It belongs to
 // the run layer's mutable state (it lives on the node, never on the
 // plan), so two nodes executing the same plan concurrently never
@@ -558,25 +558,23 @@ func (sc *runScratch) sample(T, slot, c int) (float64, bool) {
 	return sc.val[slot*T+c], sc.ok[slot*T+c]
 }
 
-// scratchFor returns (allocating once per plan) the node's working set
-// for pl. Reuse is safe without zeroing: every producer lane is
-// written at every cycle before any same-run read of that cycle.
+// scratchFor returns the node's working set, grown to fit pl. Every
+// plan the node runs shares it, so the node holds one working set the
+// size of its largest plan. Reuse is safe without zeroing: every
+// producer lane is written at every cycle before any same-run read of
+// that cycle.
 func (n *Node) scratchFor(pl *ExecPlan) *runScratch {
-	if sc, ok := n.scratch[pl]; ok {
-		return sc
+	sc := &n.scratch
+	if need := pl.slots * pl.T; len(sc.val) < need {
+		sc.val, sc.ok = make([]float64, need), make([]bool, need)
 	}
-	sc := &runScratch{
-		val:  make([]float64, pl.slots*pl.T),
-		ok:   make([]bool, pl.slots*pl.T),
-		reds: make([]redState, pl.nReds),
+	if len(sc.reds) < pl.nReds {
+		sc.reds = make([]redState, pl.nReds)
 	}
 	for i := range sc.opv {
-		sc.opv[i] = make([]float64, pl.T)
-		sc.opok[i] = make([]bool, pl.T)
+		if len(sc.opv[i]) < pl.T {
+			sc.opv[i], sc.opok[i] = make([]float64, pl.T), make([]bool, pl.T)
+		}
 	}
-	if n.scratch == nil {
-		n.scratch = make(map[*ExecPlan]*runScratch)
-	}
-	n.scratch[pl] = sc
 	return sc
 }

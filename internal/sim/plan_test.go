@@ -161,3 +161,73 @@ func TestCompileRejectsOutOfRangeCounter(t *testing.T) {
 		t.Errorf("failed compile must not be cached: %+v", st)
 	}
 }
+
+// TestScratchSharedAcrossPlans: a node keeps one kernel working set
+// for every plan it runs. Plans of different lengths and producer
+// counts, interleaved on one node, must leave exactly the state they
+// leave on a node whose working set is dropped before each dispatch,
+// on the kernel path and in the interpreter.
+func TestScratchSharedAcrossPlans(t *testing.T) {
+	data := seq(64, func(i int) float64 { return float64(i)*0.75 - 20 })
+	stencil := func(n *Node) *microcode.Instr {
+		cfg := n.Cfg
+		in := n.F.NewInstr()
+		in.SetSDU(0, true, []int{0, 2})
+		in.Route(cfg.SnkSDUIn(0), cfg.SrcMemRead(0))
+		in.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: 0, Stride: 1, Count: 64})
+		fu := arch.FUID(1)
+		in.SetFUOp(fu, arch.OpAdd)
+		in.SetFUInput(fu, 0, microcode.InSwitch, 0, 0)
+		in.SetFUInput(fu, 1, microcode.InSwitch, 0, 2)
+		in.Route(cfg.SnkFUIn(fu, 0), cfg.SrcSDUTap(0, 1))
+		in.Route(cfg.SnkFUIn(fu, 1), cfg.SrcSDUTap(0, 0))
+		in.Route(cfg.SnkMemWrite(2), cfg.SrcFUOut(fu))
+		in.SetMemDMA(2, microcode.MemDMA{Enable: true, Write: true, Addr: 0, Stride: 1, Count: 64,
+			Start: 3 + arch.OpAdd.Info().Latency})
+		in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
+		return in
+	}
+	reduce := func(n *Node) *microcode.Instr {
+		cfg := n.Cfg
+		in := n.F.NewInstr()
+		mul, red := arch.FUID(0), arch.FUID(2)
+		in.SetFUOp(mul, arch.OpMul)
+		in.SetFUInput(mul, 0, microcode.InSwitch, 0, 0)
+		in.SetFUInput(mul, 1, microcode.InConst, 1, 0)
+		in.SetConst(1, 0.25)
+		in.Route(cfg.SnkFUIn(mul, 0), cfg.SrcMemRead(2))
+		in.SetMemDMA(2, microcode.MemDMA{Enable: true, Addr: 0, Stride: 1, Count: 48})
+		in.SetFUOp(red, arch.OpMaxAbs)
+		in.SetFUInput(red, 0, microcode.InSwitch, 0, 0)
+		in.SetFUInput(red, 1, microcode.InFeedback, 0, 0)
+		in.SetFUReduce(red, true, 0)
+		in.SetConst(0, 0.0)
+		in.Route(cfg.SnkFUIn(red, 0), cfg.SrcFUOut(mul))
+		in.SetSeq(microcode.Seq{Cond: microcode.CondHalt, CmpEnable: true, CmpFU: red,
+			CmpOp: microcode.CmpLT, CmpConst: 1, CmpFlag: 0})
+		return in
+	}
+	prog := func(n *Node) []*microcode.Instr {
+		if err := n.WriteWords(0, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		sten := stencil(n)
+		return []*microcode.Instr{sten, buildCopy(n, 2, 3, 8), reduce(n), sten, buildCopy(n, 3, 4, 64)}
+	}
+	for _, kernelOff := range []bool{false, true} {
+		shared, fresh := newNode(t), newNode(t)
+		shared.KernelOff, fresh.KernelOff = kernelOff, kernelOff
+		sIns, fIns := prog(shared), prog(fresh)
+		for i := range sIns {
+			fresh.ResetPlanCache()
+			errS, errF := shared.Exec(sIns[i]), fresh.Exec(fIns[i])
+			if errS != nil || errF != nil {
+				t.Fatalf("kernelOff=%v instr %d: shared err %v, fresh err %v", kernelOff, i, errS, errF)
+			}
+		}
+		if st := shared.PlanCacheStats(); st.Entries != 4 || st.Hits != 1 {
+			t.Errorf("kernelOff=%v: plan cache %+v, want 4 entries and 1 hit", kernelOff, st)
+		}
+		compareNodes(t, "shared scratch", shared, fresh)
+	}
+}
