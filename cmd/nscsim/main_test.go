@@ -8,6 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/editor"
+	"repro/internal/pipeline"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -347,6 +351,54 @@ func TestJacobiKillRecoveryCLI(t *testing.T) {
 	for _, bad := range []string{"3", "x:1", "3:x", "3:4"} {
 		if _, _, code := runCLI(t, "-jacobi", "8", "-cube", "2", "-kill", bad); code == 0 {
 			t.Errorf("-kill %q: exit 0, want failure", bad)
+		}
+	}
+}
+
+// TestDumpRangeErrors: a -dump whose count is negative or larger than
+// the plane exits 1 with an error naming the range — it once panicked
+// in makeslice, or died allocating ~8 TB.
+func TestDumpRangeErrors(t *testing.T) {
+	inv := arch.MustInventory(arch.Default())
+	ed := editor.New(inv, "smoke")
+	if _, err := ed.ExecScript(strings.NewReader(`
+doc smoke
+var u plane=0 base=0 len=16
+var v plane=1 base=0 len=16
+place memplane Mu at 1 2 plane=0
+place memplane Mv at 40 2 plane=1
+place singlet S at 20 2
+op S.u0 mul constb=3
+connect Mu.rd -> S.u0.a
+connect S.u0.o -> Mv.wr
+dma Mu rd var=u stride=1 count=16
+dma Mv wr var=v stride=1 count=16
+`)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipeline.New(inv).CompileDocument(ed.Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := filepath.Join(t.TempDir(), "prog.nscm")
+	f, err := os.Create(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Prog.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, stderr, code := runCLI(t, "-prog", prog, "-dump", "1:0:16"); code != 0 {
+		t.Fatalf("in-range dump: exit %d, stderr: %s", code, stderr)
+	}
+	for _, dump := range []string{"1:0:-1", "1:0:999999999999", "1:16777215:2"} {
+		_, stderr, code := runCLI(t, "-prog", prog, "-dump", dump)
+		if code != 1 || !strings.Contains(stderr, "do not fit plane 1") {
+			t.Errorf("-dump %s: exit %d, stderr %q; want exit 1 naming the range", dump, code, stderr)
 		}
 	}
 }

@@ -154,8 +154,10 @@ func TestCopyWordsMovesDataAndCharges(t *testing.T) {
 	}
 }
 
-// Regression: out-of-range node ranks and plane indices must come back
-// as errors from Hops/Route/CopyWords, never as panics.
+// Regression: out-of-range node ranks, plane indices and word ranges
+// must come back as errors from Hops/Route/CopyWords, never as panics
+// (a negative count once panicked in makeslice) or out-of-memory
+// aborts.
 func TestTopologyValidation(t *testing.T) {
 	m, _ := New(smallCfg(), 3)
 	for _, pair := range [][2]int{{-1, 0}, {0, -1}, {8, 0}, {0, 8}, {99, 99}} {
@@ -167,19 +169,25 @@ func TestTopologyValidation(t *testing.T) {
 		}
 	}
 	before := m.CommCycles
+	words := m.Cfg.PlaneWords()
 	for _, tc := range []struct {
 		name                string
 		fromNode, fromPlane int
 		toNode, toPlane     int
+		addr                int64
+		count               int
 	}{
-		{"source rank low", -1, 0, 0, 0},
-		{"source rank high", 8, 0, 0, 0},
-		{"dest rank low", 0, 0, -1, 0},
-		{"dest rank high", 0, 0, 8, 0},
-		{"source plane", 0, -1, 1, 0},
-		{"dest plane", 0, 0, 1, 99},
+		{"source rank low", -1, 0, 0, 0, 0, 4},
+		{"source rank high", 8, 0, 0, 0, 0, 4},
+		{"dest rank low", 0, 0, -1, 0, 0, 4},
+		{"dest rank high", 0, 0, 8, 0, 0, 4},
+		{"source plane", 0, -1, 1, 0, 0, 4},
+		{"dest plane", 0, 0, 1, 99, 0, 4},
+		{"negative count", 0, 0, 1, 0, 0, -1},
+		{"count past any plane", 0, 0, 1, 0, 0, 999999999999},
+		{"range past plane end", 0, 0, 1, 0, words - 2, 4},
 	} {
-		if err := m.CopyWords(tc.fromNode, tc.fromPlane, 0, tc.toNode, tc.toPlane, 0, 4); err == nil {
+		if err := m.CopyWords(tc.fromNode, tc.fromPlane, tc.addr, tc.toNode, tc.toPlane, tc.addr, tc.count); err == nil {
 			t.Errorf("CopyWords %s: out-of-range accepted", tc.name)
 		}
 	}

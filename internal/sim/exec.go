@@ -69,7 +69,6 @@ func (n *Node) run(pl *ExecPlan) error {
 		}
 	}
 
-	sc := n.scratchFor(pl)
 	detect := pl.trapArmed || tc.Armed()
 	// Path selection happens once per dispatch: every condition that
 	// could force a per-cycle check (trap detection, armed ECC events,
@@ -77,13 +76,17 @@ func (n *Node) run(pl *ExecPlan) error {
 	// specialized kernel runs with those branches hoisted out entirely.
 	// The interpreter below remains the reference semantics and the
 	// only path that can observe a trap.
-	if pl.kern != nil && !detect && n.Tracer == nil && len(n.ecc) == 0 && !n.KernelOff {
+	slow := n.slowReason(pl, detect)
+	kernel := slow == ""
+	sc := n.scratchFor(pl, kernel)
+	if kernel {
 		n.kernelFast++
 		n.Obs.Inc("sim.kernel.fast")
-		n.runKernel(pl, sc)
+		n.runKernel(pl, sc.val)
 	} else {
 		n.kernelSlow++
 		n.Obs.Inc("sim.kernel.slow")
+		n.Obs.Inc(slow)
 		rc := tc.WithDefaults()
 		for attempt := 0; ; attempt++ {
 			tr, err := n.evaluate(pl, sc, detect)
@@ -111,30 +114,18 @@ func (n *Node) run(pl *ExecPlan) error {
 		}
 	}
 
-	// --- Commit sinks. ---
-	for _, s := range pl.sinks {
-		val, _ := sc.lane(pl.T, s.from)
-		for j := int64(0); j < s.count; j++ {
-			c := s.start + int(s.skip+j)
-			var v float64
-			if c >= 0 && c < len(val) {
-				v = val[c]
-			}
-			var err error
-			if s.kind == srcMem {
-				err = n.Mem[s.plane].Write(s.addr+j*s.strd, v)
-			} else {
-				err = n.Cache[s.plane].Write(s.buf, s.addr+j*s.strd, v)
-			}
-			if err != nil {
-				return err
-			}
+	// --- Commit sinks and reduction registers: the same code on both
+	// paths, reading each producer where that path left it. ---
+	for i := range pl.sinks {
+		s := &pl.sinks[i]
+		val, off := sc.result(pl, kernel, s.from)
+		if err := n.commitSink(s, val, off); err != nil {
+			return err
 		}
 	}
-
-	// --- Reduction registers. ---
 	for _, r := range pl.reduces {
-		if val, _ := sc.lane(pl.T, r.from); len(val) > 0 {
+		// A reduction register reads its unit's own lane, at offset 0.
+		if val, _ := sc.result(pl, kernel, r.from); len(val) > 0 {
 			n.RedReg[r.fu] = val[len(val)-1]
 		}
 	}
@@ -160,6 +151,55 @@ func (n *Node) run(pl *ExecPlan) error {
 	}
 	n.observeExec(start)
 	return n.finishInstr(pl.seq, pl.cmpTh)
+}
+
+// slowReason names the counter of the first condition, in the order of
+// DESIGN §13's eligibility table, that pins this dispatch to the
+// interpreter, or returns "" when the kernel may run. The names are
+// constants, so counting them allocates nothing.
+func (n *Node) slowReason(pl *ExecPlan, detect bool) string {
+	switch {
+	case pl.kern == nil:
+		return "sim.kernel.slow.lowering-declined"
+	case detect:
+		return "sim.kernel.slow.trap-armed"
+	case n.Tracer != nil:
+		return "sim.kernel.slow.tracer"
+	case len(n.ecc) > 0:
+		return "sim.kernel.slow.ecc-pending"
+	case n.KernelOff:
+		return "sim.kernel.slow.kernel-off"
+	}
+	return ""
+}
+
+// commitSink writes one DMA write channel: element j takes the value
+// its producer holds at cycle start+skip+j, read from val through off
+// (zero below off and past the lane's end). Stride-1 memory sinks move
+// a page at a time; the rest go word by word. Either way a walk that
+// leaves its plane or buffer writes the in-range prefix and stops with
+// the error of the first word out of range.
+func (n *Node) commitSink(s *planSink, val []float64, off int) error {
+	c0 := s.start + int(s.skip)
+	if s.kind == srcMem && s.strd == 1 {
+		return n.Mem[s.plane].writeStream(s.addr, s.count, val, off, c0)
+	}
+	for j := int64(0); j < s.count; j++ {
+		var v float64
+		if c := c0 + int(j); c >= off && c < len(val) {
+			v = val[c-off]
+		}
+		var err error
+		if s.kind == srcMem {
+			err = n.Mem[s.plane].Write(s.addr+j*s.strd, v)
+		} else {
+			err = n.Cache[s.plane].Write(s.buf, s.addr+j*s.strd, v)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // observeExec reports one completed dispatch to the unified

@@ -15,13 +15,18 @@ import (
 // its forward Jacobi sweep, the instruction the kernel gates time.
 func gateNode(t *testing.T, kernelOff bool) (*sim.Node, *microcode.Instr) {
 	t.Helper()
+	return sweepNode(t, jacobi.NewModelProblem(12, 1e-6, 1), kernelOff)
+}
+
+// sweepNode loads p onto a fresh node and compiles its forward sweep.
+func sweepNode(t *testing.T, p *jacobi.Problem, kernelOff bool) (*sim.Node, *microcode.Instr) {
+	t.Helper()
 	cfg := arch.Default()
 	node, err := sim.NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	node.KernelOff = kernelOff
-	p := jacobi.NewModelProblem(12, 1e-6, 1)
 	doc, _, err := p.BuildDocument(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,5 +79,45 @@ func TestKernelGates(t *testing.T) {
 		bestFast, bestSlow, float64(bestSlow)/float64(bestFast))
 	if bestSlow <= bestFast {
 		t.Errorf("interpreter (%v per Exec) is not slower than the kernel (%v)", bestSlow, bestFast)
+	}
+}
+
+// TestKernelLanes pins the kernel's working set. The Jacobi forward
+// sweep has 3 sources, one SDU whose 8 taps take no lanes, 12 FUs and
+// a sink; liveness folds its 15 lanes into 7. A node that only runs
+// the kernel holds no validity lanes, and a warm 48×48×6 slab (one
+// rank of a 48×48×34 grid on 8 ranks) holds at most 1.2 MB.
+func TestKernelLanes(t *testing.T) {
+	slab := &jacobi.Problem{N: 48, Nz: 6, H: 1.0 / 47, Tol: 1e-6, MaxIter: 1,
+		F: make([]float64, 48*48*6), U0: make([]float64, 48*48*6), Mask: make([]float64, 48*48*6)}
+	for _, tc := range []struct {
+		name     string
+		p        *jacobi.Problem
+		maxBytes int
+	}{
+		{"12³", jacobi.NewModelProblem(12, 1e-6, 1), 1 << 20},
+		{"48×48×6", slab, 1_200_000},
+	} {
+		node, in := sweepNode(t, tc.p, false)
+		lanes, err := sim.KernelLanes(node, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lanes != 7 {
+			t.Errorf("%s: forward sweep lowers to %d lanes, want 7", tc.name, lanes)
+		}
+		for i := 0; i < 2; i++ {
+			if err := node.Exec(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		val, ok := sim.ScratchBytes(node)
+		if ok != 0 {
+			t.Errorf("%s: kernel-only node holds %d bytes of validity lanes", tc.name, ok)
+		}
+		if val == 0 || val > tc.maxBytes {
+			t.Errorf("%s: warm scratch %d bytes, want (0, %d]", tc.name, val, tc.maxBytes)
+		}
+		t.Logf("%s: %d lanes, %d bytes of scratch", tc.name, lanes, val)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/microcode"
@@ -10,7 +11,7 @@ import (
 // This file is the specialization layer below the decode-once /
 // execute-many split: a compiled ExecPlan is lowered once more into an
 // execKernel, a topologically ordered list of whole-lane micro-ops
-// executed as branch-free loops over contiguous slot-major scratch.
+// executed as branch-free loops over contiguous lane-major scratch.
 //
 // Why whole-lane evaluation is bit-identical to the interpreter's
 // cycle-major sweep: every dependency in a plan points strictly
@@ -21,6 +22,12 @@ import (
 // floating-point operations on exactly the same operands in the same
 // per-lane order as the interpreter — reduction accumulators are
 // sequential within a single lane, and non-reduce ops are pure.
+//
+// Only DMA sources and functional-unit outputs own lanes. A delay tap
+// is its input read through a larger offset, so taps cost nothing at
+// run time, and every operand is read in place from its producer's
+// lane. Validity never needs a lane either: each producer is valid on
+// one interval of cycles, derived at lowering time (see span).
 //
 // The kernel carries none of the per-cycle detection machinery (FP
 // trap classification, ECC take-down, tracer callbacks); the run layer
@@ -33,25 +40,68 @@ type kernKind uint8
 const (
 	kSrcMem kernKind = iota
 	kSrcCache
-	kTap
 	kFU
 )
 
-// kernOperand is one resolved functional-unit operand: a producer
-// lane read through a fixed backward offset, a broadcast constant, or
-// an unconnected input (zero, valid).
+// span is the half-open cycle interval [lo, hi) on which a producer is
+// valid; it is empty when lo ≥ hi. Intervals are closed under every
+// rule a plan applies: a source is valid until its stream drains, a
+// delay shifts an interval, a functional unit is valid where all its
+// operands are, and a reduction from its first valid operand on.
+type span struct{ lo, hi int }
+
+// delayed is the interval seen d cycles later, clipped to [0,T).
+func (s span) delayed(d, T int) span { return span{min(s.lo+d, T), min(s.hi+d, T)} }
+
+// and intersects two intervals.
+func (s span) and(o span) span { return span{max(s.lo, o.lo), min(s.hi, o.hi)} }
+
+// kernView locates a producer slot's values: cycle c reads lane[c-off],
+// and cycles below off read zero.
+type kernView struct {
+	lane  int
+	off   int
+	valid span
+}
+
+// kernOperand is one functional-unit operand: a lane read in place
+// through a fixed backward offset (latency + register-file delay + any
+// tap shifts), or, when lane < 0, the scalar konst — a constant, or
+// zero for an unconnected input.
 type kernOperand struct {
-	kind  microcode.InKind
-	slot  int
-	off   int // InSwitch: latency + register-file delay, cycles
+	lane  int
+	off   int
 	konst float64
 }
 
-// kernOp is one whole-lane micro-op. Exactly one of the field groups
-// is live, selected by kind.
+// cut returns the first region boundary the operand imposes above lo:
+// its offset, where it turns from zero into a lane read.
+func (o *kernOperand) cut(lo, T int) int {
+	if o.lane >= 0 && o.off > lo && o.off < T {
+		return o.off
+	}
+	return T
+}
+
+// region returns the operand over cycles [lo,hi), which lie wholly on
+// one side of its offset: a subslice of its producer's lane, or nil and
+// a scalar.
+func (o *kernOperand) region(val []float64, T, lo, hi int) ([]float64, float64) {
+	if o.lane < 0 {
+		return nil, o.konst
+	}
+	if lo < o.off {
+		return nil, 0
+	}
+	base := o.lane*T - o.off
+	return val[base+lo : base+hi], 0
+}
+
+// kernOp is one whole-lane micro-op writing lane out. Exactly one of
+// the field groups is live, selected by kind.
 type kernOp struct {
 	kind kernKind
-	out  int // producer slot written
+	out  int
 
 	// Sources (kSrcMem/kSrcCache).
 	plane int
@@ -61,23 +111,24 @@ type kernOp struct {
 	skip  int64
 	count int64
 
-	// Taps (kTap).
-	in    int
-	shift int
-
-	// Functional units (kFU).
+	// Functional units (kFU). b is the scalar zero for unary ops and
+	// reductions, whose values never read it; valid is a reduction's
+	// operand interval.
 	op     arch.Op
-	arity  int
 	a, b   kernOperand
 	reduce bool
 	init   float64
+	valid  span
 }
 
 // execKernel is the lowered form of one ExecPlan: micro-ops in
-// topological producer order. Like the plan it hangs off, it is
-// immutable and carries no node state.
+// topological producer order over lanes physical lanes, and the view
+// of every producer slot for the sinks and reduction registers. Like
+// the plan it hangs off, it is immutable and carries no node state.
 type execKernel struct {
-	ops []kernOp
+	ops   []kernOp
+	lanes int
+	views []kernView
 }
 
 // lowerKernel lowers a compiled plan into an execKernel, or returns
@@ -101,59 +152,69 @@ func lowerKernel(pl *ExecPlan) *execKernel {
 		}
 	}
 
-	k := &execKernel{ops: make([]kernOp, 0, len(pl.sources)+len(pl.taps)+len(pl.fus))}
-	done := make([]bool, pl.slots)
+	// Lanes are first numbered by the op that writes them; allocLanes
+	// maps them onto physical lanes afterwards.
+	T := pl.T
+	k := &execKernel{ops: make([]kernOp, 0, len(pl.sources)+len(pl.fus)), views: make([]kernView, pl.slots)}
+	done := make([]bool, pl.slots+len(pl.taps)+len(pl.fus))
+	placed, tapDone, fuDone := done[:pl.slots], done[pl.slots:pl.slots+len(pl.taps)], done[pl.slots+len(pl.taps):]
 	for i := range pl.sources {
 		s := &pl.sources[i]
 		kind := kSrcMem
 		if s.kind == srcCache {
 			kind = kSrcCache
 		}
+		k.views[s.slot] = kernView{lane: len(k.ops), valid: span{0, int(min(int64(T), s.skip+s.count))}}
+		placed[s.slot] = true
 		k.ops = append(k.ops, kernOp{
-			kind: kind, out: s.slot, plane: s.plane, buf: s.buf,
+			kind: kind, out: len(k.ops), plane: s.plane, buf: s.buf,
 			addr: s.addr, strd: s.strd, skip: s.skip, count: s.count,
+			a: kernOperand{lane: -1}, b: kernOperand{lane: -1},
 		})
-		done[s.slot] = true
 	}
 
-	// Emit taps and FUs in topological order: a micro-op is ready once
-	// every lane it reads is complete. The producer graph is a DAG, so
-	// each pass emits at least one op until none remain.
-	emittedTap := make([]bool, len(pl.taps))
-	emittedFU := make([]bool, len(pl.fus))
-	remaining := len(pl.taps) + len(pl.fus)
-	for remaining > 0 {
+	// Place taps and FUs in topological order: a tap once its input is
+	// placed, an FU once every lane it reads is. The producer graph is
+	// a DAG, so each pass places at least one until none remain.
+	for remaining := len(pl.taps) + len(pl.fus); remaining > 0; {
 		progress := false
 		for i := range pl.taps {
 			tp := &pl.taps[i]
-			if emittedTap[i] || !done[tp.in] {
+			if tapDone[i] || !placed[tp.in] {
 				continue
 			}
-			k.ops = append(k.ops, kernOp{kind: kTap, out: tp.out, in: tp.in, shift: tp.shift})
-			done[tp.out] = true
-			emittedTap[i] = true
+			v := k.views[tp.in]
+			k.views[tp.out] = kernView{lane: v.lane, off: v.off + tp.shift, valid: v.valid.delayed(tp.shift, T)}
+			placed[tp.out], tapDone[i] = true, true
 			remaining--
 			progress = true
 		}
 		for i := range pl.fus {
 			p := &pl.fus[i]
-			if emittedFU[i] {
+			if fuDone[i] || (p.aKind == microcode.InSwitch && !placed[p.aSlot]) ||
+				(!p.reduce && p.bKind == microcode.InSwitch && !placed[p.bSlot]) {
 				continue
 			}
-			if p.aKind == microcode.InSwitch && !done[p.aSlot] {
-				continue
+			a, aValid := k.operand(p.aKind, p.aSlot, p.aConst, p.lat+p.aDelay, T)
+			op := kernOp{kind: kFU, out: len(k.ops), op: p.op, a: a, b: kernOperand{lane: -1},
+				reduce: p.reduce, init: p.init}
+			valid := span{0, T}
+			switch {
+			case p.reduce:
+				op.valid, valid = aValid, span{aValid.lo, T}
+				if aValid.lo >= aValid.hi {
+					valid = span{}
+				}
+			case p.arity > 0:
+				b, bValid := k.operand(p.bKind, p.bSlot, p.bConst, p.lat+p.bDelay, T)
+				if p.arity >= 2 {
+					op.b = b
+				}
+				valid = aValid.and(bValid)
 			}
-			if !p.reduce && p.bKind == microcode.InSwitch && !done[p.bSlot] {
-				continue
-			}
-			k.ops = append(k.ops, kernOp{
-				kind: kFU, out: p.out, op: p.op, arity: p.arity,
-				a:      kernOperand{kind: p.aKind, slot: p.aSlot, off: p.lat + p.aDelay, konst: p.aConst},
-				b:      kernOperand{kind: p.bKind, slot: p.bSlot, off: p.lat + p.bDelay, konst: p.bConst},
-				reduce: p.reduce, init: p.init,
-			})
-			done[p.out] = true
-			emittedFU[i] = true
+			k.views[p.out] = kernView{lane: len(k.ops), valid: valid}
+			k.ops = append(k.ops, op)
+			placed[p.out], fuDone[i] = true, true
 			remaining--
 			progress = true
 		}
@@ -161,26 +222,94 @@ func lowerKernel(pl *ExecPlan) *execKernel {
 			return nil
 		}
 	}
+	k.allocLanes(pl)
 	return k
 }
 
-// runKernel executes pl's lowered kernel against the node state. It
-// is the fast path of run(): no traps, no ECC, no tracer — the caller
-// has already proven all three inert for this dispatch.
-func (n *Node) runKernel(pl *ExecPlan, sc *runScratch) {
+// operand resolves one FU input read d cycles behind its producer: a
+// placed slot's lane through the combined offset, a constant, or the
+// interpreter's default (zero) — with the cycles on which it is valid.
+func (k *execKernel) operand(kind microcode.InKind, slot int, konst float64, d, T int) (kernOperand, span) {
+	switch kind {
+	case microcode.InSwitch:
+		v := k.views[slot]
+		return kernOperand{lane: v.lane, off: v.off + d}, v.valid.delayed(d, T)
+	case microcode.InConst:
+		return kernOperand{lane: -1, konst: konst}, span{0, T}
+	}
+	return kernOperand{lane: -1}, span{0, T}
+}
+
+// allocLanes maps the per-op lanes onto as few physical lanes as
+// liveness allows, reusing the lowest free one. A lane is released
+// after its last reader; an op's output is allocated while its inputs
+// are still held, so it never shares a lane with them; lanes the sinks
+// and reduction registers read stay live to the end.
+func (k *execKernel) allocLanes(pl *ExecPlan) {
+	ints := make([]int, 2*len(k.ops))
+	last, phys := ints[:len(k.ops)], ints[len(k.ops):]
+	for i := range k.ops {
+		last[i] = i // unread: released right after it is written
+		for _, l := range [2]int{k.ops[i].a.lane, k.ops[i].b.lane} {
+			if l >= 0 {
+				last[l] = i
+			}
+		}
+	}
+	for _, s := range pl.sinks {
+		last[k.views[s.from].lane] = len(k.ops)
+	}
+	for _, r := range pl.reduces {
+		last[k.views[r.from].lane] = len(k.ops)
+	}
+
+	busy := make([]bool, 0, len(k.ops))
+	for i := range k.ops {
+		op := &k.ops[i]
+		l := slices.Index(busy, false)
+		if l < 0 {
+			l = len(busy)
+			busy = append(busy, false)
+		}
+		busy[l], phys[i], op.out = true, l, l
+		for _, o := range [2]*kernOperand{&op.a, &op.b} {
+			if o.lane < 0 {
+				continue
+			}
+			if last[o.lane] == i {
+				busy[phys[o.lane]] = false
+			}
+			o.lane = phys[o.lane]
+		}
+		if last[i] == i {
+			busy[l] = false
+		}
+	}
+	for s := range k.views {
+		k.views[s].lane = phys[k.views[s].lane]
+	}
+	k.lanes = len(busy)
+}
+
+// runKernel executes pl's lowered kernel against the node state over
+// the lane-major scratch val. It is the fast path of run(): no traps,
+// no ECC, no tracer — the caller has already proven all three inert
+// for this dispatch.
+func (n *Node) runKernel(pl *ExecPlan, val []float64) {
 	T := pl.T
 	ops := pl.kern.ops
 	for i := range ops {
 		op := &ops[i]
-		switch op.kind {
-		case kSrcMem:
-			n.kernMemSource(op, sc, T)
-		case kSrcCache:
-			n.kernCacheSource(op, sc, T)
-		case kTap:
-			kernTap(op, sc, T)
+		out := val[op.out*T : (op.out+1)*T : (op.out+1)*T]
+		switch {
+		case op.kind == kSrcMem:
+			n.kernMemSource(op, out)
+		case op.kind == kSrcCache:
+			n.kernCacheSource(op, out)
+		case op.reduce:
+			kernReduce(op, val, out)
 		default:
-			kernFU(op, sc, T)
+			kernFU(op, val, out)
 		}
 	}
 }
@@ -200,18 +329,19 @@ func srcRegions(skip, count int64, T int) (lead, live int) {
 }
 
 // kernMemSource streams one memory-plane DMA read channel: zeros
-// through the suppressed lead-in, the programmed address walk with a
-// cached page pointer through the live region, invalid zeros after the
-// stream drains.
-func (n *Node) kernMemSource(op *kernOp, sc *runScratch, T int) {
-	val, ok := sc.lane(T, op.out)
-	lead, live := srcRegions(op.skip, op.count, T)
-	for c := 0; c < lead; c++ {
-		val[c] = 0
-		ok[c] = true
-	}
+// through the suppressed lead-in and after the stream drains, and the
+// programmed address walk in between — a page at a time for stride 1,
+// else word by word with a cached page pointer.
+func (n *Node) kernMemSource(op *kernOp, out []float64) {
+	lead, live := srcRegions(op.skip, op.count, len(out))
+	clear(out[:lead])
+	clear(out[live:])
 	mem := n.Mem[op.plane]
 	addr := op.addr + (int64(lead)-op.skip)*op.strd
+	if op.strd == 1 && addr >= 0 && addr+int64(live-lead) <= mem.words {
+		mem.readPages(addr, out[lead:live])
+		return
+	}
 	var pg *[pageWords]float64
 	pgIdx := int64(-1)
 	for c := lead; c < live; c++ {
@@ -224,25 +354,17 @@ func (n *Node) kernMemSource(op *kernOp, sc *runScratch, T int) {
 				v = pg[addr%pageWords]
 			}
 		}
-		val[c] = v
-		ok[c] = true
+		out[c] = v
 		addr += op.strd
-	}
-	for c := live; c < T; c++ {
-		val[c] = 0
-		ok[c] = false
 	}
 }
 
 // kernCacheSource streams one cache DMA read channel from the
 // pipeline-facing buffer selected by the instruction.
-func (n *Node) kernCacheSource(op *kernOp, sc *runScratch, T int) {
-	val, ok := sc.lane(T, op.out)
-	lead, live := srcRegions(op.skip, op.count, T)
-	for c := 0; c < lead; c++ {
-		val[c] = 0
-		ok[c] = true
-	}
+func (n *Node) kernCacheSource(op *kernOp, out []float64) {
+	lead, live := srcRegions(op.skip, op.count, len(out))
+	clear(out[:lead])
+	clear(out[live:])
 	buf := n.Cache[op.plane].bufs[op.buf]
 	addr := op.addr + (int64(lead)-op.skip)*op.strd
 	for c := lead; c < live; c++ {
@@ -250,199 +372,290 @@ func (n *Node) kernCacheSource(op *kernOp, sc *runScratch, T int) {
 		if addr >= 0 && addr < int64(len(buf)) {
 			v = buf[addr]
 		}
-		val[c] = v
-		ok[c] = true
+		out[c] = v
 		addr += op.strd
 	}
-	for c := live; c < T; c++ {
-		val[c] = 0
-		ok[c] = false
+}
+
+// kernFU applies one functional unit over its whole lane. The lane is
+// split at the operands' offsets into at most three regions; in each,
+// every operand is either a subslice of its producer's lane or a
+// scalar, and the region runs the op's slice×slice or slice×scalar
+// loop.
+func kernFU(op *kernOp, val, out []float64) {
+	T := len(out)
+	for lo := 0; lo < T; {
+		hi := min(op.a.cut(lo, T), op.b.cut(lo, T))
+		av, as := op.a.region(val, T, lo, hi)
+		bv, bs := op.b.region(val, T, lo, hi)
+		fuRegion(op.op, out[lo:hi], av, as, bv, bs)
+		lo = hi
 	}
 }
 
-// kernTap shifts its input lane by the tap delay: the first shift
-// cycles read before the input stream exists (zero, invalid), the rest
-// is a straight copy.
-func kernTap(op *kernOp, sc *runScratch, T int) {
-	iv, iok := sc.lane(T, op.in)
-	ov, ook := sc.lane(T, op.out)
-	sh := op.shift
-	if sh > T {
-		sh = T
-	}
-	for c := 0; c < sh; c++ {
-		ov[c] = 0
-		ook[c] = false
-	}
-	copy(ov[sh:], iv[:T-sh])
-	copy(ook[sh:], iok[:T-sh])
-}
-
-// stage materializes one operand as a full lane in the scratch staging
-// area: switch operands are the producer lane read through the fixed
-// backward offset, constants broadcast, unconnected inputs read as
-// zero/valid (matching the interpreter's defaults).
-func stage(sc *runScratch, side int, o *kernOperand, T int) ([]float64, []bool) {
-	tv := sc.opv[side][:T:T]
-	tok := sc.opok[side][:T:T]
-	switch o.kind {
-	case microcode.InSwitch:
-		iv, iok := sc.lane(T, o.slot)
-		off := o.off
-		if off > T {
-			off = T
+// fuRegion computes out = op(a, b) where a is the slice av, or the
+// scalar as when av is nil (b likewise). The op dispatch is hoisted out
+// of the element loop: hot floating-point ops get dedicated loops for
+// each operand form, everything else falls back to a per-element apply
+// call (still branch-predictable — one op per region).
+func fuRegion(op arch.Op, out, av []float64, as float64, bv []float64, bs float64) {
+	switch {
+	case av == nil && bv == nil:
+		v, _ := apply(op, as, bs)
+		fill(out, v)
+		return
+	case bv == nil:
+		if fuVS(op, out, av, bs) {
+			return
 		}
-		for c := 0; c < off; c++ {
-			tv[c] = 0
-			tok[c] = false
-		}
-		copy(tv[off:], iv[:T-off])
-		copy(tok[off:], iok[:T-off])
-	case microcode.InConst:
-		for c := range tv {
-			tv[c] = o.konst
-			tok[c] = true
+	case av == nil:
+		if fuSV(op, out, as, bv) {
+			return
 		}
 	default:
-		for c := range tv {
-			tv[c] = 0
-			tok[c] = true
+		if fuVV(op, out, av, bv) {
+			return
 		}
 	}
-	return tv, tok
+	for i := range out {
+		a, b := as, bs
+		if av != nil {
+			a = av[i]
+		}
+		if bv != nil {
+			b = bv[i]
+		}
+		out[i], _ = apply(op, a, b)
+	}
 }
 
-// kernFU applies one functional unit to its staged operand lanes. The
-// op dispatch is hoisted out of the cycle loop: hot floating-point ops
-// get dedicated loops, everything else falls back to a per-element
-// apply call (still branch-predictable — one op per kernel op).
-func kernFU(op *kernOp, sc *runScratch, T int) {
-	av, aok := stage(sc, 0, &op.a, T)
-	ov, ook := sc.lane(T, op.out)
-
-	if op.reduce {
-		kernReduce(op, av, aok, ov, ook)
-		return
-	}
-
-	bv, bok := stage(sc, 1, &op.b, T)
-	switch op.op {
-	case arch.OpMov:
-		copy(ov, av)
+// fuVV is fuRegion's slice×slice loop for the hot ops; it reports
+// false for any other op.
+func fuVV(op arch.Op, out, a, b []float64) bool {
+	a, b = a[:len(out)], b[:len(out)]
+	switch op {
 	case arch.OpAdd:
-		for c := 0; c < T; c++ {
-			ov[c] = av[c] + bv[c]
+		for i := range out {
+			out[i] = a[i] + b[i]
 		}
 	case arch.OpSub:
-		for c := 0; c < T; c++ {
-			ov[c] = av[c] - bv[c]
+		for i := range out {
+			out[i] = a[i] - b[i]
 		}
 	case arch.OpMul:
-		for c := 0; c < T; c++ {
-			ov[c] = av[c] * bv[c]
+		for i := range out {
+			out[i] = a[i] * b[i]
 		}
 	case arch.OpDiv:
-		for c := 0; c < T; c++ {
-			ov[c] = av[c] / bv[c]
-		}
-	case arch.OpNeg:
-		for c := 0; c < T; c++ {
-			ov[c] = -av[c]
-		}
-	case arch.OpAbs:
-		for c := 0; c < T; c++ {
-			ov[c] = math.Abs(av[c])
+		for i := range out {
+			out[i] = a[i] / b[i]
 		}
 	case arch.OpMax:
-		for c := 0; c < T; c++ {
-			ov[c] = math.Max(av[c], bv[c])
+		for i := range out {
+			out[i] = fmax(a[i], b[i])
 		}
 	case arch.OpMin:
-		for c := 0; c < T; c++ {
-			ov[c] = math.Min(av[c], bv[c])
+		for i := range out {
+			out[i] = fmin(a[i], b[i])
 		}
 	case arch.OpMaxAbs:
-		for c := 0; c < T; c++ {
-			ov[c] = math.Max(math.Abs(av[c]), math.Abs(bv[c]))
+		for i := range out {
+			out[i] = fmax(math.Abs(a[i]), math.Abs(b[i]))
 		}
 	default:
-		for c := 0; c < T; c++ {
-			ov[c], _ = apply(op.op, av[c], bv[c])
+		return false
+	}
+	return true
+}
+
+// fuVS is fuRegion's slice×scalar loop for the hot ops, unary ones
+// included; it reports false for any other op.
+func fuVS(op arch.Op, out, a []float64, b float64) bool {
+	a = a[:len(out)]
+	switch op {
+	case arch.OpMov:
+		copy(out, a)
+	case arch.OpNeg:
+		for i := range out {
+			out[i] = -a[i]
+		}
+	case arch.OpAbs:
+		for i := range out {
+			out[i] = math.Abs(a[i])
+		}
+	case arch.OpAdd:
+		for i := range out {
+			out[i] = a[i] + b
+		}
+	case arch.OpSub:
+		for i := range out {
+			out[i] = a[i] - b
+		}
+	case arch.OpMul:
+		for i := range out {
+			out[i] = a[i] * b
+		}
+	case arch.OpDiv:
+		for i := range out {
+			out[i] = a[i] / b
+		}
+	case arch.OpMax:
+		for i := range out {
+			out[i] = fmax(a[i], b)
+		}
+	case arch.OpMin:
+		for i := range out {
+			out[i] = fmin(a[i], b)
+		}
+	case arch.OpMaxAbs:
+		for i := range out {
+			out[i] = fmax(math.Abs(a[i]), math.Abs(b))
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// fuSV is fuRegion's scalar×slice loop for the hot binary ops; it
+// reports false for any other op.
+func fuSV(op arch.Op, out []float64, a float64, b []float64) bool {
+	b = b[:len(out)]
+	switch op {
+	case arch.OpAdd:
+		for i := range out {
+			out[i] = a + b[i]
+		}
+	case arch.OpSub:
+		for i := range out {
+			out[i] = a - b[i]
+		}
+	case arch.OpMul:
+		for i := range out {
+			out[i] = a * b[i]
+		}
+	case arch.OpDiv:
+		for i := range out {
+			out[i] = a / b[i]
+		}
+	case arch.OpMax:
+		for i := range out {
+			out[i] = fmax(a, b[i])
+		}
+	case arch.OpMin:
+		for i := range out {
+			out[i] = fmin(a, b[i])
+		}
+	case arch.OpMaxAbs:
+		for i := range out {
+			out[i] = fmax(math.Abs(a), math.Abs(b[i]))
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// kernReduce runs one reduction unit over its full lane: the initial
+// value before its operand's valid interval, the accumulation inside
+// it, and the held result after. The accumulator is local —
+// sequential within the lane, exactly the interpreter's per-cycle
+// order, which commits op(a, acc) only on cycles where a is valid.
+func kernReduce(op *kernOp, val, out []float64) {
+	T := len(out)
+	lo, hi := op.valid.lo, op.valid.hi
+	acc := op.init
+	if lo >= hi {
+		lo, hi = T, T
+	}
+	fill(out[:lo], acc)
+	if av, as := op.a.region(val, T, lo, hi); av != nil {
+		acc = reduceRun(op.op, acc, av, out[lo:hi])
+	} else {
+		for c := lo; c < hi; c++ {
+			acc, _ = apply(op.op, as, acc)
+			out[c] = acc
 		}
 	}
-	if op.arity == 0 {
-		for c := range ook {
-			ook[c] = true
-		}
-	} else {
-		for c := 0; c < T; c++ {
-			ook[c] = aok[c] && bok[c]
-		}
+	fill(out[hi:], acc)
+}
+
+// fill sets every element of s to v.
+func fill(s []float64, v float64) {
+	for i := range s {
+		s[i] = v
 	}
 }
 
-// kernReduce runs one reduction unit over its full lane. The
-// accumulator is local — sequential within the lane, exactly the
-// interpreter's per-cycle order: the unit applies op(a, acc) every
-// cycle but commits the result only when the operand is valid, and
-// the output lane always shows the committed accumulator.
-func kernReduce(op *kernOp, av []float64, aok []bool, ov []float64, ook []bool) {
-	acc, accOK := op.init, false
-	switch op.op {
+// reduceRun accumulates acc = op(a, acc) over the valid operand a,
+// writing each step to run, and returns the final accumulator.
+func reduceRun(op arch.Op, acc float64, a, run []float64) float64 {
+	run = run[:len(a)]
+	switch op {
 	case arch.OpAdd:
-		for c := range av {
-			if aok[c] {
-				acc = av[c] + acc
-				accOK = true
-			}
-			ov[c] = acc
-			ook[c] = accOK
+		for i, x := range a {
+			acc = x + acc
+			run[i] = acc
 		}
 	case arch.OpMul:
-		for c := range av {
-			if aok[c] {
-				acc = av[c] * acc
-				accOK = true
-			}
-			ov[c] = acc
-			ook[c] = accOK
+		for i, x := range a {
+			acc = x * acc
+			run[i] = acc
 		}
 	case arch.OpMax:
-		for c := range av {
-			if aok[c] {
-				acc = math.Max(av[c], acc)
-				accOK = true
-			}
-			ov[c] = acc
-			ook[c] = accOK
+		for i, x := range a {
+			acc = fmax(x, acc)
+			run[i] = acc
 		}
 	case arch.OpMin:
-		for c := range av {
-			if aok[c] {
-				acc = math.Min(av[c], acc)
-				accOK = true
-			}
-			ov[c] = acc
-			ook[c] = accOK
+		for i, x := range a {
+			acc = fmin(x, acc)
+			run[i] = acc
 		}
 	case arch.OpMaxAbs:
-		for c := range av {
-			if aok[c] {
-				acc = math.Max(math.Abs(av[c]), math.Abs(acc))
-				accOK = true
-			}
-			ov[c] = acc
-			ook[c] = accOK
+		for i, x := range a {
+			acc = fmax(math.Abs(x), math.Abs(acc))
+			run[i] = acc
 		}
 	default:
-		for c := range av {
-			v, _ := apply(op.op, av[c], acc)
-			if aok[c] {
-				acc = v
-				accOK = true
-			}
-			ov[c] = acc
-			ook[c] = accOK
+		for i, x := range a {
+			acc, _ = apply(op, x, acc)
+			run[i] = acc
 		}
 	}
+	return acc
+}
+
+// fmax is math.Max bit for bit, in a form the compiler inlines: +Inf
+// wins over NaN, any other NaN operand yields math.NaN() (not the
+// operand's payload), and +0 beats -0.
+func fmax(x, y float64) float64 {
+	switch {
+	case x > math.MaxFloat64:
+		return x
+	case y > math.MaxFloat64:
+		return y
+	case x != x || y != y:
+		return math.NaN()
+	case x > y || x == y && !math.Signbit(x):
+		return x
+	}
+	return y
+}
+
+// fmin is math.Min bit for bit, in a form the compiler inlines: -Inf
+// wins over NaN, any other NaN operand yields math.NaN(), and -0 beats
+// +0.
+func fmin(x, y float64) float64 {
+	switch {
+	case x < -math.MaxFloat64:
+		return x
+	case y < -math.MaxFloat64:
+		return y
+	case x != x || y != y:
+		return math.NaN()
+	case x < y || x == y && math.Signbit(x):
+		return x
+	}
+	return y
 }

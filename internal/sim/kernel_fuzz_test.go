@@ -21,6 +21,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{0xff, 0x80, 0x41, 0x00, 0x7f, 0x33, 0x19, 0xc2, 0x05, 0x51})
 	f.Add([]byte{13, 0, 13, 0, 13, 0, 13, 0, 13, 0, 13, 0, 13, 0})
 	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 254, 253, 252})
+	// Cache source, pre-unit into two chained SDUs with a far tap, B
+	// from another tap, sink straight from a tap at a negative stride.
+	f.Add([]byte{40, 0, 1, 30, 2, 0, 1, 0, 1, 0, 2, 0, 1, 2, 8, 1, 0, 0, 1, 0, 0, 3, 2, 0, 9, 1, 1, 2, 2, 1, 0, 3, 0, 5, 7})
+	f.Add([]byte{17, 1, 3, 90, 4, 4, 0, 3, 0, 3, 2, 1, 0, 0, 2, 3, 16, 200, 0, 0, 0, 1, 1, 2, 2, 4, 0, 5, 0, 1, 0, 0, 6, 60, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{d: data}
@@ -60,7 +64,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			err = n.Exec(in)
 			if i == 0 {
 				execErr = err
-			} else if (err == nil) != (execErr == nil) {
+			} else if (err == nil) != (execErr == nil) || err != nil && err.Error() != execErr.Error() {
 				t.Fatalf("%s: exec err %v, kernel node err %v", p.name, err, execErr)
 			}
 			nodes[i] = n
@@ -125,12 +129,20 @@ func (r *fuzzBytes) val() float64 {
 }
 
 // fuzzInstr builds one random — but always compilable — pipeline from
-// the decision stream: a memory source, optionally shifted through an
-// SDU, into one or two functional units chosen with their capability
-// constraints, optionally reducing, draining to plane 2.
+// the decision stream. A memory or cache source feeds, optionally
+// through a pre-unit and one or two chained SDUs (the second fed from
+// a tap of the first), one or two functional units chosen with their
+// capability constraints, optionally reducing. Operand B may be a
+// constant, a second memory source, or another tap with a different
+// offset; tap delays sometimes reach far past the stream's end. The
+// result — or, sometimes, a tap directly — drains to plane 2 at stride
+// 1 or a strided walk. The backing data comes last in the stream, so
+// short inputs still vary the structure.
 func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 	t.Helper()
 	cfg := n.Cfg
+	floatOps := []arch.Op{arch.OpMov, arch.OpAdd, arch.OpSub, arch.OpMul, arch.OpDiv,
+		arch.OpNeg, arch.OpAbs, arch.OpFMA, arch.OpRecip}
 
 	count := int64(1 + r.next()%48)
 	stride := int64(1 + r.next()%3)
@@ -143,52 +155,79 @@ func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 	}
 	skip := int64(r.next() % 5)
 
-	// Backing data for the source walk (and the ECC probe's word 1).
-	words := make([]float64, 0, 256)
-	for i := 0; i < 256; i++ {
-		words = append(words, r.val())
-	}
-	if err := n.WriteWords(0, 0, words); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.WriteWords(1, 0, words[:128]); err != nil {
-		t.Fatal(err)
-	}
-
 	in := n.F.NewInstr()
-	in.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: base, Stride: stride, Count: count, Skip: skip})
-
-	// Optional SDU between the source and the first unit.
-	feed := cfg.SrcMemRead(0)
-	if r.next()%2 == 0 {
-		tapA := int(r.next() % 4)
-		tapB := int(r.next() % 4)
-		in.SetSDU(0, true, []int{tapA, tapB})
-		in.Route(cfg.SnkSDUIn(0), cfg.SrcMemRead(0))
-		feed = cfg.SrcSDUTap(0, int(r.next()%2))
+	src := cfg.SrcMemRead(0)
+	if r.next()%4 == 0 {
+		in.SetCacheDMA(0, microcode.CacheDMA{Enable: true, Buf: int(r.next() % 2), Addr: base,
+			Stride: stride, Count: count, Skip: skip})
+		src = cfg.SrcCacheRead(0)
+	} else {
+		in.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: base, Stride: stride, Count: count, Skip: skip})
 	}
 
-	// First unit: FU 1 is float-only in the default inventory, so draw
-	// from the float op set. Operand B comes from a constant, a second
-	// memory source, or is absent for unary ops.
-	floatOps := []arch.Op{arch.OpMov, arch.OpAdd, arch.OpSub, arch.OpMul, arch.OpDiv,
-		arch.OpNeg, arch.OpAbs, arch.OpFMA, arch.OpRecip}
+	// Optional pre-unit on FU 0, whose output feeds the SDU (or the
+	// main unit when there is no SDU).
+	feed := src
+	if r.next()%3 == 0 {
+		pre := arch.FUID(0)
+		op := floatOps[int(r.next())%len(floatOps)]
+		in.SetFUOp(pre, op)
+		in.SetFUInput(pre, 0, microcode.InSwitch, 0, int(r.next()%3))
+		in.Route(cfg.SnkFUIn(pre, 0), src)
+		if op.Info().Arity >= 2 {
+			in.SetConst(3, r.val())
+			in.SetFUInput(pre, 1, microcode.InConst, 3, 0)
+		}
+		feed = cfg.SrcFUOut(pre)
+	}
+
+	// Optional SDU 0 on the feed, and SDU 1 on one of its taps. A tap
+	// delay is small, or 1 in 8 reaches past the whole stream.
+	taps := func() []int {
+		d := []int{int(r.next() % 4), int(r.next() % 4)}
+		if r.next()%8 == 0 {
+			d[r.next()%2] = 50 + int(r.next())
+		}
+		return d
+	}
+	var tap arch.SourceID = arch.InvalidSource
+	if r.next()%2 == 0 {
+		in.SetSDU(0, true, taps())
+		in.Route(cfg.SnkSDUIn(0), feed)
+		feed, tap = cfg.SrcSDUTap(0, int(r.next()%2)), cfg.SrcSDUTap(0, int(r.next()%2))
+		if r.next()%3 == 0 {
+			in.SetSDU(1, true, taps())
+			in.Route(cfg.SnkSDUIn(1), cfg.SrcSDUTap(0, int(r.next()%2)))
+			feed = cfg.SrcSDUTap(1, int(r.next()%2))
+		}
+	}
+
+	// Main unit: FU 1 is float-only in the default inventory, so draw
+	// from the float op set. Operand B is a constant, a second memory
+	// source, or another tap; a unary op may still route B, which
+	// then only gates validity.
 	fu := arch.FUID(1)
 	op := floatOps[int(r.next())%len(floatOps)]
 	in.SetFUOp(fu, op)
 	in.SetFUInput(fu, 0, microcode.InSwitch, 0, int(r.next()%3))
 	in.Route(cfg.SnkFUIn(fu, 0), feed)
-	if op.Info().Arity >= 2 {
-		if r.next()%2 == 0 {
-			k := int(r.next() % 4)
-			in.SetConst(k, r.val())
-			in.SetFUInput(fu, 1, microcode.InConst, k, 0)
-		} else {
-			in.SetMemDMA(1, microcode.MemDMA{Enable: true, Addr: int64(r.next() % 64), Stride: 1,
-				Count: count, Skip: int64(r.next() % 3)})
-			in.SetFUInput(fu, 1, microcode.InSwitch, 0, int(r.next()%3))
-			in.Route(cfg.SnkFUIn(fu, 1), cfg.SrcMemRead(1))
-		}
+	bChoice := r.next() % 4
+	if op.Info().Arity < 2 && bChoice != 3 {
+		bChoice = 4 // no operand B
+	}
+	switch {
+	case bChoice == 0:
+		k := int(r.next() % 4)
+		in.SetConst(k, r.val())
+		in.SetFUInput(fu, 1, microcode.InConst, k, 0)
+	case bChoice == 2 && tap != arch.InvalidSource:
+		in.SetFUInput(fu, 1, microcode.InSwitch, 0, int(r.next()%5))
+		in.Route(cfg.SnkFUIn(fu, 1), tap)
+	case bChoice != 4:
+		in.SetMemDMA(1, microcode.MemDMA{Enable: true, Addr: int64(r.next() % 64), Stride: 1,
+			Count: count, Skip: int64(r.next() % 3)})
+		in.SetFUInput(fu, 1, microcode.InSwitch, 0, int(r.next()%3))
+		in.Route(cfg.SnkFUIn(fu, 1), cfg.SrcMemRead(1))
 	}
 	out := cfg.SrcFUOut(fu)
 
@@ -210,13 +249,57 @@ func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 		}
 	}
 
-	// Drain to plane 2. Any Start skew is legal: the sink reads whatever
-	// the producer lane holds at that cycle, in both paths.
+	// Drain to plane 2, from the unit chain or 1 in 4 straight from a
+	// tap, at stride 1 or a strided walk. Any Start skew is legal: the
+	// sink reads whatever the producer holds at that cycle, in both
+	// paths.
+	start := int(r.next() % 16)
+	if tap != arch.InvalidSource && r.next()%4 == 0 {
+		out, start = tap, start%4 // mostly before the tap's shift
+	}
+	sinkStride := int64(1)
+	if r.next()%3 == 0 {
+		sinkStride = int64(r.next()%7) - 3
+	}
+	sinkAddr := int64(r.next() % 128)
+	if sinkStride < 0 {
+		sinkAddr += count * -sinkStride
+	}
 	in.Route(cfg.SnkMemWrite(2), out)
-	in.SetMemDMA(2, microcode.MemDMA{Enable: true, Write: true, Addr: int64(r.next() % 128),
-		Stride: 1, Count: count, Skip: skip, Start: int(r.next() % 16)})
+	in.SetMemDMA(2, microcode.MemDMA{Enable: true, Write: true, Addr: sinkAddr,
+		Stride: sinkStride, Count: count, Skip: skip, Start: start})
 	if in.SeqOf().Cond != microcode.CondHalt {
 		in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
 	}
+
+	// Backing data for the source walks (and the ECC probe's word 1).
+	words := make([]float64, 0, 256)
+	for i := 0; i < 256; i++ {
+		words = append(words, r.val())
+	}
+	if err := n.WriteWords(0, 0, words); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.WriteWords(1, 0, words[:128]); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range words {
+		for half := 0; half < 2; half++ {
+			if err := n.Cache[0].Write(half, int64(i+half), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	return in
+}
+
+// FuzzMaxMin pins the kernel's max/min helpers to math.Max and
+// math.Min bit for bit on arbitrary bit patterns.
+func FuzzMaxMin(f *testing.F) {
+	for _, x := range maxMinEdges {
+		f.Add(math.Float64bits(x), math.Float64bits(-x))
+	}
+	f.Fuzz(func(t *testing.T, x, y uint64) {
+		checkMaxMin(t, math.Float64frombits(x), math.Float64frombits(y))
+	})
 }

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/microcode"
+	"repro/internal/obs"
 )
 
 // The kernel contract is absolute bit-identity with the interpreter:
@@ -15,19 +18,22 @@ import (
 // instructions and fail on the first diverging bit.
 
 // execEqual runs the same program builder against a kernel-on and a
-// kernel-off node and demands bit-identical end state.
-func execEqual(t *testing.T, name string, build func(n *Node) []*microcode.Instr) {
+// kernel-off node and demands bit-identical end state and identical
+// errors, which it returns per instruction.
+func execEqual(t *testing.T, name string, build func(n *Node) []*microcode.Instr) []error {
 	t.Helper()
 	fast, slow := newNode(t), newNode(t)
 	slow.KernelOff = true
 	fIns := build(fast)
 	sIns := build(slow)
+	errs := make([]error, len(fIns))
 	for i := range fIns {
 		errF := fast.Exec(fIns[i])
 		errS := slow.Exec(sIns[i])
-		if (errF == nil) != (errS == nil) {
+		if (errF == nil) != (errS == nil) || errF != nil && errF.Error() != errS.Error() {
 			t.Fatalf("%s: instr %d: fast err %v, slow err %v", name, i, errF, errS)
 		}
+		errs[i] = errF
 	}
 	if ks := fast.KernelStatsOf(); ks.Fast == 0 {
 		t.Errorf("%s: fast node never took the kernel path: %+v", name, ks)
@@ -36,14 +42,18 @@ func execEqual(t *testing.T, name string, build func(n *Node) []*microcode.Instr
 		t.Errorf("%s: KernelOff node took the kernel path: %+v", name, ks)
 	}
 	compareNodes(t, name, fast, slow)
+	return errs
 }
 
 // compareNodes checks every piece of architectural state the paper's
-// machine exposes: plane words, reduction registers, flags, counters,
-// statistics and the trap log.
+// machine exposes: plane words and resident pages, reduction
+// registers, flags, counters, statistics and the trap log.
 func compareNodes(t *testing.T, name string, a, b *Node) {
 	t.Helper()
 	for p := range a.Mem {
+		if pa, pb := a.Mem[p].PagesResident(), b.Mem[p].PagesResident(); pa != pb {
+			t.Fatalf("%s: plane %d: %d resident pages vs %d", name, p, pa, pb)
+		}
 		for _, pgIdx := range pagesOf(a.Mem[p], b.Mem[p]) {
 			for w := int64(0); w < pageWords; w++ {
 				addr := pgIdx*pageWords + w
@@ -204,6 +214,54 @@ func TestKernelEquivalenceTable(t *testing.T) {
 		})
 	})
 
+	t.Run("sink-from-tap", func(t *testing.T) {
+		// Sinks read straight from SDU taps, starting before the tap's
+		// shift: the kernel reads the source lane through the tap's
+		// offset, zero below it, at stride 1 (page-wise) and stride 2.
+		execEqual(t, "sink-from-tap", func(n *Node) []*microcode.Instr {
+			if err := n.WriteWords(0, 0, seq(64, func(i int) float64 { return float64(i) + 1 })); err != nil {
+				t.Fatal(err)
+			}
+			cfg := n.Cfg
+			in := n.F.NewInstr()
+			in.SetSDU(0, true, []int{2, 5})
+			in.Route(cfg.SnkSDUIn(0), cfg.SrcMemRead(0))
+			in.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: 0, Stride: 1, Count: 64})
+			in.Route(cfg.SnkMemWrite(1), cfg.SrcSDUTap(0, 0))
+			in.SetMemDMA(1, microcode.MemDMA{Enable: true, Write: true, Addr: pageWords - 30, Stride: 1, Count: 64})
+			in.Route(cfg.SnkMemWrite(2), cfg.SrcSDUTap(0, 1))
+			in.SetMemDMA(2, microcode.MemDMA{Enable: true, Write: true, Addr: 7, Stride: 2, Count: 60, Start: 1, Skip: 2})
+			in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
+			return []*microcode.Instr{in}
+		})
+	})
+
+	t.Run("sink-off-plane-end", func(t *testing.T) {
+		// Sinks are not range-checked at decode: a walk that leaves the
+		// plane writes its in-range prefix and stops with the first bad
+		// address's error — page-wise at stride 1, word-wise otherwise.
+		errs := execEqual(t, "sink-off-end", func(n *Node) []*microcode.Instr {
+			if err := n.WriteWords(0, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			end := n.Cfg.PlaneWords()
+			off := buildCopy(n, 0, 1, 64)
+			off.SetMemDMA(1, microcode.MemDMA{Enable: true, Write: true, Addr: end - pageWords - 10,
+				Stride: 1, Count: pageWords + 20, Start: arch.OpMov.Info().Latency})
+			off.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: 0, Stride: 1, Count: pageWords + 20})
+			strided := buildCopy(n, 0, 2, 64)
+			strided.SetMemDMA(2, microcode.MemDMA{Enable: true, Write: true, Addr: end - 41,
+				Stride: 3, Count: 64, Start: arch.OpMov.Info().Latency})
+			return []*microcode.Instr{off, strided}
+		})
+		end := arch.Default().PlaneWords()
+		for i, want := range []int64{end, end + 1} {
+			if errs[i] == nil || !strings.Contains(errs[i].Error(), fmt.Sprintf("address %d outside", want)) {
+				t.Errorf("instr %d: error %v, want the walk to stop at address %d", i, errs[i], want)
+			}
+		}
+	})
+
 	t.Run("nonfinite-stream", func(t *testing.T) {
 		// NaN and Inf flow through untrapped when no policy is armed;
 		// the kernel must propagate the exact same bit patterns.
@@ -236,11 +294,16 @@ func TestKernelEquivalenceTable(t *testing.T) {
 
 // TestKernelEligibility pins down the fast-path predicate: any
 // condition that needs per-cycle observation must force the
-// interpreter, and the escape hatch must always win.
+// interpreter, and the escape hatch must always win. Each slow
+// dispatch counts exactly one sim.kernel.slow.<reason> counter — the
+// first condition that holds, in DESIGN §13's table order — and the
+// reasons sum to sim.kernel.slow.
 func TestKernelEligibility(t *testing.T) {
 	data := seq(16, func(i int) float64 { return float64(i) })
-	build := func(t *testing.T, mutate func(*Node)) KernelStats {
+	reasons := []string{"lowering-declined", "trap-armed", "tracer", "ecc-pending", "kernel-off"}
+	build := func(t *testing.T, mutate func(*Node)) (KernelStats, string) {
 		n := newNode(t)
+		n.Obs = obs.New()
 		if err := n.WriteWords(0, 0, data); err != nil {
 			t.Fatal(err)
 		}
@@ -248,29 +311,61 @@ func TestKernelEligibility(t *testing.T) {
 		if err := n.Exec(buildCopy(n, 0, 1, 16)); err != nil {
 			t.Fatal(err)
 		}
-		return n.KernelStatsOf()
+		c := n.Obs.Reg.Snapshot().Counters
+		var sum int64
+		counted := ""
+		for _, r := range reasons {
+			if v := c["sim.kernel.slow."+r]; v > 0 {
+				sum += v
+				counted += r
+			}
+		}
+		if sum != c["sim.kernel.slow"] {
+			t.Errorf("slow reasons sum to %d, sim.kernel.slow is %d: %v", sum, c["sim.kernel.slow"], c)
+		}
+		return n.KernelStatsOf(), counted
 	}
-
-	if ks := build(t, func(n *Node) {}); ks.Fast != 1 || ks.Slow != 0 {
-		t.Errorf("default dispatch should take the kernel: %+v", ks)
-	}
-	if ks := build(t, func(n *Node) { n.KernelOff = true }); ks.Fast != 0 || ks.Slow != 1 {
-		t.Errorf("KernelOff must force the interpreter: %+v", ks)
-	}
-	if ks := build(t, func(n *Node) {
-		n.Tracer = func(arch.SourceID, int, float64, bool) {}
-	}); ks.Fast != 0 || ks.Slow != 1 {
-		t.Errorf("a tracer must force the interpreter: %+v", ks)
-	}
-	if ks := build(t, func(n *Node) {
-		n.TrapCfg = arch.TrapConfig{Policy: arch.TrapHalt}
-	}); ks.Fast != 0 || ks.Slow != 1 {
-		t.Errorf("an armed trap policy must force the interpreter: %+v", ks)
-	}
-	if ks := build(t, func(n *Node) {
-		n.InjectECC(ECCFault{Plane: 0, Addr: 3})
-	}); ks.Fast != 0 || ks.Slow != 1 {
-		t.Errorf("armed ECC events must force the interpreter: %+v", ks)
+	for _, tc := range []struct {
+		name, reason string
+		mutate       func(*Node)
+	}{
+		{"default", "", func(n *Node) {}},
+		{"lowering-declined", "lowering-declined", func(n *Node) {
+			pl, err := n.plan(buildCopy(n, 0, 1, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.kern = nil
+			n.KernelOff = true // declined lowering is counted first
+		}},
+		{"trap-armed", "trap-armed", func(n *Node) {
+			n.TrapCfg = arch.TrapConfig{Policy: arch.TrapHalt}
+			n.Tracer = func(arch.SourceID, int, float64, bool) {}
+		}},
+		{"tracer", "tracer", func(n *Node) {
+			n.Tracer = func(arch.SourceID, int, float64, bool) {}
+			n.KernelOff = true
+		}},
+		{"ecc-pending", "ecc-pending", func(n *Node) {
+			if err := n.InjectECC(ECCFault{Plane: 0, Addr: 3}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"kernel-off", "kernel-off", func(n *Node) { n.KernelOff = true }},
+	} {
+		ks, counted := build(t, tc.mutate)
+		if tc.reason == "" {
+			if ks.Fast != 1 || ks.Slow != 0 || counted != "" {
+				t.Errorf("%s: default dispatch should take the kernel: %+v, reasons %q", tc.name, ks, counted)
+			}
+			continue
+		}
+		if ks.Fast != 0 || ks.Slow != 1 {
+			t.Errorf("%s must force the interpreter: %+v", tc.name, ks)
+		}
+		if counted != tc.reason {
+			t.Errorf("%s: counted reason %q, want %q", tc.name, counted, tc.reason)
+		}
 	}
 
 	// Consuming every armed ECC event re-enables the kernel: the map
@@ -341,4 +436,36 @@ func TestKernelFallbackMatchesInterpreter(t *testing.T) {
 	}
 	ecc.TrapCounters = base.TrapCounters
 	compareNodes(t, "ecc-fallback", base, ecc)
+}
+
+// maxMinEdges are the operands where math.Max and math.Min special-case
+// their results: signed zeros, infinities, NaNs of several payloads
+// and signs, and the finite extremes.
+var maxMinEdges = []float64{
+	0, math.Copysign(0, -1), 1, -1, 2.5, -2.5,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0x7ff0000000000001), // signalling NaN
+	math.Float64frombits(0xfff8000000000000), // negative quiet NaN
+	math.Float64frombits(0x7ff8dead0000beef),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+}
+
+// TestMaxMinMatchMath pins the kernel's inlinable max/min helpers to
+// math.Max and math.Min bit for bit, on every pair of edge operands.
+func TestMaxMinMatchMath(t *testing.T) {
+	for _, x := range maxMinEdges {
+		for _, y := range maxMinEdges {
+			checkMaxMin(t, x, y)
+		}
+	}
+}
+
+func checkMaxMin(t *testing.T, x, y float64) {
+	t.Helper()
+	if got, want := math.Float64bits(fmax(x, y)), math.Float64bits(math.Max(x, y)); got != want {
+		t.Errorf("fmax(%x, %x) = %x, math.Max %x", math.Float64bits(x), math.Float64bits(y), got, want)
+	}
+	if got, want := math.Float64bits(fmin(x, y)), math.Float64bits(math.Min(x, y)); got != want {
+		t.Errorf("fmin(%x, %x) = %x, math.Min %x", math.Float64bits(x), math.Float64bits(y), got, want)
+	}
 }

@@ -36,7 +36,7 @@ func NewPlane(words int64) *Plane {
 // Read returns the word at addr (unwritten words read as zero).
 func (pl *Plane) Read(addr int64) (float64, error) {
 	if addr < 0 || addr >= pl.words {
-		return 0, fmt.Errorf("sim: plane address %d outside [0,%d)", addr, pl.words)
+		return 0, pl.addrErr(addr)
 	}
 	pg, ok := pl.pages[addr/pageWords]
 	if !ok {
@@ -48,7 +48,7 @@ func (pl *Plane) Read(addr int64) (float64, error) {
 // Write stores v at addr.
 func (pl *Plane) Write(addr int64, v float64) error {
 	if addr < 0 || addr >= pl.words {
-		return fmt.Errorf("sim: plane address %d outside [0,%d)", addr, pl.words)
+		return pl.addrErr(addr)
 	}
 	pg, ok := pl.pages[addr/pageWords]
 	if !ok {
@@ -56,6 +56,76 @@ func (pl *Plane) Write(addr int64, v float64) error {
 		pl.pages[addr/pageWords] = pg
 	}
 	pg[addr%pageWords] = v
+	return nil
+}
+
+// addrErr is the error for a word access at addr outside the plane.
+func (pl *Plane) addrErr(addr int64) error {
+	return fmt.Errorf("sim: plane address %d outside [0,%d)", addr, pl.words)
+}
+
+// readPages copies len(dst) words from addr on into dst, a page at a
+// time; unwritten pages read as zero. The caller has checked that the
+// range lies inside the plane.
+func (pl *Plane) readPages(addr int64, dst []float64) {
+	for len(dst) > 0 {
+		p, o := addr/pageWords, addr%pageWords
+		k := min(int64(len(dst)), pageWords-o)
+		if pg := pl.pages[p]; pg != nil {
+			copy(dst[:k], pg[o:o+k])
+		} else {
+			clear(dst[:k])
+		}
+		dst = dst[k:]
+		addr += k
+	}
+}
+
+// writePages stores count words from addr on, a page at a time: src's
+// words, or zeros when src is nil. It allocates exactly the pages
+// word-by-word writes would. The caller has checked the range.
+func (pl *Plane) writePages(addr, count int64, src []float64) {
+	for count > 0 {
+		p, o := addr/pageWords, addr%pageWords
+		k := min(count, pageWords-o)
+		pg := pl.pages[p]
+		if pg == nil {
+			pg = new([pageWords]float64)
+			pl.pages[p] = pg
+		}
+		if src != nil {
+			copy(pg[o:o+k], src)
+			src = src[k:]
+		} else {
+			clear(pg[o : o+k])
+		}
+		addr += k
+		count -= k
+	}
+}
+
+// writeStream commits a stride-1 sink: word j of [addr, addr+count)
+// takes cycle c0+j of lane val read through off — zero below off and
+// past the lane's end. It writes the prefix that lies inside the plane
+// and returns the error word-by-word writes would stop at.
+func (pl *Plane) writeStream(addr, count int64, val []float64, off, c0 int) error {
+	n := count
+	if addr < 0 {
+		n = 0
+	} else if room := pl.words - addr; n > room {
+		n = max(room, 0)
+	}
+	// Words [0,j1) precede the lane, [j1,j2) read it, [j2,n) follow it.
+	j1 := min(max(int64(off-c0), 0), n)
+	j2 := min(max(int64(len(val)-c0), j1), n)
+	pl.writePages(addr, j1, nil)
+	if j2 > j1 {
+		pl.writePages(addr+j1, j2-j1, val[c0+int(j1)-off:])
+	}
+	pl.writePages(addr+j2, n-j2, nil)
+	if n < count {
+		return pl.addrErr(addr + n)
+	}
 	return nil
 }
 
@@ -244,25 +314,25 @@ func MustNode(cfg arch.Config) *Node {
 }
 
 // WriteWords stores vals into plane starting at addr (host-side data
-// loading).
+// loading). The whole range is checked before any word moves.
 func (n *Node) WriteWords(plane int, addr int64, vals []float64) error {
-	if plane < 0 || plane >= len(n.Mem) {
-		return fmt.Errorf("sim: plane %d out of range", plane)
+	pl, err := n.hostRange(plane, addr, len(vals))
+	if err != nil {
+		return err
 	}
-	for i, v := range vals {
-		if err := n.Mem[plane].Write(addr+int64(i), v); err != nil {
-			return err
-		}
-	}
+	pl.writePages(addr, int64(len(vals)), vals)
 	return nil
 }
 
-// ReadWords fetches count words from plane starting at addr.
+// ReadWords fetches count words from plane starting at addr. The whole
+// range is checked before the result is allocated.
 func (n *Node) ReadWords(plane int, addr int64, count int) ([]float64, error) {
-	out := make([]float64, count)
-	if err := n.ReadWordsInto(plane, addr, out); err != nil {
+	pl, err := n.hostRange(plane, addr, count)
+	if err != nil {
 		return nil, err
 	}
+	out := make([]float64, count)
+	pl.readPages(addr, out)
 	return out, nil
 }
 
@@ -271,17 +341,27 @@ func (n *Node) ReadWords(plane int, addr int64, count int) ([]float64, error) {
 // that read the same extent every iteration (halo gathers,
 // collectives).
 func (n *Node) ReadWordsInto(plane int, addr int64, dst []float64) error {
-	if plane < 0 || plane >= len(n.Mem) {
-		return fmt.Errorf("sim: plane %d out of range", plane)
+	pl, err := n.hostRange(plane, addr, len(dst))
+	if err != nil {
+		return err
 	}
-	for i := range dst {
-		v, err := n.Mem[plane].Read(addr + int64(i))
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
+	pl.readPages(addr, dst)
 	return nil
+}
+
+// hostRange checks a host transfer of count words at addr: the plane
+// must exist, count must not be negative, and [addr, addr+count) must
+// lie inside the plane.
+func (n *Node) hostRange(plane int, addr int64, count int) (*Plane, error) {
+	if plane < 0 || plane >= len(n.Mem) {
+		return nil, fmt.Errorf("sim: plane %d out of range", plane)
+	}
+	pl := n.Mem[plane]
+	if count < 0 || addr < 0 || addr > pl.words || int64(count) > pl.words-addr {
+		return nil, fmt.Errorf("sim: %d words at address %d do not fit plane %d of %d words",
+			count, addr, plane, pl.words)
+	}
+	return pl, nil
 }
 
 // Flag reports the state of sequencer flag k.

@@ -124,8 +124,8 @@ type ExecPlan struct {
 	cmpTh     float64
 	trapArmed bool
 
-	// nReds counts reduction units, sizing the pooled accumulator
-	// state in runScratch.
+	// nReds counts reduction units, sizing the interpreter's pooled
+	// accumulator state in runScratch.
 	nReds int
 
 	// kern is the specialized branch-free kernel lowered from this
@@ -514,38 +514,39 @@ func (n *Node) KernelStatsOf() KernelStats {
 	return KernelStats{Fast: n.kernelFast, Slow: n.kernelSlow}
 }
 
-// redState is one reduction accumulator. The accumulators are
-// per-execution state, not plan state; they live in runScratch so the
-// run layer never allocates them per dispatch.
+// redState is one interpreter reduction accumulator. The accumulators
+// are per-execution state, not plan state; they live in runScratch so
+// the run layer never allocates them per dispatch.
 type redState struct {
 	acc   float64
 	accOK bool
 }
 
-// runScratch is the node's reusable working set: one value/valid lane
-// per producer slot, T cycles long, stored slot-major in a single
-// contiguous array (lane s occupies val[s*T : (s+1)*T]). It belongs to
-// the run layer's mutable state (it lives on the node, never on the
-// plan), so two nodes executing the same plan concurrently never
-// share it.
+// runScratch is the node's reusable working set, stored lane-major in
+// one contiguous array (lane l occupies val[l*T : (l+1)*T]). The kernel
+// uses execKernel.lanes value lanes; the interpreter uses one value
+// lane and one validity lane per producer slot. It belongs to the run
+// layer's mutable state (it lives on the node, never on the plan), so
+// two nodes executing the same plan concurrently never share it.
 type runScratch struct {
-	val []float64 // slot-major: val[slot*T+c]
-	ok  []bool    // slot-major: ok[slot*T+c]
+	val []float64
+	ok  []bool // interpreter only: ok[slot*T+c]
 
-	// reds holds the pooled reduction accumulators, reset at the top
-	// of every execution.
+	// reds holds the interpreter's pooled reduction accumulators, reset
+	// at the top of every execution.
 	reds []redState
-
-	// opv/opok are the kernel's operand staging lanes (T cycles each):
-	// each functional-unit micro-op shifts or broadcasts its operands
-	// into these before the branch-free apply loop runs.
-	opv  [2][]float64
-	opok [2][]bool
 }
 
-// lane returns producer slot s's value and validity lanes.
-func (sc *runScratch) lane(T, s int) ([]float64, []bool) {
-	return sc.val[s*T : (s+1)*T : (s+1)*T], sc.ok[s*T : (s+1)*T : (s+1)*T]
+// result returns the lane holding producer slot s's values after a
+// dispatch, and the offset it is read through: cycle c reads
+// lane[c-off], and cycles below off read zero.
+func (sc *runScratch) result(pl *ExecPlan, kernel bool, s int) ([]float64, int) {
+	T := pl.T
+	if kernel {
+		v := pl.kern.views[s]
+		return sc.val[v.lane*T : (v.lane+1)*T], v.off
+	}
+	return sc.val[s*T : (s+1)*T], 0
 }
 
 // sample reads producer slot `slot` at cycle c; cycles outside [0,T)
@@ -558,23 +559,30 @@ func (sc *runScratch) sample(T, slot, c int) (float64, bool) {
 	return sc.val[slot*T+c], sc.ok[slot*T+c]
 }
 
-// scratchFor returns the node's working set, grown to fit pl. Every
-// plan the node runs shares it, so the node holds one working set the
-// size of its largest plan. Reuse is safe without zeroing: every
-// producer lane is written at every cycle before any same-run read of
-// that cycle.
-func (n *Node) scratchFor(pl *ExecPlan) *runScratch {
+// scratchFor returns the node's working set, grown to fit pl on the
+// chosen path: the kernel's lanes, or the interpreter's value and
+// validity lane per producer slot — validity lanes are allocated only
+// once the interpreter runs. Every plan the node runs shares the set,
+// so the node holds one working set the size of its largest plan.
+// Reuse is safe without zeroing: every lane is written at every cycle
+// before any same-run read of that cycle.
+func (n *Node) scratchFor(pl *ExecPlan, kernel bool) *runScratch {
 	sc := &n.scratch
-	if need := pl.slots * pl.T; len(sc.val) < need {
-		sc.val, sc.ok = make([]float64, need), make([]bool, need)
+	lanes := pl.slots
+	if kernel {
+		lanes = pl.kern.lanes
+	}
+	if need := lanes * pl.T; len(sc.val) < need {
+		sc.val = make([]float64, need)
+	}
+	if kernel {
+		return sc
+	}
+	if need := pl.slots * pl.T; len(sc.ok) < need {
+		sc.ok = make([]bool, need)
 	}
 	if len(sc.reds) < pl.nReds {
 		sc.reds = make([]redState, pl.nReds)
-	}
-	for i := range sc.opv {
-		if len(sc.opv[i]) < pl.T {
-			sc.opv[i], sc.opok[i] = make([]float64, pl.T), make([]bool, pl.T)
-		}
 	}
 	return sc
 }
