@@ -14,6 +14,7 @@ package arch
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Capability is a bitmask of operation classes a functional unit can
@@ -222,7 +223,8 @@ func (c Config) Validate() error {
 	if c.MaxDelay < 0 || c.MaxDelay > c.RegFileWords {
 		return fmt.Errorf("arch: MaxDelay %d outside register file of %d words", c.MaxDelay, c.RegFileWords)
 	}
-	if c.ClockHz <= 0 {
+	// Written so that NaN, which fails every comparison, is rejected.
+	if !(c.ClockHz > 0) || math.IsInf(c.ClockHz, 1) {
 		return errors.New("arch: ClockHz must be positive")
 	}
 	if c.WordBytes <= 0 {

@@ -1,6 +1,9 @@
 package arch
 
 import (
+	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +66,8 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"zero regfile", func(c *Config) { c.RegFileWords = 0 }},
 		{"delay exceeds regfile", func(c *Config) { c.MaxDelay = c.RegFileWords + 1 }},
 		{"zero clock", func(c *Config) { c.ClockHz = 0 }},
+		{"NaN clock", func(c *Config) { c.ClockHz = math.NaN() }},
+		{"infinite clock", func(c *Config) { c.ClockHz = math.Inf(1) }},
 		{"zero word", func(c *Config) { c.WordBytes = 0 }},
 		{"huge hypercube", func(c *Config) { c.HypercubeDim = 21 }},
 	}
@@ -436,6 +441,81 @@ func TestNewInventoryRejectsBadConfig(t *testing.T) {
 		}
 	}()
 	MustInventory(c)
+}
+
+// storedInventories reports how many Configs have a shared Inventory.
+func storedInventories() int {
+	inventories.Lock()
+	defer inventories.Unlock()
+	return len(inventories.m)
+}
+
+// TestInventoryShared: equal Configs share one Inventory, equal to a
+// freshly built one; a different Config gets its own; and an invalid
+// Config, NaN clock included, errors on every call and is never
+// stored.
+func TestInventoryShared(t *testing.T) {
+	a, err := NewInventory(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := NewInventory(Default()); b != a {
+		t.Error("equal configs returned different inventories")
+	}
+	if !reflect.DeepEqual(a, buildInventory(Default())) {
+		t.Error("the shared inventory differs from a fresh build")
+	}
+	if sub, _ := NewInventory(Subset()); sub == a || len(sub.FUs) != 8 {
+		t.Error("the subset config did not get an inventory of its own")
+	}
+	nan, mix := Default(), Default()
+	nan.ClockHz = math.NaN()
+	mix.Singlets++
+	for _, bad := range []Config{nan, mix} {
+		before := storedInventories()
+		for i := 0; i < 3; i++ {
+			if inv, err := NewInventory(bad); err == nil || inv != nil {
+				t.Errorf("call %d: invalid config returned %v, %v", i, inv, err)
+			}
+		}
+		if got := storedInventories(); got != before {
+			t.Errorf("invalid config stored: %d inventories, had %d", got, before)
+		}
+	}
+}
+
+// TestInventoryFirstUseRace: goroutines racing on a Config's first use
+// all get the one Inventory that is stored.
+func TestInventoryFirstUseRace(t *testing.T) {
+	cfg := Default()
+	for cfg.ClockHz = 21e6; storedInventoryFor(cfg) != nil; cfg.ClockHz++ {
+		// find a Config nothing has built yet
+	}
+	got := make([]*Inventory, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], _ = NewInventory(cfg)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, inv := range got {
+		if inv == nil || inv != storedInventoryFor(cfg) {
+			t.Errorf("goroutine %d got %p, stored %p", i, inv, storedInventoryFor(cfg))
+		}
+	}
+}
+
+// storedInventoryFor returns the shared Inventory of cfg, if built.
+func storedInventoryFor(cfg Config) *Inventory {
+	inventories.Lock()
+	defer inventories.Unlock()
+	return inventories.m[cfg]
 }
 
 func TestPlaneAndCacheWords(t *testing.T) {

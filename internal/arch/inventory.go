@@ -1,6 +1,9 @@
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // FUID is the global index of a functional unit within a node
 // (0 .. TotalFUs-1). Units are numbered in ALS order: all triplets
@@ -36,14 +39,34 @@ type Inventory struct {
 	FUs  []FU
 }
 
-// NewInventory enumerates the node hardware described by cfg.
-// Capability asymmetries follow §3: within each multi-unit ALS, unit 0
-// has the integer/logical circuitry and the last unit has the min/max
-// circuitry; singlet units are floating-point only.
+// inventories holds the one Inventory built for each valid Config.
+var inventories = struct {
+	sync.Mutex
+	m map[Config]*Inventory
+}{m: map[Config]*Inventory{}}
+
+// NewInventory returns the node hardware described by cfg. Every call
+// with an equal Config returns the same shared Inventory; the first
+// validates cfg and builds it, and an invalid Config is never stored.
 func NewInventory(cfg Config) (*Inventory, error) {
+	inventories.Lock()
+	defer inventories.Unlock()
+	if inv, ok := inventories.m[cfg]; ok {
+		return inv, nil
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	inv := buildInventory(cfg)
+	inventories.m[cfg] = inv
+	return inv, nil
+}
+
+// buildInventory enumerates the hardware of a valid cfg. Capability
+// asymmetries follow §3: within each multi-unit ALS, unit 0 has the
+// integer/logical circuitry and the last unit has the min/max
+// circuitry; singlet units are floating-point only.
+func buildInventory(cfg Config) *Inventory {
 	inv := &Inventory{Cfg: cfg}
 	kinds := make([]ALSKind, 0, cfg.ALSCount())
 	for i := 0; i < cfg.Triplets; i++ {
@@ -74,7 +97,7 @@ func NewInventory(cfg Config) (*Inventory, error) {
 		}
 		inv.ALSs = append(inv.ALSs, als)
 	}
-	return inv, nil
+	return inv
 }
 
 // MustInventory is NewInventory for known-good configurations; it

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/diag"
@@ -137,26 +138,34 @@ type PadInfo struct {
 	Input bool
 }
 
-// Pads returns the pad list of an icon kind, in drawing order.
+// Pads returns the pad list of an icon kind, in drawing order. The
+// list is shared by every caller and must not be modified; its
+// capacity is capped, so appending to it copies.
 func (k IconKind) Pads() []PadInfo {
-	switch k {
-	case IconSinglet, IconDoubletBypass:
-		return unitPads(1)
-	case IconDoublet:
-		return unitPads(2)
-	case IconTriplet:
-		return unitPads(3)
-	case IconMemPlane, IconCache:
-		return []PadInfo{{Name: "rd"}, {Name: "wr", Input: true}}
-	case IconSDU:
-		pads := []PadInfo{{Name: "in", Input: true}}
-		for t := 0; t < 8; t++ {
-			pads = append(pads, PadInfo{Name: fmt.Sprintf("t%d", t)})
-		}
-		return pads
+	if k < 0 || k >= numIconKinds {
+		return nil
 	}
-	return nil
+	return padTable[k]
 }
+
+// padTable holds every icon kind's pad list, built once.
+var padTable = func() (t [numIconKinds][]PadInfo) {
+	t[IconSinglet] = unitPads(1)
+	t[IconDoubletBypass] = unitPads(1)
+	t[IconDoublet] = unitPads(2)
+	t[IconTriplet] = unitPads(3)
+	t[IconMemPlane] = []PadInfo{{Name: "rd"}, {Name: "wr", Input: true}}
+	t[IconCache] = []PadInfo{{Name: "rd"}, {Name: "wr", Input: true}}
+	sdu := []PadInfo{{Name: "in", Input: true}}
+	for tap := 0; tap < 8; tap++ {
+		sdu = append(sdu, PadInfo{Name: fmt.Sprintf("t%d", tap)})
+	}
+	t[IconSDU] = sdu
+	for k, pads := range t {
+		t[k] = slices.Clip(pads)
+	}
+	return t
+}()
 
 func unitPads(n int) []PadInfo {
 	var pads []PadInfo

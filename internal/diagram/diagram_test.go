@@ -76,6 +76,44 @@ func TestPadsPerKind(t *testing.T) {
 	}
 }
 
+// TestPadTables pins every kind's pad list — names, order and
+// directions, an input marked "*" — and checks that an append to a
+// shared list copies it and that PadDir allocates nothing.
+func TestPadTables(t *testing.T) {
+	want := map[IconKind]string{
+		IconSinglet:       "u0.a* u0.b* u0.o",
+		IconDoublet:       "u0.a* u0.b* u0.o u1.a* u1.b* u1.o",
+		IconDoubletBypass: "u0.a* u0.b* u0.o",
+		IconTriplet:       "u0.a* u0.b* u0.o u1.a* u1.b* u1.o u2.a* u2.b* u2.o",
+		IconMemPlane:      "rd wr*",
+		IconCache:         "rd wr*",
+		IconSDU:           "in* t0 t1 t2 t3 t4 t5 t6 t7",
+	}
+	for _, k := range AllKinds() {
+		var names []string
+		for _, p := range k.Pads() {
+			if p.Input {
+				p.Name += "*"
+			}
+			names = append(names, p.Name)
+		}
+		if got := strings.Join(names, " "); got != want[k] {
+			t.Errorf("%s pads %q, want %q", k, got, want[k])
+		}
+		pads := k.Pads()
+		if cap(pads) != len(pads) {
+			t.Errorf("%s: Pads() has spare capacity, so an append would write into the shared list", k)
+		}
+		last := pads[len(pads)-1].Name
+		if allocs := testing.AllocsPerRun(50, func() { k.PadDir(last) }); allocs != 0 {
+			t.Errorf("%s: PadDir makes %v allocs, want 0", k, allocs)
+		}
+	}
+	if IconKind(-1).Pads() != nil || numIconKinds.Pads() != nil {
+		t.Error("an unknown icon kind has pads")
+	}
+}
+
 func TestUnitPadParsing(t *testing.T) {
 	cases := []struct {
 		pad        string

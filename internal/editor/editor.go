@@ -49,6 +49,9 @@ type Editor struct {
 	cur  int
 	undo []string
 	redo []string
+	// markedRedo is the redo stack the latest mark cleared, which
+	// undoLastMark puts back when the command turns out not to mutate.
+	markedRedo []string
 	// Log is the message-strip history of the session.
 	Log []Event
 	// checkCache memoizes per-pipeline check results so interactive
@@ -107,13 +110,13 @@ func (e *Editor) restore(s string) error {
 }
 
 // mark records the pre-state of a mutating operation and clears the
-// redo stack.
+// redo stack, keeping it aside for undoLastMark.
 func (e *Editor) mark() {
 	e.undo = append(e.undo, e.snapshot())
 	if len(e.undo) > 256 {
 		e.undo = e.undo[1:]
 	}
-	e.redo = nil
+	e.markedRedo, e.redo = e.redo, nil
 }
 
 // Undo reverts the most recent mutating operation.
@@ -165,7 +168,6 @@ func (e *Editor) CopyPipeline(n int) (*diagram.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mark()
 	// Deep-copy through JSON: icons and wires are plain data.
 	var buf bytes.Buffer
 	tmp := diagram.Document{Pipes: []*diagram.Pipeline{src}}
@@ -176,6 +178,7 @@ func (e *Editor) CopyPipeline(n int) (*diagram.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.mark()
 	cp := loaded.Pipes[0]
 	cp.ID = len(e.Doc.Pipes)
 	cp.Label = src.Label + "-copy"
@@ -265,11 +268,13 @@ func (e *Editor) Place(kind diagram.IconKind, name string, x, y, plane int) (*di
 }
 
 // undoLastMark drops the most recent undo entry after a failed
-// operation that turned out not to mutate.
+// operation that turned out not to mutate, and restores the redo stack
+// that mark cleared.
 func (e *Editor) undoLastMark() {
 	if len(e.undo) > 0 {
 		e.undo = e.undo[:len(e.undo)-1]
 	}
+	e.redo, e.markedRedo = e.markedRedo, nil
 }
 
 // Move drags an existing icon to a new position (display data only).
@@ -419,13 +424,14 @@ func (e *Editor) SetCompare(iconName string, slot int, op string, threshold floa
 	if err := checker.CheckFinite("compare threshold", threshold); err != nil {
 		return err
 	}
+	p := e.Current()
+	prev := p.Compare
 	e.mark()
-	e.Current().Compare = &diagram.CompareSpec{Icon: ic.ID, Slot: slot, Op: op, Threshold: threshold, Flag: flag}
-	if ds := e.Chk.CheckPipeline(e.Doc, e.Current()); hasRule(ds, checker.RuleCompareSpec) {
-		// Roll back an invalid spec immediately.
-		if err := e.Undo(); err != nil {
-			return err
-		}
+	p.Compare = &diagram.CompareSpec{Icon: ic.ID, Slot: slot, Op: op, Threshold: threshold, Flag: flag}
+	if ds := e.Chk.CheckPipeline(e.Doc, p); hasRule(ds, checker.RuleCompareSpec) {
+		// Roll back an invalid spec immediately, leaving redo as it was.
+		p.Compare = prev
+		e.undoLastMark()
 		return fmt.Errorf("editor: invalid compare specification")
 	}
 	return nil

@@ -256,6 +256,79 @@ func TestSetCompareRollsBackInvalid(t *testing.T) {
 	if e2.Current().Compare != nil {
 		t.Error("invalid compare left in document")
 	}
+	// The rejected compare must not become redoable: the rollback
+	// leaves the redo stack as the last edit left it, empty.
+	e3 := newEd(t)
+	execAll(t, e3, "place triplet T at 1 1", "op T.u0 add", "op T.u2 maxabs reduce init=0")
+	if _, err := e3.Exec("compare T.u0 lt 0.5 flag=1"); err == nil {
+		t.Fatal("compare on non-reducing unit accepted")
+	}
+	if _, err := e3.Exec("redo"); err == nil {
+		t.Error("redo after a rejected compare succeeded")
+	}
+	if e3.Current().Compare != nil {
+		t.Error("redo installed the rejected compare")
+	}
+}
+
+// execAll runs editor commands that must succeed.
+func execAll(t *testing.T, e *Editor, lines ...string) {
+	t.Helper()
+	for _, line := range lines {
+		if _, err := e.Exec(line); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+	}
+}
+
+// saved returns the document's Save bytes.
+func saved(t *testing.T, e *Editor) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Doc.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestFailedCommandKeepsRedo: a command that fails after marking the
+// undo stack leaves the document unchanged and its redo stack intact,
+// so the edit undone just before it can still be redone.
+func TestFailedCommandKeepsRedo(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup []string
+		fail  string
+	}{
+		{"place", []string{"place singlet A at 1 1"}, "place singlet A at 20 1"},
+		{"connect", []string{"place memplane M at 1 1 plane=0", "place singlet S at 10 1",
+			"connect M.rd -> S.u0.a"}, "connect M.rd -> S.u0.a"},
+		{"disconnect", []string{"place singlet S at 1 1"}, "disconnect S.u0.a"},
+		{"dma", []string{"place memplane M at 1 1 plane=0"}, "dma M xx count=4"},
+		{"compare", []string{"place triplet T at 1 1", "op T.u0 add", "op T.u2 maxabs reduce init=0"},
+			"compare T.u0 lt 0.5 flag=1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEd(t)
+			execAll(t, e, tc.setup...)
+			execAll(t, e, "place singlet B at 40 1")
+			edited := saved(t, e)
+			execAll(t, e, "undo")
+			before := saved(t, e)
+			if _, err := e.Exec(tc.fail); err == nil {
+				t.Fatalf("%q succeeded", tc.fail)
+			}
+			if saved(t, e) != before {
+				t.Errorf("failed %q changed the document", tc.fail)
+			}
+			if _, err := e.Exec("redo"); err != nil {
+				t.Fatalf("redo after failed %q: %v", tc.fail, err)
+			}
+			if saved(t, e) != edited {
+				t.Error("redo did not restore the undone edit")
+			}
+		})
+	}
 }
 
 // TestNonFiniteValuesRejected: a NaN or ±Inf constant or compare

@@ -2,6 +2,8 @@ package hypercube
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -67,6 +69,35 @@ func TestSimulatedClocks(t *testing.T) {
 					t.Errorf("residual %v, want %v", res.Residual, residual)
 				}
 			})
+		}
+	}
+}
+
+// TestStandingMachineSolvesAgain: a second solve on a standing machine
+// reuses the first build's compiled slabs, still matches Reference()
+// bit for bit, and adds exactly the clocks TestSimulatedClocks pins
+// for one clean solve.
+func TestStandingMachineSolvesAgain(t *testing.T) {
+	m := machineOn(t, "hypercube", 3, 12)
+	g := parallelProblem(m.P())
+	g.MaxIter = 12
+	ref := g.Reference()
+	for solve := int64(1); solve <= 2; solve++ {
+		res, err := m.SolveJacobi(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.ResidualSeries, ref.Residuals) {
+			t.Errorf("solve %d: residuals %v, reference %v", solve, res.ResidualSeries, ref.Residuals)
+		}
+		for i := range ref.U {
+			if math.Float64bits(res.U[i]) != math.Float64bits(ref.U[i]) {
+				t.Fatalf("solve %d: u[%d] = %v, reference %v", solve, i, res.U[i], ref.U[i])
+			}
+		}
+		if m.MachineCycles != solve*7764 || m.CommCycles != solve*11412 {
+			t.Errorf("after solve %d: machine/comm cycles %d/%d, want %d/%d",
+				solve, m.MachineCycles, m.CommCycles, solve*7764, solve*11412)
 		}
 	}
 }

@@ -15,8 +15,9 @@
 // reduction, fault injection, retry and checkpoint rollback — lives in
 // internal/engine; SolveJacobi is a thin client that adapts the
 // machine to the engine's Fabric interface, compiles each distinct
-// slab once (ranks with the same slab share its instructions), and
-// supplies the scheme (the sweep Step, checkpoint and recovery hooks).
+// slab once (ranks with the same slab, and later solves on the same
+// machine, share its instructions), and supplies the scheme (the sweep
+// Step, checkpoint and recovery hooks).
 package hypercube
 
 import (
@@ -139,6 +140,9 @@ type Machine struct {
 	// hypercube addresses of the boards lost.
 	activated []*sim.Node
 	deadAddrs []int
+	// slabs holds the last Jacobi build's compiled sweeps by slab
+	// script, so a later solve compiles only slabs it has not seen.
+	slabs map[string]slabCode
 }
 
 // New builds a hypercube of 2^dim nodes.

@@ -220,19 +220,28 @@ func newJacobiSolve(m *Machine, global *jacobi.Problem) *jacobiSolve {
 	return s
 }
 
+// slabCode is one slab's compiled sweep pair.
+type slabCode struct{ fwd, bwd *microcode.Instr }
+
 // build partitions the problem, compiles both sweep pipelines once per
 // distinct slab and loads the slabs onto the ring. A compile is a pure
 // function of the machine and the slab's editor script, so every rank
-// whose script matches an earlier rank's shares that rank's
-// instructions. Loading rewrites PlaneU with the initial guess, so a
-// rebuild mid-run must be followed by an iterate restore.
+// whose script matches another's shares its instructions, and so does
+// a later build on this machine: it looks each script up in the
+// previous build's compiles first, then keeps its own. Loading
+// rewrites PlaneU with the initial guess, so a rebuild mid-run must be
+// followed by an iterate restore.
 func (s *jacobiSolve) build(part *engine.Partition) error {
 	m := s.m
+	inv, err := arch.NewInventory(m.Cfg)
+	if err != nil {
+		return err
+	}
+	gen := codegen.New(inv)
 	locals := make([]*jacobi.Problem, part.P)
 	fwd := make([]*microcode.Instr, part.P)
 	bwd := make([]*microcode.Instr, part.P)
-	gen := codegen.New(arch.MustInventory(m.Cfg))
-	first := map[string]int{} // script → first rank compiled from it
+	slabs := map[string]slabCode{}
 	for r := 0; r < part.P; r++ {
 		lp, err := part.Local(m.Cfg, s.global, r)
 		if err != nil {
@@ -240,14 +249,17 @@ func (s *jacobiSolve) build(part *engine.Partition) error {
 		}
 		locals[r] = lp
 		script := lp.Script()
-		if q, ok := first[script]; ok {
-			fwd[r], bwd[r] = fwd[q], bwd[q]
-			continue
+		c, ok := slabs[script]
+		if !ok {
+			c, ok = m.slabs[script]
 		}
-		first[script] = r
-		if fwd[r], bwd[r], err = lp.Sweeps(gen); err != nil {
-			return err
+		if !ok {
+			if c.fwd, c.bwd, err = lp.Sweeps(gen); err != nil {
+				return err
+			}
 		}
+		slabs[script] = c
+		fwd[r], bwd[r] = c.fwd, c.bwd
 	}
 	fab := m.Fabric()
 	if err := engine.ParallelFor(m.Workers, part.P, func(r int) error {
@@ -256,6 +268,7 @@ func (s *jacobiSolve) build(part *engine.Partition) error {
 		return err
 	}
 	s.part, s.fwd, s.bwd = part, fwd, bwd
+	m.slabs = slabs
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/codegen"
 	"repro/internal/engine"
+	"repro/internal/jacobi"
 	"repro/internal/microcode"
 )
 
@@ -26,51 +27,102 @@ func TestSharedSlabCompile(t *testing.T) {
 		{"12x12x12", 12, 12, 2, 2}, // planes 3,3,2,2
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallCfg()
-			m, err := New(cfg, tc.dim)
+			m, err := New(smallCfg(), tc.dim)
 			if err != nil {
 				t.Fatal(err)
 			}
-			global := boxProblem(tc.n, tc.nz)
-			part, err := engine.NewPartition(m.P(), tc.n, tc.nz)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := newJacobiSolve(m, global)
-			if err := s.build(part); err != nil {
-				t.Fatal(err)
-			}
-			scripts := map[string]bool{}
-			fwds, bwds := map[*microcode.Instr]bool{}, map[*microcode.Instr]bool{}
-			for r := 0; r < part.P; r++ {
-				lp, err := part.Local(cfg, global, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scripts[lp.Script()] = true
-				doc, _, err := lp.BuildDocument(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gen := codegen.New(arch.MustInventory(cfg))
-				for i, got := range []*microcode.Instr{s.fwd[r], s.bwd[r]} {
-					want, _, err := gen.Pipeline(doc, doc.Pipes[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got.W, want.W) {
-						t.Errorf("rank %d pipe %d: shared words differ from the rank's solo compile", r, i)
-					}
-				}
-				fwds[s.fwd[r]], bwds[s.bwd[r]] = true, true
-			}
+			s := buildSolve(t, m, boxProblem(tc.n, tc.nz))
+			scripts := soloCompilesMatch(t, s)
 			if len(scripts) != tc.distinct {
 				t.Fatalf("%d distinct slab scripts, want %d", len(scripts), tc.distinct)
 			}
+			fwds, bwds := map[*microcode.Instr]bool{}, map[*microcode.Instr]bool{}
+			for r := 0; r < s.part.P; r++ {
+				fwds[s.fwd[r]], bwds[s.bwd[r]] = true, true
+			}
 			if len(fwds) != len(scripts) || len(bwds) != len(scripts) {
 				t.Errorf("%d forward and %d backward instructions for %d distinct slabs over %d ranks",
-					len(fwds), len(bwds), len(scripts), part.P)
+					len(fwds), len(bwds), len(scripts), s.part.P)
 			}
 		})
 	}
+
+	// A standing machine keeps the last build's compiles: the same
+	// problem again reuses every instruction, and a problem with another
+	// tolerance (another compare constant, so other scripts) compiles
+	// afresh and leaves only its own slabs kept.
+	t.Run("standing", func(t *testing.T) {
+		m, err := New(smallCfg(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := buildSolve(t, m, boxProblem(17, 17))
+		again := buildSolve(t, m, boxProblem(17, 17))
+		for r := 0; r < first.part.P; r++ {
+			if again.fwd[r] != first.fwd[r] || again.bwd[r] != first.bwd[r] {
+				t.Errorf("rank %d: second build recompiled its slab", r)
+			}
+		}
+		tighter := boxProblem(17, 17)
+		tighter.Tol /= 10
+		other := buildSolve(t, m, tighter)
+		scripts := soloCompilesMatch(t, other)
+		for r := 0; r < other.part.P; r++ {
+			if other.fwd[r] == first.fwd[r] || other.bwd[r] == first.bwd[r] {
+				t.Errorf("rank %d: a build with another tolerance reused the old compile", r)
+			}
+		}
+		if len(m.slabs) != len(scripts) {
+			t.Errorf("machine keeps %d slabs after a build of %d", len(m.slabs), len(scripts))
+		}
+		for script := range scripts {
+			if _, ok := m.slabs[script]; !ok {
+				t.Error("machine does not keep a slab of its last build")
+			}
+		}
+	})
+}
+
+// buildSolve runs one Jacobi build of global on m.
+func buildSolve(t *testing.T, m *Machine, global *jacobi.Problem) *jacobiSolve {
+	t.Helper()
+	part, err := engine.NewPartition(m.P(), global.N, global.Nz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newJacobiSolve(m, global)
+	if err := s.build(part); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// soloCompilesMatch checks every rank's instructions against the
+// rank's solo compile and returns the build's distinct slab scripts.
+func soloCompilesMatch(t *testing.T, s *jacobiSolve) map[string]bool {
+	t.Helper()
+	cfg := s.m.Cfg
+	scripts := map[string]bool{}
+	for r := 0; r < s.part.P; r++ {
+		lp, err := s.part.Local(cfg, s.global, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scripts[lp.Script()] = true
+		doc, _, err := lp.BuildDocument(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := codegen.New(arch.MustInventory(cfg))
+		for i, got := range []*microcode.Instr{s.fwd[r], s.bwd[r]} {
+			want, _, err := gen.Pipeline(doc, doc.Pipes[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.W, want.W) {
+				t.Errorf("rank %d pipe %d: shared words differ from the rank's solo compile", r, i)
+			}
+		}
+	}
+	return scripts
 }

@@ -332,8 +332,11 @@ func (p *Problem) Run(cfg arch.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := codegen.New(arch.MustInventory(cfg))
-	prog, rep, err := gen.Document(doc)
+	inv, err := arch.NewInventory(cfg)
+	if err != nil {
+		return nil, err
+	}
+	prog, rep, err := codegen.New(inv).Document(doc)
 	if err != nil {
 		return nil, err
 	}

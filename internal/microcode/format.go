@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/arch"
 )
@@ -157,11 +158,31 @@ func bitsFor(n int) int {
 	return w
 }
 
-// NewFormat derives the instruction format for cfg.
+// formats holds the one Format derived for each valid arch.Config.
+var formats = struct {
+	sync.Mutex
+	m map[arch.Config]*Format
+}{m: map[arch.Config]*Format{}}
+
+// NewFormat returns the instruction format for cfg. Every call with an
+// equal Config returns the same shared Format; the first validates cfg
+// and derives it, and an invalid Config is never stored.
 func NewFormat(cfg arch.Config) (*Format, error) {
+	formats.Lock()
+	defer formats.Unlock()
+	if f, ok := formats.m[cfg]; ok {
+		return f, nil
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	f := deriveFormat(cfg)
+	formats.m[cfg] = f
+	return f, nil
+}
+
+// deriveFormat lays out the instruction fields of a valid cfg.
+func deriveFormat(cfg arch.Config) *Format {
 	f := &Format{Cfg: cfg, index: make(map[string]int)}
 	add := func(name string, width int) Field {
 		fl := Field{Name: name, Offset: f.Bits, Width: width}
@@ -251,7 +272,7 @@ func NewFormat(cfg arch.Config) (*Format, error) {
 	f.cmpFlag = add("seq.cmp.flag", 4)
 
 	f.WordsPerInstr = (f.Bits + 63) / 64
-	return f, nil
+	return f
 }
 
 // MustFormat is NewFormat for known-good configurations.

@@ -3,6 +3,8 @@ package microcode
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +81,77 @@ func TestFormatRejectsBadConfig(t *testing.T) {
 		}
 	}()
 	MustFormat(c)
+}
+
+// storedFormats reports how many Configs have a shared Format.
+func storedFormats() int {
+	formats.Lock()
+	defer formats.Unlock()
+	return len(formats.m)
+}
+
+// storedFormatFor returns the shared Format of cfg, if derived.
+func storedFormatFor(cfg arch.Config) *Format {
+	formats.Lock()
+	defer formats.Unlock()
+	return formats.m[cfg]
+}
+
+// TestFormatShared: equal Configs share one Format, a different Config
+// gets its own, and an invalid Config, NaN clock included, errors on
+// every call and is never stored.
+func TestFormatShared(t *testing.T) {
+	a, err := NewFormat(arch.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := NewFormat(arch.Default()); b != a {
+		t.Error("equal configs returned different formats")
+	}
+	if sub, _ := NewFormat(arch.Subset()); sub == a || sub.Bits >= a.Bits {
+		t.Error("the subset config did not get a format of its own")
+	}
+	nan, mix := arch.Default(), arch.Default()
+	nan.ClockHz = math.NaN()
+	mix.Singlets++
+	for _, bad := range []arch.Config{nan, mix} {
+		before := storedFormats()
+		for i := 0; i < 3; i++ {
+			if f, err := NewFormat(bad); err == nil || f != nil {
+				t.Errorf("call %d: invalid config returned %v, %v", i, f, err)
+			}
+		}
+		if got := storedFormats(); got != before {
+			t.Errorf("invalid config stored: %d formats, had %d", got, before)
+		}
+	}
+}
+
+// TestFormatFirstUseRace: goroutines racing on a Config's first use
+// all get the one Format that is stored.
+func TestFormatFirstUseRace(t *testing.T) {
+	cfg := arch.Default()
+	for cfg.ClockHz = 21e6; storedFormatFor(cfg) != nil; cfg.ClockHz++ {
+		// find a Config nothing has derived yet
+	}
+	got := make([]*Format, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], _ = NewFormat(cfg)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, f := range got {
+		if f == nil || f != storedFormatFor(cfg) {
+			t.Errorf("goroutine %d got %p, stored %p", i, f, storedFormatFor(cfg))
+		}
+	}
 }
 
 // Property: writing arbitrary values into arbitrary fields and reading
@@ -312,7 +385,8 @@ func indexOf(s, sub string) int {
 }
 
 // Property: format derivation is deterministic for arbitrary valid
-// configs and total width equals the sum of field widths.
+// configs — the shared format equals a fresh derivation — and total
+// width equals the sum of field widths.
 func TestFormatDeterministicProperty(t *testing.T) {
 	fn := func(t3, d2, s1, planes uint8) bool {
 		c := arch.Default()
@@ -321,12 +395,11 @@ func TestFormatDeterministicProperty(t *testing.T) {
 		c.Singlets = int(s1 % 4)
 		c.TotalFUs = c.Triplets*3 + c.Doublets*2 + c.Singlets
 		c.MemPlanes = int(planes%16) + 1
-		f1, err1 := NewFormat(c)
-		f2, err2 := NewFormat(c)
-		if err1 != nil || err2 != nil {
+		f1, err := NewFormat(c)
+		if err != nil {
 			return false
 		}
-		if f1.Bits != f2.Bits || len(f1.Fields) != len(f2.Fields) {
+		if !reflect.DeepEqual(f1, deriveFormat(c)) {
 			return false
 		}
 		sum := 0

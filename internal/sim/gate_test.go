@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -80,6 +81,36 @@ func TestKernelGates(t *testing.T) {
 	if bestSlow <= bestFast {
 		t.Errorf("interpreter (%v per Exec) is not slower than the kernel (%v)", bestSlow, bestFast)
 	}
+}
+
+// TestNewNodeGates holds a warm NewNode to its allocation budget:
+// nodes of one Config share its Inventory and Format, and a cache
+// buffer is allocated only when first written, so a node costs its
+// plane and cache headers and little else.
+func TestNewNodeGates(t *testing.T) {
+	cfg := arch.Default()
+	newNode := func() {
+		if _, err := sim.NewNode(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newNode() // warm-up: the Config's first node builds the shared tables
+	allocs := testing.AllocsPerRun(20, newNode)
+	if allocs > 100 {
+		t.Errorf("warm NewNode makes %v allocs, want at most 100", allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		newNode()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if bytes > 16<<10 {
+		t.Errorf("warm NewNode allocates %d bytes, want at most %d", bytes, 16<<10)
+	}
+	t.Logf("warm NewNode: %v allocs, %d bytes", allocs, bytes)
 }
 
 // TestKernelLanes pins the kernel's working set. The Jacobi forward

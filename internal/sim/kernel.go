@@ -360,7 +360,8 @@ func (n *Node) kernMemSource(op *kernOp, out []float64) {
 }
 
 // kernCacheSource streams one cache DMA read channel from the
-// pipeline-facing buffer selected by the instruction.
+// pipeline-facing buffer selected by the instruction. An unwritten
+// buffer is nil, so every word reads as zero.
 func (n *Node) kernCacheSource(op *kernOp, out []float64) {
 	lead, live := srcRegions(op.skip, op.count, len(out))
 	clear(out[:lead])

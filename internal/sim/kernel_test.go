@@ -46,8 +46,9 @@ func execEqual(t *testing.T, name string, build func(n *Node) []*microcode.Instr
 }
 
 // compareNodes checks every piece of architectural state the paper's
-// machine exposes: plane words and resident pages, reduction
-// registers, flags, counters, statistics and the trap log.
+// machine exposes: plane words and resident pages, cache words and
+// which cache buffers are allocated, reduction registers, flags,
+// counters, statistics and the trap log.
 func compareNodes(t *testing.T, name string, a, b *Node) {
 	t.Helper()
 	for p := range a.Mem {
@@ -69,6 +70,9 @@ func compareNodes(t *testing.T, name string, a, b *Node) {
 	for p := range a.Cache {
 		for half := 0; half < 2; half++ {
 			ab, bb := a.Cache[p].bufs[half], b.Cache[p].bufs[half]
+			if (ab == nil) != (bb == nil) {
+				t.Fatalf("%s: cache %d buf %d allocated on one node only", name, p, half)
+			}
 			for w := range ab {
 				if math.Float64bits(ab[w]) != math.Float64bits(bb[w]) {
 					t.Fatalf("%s: cache %d buf %d word %d: %v vs %v", name, p, half, w, ab[w], bb[w])
@@ -211,6 +215,76 @@ func TestKernelEquivalenceTable(t *testing.T) {
 				Count: 12, Skip: 3, Start: arch.OpNeg.Info().Latency + 1, Swap: true})
 			in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
 			return []*microcode.Instr{in}
+		})
+	})
+
+	t.Run("cache-unwritten-source", func(t *testing.T) {
+		// A cache buffer nothing has written reads as zeros: u + c with
+		// c from an untouched buffer copies u, and leaves the buffer
+		// unallocated on both paths.
+		execEqual(t, "cache-unwritten", func(n *Node) []*microcode.Instr {
+			if err := n.WriteWords(0, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			cfg := n.Cfg
+			in := n.F.NewInstr()
+			fu := arch.FUID(1)
+			in.SetFUOp(fu, arch.OpAdd)
+			in.SetFUInput(fu, 0, microcode.InSwitch, 0, 0)
+			in.SetFUInput(fu, 1, microcode.InSwitch, 0, 0)
+			in.Route(cfg.SnkFUIn(fu, 0), cfg.SrcMemRead(0))
+			in.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: 0, Stride: 1, Count: 32})
+			in.Route(cfg.SnkFUIn(fu, 1), cfg.SrcCacheRead(2))
+			in.SetCacheDMA(2, microcode.CacheDMA{Enable: true, Buf: 1, Addr: 5, Stride: 1, Count: 32})
+			in.Route(cfg.SnkMemWrite(1), cfg.SrcFUOut(fu))
+			in.SetMemDMA(1, microcode.MemDMA{Enable: true, Write: true, Addr: 0, Stride: 1, Count: 32,
+				Start: arch.OpAdd.Info().Latency})
+			in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
+			return []*microcode.Instr{in}
+		})
+	})
+
+	t.Run("cache-swap-unwritten", func(t *testing.T) {
+		// Swaps with unwritten buffers: read an untouched buffer and
+		// swap, fill buffer 0 and swap it to buffer 1, then read both
+		// halves back — the data from buffer 1, zeros from buffer 0.
+		execEqual(t, "cache-swap", func(n *Node) []*microcode.Instr {
+			if err := n.WriteWords(0, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			cfg := n.Cfg
+			const cache, count = 4, 24
+			lat := arch.OpMov.Info().Latency
+			move := func(src arch.SourceID, dst arch.SinkID, rd, wr func(*microcode.Instr)) *microcode.Instr {
+				in := n.F.NewInstr()
+				fu := arch.FUID(0)
+				in.SetFUOp(fu, arch.OpMov)
+				in.SetFUInput(fu, 0, microcode.InSwitch, 0, 0)
+				in.Route(cfg.SnkFUIn(fu, 0), src)
+				in.Route(dst, cfg.SrcFUOut(fu))
+				rd(in)
+				wr(in)
+				in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
+				return in
+			}
+			readCache := func(buf, plane int, swap bool) *microcode.Instr {
+				return move(cfg.SrcCacheRead(cache), cfg.SnkMemWrite(plane),
+					func(in *microcode.Instr) {
+						in.SetCacheDMA(cache, microcode.CacheDMA{Enable: true, Buf: buf, Stride: 1, Count: count, Swap: swap})
+					},
+					func(in *microcode.Instr) {
+						in.SetMemDMA(plane, microcode.MemDMA{Enable: true, Write: true, Stride: 1, Count: count, Start: lat})
+					})
+			}
+			fill := move(cfg.SrcMemRead(0), cfg.SnkCacheWrite(cache),
+				func(in *microcode.Instr) {
+					in.SetMemDMA(0, microcode.MemDMA{Enable: true, Stride: 1, Count: count})
+				},
+				func(in *microcode.Instr) {
+					in.SetCacheDMA(cache, microcode.CacheDMA{Enable: true, Write: true, Buf: 0, Stride: 1,
+						Count: count, Start: lat, Swap: true})
+				})
+			return []*microcode.Instr{readCache(0, 1, true), fill, readCache(1, 2, false), readCache(0, 3, false)}
 		})
 	})
 

@@ -135,37 +135,50 @@ func (pl *Plane) PagesResident() int { return len(pl.pages) }
 
 // DoubleBuffer is one data cache: two buffers of equal size, one facing
 // the pipeline while the other faces memory, swapped under microcode
-// control.
+// control. A buffer is allocated on its first Write; until then it
+// reads as zeros.
 type DoubleBuffer struct {
-	bufs [2][]float64
+	words int64
+	bufs  [2][]float64
 }
 
-// NewDoubleBuffer returns a cache with two zeroed buffers of `words`
-// words each.
+// NewDoubleBuffer returns a cache of two `words`-word buffers, both
+// unwritten.
 func NewDoubleBuffer(words int64) *DoubleBuffer {
-	return &DoubleBuffer{bufs: [2][]float64{make([]float64, words), make([]float64, words)}}
+	return &DoubleBuffer{words: words}
 }
 
-// Read returns word addr of buffer b.
+// Read returns word addr of buffer b (zero while b is unwritten).
 func (db *DoubleBuffer) Read(b int, addr int64) (float64, error) {
-	if b != 0 && b != 1 {
-		return 0, fmt.Errorf("sim: cache buffer %d", b)
+	if err := db.check(b, addr); err != nil {
+		return 0, err
 	}
-	if addr < 0 || addr >= int64(len(db.bufs[b])) {
-		return 0, fmt.Errorf("sim: cache address %d outside [0,%d)", addr, len(db.bufs[b]))
+	if db.bufs[b] == nil {
+		return 0, nil
 	}
 	return db.bufs[b][addr], nil
 }
 
 // Write stores v at word addr of buffer b.
 func (db *DoubleBuffer) Write(b int, addr int64, v float64) error {
+	if err := db.check(b, addr); err != nil {
+		return err
+	}
+	if db.bufs[b] == nil {
+		db.bufs[b] = make([]float64, db.words)
+	}
+	db.bufs[b][addr] = v
+	return nil
+}
+
+// check validates a buffer index and word address.
+func (db *DoubleBuffer) check(b int, addr int64) error {
 	if b != 0 && b != 1 {
 		return fmt.Errorf("sim: cache buffer %d", b)
 	}
-	if addr < 0 || addr >= int64(len(db.bufs[b])) {
-		return fmt.Errorf("sim: cache address %d outside [0,%d)", addr, len(db.bufs[b]))
+	if addr < 0 || addr >= db.words {
+		return fmt.Errorf("sim: cache address %d outside [0,%d)", addr, db.words)
 	}
-	db.bufs[b][addr] = v
 	return nil
 }
 
@@ -284,7 +297,8 @@ type Node struct {
 	ObsID int
 }
 
-// NewNode builds a node for the configuration.
+// NewNode builds a node for the configuration. Every node of one
+// Config shares that Config's Inventory and Format.
 func NewNode(cfg arch.Config) (*Node, error) {
 	inv, err := arch.NewInventory(cfg)
 	if err != nil {
@@ -294,12 +308,13 @@ func NewNode(cfg arch.Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{Cfg: cfg, Inv: inv, F: f, RedReg: make([]float64, cfg.TotalFUs)}
-	for i := 0; i < cfg.MemPlanes; i++ {
-		n.Mem = append(n.Mem, NewPlane(cfg.PlaneWords()))
+	n := &Node{Cfg: cfg, Inv: inv, F: f, RedReg: make([]float64, cfg.TotalFUs),
+		Mem: make([]*Plane, cfg.MemPlanes), Cache: make([]*DoubleBuffer, cfg.CachePlanes)}
+	for i := range n.Mem {
+		n.Mem[i] = NewPlane(cfg.PlaneWords())
 	}
-	for i := 0; i < cfg.CachePlanes; i++ {
-		n.Cache = append(n.Cache, NewDoubleBuffer(cfg.CacheWords()))
+	for i := range n.Cache {
+		n.Cache[i] = NewDoubleBuffer(cfg.CacheWords())
 	}
 	return n, nil
 }

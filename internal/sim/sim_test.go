@@ -78,6 +78,44 @@ func TestDoubleBuffer(t *testing.T) {
 	}
 }
 
+// TestCacheBuffersOnFirstWrite: a fresh node holds no cache buffer.
+// An unwritten buffer reads as zeros and is bounds-checked against the
+// cache's word count; a failed write allocates nothing, a good one
+// allocates only its own buffer, and a swap moves it.
+func TestCacheBuffersOnFirstWrite(t *testing.T) {
+	n := newNode(t)
+	for p, db := range n.Cache {
+		if db.bufs[0] != nil || db.bufs[1] != nil {
+			t.Fatalf("fresh node holds cache %d's buffers", p)
+		}
+	}
+	db := n.Cache[3]
+	words := n.Cfg.CacheWords()
+	if v, err := db.Read(1, words-1); v != 0 || err != nil {
+		t.Errorf("unwritten read = %v, %v; want 0, nil", v, err)
+	}
+	if _, err := db.Read(1, words); err == nil {
+		t.Error("unwritten read past the end accepted")
+	}
+	if err := db.Write(1, words, 1); err == nil {
+		t.Error("write past the end accepted")
+	}
+	if db.bufs[1] != nil {
+		t.Error("a failed write allocated the buffer")
+	}
+	if err := db.Write(1, 7, 2.5); err != nil {
+		t.Fatal(err)
+	}
+	if db.bufs[0] != nil || int64(len(db.bufs[1])) != words {
+		t.Errorf("write allocated buffers of %d and %d words, want 0 and %d",
+			len(db.bufs[0]), len(db.bufs[1]), words)
+	}
+	db.Swap()
+	if v, _ := db.Read(0, 7); v != 2.5 || db.bufs[1] != nil {
+		t.Errorf("after swap: buf0[7] = %v, buf1 allocated %v", v, db.bufs[1] != nil)
+	}
+}
+
 func TestNodeWriteReadWords(t *testing.T) {
 	n := newNode(t)
 	data := seq(100, func(i int) float64 { return float64(i) * 0.5 })

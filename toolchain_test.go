@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,6 +12,9 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/diagram"
+	"repro/internal/editor"
+	"repro/internal/hypercube"
+	"repro/internal/jacobi"
 	"repro/internal/microcode"
 	"repro/internal/sim"
 )
@@ -137,5 +141,81 @@ func TestDocumentedArchitectureClaims(t *testing.T) {
 	}
 	if n := f.NumFields(); n != 682 {
 		t.Errorf("field count %d; docs say 682", n)
+	}
+}
+
+// TestSharedTablesUnchangedByUse runs a Jacobi solve on a fresh 8-rank
+// machine and an editor session with undo, redo, copy, check and
+// codegen, all on one Config's shared Inventory and Format, and then
+// checks that both tables still equal freshly built ones. The fresh
+// tables come from the same Config with another clock, which moves no
+// field of either table but Cfg.
+func TestSharedTablesUnchangedByUse(t *testing.T) {
+	cfg := arch.Default()
+	cfg.HypercubeDim = 3
+	inv, err := arch.NewInventory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := microcode.NewFormat(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := hypercube.New(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.StopAfter = 12
+	if _, err := m.SolveJacobi(jacobi.NewModelProblem(10, 1e-4, 12)); err != nil {
+		t.Fatal(err)
+	}
+	ed := editor.New(inv, "session")
+	if _, err := ed.ExecScript(strings.NewReader(`
+var u plane=0 base=0 len=64
+var v plane=1 base=0 len=64
+place memplane Mu at 1 2 plane=0
+place memplane Mv at 40 2 plane=1
+place triplet T at 18 1
+op T.u0 mul constb=2
+op T.u2 maxabs reduce init=0
+connect Mu.rd -> T.u0.a
+connect T.u0.o -> T.u2.a
+connect T.u0.o -> Mv.wr
+dma Mu rd var=u stride=1 count=64
+dma Mv wr var=v stride=1 count=64
+compare T.u2 lt 0.5 flag=1
+undo
+redo
+pipe copy 0
+pipe 0
+check
+`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := codegen.New(inv).Document(ed.Doc); err != nil {
+		t.Fatal(err)
+	}
+
+	other := cfg
+	other.ClockHz = 19.5e6
+	freshInv, err := arch.NewInventory(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshF, err := microcode.NewFormat(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freshInv == inv || freshF == f {
+		t.Fatal("a different Config returned the shared table")
+	}
+	if inv.Cfg != cfg || !reflect.DeepEqual(inv.ALSs, freshInv.ALSs) || !reflect.DeepEqual(inv.FUs, freshInv.FUs) {
+		t.Error("the shared Inventory changed during use")
+	}
+	used := *f
+	used.Cfg = other
+	if f.Cfg != cfg || !reflect.DeepEqual(&used, freshF) {
+		t.Error("the shared Format changed during use")
 	}
 }
