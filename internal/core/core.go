@@ -136,8 +136,8 @@ func (env *Environment) PlanCacheStats() sim.PlanCacheStats {
 // Hypercube returns the session's multi-node machine, building a
 // 2^dim-node machine over the session's Topology on first use (or when
 // the dimension or topology changes). The machine keeps its fault
-// plan, retry policy and checkpoint settings across solves, so a
-// session configures robustness once. The name is historical: the
+// plan and checkpoint settings across solves, so a session configures
+// robustness once. The name is historical: the
 // machine is a hypercube by default but follows env.Topology.
 func (env *Environment) Hypercube(dim int) (*hypercube.Machine, error) {
 	name := env.Topology

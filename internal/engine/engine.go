@@ -57,19 +57,16 @@ type Fabric interface {
 	SendCost(bytes int64, hops int) int64
 	// Hops returns the path length between two ring ranks.
 	//
-	// Invariant: both ranks must be live (0 ≤ r < P). The engine
-	// establishes this once, when NewLoop checks the partition and the
-	// exchange schedule against P, and never addresses a rank outside
-	// that range afterwards — so, unlike the machine-level Hops APIs,
-	// this one carries no error return. Implementations must panic on a
-	// violation rather than return a garbage distance.
+	// Invariant: both ranks must be live (0 ≤ r < P). NewLoop checks
+	// the partition against P; the loop then prices only the ring pairs
+	// (r, r+1) with r+1 < P, and ChargeScatter only ranks below P — so,
+	// unlike topo.Topology.Hops, this carries no error return.
+	// Implementations must panic on a violation rather than return a
+	// garbage distance.
 	Hops(from, to int) int
 	// Topology names the physical fabric ("hypercube", "mesh2d",
 	// "torus2d") for observability tags and reports.
 	Topology() string
-	// ExchangePairs returns the parity classes of the ring-exchange
-	// schedule over the live ranks (see topo.Topology.ExchangeSchedule).
-	ExchangePairs() [2][]int
 	// CombineHops returns the per-round critical-path hop counts of the
 	// residual-combine tree over the live ranks: the loop charges one
 	// word-sized message over CombineHops()[d] hops for round d. Empty
@@ -96,10 +93,10 @@ type Config struct {
 	Part    *Partition
 	Workers int
 
-	// Faults, when non-nil, arms deterministic fault injection; Retry
-	// bounds the recovery (zero fields take DefaultRetryPolicy).
+	// Faults, when non-nil, arms deterministic fault injection. Faulted
+	// operations retry within a fixed budget: three attempts each, and
+	// four checkpoint restores per run.
 	Faults *FaultPlan
-	Retry  RetryPolicy
 
 	// ResidualFU is the reduce register the convergence combine reads.
 	ResidualFU arch.FUID
@@ -174,15 +171,13 @@ type Config struct {
 // fault/retry/stat accounting lives here; clients sequence the phases,
 // usually inside a Run Step hook.
 type Loop struct {
-	cfg   *Config
-	retry RetryPolicy
+	cfg *Config
 
 	fst    FaultStats   // live counters, merged in rank order
 	deltas []FaultStats // per-rank counter deltas (fault path only)
 	budget []*BudgetError
 	dead   []bool  // per-rank permanent-death slate (fault path only)
 	sweep  []int64 // per-rank dispatch cycles
-	pairs  [2][]int
 	cost   []int64 // per-pair exchange cost
 
 	// halo holds each rank's outgoing faces on the overlapped path:
@@ -208,23 +203,8 @@ func NewLoop(cfg *Config) (*Loop, error) {
 	}
 	lp := &Loop{
 		cfg:   cfg,
-		retry: cfg.Retry.withDefaults(),
 		sweep: make([]int64, p),
 		cost:  make([]int64, p),
-		pairs: cfg.Fabric.ExchangePairs(),
-	}
-	if lp.pairs[0] == nil && lp.pairs[1] == nil {
-		lp.pairs = [2][]int{PairsOfParity(p, 0), PairsOfParity(p, 1)}
-	}
-	// Validate the schedule once, here: every pair (r, r+1) the loop
-	// will exchange must be live, so Fabric.Hops is never asked about an
-	// out-of-range rank afterwards (see the interface invariant).
-	for _, class := range lp.pairs {
-		for _, r := range class {
-			if r < 0 || r+1 >= p {
-				return nil, fmt.Errorf("engine: exchange pair (%d,%d) outside %d live ranks", r, r+1, p)
-			}
-		}
 	}
 	if o := cfg.Obs; o != nil {
 		o.Inc("engine.topology." + cfg.Fabric.Topology())
@@ -334,14 +314,14 @@ func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gat
 					return nil
 				}
 				fs.Kills++
-				if attempt+1 >= lp.retry.MaxAttempts {
+				if attempt+1 >= maxAttempts {
 					fs.Exhausted++
 					lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseDispatch, Rank: r, Attempts: attempt + 1}
 					lp.sweep[r] = extra
 					return nil
 				}
 				fs.Retries++
-				b := lp.retry.backoff(attempt)
+				b := backoff(attempt)
 				fs.BackoffCycles += b
 				extra += b
 			}
@@ -448,13 +428,13 @@ func (lp *Loop) CombineResidual(sweepNo int) (float64, *BudgetError) {
 				} else {
 					lp.fst.Kills++
 				}
-				if attempt+1 >= lp.retry.MaxAttempts {
+				if attempt+1 >= maxAttempts {
 					lp.fst.Exhausted++
 					mergeBE = &BudgetError{Sweep: sweepNo, Phase: PhaseMerge, Rank: d, Attempts: attempt + 1}
 					break
 				}
 				lp.fst.Retries++
-				b := lp.retry.backoff(attempt)
+				b := backoff(attempt)
 				lp.fst.BackoffCycles += b
 				combine += step + b
 			}
@@ -471,9 +451,13 @@ func (lp *Loop) CombineResidual(sweepNo int) (float64, *BudgetError) {
 
 // Exchange swaps ghost faces on `plane` between all ring neighbours:
 // rank r sends its last owned plane down-ring and its first owned
-// plane up-ring. All pairs exchange concurrently, so the machine's
-// critical path grows by one pair's traffic (two face messages), while
-// CommCycles keeps the aggregate router load, merged in rank order.
+// plane up-ring. Each pair (r, r+1) pays two face messages over its
+// real distance, Fabric.Hops(r, r+1): one hop on a pristine ring, more
+// once a shrink has deleted a slot between two survivors. All pairs
+// exchange concurrently, so the machine's critical path grows by one
+// one-hop pair's traffic plus the worst pair's excess over it (longer
+// route, injected stall, backoff, resend), while CommCycles keeps the
+// aggregate router load, merged in rank order.
 //
 // On the overlapped fault-free path the outgoing faces were already
 // gathered during Dispatch, so this is a single barrier in which each
@@ -491,8 +475,8 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 		return nil, nil
 	}
 	nn := pt.NN()
+	face := int64(nn) * int64(f.WordBytes())
 	if lp.overlapped() {
-		step := f.SendCost(int64(nn)*int64(f.WordBytes()), 1)
 		if err := ParallelFor(cfg.Workers, p, func(r int) error {
 			nd := f.Node(r)
 			if r > 0 { // low ghost from the left neighbour's down face
@@ -510,40 +494,35 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 			return nil, err
 		}
 		for r := 0; r+1 < p; r++ {
-			lp.cost[r] = 2 * step
+			lp.cost[r] = 2 * f.SendCost(face, f.Hops(r, r+1))
 		}
 	} else {
-		for phase := 0; phase < 2; phase++ {
-			pairs := lp.pairs[phase]
-			if err := ParallelFor(cfg.Workers, len(pairs), func(k int) error {
-				return lp.exchangePair(sweepNo, pairs[k], plane)
+		for parity := 0; parity < 2; parity++ {
+			if err := ParallelFor(cfg.Workers, parityPairs(p, parity), func(k int) error {
+				return lp.exchangePair(sweepNo, parity+2*k, plane)
 			}); err != nil {
 				return nil, err
 			}
 		}
 	}
 	lp.mergeDeltas()
+	pairClean := 2 * f.SendCost(face, 1)
+	var worstExtra int64
 	for r := 0; r+1 < p; r++ {
 		f.AddCommCycles(lp.cost[r])
+		worstExtra = max(worstExtra, lp.cost[r]-pairClean)
 	}
-	pairClean := 2 * f.SendCost(int64(nn)*int64(f.WordBytes()), 1)
-	added := pairClean
-	f.AddMachineCycles(pairClean)
-	if cfg.Faults != nil {
-		// Pairs exchange concurrently: the critical path grows by the
-		// worst pair's injected stall/backoff/resend.
-		var worstExtra int64
-		for r := 0; r+1 < p; r++ {
-			if ex := lp.cost[r] - pairClean; ex > worstExtra {
-				worstExtra = ex
-			}
-		}
-		f.AddMachineCycles(worstExtra)
-		added += worstExtra
-	}
-	lp.observe("exchange", sweepNo, added)
+	f.AddMachineCycles(pairClean + worstExtra)
+	lp.observe("exchange", sweepNo, pairClean+worstExtra)
 	return lp.firstBudget(), nil
 }
+
+// parityPairs counts the ring pairs (r, r+1) over p ranks whose lower
+// rank r has the given parity; the k-th is r = parity+2k. No two pairs
+// of one parity share a rank, so a parity class exchanges
+// concurrently, and the two classes together cover every ring edge
+// once per sweep.
+func parityPairs(p, parity int) int { return (p - parity) / 2 }
 
 // exchangePair performs one ring pair's ghost exchange under the fault
 // plan: kills drop the messages before transfer, corruptions deliver a
@@ -570,14 +549,14 @@ func (lp *Loop) exchangePair(sweepNo, r, plane int) error {
 				// The stalled transfer still completes below.
 			case FaultKill:
 				fs.Kills++
-				if attempt+1 >= lp.retry.MaxAttempts {
+				if attempt+1 >= maxAttempts {
 					fs.Exhausted++
 					lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseExchange, Rank: r, Attempts: attempt + 1}
 					lp.cost[r] = total
 					return nil
 				}
 				fs.Retries++
-				b := lp.retry.backoff(attempt)
+				b := backoff(attempt)
 				fs.BackoffCycles += b
 				total += b
 				continue // messages lost before any words moved
@@ -603,14 +582,14 @@ func (lp *Loop) exchangePair(sweepNo, r, plane int) error {
 			if err := f.Corrupt(r+1, plane, 0, nn); err != nil {
 				return err
 			}
-			if attempt+1 >= lp.retry.MaxAttempts {
+			if attempt+1 >= maxAttempts {
 				fs.Exhausted++
 				lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseExchange, Rank: r, Attempts: attempt + 1}
 				lp.cost[r] = total
 				return nil
 			}
 			fs.Retries++
-			b := lp.retry.backoff(attempt)
+			b := backoff(attempt)
 			fs.BackoffCycles += b
 			total += b
 			continue
@@ -773,7 +752,7 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, *DeadR
 	skipAt := cfg.SkipSnapshotAt
 	restores := 0
 	rollback := func(be *BudgetError) (int, error) {
-		if cfg.Rollback == nil || restores >= lp.retry.MaxRestores {
+		if cfg.Rollback == nil || restores >= maxRestores {
 			return 0, be
 		}
 		at, series, ok, err := cfg.Rollback()

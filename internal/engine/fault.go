@@ -480,61 +480,29 @@ func parseFaultEvent(tok string) (FaultEvent, error) {
 	return ev, nil
 }
 
-// RetryPolicy bounds fault recovery. Backoff is expressed in simulated
-// machine cycles: every retry charges min(BackoffCycles << attempt,
-// MaxBackoffCycles) to the faulted operation's critical path, the
+// The fault-recovery budget. Backoff is expressed in simulated machine
+// cycles: retry a (0-based) charges min(retryBackoff·2^a,
+// retryBackoffCap) to the faulted operation's critical path, the
 // classic exponential schedule.
-type RetryPolicy struct {
-	// MaxAttempts is the per-operation attempt budget per sweep
-	// (initial try included). 0 means DefaultRetryPolicy's value.
-	MaxAttempts int
-	// BackoffCycles is the base backoff; doubles per retry. 0 means
-	// default.
-	BackoffCycles int64
-	// MaxBackoffCycles caps the doubling. 0 means default.
-	MaxBackoffCycles int64
-	// MaxRestores bounds checkpoint restores per solve, so a permanent
-	// fault cannot restore forever. 0 means default.
-	MaxRestores int
-}
-
-// DefaultRetryPolicy is the policy used when fields are zero: three
-// attempts, 64-cycle base backoff capped at 4096, four restores.
-var DefaultRetryPolicy = RetryPolicy{
-	MaxAttempts:      3,
-	BackoffCycles:    64,
-	MaxBackoffCycles: 4096,
-	MaxRestores:      4,
-}
-
-// withDefaults fills zero fields from DefaultRetryPolicy.
-func (rp RetryPolicy) withDefaults() RetryPolicy {
-	if rp.MaxAttempts == 0 {
-		rp.MaxAttempts = DefaultRetryPolicy.MaxAttempts
-	}
-	if rp.BackoffCycles == 0 {
-		rp.BackoffCycles = DefaultRetryPolicy.BackoffCycles
-	}
-	if rp.MaxBackoffCycles == 0 {
-		rp.MaxBackoffCycles = DefaultRetryPolicy.MaxBackoffCycles
-	}
-	if rp.MaxRestores == 0 {
-		rp.MaxRestores = DefaultRetryPolicy.MaxRestores
-	}
-	return rp
-}
+const (
+	// maxAttempts is the per-operation attempt budget per sweep,
+	// initial try included.
+	maxAttempts     = 3
+	retryBackoff    = 64
+	retryBackoffCap = 4096
+	// maxRestores bounds checkpoint restores per solve, so a permanent
+	// fault cannot restore forever.
+	maxRestores = 4
+)
 
 // backoff returns the simulated-cycle penalty of retry `attempt`
-// (0-based): BackoffCycles·2^attempt, capped.
-func (rp RetryPolicy) backoff(attempt int) int64 {
-	b := rp.BackoffCycles
-	for i := 0; i < attempt && b < rp.MaxBackoffCycles; i++ {
+// (0-based).
+func backoff(attempt int) int64 {
+	b := int64(retryBackoff)
+	for i := 0; i < attempt && b < retryBackoffCap; i++ {
 		b <<= 1
 	}
-	if b > rp.MaxBackoffCycles {
-		b = rp.MaxBackoffCycles
-	}
-	return b
+	return min(b, retryBackoffCap)
 }
 
 // BudgetError reports a retry budget exhausted by injected faults. The

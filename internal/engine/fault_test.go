@@ -105,15 +105,19 @@ func TestParseFaultPlan(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyBackoff pins the fixed recovery budget: three
+// attempts, four restores, and a 64-cycle backoff doubling to at most
+// 4096.
 func TestRetryPolicyBackoff(t *testing.T) {
-	rp := RetryPolicy{}.withDefaults()
-	if rp != DefaultRetryPolicy {
-		t.Fatalf("defaults = %+v", rp)
+	if maxAttempts != 3 || maxRestores != 4 {
+		t.Fatalf("budget: %d attempts, %d restores", maxAttempts, maxRestores)
 	}
-	if rp.backoff(0) != 64 || rp.backoff(1) != 128 || rp.backoff(2) != 256 {
-		t.Errorf("backoff schedule: %d %d %d", rp.backoff(0), rp.backoff(1), rp.backoff(2))
+	for attempt, want := range []int64{64, 128, 256, 512, 1024, 2048, 4096, 4096} {
+		if got := backoff(attempt); got != want {
+			t.Errorf("backoff(%d) = %d, want %d", attempt, got, want)
+		}
 	}
-	if rp.backoff(20) != rp.MaxBackoffCycles {
-		t.Errorf("backoff uncapped: %d", rp.backoff(20))
+	if got := backoff(100); got != retryBackoffCap {
+		t.Errorf("backoff uncapped: %d", got)
 	}
 }

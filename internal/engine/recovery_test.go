@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -113,7 +114,6 @@ type scatterFabric struct {
 
 func (f *scatterFabric) P() int                               { return f.p }
 func (f *scatterFabric) Topology() string                     { return "test" }
-func (f *scatterFabric) ExchangePairs() [2][]int              { return [2][]int{} }
 func (f *scatterFabric) CombineHops() []int                   { return nil }
 func (f *scatterFabric) Node(int) *sim.Node                   { return nil }
 func (f *scatterFabric) WordBytes() int                       { return 1 }
@@ -262,30 +262,59 @@ func TestRunRejectsFaultsOutsideMachine(t *testing.T) {
 	}
 }
 
-// badPairFabric returns an exchange schedule naming a rank beyond the
-// live count — the misconfiguration NewLoop must reject up front, per
-// the Fabric.Hops invariant.
-type badPairFabric struct{ scatterFabric }
+// pairLogFabric is scatterFabric that logs every copy's rank pair, so
+// a test can read back the exchange schedule the loop ran.
+type pairLogFabric struct {
+	scatterFabric
+	mu     sync.Mutex
+	copies map[[2]int]int
+}
 
-func (f *badPairFabric) ExchangePairs() [2][]int { return [2][]int{{2}, nil} }
+func (f *pairLogFabric) Copy(from, _ int, _ int64, to, _ int, _ int64, _ int) (int64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.copies[[2]int{from, to}]++
+	return 0, nil
+}
 
+// TestNewLoopValidatesExchangeSchedule: the loop derives its exchange
+// schedule from the fabric's P, so NewLoop refuses a partition over a
+// different rank count — its ring pairs would name ranks the fabric
+// does not have. On a valid loop the parity phases run every ring pair
+// (r, r+1) exactly once, one face each way, and touch no other rank.
 func TestNewLoopValidatesExchangeSchedule(t *testing.T) {
-	part, err := NewPartition(3, 4, 5)
+	part, err := NewPartition(4, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewLoop(&Config{Fabric: &badPairFabric{scatterFabric{p: 3}}, Part: part})
-	if err == nil || !strings.Contains(err.Error(), "exchange pair (2,3) outside 3 live ranks") {
-		t.Errorf("bad schedule: %v", err)
+	_, err = NewLoop(&Config{Fabric: &scatterFabric{p: 3}, Part: part})
+	if err == nil || !strings.Contains(err.Error(), "partition over 4 ranks on a 3-rank fabric") {
+		t.Errorf("mismatched partition: %v", err)
 	}
-	// A fabric with no schedule of its own falls back to the ring parity
-	// classes.
-	lp, err := NewLoop(&Config{Fabric: &scatterFabric{p: 3}, Part: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [2][]int{PairsOfParity(3, 0), PairsOfParity(3, 1)}
-	if !reflect.DeepEqual(lp.pairs, want) {
-		t.Errorf("fallback pairs = %v, want %v", lp.pairs, want)
+	for p := 1; p <= 6; p++ {
+		part, err := NewPartition(p, 4, p+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := NewFaultPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &pairLogFabric{scatterFabric: scatterFabric{p: p}, copies: map[[2]int]int{}}
+		lp, err := NewLoop(&Config{Fabric: f, Part: part, Faults: plan, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lp.Exchange(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		want := map[[2]int]int{}
+		for r := 0; r+1 < p; r++ {
+			want[[2]int{r, r + 1}] = 1
+			want[[2]int{r + 1, r}] = 1
+		}
+		if !reflect.DeepEqual(f.copies, want) {
+			t.Errorf("p=%d: exchange copied %v, want %v", p, f.copies, want)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func TestFaultMatrix(t *testing.T) {
 		t.Fatalf("clean run has fault counters: %+v", cleanRes.Faults)
 	}
 
-	// Repeat counts are chosen against DefaultRetryPolicy.MaxAttempts=3:
+	// Repeat counts are chosen against the engine's 3-attempt budget:
 	// Repeat<3 clears within the budget, Repeat≥3 exhausts it (then the
 	// leftover firings clear within the post-restore budget).
 	cases := []struct {
@@ -276,22 +276,22 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 }
 
-// TestCustomRetryPolicy: a single-attempt budget turns any kill fault
-// into an immediate budget error.
+// TestCustomRetryPolicy: the retry budget is three attempts, so a
+// dispatch kill that fires three times, with no checkpoint to roll back
+// to, surfaces as a budget error after exactly three attempts.
 func TestCustomRetryPolicy(t *testing.T) {
 	m, err := New(smallCfg(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Faults = engine.MustFaultPlan(engine.FaultEvent{Sweep: 1, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKill})
-	m.Retry = engine.RetryPolicy{MaxAttempts: 1, BackoffCycles: 1, MaxBackoffCycles: 1, MaxRestores: 1}
+	m.Faults = engine.MustFaultPlan(engine.FaultEvent{Sweep: 1, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKill, Repeat: 3})
 	_, err = m.SolveJacobi(parallelProblem(m.P()))
 	var be *engine.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want BudgetError", err)
 	}
-	if be.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", be.Attempts)
+	if be.Attempts != 3 || be.Phase != engine.PhaseDispatch || be.Sweep != 1 || be.Rank != 0 {
+		t.Errorf("budget error %+v, want 3 dispatch attempts at sweep 1 on rank 0", *be)
 	}
 }
 

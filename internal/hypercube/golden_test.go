@@ -148,27 +148,48 @@ func goldenScenarios(t *testing.T) map[string]goldenRecord {
 // path (the fault-free default) and the two-parity pairwise schedule
 // (an empty fault plan) must agree on every observable — field bits,
 // residual series, and above all the simulated clocks. The overlap
-// only changes host wall time, never machine time.
+// only changes host wall time, never machine time. The shrunk case
+// solves again on a ring that lost rank 3 of 8: ranks 2 and 3 then sit
+// on Gray addresses 3 and 6, two hops apart, and both schedules must
+// price that pair at its real distance.
 func TestOverlapExchangeEquivalence(t *testing.T) {
-	run := func(serial bool, workers int) goldenRecord {
+	run := func(shrunk, serial bool, workers int) goldenRecord {
 		m, err := New(smallCfg(), 2)
+		if shrunk {
+			m, err = New(smallCfg(), 3)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.Workers = workers
+		problem := parallelProblem(m.P())
+		if shrunk {
+			m.StopAfter = 6
+			m.Faults = engine.MustFaultPlan(engine.FaultEvent{Sweep: 1, Phase: engine.PhaseDispatch, Rank: 3, Kind: engine.FaultKillForever})
+			if _, err := m.SolveJacobi(problem); err != nil {
+				t.Fatal(err)
+			}
+			if m.P() != 7 {
+				t.Fatalf("shrink left %d ranks, want 7", m.P())
+			}
+			m.Faults = nil
+			problem = boxProblem(8, 58)
+		}
 		if serial {
 			m.Faults = engine.MustFaultPlan()
 		}
-		res, err := m.SolveJacobi(parallelProblem(m.P()))
+		res, err := m.SolveJacobi(problem)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return recordOf(res, m)
 	}
-	for _, workers := range []int{1, 4} {
-		serial, overlap := run(true, workers), run(false, workers)
-		if !reflect.DeepEqual(serial, overlap) {
-			t.Errorf("workers=%d:\n  serial  %+v\n  overlap %+v", workers, serial, overlap)
+	for _, shrunk := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			serial, overlap := run(shrunk, true, workers), run(shrunk, false, workers)
+			if !reflect.DeepEqual(serial, overlap) {
+				t.Errorf("shrunk=%v workers=%d:\n  serial  %+v\n  overlap %+v", shrunk, workers, serial, overlap)
+			}
 		}
 	}
 }

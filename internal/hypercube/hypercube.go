@@ -1,11 +1,11 @@
 // Package hypercube models the multi-node NSC: simulated nodes
 // connected by hyperspace routers (§1, §2). The interconnect geometry
 // lives in internal/topo — the paper's machine is the hypercube fabric
-// (e-cube routes over a Gray-code ring), but the same Machine runs over
-// the mesh and torus fabrics of related lattice computers; the cost
-// model is per-hop latency plus bandwidth-limited transfer, from the
-// arch configuration, with the hop counts and collective schedules
-// supplied by the topology.
+// (a Gray-code ring), but the same Machine runs over the mesh and torus
+// fabrics of related lattice computers; the cost model is per-hop
+// latency plus bandwidth-limited transfer, from the arch configuration,
+// with the hop counts and combine pricing supplied by the topology.
+// The machine speaks ring ranks only.
 //
 // The package also provides the multi-node point-Jacobi driver used by
 // the scaling experiment (P2): 1-D domain decomposition along k with
@@ -43,7 +43,7 @@ type Machine struct {
 	// hypercube, and still the residual-combine round count otherwise.
 	Dim int
 	// Topo is the interconnect the machine is built over; it fixes the
-	// rank embedding, hop metric and collective schedules.
+	// rank embedding, hop metric and combine pricing.
 	Topo  topo.Topology
 	Nodes []*sim.Node
 
@@ -72,8 +72,6 @@ type Machine struct {
 	// the engine's pairwise halo schedule, the reference for the
 	// overlapped one: results and simulated clocks are identical.
 	Faults *engine.FaultPlan
-	// Retry bounds fault recovery; zero fields take DefaultRetryPolicy.
-	Retry engine.RetryPolicy
 	// CheckpointEvery, when positive, snapshots the solve at every
 	// sweep boundary divisible by it (sweep 0 included, so a restore
 	// point always exists once the solve starts).
@@ -121,10 +119,8 @@ type Machine struct {
 	// completed solves on this machine.
 	RecoveryCounters engine.RecoveryStats
 
-	// pairs holds the parity classes of the ring-exchange pairs and
-	// combineHops the per-round residual-combine pricing, both from the
-	// topology, recomputed whenever the live rank count changes.
-	pairs       [2][]int
+	// combineHops is the per-round residual-combine pricing from the
+	// topology, recomputed whenever recovery reshapes the ring.
 	combineHops []int
 
 	// ring[r] is the live node serving ring rank r and ringAddr[r] its
@@ -132,7 +128,7 @@ type Machine struct {
 	// are one hop apart. Recovery edits these in place: a spare takes
 	// over the dead slot (same address), a shrink deletes the slot, so
 	// survivors may then sit more than one hop from their new ring
-	// neighbours (the engine's exchange accounting absorbs that).
+	// neighbours (the engine prices each pair at its real distance).
 	ring     []*sim.Node
 	ringAddr []int
 	// activated lists spares wired in by recovery (their FLOP, cache and
@@ -159,9 +155,9 @@ func New(cfg arch.Config, dim int) (*Machine, error) {
 
 // NewWithTopology builds a machine of t.P() nodes over an arbitrary
 // fabric. The topology fixes which physical node serves each ring rank,
-// the exchange-pair schedule and the combine-tree pricing; the solver
-// data movement is identical across fabrics, so results are bit for bit
-// the same and only the simulated comm clocks differ.
+// the hop metric and the combine-tree pricing; the solver data movement
+// is identical across fabrics, so results are bit for bit the same and
+// only the simulated comm clocks differ.
 func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 	if t == nil {
 		return nil, fmt.Errorf("hypercube: nil topology")
@@ -189,7 +185,6 @@ func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 		m.ring[r] = m.Nodes[a]
 		m.ringAddr[r] = a
 	}
-	m.pairs = t.ExchangeSchedule(p)
 	m.combineHops = t.CombineSteps(m.ringAddr)
 	return m, nil
 }
@@ -206,47 +201,6 @@ func (m *Machine) checkRank(what string, r int) error {
 	return nil
 }
 
-// checkNode validates a physical hypercube address.
-func (m *Machine) checkNode(what string, r int) error {
-	if r < 0 || r >= len(m.Nodes) {
-		return fmt.Errorf("hypercube: %s node %d outside %d nodes", what, r, len(m.Nodes))
-	}
-	return nil
-}
-
-// Hops returns the fabric's shortest-path length between two nodes
-// (physical addresses), rejecting out-of-range ranks.
-func (m *Machine) Hops(from, to int) (int, error) {
-	if err := m.checkNode("hops from", from); err != nil {
-		return 0, err
-	}
-	if err := m.checkNode("hops to", to); err != nil {
-		return 0, err
-	}
-	return m.hopsAddr(from, to), nil
-}
-
-// hopsAddr is Hops for physical addresses already validated — the
-// machine validates every live address at construction and on every
-// recovery, so a topology error here is a bug, not an input error.
-func (m *Machine) hopsAddr(from, to int) int {
-	h, err := m.Topo.Hops(from, to)
-	if err != nil {
-		panic(fmt.Sprintf("hypercube: validated address failed topology metric: %v", err))
-	}
-	return h
-}
-
-// Route returns the fabric's deterministic minimal path from one node
-// to another (e-cube on the hypercube, dimension-order on the
-// lattices). Out-of-range ranks are rejected with an error.
-func (m *Machine) Route(from, to int) ([]int, error) {
-	if from < 0 || from >= len(m.Nodes) || to < 0 || to >= len(m.Nodes) {
-		return nil, fmt.Errorf("hypercube: route %d->%d outside %d nodes", from, to, len(m.Nodes))
-	}
-	return m.Topo.Route(from, to)
-}
-
 // SendCost models one message: per-hop router latency plus
 // bandwidth-limited payload time.
 func (m *Machine) SendCost(bytes int64, hops int) int64 {
@@ -257,56 +211,6 @@ func (m *Machine) SendCost(bytes int64, hops int) int64 {
 	return int64(hops*m.Cfg.RouterHopCycles) + (bytes+bw-1)/bw
 }
 
-// GrayRank returns the Gray-code of r: embedding a ring into the
-// hypercube so that ring neighbours are always one hop apart.
-func GrayRank(r int) int { return r ^ (r >> 1) }
-
-// CopyWords moves count words from one node's plane to another node's
-// plane through the router, charging the communication cost. Node
-// ranks and plane indices are validated; errors are returned, never
-// panics.
-func (m *Machine) CopyWords(fromNode, fromPlane int, fromAddr int64,
-	toNode, toPlane int, toAddr int64, count int) error {
-	cost, err := m.copyPayload(fromNode, fromPlane, fromAddr, toNode, toPlane, toAddr, count)
-	if err != nil {
-		return err
-	}
-	m.CommCycles += cost
-	return nil
-}
-
-// copyPayload is the data-movement half of CopyWords: it performs the
-// transfer and returns the router cost without touching the machine's
-// shared accumulators, so concurrent transfers over disjoint node
-// pairs can defer accounting to a deterministic rank-order merge.
-func (m *Machine) copyPayload(fromNode, fromPlane int, fromAddr int64,
-	toNode, toPlane int, toAddr int64, count int) (int64, error) {
-	if err := m.checkNode("copy source", fromNode); err != nil {
-		return 0, err
-	}
-	if err := m.checkNode("copy destination", toNode); err != nil {
-		return 0, err
-	}
-	return m.transfer(m.Nodes[fromNode], fromPlane, fromAddr,
-		m.Nodes[toNode], toPlane, toAddr, count, m.hopsAddr(fromNode, toNode))
-}
-
-// transfer moves count words between two nodes' planes and prices the
-// message over the given hop count — the node-addressed core shared by
-// the physical-address API and the ring-rank fabric (whose ranks may
-// map to any live board after a recovery).
-func (m *Machine) transfer(from *sim.Node, fromPlane int, fromAddr int64,
-	to *sim.Node, toPlane int, toAddr int64, count, hops int) (int64, error) {
-	data, err := from.ReadWords(fromPlane, fromAddr, count)
-	if err != nil {
-		return 0, err
-	}
-	if err := to.WriteWords(toPlane, toAddr, data); err != nil {
-		return 0, err
-	}
-	return m.SendCost(int64(count)*int64(m.Cfg.WordBytes), hops), nil
-}
-
 // fabric adapts the Machine to engine.Fabric: engine ring ranks map to
 // live boards through the machine's ring table — the topology's
 // embedding at construction, so ring neighbours are one hop apart, and
@@ -314,32 +218,45 @@ func (m *Machine) transfer(from *sim.Node, fromPlane int, fromAddr int64,
 // clocks land on the machine's counters.
 type fabric struct{ m *Machine }
 
-func (f fabric) P() int                  { return len(f.m.ring) }
-func (f fabric) Topology() string        { return f.m.Topo.Name() }
-func (f fabric) ExchangePairs() [2][]int { return f.m.pairs }
-func (f fabric) CombineHops() []int      { return f.m.combineHops }
-func (f fabric) Node(r int) *sim.Node    { return f.m.ring[r] }
-func (f fabric) WordBytes() int          { return f.m.Cfg.WordBytes }
+func (f fabric) P() int               { return len(f.m.ring) }
+func (f fabric) Topology() string     { return f.m.Topo.Name() }
+func (f fabric) CombineHops() []int   { return f.m.combineHops }
+func (f fabric) Node(r int) *sim.Node { return f.m.ring[r] }
+func (f fabric) WordBytes() int       { return f.m.Cfg.WordBytes }
 func (f fabric) SendCost(bytes int64, h int) int64 {
 	return f.m.SendCost(bytes, h)
 }
 
-// Hops implements engine.Fabric over live ring ranks. The engine
-// validates the partition and the exchange schedule against P when a
-// loop starts, so every rank reaching here is live; per the Fabric
-// contract a violation is a caller bug and panics rather than silently
-// pricing a message to a node that does not exist.
+// Hops implements engine.Fabric over live ring ranks. The engine only
+// prices ranks below P (see the Fabric contract), so a violation is a
+// caller bug and panics rather than silently pricing a message to a
+// node that does not exist. Every live address was validated at
+// construction or recovery, so a topology error is a bug too.
 func (f fabric) Hops(from, to int) int {
 	p := len(f.m.ring)
 	if from < 0 || from >= p || to < 0 || to >= p {
 		panic(fmt.Sprintf("hypercube: fabric hops %d->%d outside %d live ranks", from, to, p))
 	}
-	return f.m.hopsAddr(f.m.ringAddr[from], f.m.ringAddr[to])
+	h, err := f.m.Topo.Hops(f.m.ringAddr[from], f.m.ringAddr[to])
+	if err != nil {
+		panic(fmt.Sprintf("hypercube: validated address failed topology metric: %v", err))
+	}
+	return h
 }
+
+// Copy implements engine.Fabric: it moves count words between two
+// ranks' planes and prices the message over the pair's hop count.
+// Plane and word-range errors come back from the nodes unpriced.
 func (f fabric) Copy(fromRank, fromPlane int, fromAddr int64,
 	toRank, toPlane int, toAddr int64, count int) (int64, error) {
-	return f.m.transfer(f.m.ring[fromRank], fromPlane, fromAddr,
-		f.m.ring[toRank], toPlane, toAddr, count, f.Hops(fromRank, toRank))
+	data, err := f.m.ring[fromRank].ReadWords(fromPlane, fromAddr, count)
+	if err != nil {
+		return 0, err
+	}
+	if err := f.m.ring[toRank].WriteWords(toPlane, toAddr, data); err != nil {
+		return 0, err
+	}
+	return f.m.SendCost(int64(count)*int64(f.m.Cfg.WordBytes), f.Hops(fromRank, toRank)), nil
 }
 func (f fabric) Corrupt(r, plane int, addr int64, count int) error {
 	return f.m.corruptNode(f.m.ring[r], plane, addr, count)
@@ -365,8 +282,8 @@ func ringDim(p int) int {
 }
 
 // Fabric returns the engine's view of this machine: ring-rank node
-// access through the Gray code plus the router cost model. Engine
-// clients (SolveJacobi, the distributed multigrid) run on it.
+// access through the topology's embedding plus the router cost model.
+// Engine clients (SolveJacobi, the distributed multigrid) run on it.
 func (m *Machine) Fabric() engine.Fabric { return fabric{m} }
 
 // ArmObs points every node's observability hook at the machine's Obs
@@ -425,10 +342,10 @@ type JacobiResult struct {
 // this client supplying the per-sweep instructions and the
 // checkpoint/rollback hooks.
 //
-// When a FaultPlan is armed, faulted operations retry under the
-// machine's RetryPolicy; a retry budget that exhausts rolls the solve
-// back to LastCheckpoint (when one exists and MaxRestores allows)
-// instead of failing. A permanent kill (FaultKillForever) instead
+// When a FaultPlan is armed, faulted operations retry within the
+// engine's fixed budget; a retry budget that exhausts rolls the solve
+// back to LastCheckpoint (when one exists and the restore budget
+// allows) instead of failing. A permanent kill (FaultKillForever) instead
 // triggers degraded-mode recovery: the dead slot is refilled from the
 // spare pool or retired by a shrinking re-partition, the iterate is
 // restored from the buddy mirror (or LastCheckpoint), and the solve
@@ -690,13 +607,4 @@ func (r *JacobiResult) Efficiency(m *Machine) float64 {
 		return 0
 	}
 	return r.GFLOPS / peak
-}
-
-// ResidualNorm is a helper for reporting: max-abs over a field.
-func ResidualNorm(u []float64) float64 {
-	worst := 0.0
-	for _, v := range u {
-		worst = math.Max(worst, math.Abs(v))
-	}
-	return worst
 }

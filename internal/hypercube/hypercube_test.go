@@ -3,10 +3,10 @@ package hypercube
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/arch"
 	"repro/internal/jacobi"
+	"repro/internal/topo"
 )
 
 func smallCfg() arch.Config {
@@ -31,86 +31,24 @@ func TestNewMachine(t *testing.T) {
 	}
 }
 
-// mustHops is Hops for in-range test arguments.
-func mustHops(t *testing.T, m *Machine, from, to int) int {
-	t.Helper()
-	h, err := m.Hops(from, to)
+// TestGrayRing: the hypercube machine embeds its ring through the Gray
+// code, so every pair of consecutive ranks sits on addresses one hop
+// apart.
+func TestGrayRing(t *testing.T) {
+	m, err := New(smallCfg(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
-}
-
-func TestHopsAndRoutes(t *testing.T) {
-	m, _ := New(smallCfg(), 3)
-	if got := mustHops(t, m, 0, 7); got != 3 {
-		t.Errorf("hops 0->7 = %d", got)
-	}
-	if mustHops(t, m, 5, 5) != 0 {
-		t.Error("self hops != 0")
-	}
-	path, err := m.Route(0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// e-cube: resolve bit 1 then bit 2: 0 -> 2 -> 6.
-	want := []int{0, 2, 6}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
+	f := m.Fabric()
+	for r := 0; r < m.P(); r++ {
+		if f.Node(r) != m.Nodes[topo.Gray(r)] {
+			t.Fatalf("rank %d does not run on Gray address %d", r, topo.Gray(r))
 		}
-	}
-	if _, err := m.Route(0, 99); err == nil {
-		t.Error("out-of-range route accepted")
-	}
-}
-
-// Property: every e-cube route has exactly Hops+1 nodes, consecutive
-// nodes differ in one bit, and the route ends at the destination.
-func TestRouteProperty(t *testing.T) {
-	m, _ := New(smallCfg(), 3)
-	fn := func(a, b uint8) bool {
-		from, to := int(a%8), int(b%8)
-		path, err := m.Route(from, to)
-		if err != nil {
-			return false
-		}
-		if h, err := m.Hops(from, to); err != nil || len(path) != h+1 {
-			return false
-		}
-		if path[len(path)-1] != to {
-			return false
-		}
-		for i := 1; i < len(path); i++ {
-			if h, err := m.Hops(path[i-1], path[i]); err != nil || h != 1 {
-				return false
+		if r > 0 {
+			if h := f.Hops(r-1, r); h != 1 {
+				t.Errorf("ranks %d,%d sit %d hops apart, want 1", r-1, r, h)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(fn, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGrayRing(t *testing.T) {
-	// Gray-code ring: consecutive ranks are one hop apart.
-	for r := 1; r < 64; r++ {
-		a, b := GrayRank(r-1), GrayRank(r)
-		if d := a ^ b; d&(d-1) != 0 || d == 0 {
-			t.Errorf("gray ranks %d,%d differ in more than one bit", r-1, r)
-		}
-	}
-	// Distinct addresses.
-	seen := map[int]bool{}
-	for r := 0; r < 64; r++ {
-		if seen[GrayRank(r)] {
-			t.Fatal("gray code collision")
-		}
-		seen[GrayRank(r)] = true
 	}
 }
 
@@ -134,65 +72,54 @@ func TestSendCost(t *testing.T) {
 	}
 }
 
+// Regression: out-of-range plane indices and word ranges must come
+// back as errors from the fabric's copy, never as panics (a negative
+// count once panicked in makeslice) or out-of-memory aborts, and a
+// failed copy prices nothing.
+func TestTopologyValidation(t *testing.T) {
+	m, _ := New(smallCfg(), 3)
+	f := m.Fabric()
+	words := m.Cfg.PlaneWords()
+	for _, tc := range []struct {
+		name               string
+		fromPlane, toPlane int
+		fromAddr, toAddr   int64
+		count              int
+	}{
+		{"source plane", -1, 0, 0, 0, 4},
+		{"dest plane", 0, 99, 0, 0, 4},
+		{"negative count", 0, 0, 0, 0, -1},
+		{"count past any plane", 0, 0, 0, 0, 999999999999},
+		{"source range past plane end", 0, 0, words - 2, 0, 4},
+		{"dest range past plane end", 0, 0, 0, words - 2, 4},
+	} {
+		if cost, err := f.Copy(0, tc.fromPlane, tc.fromAddr, 1, tc.toPlane, tc.toAddr, tc.count); err == nil || cost != 0 {
+			t.Errorf("copy %s: cost %d, err %v; want an unpriced error", tc.name, cost, err)
+		}
+	}
+}
+
+// TestCopyWordsMovesDataAndCharges: a valid copy through the fabric
+// moves the words and prices them over the pair's hops.
 func TestCopyWordsMovesDataAndCharges(t *testing.T) {
 	m, _ := New(smallCfg(), 3)
+	f := m.Fabric()
 	data := []float64{1, 2, 3, 4}
-	if err := m.Nodes[0].WriteWords(0, 100, data); err != nil {
+	if err := f.Node(0).WriteWords(0, 100, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CopyWords(0, 0, 100, 5, 2, 200, 4); err != nil {
+	cost, err := f.Copy(0, 0, 100, 5, 2, 200, len(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := m.Nodes[5].ReadWords(2, 200, 4)
+	got, _ := f.Node(5).ReadWords(2, 200, len(data))
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("copied[%d] = %v", i, got[i])
 		}
 	}
-	if m.CommCycles == 0 {
-		t.Error("no communication charged")
-	}
-}
-
-// Regression: out-of-range node ranks, plane indices and word ranges
-// must come back as errors from Hops/Route/CopyWords, never as panics
-// (a negative count once panicked in makeslice) or out-of-memory
-// aborts.
-func TestTopologyValidation(t *testing.T) {
-	m, _ := New(smallCfg(), 3)
-	for _, pair := range [][2]int{{-1, 0}, {0, -1}, {8, 0}, {0, 8}, {99, 99}} {
-		if _, err := m.Hops(pair[0], pair[1]); err == nil {
-			t.Errorf("Hops(%d, %d) accepted out-of-range rank", pair[0], pair[1])
-		}
-		if _, err := m.Route(pair[0], pair[1]); err == nil {
-			t.Errorf("Route(%d, %d) accepted out-of-range rank", pair[0], pair[1])
-		}
-	}
-	before := m.CommCycles
-	words := m.Cfg.PlaneWords()
-	for _, tc := range []struct {
-		name                string
-		fromNode, fromPlane int
-		toNode, toPlane     int
-		addr                int64
-		count               int
-	}{
-		{"source rank low", -1, 0, 0, 0, 0, 4},
-		{"source rank high", 8, 0, 0, 0, 0, 4},
-		{"dest rank low", 0, 0, -1, 0, 0, 4},
-		{"dest rank high", 0, 0, 8, 0, 0, 4},
-		{"source plane", 0, -1, 1, 0, 0, 4},
-		{"dest plane", 0, 0, 1, 99, 0, 4},
-		{"negative count", 0, 0, 1, 0, 0, -1},
-		{"count past any plane", 0, 0, 1, 0, 0, 999999999999},
-		{"range past plane end", 0, 0, 1, 0, words - 2, 4},
-	} {
-		if err := m.CopyWords(tc.fromNode, tc.fromPlane, tc.addr, tc.toNode, tc.toPlane, tc.addr, tc.count); err == nil {
-			t.Errorf("CopyWords %s: out-of-range accepted", tc.name)
-		}
-	}
-	if m.CommCycles != before {
-		t.Error("failed copies charged communication")
+	if want := m.SendCost(int64(len(data))*8, f.Hops(0, 5)); cost != want {
+		t.Errorf("copy cost %d, want %d", cost, want)
 	}
 }
 
@@ -296,14 +223,5 @@ func TestPeakAndMemoryClaims(t *testing.T) {
 	}
 	if got := m.TotalMemoryBytes(); got != 128<<30 {
 		t.Errorf("64-node memory = %d, paper says 128 GB", got)
-	}
-}
-
-func TestResidualNorm(t *testing.T) {
-	if ResidualNorm([]float64{1, -5, 2}) != 5 {
-		t.Error("residual norm wrong")
-	}
-	if ResidualNorm(nil) != 0 {
-		t.Error("empty norm wrong")
 	}
 }

@@ -65,7 +65,7 @@ func (m *Machine) Liveness() Liveness {
 // slots are deleted, shrinking the ring. It returns how many slots
 // were spared and how many shrunk. The caller owns re-partitioning and
 // state restoration; this only fixes the rank → board mapping, the
-// exchange pair classes and the observability shards.
+// combine pricing and the observability shards.
 func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	p := len(m.ring)
 	seen := make(map[int]bool, len(dead))
@@ -105,8 +105,6 @@ func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	if len(m.ring) == 0 {
 		return spared, shrunk, fmt.Errorf("hypercube: no surviving ranks")
 	}
-	np := len(m.ring)
-	m.pairs = m.Topo.ExchangeSchedule(np)
 	m.combineHops = m.Topo.CombineSteps(m.ringAddr)
 	m.ArmObs()
 	return spared, shrunk, nil
@@ -293,7 +291,7 @@ func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int)
 	m := s.m
 	cfg := &engine.Config{
 		Fabric: m.Fabric(), Part: s.part, Workers: m.Workers,
-		Faults: m.Faults, Retry: m.Retry, Obs: m.Obs,
+		Faults: m.Faults, Obs: m.Obs,
 		ResidualFU: arch.FUID(11), // T4 slot 2 under the default triplet layout
 		Step:       s.step,
 		MaxSweeps:  s.global.MaxIter, StopAfter: m.StopAfter, Tol: s.global.Tol,

@@ -86,11 +86,9 @@ type DistConfig struct {
 	Workers int
 	// Faults injects a deterministic fault plan into the engine loop;
 	// an event's sweep names the V-cycle it fires in. Transient faults
-	// retry under Retry; a permanent kill arms the cycle-boundary
-	// mirror and the ring-repair recovery path.
+	// retry within the engine's fixed budget; a permanent kill arms the
+	// cycle-boundary mirror and the ring-repair recovery path.
 	Faults *engine.FaultPlan
-	// Retry bounds transient-fault retries (zero fields take defaults).
-	Retry engine.RetryPolicy
 	// Observe, when non-nil, receives one sample per engine phase.
 	Observe func(phase string, sweep int, cycles int64)
 	// Obs, when non-nil, routes the engine loop's phase samples into
@@ -226,7 +224,6 @@ func (d *Distributed) engineConfig(start int, series []float64) *engine.Config {
 		Fabric: dc.Fabric, Part: d.Part, Workers: dc.Workers,
 		ResidualFU:  arch.FUID(11), // T4 slot 2: the residual reduce
 		Faults:      dc.Faults,
-		Retry:       dc.Retry,
 		Observe:     dc.Observe,
 		Obs:         dc.Obs,
 		Step:        d.step,

@@ -353,8 +353,7 @@ func (n *Node) ReadWords(plane int, addr int64, count int) ([]float64, error) {
 
 // ReadWordsInto fetches len(dst) words from plane starting at addr
 // into a caller-owned buffer — the allocation-free path for callers
-// that read the same extent every iteration (halo gathers,
-// collectives).
+// that read the same extent every iteration (halo gathers).
 func (n *Node) ReadWordsInto(plane int, addr int64, dst []float64) error {
 	pl, err := n.hostRange(plane, addr, len(dst))
 	if err != nil {

@@ -13,9 +13,8 @@ import "fmt"
 // single-hop, exactly as on the hypercube's Gray ring. What changes
 // against the hypercube is the distance metric — Manhattan (with
 // per-axis wraparound on the torus) instead of Hamming — which reprices
-// the combine tree, scatter traffic and collectives without touching
-// any data movement, so solver results are bit-identical across
-// fabrics.
+// the combine tree and scatter traffic without touching any data
+// movement, so solver results are bit-identical across fabrics.
 type grid struct {
 	name       string
 	rows, cols int
@@ -61,10 +60,6 @@ func (g *grid) Name() string { return g.name }
 // Shape implements Topology.
 func (g *grid) Shape() string { return fmt.Sprintf("%d×%d", g.rows, g.cols) }
 
-// Rows and Cols expose the lattice geometry.
-func (g *grid) Rows() int { return g.rows }
-func (g *grid) Cols() int { return g.cols }
-
 // P implements Topology.
 func (g *grid) P() int { return g.rows * g.cols }
 
@@ -76,14 +71,6 @@ func (g *grid) Addr(rank int) int {
 		col = g.cols - 1 - col
 	}
 	return row*g.cols + col
-}
-
-// RankOf implements Topology; the snake embedding is its own inverse.
-func (g *grid) RankOf(addr int) (int, error) {
-	if err := g.check("rank of", addr); err != nil {
-		return 0, err
-	}
-	return g.Addr(addr), nil
 }
 
 func (g *grid) check(what string, addr int) error {
@@ -119,75 +106,52 @@ func (g *grid) Hops(from, to int) (int, error) {
 		g.axisDist(from%g.cols, to%g.cols, g.cols), nil
 }
 
-// axisStep moves cur one unit toward want along an axis of length n,
-// taking the wraparound direction when it is strictly shorter.
-func (g *grid) axisStep(cur, want, n int) int {
-	if g.wrap {
-		fwd := (want - cur + n) % n // steps in the +1 direction
-		bwd := (cur - want + n) % n
-		if bwd < fwd {
-			return (cur - 1 + n) % n
+// CombineSteps implements Topology: the rank-space recursive-doubling
+// combine priced by the lattice metric. An optional fold round squashes
+// ranks ≥ 2^⌊log₂n⌋ into the power-of-two core, the butterfly pairs
+// ranks across each rank-space bit, and an unfold round copies the
+// result back out; each entry is the round's worst pair. Unlike the
+// hypercube, whose routers pair one hop per round, a lattice pays real
+// distance for the long butterfly pairs, and the torus shortens them by
+// wrapping around.
+func (g *grid) CombineSteps(addrs []int) []int {
+	n := len(addrs)
+	if n <= 1 {
+		return nil
+	}
+	core := 1
+	for core*2 <= n {
+		core *= 2
+	}
+	var steps []int
+	fold := 0
+	for r := core; r < n; r++ {
+		fold = max(fold, g.pairHops(addrs[r], addrs[r-core]))
+	}
+	if n > core {
+		steps = append(steps, fold)
+	}
+	for bit := 1; bit < core; bit <<= 1 {
+		worst := 0
+		for r := 0; r < core; r++ {
+			worst = max(worst, g.pairHops(addrs[r], addrs[r^bit]))
 		}
-		return (cur + 1) % n
+		steps = append(steps, worst)
 	}
-	if want > cur {
-		return cur + 1
+	if n > core {
+		steps = append(steps, fold)
 	}
-	return cur - 1
+	return steps
 }
 
-// Route implements Topology: dimension-order routing, columns first,
-// then rows — the lattice analogue of e-cube.
-func (g *grid) Route(from, to int) ([]int, error) {
-	if err := g.check("route from", from); err != nil {
-		return nil, err
+// pairHops prices a pair of the combine tree. The embeddings come from
+// the machine's live ring, whose addresses are validated at
+// construction and on every recovery, so an out-of-range address here
+// is a caller bug, not an input error.
+func (g *grid) pairHops(from, to int) int {
+	h, err := g.Hops(from, to)
+	if err != nil {
+		panic(fmt.Sprintf("topo: %s combine over invalid embedding: %v", g.name, err))
 	}
-	if err := g.check("route to", to); err != nil {
-		return nil, err
-	}
-	path := []int{from}
-	row, col := from/g.cols, from%g.cols
-	toRow, toCol := to/g.cols, to%g.cols
-	for col != toCol {
-		col = g.axisStep(col, toCol, g.cols)
-		path = append(path, row*g.cols+col)
-	}
-	for row != toRow {
-		row = g.axisStep(row, toRow, g.rows)
-		path = append(path, row*g.cols+col)
-	}
-	return path, nil
-}
-
-// ExchangeSchedule implements Topology.
-func (g *grid) ExchangeSchedule(p int) [2][]int { return RingSchedule(p) }
-
-// Mesh2D and Torus2D implement the schedule methods on the concrete
-// types (not the embedded grid) so the tree builders price edges with
-// the right axis metric through the Topology they are handed.
-
-// CombineSteps implements Topology: the rank-space butterfly priced by
-// the lattice metric. Unlike the hypercube, whose routers pair one hop
-// per round, a lattice pays real distance for the long butterfly pairs
-// — the cross-topology clock difference the bench records measure.
-func (m *Mesh2D) CombineSteps(addrs []int) []int { return stepsOf(genericAllReduce(m, addrs)) }
-
-// AllReduceTree implements Topology.
-func (m *Mesh2D) AllReduceTree(addrs []int) []Round { return genericAllReduce(m, addrs) }
-
-// BroadcastTree implements Topology.
-func (m *Mesh2D) BroadcastTree(root int, addrs []int) ([]Round, error) {
-	return genericBroadcast(m, root, addrs)
-}
-
-// CombineSteps implements Topology (see Mesh2D.CombineSteps; the torus
-// metric shortens the long pairs by wrapping around).
-func (t *Torus2D) CombineSteps(addrs []int) []int { return stepsOf(genericAllReduce(t, addrs)) }
-
-// AllReduceTree implements Topology.
-func (t *Torus2D) AllReduceTree(addrs []int) []Round { return genericAllReduce(t, addrs) }
-
-// BroadcastTree implements Topology.
-func (t *Torus2D) BroadcastTree(root int, addrs []int) ([]Round, error) {
-	return genericBroadcast(t, root, addrs)
+	return h
 }

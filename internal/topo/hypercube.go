@@ -6,9 +6,9 @@ import (
 )
 
 // Hypercube is the paper's fabric: 2^dim nodes at the corners of a
-// dim-dimensional cube, one link per dimension, e-cube
-// (dimension-order) routing. The ring embeds through the Gray code so
-// ring neighbours always differ in exactly one address bit.
+// dim-dimensional cube, one link per dimension. The ring embeds
+// through the Gray code so ring neighbours always differ in exactly
+// one address bit.
 type Hypercube struct{ dim int }
 
 // NewHypercube builds the fabric for a 2^dim-node machine.
@@ -18,9 +18,6 @@ func NewHypercube(dim int) (*Hypercube, error) {
 	}
 	return &Hypercube{dim: dim}, nil
 }
-
-// Dim returns the cube dimension (log₂ of the node count).
-func (h *Hypercube) Dim() int { return h.dim }
 
 // Name implements Topology.
 func (h *Hypercube) Name() string { return "hypercube" }
@@ -38,18 +35,6 @@ func Gray(r int) int { return r ^ (r >> 1) }
 // Addr implements Topology: the Gray-code embedding.
 func (h *Hypercube) Addr(rank int) int { return Gray(rank) }
 
-// RankOf implements Topology: the inverse Gray code.
-func (h *Hypercube) RankOf(addr int) (int, error) {
-	if err := h.check("rank of", addr); err != nil {
-		return 0, err
-	}
-	r := addr
-	for s := addr >> 1; s != 0; s >>= 1 {
-		r ^= s
-	}
-	return r, nil
-}
-
 func (h *Hypercube) check(what string, addr int) error {
 	if addr < 0 || addr >= h.P() {
 		return fmt.Errorf("topo: hypercube %s address %d outside %d nodes", what, addr, h.P())
@@ -58,7 +43,7 @@ func (h *Hypercube) check(what string, addr int) error {
 }
 
 // Hops implements Topology: the Hamming distance — every differing
-// address bit is one e-cube link.
+// address bit is one cube link.
 func (h *Hypercube) Hops(from, to int) (int, error) {
 	if err := h.check("hops from", from); err != nil {
 		return 0, err
@@ -68,30 +53,6 @@ func (h *Hypercube) Hops(from, to int) (int, error) {
 	}
 	return bits.OnesCount(uint(from ^ to)), nil
 }
-
-// Route implements Topology: the e-cube path, resolving address bits
-// lowest dimension first.
-func (h *Hypercube) Route(from, to int) ([]int, error) {
-	if err := h.check("route from", from); err != nil {
-		return nil, err
-	}
-	if err := h.check("route to", to); err != nil {
-		return nil, err
-	}
-	path := []int{from}
-	cur := from
-	for d := 0; d < h.dim; d++ {
-		bit := 1 << uint(d)
-		if cur&bit != to&bit {
-			cur ^= bit
-			path = append(path, cur)
-		}
-	}
-	return path, nil
-}
-
-// ExchangeSchedule implements Topology.
-func (h *Hypercube) ExchangeSchedule(p int) [2][]int { return RingSchedule(p) }
 
 // CombineSteps implements Topology. The hyperspace routers pair nodes
 // one hop apart on every recursive-doubling round, so the combine over
@@ -109,72 +70,4 @@ func (h *Hypercube) CombineSteps(addrs []int) []int {
 		steps[i] = 1
 	}
 	return steps
-}
-
-// pristine reports whether the live embedding is the full untouched
-// Gray ring, for which the classic physical-address collectives apply.
-func (h *Hypercube) pristine(addrs []int) bool {
-	if len(addrs) != h.P() {
-		return false
-	}
-	for r, a := range addrs {
-		if a != Gray(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// AllReduceTree implements Topology. On the pristine embedding it is
-// the classic recursive doubling over physical addresses — round d
-// pairs each node with its dimension-d neighbour, every message one hop
-// — bit- and cost-identical to the machine's original collective. A
-// ring disturbed by recovery falls back to the generic rank-space
-// butterfly priced by the Hamming metric.
-func (h *Hypercube) AllReduceTree(addrs []int) []Round {
-	if !h.pristine(addrs) {
-		return genericAllReduce(h, addrs)
-	}
-	p := h.P()
-	if p <= 1 {
-		return nil
-	}
-	rounds := make([]Round, h.dim)
-	for d := 0; d < h.dim; d++ {
-		bit := 1 << uint(d)
-		rd := Round{Hops: 1}
-		for n := 0; n < p; n++ {
-			src, _ := h.RankOf(n ^ bit)
-			dst, _ := h.RankOf(n)
-			rd.Edges = append(rd.Edges, Edge{Src: src, Dst: dst})
-		}
-		rounds[d] = rd
-	}
-	return rounds
-}
-
-// BroadcastTree implements Topology. On the pristine embedding it is
-// the classic binomial tree over physical addresses relative to the
-// root — d rounds of single-hop messages, 2^d−1 messages total — and
-// otherwise the generic rank-space binomial tree.
-func (h *Hypercube) BroadcastTree(root int, addrs []int) ([]Round, error) {
-	if !h.pristine(addrs) {
-		return genericBroadcast(h, root, addrs)
-	}
-	if root < 0 || root >= len(addrs) {
-		return nil, fmt.Errorf("topo: broadcast root %d outside %d ranks", root, len(addrs))
-	}
-	rootAddr := addrs[root]
-	rounds := make([]Round, h.dim)
-	for d := 0; d < h.dim; d++ {
-		bit := 1 << uint(d)
-		rd := Round{Copy: true, Hops: 1}
-		for rel := 0; rel < bit; rel++ {
-			src, _ := h.RankOf(rootAddr ^ rel)
-			dst, _ := h.RankOf(rootAddr ^ rel ^ bit)
-			rd.Edges = append(rd.Edges, Edge{Src: src, Dst: dst})
-		}
-		rounds[d] = rd
-	}
-	return rounds, nil
 }

@@ -1,31 +1,29 @@
-// Package topo is the interconnect layer of the simulated machine: the
-// mapping from the solver engine's ring ranks onto a physical fabric,
-// and the communication schedules whose shape depends on that fabric.
-// The engine and the solvers address nodes as a ring (rank r exchanges
-// ghost faces with r-1 and r+1 and joins a log₂P residual combine); a
-// Topology decides which physical node serves each rank, how far apart
-// two physical addresses are, and what the collective trees cost.
+// Package topo is the interconnect layer of the simulated machine: it
+// embeds the solver engine's ring of ranks onto a physical fabric and
+// prices the ring's communication there. The engine and the solvers
+// address nodes as a ring (rank r exchanges ghost faces with r-1 and
+// r+1 and joins a log₂P residual combine); a Topology decides which
+// physical node serves each rank, how far apart two physical addresses
+// are, and what each round of the residual combine costs.
 //
-// Three fabrics ship: Hypercube (the paper's machine — a Gray-code ring
-// embedding with e-cube routing), Mesh2D and Torus2D (the lattice
-// interconnects of related machines, embedded boustrophedon so ring
-// neighbours stay one hop apart). Solver results are topology-invariant
-// by construction — data movement is identical, only the simulated
-// message pricing changes — which the differential tests assert bit for
-// bit.
+// Three fabrics ship: Hypercube (the paper's machine, with a Gray-code
+// ring embedding), Mesh2D and Torus2D (the lattice interconnects of
+// related machines, embedded boustrophedon so ring neighbours stay one
+// hop apart). Solver results are topology-invariant by construction —
+// data movement is identical, only the simulated message pricing
+// changes — which the differential tests assert bit for bit.
 //
 // Every embedding must satisfy two invariants the engine's cost model
 // relies on:
 //
 //   - Ring neighbours are one hop apart: Hops(Addr(r), Addr(r+1)) == 1
 //     for every rank of a pristine machine. Recovery may later break
-//     this (a shrink deletes a slot), and the engine's exchange
-//     accounting absorbs the extra hops explicitly.
-//   - Addr is a bijection from ranks onto physical addresses, inverted
-//     by RankOf.
+//     this (a shrink deletes a slot), and the engine prices each ring
+//     pair at its real distance, so the extra hops are charged.
+//   - Addr is a bijection from ranks onto physical addresses.
 //
-// TestTopologyProperties pins both, plus the Route/Hops consistency
-// contract, for every fabric.
+// TestTopologyProperties pins both for every fabric, and checks Hops
+// against a breadth-first search over the fabric's links.
 package topo
 
 import "fmt"
@@ -34,10 +32,10 @@ import "fmt"
 //
 // Two address spaces are in play: ring ranks 0..P-1 (what the engine
 // and solvers speak) and physical addresses 0..P-1 (positions in the
-// fabric: hypercube corners, grid cells). Addr/RankOf translate between
-// them; Hops and Route speak physical addresses; the schedule methods
-// take live embeddings (addrs[r] = the physical address serving rank r)
-// so they keep working after degraded-mode recovery reshapes the ring.
+// fabric: hypercube corners, grid cells). Addr translates the first
+// into the second; Hops speaks physical addresses; CombineSteps takes
+// the live embedding (addrs[r] = the physical address serving rank r)
+// so it keeps working after degraded-mode recovery reshapes the ring.
 type Topology interface {
 	// Name is the fabric's canonical tag: "hypercube", "mesh2d",
 	// "torus2d". It keys checkpoint metadata and obs metrics.
@@ -48,47 +46,13 @@ type Topology interface {
 	P() int
 	// Addr returns the physical address ring rank r embeds onto.
 	Addr(rank int) int
-	// RankOf inverts Addr, rejecting out-of-range addresses.
-	RankOf(addr int) (int, error)
 	// Hops returns the shortest-path length between two physical
 	// addresses, rejecting out-of-range addresses with an error.
 	Hops(from, to int) (int, error)
-	// Route returns a deterministic minimal path between two physical
-	// addresses, endpoints included: len(Route(a,b))-1 == Hops(a,b) and
-	// consecutive entries are always one hop apart.
-	Route(from, to int) ([]int, error)
-	// ExchangeSchedule returns the two parity classes of the ring
-	// ghost-exchange pairs over p live ranks: class c holds the lower
-	// ranks r (parity c) of pairs (r, r+1). Within one class no two
-	// pairs share a rank, so a class exchanges concurrently; the two
-	// classes together cover every ring edge exactly once per sweep.
-	ExchangeSchedule(p int) [2][]int
 	// CombineSteps returns the engine's residual-combine pricing: one
 	// entry per combine round, each the round's critical-path hop count,
 	// for a ring living on the given embedding. Empty for one rank.
 	CombineSteps(addrs []int) []int
-	// AllReduceTree returns the rounds of an all-reduce over the live
-	// embedding: every rank ends holding the combination of all ranks'
-	// values. Non-power-of-two rank counts fold the excess ranks into
-	// the power-of-two core first and copy the result back out last.
-	AllReduceTree(addrs []int) []Round
-	// BroadcastTree returns the rounds that propagate rank root's value
-	// to every rank of the live embedding (all rounds are Copy rounds).
-	BroadcastTree(root int, addrs []int) ([]Round, error)
-}
-
-// Edge is one message of a collective round, in ring-rank space.
-type Edge struct{ Src, Dst int }
-
-// Round is one step of a collective tree: messages that cross the
-// fabric concurrently. Combine rounds fold Src's value into Dst's
-// (dst = op(dst, src), reading round-start snapshots so the exchanges
-// are simultaneous); Copy rounds overwrite Dst with Src's value.
-type Round struct {
-	Edges []Edge
-	Copy  bool
-	// Hops is the round's critical-path hop count: the worst edge.
-	Hops int
 }
 
 // New builds a topology by name over p physical nodes. Accepted names:
@@ -132,118 +96,4 @@ func nearSquare(p int) (rows, cols int) {
 		}
 	}
 	return rows, p / rows
-}
-
-// RingSchedule is the canonical two-parity exchange schedule every
-// shipped topology uses: pairs (r, r+1) split by the parity of r.
-func RingSchedule(p int) [2][]int {
-	var sched [2][]int
-	for parity := 0; parity < 2; parity++ {
-		for r := parity; r+1 < p; r += 2 {
-			sched[parity] = append(sched[parity], r)
-		}
-	}
-	return sched
-}
-
-// mustHops prices an edge of a collective tree. The embeddings handed
-// to the schedule methods come from the machine's live ring, whose
-// addresses are validated at construction and on every recovery, so an
-// out-of-range address here is a caller bug, not an input error.
-func mustHops(t Topology, from, to int) int {
-	h, err := t.Hops(from, to)
-	if err != nil {
-		panic(fmt.Sprintf("topo: %s schedule over invalid embedding: %v", t.Name(), err))
-	}
-	return h
-}
-
-// floorPow2 returns the largest power of two not exceeding n (n ≥ 1).
-func floorPow2(n int) int {
-	m := 1
-	for m*2 <= n {
-		m *= 2
-	}
-	return m
-}
-
-// genericAllReduce builds the rank-space recursive-doubling all-reduce
-// over a live embedding, priced by the fabric's hop metric: an optional
-// fold round squashes ranks ≥ 2^⌊log₂n⌋ into the power-of-two core, the
-// butterfly pairs ranks across each rank-space bit, and an unfold copy
-// round restores the folded ranks. Used by the lattice fabrics always
-// and by the hypercube once recovery has disturbed its embedding.
-func genericAllReduce(t Topology, addrs []int) []Round {
-	n := len(addrs)
-	if n <= 1 {
-		return nil
-	}
-	m := floorPow2(n)
-	var rounds []Round
-	fold := func(cp bool) Round {
-		rd := Round{Copy: cp}
-		for r := m; r < n; r++ {
-			src, dst := r, r-m
-			if cp {
-				src, dst = dst, src
-			}
-			rd.Edges = append(rd.Edges, Edge{Src: src, Dst: dst})
-			if h := mustHops(t, addrs[src], addrs[dst]); h > rd.Hops {
-				rd.Hops = h
-			}
-		}
-		return rd
-	}
-	if n > m {
-		rounds = append(rounds, fold(false))
-	}
-	for bit := 1; bit < m; bit <<= 1 {
-		rd := Round{}
-		for r := 0; r < m; r++ {
-			peer := r ^ bit
-			rd.Edges = append(rd.Edges, Edge{Src: peer, Dst: r})
-			if h := mustHops(t, addrs[r], addrs[peer]); h > rd.Hops {
-				rd.Hops = h
-			}
-		}
-		rounds = append(rounds, rd)
-	}
-	if n > m {
-		rounds = append(rounds, fold(true))
-	}
-	return rounds
-}
-
-// genericBroadcast builds the rank-space binomial broadcast from root
-// over a live embedding: round k doubles the holder set along the
-// virtual ring (r - root) mod n, each message priced by the embedding.
-func genericBroadcast(t Topology, root int, addrs []int) ([]Round, error) {
-	n := len(addrs)
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("topo: broadcast root %d outside %d ranks", root, n)
-	}
-	var rounds []Round
-	for bit := 1; bit < n; bit <<= 1 {
-		rd := Round{Copy: true}
-		for v := 0; v < bit && v+bit < n; v++ {
-			src := (root + v) % n
-			dst := (root + v + bit) % n
-			rd.Edges = append(rd.Edges, Edge{Src: src, Dst: dst})
-			if h := mustHops(t, addrs[src], addrs[dst]); h > rd.Hops {
-				rd.Hops = h
-			}
-		}
-		rounds = append(rounds, rd)
-	}
-	return rounds, nil
-}
-
-// stepsOf projects a collective tree onto the engine's pricing shape:
-// the per-round critical-path hop counts.
-func stepsOf(rounds []Round) []int {
-	steps := make([]int, len(rounds))
-	for i, rd := range rounds {
-		steps[i] = rd.Hops
-	}
-	return steps
 }

@@ -1,8 +1,7 @@
 package topo
 
 import (
-	"math"
-	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,17 +43,82 @@ func pristineAddrs(tp Topology) []int {
 	return addrs
 }
 
+// links lists the physical neighbours of every address from the
+// fabric's wiring, independently of its Hops metric: one link per cube
+// dimension on the hypercube, the four lattice steps on a grid, with
+// each row and column closed into a cycle on the torus.
+func links(t *testing.T, tp Topology) [][]int {
+	t.Helper()
+	adj := make([][]int, tp.P())
+	var g *grid
+	switch f := tp.(type) {
+	case *Hypercube:
+		for a := range adj {
+			for d := 0; d < f.dim; d++ {
+				adj[a] = append(adj[a], a^(1<<uint(d)))
+			}
+		}
+		return adj
+	case *Mesh2D:
+		g = &f.grid
+	case *Torus2D:
+		g = &f.grid
+	default:
+		t.Fatalf("no link model for %T", tp)
+	}
+	for a := range adj {
+		row, col := a/g.cols, a%g.cols
+		for _, d := range [][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
+			r, c := row+d[0], col+d[1]
+			if g.wrap {
+				r, c = (r+g.rows)%g.rows, (c+g.cols)%g.cols
+			}
+			if r >= 0 && r < g.rows && c >= 0 && c < g.cols && r*g.cols+c != a {
+				adj[a] = append(adj[a], r*g.cols+c)
+			}
+		}
+	}
+	return adj
+}
+
+// bfsHops returns the shortest-path length between every pair of
+// addresses over the fabric's links: the oracle for Hops.
+func bfsHops(t *testing.T, tp Topology) [][]int {
+	t.Helper()
+	adj := links(t, tp)
+	dist := make([][]int, len(adj))
+	for src := range adj {
+		d := make([]int, len(adj))
+		for i := range d {
+			d[i] = -1
+		}
+		d[src] = 0
+		for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+			a := queue[0]
+			for _, b := range adj[a] {
+				if d[b] < 0 {
+					d[b] = d[a] + 1
+					queue = append(queue, b)
+				}
+			}
+		}
+		dist[src] = d
+	}
+	return dist
+}
+
 // TestTopologyProperties pins the embedding invariants the engine's
-// cost model relies on, for every fabric: Addr is a bijection inverted
-// by RankOf, ring neighbours sit one hop apart, routes are minimal,
-// in-bounds and single-step, and the exchange schedule covers each
-// ring edge exactly once per sweep.
+// cost model relies on, for every fabric: Addr is a bijection onto the
+// physical addresses, Hops is the shortest path over the fabric's
+// links, ring neighbours sit one hop apart, and out-of-range addresses
+// are rejected.
 func TestTopologyProperties(t *testing.T) {
 	for name, tp := range fabrics(t) {
 		t.Run(name, func(t *testing.T) {
 			p := tp.P()
 
-			// Addr bijection, inverted by RankOf.
+			// Addr bijection: every rank lands on a distinct in-range
+			// address, so all p addresses are covered.
 			seen := make(map[int]bool, p)
 			for r := 0; r < p; r++ {
 				a := tp.Addr(r)
@@ -65,74 +129,26 @@ func TestTopologyProperties(t *testing.T) {
 					t.Fatalf("Addr maps two ranks to address %d", a)
 				}
 				seen[a] = true
-				back, err := tp.RankOf(a)
-				if err != nil || back != r {
-					t.Fatalf("RankOf(Addr(%d)) = %d, %v", r, back, err)
+			}
+
+			// Hops agrees with a breadth-first search over the links.
+			dist := bfsHops(t, tp)
+			for a := 0; a < p; a++ {
+				for b := 0; b < p; b++ {
+					h, err := tp.Hops(a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if h != dist[a][b] {
+						t.Fatalf("Hops(%d,%d) = %d, shortest path over the links is %d", a, b, h, dist[a][b])
+					}
 				}
 			}
 
 			// Ring neighbours are one hop apart on the pristine embedding.
 			for r := 0; r+1 < p; r++ {
-				h, err := tp.Hops(tp.Addr(r), tp.Addr(r+1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if h != 1 {
+				if h := dist[tp.Addr(r)][tp.Addr(r+1)]; h != 1 {
 					t.Errorf("ranks %d,%d embed %d hops apart, want 1", r, r+1, h)
-				}
-			}
-
-			// Random pairs: route length matches Hops, stays in-bounds,
-			// and every step is a single hop.
-			rng := rand.New(rand.NewSource(int64(p)*37 + 1))
-			for trial := 0; trial < 200; trial++ {
-				a, b := rng.Intn(p), rng.Intn(p)
-				h, err := tp.Hops(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				path, err := tp.Route(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(path)-1 != h {
-					t.Fatalf("route %d->%d has %d steps, Hops says %d", a, b, len(path)-1, h)
-				}
-				if path[0] != a || path[len(path)-1] != b {
-					t.Fatalf("route %d->%d runs %v", a, b, path)
-				}
-				for i, n := range path {
-					if n < 0 || n >= p {
-						t.Fatalf("route %d->%d leaves the fabric: %v", a, b, path)
-					}
-					if i > 0 {
-						if sh, _ := tp.Hops(path[i-1], n); sh != 1 {
-							t.Fatalf("route %d->%d step %d->%d is %d hops", a, b, path[i-1], n, sh)
-						}
-					}
-				}
-			}
-
-			// Exchange schedule: the two parity classes cover each ring
-			// edge exactly once, and no rank appears twice in one class.
-			sched := tp.ExchangeSchedule(p)
-			edges := map[int]int{}
-			for parity, class := range sched {
-				inClass := map[int]bool{}
-				for _, r := range class {
-					if r%2 != parity || r < 0 || r+1 >= p {
-						t.Fatalf("class %d holds pair (%d,%d)", parity, r, r+1)
-					}
-					if inClass[r] || inClass[r+1] {
-						t.Fatalf("class %d reuses a rank of pair (%d,%d)", parity, r, r+1)
-					}
-					inClass[r], inClass[r+1] = true, true
-					edges[r]++
-				}
-			}
-			for r := 0; r+1 < p; r++ {
-				if edges[r] != 1 {
-					t.Errorf("ring edge (%d,%d) scheduled %d times, want once", r, r+1, edges[r])
 				}
 			}
 
@@ -144,131 +160,142 @@ func TestTopologyProperties(t *testing.T) {
 				if _, err := tp.Hops(0, bad); err == nil {
 					t.Errorf("Hops(0,%d) accepted", bad)
 				}
-				if _, err := tp.Route(bad, 0); err == nil {
-					t.Errorf("Route(%d,0) accepted", bad)
-				}
-				if _, err := tp.Route(0, bad); err == nil {
-					t.Errorf("Route(0,%d) accepted", bad)
-				}
-				if _, err := tp.RankOf(bad); err == nil {
-					t.Errorf("RankOf(%d) accepted", bad)
-				}
 			}
 		})
 	}
 }
 
-// applyRounds executes a collective schedule the way the machine does:
-// per round, read a snapshot, then run every edge off it.
-func applyRounds(t *testing.T, rounds []Round, vals []float64, op func(a, b float64) float64) []float64 {
-	t.Helper()
-	cur := append([]float64(nil), vals...)
-	for _, rd := range rounds {
-		snap := append([]float64(nil), cur...)
-		for _, e := range rd.Edges {
-			if e.Src < 0 || e.Src >= len(cur) || e.Dst < 0 || e.Dst >= len(cur) {
-				t.Fatalf("edge %+v outside %d ranks", e, len(cur))
+// combineRounds lists the residual combine's tree as physical address
+// pairs, round by round: the hypercube's physical butterfly pairs each
+// node with its neighbour across one cube dimension per round; a
+// lattice runs the rank-space butterfly over the live embedding, with a
+// fold round before it and an unfold round after it when the rank count
+// is not a power of two.
+func combineRounds(tp Topology, addrs []int) [][][2]int {
+	var rounds [][][2]int
+	if h, ok := tp.(*Hypercube); ok && len(addrs) == tp.P() {
+		for d := 0; d < h.dim; d++ {
+			var rd [][2]int
+			for a := range addrs {
+				rd = append(rd, [2]int{a, a ^ (1 << uint(d))})
 			}
-			if rd.Copy {
-				cur[e.Dst] = snap[e.Src]
-			} else {
-				cur[e.Dst] = op(snap[e.Dst], snap[e.Src])
+			rounds = append(rounds, rd)
+		}
+		return rounds
+	}
+	n := len(addrs)
+	core := 1
+	for core*2 <= n {
+		core *= 2
+	}
+	var fold [][2]int
+	for r := core; r < n; r++ {
+		fold = append(fold, [2]int{addrs[r], addrs[r-core]})
+	}
+	if fold != nil {
+		rounds = append(rounds, fold)
+	}
+	for bit := 1; bit < core; bit <<= 1 {
+		var rd [][2]int
+		for r := 0; r < core; r++ {
+			rd = append(rd, [2]int{addrs[r], addrs[r^bit]})
+		}
+		rounds = append(rounds, rd)
+	}
+	if fold != nil {
+		rounds = append(rounds, fold)
+	}
+	return rounds
+}
+
+// combineOracle prices the residual combine round by round from the
+// link distances: each round of combineRounds costs its worst pair.
+func combineOracle(t *testing.T, tp Topology, addrs []int) []int {
+	t.Helper()
+	dist := bfsHops(t, tp)
+	var steps []int
+	for _, rd := range combineRounds(tp, addrs) {
+		worst := 0
+		for _, e := range rd {
+			worst = max(worst, dist[e[0]][e[1]])
+		}
+		steps = append(steps, worst)
+	}
+	return steps
+}
+
+// TestRoundHopsAreCriticalPath: the pairs of one combine round run
+// concurrently, so each round charges the fabric's own Hops of its
+// worst pair — never a sum over the round, never a shorter pair.
+func TestRoundHopsAreCriticalPath(t *testing.T) {
+	for name, tp := range fabrics(t) {
+		addrs := pristineAddrs(tp)
+		rounds := combineRounds(tp, addrs)
+		steps := tp.CombineSteps(addrs)
+		if len(steps) != len(rounds) {
+			t.Fatalf("%s prices %d combine rounds, the tree has %d", name, len(steps), len(rounds))
+		}
+		for i, rd := range rounds {
+			worst := 0
+			for _, e := range rd {
+				h, err := tp.Hops(e[0], e[1])
+				if err != nil {
+					t.Fatalf("%s round %d: %v", name, i, err)
+				}
+				worst = max(worst, h)
+			}
+			if steps[i] != worst {
+				t.Errorf("%s round %d charges %d hops, worst pair is %d", name, i, steps[i], worst)
 			}
 		}
 	}
-	return cur
 }
 
-// TestCollectiveTrees checks, for every fabric, that the all-reduce
-// tree leaves every rank holding the global combination and the
-// broadcast tree propagates any root's value everywhere — including
-// the non-power-of-two rank counts a shrink leaves behind.
+// TestCollectiveTrees checks, for every fabric, the one collective
+// the machine prices — the residual combine's tree: each entry of
+// CombineSteps is the worst pair distance of that round, on the
+// pristine ring and on the shorter rings a shrink leaves behind (which
+// fold their excess ranks into a power-of-two core on a lattice).
 func TestCollectiveTrees(t *testing.T) {
 	for name, tp := range fabrics(t) {
 		t.Run(name, func(t *testing.T) {
 			addrs := pristineAddrs(tp)
-			p := len(addrs)
-			vals := make([]float64, p)
-			for r := range vals {
-				vals[r] = math.Pow(2, float64(r)) // exact under +
+			if got, want := tp.CombineSteps(addrs), combineOracle(t, tp, addrs); !reflect.DeepEqual(got, want) {
+				t.Errorf("pristine combine steps %v, want %v", got, want)
 			}
-			want := 0.0
-			for _, v := range vals {
-				want += v
+			if _, ok := tp.(*Hypercube); ok {
+				return // shrunken rings keep ⌈log₂p⌉ one-hop rounds, see TestCombineStepsPricing
 			}
-			got := applyRounds(t, tp.AllReduceTree(addrs), vals, func(a, b float64) float64 { return a + b })
-			for r, v := range got {
-				if v != want {
-					t.Fatalf("all-reduce left rank %d with %g, want %g", r, v, want)
+			for drop := 1; drop < len(addrs); drop++ {
+				live := append(append([]int(nil), addrs[:drop]...), addrs[drop+1:]...)
+				if got, want := tp.CombineSteps(live), combineOracle(t, tp, live); !reflect.DeepEqual(got, want) {
+					t.Errorf("combine steps without rank %d: %v, want %v", drop, got, want)
 				}
-			}
-			for root := 0; root < p; root++ {
-				rounds, err := tp.BroadcastTree(root, addrs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := applyRounds(t, rounds, vals, nil)
-				for r := range got {
-					if got[r] != vals[root] {
-						t.Fatalf("broadcast from %d left rank %d with %g, want %g", root, r, got[r], vals[root])
-					}
-				}
-				for _, rd := range rounds {
-					if !rd.Copy {
-						t.Fatal("broadcast emitted a combine round")
-					}
-				}
-			}
-			if _, err := tp.BroadcastTree(-1, addrs); err == nil {
-				t.Error("broadcast root -1 accepted")
-			}
-			if _, err := tp.BroadcastTree(p, addrs); err == nil {
-				t.Errorf("broadcast root %d accepted", p)
 			}
 		})
 	}
 }
 
-// TestShrunkenEmbeddings drives the generic trees over the rings
-// recovery produces: a survivor subset of a hypercube's Gray addresses
-// (non-power-of-two, no longer pristine) and a shrunken grid ring.
+// TestShrunkenEmbeddings prices the combine over the rings recovery
+// produces: a survivor subset of a hypercube's Gray addresses (no
+// longer a power of two) and a shrunken grid ring.
 func TestShrunkenEmbeddings(t *testing.T) {
 	h, _ := NewHypercube(3)
 	m, _ := NewMesh2D(2, 4)
 	for name, tc := range map[string]struct {
 		tp    Topology
 		addrs []int
+		want  []int
 	}{
-		"hypercube-minus-two": {h, []int{0, 1, 3, 7, 5, 4}},
-		"mesh-minus-three":    {m, []int{0, 1, 2, 3, 6}},
+		// Six survivors still combine in three one-hop rounds.
+		"hypercube-minus-two": {h, []int{0, 1, 3, 7, 5, 4}, []int{1, 1, 1}},
+		// Rank 4 on address 6 folds into rank 0 on address 0, three
+		// hops away, before and after the two butterfly rounds.
+		"mesh-minus-three": {m, []int{0, 1, 2, 3, 6}, []int{3, 1, 2, 3}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			n := len(tc.addrs)
-			vals := make([]float64, n)
-			for r := range vals {
-				vals[r] = float64(r + 1)
-			}
-			got := applyRounds(t, tc.tp.AllReduceTree(tc.addrs), vals,
-				func(a, b float64) float64 { return math.Max(a, b) })
-			for r, v := range got {
-				if v != float64(n) {
-					t.Fatalf("all-reduce left rank %d with %g, want %g", r, v, float64(n))
-				}
-			}
-			steps := tc.tp.CombineSteps(tc.addrs)
-			if len(steps) == 0 {
-				t.Fatal("no combine rounds for a multi-rank ring")
-			}
-			for root := 0; root < n; root++ {
-				rounds, err := tc.tp.BroadcastTree(root, tc.addrs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r, v := range applyRounds(t, rounds, vals, nil) {
-					if v != vals[root] {
-						t.Fatalf("broadcast from %d left rank %d with %g", root, r, v)
-					}
-				}
+			if got := tc.tp.CombineSteps(tc.addrs); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("combine steps %v, want %v", got, tc.want)
 			}
 		})
 	}
@@ -311,41 +338,11 @@ func TestCombineStepsPricing(t *testing.T) {
 		if steps := tp.CombineSteps([]int{0}); len(steps) != 0 {
 			t.Errorf("%s: single-rank combine steps %v", name, steps)
 		}
-		if rounds := tp.AllReduceTree([]int{0}); len(rounds) != 0 {
-			t.Errorf("%s: single-rank all-reduce rounds %v", name, rounds)
-		}
 	}
 	// The hypercube's all-ones pricing holds even for shrunken rings.
 	h, _ := NewHypercube(3)
 	if steps := h.CombineSteps(make([]int, 5)); len(steps) != 3 {
 		t.Errorf("5 survivors price %d combine rounds, want 3", len(steps))
-	}
-}
-
-// TestRoundHopsAreCriticalPath: each round's Hops equals the worst
-// edge's distance under the fabric metric.
-func TestRoundHopsAreCriticalPath(t *testing.T) {
-	for name, tp := range fabrics(t) {
-		addrs := pristineAddrs(tp)
-		rounds := tp.AllReduceTree(addrs)
-		if br, err := tp.BroadcastTree(0, addrs); err == nil {
-			rounds = append(rounds, br...)
-		}
-		for i, rd := range rounds {
-			worst := 0
-			for _, e := range rd.Edges {
-				h, err := tp.Hops(addrs[e.Src], addrs[e.Dst])
-				if err != nil {
-					t.Fatalf("%s round %d: %v", name, i, err)
-				}
-				if h > worst {
-					worst = h
-				}
-			}
-			if rd.Hops != worst {
-				t.Errorf("%s round %d charges %d hops, worst edge is %d", name, i, rd.Hops, worst)
-			}
-		}
 	}
 }
 
@@ -399,12 +396,12 @@ func TestNearSquare(t *testing.T) {
 
 func TestShapesAndGray(t *testing.T) {
 	h, _ := NewHypercube(3)
-	if h.Shape() != "dim 3" || h.Dim() != 3 {
-		t.Errorf("hypercube shape %q dim %d", h.Shape(), h.Dim())
+	if h.Shape() != "dim 3" || h.P() != 8 {
+		t.Errorf("hypercube shape %q over %d nodes", h.Shape(), h.P())
 	}
 	m, _ := NewMesh2D(2, 4)
-	if m.Shape() != "2×4" || m.Rows() != 2 || m.Cols() != 4 {
-		t.Errorf("mesh shape %q", m.Shape())
+	if m.Shape() != "2×4" || m.P() != 8 {
+		t.Errorf("mesh shape %q over %d nodes", m.Shape(), m.P())
 	}
 	for r := 0; r < 16; r++ {
 		if g := Gray(r); r > 0 && popcount(g^Gray(r-1)) != 1 {
@@ -421,8 +418,8 @@ func popcount(x int) int {
 	return n
 }
 
-// TestInvalidEmbeddingPanics: schedule building over an embedding with
-// out-of-range addresses is a caller bug and must panic loudly.
+// TestInvalidEmbeddingPanics: pricing the combine over an embedding
+// with out-of-range addresses is a caller bug and must panic loudly.
 func TestInvalidEmbeddingPanics(t *testing.T) {
 	m, _ := NewMesh2D(2, 2)
 	defer func() {
@@ -430,5 +427,5 @@ func TestInvalidEmbeddingPanics(t *testing.T) {
 			t.Error("invalid embedding priced silently")
 		}
 	}()
-	m.AllReduceTree([]int{0, 99, 2, 3})
+	m.CombineSteps([]int{0, 99, 2, 3})
 }
