@@ -20,7 +20,7 @@ func gateNode(t *testing.T, kernelOff bool) (*sim.Node, *microcode.Instr) {
 }
 
 // sweepNode loads p onto a fresh node and compiles its forward sweep.
-func sweepNode(t *testing.T, p *jacobi.Problem, kernelOff bool) (*sim.Node, *microcode.Instr) {
+func sweepNode(t testing.TB, p *jacobi.Problem, kernelOff bool) (*sim.Node, *microcode.Instr) {
 	t.Helper()
 	cfg := arch.Default()
 	node, err := sim.NewNode(cfg)
@@ -150,5 +150,94 @@ func TestKernelLanes(t *testing.T) {
 			t.Errorf("%s: warm scratch %d bytes, want (0, %d]", tc.name, val, tc.maxBytes)
 		}
 		t.Logf("%s: %d lanes, %d bytes of scratch", tc.name, lanes, val)
+	}
+}
+
+// slab48 is one rank's slab of a 48×48×34 grid on 8 ranks: 48×48×6
+// with its ghost planes.
+func slab48() *jacobi.Problem {
+	return &jacobi.Problem{N: 48, Nz: 6, H: 1.0 / 47, Tol: 1e-6, MaxIter: 1,
+		F: make([]float64, 48*48*6), U0: make([]float64, 48*48*6), Mask: make([]float64, 48*48*6)}
+}
+
+// TestKernelDemand pins what the Jacobi forward sweep computes under
+// demand lowering. Its maxabs residual reduction is read by its
+// register alone, so it needs cycle T-1 only and keeps no running lane;
+// the sink's producer needs exactly the cycles the sink commits; every
+// need lies in [0,T); and each of the 11 other FUs computes exactly as
+// many cycles as the sink commits (13,824 of T = 20,760 on a 48×48×6
+// slab), where without demand each computed all T.
+func TestKernelDemand(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		p            *jacobi.Problem
+		T, sink, fus int
+	}{
+		{"12³", jacobi.NewModelProblem(12, 1e-6, 1), 2184, 168, 12 * 12 * 12},
+		{"48×48×6", slab48(), 20760, 2328, 48 * 48 * 6},
+	} {
+		node, in := sweepNode(t, tc.p, false)
+		T, ops, sinks, err := sim.KernelDemand(node, in)
+		if err != nil || ops == nil {
+			t.Fatalf("%s: lowering failed: %v", tc.name, err)
+		}
+		if T != tc.T || len(sinks) != 1 {
+			t.Fatalf("%s: T = %d with %d sinks, want %d with 1", tc.name, T, len(sinks), tc.T)
+		}
+		s := sinks[0]
+		if s.Lo != tc.sink || s.Hi-s.Lo != tc.fus {
+			t.Errorf("%s: sink commits [%d,%d), want %d cycles from %d", tc.name, s.Lo, s.Hi, tc.fus, tc.sink)
+		}
+		if got := ops[s.Op]; got.Lo != s.Lo || got.Hi != s.Hi {
+			t.Errorf("%s: sink's producer needs [%d,%d), want the sink's [%d,%d)", tc.name, got.Lo, got.Hi, s.Lo, s.Hi)
+		}
+		fus, reduces := 0, 0
+		for i, op := range ops {
+			if op.Lo < 0 || op.Hi > T || op.Lo >= op.Hi {
+				t.Errorf("%s: op %d needs [%d,%d), want a non-empty span in [0,%d)", tc.name, i, op.Lo, op.Hi, T)
+			}
+			switch {
+			case op.Reduce:
+				reduces++
+				if op.Lo != T-1 || op.Hi != T {
+					t.Errorf("%s: reduction op %d needs [%d,%d), want register-only [%d,%d)", tc.name, i, op.Lo, op.Hi, T-1, T)
+				}
+			case op.FU:
+				fus++
+				if op.Hi-op.Lo != tc.fus {
+					t.Errorf("%s: FU op %d needs %d cycles, want the sink's %d", tc.name, i, op.Hi-op.Lo, tc.fus)
+				}
+			}
+		}
+		if fus != 11 || reduces != 1 {
+			t.Errorf("%s: %d FUs and %d reductions, want 11 and 1", tc.name, fus, reduces)
+		}
+	}
+}
+
+// BenchmarkKernelSweep times one warm forward-sweep Exec through the
+// kernel on the 12³ model problem and a 48×48×6 slab: the go test
+// probe for kernel work, beside nscbench's whole-solve record.
+func BenchmarkKernelSweep(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		p    *jacobi.Problem
+	}{
+		{"12³", jacobi.NewModelProblem(12, 1e-6, 1)},
+		{"48×48×6", slab48()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			node, in := sweepNode(b, bc.p, false)
+			if err := node.Exec(in); err != nil { // warm: compile the plan, grow scratch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := node.Exec(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

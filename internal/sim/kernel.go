@@ -10,18 +10,24 @@ import (
 
 // This file is the specialization layer below the decode-once /
 // execute-many split: a compiled ExecPlan is lowered once more into an
-// execKernel, a topologically ordered list of whole-lane micro-ops
-// executed as branch-free loops over contiguous lane-major scratch.
+// execKernel, a topologically ordered list of lane micro-ops executed
+// as branch-free loops over contiguous lane-major scratch.
 //
-// Why whole-lane evaluation is bit-identical to the interpreter's
+// Why lane evaluation is bit-identical to the interpreter's
 // cycle-major sweep: every dependency in a plan points strictly
 // backward in time (functional units have latency ≥ 1, SDU taps delay
 // ≥ 1 cycle) and the producer graph is a DAG (compilePlan's depth
-// fixpoint rejects routing cycles). Evaluating each producer's full
-// lane in topological order therefore performs exactly the same
-// floating-point operations on exactly the same operands in the same
-// per-lane order as the interpreter — reduction accumulators are
-// sequential within a single lane, and non-reduce ops are pure.
+// fixpoint rejects routing cycles). Evaluating each producer's lane in
+// topological order therefore performs exactly the same floating-point
+// operations on exactly the same operands in the same per-lane order
+// as the interpreter — reduction accumulators are sequential within a
+// single lane, and non-reduce ops are pure.
+//
+// Each op computes only its need: the cycles its readers read (see
+// demand). A pure op's value at a cycle depends on no other cycle of
+// its own lane, so skipping unread cycles changes none it computes; a
+// reduction still accumulates from its operand's first valid cycle,
+// storing only the cycles a reader reads.
 //
 // Only DMA sources and functional-unit outputs own lanes. A delay tap
 // is its input read through a larger offset, so taps cost nothing at
@@ -56,6 +62,18 @@ func (s span) delayed(d, T int) span { return span{min(s.lo+d, T), min(s.hi+d, T
 // and intersects two intervals.
 func (s span) and(o span) span { return span{max(s.lo, o.lo), min(s.hi, o.hi)} }
 
+// hull is the smallest interval holding both; an empty side adds
+// nothing.
+func (s span) hull(o span) span {
+	switch {
+	case o.lo >= o.hi:
+		return s
+	case s.lo >= s.hi:
+		return o
+	}
+	return span{min(s.lo, o.lo), max(s.hi, o.hi)}
+}
+
 // kernView locates a producer slot's values: cycle c reads lane[c-off],
 // and cycles below off read zero.
 type kernView struct {
@@ -74,13 +92,13 @@ type kernOperand struct {
 	konst float64
 }
 
-// cut returns the first region boundary the operand imposes above lo:
-// its offset, where it turns from zero into a lane read.
-func (o *kernOperand) cut(lo, T int) int {
-	if o.lane >= 0 && o.off > lo && o.off < T {
+// cut returns the first region boundary the operand imposes in
+// (lo,hi): its offset, where it turns from zero into a lane read; or hi.
+func (o *kernOperand) cut(lo, hi int) int {
+	if o.lane >= 0 && o.off > lo && o.off < hi {
 		return o.off
 	}
-	return T
+	return hi
 }
 
 // region returns the operand over cycles [lo,hi), which lie wholly on
@@ -97,11 +115,15 @@ func (o *kernOperand) region(val []float64, T, lo, hi int) ([]float64, float64) 
 	return val[base+lo : base+hi], 0
 }
 
-// kernOp is one whole-lane micro-op writing lane out. Exactly one of
-// the field groups is live, selected by kind.
+// kernOp is one lane micro-op writing lane out over the cycles need.
+// Exactly one of the other field groups is live, selected by kind; the
+// FU group's byte-sized op and reduce sit beside kind, where they pack.
 type kernOp struct {
-	kind kernKind
-	out  int
+	kind   kernKind
+	op     arch.Op
+	reduce bool
+	out    int
+	need   span
 
 	// Sources (kSrcMem/kSrcCache).
 	plane int
@@ -111,14 +133,12 @@ type kernOp struct {
 	skip  int64
 	count int64
 
-	// Functional units (kFU). b is the scalar zero for unary ops and
-	// reductions, whose values never read it; valid is a reduction's
-	// operand interval.
-	op     arch.Op
-	a, b   kernOperand
-	reduce bool
-	init   float64
-	valid  span
+	// Functional units (kFU), with op and reduce above. b is the scalar
+	// zero for unary ops and reductions, whose values never read it;
+	// valid is a reduction's operand interval.
+	a, b  kernOperand
+	init  float64
+	valid span
 }
 
 // execKernel is the lowered form of one ExecPlan: micro-ops in
@@ -222,6 +242,7 @@ func lowerKernel(pl *ExecPlan) *execKernel {
 			return nil
 		}
 	}
+	k.demand(pl)
 	k.allocLanes(pl)
 	return k
 }
@@ -238,6 +259,46 @@ func (k *execKernel) operand(kind microcode.InKind, slot int, konst float64, d, 
 		return kernOperand{lane: -1, konst: konst}, span{0, T}
 	}
 	return kernOperand{lane: -1}, span{0, T}
+}
+
+// demand gives every op its need, the hull of the cycles its readers
+// read: a sink reads its committed cycles, a reduction register cycle
+// T-1, a reduction its operand over the operand's valid interval, and
+// any other FU its operands over its own need. Ops are in topological
+// order, so one backward pass meets every reader of an op before the
+// op itself. An op with an empty need is never run.
+func (k *execKernel) demand(pl *ExecPlan) {
+	T := pl.T
+	for _, s := range pl.sinks {
+		c0 := s.start + int(s.skip)
+		k.read(k.views[s.from], c0, c0+int(s.count), T)
+	}
+	for _, r := range pl.reduces {
+		k.read(k.views[r.from], T-1, T, T)
+	}
+	for i := len(k.ops) - 1; i >= 0; i-- {
+		op := &k.ops[i]
+		if op.kind != kFU || op.need.lo >= op.need.hi {
+			continue
+		}
+		c := op.need
+		if op.reduce {
+			c = op.valid
+		}
+		for _, o := range [2]kernOperand{op.a, op.b} {
+			if o.lane >= 0 {
+				k.read(kernView{lane: o.lane, off: o.off}, c.lo, c.hi, T)
+			}
+		}
+	}
+}
+
+// read adds to the need of v's lane the cycles a reader reads through
+// v over [lo,hi): below v's offset the reader sees zero and past T
+// nothing, so only [max(lo,off), min(hi,T)) reaches the lane.
+func (k *execKernel) read(v kernView, lo, hi, T int) {
+	op := &k.ops[v.lane]
+	op.need = op.need.hull(span{max(lo, v.off) - v.off, min(hi, T) - v.off})
 }
 
 // allocLanes maps the per-op lanes onto as few physical lanes as
@@ -300,6 +361,9 @@ func (n *Node) runKernel(pl *ExecPlan, val []float64) {
 	ops := pl.kern.ops
 	for i := range ops {
 		op := &ops[i]
+		if op.need.lo >= op.need.hi {
+			continue
+		}
 		out := val[op.out*T : (op.out+1)*T : (op.out+1)*T]
 		switch {
 		case op.kind == kSrcMem:
@@ -328,14 +392,22 @@ func srcRegions(skip, count int64, T int) (lead, live int) {
 	return lead, live
 }
 
-// kernMemSource streams one memory-plane DMA read channel: zeros
-// through the suppressed lead-in and after the stream drains, and the
-// programmed address walk in between — a page at a time for stride 1,
-// else word by word with a cached page pointer.
+// needRegions is srcRegions clipped to the op's need: lead-in
+// [need.lo,lead), live [lead,live) and drained [live,need.hi).
+func needRegions(op *kernOp, T int) (lead, live int) {
+	lead, live = srcRegions(op.skip, op.count, T)
+	lo, hi := op.need.lo, op.need.hi
+	return min(max(lead, lo), hi), min(max(live, lo), hi)
+}
+
+// kernMemSource streams one memory-plane DMA read channel over its
+// need: zeros through the suppressed lead-in and after the stream
+// drains, and the programmed address walk in between — a page at a
+// time for stride 1, else word by word with a cached page pointer.
 func (n *Node) kernMemSource(op *kernOp, out []float64) {
-	lead, live := srcRegions(op.skip, op.count, len(out))
-	clear(out[:lead])
-	clear(out[live:])
+	lead, live := needRegions(op, len(out))
+	clear(out[op.need.lo:lead])
+	clear(out[live:op.need.hi])
 	mem := n.Mem[op.plane]
 	addr := op.addr + (int64(lead)-op.skip)*op.strd
 	if op.strd == 1 && addr >= 0 && addr+int64(live-lead) <= mem.words {
@@ -359,13 +431,13 @@ func (n *Node) kernMemSource(op *kernOp, out []float64) {
 	}
 }
 
-// kernCacheSource streams one cache DMA read channel from the
-// pipeline-facing buffer selected by the instruction. An unwritten
-// buffer is nil, so every word reads as zero.
+// kernCacheSource streams one cache DMA read channel over its need
+// from the pipeline-facing buffer selected by the instruction. An
+// unwritten buffer is nil, so every word reads as zero.
 func (n *Node) kernCacheSource(op *kernOp, out []float64) {
-	lead, live := srcRegions(op.skip, op.count, len(out))
-	clear(out[:lead])
-	clear(out[live:])
+	lead, live := needRegions(op, len(out))
+	clear(out[op.need.lo:lead])
+	clear(out[live:op.need.hi])
 	buf := n.Cache[op.plane].bufs[op.buf]
 	addr := op.addr + (int64(lead)-op.skip)*op.strd
 	for c := lead; c < live; c++ {
@@ -378,15 +450,14 @@ func (n *Node) kernCacheSource(op *kernOp, out []float64) {
 	}
 }
 
-// kernFU applies one functional unit over its whole lane. The lane is
-// split at the operands' offsets into at most three regions; in each,
-// every operand is either a subslice of its producer's lane or a
-// scalar, and the region runs the op's slice×slice or slice×scalar
-// loop.
+// kernFU applies one functional unit over its need. The need is split
+// at the operands' offsets into at most three regions; in each, every
+// operand is either a subslice of its producer's lane or a scalar, and
+// the region runs the op's slice×slice or slice×scalar loop.
 func kernFU(op *kernOp, val, out []float64) {
 	T := len(out)
-	for lo := 0; lo < T; {
-		hi := min(op.a.cut(lo, T), op.b.cut(lo, T))
+	for lo, end := op.need.lo, op.need.hi; lo < end; {
+		hi := min(op.a.cut(lo, end), op.b.cut(lo, end))
 		av, as := op.a.region(val, T, lo, hi)
 		bv, bs := op.b.region(val, T, lo, hi)
 		fuRegion(op.op, out[lo:hi], av, as, bv, bs)
@@ -557,11 +628,15 @@ func fuSV(op arch.Op, out []float64, a float64, b []float64) bool {
 	return true
 }
 
-// kernReduce runs one reduction unit over its full lane: the initial
-// value before its operand's valid interval, the accumulation inside
-// it, and the held result after. The accumulator is local —
-// sequential within the lane, exactly the interpreter's per-cycle
-// order, which commits op(a, acc) only on cycles where a is valid.
+// kernReduce runs one reduction unit: the initial value before its
+// operand's valid interval, the accumulation inside it, and the held
+// result after. The accumulator is local — sequential within the lane,
+// exactly the interpreter's per-cycle order, which commits op(a, acc)
+// only on cycles where a is valid. It always accumulates from the
+// interval's first cycle but stores only the need, which ends at T
+// because the register reads cycle T-1: the cycles before the need fold
+// without a store, so a reduction only its register reads keeps no
+// running lane and writes out[T-1] alone.
 func kernReduce(op *kernOp, val, out []float64) {
 	T := len(out)
 	lo, hi := op.valid.lo, op.valid.hi
@@ -569,16 +644,21 @@ func kernReduce(op *kernOp, val, out []float64) {
 	if lo >= hi {
 		lo, hi = T, T
 	}
-	fill(out[:lo], acc)
+	from := op.need.lo
+	fill(out[from:max(from, lo)], acc)
+	mid := min(max(from, lo), hi)
 	if av, as := op.a.region(val, T, lo, hi); av != nil {
-		acc = reduceRun(op.op, acc, av, out[lo:hi])
+		acc = reduceFold(op.op, acc, av[:mid-lo])
+		acc = reduceRun(op.op, acc, av[mid-lo:], out[mid:hi])
 	} else {
 		for c := lo; c < hi; c++ {
 			acc, _ = apply(op.op, as, acc)
-			out[c] = acc
+			if c >= from {
+				out[c] = acc
+			}
 		}
 	}
-	fill(out[hi:], acc)
+	fill(out[max(hi, from):], acc)
 }
 
 // fill sets every element of s to v.
@@ -589,40 +669,111 @@ func fill(s []float64, v float64) {
 }
 
 // reduceRun accumulates acc = op(a, acc) over the valid operand a,
-// writing each step to run, and returns the final accumulator.
+// writing each step to run, and returns the final accumulator. Add and
+// mul are exact whichever operand the compiled loop puts first, except
+// when both are NaN: the payload kept then depends on that order. NaN
+// is sticky under both, so a stream that ends in NaN is rerun through
+// apply, the interpreter's own code; every other op but max, min and
+// maxabs runs through apply from the start.
 func reduceRun(op arch.Op, acc float64, a, run []float64) float64 {
 	run = run[:len(a)]
+	init := acc
 	switch op {
 	case arch.OpAdd:
 		for i, x := range a {
 			acc = x + acc
 			run[i] = acc
 		}
+		if acc == acc {
+			return acc
+		}
 	case arch.OpMul:
 		for i, x := range a {
 			acc = x * acc
 			run[i] = acc
+		}
+		if acc == acc {
+			return acc
 		}
 	case arch.OpMax:
 		for i, x := range a {
 			acc = fmax(x, acc)
 			run[i] = acc
 		}
+		return acc
 	case arch.OpMin:
 		for i, x := range a {
 			acc = fmin(x, acc)
 			run[i] = acc
 		}
+		return acc
 	case arch.OpMaxAbs:
 		for i, x := range a {
 			acc = fmax(math.Abs(x), math.Abs(acc))
 			run[i] = acc
 		}
-	default:
-		for i, x := range a {
-			acc, _ = apply(op, x, acc)
-			run[i] = acc
+		return acc
+	}
+	acc = init
+	for i, x := range a {
+		acc, _ = apply(op, x, acc)
+		run[i] = acc
+	}
+	return acc
+}
+
+// reduceFold is reduceRun's final accumulator without the stores, with
+// the same fallback to apply. For maxabs it is an integer max over the
+// magnitudes' bit patterns: they order like the values, with every NaN
+// above +Inf's, and fmax of two magnitudes is the larger unless one is
+// NaN or +Inf. Only a result at or above +Inf's pattern takes the
+// ordered loop, which lets +Inf beat NaN and canonicalizes NaN. An
+// empty stream returns acc unchanged.
+func reduceFold(op arch.Op, acc float64, a []float64) float64 {
+	init := acc
+	switch op {
+	case arch.OpAdd:
+		for _, x := range a {
+			acc = x + acc
 		}
+		if acc == acc {
+			return acc
+		}
+	case arch.OpMul:
+		for _, x := range a {
+			acc = x * acc
+		}
+		if acc == acc {
+			return acc
+		}
+	case arch.OpMax:
+		for _, x := range a {
+			acc = fmax(x, acc)
+		}
+		return acc
+	case arch.OpMin:
+		for _, x := range a {
+			acc = fmin(x, acc)
+		}
+		return acc
+	case arch.OpMaxAbs:
+		if len(a) == 0 {
+			return acc
+		}
+		// Shifting out the sign bit leaves each magnitude's pattern,
+		// doubled; inf is +Inf's pattern, doubled.
+		const inf = 0x7ff << 53
+		m := math.Float64bits(acc) << 1
+		for _, x := range a {
+			m = max(m, math.Float64bits(x)<<1)
+		}
+		if m < inf {
+			return math.Float64frombits(m >> 1)
+		}
+	}
+	acc = init
+	for _, x := range a {
+		acc, _ = apply(op, x, acc)
 	}
 	return acc
 }

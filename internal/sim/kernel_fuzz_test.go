@@ -13,8 +13,9 @@ import (
 // input and demands that the specialized kernel, the interpreter
 // (KernelOff — the pre-kernel execution semantics, which evaluate keeps
 // verbatim), and the detection-armed fallback configurations all leave
-// bit-identical architectural state: plane words, reduction registers,
-// flags, counters, clocks, FLOPs and trap records.
+// bit-identical architectural state: plane words (both sink planes, 2
+// and 3, among them), reduction registers, flags, counters, clocks,
+// FLOPs and trap records.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -25,6 +26,14 @@ func FuzzKernelEquivalence(f *testing.F) {
 	// from another tap, sink straight from a tap at a negative stride.
 	f.Add([]byte{40, 0, 1, 30, 2, 0, 1, 0, 1, 0, 2, 0, 1, 2, 8, 1, 0, 0, 1, 0, 0, 3, 2, 0, 9, 1, 1, 2, 2, 1, 0, 3, 0, 5, 7})
 	f.Add([]byte{17, 1, 3, 90, 4, 4, 0, 3, 0, 3, 2, 1, 0, 0, 2, 3, 16, 200, 0, 0, 0, 1, 1, 2, 2, 4, 0, 5, 0, 1, 0, 0, 6, 60, 3})
+	// Demand shapes: a mul reduction read by its register alone, the
+	// sink on the main unit, beside an FU nothing reads; a max
+	// reduction likewise, with a second sink on the pre-unit ahead of
+	// an SDU; an add reduction feeding the sink while a second sink
+	// reads a tap of the source.
+	f.Add([]byte{3, 2, 7, 1, 2, 0, 2, 5, 3, 5, 3, 5, 2, 6, 5, 6, 2, 0, 1, 5, 5, 6, 5, 2, 1, 4, 1, 1, 3, 7, 1, 2, 0, 0, 1, 7, 4, 7, 3, 1})
+	f.Add([]byte{7, 2, 2, 0, 0, 4, 3, 6, 5, 7, 4, 4, 2, 6, 1, 6, 2, 0, 5, 7, 2, 3, 4, 6, 2, 4, 7, 1, 5, 1, 7, 3, 2, 3, 1, 5, 0, 3, 3, 6})
+	f.Add([]byte{2, 5, 1, 3, 0, 3, 5, 0, 7, 6, 2, 6, 6, 0, 5, 6, 5, 2, 5, 0, 3, 5, 6, 5, 5, 5, 2, 1, 7, 6, 3, 4, 4, 2, 6, 2, 6, 0, 6, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{d: data}
@@ -136,8 +145,10 @@ func (r *fuzzBytes) val() float64 {
 // constant, a second memory source, or another tap with a different
 // offset; tap delays sometimes reach far past the stream's end. The
 // result — or, sometimes, a tap directly — drains to plane 2 at stride
-// 1 or a strided walk. The backing data comes last in the stream, so
-// short inputs still vary the structure.
+// 1 or a strided walk. The shapes demand lowering prunes come next: a
+// reduction only its register reads, a second sink on plane 3 with a
+// window of its own, and a unit nothing reads. The backing data comes
+// last in the stream, so short inputs still vary the structure.
 func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 	t.Helper()
 	cfg := n.Cfg
@@ -167,18 +178,19 @@ func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 
 	// Optional pre-unit on FU 0, whose output feeds the SDU (or the
 	// main unit when there is no SDU).
-	feed := src
+	feed, pre := src, arch.InvalidSource
 	if r.next()%3 == 0 {
-		pre := arch.FUID(0)
+		pu := arch.FUID(0)
 		op := floatOps[int(r.next())%len(floatOps)]
-		in.SetFUOp(pre, op)
-		in.SetFUInput(pre, 0, microcode.InSwitch, 0, int(r.next()%3))
-		in.Route(cfg.SnkFUIn(pre, 0), src)
+		in.SetFUOp(pu, op)
+		in.SetFUInput(pu, 0, microcode.InSwitch, 0, int(r.next()%3))
+		in.Route(cfg.SnkFUIn(pu, 0), src)
 		if op.Info().Arity >= 2 {
 			in.SetConst(3, r.val())
-			in.SetFUInput(pre, 1, microcode.InConst, 3, 0)
+			in.SetFUInput(pu, 1, microcode.InConst, 3, 0)
 		}
-		feed = cfg.SrcFUOut(pre)
+		feed = cfg.SrcFUOut(pu)
+		pre = feed
 	}
 
 	// Optional SDU 0 on the feed, and SDU 1 on one of its taps. A tap
@@ -229,7 +241,8 @@ func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 		in.SetFUInput(fu, 1, microcode.InSwitch, 0, int(r.next()%3))
 		in.Route(cfg.SnkFUIn(fu, 1), cfg.SrcMemRead(1))
 	}
-	out := cfg.SrcFUOut(fu)
+	main := cfg.SrcFUOut(fu)
+	out := main
 
 	// Optional reduction on FU 2 (the min/max-capable slot).
 	if r.next()%2 == 0 {
@@ -268,6 +281,39 @@ func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 	in.Route(cfg.SnkMemWrite(2), out)
 	in.SetMemDMA(2, microcode.MemDMA{Enable: true, Write: true, Addr: sinkAddr,
 		Stride: sinkStride, Count: count, Skip: skip, Start: start})
+
+	// Demand shapes, drawn after every decision above so that zeros
+	// keep the pipelines older inputs built: a reduction read by its
+	// register alone, the sink taking the main unit instead; a second
+	// sink on plane 3 reading the source, the pre-unit or a tap over a
+	// window of its own, so one lane has two readers; and an FU that
+	// no sink or unit reads.
+	if r.next()%3 == 1 && out == cfg.SrcFUOut(2) {
+		in.Route(cfg.SnkMemWrite(2), main)
+	}
+	if pick := r.next() % 4; pick != 0 {
+		from := src
+		switch {
+		case pick == 1 && pre != arch.InvalidSource:
+			from = pre
+		case pick == 2 && tap != arch.InvalidSource:
+			from = tap
+		}
+		in.Route(cfg.SnkMemWrite(3), from)
+		in.SetMemDMA(3, microcode.MemDMA{Enable: true, Write: true, Addr: int64(r.next() % 128),
+			Stride: int64(1 + r.next()%2), Count: int64(1 + r.next()%48), Skip: int64(r.next() % 5),
+			Start: int(r.next() % 24)})
+	}
+	if r.next()%3 == 1 {
+		idle := arch.FUID(4)
+		op := floatOps[int(r.next())%len(floatOps)]
+		in.SetFUOp(idle, op)
+		in.SetFUInput(idle, 0, microcode.InSwitch, 0, int(r.next()%3))
+		in.Route(cfg.SnkFUIn(idle, 0), feed)
+		if op.Info().Arity >= 2 {
+			in.SetFUInput(idle, 1, microcode.InConst, 3, 0)
+		}
+	}
 	if in.SeqOf().Cond != microcode.CondHalt {
 		in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
 	}
@@ -301,5 +347,29 @@ func FuzzMaxMin(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, x, y uint64) {
 		checkMaxMin(t, math.Float64frombits(x), math.Float64frombits(y))
+	})
+}
+
+// FuzzReduceFold pins reduceFold, the storeless fold of a reduction
+// only its register reads, and reduceRun, the fold that stores every
+// step, to the interpreter's apply loop bit for bit: every reduction
+// op, arbitrary bit patterns (payload NaNs, ±0, ±Inf, subnormals),
+// streams of 0–40 elements and any initial value.
+func FuzzReduceFold(f *testing.F) {
+	edges := make([]byte, 0, 8*len(maxMinEdges))
+	for _, x := range maxMinEdges {
+		edges = binary.LittleEndian.AppendUint64(edges, math.Float64bits(x))
+	}
+	for i := range reduceOps {
+		f.Add(uint8(i), math.Float64bits(0), []byte{})
+		f.Add(uint8(i), math.Float64bits(math.Copysign(0, -1)), edges)
+		f.Add(uint8(i), uint64(0x7ff8dead0000beef), edges[8*6:])
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, init uint64, data []byte) {
+		a := make([]float64, min(len(data)/8, 40))
+		for i := range a {
+			a[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		checkFold(t, reduceOps[int(sel)%len(reduceOps)], math.Float64frombits(init), a)
 	})
 }

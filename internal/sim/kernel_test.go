@@ -543,3 +543,82 @@ func checkMaxMin(t *testing.T, x, y float64) {
 		t.Errorf("fmin(%x, %x) = %x, math.Min %x", math.Float64bits(x), math.Float64bits(y), got, want)
 	}
 }
+
+// reduceOps are the ops a reduction unit folds in the kernel's hot
+// loops.
+var reduceOps = []arch.Op{arch.OpAdd, arch.OpMul, arch.OpMax, arch.OpMin, arch.OpMaxAbs}
+
+// TestReduceFoldEdges pins the reduction folds on the streams where
+// their shortcuts could part from the interpreter: an empty stream
+// returns the initial value raw, +Inf's magnitude beats a NaN before
+// or after it, a payload-NaN initial value comes out as the canonical
+// NaN, a −0 initial value is ordered below +0, and two NaN payloads
+// under add or mul keep the one apply keeps.
+func TestReduceFoldEdges(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	payload := math.Float64frombits(0x7ff8dead0000beef)
+	for _, tc := range []struct {
+		name string
+		op   arch.Op
+		init float64
+		a    []float64
+		want float64
+	}{
+		{"empty keeps a NaN init", arch.OpMaxAbs, payload, nil, payload},
+		{"empty keeps a -0 init", arch.OpMaxAbs, negZero, nil, negZero},
+		{"empty add keeps a -0 init", arch.OpAdd, negZero, nil, negZero},
+		{"+Inf after NaN", arch.OpMaxAbs, 0, []float64{1, nan, 2, inf, 3}, inf},
+		{"+Inf before NaN", arch.OpMaxAbs, 0, []float64{1, inf, 2, nan, 3}, inf},
+		{"-Inf's magnitude beats a NaN init", arch.OpMaxAbs, payload, []float64{math.Inf(-1)}, inf},
+		{"payload-NaN init", arch.OpMaxAbs, payload, []float64{1, -2}, nan},
+		{"payload-NaN operand", arch.OpMaxAbs, 3, []float64{1, -payload, -2}, nan},
+		{"-0 init", arch.OpMaxAbs, negZero, []float64{negZero}, 0},
+		{"subnormal magnitudes", arch.OpMaxAbs, 0, []float64{5e-324, -1e-320, 2e-323}, 1e-320},
+		{"-0 init loses max to +0", arch.OpMax, negZero, []float64{0}, 0},
+		{"-0 init wins min over +0", arch.OpMin, negZero, []float64{0}, negZero},
+		{"+Inf beats NaN in max", arch.OpMax, payload, []float64{inf, 1}, inf},
+		{"add", arch.OpAdd, 1, []float64{2, 3}, 6},
+		{"mul keeps -0", arch.OpMul, negZero, []float64{2, 3}, negZero},
+	} {
+		if got := checkFold(t, tc.op, tc.init, tc.a); math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("%s: %s fold = %x, want %x", tc.name, tc.op, math.Float64bits(got), math.Float64bits(tc.want))
+		}
+	}
+	nans := []float64{payload, -nan, math.Float64frombits(0x7ff0000000000001), inf - inf}
+	for _, op := range []arch.Op{arch.OpAdd, arch.OpMul} {
+		for _, x := range nans {
+			for _, y := range nans {
+				checkFold(t, op, x, []float64{1, y, 2})
+				checkFold(t, op, 1, []float64{x, y})
+			}
+		}
+	}
+}
+
+// checkFold runs reduceRun and reduceFold over a from init, demands
+// that both match the interpreter's apply loop bit for bit, reduceRun
+// at every step, and returns the fold.
+func checkFold(t *testing.T, op arch.Op, init float64, a []float64) float64 {
+	t.Helper()
+	want, run := make([]float64, len(a)), make([]float64, len(a))
+	acc := init
+	for i, x := range a {
+		acc, _ = apply(op, x, acc)
+		want[i] = acc
+	}
+	bits := math.Float64bits
+	if got := reduceRun(op, init, a, run); bits(got) != bits(acc) {
+		t.Errorf("%s from %x over %x: reduceRun = %x, apply loop %x", op, bits(init), a, bits(got), bits(acc))
+	}
+	for i := range run {
+		if bits(run[i]) != bits(want[i]) {
+			t.Errorf("%s from %x over %x: reduceRun step %d = %x, apply loop %x", op, bits(init), a, i, bits(run[i]), bits(want[i]))
+			break
+		}
+	}
+	fold := reduceFold(op, init, a)
+	if bits(fold) != bits(acc) {
+		t.Errorf("%s from %x over %x: reduceFold = %x, apply loop %x", op, bits(init), a, bits(fold), bits(acc))
+	}
+	return fold
+}

@@ -565,7 +565,9 @@ func (sc *runScratch) sample(T, slot, c int) (float64, bool) {
 // once the interpreter runs. Every plan the node runs shares the set,
 // so the node holds one working set the size of its largest plan.
 // Reuse is safe without zeroing: every lane is written at every cycle
-// before any same-run read of that cycle.
+// a reader reads, before that read. The interpreter writes every cycle;
+// a kernel op writes its need, which holds every cycle its readers
+// read, and no other op writes its lane until the last of them has run.
 func (n *Node) scratchFor(pl *ExecPlan, kernel bool) *runScratch {
 	sc := &n.scratch
 	lanes := pl.slots
