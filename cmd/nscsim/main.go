@@ -64,7 +64,7 @@
 //
 // -metrics-json and -trace-out arm the unified observability layer on
 // the run (both -prog and -jacobi): after execution, -metrics-json
-// writes the metrics registry (counters, gauges, log₂ histograms) as
+// writes the metrics registry (counters and log₂ histograms) as
 // sorted JSON and -trace-out writes a Chrome trace_event file that
 // chrome://tracing and https://ui.perfetto.dev load directly — the
 // engine's phase timeline on track 0, each rank's dispatch/trap/ECC

@@ -144,7 +144,7 @@ func (env *Environment) Hypercube(dim int) (*hypercube.Machine, error) {
 	if name == "" {
 		name = "hypercube"
 	}
-	if env.Cube != nil && env.Cube.Dim == dim && env.Cube.Topo.Name() == name {
+	if env.Cube != nil && len(env.Cube.Nodes) == 1<<uint(dim) && env.Cube.Topo.Name() == name {
 		return env.Cube, nil
 	}
 	t, err := topo.New(name, 1<<uint(dim))

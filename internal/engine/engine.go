@@ -84,6 +84,11 @@ type Fabric interface {
 	// the aggregate router load.
 	AddMachineCycles(cycles int64)
 	AddCommCycles(cycles int64)
+	// RecoverRanks repairs the ring after the given ring ranks died
+	// permanently: a hot spare takes over a dead slot, or the slot is
+	// deleted and the ring shrinks. It returns how many slots were
+	// spared and how many deleted; P reports the repaired ring.
+	RecoverRanks(dead []int) (spared, shrunk int, err error)
 }
 
 // Config parameterizes a Loop (and Run, the iteration driver on top
@@ -122,7 +127,7 @@ type Config struct {
 	// through lp's phases, leaving each rank's residual in ResidualFU.
 	// It names the plane Run exchanges after the combine (-1 for none).
 	// A BudgetError rolls the run back exactly like one from a phase
-	// Run drives itself; a DeadRankError goes to Recover.
+	// Run drives itself; a DeadRankError starts recovery.
 	Step func(lp *Loop, it int) (plane int, be *BudgetError, err error)
 
 	// MaxSweeps bounds the loop; StopAfter, when positive, runs exactly
@@ -143,26 +148,22 @@ type Config struct {
 
 	// Take snapshots the client's state at a sweep boundary; live is
 	// the loop's fault counters so far (the client adds its own base).
-	// Rollback restores the latest snapshot after a retry budget
-	// exhausts and returns the sweep to resume from; ok=false means no
-	// snapshot exists and the budget error surfaces instead.
+	// Rollback writes the latest snapshot onto the ring — after a retry
+	// budget exhausts, or after a death the buddy mirror cannot cover —
+	// and returns the sweep to resume from; ok=false means no snapshot
+	// exists and the error surfaces instead.
 	Take     func(sweep int, series []float64, live FaultStats) error
 	Rollback func() (sweep int, series []float64, ok bool, err error)
 
-	// BuddyEvery, when positive, invokes Buddy at every sweep boundary
-	// divisible by it — the client's in-memory buddy-checkpoint mirror.
-	// Mirrors are host-side and free in simulated time, exactly like
-	// Take snapshots, so arming them never moves the clocks.
-	BuddyEvery int
-	Buddy      func(sweep int, series []float64) error
-
-	// Recover, when non-nil, handles permanent node loss: Run hands it
-	// the DeadRankError from a dispatch barrier and resumes the loop on
-	// the configuration it returns (a spare wired into the dead slot, or
-	// a shrunken re-partition over the survivors, with the client's
-	// state restored from buddy mirrors or a checkpoint). Nil keeps the
-	// pre-recovery behaviour: a dead rank surfaces as an error.
-	Recover func(*DeadRankError) (*Config, *RecoveryInfo, error)
+	// State lists the planes that carry the iterate from one iteration
+	// to the next, and Rebuild recompiles and reloads every rank's slab
+	// over part, a repaired ring; sweep and series name the boundary the
+	// run resumes at. When the plan holds a permanent kill and Rebuild
+	// is set, Run mirrors State at every boundary and recovers dead
+	// ranks (see recovery.go); otherwise a dead rank surfaces as an
+	// error.
+	State   []int
+	Rebuild func(part *Partition, sweep int, series []float64) error
 }
 
 // Loop is the phase-structured sweep loop: Dispatch runs one
@@ -610,7 +611,7 @@ type RunResult struct {
 	Faults FaultStats
 	// Recovery counts degraded-mode recoveries (permanent node loss
 	// survived via spares or shrinking re-partition); all-zero unless a
-	// kill-forever fault fired and a Recover hook handled it.
+	// kill-forever fault fired and Run recovered from it.
 	Recovery RecoveryStats
 }
 
@@ -646,11 +647,12 @@ func (t *NodeTotals) AddNode(nd *sim.Node) {
 // rolled back — the lost work cost real cycles.
 //
 // Permanent node loss (FaultKillForever) surfaces as a DeadRankError
-// unless cfg.Recover is set, in which case Run re-enters the loop on
-// the recovered configuration — same observability timeline, fault
-// counters accumulated across generations — and resumes from the
-// iteration boundary the hook restored. Each recovery round consumes at least
-// one fired plan event, so the rounds are bounded by the plan length.
+// unless cfg.Rebuild is set, in which case Run recovers (see
+// recovery.go) and re-enters the loop on the repaired ring — same
+// observability timeline, fault counters accumulated across
+// generations — at the restored iteration boundary. Each recovery
+// consumes at least one fired plan event, so the rounds are bounded by
+// the plan length.
 //
 // The plan is checked once, against the starting machine: an event
 // naming a rank, exchange pair or combine round the machine does not
@@ -663,12 +665,12 @@ func Run(cfg *Config) (*RunResult, error) {
 	var acc FaultStats
 	var rec RecoveryStats
 	var ts int64
-	maxRecoveries := 0
-	if cfg.Faults != nil {
-		maxRecoveries = len(cfg.Faults.Events)
+	var mr *mirror
+	if cfg.Rebuild != nil && cfg.Faults.HasPermanent() {
+		mr = &mirror{}
 	}
 	for {
-		res, tsEnd, dre, err := runOnce(cfg, ts, acc)
+		res, tsEnd, dre, err := runOnce(cfg, ts, acc, mr)
 		if err != nil {
 			return nil, err
 		}
@@ -679,55 +681,16 @@ func Run(cfg *Config) (*RunResult, error) {
 		if dre == nil {
 			return res, nil
 		}
-		if cfg.Recover == nil || int(rec.Recoveries) >= maxRecoveries {
-			// No hook, or the backstop: a Recover hook that makes no
-			// progress cannot spin the loop past one round per plan event.
+		if mr == nil || int(rec.Recoveries) >= len(cfg.Faults.Events) {
+			// Not armed, or the backstop: a step that reports deaths the
+			// plan never fired cannot spin the loop past one round per
+			// plan event.
 			return res, dre
 		}
-		acc = res.Faults
-		ts = tsEnd
-		next, info, rerr := cfg.Recover(dre)
-		if rerr != nil {
-			return nil, fmt.Errorf("engine: recovering from %v: %w", dre, rerr)
+		acc, ts = res.Faults, tsEnd
+		if cfg, err = mr.recover(cfg, dre, &rec, ts); err != nil {
+			return nil, fmt.Errorf("engine: recovering from %w: %w", dre, err)
 		}
-		rec.Recoveries++
-		rec.DeadRanks += int64(len(dre.Ranks))
-		rec.SpareActivations += int64(info.Spared)
-		rec.Shrinks += int64(info.Shrunk)
-		switch info.Source {
-		case "buddy":
-			rec.BuddyRestores++
-		case "checkpoint":
-			rec.CheckpointRestores++
-		}
-		resweep := int64(dre.Sweep - info.ResumeSweep)
-		if resweep > 0 {
-			rec.ResweptSweeps += resweep
-		}
-		if o := cfg.Obs; o != nil {
-			o.Inc("engine.recovery.recoveries")
-			mode := "spare+shrink"
-			switch {
-			case info.Spared == 0:
-				mode = "shrink"
-			case info.Shrunk == 0:
-				mode = "spare"
-			}
-			if info.Spared > 0 {
-				o.Add("engine.recovery.spare", int64(info.Spared))
-			}
-			if info.Shrunk > 0 {
-				o.Add("engine.recovery.shrink", int64(info.Shrunk))
-			}
-			o.Inc("engine.recovery.source." + info.Source)
-			o.Observe("engine.recovery.resweeps", resweep)
-			o.Event(0, "engine", "recovery", ts, mode, map[string]int64{
-				"resume_sweep": int64(info.ResumeSweep),
-				"spared":       int64(info.Spared),
-				"shrunk":       int64(info.Shrunk),
-			})
-		}
-		cfg = next
 	}
 }
 
@@ -738,8 +701,9 @@ func Run(cfg *Config) (*RunResult, error) {
 // into the live counters handed to Take so persisted checkpoints carry
 // full totals. A dead rank is not an error here: runOnce returns it
 // with the partial result (counters and timeline so far) for Run's
-// recovery protocol. On error the result is nil.
-func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, *DeadRankError, error) {
+// recovery protocol. mr, when non-nil, is the buddy mirror runOnce
+// refreshes at every boundary. On error the result is nil.
+func runOnce(cfg *Config, ts0 int64, base FaultStats, mr *mirror) (*RunResult, int64, *DeadRankError, error) {
 	lp, err := NewLoop(cfg)
 	if err != nil {
 		return nil, ts0, nil, err
@@ -785,8 +749,8 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats) (*RunResult, int64, *DeadR
 		}
 		// Buddy mirror: host-side like Take, so it is free in simulated
 		// time; the zero-cycle phase marks the boundary on the timeline.
-		if cfg.BuddyEvery > 0 && cfg.Buddy != nil && it%cfg.BuddyEvery == 0 {
-			if err := cfg.Buddy(it, res.Series); err != nil {
+		if mr != nil {
+			if err := mr.take(cfg.Fabric, cfg.Part, cfg.State, it, res.Series); err != nil {
 				return nil, lp.simTS, nil, err
 			}
 			lp.observe("buddy", it, 0)

@@ -2,13 +2,16 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/diag"
+	"repro/internal/microcode"
 	"repro/internal/sim"
 )
 
@@ -128,6 +131,7 @@ func (f *scatterFabric) Copy(int, int, int64, int, int, int64, int) (int64, erro
 func (f *scatterFabric) Corrupt(int, int, int64, int) error                        { return nil }
 func (f *scatterFabric) AddMachineCycles(c int64)                                  { f.machine += c }
 func (f *scatterFabric) AddCommCycles(c int64)                                     { f.com += c }
+func (f *scatterFabric) RecoverRanks([]int) (int, int, error)                      { return 0, 0, nil }
 
 // TestChargeScatter: the post-recovery scatter charges every non-empty
 // message to the router aggregate and only the worst one to the
@@ -176,7 +180,16 @@ type nodeFabric struct {
 
 func (f *nodeFabric) Node(r int) *sim.Node { return f.nodes[r] }
 
-// TestRunSurfacesDeadRankWithoutRecover: with no Recover hook, a dead
+// RecoverRanks deletes the dead slots: a machine with no spares left.
+func (f *nodeFabric) RecoverRanks(dead []int) (int, int, error) {
+	for i := len(dead) - 1; i >= 0; i-- {
+		f.nodes = slices.Delete(f.nodes, dead[i], dead[i]+1)
+	}
+	f.p = len(f.nodes)
+	return 0, len(dead), nil
+}
+
+// TestRunSurfacesDeadRankWithoutRecover: with no Rebuild hook, a dead
 // rank ends Run with the *DeadRankError the step reported and the
 // partial result — the iterations completed and the fault counters so
 // far.
@@ -209,6 +222,147 @@ func TestRunSurfacesDeadRankWithoutRecover(t *testing.T) {
 	}
 	if res == nil || res.Sweeps != 3 || len(res.Series) != 3 || res.Faults != (FaultStats{}) {
 		t.Errorf("partial result = %+v, want 3 sweeps and zero counters", res)
+	}
+}
+
+// TestRunRecovers drives the recovery protocol on a four-rank
+// nodeFabric, one interior plane per rank, whose two State planes hold
+// a known image at every boundary: each step checks that every rank's
+// slab, ghosts included, holds its boundary's image and then writes
+// the next one. A kill-forever at sweep 2 shrinks the ring. Rebuild
+// must see the repaired partition, and it scribbles over every slab as
+// a real reload does, so the first resumed step passes only if the
+// mirror was written back after Rebuild. Adjacent deaths lose
+// the mirror: with no Rollback hook they surface ErrNoRestorePoint,
+// and with one the run resumes from its checkpoint. A failing Rebuild
+// comes back wrapped.
+func TestRunRecovers(t *testing.T) {
+	const nz, nn = 6, 4 // N = 2
+	planes := []int{0, 1}
+	image := func(it, pl int) []float64 {
+		g := make([]float64, nz*nn)
+		for i := range g {
+			g[i] = float64(1000*it + 100*pl + i)
+		}
+		return g
+	}
+	setSlabs := func(f Fabric, part *Partition, it int) error {
+		for r := 0; r < part.P; r++ {
+			for _, pl := range planes {
+				if err := f.Node(r).WriteWords(pl, 0, image(it, pl)[(part.Lo[r]-1)*nn:(part.Lo[r]+part.Planes[r]+1)*nn]); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	slabsHold := func(f Fabric, part *Partition, it int) error {
+		for r := 0; r < part.P; r++ {
+			for _, pl := range planes {
+				got, err := f.Node(r).ReadWords(pl, 0, (part.Planes[r]+2)*nn)
+				if err != nil {
+					return err
+				}
+				if want := image(it, pl)[(part.Lo[r]-1)*nn : (part.Lo[r]+part.Planes[r]+1)*nn]; !slices.Equal(got, want) {
+					return fmt.Errorf("sweep %d rank %d plane %d: slab %v, want %v", it, r, pl, got, want)
+				}
+			}
+		}
+		return nil
+	}
+	errRebuild := errors.New("rebuild failed")
+	run := func(t *testing.T, deaths []int, rollback bool, rebuildErr error) (*RunResult, error) {
+		f := &nodeFabric{scatterFabric: scatterFabric{p: 4}}
+		for r := 0; r < 4; r++ {
+			nd, err := sim.NewNode(arch.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.nodes = append(f.nodes, nd)
+		}
+		part, err := NewPartition(4, 2, nz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := setSlabs(f, part, 0); err != nil {
+			t.Fatal(err)
+		}
+		var evs []FaultEvent
+		for _, r := range deaths {
+			evs = append(evs, FaultEvent{Sweep: 2, Phase: PhaseDispatch, Rank: r, Kind: FaultKillForever})
+		}
+		blank := microcode.MustFormat(arch.Default()).NewInstr()
+		cur := part
+		cfg := &Config{
+			Fabric: f, Part: part, Faults: MustFaultPlan(evs...), MaxSweeps: 4,
+			State: planes,
+			Step: func(lp *Loop, it int) (int, *BudgetError, error) {
+				if err := slabsHold(f, cur, it); err != nil {
+					return -1, nil, err
+				}
+				be, err := lp.Dispatch(it, func(int) *microcode.Instr { return blank }, -1)
+				if be != nil || err != nil {
+					return -1, be, err
+				}
+				return -1, nil, setSlabs(f, cur, it+1)
+			},
+			Rebuild: func(p *Partition, sweep int, series []float64) error {
+				if want, _ := NewPartition(4-len(deaths), 2, nz); f.P() != want.P || !reflect.DeepEqual(p, want) {
+					t.Errorf("Rebuild saw partition %+v on a %d-rank fabric, want the repaired %+v", p, f.P(), want)
+				}
+				resume := 2
+				if rollback {
+					resume = 0
+				}
+				if sweep != resume || len(series) != resume {
+					t.Errorf("Rebuild resumes at sweep %d with %d residuals, want %d", sweep, len(series), resume)
+				}
+				for r := 0; r < p.P; r++ {
+					for _, pl := range planes {
+						if err := f.Node(r).WriteWords(pl, 0, make([]float64, (p.Planes[r]+2)*nn)); err != nil {
+							return err
+						}
+					}
+				}
+				cur = p
+				return rebuildErr
+			},
+		}
+		if rollback {
+			cfg.Rollback = func() (int, []float64, bool, error) {
+				return 0, nil, true, setSlabs(f, cur, 0)
+			}
+		}
+		return Run(cfg)
+	}
+
+	res, err := run(t, []int{1}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RecoveryStats{Recoveries: 1, DeadRanks: 1, Shrinks: 1, BuddyRestores: 1}
+	if res.Sweeps != 4 || res.Recovery != want {
+		t.Errorf("%d sweeps, recovery %s; want 4 sweeps, %s", res.Sweeps, res.Recovery, want)
+	}
+
+	_, err = run(t, []int{1, 2}, false, nil)
+	var dre *DeadRankError
+	if !errors.Is(err, ErrNoRestorePoint) || !errors.As(err, &dre) || !slices.Equal(dre.Ranks, []int{1, 2}) {
+		t.Errorf("adjacent deaths without Rollback: %v, want ErrNoRestorePoint for ranks 1,2", err)
+	}
+
+	res, err = run(t, []int{1, 2}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = RecoveryStats{Recoveries: 1, DeadRanks: 2, Shrinks: 2, CheckpointRestores: 1, ResweptSweeps: 2}
+	if res.Recovery != want {
+		t.Errorf("adjacent deaths with Rollback: recovery %s, want %s", res.Recovery, want)
+	}
+
+	_, err = run(t, []int{1}, false, errRebuild)
+	if !errors.Is(err, errRebuild) || !strings.HasPrefix(err.Error(), "engine: recovering from engine: sweep 2: rank(s) 1 permanently dead: ") {
+		t.Errorf("failing Rebuild: %v", err)
 	}
 }
 

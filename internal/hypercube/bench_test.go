@@ -108,17 +108,20 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// buddySolve is the 8-node fixed-sweep solve with the buddy mirror at
-// the given stride (0 disables it on a fault-free run, 1 mirrors every
-// sweep).
-func buddySolve(tb testing.TB, buddyEvery int) (*JacobiResult, *Machine) {
+// buddySolve is the 8-node fixed-sweep solve on the pairwise halo
+// schedule, with the buddy mirror armed (a kill-forever scheduled past
+// the last sweep) or not (an empty plan).
+func buddySolve(tb testing.TB, armed bool) (*JacobiResult, *Machine) {
 	m, err := New(smallCfg(), 3)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	m.Workers = runtime.GOMAXPROCS(0)
 	m.StopAfter = 12
-	m.BuddyEvery = buddyEvery
+	m.Faults = engine.MustFaultPlan()
+	if armed {
+		m.Faults = mirrorPlan()
+	}
 	res, err := m.SolveJacobi(parallelProblem(m.P()))
 	if err != nil {
 		tb.Fatal(err)
@@ -132,8 +135,8 @@ func buddySolve(tb testing.TB, buddyEvery int) (*JacobiResult, *Machine) {
 // mirror is host-side bookkeeping, so arming it may cost host time but
 // must never move machine time.
 func BenchmarkBuddyOverhead(b *testing.B) {
-	rd, md := buddySolve(b, -1)
-	re, me := buddySolve(b, 1)
+	rd, md := buddySolve(b, false)
+	re, me := buddySolve(b, true)
 	if md.MachineCycles != me.MachineCycles || md.CommCycles != me.CommCycles ||
 		rd.Residual != re.Residual || rd.Iterations != re.Iterations {
 		b.Fatalf("buddy mirror changed simulated observables: disabled (%d,%d,%g), enabled (%d,%d,%g)",
@@ -141,15 +144,15 @@ func BenchmarkBuddyOverhead(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name  string
-		every int
+		armed bool
 	}{
-		{"disabled", -1},
-		{"every-sweep", 1},
+		{"disabled", false},
+		{"every-sweep", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				_, m := buddySolve(b, mode.every)
+				_, m := buddySolve(b, mode.armed)
 				cycles = m.MachineCycles
 			}
 			b.ReportMetric(float64(cycles), "machine-cycles")
@@ -173,20 +176,20 @@ func TestBuddyOverheadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock budget is meaningless under the race detector")
 	}
-	timed := func(every int) float64 {
+	timed := func(armed bool) float64 {
 		start := time.Now()
-		buddySolve(t, every)
+		buddySolve(t, armed)
 		return float64(time.Since(start))
 	}
 	overhead := func() float64 {
 		ratios := make([]float64, 41)
 		for i := range ratios {
 			if i%2 == 0 {
-				clean := timed(-1)
-				ratios[i] = timed(1) / clean
+				clean := timed(false)
+				ratios[i] = timed(true) / clean
 			} else {
-				buddy := timed(1)
-				ratios[i] = buddy / timed(-1)
+				buddy := timed(true)
+				ratios[i] = buddy / timed(false)
 			}
 		}
 		sort.Float64s(ratios)

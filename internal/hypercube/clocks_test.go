@@ -36,7 +36,7 @@ func TestSimulatedClocks(t *testing.T) {
 		{"clean", "hypercube", nil, 7764, 11412, 0},
 		{"pairwise", "hypercube", func(t *testing.T, m *Machine) { m.Faults = engine.MustFaultPlan() }, 7764, 11412, 0},
 		{"obs", "hypercube", func(t *testing.T, m *Machine) { m.Obs = obs.New() }, 7764, 11412, 0},
-		{"buddy-every-sweep", "hypercube", func(t *testing.T, m *Machine) { m.BuddyEvery = 1 }, 7764, 11412, 0},
+		{"buddy-every-sweep", "hypercube", func(t *testing.T, m *Machine) { m.Faults = mirrorPlan() }, 7764, 11412, 0},
 		{"mesh2d", "mesh2d", nil, 8148, 11796, 0},
 		{"torus2d", "torus2d", nil, 7956, 11604, 0},
 		{"kill-spare", "hypercube", func(t *testing.T, m *Machine) {

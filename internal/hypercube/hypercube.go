@@ -17,13 +17,13 @@
 // machine to the engine's Fabric interface, compiles each distinct
 // slab once (ranks with the same slab, and later solves on the same
 // machine, share its instructions), and supplies the scheme (the sweep
-// Step, checkpoint and recovery hooks).
+// Step, the checkpoint hooks, and the state planes and slab rebuild the
+// engine's recovery protocol needs).
 package hypercube
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"strconv"
 	"strings"
 
@@ -39,9 +39,6 @@ import (
 // hypercube by default, or any fabric from internal/topo.
 type Machine struct {
 	Cfg arch.Config
-	// Dim is ⌈log₂P⌉ — the hypercube dimension when the fabric is the
-	// hypercube, and still the residual-combine round count otherwise.
-	Dim int
 	// Topo is the interconnect the machine is built over; it fixes the
 	// rank embedding, hop metric and combine pricing.
 	Topo  topo.Topology
@@ -79,8 +76,9 @@ type Machine struct {
 	// CheckpointSink, when non-nil, receives every snapshot as it is
 	// taken — e.g. SaveCheckpointFile for crash-consistent persistence.
 	CheckpointSink func(*Checkpoint) error
-	// LastCheckpoint is the most recent snapshot; retry-budget
-	// exhaustion rolls the solve back to it.
+	// LastCheckpoint is the current solve's most recent snapshot;
+	// retry-budget exhaustion rolls the solve back to it, and so does a
+	// recovery whose buddy mirror died.
 	LastCheckpoint *Checkpoint
 	// Restore, when non-nil, makes the next SolveJacobi resume from
 	// this snapshot (typically loaded from disk into a fresh machine)
@@ -107,14 +105,6 @@ type Machine struct {
 	// adopts the slot's hypercube address — before falling back to a
 	// shrinking re-partition when the pool is empty.
 	Spares []*sim.Node
-	// BuddyEvery controls the in-memory buddy mirror that backs
-	// degraded-mode recovery: 0 (the default) arms it every sweep
-	// exactly when the fault plan contains a permanent kill, a positive
-	// value arms it at that sweep stride unconditionally, and a negative
-	// value disables it (recovery then depends on LastCheckpoint).
-	// Mirrors are host-side, like checkpoints: they never move the
-	// simulated clocks.
-	BuddyEvery int
 	// RecoveryCounters accumulates degraded-mode recovery stats across
 	// completed solves on this machine.
 	RecoveryCounters engine.RecoveryStats
@@ -166,7 +156,7 @@ func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 	if p < 1 || p > 1<<10 {
 		return nil, fmt.Errorf("hypercube: %s node count %d out of range", t.Name(), p)
 	}
-	m := &Machine{Cfg: cfg, Dim: ringDim(p), Topo: t}
+	m := &Machine{Cfg: cfg, Topo: t}
 	for i := 0; i < p; i++ {
 		n, err := sim.NewNode(cfg)
 		if err != nil {
@@ -264,21 +254,8 @@ func (f fabric) Corrupt(r, plane int, addr int64, count int) error {
 func (f fabric) AddMachineCycles(c int64) { f.m.MachineCycles += c }
 func (f fabric) AddCommCycles(c int64)    { f.m.CommCycles += c }
 
-// RecoverRanks lets engine clients that only hold the Fabric (the
-// distributed multigrid) reach the machine's ring repair through a
-// type assertion.
 func (f fabric) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	return f.m.RecoverRanks(dead)
-}
-
-// ringDim returns the recursive-doubling round count for p ranks:
-// ⌈log₂p⌉, which equals the hypercube dimension while the ring is
-// full.
-func ringDim(p int) int {
-	if p <= 1 {
-		return 0
-	}
-	return bits.Len(uint(p - 1))
 }
 
 // Fabric returns the engine's view of this machine: ring-rank node
@@ -346,11 +323,13 @@ type JacobiResult struct {
 // engine's fixed budget; a retry budget that exhausts rolls the solve
 // back to LastCheckpoint (when one exists and the restore budget
 // allows) instead of failing. A permanent kill (FaultKillForever) instead
-// triggers degraded-mode recovery: the dead slot is refilled from the
-// spare pool or retired by a shrinking re-partition, the iterate is
-// restored from the buddy mirror (or LastCheckpoint), and the solve
-// resumes. Recovered runs produce bit-identical grids and residual
-// histories to fault-free runs; only the cycle counts grow.
+// triggers the engine's degraded-mode recovery: the dead slot is
+// refilled from the spare pool or deleted by a shrinking re-partition,
+// the iterate is restored from the buddy mirror (or LastCheckpoint),
+// and the solve resumes. Recovered runs produce bit-identical grids and
+// residual histories to fault-free runs; only the cycle counts grow.
+// Every solve starts with no LastCheckpoint but the one it restores,
+// so rollback and recovery never reach an earlier solve's iterate.
 func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	p := m.P()
 	for _, nd := range m.participants() {
@@ -373,6 +352,7 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 
 	var startSeries []float64
 	startIt, skipAt := 0, -1
+	m.LastCheckpoint = nil
 	if ck := m.Restore; ck != nil {
 		if err := ck.compatible(part); err != nil {
 			return nil, err

@@ -214,7 +214,7 @@ func TestSolveJacobiRejectsUnevenDecomposition(t *testing.T) {
 
 func TestPeakAndMemoryClaims(t *testing.T) {
 	cfg := arch.Default()
-	m := &Machine{Cfg: cfg, Dim: 6}
+	m := &Machine{Cfg: cfg}
 	for i := 0; i < 64; i++ {
 		m.Nodes = append(m.Nodes, nil)
 	}

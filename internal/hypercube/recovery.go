@@ -13,15 +13,15 @@ import (
 )
 
 // Degraded-mode recovery: the machine half of surviving permanent node
-// loss. The engine detects a dead rank at a dispatch barrier and hands
-// this client a DeadRankError; the client repairs the ring — a hot
-// spare adopts the dead slot's hypercube address, or, with the spare
-// pool empty, the slot is retired and the surviving ranks re-partition
-// the grid — restores the iterate from the in-memory buddy mirror (or
-// the last checkpoint), and resumes the solve from that sweep
-// boundary. Both the restored state and the recovery clocks are pure
-// functions of the fault plan, so recovered runs stay bit-identical to
-// fault-free runs in grids and residual series at any survivor count.
+// loss. The engine runs the protocol (see engine.Run); the machine
+// provides the spare pool and the ring repair behind the fabric's
+// RecoverRanks — a hot spare adopts the dead slot's hypercube address,
+// or, with the spare pool empty, the slot is deleted and the engine
+// re-partitions the grid over the survivors — and SolveJacobi supplies
+// the slab rebuild. Both the restored state and the recovery clocks
+// are pure functions of the fault plan, so recovered runs stay
+// bit-identical to fault-free runs in grids and residual series at any
+// survivor count.
 
 // AddSpares provisions n cold standby boards for degraded-mode
 // recovery. Spares are idle until a permanent kill fires: they cost no
@@ -110,84 +110,6 @@ func (m *Machine) RecoverRanks(dead []int) (spared, shrunk int, err error) {
 	return spared, shrunk, nil
 }
 
-// buddyStore is the in-memory buddy mirror: at armed sweep boundaries
-// every rank's full local iterate (both planes, ghosts included) is
-// mirrored to its ring buddy — modeled host-side as one store, with
-// availability gated on the buddy partner (rank+1 mod P) surviving.
-// Like checkpoints, mirrors are host-side bookkeeping: they never move
-// the simulated clocks, so a clean run with mirroring armed has
-// bit-identical cycle counts to one without.
-type buddyStore struct {
-	valid  bool
-	sweep  int
-	series []float64
-	part   *engine.Partition
-	u, v   [][]float64
-}
-
-// take mirrors the current sweep-boundary state. Buffers are reused
-// across sweeps of one partition generation.
-func (b *buddyStore) take(m *Machine, part *engine.Partition, sweep int, series []float64) error {
-	if b.part != part {
-		nn := part.NN()
-		b.u = make([][]float64, part.P)
-		b.v = make([][]float64, part.P)
-		for r := 0; r < part.P; r++ {
-			w := (part.Planes[r] + 2) * nn
-			b.u[r] = make([]float64, w)
-			b.v[r] = make([]float64, w)
-		}
-		b.part = part
-	}
-	for r := 0; r < part.P; r++ {
-		if err := m.ring[r].ReadWordsInto(jacobi.PlaneU, 0, b.u[r]); err != nil {
-			return err
-		}
-		if err := m.ring[r].ReadWordsInto(jacobi.PlaneV, 0, b.v[r]); err != nil {
-			return err
-		}
-	}
-	b.sweep = sweep
-	b.series = append(b.series[:0], series...)
-	b.valid = true
-	return nil
-}
-
-// available reports whether the mirror can restore a run that lost the
-// given ranks of the given partition: the mirror must be from that
-// partition generation, and every dead rank's buddy partner must have
-// survived (the partner holds the mirror).
-func (b *buddyStore) available(part *engine.Partition, dead []int) bool {
-	if !b.valid || b.part != part || part.P < 2 {
-		return false
-	}
-	isDead := make(map[int]bool, len(dead))
-	for _, d := range dead {
-		isDead[d] = true
-	}
-	for _, d := range dead {
-		if d < 0 || d >= part.P || isDead[(d+1)%part.P] {
-			return false
-		}
-	}
-	return true
-}
-
-// assembleGlobal rebuilds a global N×N×Nz plane from per-rank local
-// grids: owned planes from each rank, the global boundary planes from
-// the edge ranks' outer ghost planes.
-func assembleGlobal(part *engine.Partition, locals [][]float64) []float64 {
-	nn := part.NN()
-	g := make([]float64, nn*part.Nz)
-	copy(g[:nn], locals[0][:nn])
-	last := part.P - 1
-	copy(g[(part.Nz-1)*nn:], locals[last][(part.Planes[last]+1)*nn:(part.Planes[last]+2)*nn])
-	for r := 0; r < part.P; r++ {
-		copy(g[part.Lo[r]*nn:(part.Lo[r]+part.Planes[r])*nn], locals[r][nn:(part.Planes[r]+1)*nn])
-	}
-	return g
-}
-
 // jacobiSolve is the partition-dependent state of one SolveJacobi
 // call, swappable mid-run: recovery rebuilds part/fwd/bwd over the
 // repaired ring, and every engine hook reads them through this struct
@@ -202,7 +124,10 @@ type jacobiSolve struct {
 	// sweeps stay allocation-free; they read fwd/bwd at call time.
 	fwdAt, bwdAt func(rank int) *microcode.Instr
 
-	buddy buddyStore
+	// snapAt, when not -1, is a boundary a recovery restored; the next
+	// step snapshots it with snapSeries (see rebuild).
+	snapAt     int
+	snapSeries []float64
 
 	// Restore bases (from m.Restore), added to live engine counters.
 	base     engine.FaultStats
@@ -212,7 +137,7 @@ type jacobiSolve struct {
 // newJacobiSolve starts the state of one SolveJacobi call, binding its
 // dispatch lookups.
 func newJacobiSolve(m *Machine, global *jacobi.Problem) *jacobiSolve {
-	s := &jacobiSolve{m: m, global: global}
+	s := &jacobiSolve{m: m, global: global, snapAt: -1}
 	s.fwdAt = func(r int) *microcode.Instr { return s.fwd[r] }
 	s.bwdAt = func(r int) *microcode.Instr { return s.bwd[r] }
 	return s
@@ -270,26 +195,12 @@ func (s *jacobiSolve) build(part *engine.Partition) error {
 	return nil
 }
 
-// buddyEvery resolves the machine's BuddyEvery policy for this solve.
-func (s *jacobiSolve) buddyEvery() int {
-	m := s.m
-	switch {
-	case m.BuddyEvery > 0:
-		return m.BuddyEvery
-	case m.BuddyEvery < 0:
-		return 0
-	case m.Faults.HasPermanent():
-		return 1
-	}
-	return 0
-}
-
-// engineConfig builds the engine configuration for one loop
-// generation. All hooks read the solve state through s, so the config
-// returned after a recovery drives the rebuilt partition.
+// engineConfig builds the engine configuration of the solve. All
+// hooks read the solve state through s, so the generation the engine
+// resumes after a recovery drives the rebuilt partition.
 func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int) *engine.Config {
 	m := s.m
-	cfg := &engine.Config{
+	return &engine.Config{
 		Fabric: m.Fabric(), Part: s.part, Workers: m.Workers,
 		Faults: m.Faults, Obs: m.Obs,
 		ResidualFU: arch.FUID(11), // T4 slot 2 under the default triplet layout
@@ -299,21 +210,24 @@ func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int)
 		StartSweep:      startSweep, StartSeries: series, SkipSnapshotAt: skipAt,
 		Take:     s.take,
 		Rollback: s.rollback,
+		State:    []int{jacobi.PlaneU, jacobi.PlaneV},
+		Rebuild:  s.rebuild,
 	}
-	if be := s.buddyEvery(); be > 0 {
-		cfg.BuddyEvery = be
-		cfg.Buddy = s.mirror
-	}
-	if m.Faults.HasPermanent() {
-		cfg.Recover = s.recover
-	}
-	return cfg
 }
 
 // step is the engine's iteration hook: one sweep, forward on even
 // iterations (writing v) and backward on odd ones (writing u), whose
-// written plane is the one exchanged after the combine.
+// written plane is the one exchanged after the combine. The first step
+// after a recovery first takes the snapshot rebuild asked for, now
+// that the engine has restored the state.
 func (s *jacobiSolve) step(lp *engine.Loop, it int) (int, *engine.BudgetError, error) {
+	if s.snapAt >= 0 {
+		ck, err := s.m.snapshot(s.snapAt, s.part, s.global, s.snapSeries, s.base, s.nodeBase)
+		if err != nil {
+			return -1, nil, err
+		}
+		s.m.LastCheckpoint, s.snapAt = ck, -1
+	}
 	plane, instr := jacobi.PlaneV, s.fwdAt
 	if it%2 == 1 {
 		plane, instr = jacobi.PlaneU, s.bwdAt
@@ -340,7 +254,9 @@ func (s *jacobiSolve) take(sweep int, series []float64, live engine.FaultStats) 
 	return nil
 }
 
-// rollback is the engine's retry-exhaustion hook.
+// rollback is the engine's rollback hook: it writes LastCheckpoint onto
+// the ring after a retry budget exhausts or a death the buddy mirror
+// cannot cover.
 func (s *jacobiSolve) rollback() (int, []float64, bool, error) {
 	m := s.m
 	ck := m.LastCheckpoint
@@ -356,81 +272,18 @@ func (s *jacobiSolve) rollback() (int, []float64, bool, error) {
 	return ck.Sweep, ck.Residuals, true, nil
 }
 
-// mirror is the engine's buddy hook.
-func (s *jacobiSolve) mirror(sweep int, series []float64) error {
-	return s.buddy.take(s.m, s.part, sweep, series)
-}
-
-// recover is the engine's permanent-loss hook: pick the state source,
-// repair the ring, rebuild the partition and code, restore the
-// iterate, price the scatter, and hand the engine the next-generation
-// configuration.
-func (s *jacobiSolve) recover(dre *engine.DeadRankError) (*engine.Config, *engine.RecoveryInfo, error) {
-	m := s.m
-	oldPart := s.part
-
-	var gu, gv []float64
-	var resume int
-	var series []float64
-	var source string
-	switch {
-	case s.buddy.available(oldPart, dre.Ranks):
-		gu = assembleGlobal(s.buddy.part, s.buddy.u)
-		gv = assembleGlobal(s.buddy.part, s.buddy.v)
-		resume, series, source = s.buddy.sweep, s.buddy.series, "buddy"
-	case m.LastCheckpoint != nil:
-		ck := m.LastCheckpoint
-		if ck.P != oldPart.P || ck.N != oldPart.N || ck.Nz != oldPart.Nz {
-			return nil, nil, fmt.Errorf("hypercube: checkpoint shape P=%d N=%d Nz=%d cannot restore a P=%d N=%d Nz=%d solve",
-				ck.P, ck.N, ck.Nz, oldPart.P, oldPart.N, oldPart.Nz)
-		}
-		ckPart, err := ck.partition()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := ck.compatible(ckPart); err != nil {
-			return nil, nil, err
-		}
-		gu = assembleGlobal(ckPart, ck.U)
-		gv = assembleGlobal(ckPart, ck.V)
-		resume, series, source = ck.Sweep, ck.Residuals, "checkpoint"
-	default:
-		return nil, nil, fmt.Errorf("hypercube: rank(s) %v died with no buddy mirror and no checkpoint to restore from", dre.Ranks)
+// rebuild is the engine's recovery hook: it rebuilds the slabs over
+// the repaired ring. A checkpoint taken before the recovery cannot
+// restore the new shape, so when the solve keeps checkpoints the next
+// step snapshots the resume boundary; that snapshot is internal, so it
+// reaches neither the sink nor the Checkpoints counter, and its
+// counters are the restore base, which rollback never reads.
+func (s *jacobiSolve) rebuild(part *engine.Partition, sweep int, series []float64) error {
+	if err := s.build(part); err != nil {
+		return err
 	}
-
-	spared, shrunk, err := m.RecoverRanks(dre.Ranks)
-	if err != nil {
-		return nil, nil, err
+	if s.m.CheckpointEvery > 0 || s.m.LastCheckpoint != nil {
+		s.snapAt, s.snapSeries = sweep, series
 	}
-	newPart := oldPart
-	if shrunk > 0 {
-		if newPart, err = engine.NewPartition(len(m.ring), oldPart.N, oldPart.Nz); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := s.build(newPart); err != nil {
-		return nil, nil, err
-	}
-
-	// build reloaded every slab's initial guess, so every rank gets
-	// its full local grids back.
-	if err := engine.RestoreSlabs(m.Fabric(), newPart, dre.Ranks, shrunk > 0,
-		[]int{jacobi.PlaneU, jacobi.PlaneV}, gu, gv); err != nil {
-		return nil, nil, err
-	}
-
-	// A stale pre-recovery checkpoint can no longer restore the new
-	// shape, so synthesize a fresh one at the resume boundary (internal
-	// only — not sent to the sink; its counters are the restore base,
-	// which rollback never reads).
-	if m.CheckpointEvery > 0 || m.LastCheckpoint != nil {
-		ck, err := m.snapshot(resume, newPart, s.global, series, s.base, s.nodeBase)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.LastCheckpoint = ck
-	}
-
-	info := &engine.RecoveryInfo{Source: source, ResumeSweep: resume, Spared: spared, Shrunk: shrunk}
-	return s.engineConfig(resume, series, resume), info, nil
+	return nil
 }

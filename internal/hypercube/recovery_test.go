@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -21,6 +22,14 @@ func killPlan(t *testing.T, kills ...[2]int) *engine.FaultPlan {
 		t.Fatal(err)
 	}
 	return plan
+}
+
+// mirrorPlan arms the buddy mirror on a fault-free solve: its one
+// kill-forever is scheduled past the last sweep of any test solve.
+func mirrorPlan() *engine.FaultPlan {
+	return engine.MustFaultPlan(engine.FaultEvent{
+		Sweep: 1 << 20, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKillForever,
+	})
 }
 
 // recoverySolve runs the parallel model problem on a 2^dim machine
@@ -157,17 +166,106 @@ func TestRecoveryCheckpointFallback(t *testing.T) {
 	}
 }
 
-// TestUnrecoverableDeathSurfaces: with mirroring disabled and no
-// checkpoint there is nothing to restore from — the solve must fail
-// with a clear error, not a wrong answer.
+// TestRollbackAfterShrink: a rollback after a shrinking recovery needs
+// a snapshot of the new ring's shape. The kill-forever at sweep 4
+// shrinks the 4-node ring to three, and the transient kill at sweep 5
+// exhausts its budget before the next checkpoint boundary, so the
+// solve rolls back to the snapshot recovery took at its resume
+// boundary and must still match the clean run bit for bit. That
+// snapshot is internal: it reaches neither the sink nor the
+// Checkpoints counter.
+func TestRollbackAfterShrink(t *testing.T) {
+	clean, _ := recoverySolve(t, 2, 0, 0, 0, nil)
+	m, err := New(smallCfg(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Workers = 4
+	m.CheckpointEvery = 2
+	m.Faults = engine.MustFaultPlan(
+		engine.FaultEvent{Sweep: 4, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKillForever},
+		engine.FaultEvent{Sweep: 5, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKill, Repeat: 4},
+	)
+	var sunk []*Checkpoint
+	m.CheckpointSink = func(ck *Checkpoint) error {
+		sunk = append(sunk, ck)
+		return nil
+	}
+	res, err := m.SolveJacobi(parallelProblem(m.P()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSolve(t, res, clean)
+	if res.Recovery.Shrinks != 1 || res.Faults.Restores != 1 {
+		t.Fatalf("want one shrink and one rollback: %s / %s", res.Recovery, res.Faults)
+	}
+	if int64(len(sunk)) != res.Faults.Checkpoints {
+		t.Errorf("%d snapshots reached the sink, %d counted", len(sunk), res.Faults.Checkpoints)
+	}
+	for _, ck := range sunk {
+		if ck.Sweep == 4 && ck.P == 3 {
+			t.Error("the post-recovery snapshot reached the sink")
+		}
+	}
+}
+
+// TestCheckpointDoesNotOutliveItsSolve: a standing machine keeps
+// LastCheckpoint between solves, but a solve may restore only its own
+// snapshots. The first solve (F = 3, checkpoints every two sweeps)
+// leaves one behind; the second solves the model problem without
+// checkpoints under a plan that needs one — a transient kill that
+// exhausts its budget, or adjacent deaths that take the buddy mirror
+// with them — and must fail instead of resuming the first solve's
+// iterate.
+func TestCheckpointDoesNotOutliveItsSolve(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan func() *engine.FaultPlan
+	}{
+		{"rollback", func() *engine.FaultPlan {
+			return engine.MustFaultPlan(engine.FaultEvent{
+				Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKill, Repeat: 4})
+		}},
+		{"recovery", func() *engine.FaultPlan { return killPlan(t, [2]int{5, 1}, [2]int{5, 2}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(smallCfg(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := parallelProblem(m.P())
+			for i := range first.F {
+				first.F[i] = 3
+			}
+			m.CheckpointEvery = 2
+			if _, err := m.SolveJacobi(first); err != nil {
+				t.Fatal(err)
+			}
+			m.CheckpointEvery = 0
+			m.Faults = tc.plan()
+			res, err := m.SolveJacobi(parallelProblem(m.P()))
+			var be *engine.BudgetError
+			if err == nil {
+				t.Fatalf("restored another solve's checkpoint: converged after %d iterations", res.Iterations)
+			}
+			if !errors.As(err, &be) && !errors.Is(err, engine.ErrNoRestorePoint) {
+				t.Fatalf("err = %v, want a BudgetError or ErrNoRestorePoint", err)
+			}
+		})
+	}
+}
+
+// TestUnrecoverableDeathSurfaces: two adjacent ranks die at one
+// barrier, so the buddy mirror died with them, and with no checkpoint
+// there is nothing to restore from — the solve must fail with a clear
+// error, not a wrong answer.
 func TestUnrecoverableDeathSurfaces(t *testing.T) {
 	m, err := New(smallCfg(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Faults = killPlan(t, [2]int{3, 1})
-	m.BuddyEvery = -1
-	if _, err := m.SolveJacobi(parallelProblem(m.P())); err == nil ||
+	m.Faults = killPlan(t, [2]int{3, 1}, [2]int{3, 2})
+	if _, err := m.SolveJacobi(parallelProblem(m.P())); !errors.Is(err, engine.ErrNoRestorePoint) ||
 		!strings.Contains(err.Error(), "no buddy mirror") {
 		t.Fatalf("unrecoverable death: %v", err)
 	}
@@ -182,7 +280,7 @@ func TestBuddyMirrorIsFreeInSimulatedTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.BuddyEvery = 1
+	m.Faults = mirrorPlan()
 	res, err := m.SolveJacobi(parallelProblem(m.P()))
 	if err != nil {
 		t.Fatal(err)

@@ -31,17 +31,15 @@ import (
 // transfers consume only owned interior planes.
 //
 // Faults use V-cycle coordinates: a plan event at sweep c fires in
-// V-cycle c. Degraded-mode recovery is the engine's protocol. When the
-// fault plan carries a permanent kill, the engine's buddy hook mirrors
-// the global fine iterate to the host at the top of every cycle (free
-// in simulated time). A rank that dies mid-cycle reaches the Recover
-// hook, which repairs the ring through the fabric (hot spare or
-// shrinking re-partition), rebuilds the slabs and the coarse chain
-// over the survivors and scatters the mirrored iterate back; the
-// engine then replays the interrupted cycle. The fine U is the whole
-// cross-cycle state — residual, correction and coarse grids are
-// recomputed inside each cycle — so the replayed trajectory is
-// bit-identical to the fault-free run.
+// V-cycle c. Degraded-mode recovery is the engine's protocol: the fine
+// U is the whole cross-cycle state — residual, correction and coarse
+// grids are recomputed inside each cycle — so it is the one State
+// plane, and Rebuild rebuilds the slabs and the coarse chain over the
+// repaired ring. The engine mirrors U at the top of every cycle and
+// replays the cycle a rank died in, so the trajectory is bit-identical
+// to the fault-free run. There is no checkpoint to fall back on, so a
+// death the mirror does not cover (a dead rank's buddy died too) is an
+// error.
 type Distributed struct {
 	Fabric engine.Fabric
 	Cfg    arch.Config
@@ -58,13 +56,6 @@ type Distributed struct {
 	coarse *Solver  // coarse chain on rank 0's node; nil when levels=1
 	n      int
 	u0     []float64 // global fine initial guess (boundary assembly)
-
-	// mirror is the global fine iterate at the top of V-cycle
-	// mirrorCycle, with the residual series up to it: the buddy
-	// mirror recovery restores.
-	mirror       []float64
-	mirrorCycle  int
-	mirrorSeries []float64
 
 	// Host-transfer scratch, reused every cycle.
 	fineR []float64
@@ -87,7 +78,7 @@ type DistConfig struct {
 	// Faults injects a deterministic fault plan into the engine loop;
 	// an event's sweep names the V-cycle it fires in. Transient faults
 	// retry within the engine's fixed budget; a permanent kill arms the
-	// cycle-boundary mirror and the ring-repair recovery path.
+	// engine's recovery protocol.
 	Faults *engine.FaultPlan
 	// Observe, when non-nil, receives one sample per engine phase.
 	Observe func(phase string, sweep int, cycles int64)
@@ -134,25 +125,25 @@ func NewDistributed(dc DistConfig) (*Distributed, error) {
 		n: n, u0: append([]float64(nil), gp.U0...),
 		fineR: make([]float64, n*n*n),
 	}
-	if err := d.build(); err != nil {
+	part, err := engine.NewPartition(dc.Fabric.P(), n, n)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.build(part); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// build (re)constructs everything that depends on the current ring:
-// the partition, the per-rank slab levels and their compiled
-// pipelines, and the coarse chain on rank 0's node.
-// Called once at construction and again after a ring repair, when the
-// rank count or the slab boundaries may have changed.
-func (d *Distributed) build() error {
+// build (re)constructs everything that depends on the ring: the
+// per-rank slab levels over part and their compiled pipelines, and the
+// coarse chain on rank 0's node. Called once at construction and again
+// by the engine after a ring repair, when the rank count or the slab
+// boundaries may have changed.
+func (d *Distributed) build(part *engine.Partition) error {
 	dc := d.dc
 	n := d.n
-	p := dc.Fabric.P()
-	part, err := engine.NewPartition(p, n, n)
-	if err != nil {
-		return err
-	}
+	p := part.P
 	// The global fine problem, built exactly like the single-node
 	// solver's finest level: model problem, ω-damped interior mask.
 	gp := jacobi.NewModelProblem(n, dc.Tol, 1)
@@ -206,6 +197,7 @@ func (d *Distributed) build() error {
 		// The coarse chain lives behind rank 0's slab storage, strided
 		// by the same rule the single-node hierarchy uses.
 		base := int64(2*d.slabs[0].P.Cells() + 2*n*n)
+		var err error
 		d.coarse, err = NewOnNode(dc.Cfg, dc.Fabric.Node(0), nc, dc.Levels-1, dc.Tol, dc.MaxCycles, base)
 		if err != nil {
 			return err
@@ -213,29 +205,6 @@ func (d *Distributed) build() error {
 		d.zeroU = make([]float64, d.coarse.Levels[0].P.Cells())
 	}
 	return nil
-}
-
-// engineConfig builds the engine configuration for one loop
-// generation, resuming at V-cycle start with the given residual
-// series.
-func (d *Distributed) engineConfig(start int, series []float64) *engine.Config {
-	dc := d.dc
-	cfg := &engine.Config{
-		Fabric: dc.Fabric, Part: d.Part, Workers: dc.Workers,
-		ResidualFU:  arch.FUID(11), // T4 slot 2: the residual reduce
-		Faults:      dc.Faults,
-		Observe:     dc.Observe,
-		Obs:         dc.Obs,
-		Step:        d.step,
-		MaxSweeps:   d.MaxCycles,
-		Tol:         d.Tol,
-		StartSweep:  start,
-		StartSeries: series,
-	}
-	if dc.Faults.HasPermanent() {
-		cfg.BuddyEvery, cfg.Buddy, cfg.Recover = 1, d.mirrorFine, d.recoverDead
-	}
-	return cfg
 }
 
 // step is the engine's iteration hook: V-cycle it plus the fine
@@ -357,16 +326,13 @@ func (d *Distributed) vcycle(lp *engine.Loop, it int) (*engine.BudgetError, erro
 	return d.smooth(lp, it, d.Post)
 }
 
-// fineU assembles the global fine iterate into u (allocated when nil):
-// each rank's owned interior planes plus the fixed boundary planes
-// from the initial guess.
-func (d *Distributed) fineU(u []float64) ([]float64, error) {
+// fineU assembles the global fine iterate: each rank's owned interior
+// planes plus the fixed boundary planes from the initial guess.
+func (d *Distributed) fineU() ([]float64, error) {
 	nn := d.n * d.n
-	if u == nil {
-		u = make([]float64, d.n*nn)
-		copy(u[:nn], d.u0[:nn])
-		copy(u[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
-	}
+	u := make([]float64, d.n*nn)
+	copy(u[:nn], d.u0[:nn])
+	copy(u[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
 	for r := 0; r < d.Fabric.P(); r++ {
 		lo := d.Part.Lo[r]
 		if err := d.Fabric.Node(r).ReadWordsInto(jacobi.PlaneU, int64(nn), u[lo*nn:(lo+d.Part.Planes[r])*nn]); err != nil {
@@ -376,60 +342,25 @@ func (d *Distributed) fineU(u []float64) ([]float64, error) {
 	return u, nil
 }
 
-// mirrorFine is the engine's buddy hook: it snapshots the global fine
-// iterate to the host at the top of V-cycle `cycle`. Host-side
-// bookkeeping, zero simulated cycles — the exact analogue of the
-// Jacobi driver's buddy mirror.
-func (d *Distributed) mirrorFine(cycle int, series []float64) error {
-	u, err := d.fineU(d.mirror)
-	if err != nil {
-		return err
-	}
-	d.mirror, d.mirrorCycle = u, cycle
-	d.mirrorSeries = append(d.mirrorSeries[:0], series...)
-	return nil
-}
-
-// ringRepair is what recovery needs from the fabric: fill or retire
-// the dead slots (hypercube.Machine implements it with hot spares and
-// ring shrinking).
-type ringRepair interface {
-	RecoverRanks(dead []int) (spared, shrunk int, err error)
-}
-
-// recoverDead is the engine's permanent-loss hook: it repairs the
-// ring, rebuilds the solver over the surviving ranks and scatters the
-// cycle-boundary mirror back into the slabs. The engine then replays
-// the interrupted cycle; the fault plan's firing counters persist
-// across the rebuild, so the replay does not re-suffer the death.
-func (d *Distributed) recoverDead(dre *engine.DeadRankError) (*engine.Config, *engine.RecoveryInfo, error) {
-	rr, ok := d.Fabric.(ringRepair)
-	if !ok {
-		return nil, nil, fmt.Errorf("multigrid: fabric cannot repair dead ranks")
-	}
-	spared, shrunk, err := rr.RecoverRanks(dre.Ranks)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := d.build(); err != nil {
-		return nil, nil, err
-	}
-	if err := engine.RestoreSlabs(d.Fabric, d.Part, dre.Ranks, shrunk > 0,
-		[]int{jacobi.PlaneU}, d.mirror); err != nil {
-		return nil, nil, err
-	}
-	info := &engine.RecoveryInfo{Source: "buddy", ResumeSweep: d.mirrorCycle, Spared: spared, Shrunk: shrunk}
-	return d.engineConfig(d.mirrorCycle, d.mirrorSeries), info, nil
-}
-
 // Run iterates distributed V-cycles on engine.Run until the combined
 // fine-grid residual drops below tolerance, then assembles the global
 // field from the owned slab planes. Permanent node deaths are
-// recovered through the engine when the fault plan carries any (see
-// recoverDead); the result is bit-identical to the fault-free run,
-// only the clocks grow.
+// recovered through the engine when the fault plan carries any; the
+// result is bit-identical to the fault-free run, only the clocks grow.
 func (d *Distributed) Run() (*DistResult, error) {
-	er, err := engine.Run(d.engineConfig(0, nil))
+	dc := d.dc
+	er, err := engine.Run(&engine.Config{
+		Fabric: dc.Fabric, Part: d.Part, Workers: dc.Workers,
+		ResidualFU: arch.FUID(11), // T4 slot 2: the residual reduce
+		Faults:     dc.Faults,
+		Observe:    dc.Observe,
+		Obs:        dc.Obs,
+		Step:       d.step,
+		MaxSweeps:  d.MaxCycles,
+		Tol:        d.Tol,
+		State:      []int{jacobi.PlaneU},
+		Rebuild:    func(part *engine.Partition, _ int, _ []float64) error { return d.build(part) },
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +368,7 @@ func (d *Distributed) Run() (*DistResult, error) {
 		VCycles: er.Sweeps, Residual: er.Residual, Converged: er.Converged,
 		ResidualSeries: er.Series, Faults: er.Faults, Recovery: er.Recovery,
 	}
-	if res.U, err = d.fineU(nil); err != nil {
+	if res.U, err = d.fineU(); err != nil {
 		return nil, err
 	}
 	var tot engine.NodeTotals

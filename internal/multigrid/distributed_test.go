@@ -1,6 +1,7 @@
 package multigrid
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/arch"
@@ -263,6 +264,34 @@ func TestDistributedRecoveryOnEngineTimeline(t *testing.T) {
 		if got := totals["counter/engine.recovery."+name]; got != 1 {
 			t.Errorf("engine.recovery.%s = %d, want 1", name, got)
 		}
+	}
+}
+
+// TestDistributedAdjacentDeathsSurface: multigrid keeps no
+// checkpoint, so when two adjacent ranks die at one barrier — the
+// buddy holding rank 1's mirror died with it — there is nothing to
+// restore from, and the solve must fail with the engine's error rather
+// than restore a copy the failure model says is gone.
+func TestDistributedAdjacentDeathsSurface(t *testing.T) {
+	cfg := arch.Default()
+	m, err := hypercube.New(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDistributed(DistConfig{
+		Fabric: m.Fabric(), Cfg: cfg,
+		N: 17, Levels: 2, Tol: 1e-6, MaxCycles: 100, Workers: 2,
+		Faults: engine.MustFaultPlan(
+			engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKillForever},
+			engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKillForever}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Run()
+	var dre *engine.DeadRankError
+	if !errors.Is(err, engine.ErrNoRestorePoint) || !errors.As(err, &dre) || len(dre.Ranks) != 2 {
+		t.Fatalf("adjacent deaths: %v, want ErrNoRestorePoint for ranks 1,2", err)
 	}
 }
 

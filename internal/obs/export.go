@@ -12,7 +12,7 @@ import (
 // stream that chrome://tracing and Perfetto load directly.
 
 // WriteMetricsJSON writes the registry as one indented JSON object:
-// {"counters": {...}, "gauges": {...}, "histograms": {name: {"count":
+// {"counters": {...}, "histograms": {name: {"count":
 // n, "sum": s, "buckets": [{"le": bound, "n": count}, ...]}}}. Map
 // keys are sorted by the encoder, so output is deterministic for
 // deterministic metric values.

@@ -1,6 +1,6 @@
 // Package obs is the unified observability layer of the reproduction:
-// one metrics registry (counters, gauges, log₂-bucketed histograms,
-// all with atomic fast paths) and one structured event tracer
+// one metrics registry (counters and log₂-bucketed histograms, both
+// with atomic fast paths) and one structured event tracer
 // (ring-buffered per-worker span shards) shared by every solver path —
 // the node simulator, the distributed engine loop, the compilation
 // pipeline and the multi-node drivers.
@@ -71,14 +71,6 @@ func (o *Obs) Add(name string, d int64) {
 		return
 	}
 	o.Reg.Counter(name).Add(d)
-}
-
-// Set sets gauge `name` to v. Nil-safe.
-func (o *Obs) Set(name string, v int64) {
-	if o == nil {
-		return
-	}
-	o.Reg.Gauge(name).Set(v)
 }
 
 // Observe records one histogram sample. Nil-safe.

@@ -21,23 +21,18 @@ func TestNilObsIsSafe(t *testing.T) {
 	}
 	o.Inc("x")
 	o.Add("x", 3)
-	o.Set("g", 7)
 	o.Observe("h", 42)
 	o.Span(0, "cat", "name", 0, 10, nil)
 	o.Event(0, "cat", "name", 0, "cause", nil)
 }
 
-func TestRegistryCountersGaugesHistograms(t *testing.T) {
+func TestRegistryCountersHistograms(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("runs")
 	c.Inc()
 	c.Add(4)
 	if got := r.Counter("runs").Value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
-	}
-	r.Gauge("level").Set(9)
-	if got := r.Gauge("level").Value(); got != 9 {
-		t.Errorf("gauge = %d, want 9", got)
 	}
 	h := r.Histogram("cycles")
 	for _, v := range []int64{0, 1, 1, 100, 2000} {
@@ -70,7 +65,7 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	}
 
 	names := r.Names()
-	if len(names) != 3 || names[0] != "cycles" || names[1] != "level" || names[2] != "runs" {
+	if len(names) != 2 || names[0] != "cycles" || names[1] != "runs" {
 		t.Errorf("names = %v", names)
 	}
 }
@@ -141,7 +136,6 @@ func TestMetricsJSONDeterministicAndParseable(t *testing.T) {
 	o := New()
 	o.Inc("b.count")
 	o.Inc("a.count")
-	o.Set("depth", 3)
 	o.Observe("lat", 5)
 	var w1, w2 bytes.Buffer
 	if err := WriteMetricsJSON(&w1, o.Reg); err != nil {
@@ -155,13 +149,12 @@ func TestMetricsJSONDeterministicAndParseable(t *testing.T) {
 	}
 	var doc struct {
 		Counters   map[string]int64        `json:"counters"`
-		Gauges     map[string]int64        `json:"gauges"`
 		Histograms map[string]HistSnapshot `json:"histograms"`
 	}
 	if err := json.Unmarshal(w1.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, w1.String())
 	}
-	if doc.Counters["a.count"] != 1 || doc.Gauges["depth"] != 3 || doc.Histograms["lat"].Sum != 5 {
+	if doc.Counters["a.count"] != 1 || doc.Histograms["lat"].Sum != 5 {
 		t.Errorf("decoded: %+v", doc)
 	}
 	// a.count must serialize before b.count (sorted keys).
@@ -223,36 +216,14 @@ func TestObsHandleRoutes(t *testing.T) {
 	}
 	o.Inc("c")
 	o.Add("c", 2)
-	o.Set("g", 4)
 	o.Observe("h", 8)
 	o.Span(3, "cat", "sp", 1, 2, nil)
 	tot := o.Reg.Totals()
-	if tot["counter/c"] != 3 || tot["gauge/g"] != 4 || tot["hist/h.sum"] != 8 {
+	if tot["counter/c"] != 3 || tot["hist/h.sum"] != 8 {
 		t.Errorf("totals = %v", tot)
 	}
 	if o.Tr.Total() != 1 {
 		t.Errorf("tracer total = %d", o.Tr.Total())
-	}
-}
-
-// TestLookupHistogram: Lookup peeks without registering — a miss
-// returns nil and leaves the registry unchanged, so Totals can report
-// zero for never-observed phases without minting empty histograms.
-func TestLookupHistogram(t *testing.T) {
-	r := NewRegistry()
-	if h := r.LookupHistogram("absent"); h != nil {
-		t.Fatalf("lookup of absent histogram returned %v", h)
-	}
-	if names := r.Names(); len(names) != 0 {
-		t.Fatalf("lookup registered a name: %v", names)
-	}
-	r.Histogram("present").Observe(3)
-	h := r.LookupHistogram("present")
-	if h == nil {
-		t.Fatal("lookup missed a registered histogram")
-	}
-	if c, s := h.Count(), h.Sum(); c != 1 || s != 3 {
-		t.Fatalf("histogram totals (%d, %d), want (1, 3)", c, s)
 	}
 }
 

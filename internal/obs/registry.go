@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// This file is the metrics half of the layer: named counters, gauges
-// and histograms behind one registry. Registration (the name → metric
+// This file is the metrics half of the layer: named counters and
+// histograms behind one registry. Registration (the name → metric
 // lookup) takes a read lock and happens once per call site per name in
 // practice — hot paths hold the returned pointer or pay one map read —
 // while every update is a plain atomic, so concurrent ranks never
@@ -26,15 +26,6 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a last-writer-wins level.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the last stored value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the bucket count of a histogram: bucket i holds
 // samples whose value has bit length i (so bucket 0 is v <= 0, bucket
@@ -105,7 +96,6 @@ func (h *Histogram) snapshot() HistSnapshot {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -113,7 +103,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -135,23 +124,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
@@ -169,20 +141,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// LookupHistogram returns the named histogram, or nil without
-// registering it — the read-only peek for views that must not grow the
-// namespace on queries.
-func (r *Registry) LookupHistogram(name string) *Histogram {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.hists[name]
-}
-
 // Snapshot is the registry's full state at one instant, with stable
 // map keys (the JSON exporter sorts them).
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
-	Gauges     map[string]int64        `json:"gauges,omitempty"`
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
@@ -197,12 +159,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[n] = c.Value()
 		}
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for n, g := range r.gauges {
-			s.Gauges[n] = g.Value()
-		}
-	}
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistSnapshot, len(r.hists))
 		for n, h := range r.hists {
@@ -213,8 +169,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Totals flattens the registry into one deterministic map: counters
-// under "counter/<name>", gauges under "gauge/<name>", histograms as
-// "hist/<name>.count" and "hist/<name>.sum". This is the signature the
+// under "counter/<name>", histograms as "hist/<name>.count" and
+// "hist/<name>.sum". This is the signature the
 // differential harness compares across worker counts: every update is
 // a commutative atomic add of deterministic quantities, so totals must
 // be bit-identical however the work was scheduled.
@@ -223,9 +179,6 @@ func (r *Registry) Totals() map[string]int64 {
 	out := map[string]int64{}
 	for n, v := range s.Counters {
 		out["counter/"+n] = v
-	}
-	for n, v := range s.Gauges {
-		out["gauge/"+n] = v
 	}
 	for n, h := range s.Histograms {
 		out["hist/"+n+".count"] = h.Count
@@ -241,9 +194,6 @@ func (r *Registry) Names() []string {
 	defer r.mu.RUnlock()
 	var out []string
 	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
 		out = append(out, n)
 	}
 	for n := range r.hists {

@@ -590,8 +590,12 @@ func fuVS(op arch.Op, out, a []float64, b float64) bool {
 }
 
 // fuSV is fuRegion's scalar×slice loop for the hot binary ops; it
-// reports false for any other op.
+// reports false for any other op, and for a NaN a: the compiled add and
+// mul loops may keep b's NaN payload where apply keeps a's.
 func fuSV(op arch.Op, out []float64, a float64, b []float64) bool {
+	if a != a {
+		return false
+	}
 	b = b[:len(out)]
 	switch op {
 	case arch.OpAdd:

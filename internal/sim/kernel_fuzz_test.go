@@ -147,8 +147,9 @@ func (r *fuzzBytes) val() float64 {
 // result — or, sometimes, a tap directly — drains to plane 2 at stride
 // 1 or a strided walk. The shapes demand lowering prunes come next: a
 // reduction only its register reads, a second sink on plane 3 with a
-// window of its own, and a unit nothing reads. The backing data comes
-// last in the stream, so short inputs still vary the structure.
+// window of its own, and a unit nothing reads; then a constant operand
+// A on the main unit. The backing data comes last in the stream, so
+// short inputs still vary the structure.
 func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 	t.Helper()
 	cfg := n.Cfg
@@ -313,6 +314,14 @@ func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 		if op.Info().Arity >= 2 {
 			in.SetFUInput(idle, 1, microcode.InConst, 3, 0)
 		}
+	}
+	// A constant operand A on a binary main unit, drawn after every
+	// older decision for the same reason: the kernel's scalar×lane
+	// loops must keep A's NaN payload where apply does.
+	if r.next()%3 == 1 && op.Info().Arity >= 2 {
+		in.Unroute(cfg.SnkFUIn(fu, 0))
+		in.SetConst(2, r.val())
+		in.SetFUInput(fu, 0, microcode.InConst, 2, 0)
 	}
 	if in.SeqOf().Cond != microcode.CondHalt {
 		in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})

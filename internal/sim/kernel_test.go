@@ -218,6 +218,35 @@ func TestKernelEquivalenceTable(t *testing.T) {
 		})
 	})
 
+	t.Run("nan-const-a", func(t *testing.T) {
+		// A constant NaN operand A (payload …11) meets a stream of NaNs
+		// with another payload (…22): the interpreter's apply keeps A's
+		// payload for add and mul, so the kernel's scalar-A loops must too.
+		nanA := math.Float64frombits(0x7ff8000000000011)
+		nanB := math.Float64frombits(0x7ff8000000000022)
+		execEqual(t, "nan-const-a", func(n *Node) []*microcode.Instr {
+			if err := n.WriteWords(0, 0, seq(32, func(int) float64 { return nanB })); err != nil {
+				t.Fatal(err)
+			}
+			cfg := n.Cfg
+			in := n.F.NewInstr()
+			in.SetConst(0, nanA)
+			in.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: 0, Stride: 1, Count: 32})
+			for i, op := range []arch.Op{arch.OpAdd, arch.OpMul} {
+				fu := arch.FUID(i)
+				in.SetFUOp(fu, op)
+				in.SetFUInput(fu, 0, microcode.InConst, 0, 0)
+				in.SetFUInput(fu, 1, microcode.InSwitch, 0, 0)
+				in.Route(cfg.SnkFUIn(fu, 1), cfg.SrcMemRead(0))
+				in.Route(cfg.SnkMemWrite(1+i), cfg.SrcFUOut(fu))
+				in.SetMemDMA(1+i, microcode.MemDMA{Enable: true, Write: true, Addr: 0, Stride: 1, Count: 32,
+					Start: op.Info().Latency})
+			}
+			in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
+			return []*microcode.Instr{in}
+		})
+	})
+
 	t.Run("cache-unwritten-source", func(t *testing.T) {
 		// A cache buffer nothing has written reads as zeros: u + c with
 		// c from an untouched buffer copies u, and leaves the buffer
