@@ -78,30 +78,35 @@ func TestFaultMatrix(t *testing.T) {
 	// Repeat counts are chosen against the engine's 3-attempt budget:
 	// Repeat<3 clears within the budget, Repeat≥3 exhausts it (then the
 	// leftover firings clear within the post-restore budget).
+	//
+	// machine and comm pin the simulated clocks each row must end on at
+	// every worker count, and attempts the exhausted rows' BudgetError.
 	cases := []struct {
-		name  string
-		ev    engine.FaultEvent
-		every int
-		want  faultOutcome
+		name          string
+		ev            engine.FaultEvent
+		every         int
+		want          faultOutcome
+		machine, comm int64
+		attempts      int
 	}{
-		{"dispatch-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK},
-		{"dispatch-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKill, Repeat: 4}, 2, restoredOK},
-		{"dispatch-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKill, Repeat: 4}, 0, exhausted},
-		{"dispatch-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultStall, Stall: 5000}, 0, retriedOK},
-		{"exchange-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK},
-		{"exchange-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultKill, Repeat: 5}, 2, restoredOK},
-		{"exchange-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultKill, Repeat: 5}, 0, exhausted},
-		{"exchange-corrupt-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 2, Kind: engine.FaultCorrupt, Repeat: 1}, 0, retriedOK},
-		{"exchange-corrupt-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 4}, 2, restoredOK},
-		{"exchange-corrupt-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 4}, 0, exhausted},
-		{"exchange-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultStall, Stall: 2500}, 0, retriedOK},
-		{"merge-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK},
-		{"merge-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultKill, Repeat: 4}, 2, restoredOK},
-		{"merge-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultKill, Repeat: 4}, 0, exhausted},
-		{"merge-corrupt-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 2}, 0, retriedOK},
-		{"merge-corrupt-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultCorrupt, Repeat: 4}, 2, restoredOK},
-		{"merge-corrupt-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultCorrupt, Repeat: 4}, 0, exhausted},
-		{"merge-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultStall, Stall: 1234}, 0, retriedOK},
+		{"dispatch-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseDispatch, Rank: 1, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK, 30598, 20718, 0},
+		{"dispatch-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKill, Repeat: 4}, 2, restoredOK, 31608, 21168, 0},
+		{"dispatch-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseDispatch, Rank: 2, Kind: engine.FaultKill, Repeat: 4}, 0, exhausted, 2438, 1350, 3},
+		{"dispatch-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultStall, Stall: 5000}, 0, retriedOK, 35406, 20718, 0},
+		{"exchange-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK, 30598, 20910, 0},
+		{"exchange-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultKill, Repeat: 5}, 2, restoredOK, 31946, 21858, 0},
+		{"exchange-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultKill, Repeat: 5}, 0, exhausted, 2648, 1848, 3},
+		{"exchange-corrupt-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 2, Kind: engine.FaultCorrupt, Repeat: 1}, 0, retriedOK, 30614, 20926, 0},
+		{"exchange-corrupt-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 4}, 2, restoredOK, 32394, 22306, 0},
+		{"exchange-corrupt-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseExchange, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 4}, 0, exhausted, 3080, 2280, 3},
+		{"exchange-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseExchange, Rank: 1, Kind: engine.FaultStall, Stall: 2500}, 0, retriedOK, 32906, 23218, 0},
+		{"merge-kill-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultKill, Repeat: 2}, 0, retriedOK, 30616, 20928, 0},
+		{"merge-kill-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultKill, Repeat: 4}, 2, restoredOK, 31827, 21451, 0},
+		{"merge-kill-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultKill, Repeat: 4}, 0, exhausted, 2648, 1560, 3},
+		{"merge-corrupt-retried", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultCorrupt, Repeat: 2}, 0, retriedOK, 30616, 20928, 0},
+		{"merge-corrupt-restored", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultCorrupt, Repeat: 4}, 2, restoredOK, 31836, 21460, 0},
+		{"merge-corrupt-exhausted", engine.FaultEvent{Sweep: 3, Phase: engine.PhaseMerge, Rank: 1, Kind: engine.FaultCorrupt, Repeat: 4}, 0, exhausted, 2657, 1569, 3},
+		{"merge-stall-absorbed", engine.FaultEvent{Sweep: 2, Phase: engine.PhaseMerge, Rank: 0, Kind: engine.FaultStall, Stall: 1234}, 0, retriedOK, 31640, 21952, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,10 +116,14 @@ func TestFaultMatrix(t *testing.T) {
 				err error
 			}
 			runs := map[int]run{}
-			for _, workers := range []int{1, -1} {
+			for _, workers := range []int{1, 4} {
 				plan := engine.MustFaultPlan(tc.ev)
 				res, m, err := solveWith(t, workers, plan, tc.every)
 				runs[workers] = run{res, m, err}
+				if m.MachineCycles != tc.machine || m.CommCycles != tc.comm {
+					t.Errorf("workers=%d: machine/comm cycles %d/%d, want %d/%d",
+						workers, m.MachineCycles, m.CommCycles, tc.machine, tc.comm)
+				}
 
 				switch tc.want {
 				case exhausted:
@@ -122,8 +131,9 @@ func TestFaultMatrix(t *testing.T) {
 					if !errors.As(err, &be) {
 						t.Fatalf("workers=%d: err = %v, want BudgetError", workers, err)
 					}
-					if be.Phase != tc.ev.Phase || be.Sweep != tc.ev.Sweep {
-						t.Fatalf("workers=%d: budget error %+v does not match fault %+v", workers, be, tc.ev)
+					if be.Phase != tc.ev.Phase || be.Sweep != tc.ev.Sweep || be.Attempts != tc.attempts {
+						t.Fatalf("workers=%d: budget error %+v does not match fault %+v after %d attempts",
+							workers, be, tc.ev, tc.attempts)
 					}
 					continue
 				case retriedOK, restoredOK:
@@ -172,7 +182,7 @@ func TestFaultMatrix(t *testing.T) {
 
 			// Determinism across worker counts: identical counters,
 			// clocks and (when recovered) identical solves.
-			seq, par := runs[1], runs[-1]
+			seq, par := runs[1], runs[4]
 			if (seq.err == nil) != (par.err == nil) {
 				t.Fatalf("outcome differs by worker count: %v vs %v", seq.err, par.err)
 			}
