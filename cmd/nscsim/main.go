@@ -359,10 +359,8 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 	m.StopAfter = sweeps
 	m.CheckpointEvery = ckEvery
 	m.Trap = trap
-	if spares > 0 {
-		if err := m.AddSpares(spares); err != nil {
-			return err
-		}
+	if err := m.AddSpares(spares); err != nil {
+		return err
 	}
 	for _, nd := range append(append([]*sim.Node(nil), m.Nodes...), m.Spares...) {
 		nd.KernelOff = noKernel

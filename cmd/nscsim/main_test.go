@@ -117,6 +117,28 @@ func TestJacobiBadFlags(t *testing.T) {
 	}
 }
 
+// TestFaultBoundsCLI: fault and spare numbers past their bounds exit 1
+// with an error naming the token, before any board is built or any
+// sweep runs. The stall once ran to a negative machine clock, and the
+// seeded event count once panicked in makeslice.
+func TestFaultBoundsCLI(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-jacobi", "8", "-cube", "1", "-faults", "exchange:stall@1:0:stall=9223372036854775807"}, "stall=9223372036854775807"},
+		{[]string{"-jacobi", "8", "-cube", "1", "-faults", "seed@1:sweeps=4:ranks=2:events=9223372036854775807"}, "events=9223372036854775807"},
+		{[]string{"-jacobi", "8", "-cube", "1", "-spares", "-1"}, "add -1 spares"},
+		{[]string{"-jacobi", "8", "-cube", "1", "-spares", "1025"}, "add 1025 spares"},
+	} {
+		stdout, stderr, code := runCLI(t, tc.args...)
+		if code != 1 || !strings.Contains(stderr, tc.want) || strings.Contains(stdout, "cycles:") {
+			t.Errorf("args %v: exit %d, stderr %q, stdout %q; want exit 1 naming %q before any solve",
+				tc.args, code, stderr, stdout, tc.want)
+		}
+	}
+}
+
 // jacobiLine extracts the solve-outcome line from a report.
 func jacobiLine(out string) string {
 	for _, line := range strings.Split(out, "\n") {

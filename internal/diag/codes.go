@@ -47,11 +47,13 @@ const (
 	// a shape the editor never writes (diagram.Load lists them).
 	RuleDocIO = "R039"
 	// RuleFaultPlan marks a malformed -faults/-kill fault-plan spec:
-	// an unparseable token, a bad phase/kind/option, or duplicate
-	// events targeting the same (sweep, phase, rank). engine.Run also
-	// raises it before the first sweep for an event outside the
-	// starting machine: a dispatch rank ≥ P, an exchange pair ≥ P−1 or
-	// a merge round ≥ the combine tree's depth.
+	// an unparseable token, a bad phase/kind/option, a stall past 1<<32
+	// cycles, a seeded plan past 1<<16 events, or duplicate events
+	// targeting the same (sweep, phase, rank). engine.Run also raises
+	// it before the first sweep for an event outside the starting
+	// machine: a dispatch rank ≥ P, an exchange pair ≥ P−1 or a merge
+	// round ≥ the combine tree's depth. Machine.AddSpares raises it for
+	// a -spares pool below 0 or past 1<<10 boards.
 	RuleFaultPlan = "R040"
 	// RuleNonFinite marks a NaN or ±Inf operation constant, reduction
 	// initial value or compare threshold. A document's JSON form cannot

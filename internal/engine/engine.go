@@ -1,34 +1,29 @@
 // Package engine is the distributed solver runtime extracted from the
 // hypercube Jacobi driver: the reusable parallel skeleton — slab
 // partitioning and a phase-structured sweep loop (dispatch → combine →
-// exchange) with fault injection, bounded retry, checkpoint hooks and
-// rank-ordered stat merges — separated from any particular numerical
-// scheme, so that Jacobi, multigrid and future workloads (SOR,
-// red-black, new stencils) are small clients of one substrate instead
-// of copies of a 400-line loop. Clients compile their slab
-// instructions before the loop starts; the engine generates no code.
+// exchange) with fault injection, bounded retry and checkpoint hooks —
+// separated from any particular numerical scheme, so that Jacobi,
+// multigrid and future workloads (SOR, red-black, new stencils) are
+// small clients of one substrate instead of copies of a 400-line loop.
+// Clients compile their slab instructions before the loop starts; the
+// engine generates no code.
 //
 // The engine addresses ranks on a ring; the Fabric interface maps ring
 // ranks onto real machine topology (the hypercube adapter routes them
 // through the Gray code so ring neighbours are one hop apart) and owns
 // the cost model and the machine-wide clocks. All per-rank work runs
-// through a bounded worker pool; every accumulator update happens
-// either under a single goroutine per rank or host-side after a
-// barrier, merged in rank order, so results are bit-identical at every
-// worker count.
+// through a bounded worker pool, and each rank touches only its own
+// node and its own slots inside a barrier. Fault events are played
+// host-side, in rank order, before a phase's barrier, and the clocks
+// are charged after it, so results are bit-identical at every worker
+// count.
 //
-// On the fault-free path the loop overlaps halo exchange with interior
-// computation: each rank gathers its outgoing ghost faces into pooled
-// buffers inside the dispatch barrier (right after its own sweep, while
-// other ranks are still computing), and the exchange phase is then a
-// single scatter barrier in which every rank writes only its own ghost
-// planes. Whenever a fault plan is armed the loop keeps the seed's
-// two-parity pairwise schedule instead, because fault triggering and
-// retry accounting are defined per pair; an empty plan
-// (MustFaultPlan()) runs that schedule with nothing to inject, which
-// makes it the reference the overlap is measured against. The
-// simulated cost model of the two schedules is identical — overlap is
-// a host-time optimization, measured by BenchmarkEngineOverlap.
+// The halo exchange overlaps with interior computation: each rank
+// gathers its outgoing ghost faces into pooled buffers inside the
+// dispatch barrier (right after its own sweep, while other ranks are
+// still computing), and the exchange phase is then a single scatter
+// barrier in which every rank writes only its own ghost planes. Faults
+// change what an exchange costs, never which words it moves.
 package engine
 
 import (
@@ -72,14 +67,6 @@ type Fabric interface {
 	// word-sized message over CombineHops()[d] hops for round d. Empty
 	// when P is 1.
 	CombineHops() []int
-	// Copy moves count words between ranks' planes, returning the
-	// router cost without touching the shared clocks, so concurrent
-	// transfers over disjoint pairs can defer accounting to a
-	// deterministic rank-order merge.
-	Copy(fromRank, fromPlane int, fromAddr int64,
-		toRank, toPlane int, toAddr int64, count int) (int64, error)
-	// Corrupt bit-flips count words on a rank (fault injection).
-	Corrupt(rank, plane int, addr int64, count int) error
 	// AddMachineCycles charges the machine critical path; AddCommCycles
 	// the aggregate router load.
 	AddMachineCycles(cycles int64)
@@ -174,17 +161,13 @@ type Config struct {
 type Loop struct {
 	cfg *Config
 
-	fst    FaultStats   // live counters, merged in rank order
-	deltas []FaultStats // per-rank counter deltas (fault path only)
-	budget []*BudgetError
-	dead   []bool  // per-rank permanent-death slate (fault path only)
-	sweep  []int64 // per-rank dispatch cycles
-	cost   []int64 // per-pair exchange cost
+	fst   FaultStats // live counters
+	sweep []int64    // per-rank dispatch cycles
+	skip  []bool     // per-rank: dead or out of budget, so not dispatched
 
-	// halo holds each rank's outgoing faces on the overlapped path:
-	// halo[2r] the down face (last owned plane), halo[2r+1] the up face
-	// (first owned plane). Allocated once per loop and reused every
-	// sweep.
+	// halo holds each rank's outgoing faces: halo[2r] the down face
+	// (last owned plane), halo[2r+1] the up face (first owned plane).
+	// Allocated once per loop and reused every sweep.
 	halo [][]float64
 
 	// simTS is the loop's observability timeline: the simulated
@@ -205,50 +188,18 @@ func NewLoop(cfg *Config) (*Loop, error) {
 	lp := &Loop{
 		cfg:   cfg,
 		sweep: make([]int64, p),
-		cost:  make([]int64, p),
+		skip:  make([]bool, p),
 	}
 	if o := cfg.Obs; o != nil {
 		o.Inc("engine.topology." + cfg.Fabric.Topology())
 	}
-	if cfg.Faults != nil {
-		lp.deltas = make([]FaultStats, p)
-		lp.budget = make([]*BudgetError, p)
-		lp.dead = make([]bool, p)
-	} else if p > 1 {
+	if p > 1 {
 		lp.halo = make([][]float64, 2*p)
 		for i := range lp.halo {
 			lp.halo[i] = make([]float64, cfg.Part.NN())
 		}
 	}
 	return lp, nil
-}
-
-// overlapped reports whether the gather/scatter halo path is active.
-func (lp *Loop) overlapped() bool { return lp.halo != nil }
-
-// Stats returns the loop's live fault counters.
-func (lp *Loop) Stats() FaultStats { return lp.fst }
-
-// mergeDeltas folds the per-rank counter deltas into the live counters
-// in rank order, after a barrier.
-func (lp *Loop) mergeDeltas() {
-	for r := range lp.deltas {
-		lp.fst.Add(lp.deltas[r])
-		lp.deltas[r] = FaultStats{}
-	}
-}
-
-// firstBudget resolves the per-rank budget errors deterministically:
-// the lowest rank wins, and the slate is cleared.
-func (lp *Loop) firstBudget() *BudgetError {
-	var be *BudgetError
-	for r := range lp.budget {
-		if lp.budget[r] != nil && be == nil {
-			be = lp.budget[r]
-		}
-		lp.budget[r] = nil
-	}
-	return be
 }
 
 // observe reports a completed phase to the configured observer and the
@@ -267,79 +218,112 @@ func (lp *Loop) observe(phase string, sweep int, cycles int64) {
 	}
 }
 
+// attempt is what the fault plan did to one operation: its failed
+// attempts by kind, the stall and backoff cycles they added, the
+// BudgetError when the attempt budget ran out, and whether the node
+// died for good.
+type attempt struct {
+	kills, corrupts int
+	delay           int64
+	be              *BudgetError
+	dead            bool
+}
+
+// retry plays the plan's events at one fault point, counting each into
+// the live FaultStats. Each attempt draws the point's next firing: with
+// none left the attempt goes through, a stall delays it and lets it
+// through, a kill or a corruption fails it, and a failed attempt
+// retries after backoff until the budget runs out. A kill-forever ends
+// the operation at once. The loop calls this host-side, in rank order,
+// before each phase's barrier, so counters and clocks never depend on
+// the worker count.
+func (lp *Loop) retry(sweep int, ph Phase, rank int) (a attempt) {
+	fs := &lp.fst
+	for {
+		ev := lp.cfg.Faults.trigger(sweep, ph, rank)
+		if ev == nil {
+			return a
+		}
+		fs.Injected++
+		switch ev.Kind {
+		case FaultStall:
+			fs.Stalls++
+			fs.StallCycles += ev.Stall
+			a.delay += ev.Stall
+			return a
+		case FaultKillForever:
+			fs.Kills++
+			a.dead = true
+			return a
+		case FaultCorrupt:
+			fs.Corruptions++
+			a.corrupts++
+		default:
+			fs.Kills++
+			a.kills++
+		}
+		failed := a.kills + a.corrupts
+		if failed >= maxAttempts {
+			fs.Exhausted++
+			a.be = &BudgetError{Sweep: sweep, Phase: ph, Rank: rank, Attempts: failed}
+			return a
+		}
+		fs.Retries++
+		b := backoff(failed - 1)
+		fs.BackoffCycles += b
+		a.delay += b
+	}
+}
+
 // Dispatch executes instr(r) on every rank across the worker pool and
 // charges the critical path with the slowest rank. Each rank only
-// mutates its own simulator state; cycle deltas land in a per-rank
-// slice and merge after the barrier in rank order, keeping the clocks
-// bit-identical to the sequential schedule. A killed dispatch retries
-// with backoff; an exhausted budget is recorded per rank and resolved
-// after the barrier, so counters stay deterministic at every worker
-// count.
+// mutates its own simulator state and its own cycle slot, so the clocks
+// are bit-identical to the sequential schedule. A killed dispatch
+// retries with backoff, charged to the rank's sweep; a rank that died
+// or ran out of budget is not dispatched. The lowest such rank's
+// BudgetError is returned, and dead ranks come back as a
+// DeadRankError.
 //
 // gatherPlane >= 0 names the plane whose ghost faces the following
-// Exchange will swap: on the overlapped path each rank copies its
-// outgoing faces into the pooled halo buffers right after its own
-// sweep, still inside the dispatch barrier, so the exchange phase
-// needs only a single scatter barrier. Pass -1 for dispatches with no
-// exchange to feed (residual, correction, copies).
+// Exchange will swap: each rank copies its outgoing faces into the
+// pooled halo buffers right after its own sweep, still inside the
+// dispatch barrier, so the exchange phase needs only a single scatter
+// barrier. Pass -1 for dispatches with no exchange to feed (residual,
+// correction, copies).
 func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gatherPlane int) (*BudgetError, error) {
 	cfg := lp.cfg
 	f := cfg.Fabric
 	p := f.P()
-	gather := gatherPlane >= 0 && lp.overlapped()
-	if err := ParallelFor(cfg.Workers, p, func(r int) error {
-		nd := f.Node(r)
-		var extra int64 // injected stall + backoff cycles
-		if cfg.Faults != nil {
-			fs := &lp.deltas[r]
-			for attempt := 0; ; attempt++ {
-				ev := cfg.Faults.trigger(sweepNo, PhaseDispatch, r)
-				if ev == nil {
-					break
-				}
-				fs.Injected++
-				if ev.Kind == FaultStall {
-					fs.Stalls++
-					fs.StallCycles += ev.Stall
-					extra += ev.Stall
-					break
-				}
-				if ev.Kind == FaultKillForever {
-					// Permanent death: no retry can help. Mark the rank on
-					// the dead slate (resolved after the barrier, so the
-					// surviving ranks' execution stays deterministic) and
-					// charge only the work done before the board died.
-					fs.Kills++
-					lp.dead[r] = true
-					lp.sweep[r] = extra
-					return nil
-				}
-				fs.Kills++
-				if attempt+1 >= maxAttempts {
-					fs.Exhausted++
-					lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseDispatch, Rank: r, Attempts: attempt + 1}
-					lp.sweep[r] = extra
-					return nil
-				}
-				fs.Retries++
-				b := backoff(attempt)
-				fs.BackoffCycles += b
-				extra += b
-			}
+	var be *BudgetError
+	var dead []int
+	for r := 0; r < p; r++ {
+		a := lp.retry(sweepNo, PhaseDispatch, r)
+		lp.sweep[r] = a.delay
+		lp.skip[r] = a.dead || a.be != nil
+		if a.dead {
+			dead = append(dead, r)
 		}
+		if be == nil {
+			be = a.be
+		}
+	}
+	if err := ParallelFor(cfg.Workers, p, func(r int) error {
+		if lp.skip[r] {
+			return nil
+		}
+		nd := f.Node(r)
 		before := nd.Stats.Cycles
 		if err := nd.Exec(instr(r)); err != nil {
 			return fmt.Errorf("engine: node %d sweep %d: %w", r, sweepNo, err)
 		}
-		lp.sweep[r] = nd.Stats.Cycles - before + extra
-		if gather {
+		lp.sweep[r] += nd.Stats.Cycles - before
+		if gatherPlane >= 0 {
 			return lp.gather(r, gatherPlane)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	lp.mergeDeltas()
 	var maxNode int64
 	for r := 0; r < p; r++ {
 		if lp.sweep[r] > maxNode {
@@ -350,17 +334,17 @@ func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gat
 	// aborts the iteration: the lost work still ran.
 	f.AddMachineCycles(maxNode)
 	lp.observe("dispatch", sweepNo, maxNode)
-	if ranks := lp.deadSet(); ranks != nil {
-		if o := cfg.Obs; o != nil {
-			for _, r := range ranks {
-				o.Inc("engine.recovery.dead_ranks")
-				o.Event(0, "engine", "dead-rank", lp.simTS, "kill-forever",
-					map[string]int64{"sweep": int64(sweepNo), "rank": int64(r)})
-			}
-		}
-		return lp.firstBudget(), &DeadRankError{Sweep: sweepNo, Ranks: ranks}
+	if dead == nil {
+		return be, nil
 	}
-	return lp.firstBudget(), nil
+	if o := cfg.Obs; o != nil {
+		for _, r := range dead {
+			o.Inc("engine.recovery.dead_ranks")
+			o.Event(0, "engine", "dead-rank", lp.simTS, "kill-forever",
+				map[string]int64{"sweep": int64(sweepNo), "rank": int64(r)})
+		}
+	}
+	return be, &DeadRankError{Sweep: sweepNo, Ranks: dead}
 }
 
 // gather copies rank r's outgoing ghost faces into the pooled halo
@@ -390,9 +374,9 @@ func (lp *Loop) gather(r, plane int) error {
 // round's critical-path hop count (single-hop recursive doubling on the
 // hypercube; real lattice distances on a mesh or torus). Lost or
 // corrupted combine rounds re-send with backoff; the wasted round still
-// crossed the wire, so it is charged too. A non-nil BudgetError means
-// the combine's retry budget exhausted and the sweep must roll back or
-// surface.
+// crossed the wire, so it is charged too, except the one that exhausts
+// the budget. A non-nil BudgetError means the combine's retry budget
+// exhausted and the sweep must roll back or surface.
 func (lp *Loop) CombineResidual(sweepNo int) (float64, *BudgetError) {
 	cfg := lp.cfg
 	f := cfg.Fabric
@@ -407,65 +391,38 @@ func (lp *Loop) CombineResidual(sweepNo int) (float64, *BudgetError) {
 		return worst, nil
 	}
 	steps := f.CombineHops()
-	combine := int64(0)
-	var mergeBE *BudgetError
-	for d := 0; d < len(steps) && mergeBE == nil; d++ {
-		step := f.SendCost(int64(f.WordBytes()), steps[d])
-		if cfg.Faults != nil {
-			for attempt := 0; ; attempt++ {
-				ev := cfg.Faults.trigger(sweepNo, PhaseMerge, d)
-				if ev == nil {
-					break
-				}
-				lp.fst.Injected++
-				if ev.Kind == FaultStall {
-					lp.fst.Stalls++
-					lp.fst.StallCycles += ev.Stall
-					combine += ev.Stall
-					break
-				}
-				if ev.Kind == FaultCorrupt {
-					lp.fst.Corruptions++
-				} else {
-					lp.fst.Kills++
-				}
-				if attempt+1 >= maxAttempts {
-					lp.fst.Exhausted++
-					mergeBE = &BudgetError{Sweep: sweepNo, Phase: PhaseMerge, Rank: d, Attempts: attempt + 1}
-					break
-				}
-				lp.fst.Retries++
-				b := backoff(attempt)
-				lp.fst.BackoffCycles += b
-				combine += step + b
-			}
+	var combine int64
+	var be *BudgetError
+	for d := 0; d < len(steps) && be == nil; d++ {
+		a := lp.retry(sweepNo, PhaseMerge, d)
+		// Every retried round and the round that got through are charged;
+		// the round that exhausted the budget is not.
+		sent := int64(a.kills + a.corrupts + 1)
+		if a.be != nil {
+			sent -= 2
 		}
-		if mergeBE == nil {
-			combine += step
-		}
+		be = a.be
+		combine += a.delay + sent*f.SendCost(int64(f.WordBytes()), steps[d])
 	}
 	f.AddCommCycles(combine)
 	f.AddMachineCycles(combine)
 	lp.observe("combine", sweepNo, combine)
-	return worst, mergeBE
+	return worst, be
 }
 
 // Exchange swaps ghost faces on `plane` between all ring neighbours:
 // rank r sends its last owned plane down-ring and its first owned
-// plane up-ring. Each pair (r, r+1) pays two face messages over its
+// plane up-ring. The outgoing faces were gathered during Dispatch, so
+// this is a single barrier in which each rank writes only its own
+// ghost planes. Each pair (r, r+1) pays two face messages over its
 // real distance, Fabric.Hops(r, r+1): one hop on a pristine ring, more
-// once a shrink has deleted a slot between two survivors. All pairs
-// exchange concurrently, so the machine's critical path grows by one
-// one-hop pair's traffic plus the worst pair's excess over it (longer
-// route, injected stall, backoff, resend), while CommCycles keeps the
-// aggregate router load, merged in rank order.
-//
-// On the overlapped fault-free path the outgoing faces were already
-// gathered during Dispatch, so this is a single barrier in which each
-// rank writes only its own ghost planes. Under a fault plan, pair
-// (r, r+1) touches exactly two nodes, so even-r pairs are mutually
-// disjoint (as are odd-r pairs) and the exchange dispatches over the
-// pool in two parity phases.
+// once a shrink has deleted a slot between two survivors. A killed
+// attempt sends nothing, a corrupted one pays its sends and re-sends,
+// and a stall delays the pair; an exhausted pair is charged for the
+// sends it made. All pairs exchange concurrently, so the machine's
+// critical path grows by one one-hop pair's traffic plus the worst
+// pair's excess over it, while CommCycles keeps the aggregate router
+// load.
 func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 	cfg := lp.cfg
 	f := cfg.Fabric
@@ -477,127 +434,44 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 	}
 	nn := pt.NN()
 	face := int64(nn) * int64(f.WordBytes())
-	if lp.overlapped() {
-		if err := ParallelFor(cfg.Workers, p, func(r int) error {
-			nd := f.Node(r)
-			if r > 0 { // low ghost from the left neighbour's down face
-				if err := nd.WriteWords(plane, 0, lp.halo[2*(r-1)]); err != nil {
-					return err
-				}
-			}
-			if r+1 < p { // high ghost from the right neighbour's up face
-				if err := nd.WriteWords(plane, int64((pt.Planes[r]+1)*nn), lp.halo[2*(r+1)+1]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for r := 0; r+1 < p; r++ {
-			lp.cost[r] = 2 * f.SendCost(face, f.Hops(r, r+1))
-		}
-	} else {
-		for parity := 0; parity < 2; parity++ {
-			if err := ParallelFor(cfg.Workers, parityPairs(p, parity), func(k int) error {
-				return lp.exchangePair(sweepNo, parity+2*k, plane)
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	lp.mergeDeltas()
 	pairClean := 2 * f.SendCost(face, 1)
-	var worstExtra int64
+	var comm, worstExtra int64
+	var be *BudgetError
 	for r := 0; r+1 < p; r++ {
-		f.AddCommCycles(lp.cost[r])
-		worstExtra = max(worstExtra, lp.cost[r]-pairClean)
+		a := lp.retry(sweepNo, PhaseExchange, r)
+		// Every corrupted attempt and the one that got through paid the
+		// pair's two sends; a killed attempt sent nothing.
+		sent := int64(a.corrupts + 1)
+		if a.be != nil {
+			sent--
+		}
+		cost := a.delay + sent*2*f.SendCost(face, f.Hops(r, r+1))
+		comm += cost
+		worstExtra = max(worstExtra, cost-pairClean)
+		if be == nil {
+			be = a.be
+		}
 	}
-	f.AddMachineCycles(pairClean + worstExtra)
-	lp.observe("exchange", sweepNo, pairClean+worstExtra)
-	return lp.firstBudget(), nil
-}
-
-// parityPairs counts the ring pairs (r, r+1) over p ranks whose lower
-// rank r has the given parity; the k-th is r = parity+2k. No two pairs
-// of one parity share a rank, so a parity class exchanges
-// concurrently, and the two classes together cover every ring edge
-// once per sweep.
-func parityPairs(p, parity int) int { return (p - parity) / 2 }
-
-// exchangePair performs one ring pair's ghost exchange under the fault
-// plan: kills drop the messages before transfer, corruptions deliver a
-// bit-flipped down payload that the modeled link CRC flags for
-// re-send, stalls delay the pair. All costs (wasted transfers, backoff,
-// stall) accumulate into the pair's cost slot for the rank-order merge.
-func (lp *Loop) exchangePair(sweepNo, r, plane int) error {
-	cfg := lp.cfg
-	f := cfg.Fabric
-	pt := cfg.Part
-	nn := pt.NN()
-	fs := &lp.deltas[r]
-	total := int64(0)
-	for attempt := 0; ; attempt++ {
-		ev := cfg.Faults.trigger(sweepNo, PhaseExchange, r)
-		corrupt := false
-		if ev != nil {
-			fs.Injected++
-			switch ev.Kind {
-			case FaultStall:
-				fs.Stalls++
-				fs.StallCycles += ev.Stall
-				total += ev.Stall
-				// The stalled transfer still completes below.
-			case FaultKill:
-				fs.Kills++
-				if attempt+1 >= maxAttempts {
-					fs.Exhausted++
-					lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseExchange, Rank: r, Attempts: attempt + 1}
-					lp.cost[r] = total
-					return nil
-				}
-				fs.Retries++
-				b := backoff(attempt)
-				fs.BackoffCycles += b
-				total += b
-				continue // messages lost before any words moved
-			case FaultCorrupt:
-				corrupt = true
-			}
-		}
-		down, err := f.Copy(r, plane, int64(pt.Planes[r]*nn), r+1, plane, 0, nn)
-		if err != nil {
-			return err
-		}
-		up, err := f.Copy(r+1, plane, int64(nn), r, plane, int64((pt.Planes[r]+1)*nn), nn)
-		if err != nil {
-			return err
-		}
-		total += down + up
-		if corrupt {
-			// The down payload arrived bit-flipped; the link CRC flags
-			// it and the pair re-sends. The corrupted words really land
-			// in the ghost plane until the retry scrubs them — exactly
-			// the state a crash would leave behind.
-			fs.Corruptions++
-			if err := f.Corrupt(r+1, plane, 0, nn); err != nil {
+	if err := ParallelFor(cfg.Workers, p, func(r int) error {
+		nd := f.Node(r)
+		if r > 0 { // low ghost from the left neighbour's down face
+			if err := nd.WriteWords(plane, 0, lp.halo[2*(r-1)]); err != nil {
 				return err
 			}
-			if attempt+1 >= maxAttempts {
-				fs.Exhausted++
-				lp.budget[r] = &BudgetError{Sweep: sweepNo, Phase: PhaseExchange, Rank: r, Attempts: attempt + 1}
-				lp.cost[r] = total
-				return nil
-			}
-			fs.Retries++
-			b := backoff(attempt)
-			fs.BackoffCycles += b
-			total += b
-			continue
 		}
-		lp.cost[r] = total
+		if r+1 < p { // high ghost from the right neighbour's up face
+			if err := nd.WriteWords(plane, int64((pt.Planes[r]+1)*nn), lp.halo[2*(r+1)+1]); err != nil {
+				return err
+			}
+		}
 		return nil
+	}); err != nil {
+		return nil, err
 	}
+	f.AddCommCycles(comm)
+	f.AddMachineCycles(pairClean + worstExtra)
+	lp.observe("exchange", sweepNo, pairClean+worstExtra)
+	return be, nil
 }
 
 // RunResult reports a Run.

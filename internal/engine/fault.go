@@ -10,15 +10,16 @@ import (
 )
 
 // This file is the fault-injection half of the engine's robustness
-// layer (the recovery half lives with the client, which owns the
-// checkpoint representation and feeds it back through the loop's
-// Take/Rollback hooks). Machines of the NSC's class could not finish
-// long iterative solves without engineering around node and link
-// faults; the engine models the three failure modes that dominated in
-// practice — a node dispatch that is lost, a link payload corrupted in
-// transit, and a link that stalls — at deterministic, plan-chosen
-// sweep/phase points, so the recovery machinery can be tested
-// bit-for-bit against fault-free runs.
+// layer; the recovery half is the loop's bounded retry and Run's
+// rollback and degraded-mode recovery (recovery.go), for which a
+// client supplies only its checkpoint hooks (Take/Rollback), its State
+// planes and its slab Rebuild. Machines of the NSC's class could not
+// finish long iterative solves without engineering around node and
+// link faults; the engine models the three failure modes that
+// dominated in practice — a node dispatch that is lost, a link payload
+// corrupted in transit, and a link that stalls — at deterministic,
+// plan-chosen sweep/phase points, so the recovery machinery can be
+// tested bit-for-bit against fault-free runs.
 
 // FaultKind classifies an injected fault.
 type FaultKind int
@@ -29,18 +30,19 @@ const (
 	// a dropped message); recovery is bounded retry with backoff.
 	FaultKill FaultKind = iota
 	// FaultCorrupt delivers a bit-flipped payload; the modeled link CRC
-	// detects it and the driver re-sends. Only meaningful on the link
-	// phases (exchange, merge) — a payload must move to be corrupted.
+	// rejects it, so the sender pays for the send and re-sends. Only
+	// meaningful on the link phases (exchange, merge) — a payload must
+	// move to be corrupted.
 	FaultCorrupt
 	// FaultStall delays the operation by Stall simulated cycles; the
 	// operation still completes, so no retry is needed.
 	FaultStall
 	// FaultKillForever is a permanent node death: the rank never
 	// dispatches again, so no retry can help. The loop reports the dead
-	// rank through a DeadRankError and the client recovers by activating
-	// a hot spare or re-partitioning over the survivors (see
-	// recovery.go). Only meaningful on the dispatch phase — a node dies,
-	// not a message.
+	// rank through a DeadRankError and Run recovers by activating a hot
+	// spare or re-partitioning over the survivors (see recovery.go).
+	// Only meaningful on the dispatch phase — a node dies, not a
+	// message.
 	FaultKillForever
 )
 
@@ -122,6 +124,15 @@ type FaultPlan struct {
 	fired []int64
 }
 
+// Plan bounds: a stall past maxStallCycles could overflow the simulated
+// clocks, and a seeded plan past maxSeededEvents events would be
+// allocated in full before Run checks a single event against the
+// machine.
+const (
+	maxStallCycles  = 1 << 32
+	maxSeededEvents = 1 << 16
+)
+
 // NewFaultPlan validates the events and returns a plan.
 func NewFaultPlan(events ...FaultEvent) (*FaultPlan, error) {
 	p := &FaultPlan{Events: events, fired: make([]int64, len(events))}
@@ -140,8 +151,8 @@ func NewFaultPlan(events ...FaultEvent) (*FaultPlan, error) {
 				return nil, fmt.Errorf("engine: fault %s: corrupt faults need a link phase (exchange or merge); a dispatch moves no payload", ev)
 			}
 		case FaultStall:
-			if ev.Stall <= 0 {
-				return nil, fmt.Errorf("engine: fault %s: stall faults need stall cycles > 0", ev)
+			if ev.Stall <= 0 || ev.Stall > maxStallCycles {
+				return nil, fmt.Errorf("engine: fault %s: stall faults need 1..%d stall cycles", ev, int64(maxStallCycles))
 			}
 		case FaultKillForever:
 			if ev.Phase != PhaseDispatch {
@@ -282,11 +293,9 @@ func RandomChaosPlan(seed int64, sweeps, ranks, n int) *FaultPlan {
 }
 
 // trigger returns the next unexpired event matching (sweep, phase,
-// rank) and consumes one firing, or nil. Nil-safe. Concurrent callers
-// are safe because the loop serves each (phase, rank) point from a
-// single goroutine per barrier interval: the immutable key fields are
-// compared before the per-event counter is touched, so no two
-// goroutines ever race on one counter.
+// rank) and consumes one firing, or nil. Nil-safe. Its one caller is
+// Loop.retry, which runs host-side before each phase's barrier, so the
+// firing counters are only ever touched from one goroutine.
 func (p *FaultPlan) trigger(sweep int, ph Phase, rank int) *FaultEvent {
 	if p == nil {
 		return nil
@@ -345,7 +354,8 @@ func planErrf(format string, args ...any) *diag.DiagError {
 //
 //	seed@S:sweeps=N:ranks=P:events=K
 //
-// which expands through RandomFaultPlan(S, N, P, K).
+// which expands through RandomFaultPlan(S, N, P, K), K at most 1<<16.
+// A stall may last at most 1<<32 cycles.
 //
 // Errors are typed diagnostics (diag.RuleFaultPlan) naming the
 // offending token and the expected grammar. Two events aiming at the
@@ -376,6 +386,9 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {
 				return nil, planErrf("field %q: want a positive integer", part)
+			}
+			if k == "events" && n > maxSeededEvents {
+				return nil, planErrf("field %q: a seeded plan holds at most %d events", part, maxSeededEvents)
 			}
 			kv[k] = n
 		}

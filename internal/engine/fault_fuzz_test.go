@@ -20,6 +20,9 @@ func FuzzParseFaultPlan(f *testing.F) {
 	f.Add("teleport:kill@1:0")
 	f.Add("dispatch:kill@2:1, dispatch:kill@2:1")
 	f.Add("dispatch:kill@1:0:stall=7")
+	f.Add("exchange:stall@1:0:stall=9223372036854775807")
+	f.Add("seed@1:sweeps=4:ranks=2:events=9223372036854775807")
+	f.Add("seed@1:sweeps=4:ranks=2:events=65537")
 	f.Add("@@::,,==")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, spec string) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -261,21 +260,4 @@ func (mr *mirror) recover(cfg *Config, dre *DeadRankError, rec *RecoveryStats, t
 	next := *cfg
 	next.Part, next.StartSweep, next.StartSeries, next.SkipSnapshotAt = part, mr.sweep, series, mr.sweep
 	return &next, nil
-}
-
-// deadSet returns the sorted dead ranks marked in the loop's dead
-// slate, clearing it, or nil.
-func (lp *Loop) deadSet() []int {
-	if lp.dead == nil {
-		return nil
-	}
-	var ranks []int
-	for r, d := range lp.dead {
-		if d {
-			ranks = append(ranks, r)
-			lp.dead[r] = false
-		}
-	}
-	sort.Ints(ranks)
-	return ranks
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -61,6 +60,10 @@ func TestParseFaultPlanDiagnostics(t *testing.T) {
 		{"dispatch:kill@1:0:bogus=3", []string{`"bogus=3"`, "repeat= or stall="}},
 		{"exchange:kill-forever@1:0", []string{"dispatch phase only"}},
 		{"seed@42:sweeps=6", []string{"seed@S:sweeps=N:ranks=P:events=K"}},
+		{"exchange:stall@1:0:stall=9223372036854775807", []string{"exchange:stall@1:0:stall=9223372036854775807", "1..4294967296 stall cycles"}},
+		{"dispatch:stall@1:0:stall=4294967297", []string{"stall=4294967297", "1..4294967296 stall cycles"}},
+		{"seed@1:sweeps=4:ranks=2:events=9223372036854775807", []string{`"events=9223372036854775807"`, "at most 65536 events"}},
+		{"seed@1:sweeps=4:ranks=2:events=65537", []string{`"events=65537"`, "at most 65536 events"}},
 	}
 	for _, tc := range cases {
 		_, err := ParseFaultPlan(tc.spec)
@@ -98,6 +101,13 @@ func TestParseFaultPlanDiagnostics(t *testing.T) {
 	if _, err := ParseFaultPlan("dispatch:kill@2:1, dispatch:kill@3:1, exchange:kill@2:1"); err != nil {
 		t.Errorf("distinct points rejected: %v", err)
 	}
+	// The bounds themselves are accepted.
+	if _, err := ParseFaultPlan("exchange:stall@1:0:stall=4294967296"); err != nil {
+		t.Errorf("stall of 1<<32 cycles rejected: %v", err)
+	}
+	if plan, err := ParseFaultPlan("seed@1:sweeps=4:ranks=2:events=65536"); err != nil || len(plan.Events) != 65536 {
+		t.Errorf("seeded plan of 1<<16 events: %v", err)
+	}
 
 	plan, err := ParseFaultPlan("dispatch:kill-forever@4:2")
 	if err != nil {
@@ -127,11 +137,9 @@ func (f *scatterFabric) Hops(from, to int) int {
 	}
 	return to - from
 }
-func (f *scatterFabric) Copy(int, int, int64, int, int, int64, int) (int64, error) { return 0, nil }
-func (f *scatterFabric) Corrupt(int, int, int64, int) error                        { return nil }
-func (f *scatterFabric) AddMachineCycles(c int64)                                  { f.machine += c }
-func (f *scatterFabric) AddCommCycles(c int64)                                     { f.com += c }
-func (f *scatterFabric) RecoverRanks([]int) (int, int, error)                      { return 0, 0, nil }
+func (f *scatterFabric) AddMachineCycles(c int64)             { f.machine += c }
+func (f *scatterFabric) AddCommCycles(c int64)                { f.com += c }
+func (f *scatterFabric) RecoverRanks([]int) (int, int, error) { return 0, 0, nil }
 
 // TestChargeScatter: the post-recovery scatter charges every non-empty
 // message to the router aggregate and only the worst one to the
@@ -416,26 +424,13 @@ func TestRunRejectsFaultsOutsideMachine(t *testing.T) {
 	}
 }
 
-// pairLogFabric is scatterFabric that logs every copy's rank pair, so
-// a test can read back the exchange schedule the loop ran.
-type pairLogFabric struct {
-	scatterFabric
-	mu     sync.Mutex
-	copies map[[2]int]int
-}
-
-func (f *pairLogFabric) Copy(from, _ int, _ int64, to, _ int, _ int64, _ int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.copies[[2]int{from, to}]++
-	return 0, nil
-}
-
 // TestNewLoopValidatesExchangeSchedule: the loop derives its exchange
-// schedule from the fabric's P, so NewLoop refuses a partition over a
-// different rank count — its ring pairs would name ranks the fabric
-// does not have. On a valid loop the parity phases run every ring pair
-// (r, r+1) exactly once, one face each way, and touch no other rank.
+// from the fabric's P, so NewLoop refuses a partition over a different
+// rank count — its ring pairs would name ranks the fabric does not
+// have. On a valid loop over real nodes, a dispatch that gathers and
+// the exchange after it leave each rank's ghost planes holding its
+// neighbours' faces and change no other word, with no plan and with
+// an empty one, over even and uneven slabs.
 func TestNewLoopValidatesExchangeSchedule(t *testing.T) {
 	part, err := NewPartition(4, 4, 6)
 	if err != nil {
@@ -445,30 +440,64 @@ func TestNewLoopValidatesExchangeSchedule(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "partition over 4 ranks on a 3-rank fabric") {
 		t.Errorf("mismatched partition: %v", err)
 	}
+	const nn, plane = 4, 1 // N = 2; plane 0 is a bystander
+	blank := microcode.MustFormat(arch.Default()).NewInstr()
 	for p := 1; p <= 6; p++ {
-		part, err := NewPartition(p, 4, p+2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := NewFaultPlan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := &pairLogFabric{scatterFabric: scatterFabric{p: p}, copies: map[[2]int]int{}}
-		lp, err := NewLoop(&Config{Fabric: f, Part: part, Faults: plan, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lp.Exchange(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		want := map[[2]int]int{}
-		for r := 0; r+1 < p; r++ {
-			want[[2]int{r, r + 1}] = 1
-			want[[2]int{r + 1, r}] = 1
-		}
-		if !reflect.DeepEqual(f.copies, want) {
-			t.Errorf("p=%d: exchange copied %v, want %v", p, f.copies, want)
+		for _, plan := range []*FaultPlan{nil, MustFaultPlan()} {
+			part, err := NewPartition(p, 2, 2*p+1+p/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &nodeFabric{scatterFabric: scatterFabric{p: p}}
+			// before[r][pl] is rank r's plane pl: its slab, ghosts
+			// included, and one word past it.
+			before := make([][][]float64, p)
+			for r := 0; r < p; r++ {
+				nd, err := sim.NewNode(arch.Default())
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.nodes = append(f.nodes, nd)
+				for pl := 0; pl <= plane; pl++ {
+					words := make([]float64, (part.Planes[r]+2)*nn+1)
+					for i := range words {
+						words[i] = float64(10000*r + 1000*pl + i)
+					}
+					if err := nd.WriteWords(pl, 0, words); err != nil {
+						t.Fatal(err)
+					}
+					before[r] = append(before[r], words)
+				}
+			}
+			lp, err := NewLoop(&Config{Fabric: f, Part: part, Faults: plan, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lp.Dispatch(0, func(int) *microcode.Instr { return blank }, plane); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lp.Exchange(0, plane); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < p; r++ {
+				for pl := 0; pl <= plane; pl++ {
+					want := slices.Clone(before[r][pl])
+					if pl == plane && r > 0 { // left neighbour's last owned plane
+						left := part.Planes[r-1] * nn
+						copy(want[:nn], before[r-1][pl][left:left+nn])
+					}
+					if pl == plane && r+1 < p { // right neighbour's first owned plane
+						copy(want[(part.Planes[r]+1)*nn:], before[r+1][pl][nn:2*nn])
+					}
+					got, err := f.nodes[r].ReadWords(pl, 0, len(want))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("p=%d plan=%v rank %d plane %d: %v, want %v", p, plan != nil, r, pl, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -10,54 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// BenchmarkEngineOverlap measures the host wall-time effect of the
-// engine's overlapped halo path (ghost faces gathered inside the
-// dispatch barrier, exchange reduced to one scatter barrier) against
-// the two-parity pairwise schedule, which an empty fault plan selects.
-// Simulated observables are asserted identical before timing starts —
-// the overlap may only move host time, never machine time.
-func BenchmarkEngineOverlap(b *testing.B) {
-	solve := func(serial bool) (*JacobiResult, *Machine) {
-		m, err := New(smallCfg(), 3) // 8 nodes
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Workers = runtime.GOMAXPROCS(0)
-		m.StopAfter = 12
-		if serial {
-			m.Faults = engine.MustFaultPlan()
-		}
-		res, err := m.SolveJacobi(parallelProblem(m.P()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, m
-	}
-	rs, ms := solve(true)
-	ro, mo := solve(false)
-	if ms.MachineCycles != mo.MachineCycles || ms.CommCycles != mo.CommCycles ||
-		rs.Residual != ro.Residual || rs.Iterations != ro.Iterations {
-		b.Fatalf("overlap changed simulated observables: serial (%d,%d,%g), overlap (%d,%d,%g)",
-			ms.MachineCycles, ms.CommCycles, rs.Residual, mo.MachineCycles, mo.CommCycles, ro.Residual)
-	}
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{
-		{"overlap", false},
-		{"serial", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				_, m := solve(mode.serial)
-				cycles = m.MachineCycles
-			}
-			b.ReportMetric(float64(cycles), "machine-cycles")
-		})
-	}
-}
-
 // BenchmarkObsOverhead measures the wall-time cost of the unified
 // observability layer on the same solve, disabled (nil Obs — every
 // instrumented site takes its zero-cost branch) versus armed (counters,
@@ -108,9 +60,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// buddySolve is the 8-node fixed-sweep solve on the pairwise halo
-// schedule, with the buddy mirror armed (a kill-forever scheduled past
-// the last sweep) or not (an empty plan).
+// buddySolve is the 8-node fixed-sweep solve under a fault plan, with
+// the buddy mirror armed (a kill-forever scheduled past the last sweep)
+// or not (an empty plan).
 func buddySolve(tb testing.TB, armed bool) (*JacobiResult, *Machine) {
 	m, err := New(smallCfg(), 3)
 	if err != nil {

@@ -12,11 +12,10 @@ import (
 
 // TestSimulatedClocks pins the simulated clocks of the 8-rank,
 // 12-sweep model solve under each piece of machinery that may or may
-// not price it. The pairwise halo schedule (an empty fault plan), the
-// observability layer and the buddy mirror cost zero simulated
-// cycles; each fabric charges its own collective cost; and a
-// permanent kill costs exactly one recovery at a fixed price, whether
-// a spare absorbs it or the ring shrinks. The residual is the same in
+// not price it. An empty fault plan, the observability layer and the
+// buddy mirror cost zero simulated cycles; each fabric charges its own
+// collective cost; and a permanent kill costs exactly one recovery at
+// a fixed price, whether a spare absorbs it or the ring shrinks. The residual is the same in
 // every row. Clocks are functions of the plan alone, so every row
 // holds at each worker count, and every solve gets a fresh plan.
 func TestSimulatedClocks(t *testing.T) {
@@ -34,7 +33,7 @@ func TestSimulatedClocks(t *testing.T) {
 		recoveries    int64
 	}{
 		{"clean", "hypercube", nil, 7764, 11412, 0},
-		{"pairwise", "hypercube", func(t *testing.T, m *Machine) { m.Faults = engine.MustFaultPlan() }, 7764, 11412, 0},
+		{"empty-plan", "hypercube", func(t *testing.T, m *Machine) { m.Faults = engine.MustFaultPlan() }, 7764, 11412, 0},
 		{"obs", "hypercube", func(t *testing.T, m *Machine) { m.Obs = obs.New() }, 7764, 11412, 0},
 		{"buddy-every-sweep", "hypercube", func(t *testing.T, m *Machine) { m.Faults = mirrorPlan() }, 7764, 11412, 0},
 		{"mesh2d", "mesh2d", nil, 8148, 11796, 0},

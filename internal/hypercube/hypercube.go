@@ -23,7 +23,6 @@ package hypercube
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -63,11 +62,11 @@ type Machine struct {
 	Workers int
 
 	// Faults, when non-nil, injects the plan's deterministic faults
-	// into SolveJacobi. Nil (the default) keeps the solve loop on the
-	// exact fault-free path: no extra simulated cycles, no counters.
-	// An empty plan (engine.MustFaultPlan()) injects nothing but runs
-	// the engine's pairwise halo schedule, the reference for the
-	// overlapped one: results and simulated clocks are identical.
+	// into SolveJacobi. They cost simulated cycles and count in
+	// FaultCounters; a solve that recovers from them matches the
+	// fault-free grid bit for bit. Nil (the default) and an empty plan
+	// (engine.MustFaultPlan()) both inject nothing: no extra simulated
+	// cycles, no counters.
 	Faults *engine.FaultPlan
 	// CheckpointEvery, when positive, snapshots the solve at every
 	// sweep boundary divisible by it (sweep 0 included, so a restore
@@ -131,6 +130,10 @@ type Machine struct {
 	slabs map[string]slabCode
 }
 
+// maxBoards bounds a machine's node count, and separately its spare
+// pool.
+const maxBoards = 1 << 10
+
 // New builds a hypercube of 2^dim nodes.
 func New(cfg arch.Config, dim int) (*Machine, error) {
 	if dim < 0 || dim > 10 {
@@ -153,7 +156,7 @@ func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 		return nil, fmt.Errorf("hypercube: nil topology")
 	}
 	p := t.P()
-	if p < 1 || p > 1<<10 {
+	if p < 1 || p > maxBoards {
 		return nil, fmt.Errorf("hypercube: %s node count %d out of range", t.Name(), p)
 	}
 	m := &Machine{Cfg: cfg, Topo: t}
@@ -234,23 +237,6 @@ func (f fabric) Hops(from, to int) int {
 	return h
 }
 
-// Copy implements engine.Fabric: it moves count words between two
-// ranks' planes and prices the message over the pair's hop count.
-// Plane and word-range errors come back from the nodes unpriced.
-func (f fabric) Copy(fromRank, fromPlane int, fromAddr int64,
-	toRank, toPlane int, toAddr int64, count int) (int64, error) {
-	data, err := f.m.ring[fromRank].ReadWords(fromPlane, fromAddr, count)
-	if err != nil {
-		return 0, err
-	}
-	if err := f.m.ring[toRank].WriteWords(toPlane, toAddr, data); err != nil {
-		return 0, err
-	}
-	return f.m.SendCost(int64(count)*int64(f.m.Cfg.WordBytes), f.Hops(fromRank, toRank)), nil
-}
-func (f fabric) Corrupt(r, plane int, addr int64, count int) error {
-	return f.m.corruptNode(f.m.ring[r], plane, addr, count)
-}
 func (f fabric) AddMachineCycles(c int64) { f.m.MachineCycles += c }
 func (f fabric) AddCommCycles(c int64)    { f.m.CommCycles += c }
 
@@ -425,19 +411,6 @@ func (m *Machine) participants() []*sim.Node {
 		return m.Nodes
 	}
 	return append(append([]*sim.Node(nil), m.Nodes...), m.activated...)
-}
-
-// corruptNode bit-flips count words at plane/addr of a node —
-// deterministic payload corruption (sign plus scattered mantissa bits).
-func (m *Machine) corruptNode(nd *sim.Node, plane int, addr int64, count int) error {
-	data, err := nd.ReadWords(plane, addr, count)
-	if err != nil {
-		return err
-	}
-	for i, v := range data {
-		data[i] = math.Float64frombits(math.Float64bits(v) ^ 0x8000000000000421)
-	}
-	return nd.WriteWords(plane, addr, data)
 }
 
 // snapshot captures a sweep-boundary checkpoint: every rank's u and v

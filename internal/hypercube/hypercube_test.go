@@ -72,57 +72,6 @@ func TestSendCost(t *testing.T) {
 	}
 }
 
-// Regression: out-of-range plane indices and word ranges must come
-// back as errors from the fabric's copy, never as panics (a negative
-// count once panicked in makeslice) or out-of-memory aborts, and a
-// failed copy prices nothing.
-func TestTopologyValidation(t *testing.T) {
-	m, _ := New(smallCfg(), 3)
-	f := m.Fabric()
-	words := m.Cfg.PlaneWords()
-	for _, tc := range []struct {
-		name               string
-		fromPlane, toPlane int
-		fromAddr, toAddr   int64
-		count              int
-	}{
-		{"source plane", -1, 0, 0, 0, 4},
-		{"dest plane", 0, 99, 0, 0, 4},
-		{"negative count", 0, 0, 0, 0, -1},
-		{"count past any plane", 0, 0, 0, 0, 999999999999},
-		{"source range past plane end", 0, 0, words - 2, 0, 4},
-		{"dest range past plane end", 0, 0, 0, words - 2, 4},
-	} {
-		if cost, err := f.Copy(0, tc.fromPlane, tc.fromAddr, 1, tc.toPlane, tc.toAddr, tc.count); err == nil || cost != 0 {
-			t.Errorf("copy %s: cost %d, err %v; want an unpriced error", tc.name, cost, err)
-		}
-	}
-}
-
-// TestCopyWordsMovesDataAndCharges: a valid copy through the fabric
-// moves the words and prices them over the pair's hops.
-func TestCopyWordsMovesDataAndCharges(t *testing.T) {
-	m, _ := New(smallCfg(), 3)
-	f := m.Fabric()
-	data := []float64{1, 2, 3, 4}
-	if err := f.Node(0).WriteWords(0, 100, data); err != nil {
-		t.Fatal(err)
-	}
-	cost, err := f.Copy(0, 0, 100, 5, 2, 200, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := f.Node(5).ReadWords(2, 200, len(data))
-	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("copied[%d] = %v", i, got[i])
-		}
-	}
-	if want := m.SendCost(int64(len(data))*8, f.Hops(0, 5)); cost != want {
-		t.Errorf("copy cost %d, want %d", cost, want)
-	}
-}
-
 // TestMultiNodeMatchesGlobalReference: the decomposed solve agrees with
 // the single-grid scalar reference bit-for-bit and converges on the
 // same iteration.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/codegen"
+	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
@@ -25,8 +26,14 @@ import (
 
 // AddSpares provisions n cold standby boards for degraded-mode
 // recovery. Spares are idle until a permanent kill fires: they cost no
-// simulated cycles and join no aggregation before activation.
+// simulated cycles and join no aggregation before activation. The pool
+// holds at most maxBoards spares; a negative n, or one that would
+// overfill the pool, is an R040 diagnostic before any board is built.
 func (m *Machine) AddSpares(n int) error {
+	if n < 0 || n > maxBoards-len(m.Spares) {
+		return diag.Errorf(diag.RuleFaultPlan, "hypercube: cannot add %d spares to a pool of %d: the pool holds 0..%d boards",
+			n, len(m.Spares), maxBoards)
+	}
 	for i := 0; i < n; i++ {
 		nd, err := sim.NewNode(m.Cfg)
 		if err != nil {

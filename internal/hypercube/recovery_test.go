@@ -3,9 +3,11 @@ package hypercube
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/topo"
 )
@@ -111,6 +113,35 @@ func TestPermanentKillMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAddSparesBounds: a negative count, or one that would take the
+// pool past maxBoards (math.MaxInt included, which must not wrap the
+// check), is an R040 diagnostic that builds no board; a count that
+// fits provisions exactly that many. The first miss is fatal, so an
+// unchecked pool never gets to the counts that would build thousands
+// of boards.
+func TestAddSparesBounds(t *testing.T) {
+	m, err := New(smallCfg(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddSpares(2); err != nil || len(m.Spares) != 2 {
+		t.Fatalf("2 spares: %d provisioned, err %v", len(m.Spares), err)
+	}
+	for _, n := range []int{-1, maxBoards - 1, maxBoards + 1, math.MaxInt} {
+		err := m.AddSpares(n)
+		var de *diag.DiagError
+		if !errors.As(err, &de) || de.Rule() != diag.RuleFaultPlan || !strings.Contains(err.Error(), fmt.Sprintf("add %d spares", n)) {
+			t.Fatalf("AddSpares(%d): %v, want an R040 diagnostic naming the count", n, err)
+		}
+		if len(m.Spares) != 2 {
+			t.Fatalf("AddSpares(%d) left %d spares, want 2", n, len(m.Spares))
+		}
+	}
+	if err := m.AddSpares(0); err != nil || len(m.Spares) != 2 {
+		t.Errorf("0 spares: pool %d, err %v", len(m.Spares), err)
 	}
 }
 

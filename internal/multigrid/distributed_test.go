@@ -14,8 +14,7 @@ import (
 // The distributed V-cycle must reproduce the single-node solver's
 // trajectory bit for bit: same V-cycle count, same residual after
 // every cycle, same final field — at every hypercube size and worker
-// count, with either halo schedule (the pairwise one selected by an
-// empty fault plan).
+// count, with no fault plan and with an empty one.
 
 func distRef(t *testing.T, cfg arch.Config, n, levels int, tol float64, maxCycles int) *Result {
 	t.Helper()
@@ -41,9 +40,9 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	ref := distRef(t, cfg, n, levels, tol, maxCycles)
 	for _, dim := range []int{0, 1, 2, 3} {
 		for _, workers := range []int{1, 4} {
-			for _, serial := range []bool{false, true} {
-				if serial && (dim != 2 || workers != 4) {
-					continue // one serial-schedule probe is enough
+			for _, empty := range []bool{false, true} {
+				if empty && (dim != 2 || workers != 4) {
+					continue // one empty-plan probe is enough
 				}
 				m, err := hypercube.New(cfg, dim)
 				if err != nil {
@@ -54,7 +53,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 					N: n, Levels: levels, Tol: tol, MaxCycles: maxCycles,
 					Workers: workers,
 				}
-				if serial {
+				if empty {
 					dc.Faults = engine.MustFaultPlan()
 				}
 				d, err := NewDistributed(dc)
@@ -66,8 +65,8 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 					t.Fatalf("P=%d workers=%d: %v", m.P(), workers, err)
 				}
 				if res.VCycles != ref.VCycles || !res.Converged {
-					t.Fatalf("P=%d workers=%d serial=%v: %d V-cycles (converged=%v), single-node %d",
-						m.P(), workers, serial, res.VCycles, res.Converged, ref.VCycles)
+					t.Fatalf("P=%d workers=%d empty-plan=%v: %d V-cycles (converged=%v), single-node %d",
+						m.P(), workers, empty, res.VCycles, res.Converged, ref.VCycles)
 				}
 				if len(res.ResidualSeries) != len(ref.ResidualSeries) {
 					t.Fatalf("P=%d workers=%d: series %d entries, single-node %d",
