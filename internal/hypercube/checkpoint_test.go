@@ -2,6 +2,9 @@ package hypercube
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -219,5 +222,79 @@ func TestCheckpointCompatible(t *testing.T) {
 	ck.U[1] = ck.U[1][:10]
 	if err := ck.compatible(mustPart(2, 4, 6)); err == nil {
 		t.Error("short grid accepted")
+	}
+}
+
+// TestCheckpointBytes pins every snapshot a solve hands its sink — how
+// many, and a SHA-256 over their serialized bytes in order — with the
+// solve's final machine and comm clocks, on the three fabrics and on
+// each path that restores a snapshot: a recovery whose buddy mirror
+// died, a rollback on a ring a shrink left uneven, seeded rollbacks, a
+// rollback between a mirror recovery and the next checkpoint (it
+// resumes at the recovery's boundary), and a spare activation. Each
+// row holds at every worker count.
+func TestCheckpointBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name, topology     string
+		dim, sweeps, every int
+		spares             int
+		faults             string
+		snaps              int
+		sha                string
+		machine, comm      int64
+	}{
+		{"hypercube", "hypercube", 2, 12, 3, 0, "", 4, "d6ede90311af4828303f50c984aab561317cf8163c27913959d39437e5d5c7ec", 7656, 4968},
+		{"mesh2d", "mesh2d", 3, 12, 3, 0, "", 4, "242b12faa392389a9b21871961bc97a25479618da181e24e53ccaa2f377e4b4e", 8148, 11796},
+		{"torus2d", "torus2d", 3, 12, 3, 0, "", 4, "5918c9e57123c9a81bfea39a0e0ee8e08297003004282cdb0e6a66f6cd7cfd05", 7956, 11604},
+		{"checkpoint-source", "hypercube", 2, 12, 2, 0,
+			"dispatch:kill-forever@5:1,dispatch:kill-forever@5:2", 6,
+			"dd17cd9b5b1fc543b8c07f175172cfb4c162f7ff00b7c01810c44d05b8e5a28c", 10522, 4106},
+		{"shrink-then-rollback", "torus2d", 3, 16, 4, 0,
+			"dispatch:kill-forever@6:3,dispatch:kill@9:0:repeat=4", 4,
+			"c30214eaced50edcf711d61acc80b3344d2a9f4b6fa3f2cc07458726e4d6c724", 14486, 19406},
+		{"seeded-rollbacks", "hypercube", 2, 20, 3, 0,
+			"seed@7:sweeps=12:ranks=4:events=6", 7,
+			"25309878cf46f97ae6b17502c73cc0a40adeeeb0a48ed5db6e8fa7332615399c", 13176, 8824},
+		{"mirror-then-rollback", "hypercube", 2, 12, 4, 0,
+			"dispatch:kill-forever@6:1,dispatch:kill@7:0:repeat=4", 3,
+			"8defb594314ca4312fcd827f08517b7eaabb27625dfa153cbd3f6d58808ba762", 10610, 5826},
+		{"spare", "hypercube", 2, 12, 2, 1, "dispatch:kill-forever@3:1", 6,
+			"01390384d93d3bdf20bbf57d1f647ff5cd4437e76cfd3eea115bdfc71bce9d04", 8664, 5488},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
+				m := machineOn(t, tc.topology, tc.dim, tc.sweeps)
+				m.Workers = workers
+				m.CheckpointEvery = tc.every
+				if tc.faults != "" {
+					plan, err := engine.ParseFaultPlan(tc.faults)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.Faults = plan
+				}
+				if err := m.AddSpares(tc.spares); err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				snaps := 0
+				m.CheckpointSink = func(ck *Checkpoint) error {
+					snaps++
+					_, err := ck.WriteTo(h)
+					return err
+				}
+				if _, err := m.SolveJacobi(parallelProblem(m.P())); err != nil {
+					t.Fatal(err)
+				}
+				sum := hex.EncodeToString(h.Sum(nil))
+				if snaps != tc.snaps || sum != tc.sha {
+					t.Errorf("%d snapshots hashing %s, want %d hashing %s", snaps, sum, tc.snaps, tc.sha)
+				}
+				if m.MachineCycles != tc.machine || m.CommCycles != tc.comm {
+					t.Errorf("machine/comm cycles %d/%d, want %d/%d",
+						m.MachineCycles, m.CommCycles, tc.machine, tc.comm)
+				}
+			})
+		}
 	}
 }
