@@ -32,7 +32,8 @@
 // resumes a solve from one.
 //
 // -kill "sweep:rank[,...]" is shorthand for permanent node deaths
-// (dispatch:kill-forever events; it composes with -faults): the run
+// (dispatch:kill-forever events, parsed with -faults as one plan, so a
+// point named twice across the two flags is rejected): the run
 // then arms buddy mirroring and degraded-mode recovery, refilling each
 // dead slot from the -spares pool or re-partitioning the solve over
 // the survivors, and the report gains a "recovery:" line. The solve
@@ -339,6 +340,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// faultPlan parses -faults and -kill into one plan; each -kill token
+// sweep:rank is the event dispatch:kill-forever@sweep:rank. An event
+// list and the kills parse as one list, so a point named twice across
+// the two flags is rejected like one named twice in either. A seeded
+// plan's generated events skip that check, as they do in
+// engine.ParseFaultPlan.
+func faultPlan(faultSpec, killSpec string) (*engine.FaultPlan, error) {
+	var list []string
+	faultSpec = strings.TrimSpace(faultSpec)
+	seeded := strings.HasPrefix(faultSpec, "seed@")
+	if faultSpec != "" && !seeded {
+		list = append(list, faultSpec)
+	}
+	if killSpec != "" {
+		for _, tok := range strings.Split(killSpec, ",") {
+			list = append(list, "dispatch:kill-forever@"+strings.TrimSpace(tok))
+		}
+	}
+	if !seeded {
+		return engine.ParseFaultPlan(strings.Join(list, ","))
+	}
+	gen, err := engine.ParseFaultPlan(faultSpec)
+	if err != nil {
+		return nil, err
+	}
+	kills, err := engine.ParseFaultPlan(strings.Join(list, ","))
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewFaultPlan(append(gen.Events, kills.Events...)...)
+}
+
 // runJacobi drives the multi-node solver with the robustness knobs.
 func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, sweeps int,
 	faultSpec, killSpec string, spares, ckEvery int, ckPath, restore string,
@@ -377,33 +410,9 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 		}
 	}
 	if faultSpec != "" || killSpec != "" {
-		plan, err := engine.ParseFaultPlan(faultSpec)
+		plan, err := faultPlan(faultSpec, killSpec)
 		if err != nil {
 			return err
-		}
-		if killSpec != "" {
-			events := plan.Events
-			for _, tok := range strings.Split(killSpec, ",") {
-				sw, rk, ok := strings.Cut(strings.TrimSpace(tok), ":")
-				if !ok {
-					return fmt.Errorf("nscsim: -kill %q: want sweep:rank[,...]", tok)
-				}
-				sweep, err := strconv.Atoi(sw)
-				if err != nil {
-					return fmt.Errorf("nscsim: -kill %q: sweep %q is not an integer", tok, sw)
-				}
-				rank, err := strconv.Atoi(rk)
-				if err != nil {
-					return fmt.Errorf("nscsim: -kill %q: rank %q is not an integer", tok, rk)
-				}
-				events = append(events, engine.FaultEvent{
-					Sweep: sweep, Phase: engine.PhaseDispatch, Rank: rank,
-					Kind: engine.FaultKillForever,
-				})
-			}
-			if plan, err = engine.NewFaultPlan(events...); err != nil {
-				return err
-			}
 		}
 		m.Faults = plan
 	}

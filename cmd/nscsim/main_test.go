@@ -377,6 +377,34 @@ func TestJacobiKillRecoveryCLI(t *testing.T) {
 	}
 }
 
+// TestKillFlagIsFaultPlan: -kill tokens are fault-plan events, so they
+// fail as -faults events do, with the fault plan's diagnostic. A
+// negative point once failed with a plain engine error, and a point
+// named twice — across -faults and -kill, or within -kill — once ran:
+// the duplicate kill-forever fired again after the shrink and killed
+// a second board. A seeded -faults still composes with -kill.
+func TestKillFlagIsFaultPlan(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kill", "-1:0"}, "fault plan: engine: fault dispatch:kill-forever@-1:0: negative sweep or rank"},
+		{[]string{"-faults", "dispatch:kill@3:1", "-kill", "3:1"}, `fault plan: event "dispatch:kill-forever@3:1" duplicates "dispatch:kill@3:1"`},
+		{[]string{"-kill", "3:1,3:1"}, `fault plan: event "dispatch:kill-forever@3:1" duplicates "dispatch:kill-forever@3:1"`},
+	} {
+		args := append([]string{"-jacobi", "8", "-cube", "2", "-sweeps", "6"}, tc.args...)
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 1 || !strings.Contains(stderr, tc.want) || strings.Contains(stdout, "cycles:") {
+			t.Errorf("args %v: exit %d, stderr %q; want exit 1 naming %q before any solve", tc.args, code, stderr, tc.want)
+		}
+	}
+	stdout, stderr, code := runCLI(t, "-jacobi", "8", "-cube", "2", "-sweeps", "6",
+		"-faults", "seed@3:sweeps=6:ranks=4:events=3", "-kill", "3:1")
+	if code != 0 || !strings.Contains(stdout, "recoveries=1 dead=1") {
+		t.Errorf("seeded -faults with -kill: exit %d, stderr %q, stdout:\n%s", code, stderr, stdout)
+	}
+}
+
 // TestDumpRangeErrors: a -dump whose count is negative or larger than
 // the plane exits 1 with an error naming the range — it once panicked
 // in makeslice, or died allocating ~8 TB.

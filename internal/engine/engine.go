@@ -1,10 +1,11 @@
 // Package engine is the distributed solver runtime extracted from the
 // hypercube Jacobi driver: the reusable parallel skeleton — slab
 // partitioning and a phase-structured sweep loop (dispatch → combine →
-// exchange) with fault injection, bounded retry and checkpoint hooks —
-// separated from any particular numerical scheme, so that Jacobi,
-// multigrid and future workloads (SOR, red-black, new stencils) are
-// small clients of one substrate instead of copies of a 400-line loop.
+// exchange) with fault injection, bounded retry, checkpoints and
+// recovery — separated from any particular numerical scheme, so that
+// Jacobi, multigrid and future workloads (SOR, red-black, new
+// stencils) are small clients of one substrate instead of copies of a
+// 400-line loop.
 // Clients compile their slab instructions before the loop starts; the
 // engine generates no code.
 //
@@ -87,7 +88,7 @@ type Config struct {
 
 	// Faults, when non-nil, arms deterministic fault injection. Faulted
 	// operations retry within a fixed budget: three attempts each, and
-	// four checkpoint restores per run.
+	// four checkpoint restores per loop generation.
 	Faults *FaultPlan
 
 	// ResidualFU is the reduce register the convergence combine reads.
@@ -124,33 +125,31 @@ type Config struct {
 	StopAfter int
 	Tol       float64
 
-	// CheckpointEvery, when positive, invokes Take at every sweep
-	// boundary divisible by it. StartSweep/StartSeries/SkipSnapshotAt
-	// seed a run resumed from a checkpoint (SkipSnapshotAt must be -1
-	// when not resuming — the resumed boundary holds no new progress).
-	CheckpointEvery int
-	StartSweep      int
-	StartSeries     []float64
-	SkipSnapshotAt  int
-
-	// Take snapshots the client's state at a sweep boundary; live is
-	// the loop's fault counters so far (the client adds its own base).
-	// Rollback writes the latest snapshot onto the ring — after a retry
-	// budget exhausts, or after a death the buddy mirror cannot cover —
-	// and returns the sweep to resume from; ok=false means no snapshot
-	// exists and the error surfaces instead.
-	Take     func(sweep int, series []float64, live FaultStats) error
-	Rollback func() (sweep int, series []float64, ok bool, err error)
-
 	// State lists the planes that carry the iterate from one iteration
-	// to the next, and Rebuild recompiles and reloads every rank's slab
-	// over part, a repaired ring; sweep and series name the boundary the
-	// run resumes at. When the plan holds a permanent kill and Rebuild
+	// to the next. Every restore point — a checkpoint, the buddy
+	// mirror, Resume — is a Snapshot of them.
+	State []int
+
+	// CheckpointEvery, when positive, makes Run snapshot State at every
+	// sweep boundary divisible by it and keep the latest: a retry
+	// budget that runs out rolls the run back to it, and so does a
+	// death the buddy mirror cannot cover. Take, when set, persists
+	// each checkpoint as it is taken; live is the run's fault counters
+	// so far (the client adds its own base). Take must not modify snap.
+	CheckpointEvery int
+	Take            func(snap *Snapshot, live FaultStats) error
+
+	// Resume, when non-nil, is the boundary the run starts from: Run
+	// writes it onto the ring, resumes at its sweep and series, and
+	// keeps it as the checkpoint until it takes a newer one.
+	Resume *Snapshot
+
+	// Rebuild recompiles and reloads every rank's slab over part, a
+	// repaired ring. When the plan holds a permanent kill and Rebuild
 	// is set, Run mirrors State at every boundary and recovers dead
 	// ranks (see recovery.go); otherwise a dead rank surfaces as an
 	// error.
-	State   []int
-	Rebuild func(part *Partition, sweep int, series []float64) error
+	Rebuild func(part *Partition) error
 }
 
 // Loop is the phase-structured sweep loop: Dispatch runs one
@@ -516,9 +515,9 @@ func (t *NodeTotals) AddNode(nd *sim.Node) {
 // exact phase order, accounting and rollback semantics of the original
 // hypercube driver; multigrid runs one V-cycle per step on the same
 // loop, fault coordinates and recovery protocol included. A retry
-// budget that exhausts rolls the run back through cfg.Rollback (when a
-// snapshot exists and MaxRestores allows); simulated time is not
-// rolled back — the lost work cost real cycles.
+// budget that exhausts rolls the run back to the kept checkpoint (when
+// one exists and maxRestores allows); simulated time is not rolled
+// back — the lost work cost real cycles.
 //
 // Permanent node loss (FaultKillForever) surfaces as a DeadRankError
 // unless cfg.Rebuild is set, in which case Run recovers (see
@@ -536,96 +535,113 @@ func Run(cfg *Config) (*RunResult, error) {
 	if err := cfg.Faults.checkRanks(cfg.Fabric); err != nil {
 		return nil, err
 	}
-	var acc FaultStats
-	var rec RecoveryStats
-	var ts int64
-	var mr *mirror
+	rn := &run{cfg: cfg, ck: cfg.Resume}
 	if cfg.Rebuild != nil && cfg.Faults.HasPermanent() {
-		mr = &mirror{}
+		rn.mr = &Snapshot{}
 	}
+	from := cfg.Resume
 	for {
-		res, tsEnd, dre, err := runOnce(cfg, ts, acc, mr)
+		res, dre, err := rn.once(from)
 		if err != nil {
 			return nil, err
 		}
-		merged := acc
-		merged.Add(res.Faults)
-		res.Faults = merged
-		res.Recovery = rec
 		if dre == nil {
 			return res, nil
 		}
-		if mr == nil || int(rec.Recoveries) >= len(cfg.Faults.Events) {
+		if rn.mr == nil || int(rn.rec.Recoveries) >= len(cfg.Faults.Events) {
 			// Not armed, or the backstop: a step that reports deaths the
 			// plan never fired cannot spin the loop past one round per
 			// plan event.
 			return res, dre
 		}
-		acc, ts = res.Faults, tsEnd
-		if cfg, err = mr.recover(cfg, dre, &rec, ts); err != nil {
+		if from, err = rn.recover(dre); err != nil {
 			return nil, fmt.Errorf("engine: recovering from %w: %w", dre, err)
 		}
 	}
 }
 
-// runOnce drives one loop generation: from cfg.StartSweep until
-// convergence, a terminal error, or a dead rank. ts0 seeds the
-// observability timeline (continuous across recovery generations);
-// base is the fault-counter accumulation of prior generations, merged
-// into the live counters handed to Take so persisted checkpoints carry
-// full totals. A dead rank is not an error here: runOnce returns it
-// with the partial result (counters and timeline so far) for Run's
-// recovery protocol. mr, when non-nil, is the buddy mirror runOnce
-// refreshes at every boundary. On error the result is nil.
-func runOnce(cfg *Config, ts0 int64, base FaultStats, mr *mirror) (*RunResult, int64, *DeadRankError, error) {
+// run is one Run across its loop generations: the configuration in
+// force, the restore points, and what the generations so far
+// accumulated — fault counters, recoveries and the observability
+// timeline.
+type run struct {
+	cfg *Config
+	// ck is the kept checkpoint (the latest taken, or Resume) and mr
+	// the buddy mirror, nil unless recovery is armed.
+	ck, mr *Snapshot
+	acc    FaultStats
+	rec    RecoveryStats
+	ts     int64
+}
+
+// once drives one loop generation: from the boundary `from` holds (or
+// sweep 0 when it is nil) until convergence, a terminal error, or a
+// dead rank. A dead rank is not an error here: once returns it with
+// the partial result for Run's recovery protocol. The result, like the
+// live counters handed to Take, carries every generation's fault
+// counters so far, so persisted checkpoints carry full totals. On
+// error the result is nil.
+func (rn *run) once(from *Snapshot) (*RunResult, *DeadRankError, error) {
+	cfg := rn.cfg
 	lp, err := NewLoop(cfg)
 	if err != nil {
-		return nil, ts0, nil, err
+		return nil, nil, err
 	}
-	lp.simTS = ts0
-	res := &RunResult{
-		Sweeps: cfg.StartSweep,
-		Series: append([]float64(nil), cfg.StartSeries...),
+	lp.simTS = rn.ts
+	res := &RunResult{}
+	// restore writes a snapshot onto the ring, free in simulated time,
+	// and resumes at its boundary. That boundary holds no new progress,
+	// so no checkpoint is taken there.
+	skipAt := -1
+	restore := func(s *Snapshot) error {
+		if err := s.restore(cfg.Fabric, cfg.Part, cfg.State); err != nil {
+			return err
+		}
+		res.Sweeps, skipAt = s.Sweep, s.Sweep
+		res.Series = append(res.Series[:0], s.Series...)
+		return nil
 	}
-	skipAt := cfg.SkipSnapshotAt
+	if from != nil {
+		if err := restore(from); err != nil {
+			return nil, nil, err
+		}
+	}
 	restores := 0
 	rollback := func(be *BudgetError) (int, error) {
-		if cfg.Rollback == nil || restores >= maxRestores {
+		if rn.ck == nil || restores >= maxRestores {
 			return 0, be
 		}
-		at, series, ok, err := cfg.Rollback()
-		if err != nil {
+		if err := restore(rn.ck); err != nil {
 			return 0, err
-		}
-		if !ok {
-			return 0, be
 		}
 		restores++
 		lp.fst.Restores++
-		res.Sweeps = at
-		res.Series = append(res.Series[:0], series...)
-		skipAt = at
-		return at, nil
+		return rn.ck.Sweep, nil
 	}
 
-	for it := cfg.StartSweep; it < cfg.MaxSweeps; it++ {
-		// Sweep-boundary snapshot.
-		if cfg.CheckpointEvery > 0 && cfg.Take != nil && it%cfg.CheckpointEvery == 0 && it != skipAt {
+	for it := res.Sweeps; it < cfg.MaxSweeps; it++ {
+		// Sweep-boundary checkpoint and buddy mirror: host-side, so free
+		// in simulated time; the zero-cycle phases still mark the
+		// boundary on the timeline.
+		if cfg.CheckpointEvery > 0 && it%cfg.CheckpointEvery == 0 && it != skipAt {
 			lp.fst.Checkpoints++
-			live := base
-			live.Add(lp.fst)
-			if err := cfg.Take(it, res.Series, live); err != nil {
-				return nil, lp.simTS, nil, err
+			ck := &Snapshot{}
+			if err := ck.take(cfg.Fabric, cfg.Part, cfg.State, it, res.Series); err != nil {
+				return nil, nil, err
 			}
-			// Snapshots are host-side and free in simulated time; the
-			// zero-cycle phase still marks the boundary on the timeline.
+			rn.ck = ck
+			if cfg.Take != nil {
+				live := rn.acc
+				live.Add(lp.fst)
+				if err := cfg.Take(ck, live); err != nil {
+					return nil, nil, err
+				}
+			}
 			lp.observe("checkpoint", it, 0)
 		}
-		// Buddy mirror: host-side like Take, so it is free in simulated
-		// time; the zero-cycle phase marks the boundary on the timeline.
-		if mr != nil {
-			if err := mr.take(cfg.Fabric, cfg.Part, cfg.State, it, res.Series); err != nil {
-				return nil, lp.simTS, nil, err
+		if rn.mr != nil {
+			if err := rn.mr.take(cfg.Fabric, cfg.Part, cfg.State, it, res.Series); err != nil {
+				return nil, nil, err
 			}
 			lp.observe("buddy", it, 0)
 		}
@@ -634,15 +650,14 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats, mr *mirror) (*RunResult, i
 		if err != nil {
 			var dre *DeadRankError
 			if errors.As(err, &dre) {
-				res.Faults = lp.fst
-				return res, lp.simTS, dre, nil
+				return rn.end(res, lp), dre, nil
 			}
-			return nil, lp.simTS, nil, err
+			return nil, nil, err
 		}
 		if be != nil {
 			at, err := rollback(be)
 			if err != nil {
-				return nil, lp.simTS, nil, err
+				return nil, nil, err
 			}
 			it = at - 1
 			continue
@@ -653,7 +668,7 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats, mr *mirror) (*RunResult, i
 		if mergeBE != nil {
 			at, err := rollback(mergeBE)
 			if err != nil {
-				return nil, lp.simTS, nil, err
+				return nil, nil, err
 			}
 			it = at - 1
 			continue
@@ -675,17 +690,25 @@ func runOnce(cfg *Config, ts0 int64, base FaultStats, mr *mirror) (*RunResult, i
 
 		ebe, err := lp.Exchange(it, plane)
 		if err != nil {
-			return nil, lp.simTS, nil, err
+			return nil, nil, err
 		}
 		if ebe != nil {
 			at, err := rollback(ebe)
 			if err != nil {
-				return nil, lp.simTS, nil, err
+				return nil, nil, err
 			}
 			it = at - 1
 			continue
 		}
 	}
-	res.Faults = lp.fst
-	return res, lp.simTS, nil, nil
+	return rn.end(res, lp), nil, nil
+}
+
+// end closes a generation: its counters and timeline join the run's,
+// and res reports the run so far.
+func (rn *run) end(res *RunResult, lp *Loop) *RunResult {
+	rn.acc.Add(lp.fst)
+	rn.ts = lp.simTS
+	res.Faults, res.Recovery = rn.acc, rn.rec
+	return res
 }

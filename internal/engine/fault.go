@@ -12,10 +12,10 @@ import (
 // This file is the fault-injection half of the engine's robustness
 // layer; the recovery half is the loop's bounded retry and Run's
 // rollback and degraded-mode recovery (recovery.go), for which a
-// client supplies only its checkpoint hooks (Take/Rollback), its State
-// planes and its slab Rebuild. Machines of the NSC's class could not
-// finish long iterative solves without engineering around node and
-// link faults; the engine models the three failure modes that
+// client supplies only its State planes, its slab Rebuild and, to
+// persist checkpoints, a Take hook. Machines of the NSC's class could
+// not finish long iterative solves without engineering around node
+// and link faults; the engine models the three failure modes that
 // dominated in practice — a node dispatch that is lost, a link payload
 // corrupted in transit, and a link that stalls — at deterministic,
 // plan-chosen sweep/phase points, so the recovery machinery can be
@@ -503,8 +503,8 @@ const (
 	maxAttempts     = 3
 	retryBackoff    = 64
 	retryBackoffCap = 4096
-	// maxRestores bounds checkpoint restores per solve, so a permanent
-	// fault cannot restore forever.
+	// maxRestores bounds checkpoint restores per loop generation, so a
+	// permanent fault cannot restore forever.
 	maxRestores = 4
 )
 

@@ -15,13 +15,12 @@ import (
 // (Config.State) and how to rebuild its slabs (Config.Rebuild); Run
 // does the rest. It mirrors the state at every iteration boundary, and
 // on a death it takes the state from the mirror — or, when a dead
-// rank's buddy died too, from the client's checkpoint through
-// Config.Rollback — repairs the ring through the fabric (a hot spare
-// wired into the dead slot, or the slot deleted and the survivors
-// re-partitioned), rebuilds the slabs, writes the state back and
-// resumes at the restored boundary. The resumed trajectory is
-// bit-identical to a fault-free run: recovery is mathematically
-// invisible, only the clocks grow.
+// rank's buddy died too, from the kept checkpoint — repairs the ring
+// through the fabric (a hot spare wired into the dead slot, or the
+// slot deleted and the survivors re-partitioned), rebuilds the slabs,
+// writes the state back and resumes at the restored boundary. The
+// resumed trajectory is bit-identical to a fault-free run: recovery is
+// mathematically invisible, only the clocks grow.
 
 // DeadRankError reports permanently dead ranks detected at a dispatch
 // barrier. Ranks are ring ranks of the partition in force when the
@@ -106,33 +105,39 @@ func ChargeScatter(f Fabric, words []int64) int64 {
 // buddy mirror nor a checkpoint covers.
 var ErrNoRestorePoint = errors.New("no buddy mirror and no checkpoint to restore from")
 
-// mirror is the buddy checkpoint: the State planes at the last
-// iteration boundary, held as one global N×N×Nz image per plane with
-// the boundary's sweep and residual series. Rank r's share is modelled
-// as held by its ring buddy (r+1) mod P, so it survives a death exactly
-// when the dead rank's buddy does. Like Take snapshots it is host-side
+// Snapshot is a restore point: the State planes at one iteration
+// boundary, held as one global N×N×Nz image per plane, with the
+// boundary's sweep and the residual series up to it. The buddy mirror,
+// every checkpoint and a resume point are snapshots. At a boundary
+// every interior ghost plane equals its neighbour's owned plane, so an
+// image holds each rank's slab, ghosts included, under any partition
+// of the grid: a snapshot taken on one ring restores onto the ring a
+// recovery left behind. Taking and writing one is host-side
 // bookkeeping and costs no simulated cycles.
-type mirror struct {
-	sweep  int
-	series []float64
-	images [][]float64
+//
+// The mirror models rank r's share as held by its ring buddy (r+1) mod
+// P, so it survives a death exactly when the dead rank's buddy does.
+type Snapshot struct {
+	Sweep  int
+	Series []float64
+	// Images[i] is the global image of State[i].
+	Images [][]float64
 }
 
-// take mirrors the ring's State planes: every rank's owned planes, and
-// the global boundary planes from the edge ranks' outer ghosts. At a
-// boundary every interior ghost equals its neighbour's owned plane, so
-// the image holds each rank's planes, ghosts included.
-func (mr *mirror) take(f Fabric, part *Partition, planes []int, sweep int, series []float64) error {
+// take gathers the ring's State planes into s, reusing its images:
+// every rank's owned planes, and the global boundary planes from the
+// edge ranks' outer ghosts.
+func (s *Snapshot) take(f Fabric, part *Partition, planes []int, sweep int, series []float64) error {
 	nn := part.NN()
-	if mr.images == nil {
-		mr.images = make([][]float64, len(planes))
-		for i := range mr.images {
-			mr.images[i] = make([]float64, part.Nz*nn)
+	if s.Images == nil {
+		s.Images = make([][]float64, len(planes))
+		for i := range s.Images {
+			s.Images[i] = make([]float64, part.Nz*nn)
 		}
 	}
 	last := part.P - 1
 	for i, pl := range planes {
-		g := mr.images[i]
+		g := s.Images[i]
 		if err := f.Node(0).ReadWordsInto(pl, 0, g[:nn]); err != nil {
 			return err
 		}
@@ -146,65 +151,44 @@ func (mr *mirror) take(f Fabric, part *Partition, planes []int, sweep int, serie
 			}
 		}
 	}
-	mr.sweep = sweep
-	mr.series = append(mr.series[:0], series...)
+	s.Sweep = sweep
+	s.Series = append(s.Series[:0], series...)
 	return nil
 }
 
-// restore writes the mirror into every rank's slab of part, ghost
-// planes included, and prices the scatter with ChargeScatter.
-// Survivors rewriting their own planes is a simulation artifact (a real
-// survivor keeps its memory), so only the dead slots a spare refilled
-// pay — unless moved is set, because a re-partition may have moved
-// every slab boundary and then every rank pays.
-func (mr *mirror) restore(f Fabric, part *Partition, planes, dead []int, moved bool) error {
+// restore writes s into every rank's slab of part, ghost planes
+// included.
+func (s *Snapshot) restore(f Fabric, part *Partition, planes []int) error {
 	nn := part.NN()
-	words := make([]int64, part.P)
 	for r := 0; r < part.P; r++ {
-		lo := (part.Lo[r] - 1) * nn
-		w := (part.Planes[r] + 2) * nn
+		lo, hi := (part.Lo[r]-1)*nn, (part.Lo[r]+part.Planes[r]+1)*nn
 		for i, pl := range planes {
-			if err := f.Node(r).WriteWords(pl, 0, mr.images[i][lo:lo+w]); err != nil {
+			if err := f.Node(r).WriteWords(pl, 0, s.Images[i][lo:hi]); err != nil {
 				return err
 			}
 		}
-		if moved || slices.Contains(dead, r) {
-			words[r] = int64(len(planes) * w)
-		}
 	}
-	ChargeScatter(f, words)
 	return nil
 }
 
-// recover runs the protocol for a death in the generation cfg drove
-// and returns the configuration of the next one. The mirror holds the
-// state unless a dead rank's buddy died too; then Rollback writes the
-// client's checkpoint onto the old ring and the mirror takes it from
-// there. The fabric repairs the ring, the partition follows it when it
-// shrank, the client rebuilds its slabs, and the state is written
-// back. rec and the observability layer count the round.
-func (mr *mirror) recover(cfg *Config, dre *DeadRankError, rec *RecoveryStats, ts int64) (*Config, error) {
+// recover runs the protocol for a death in the generation rn.cfg drove
+// and returns the snapshot the next generation resumes from: the
+// mirror, unless a dead rank's buddy died too and the kept checkpoint
+// must serve. The fabric repairs the ring, the partition follows it
+// when it shrank, the client rebuilds its slabs, and the scatter that
+// writes the state back is priced. rn.rec and the observability layer
+// count the round.
+func (rn *run) recover(dre *DeadRankError) (*Snapshot, error) {
+	cfg := rn.cfg
 	f, part := cfg.Fabric, cfg.Part
-	source := "buddy"
+	from, source := rn.mr, "buddy"
 	for _, d := range dre.Ranks {
 		if slices.Contains(dre.Ranks, (d+1)%part.P) {
-			source = "checkpoint"
+			from, source = rn.ck, "checkpoint"
 		}
 	}
-	if source == "checkpoint" {
-		if cfg.Rollback == nil {
-			return nil, ErrNoRestorePoint
-		}
-		at, series, ok, err := cfg.Rollback()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, ErrNoRestorePoint
-		}
-		if err := mr.take(f, part, cfg.State, at, series); err != nil {
-			return nil, err
-		}
+	if from == nil {
+		return nil, ErrNoRestorePoint
 	}
 	spared, shrunk, err := f.RecoverRanks(dre.Ranks)
 	if err != nil {
@@ -215,25 +199,33 @@ func (mr *mirror) recover(cfg *Config, dre *DeadRankError, rec *RecoveryStats, t
 			return nil, err
 		}
 	}
-	series := slices.Clone(mr.series)
-	if err := cfg.Rebuild(part, mr.sweep, series); err != nil {
+	if err := cfg.Rebuild(part); err != nil {
 		return nil, err
 	}
-	if err := mr.restore(f, part, cfg.State, dre.Ranks, shrunk > 0); err != nil {
-		return nil, err
+	// The state goes back into every slab, ghost planes included.
+	// Survivors rewriting their own planes is a simulation artifact (a
+	// real survivor keeps its memory), so only the dead slots a spare
+	// refilled pay — unless the ring shrank, because the re-partition
+	// may have moved every slab boundary and then every rank pays.
+	words := make([]int64, part.P)
+	for r := range words {
+		if shrunk > 0 || slices.Contains(dre.Ranks, r) {
+			words[r] = int64(len(cfg.State) * (part.Planes[r] + 2) * part.NN())
+		}
 	}
+	ChargeScatter(f, words)
 
-	rec.Recoveries++
-	rec.DeadRanks += int64(len(dre.Ranks))
-	rec.SpareActivations += int64(spared)
-	rec.Shrinks += int64(shrunk)
+	rn.rec.Recoveries++
+	rn.rec.DeadRanks += int64(len(dre.Ranks))
+	rn.rec.SpareActivations += int64(spared)
+	rn.rec.Shrinks += int64(shrunk)
 	if source == "buddy" {
-		rec.BuddyRestores++
+		rn.rec.BuddyRestores++
 	} else {
-		rec.CheckpointRestores++
+		rn.rec.CheckpointRestores++
 	}
-	resweep := int64(dre.Sweep - mr.sweep)
-	rec.ResweptSweeps += resweep
+	resweep := int64(dre.Sweep - from.Sweep)
+	rn.rec.ResweptSweeps += resweep
 	if o := cfg.Obs; o != nil {
 		o.Inc("engine.recovery.recoveries")
 		mode := "spare+shrink"
@@ -251,13 +243,19 @@ func (mr *mirror) recover(cfg *Config, dre *DeadRankError, rec *RecoveryStats, t
 		}
 		o.Inc("engine.recovery.source." + source)
 		o.Observe("engine.recovery.resweeps", resweep)
-		o.Event(0, "engine", "recovery", ts, mode, map[string]int64{
-			"resume_sweep": int64(mr.sweep),
+		o.Event(0, "engine", "recovery", rn.ts, mode, map[string]int64{
+			"resume_sweep": int64(from.Sweep),
 			"spared":       int64(spared),
 			"shrunk":       int64(shrunk),
 		})
 	}
 	next := *cfg
-	next.Part, next.StartSweep, next.StartSeries, next.SkipSnapshotAt = part, mr.sweep, series, mr.sweep
-	return &next, nil
+	next.Part = part
+	rn.cfg = &next
+	if from == rn.mr && rn.ck != nil {
+		// The mirror's boundary is at least as new as the kept
+		// checkpoint, so a later rollback resumes there.
+		rn.ck, rn.mr = rn.mr, &Snapshot{}
+	}
+	return from, nil
 }

@@ -233,144 +233,304 @@ func TestRunSurfacesDeadRankWithoutRecover(t *testing.T) {
 	}
 }
 
-// TestRunRecovers drives the recovery protocol on a four-rank
-// nodeFabric, one interior plane per rank, whose two State planes hold
-// a known image at every boundary: each step checks that every rank's
-// slab, ghosts included, holds its boundary's image and then writes
-// the next one. A kill-forever at sweep 2 shrinks the ring. Rebuild
-// must see the repaired partition, and it scribbles over every slab as
-// a real reload does, so the first resumed step passes only if the
-// mirror was written back after Rebuild. Adjacent deaths lose
-// the mirror: with no Rollback hook they surface ErrNoRestorePoint,
-// and with one the run resumes from its checkpoint. A failing Rebuild
-// comes back wrapped.
-func TestRunRecovers(t *testing.T) {
-	const nz, nn = 6, 4 // N = 2
-	planes := []int{0, 1}
-	image := func(it, pl int) []float64 {
-		g := make([]float64, nz*nn)
-		for i := range g {
-			g[i] = float64(1000*it + 100*pl + i)
-		}
-		return g
+// The restore-path tests run on a nodeFabric of four ranks, one
+// interior plane each, whose two State planes hold a known global
+// image at every boundary: each step checks that every rank's slab,
+// ghosts included, holds its boundary's image under the partition in
+// force, and then writes the next one.
+const imgNz, imgNN = 6, 4 // N = 2
+
+var imgPlanes = []int{0, 1}
+
+// image is State plane pl's global image at boundary it.
+func image(it, pl int) []float64 {
+	g := make([]float64, imgNz*imgNN)
+	for i := range g {
+		g[i] = float64(1000*it + 100*pl + i)
 	}
-	setSlabs := func(f Fabric, part *Partition, it int) error {
-		for r := 0; r < part.P; r++ {
-			for _, pl := range planes {
-				if err := f.Node(r).WriteWords(pl, 0, image(it, pl)[(part.Lo[r]-1)*nn:(part.Lo[r]+part.Planes[r]+1)*nn]); err != nil {
-					return err
-				}
+	return g
+}
+
+// slab is rank r's share of image(it, pl) under part, ghosts included.
+func slab(part *Partition, r, it, pl int) []float64 {
+	return image(it, pl)[(part.Lo[r]-1)*imgNN : (part.Lo[r]+part.Planes[r]+1)*imgNN]
+}
+
+// setSlabs writes boundary it's image into every rank's slab.
+func setSlabs(f Fabric, part *Partition, it int) error {
+	for r := 0; r < part.P; r++ {
+		for _, pl := range imgPlanes {
+			if err := f.Node(r).WriteWords(pl, 0, slab(part, r, it, pl)); err != nil {
+				return err
 			}
 		}
-		return nil
 	}
-	slabsHold := func(f Fabric, part *Partition, it int) error {
-		for r := 0; r < part.P; r++ {
-			for _, pl := range planes {
-				got, err := f.Node(r).ReadWords(pl, 0, (part.Planes[r]+2)*nn)
-				if err != nil {
-					return err
-				}
-				if want := image(it, pl)[(part.Lo[r]-1)*nn : (part.Lo[r]+part.Planes[r]+1)*nn]; !slices.Equal(got, want) {
-					return fmt.Errorf("sweep %d rank %d plane %d: slab %v, want %v", it, r, pl, got, want)
-				}
-			}
-		}
-		return nil
-	}
-	errRebuild := errors.New("rebuild failed")
-	run := func(t *testing.T, deaths []int, rollback bool, rebuildErr error) (*RunResult, error) {
-		f := &nodeFabric{scatterFabric: scatterFabric{p: 4}}
-		for r := 0; r < 4; r++ {
-			nd, err := sim.NewNode(arch.Default())
+	return nil
+}
+
+// slabsHold checks that every rank's slab holds boundary it's image.
+func slabsHold(f Fabric, part *Partition, it int) error {
+	for r := 0; r < part.P; r++ {
+		for _, pl := range imgPlanes {
+			got, err := f.Node(r).ReadWords(pl, 0, (part.Planes[r]+2)*imgNN)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			f.nodes = append(f.nodes, nd)
+			if want := slab(part, r, it, pl); !slices.Equal(got, want) {
+				return fmt.Errorf("sweep %d rank %d plane %d: slab %v, want %v", it, r, pl, got, want)
+			}
 		}
-		part, err := NewPartition(4, 2, nz)
+	}
+	return nil
+}
+
+// imageRun is one Run over a fresh four-rank nodeFabric holding
+// boundary 0's image, whose Step checks and advances the image. cur is
+// the partition in force: Rebuild moves it to the repaired ring and
+// scribbles over every slab, as a real reload does, so the first
+// resumed step passes only if Run wrote the state back after Rebuild.
+type imageRun struct {
+	f   *nodeFabric
+	cfg *Config
+	cur *Partition
+	// rebuilt lists the repaired partitions Rebuild saw, and resumed
+	// the sweep of the first step after each rebuild.
+	rebuilt []*Partition
+	resumed []int
+}
+
+func newImageRun(t *testing.T, maxSweeps int, evs ...FaultEvent) *imageRun {
+	t.Helper()
+	f := &nodeFabric{scatterFabric: scatterFabric{p: 4}}
+	for r := 0; r < 4; r++ {
+		nd, err := sim.NewNode(arch.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := setSlabs(f, part, 0); err != nil {
-			t.Fatal(err)
-		}
-		var evs []FaultEvent
-		for _, r := range deaths {
-			evs = append(evs, FaultEvent{Sweep: 2, Phase: PhaseDispatch, Rank: r, Kind: FaultKillForever})
-		}
-		blank := microcode.MustFormat(arch.Default()).NewInstr()
-		cur := part
-		cfg := &Config{
-			Fabric: f, Part: part, Faults: MustFaultPlan(evs...), MaxSweeps: 4,
-			State: planes,
-			Step: func(lp *Loop, it int) (int, *BudgetError, error) {
-				if err := slabsHold(f, cur, it); err != nil {
-					return -1, nil, err
-				}
-				be, err := lp.Dispatch(it, func(int) *microcode.Instr { return blank }, -1)
-				if be != nil || err != nil {
-					return -1, be, err
-				}
-				return -1, nil, setSlabs(f, cur, it+1)
-			},
-			Rebuild: func(p *Partition, sweep int, series []float64) error {
-				if want, _ := NewPartition(4-len(deaths), 2, nz); f.P() != want.P || !reflect.DeepEqual(p, want) {
-					t.Errorf("Rebuild saw partition %+v on a %d-rank fabric, want the repaired %+v", p, f.P(), want)
-				}
-				resume := 2
-				if rollback {
-					resume = 0
-				}
-				if sweep != resume || len(series) != resume {
-					t.Errorf("Rebuild resumes at sweep %d with %d residuals, want %d", sweep, len(series), resume)
-				}
-				for r := 0; r < p.P; r++ {
-					for _, pl := range planes {
-						if err := f.Node(r).WriteWords(pl, 0, make([]float64, (p.Planes[r]+2)*nn)); err != nil {
-							return err
-						}
+		f.nodes = append(f.nodes, nd)
+	}
+	part, err := NewPartition(4, 2, imgNz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setSlabs(f, part, 0); err != nil {
+		t.Fatal(err)
+	}
+	blank := microcode.MustFormat(arch.Default()).NewInstr()
+	ir := &imageRun{f: f, cur: part}
+	ir.cfg = &Config{
+		Fabric: f, Part: part, Faults: MustFaultPlan(evs...), MaxSweeps: maxSweeps,
+		State: imgPlanes,
+		Step: func(lp *Loop, it int) (int, *BudgetError, error) {
+			if len(ir.resumed) < len(ir.rebuilt) {
+				ir.resumed = append(ir.resumed, it)
+			}
+			if err := slabsHold(f, ir.cur, it); err != nil {
+				return -1, nil, err
+			}
+			be, err := lp.Dispatch(it, func(int) *microcode.Instr { return blank }, -1)
+			if be != nil || err != nil {
+				return -1, be, err
+			}
+			return -1, nil, setSlabs(f, ir.cur, it+1)
+		},
+		Rebuild: func(p *Partition) error {
+			for r := 0; r < p.P; r++ {
+				for _, pl := range imgPlanes {
+					if err := f.Node(r).WriteWords(pl, 0, make([]float64, (p.Planes[r]+2)*imgNN)); err != nil {
+						return err
 					}
 				}
-				cur = p
-				return rebuildErr
-			},
+			}
+			ir.cur = p
+			ir.rebuilt = append(ir.rebuilt, p)
+			return nil
+		},
+	}
+	return ir
+}
+
+// killsAt returns kill-forever events for ranks at one sweep.
+func killsAt(sweep int, ranks ...int) []FaultEvent {
+	var evs []FaultEvent
+	for _, r := range ranks {
+		evs = append(evs, FaultEvent{Sweep: sweep, Phase: PhaseDispatch, Rank: r, Kind: FaultKillForever})
+	}
+	return evs
+}
+
+// TestRunRecovers drives the recovery protocol on an imageRun. A
+// kill-forever at sweep 2 shrinks the ring: Rebuild must see the
+// repaired partition, and the run resumes from the mirror at sweep 2.
+// Adjacent deaths lose the mirror: with no checkpoint they surface
+// ErrNoRestorePoint, and with one (taken at sweep 0) the run resumes
+// there. A failing Rebuild comes back wrapped.
+func TestRunRecovers(t *testing.T) {
+	run := func(t *testing.T, deaths []int, every int, rebuildErr error) (*RunResult, *imageRun, error) {
+		ir := newImageRun(t, 4, killsAt(2, deaths...)...)
+		ir.cfg.CheckpointEvery = every
+		if rebuildErr != nil {
+			ir.cfg.Rebuild = func(*Partition) error { return rebuildErr }
 		}
-		if rollback {
-			cfg.Rollback = func() (int, []float64, bool, error) {
-				return 0, nil, true, setSlabs(f, cur, 0)
+		res, err := Run(ir.cfg)
+		if err == nil {
+			want, _ := NewPartition(4-len(deaths), 2, imgNz)
+			if len(ir.rebuilt) != 1 || ir.f.P() != want.P || !reflect.DeepEqual(ir.rebuilt[0], want) {
+				t.Errorf("Rebuild saw partitions %+v on a %d-rank fabric, want the repaired %+v", ir.rebuilt, ir.f.P(), want)
 			}
 		}
-		return Run(cfg)
+		return res, ir, err
 	}
 
-	res, err := run(t, []int{1}, false, nil)
+	res, ir, err := run(t, []int{1}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := RecoveryStats{Recoveries: 1, DeadRanks: 1, Shrinks: 1, BuddyRestores: 1}
-	if res.Sweeps != 4 || res.Recovery != want {
-		t.Errorf("%d sweeps, recovery %s; want 4 sweeps, %s", res.Sweeps, res.Recovery, want)
+	if res.Sweeps != 4 || res.Recovery != want || !slices.Equal(ir.resumed, []int{2}) {
+		t.Errorf("%d sweeps, recovery %s, resumed at %v; want 4 sweeps, %s, resumed at [2]", res.Sweeps, res.Recovery, ir.resumed, want)
 	}
 
-	_, err = run(t, []int{1, 2}, false, nil)
+	_, _, err = run(t, []int{1, 2}, 0, nil)
 	var dre *DeadRankError
 	if !errors.Is(err, ErrNoRestorePoint) || !errors.As(err, &dre) || !slices.Equal(dre.Ranks, []int{1, 2}) {
-		t.Errorf("adjacent deaths without Rollback: %v, want ErrNoRestorePoint for ranks 1,2", err)
+		t.Errorf("adjacent deaths without a checkpoint: %v, want ErrNoRestorePoint for ranks 1,2", err)
 	}
 
-	res, err = run(t, []int{1, 2}, true, nil)
+	res, ir, err = run(t, []int{1, 2}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want = RecoveryStats{Recoveries: 1, DeadRanks: 2, Shrinks: 2, CheckpointRestores: 1, ResweptSweeps: 2}
-	if res.Recovery != want {
-		t.Errorf("adjacent deaths with Rollback: recovery %s, want %s", res.Recovery, want)
+	if res.Recovery != want || !slices.Equal(ir.resumed, []int{0}) || len(res.Series) != 4 {
+		t.Errorf("adjacent deaths with a checkpoint: recovery %s, resumed at %v, %d residuals; want %s, resumed at [0], 4 residuals",
+			res.Recovery, ir.resumed, len(res.Series), want)
 	}
 
-	_, err = run(t, []int{1}, false, errRebuild)
+	errRebuild := errors.New("rebuild failed")
+	_, _, err = run(t, []int{1}, 0, errRebuild)
 	if !errors.Is(err, errRebuild) || !strings.HasPrefix(err.Error(), "engine: recovering from engine: sweep 2: rank(s) 1 permanently dead: ") {
 		t.Errorf("failing Rebuild: %v", err)
+	}
+}
+
+// TestRollbackRestoresCheckpoint: a retry budget that runs out at
+// sweep 3 rolls the run back to the checkpoint kept at sweep 2, on the
+// same ring, and the run re-sweeps from there. The restore is free:
+// every cycle on the fabric's clocks is one a phase reported, and the
+// failed dispatch's retries are the only extra ones.
+func TestRollbackRestoresCheckpoint(t *testing.T) {
+	ir := newImageRun(t, 4, FaultEvent{Sweep: 3, Phase: PhaseDispatch, Rank: 1, Kind: FaultKill, Repeat: 3})
+	ir.cfg.CheckpointEvery = 2
+	var observed int64
+	var dispatched []int
+	ir.cfg.Observe = func(phase string, sweep int, cycles int64) {
+		observed += cycles
+		if phase == "dispatch" {
+			dispatched = append(dispatched, sweep)
+		}
+	}
+	res, err := Run(ir.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dispatched, []int{0, 1, 2, 3, 2, 3}) {
+		t.Errorf("dispatched sweeps %v, want a rollback from 3 to 2", dispatched)
+	}
+	want := FaultStats{Injected: 3, Kills: 3, Retries: 2, BackoffCycles: backoff(0) + backoff(1), Exhausted: 1, Checkpoints: 2, Restores: 1}
+	if res.Sweeps != 4 || res.Faults != want {
+		t.Errorf("%d sweeps, faults %s; want 4 sweeps, %s", res.Sweeps, res.Faults, want)
+	}
+	if ir.f.machine != observed || ir.f.com != 0 {
+		t.Errorf("clocks machine=%d comm=%d, want the phases' %d and 0", ir.f.machine, ir.f.com, observed)
+	}
+}
+
+// TestRollbackAfterShrinkRestoresOldRing: a checkpoint taken on the
+// four-rank ring serves a rollback on the ring a recovery shrank. The
+// kept checkpoint at sweep 2 is the recovery's source when adjacent
+// ranks die, and the mirror of the same boundary when one does; either
+// way a budget that runs out at sweep 3 writes it onto the new
+// partition, ghosts included, and the re-swept boundary checks every
+// slab.
+func TestRollbackAfterShrinkRestoresOldRing(t *testing.T) {
+	for _, deaths := range [][]int{{1}, {1, 2}} {
+		evs := append(killsAt(2, deaths...), FaultEvent{Sweep: 3, Phase: PhaseDispatch, Rank: 0, Kind: FaultKill, Repeat: 3})
+		ir := newImageRun(t, 4, evs...)
+		ir.cfg.CheckpointEvery = 2
+		var dispatched []int
+		ir.cfg.Observe = func(phase string, sweep int, _ int64) {
+			if phase == "dispatch" {
+				dispatched = append(dispatched, sweep)
+			}
+		}
+		res, err := Run(ir.cfg)
+		if err != nil {
+			t.Fatalf("deaths %v: %v", deaths, err)
+		}
+		if ir.cur.P != 4-len(deaths) || res.Faults.Restores != 1 || res.Recovery.Shrinks != int64(len(deaths)) {
+			t.Errorf("deaths %v: %d ranks, faults %s, recovery %s; want %d ranks, one restore and a shrink",
+				deaths, ir.cur.P, res.Faults, res.Recovery, 4-len(deaths))
+		}
+		if !slices.Equal(dispatched, []int{0, 1, 2, 2, 3, 2, 3}) || res.Sweeps != 4 {
+			t.Errorf("deaths %v: dispatched sweeps %v, %d sweeps; want [0 1 2 2 3 2 3], 4", deaths, dispatched, res.Sweeps)
+		}
+	}
+}
+
+// TestMirrorRecoveryKeepsItsBoundary: after the mirror serves a
+// recovery at sweep 2, a budget that runs out at sweep 3 rolls back to
+// sweep 2, the newer of the mirror's boundary and the sweep-0
+// checkpoint, so sweeps 0 and 1 are not swept again.
+func TestMirrorRecoveryKeepsItsBoundary(t *testing.T) {
+	evs := append(killsAt(2, 1), FaultEvent{Sweep: 3, Phase: PhaseDispatch, Rank: 0, Kind: FaultKill, Repeat: 3})
+	ir := newImageRun(t, 4, evs...)
+	ir.cfg.CheckpointEvery = 4
+	var dispatched []int
+	ir.cfg.Observe = func(phase string, sweep int, _ int64) {
+		if phase == "dispatch" {
+			dispatched = append(dispatched, sweep)
+		}
+	}
+	res, err := Run(ir.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dispatched, []int{0, 1, 2, 2, 3, 2, 3}) || res.Faults.Restores != 1 || res.Faults.Checkpoints != 1 {
+		t.Errorf("dispatched sweeps %v, faults %s; want [0 1 2 2 3 2 3], one restore, one checkpoint", dispatched, res.Faults)
+	}
+}
+
+// TestResumeWritesSnapshot: Resume is on every slab before the first
+// Step, the run continues its sweep and series, and no checkpoint is
+// taken at its boundary; the next boundary's checkpoint reaches Take
+// holding that boundary's image.
+func TestResumeWritesSnapshot(t *testing.T) {
+	ir := newImageRun(t, 5) // the slabs hold boundary 0's image
+	ir.cfg.Resume = &Snapshot{Sweep: 2, Series: []float64{7, 8}, Images: [][]float64{image(2, 0), image(2, 1)}}
+	ir.cfg.CheckpointEvery = 2
+	var taken []int
+	ir.cfg.Take = func(snap *Snapshot, live FaultStats) error {
+		taken = append(taken, snap.Sweep)
+		for i, pl := range imgPlanes {
+			if !slices.Equal(snap.Images[i], image(snap.Sweep, pl)) {
+				t.Errorf("checkpoint at sweep %d: plane %d image %v", snap.Sweep, pl, snap.Images[i])
+			}
+		}
+		if live.Checkpoints != 1 {
+			t.Errorf("checkpoint at sweep %d counted %d", snap.Sweep, live.Checkpoints)
+		}
+		return nil
+	}
+	res, err := Run(ir.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(taken, []int{4}) || res.Faults.Checkpoints != 1 {
+		t.Errorf("checkpoints taken at %v (%d counted), want [4]", taken, res.Faults.Checkpoints)
+	}
+	if res.Sweeps != 5 || len(res.Series) != 5 || res.Series[0] != 7 || res.Series[1] != 8 {
+		t.Errorf("%d sweeps, series %v; want 5 sweeps continuing [7 8]", res.Sweeps, res.Series)
 	}
 }
 

@@ -139,23 +139,25 @@ func (ck *Checkpoint) compatible(part *engine.Partition) error {
 	return nil
 }
 
-// partition reconstructs the slab decomposition the snapshot was taken
-// under.
-func (ck *Checkpoint) partition() (*engine.Partition, error) {
-	if ck.Planes == nil {
-		return engine.NewPartition(ck.P, ck.N, ck.Nz)
+// resume cuts a compatible snapshot into the engine's resume point: one
+// global image per iterate plane, u then v, from every rank's owned
+// planes and the global boundary planes in the edge ranks' outer
+// ghosts.
+func (ck *Checkpoint) resume() *engine.Snapshot {
+	nn := ck.N * ck.N
+	snap := &engine.Snapshot{Sweep: ck.Sweep, Series: ck.Residuals}
+	for _, grids := range [][][]float64{ck.U, ck.V} {
+		img := make([]float64, ck.Nz*nn)
+		last := grids[ck.P-1]
+		copy(img, grids[0][:nn])
+		copy(img[(ck.Nz-1)*nn:], last[len(last)-nn:])
+		lo := nn
+		for _, g := range grids {
+			lo += copy(img[lo:], g[nn:len(g)-nn])
+		}
+		snap.Images = append(snap.Images, img)
 	}
-	pt := &engine.Partition{P: ck.P, N: ck.N, Nz: ck.Nz,
-		Lo: make([]int, ck.P), Planes: append([]int(nil), ck.Planes...)}
-	lo := 1
-	for r := 0; r < ck.P; r++ {
-		pt.Lo[r] = lo
-		lo += ck.Planes[r]
-	}
-	if lo != ck.Nz-1 {
-		return nil, fmt.Errorf("hypercube: checkpoint planes sum to %d interior planes, header declares %d", lo-1, ck.Nz-2)
-	}
-	return pt, nil
+	return snap
 }
 
 // checkpointHeader is the fixed-size first section: every scalar the

@@ -12,17 +12,19 @@
 // ghost-plane exchange between ring neighbours (one hop on every
 // pristine embedding) and a residual combine over the topology's tree.
 // The sweep loop itself — partitioning, halo exchange, convergence
-// reduction, fault injection, retry and checkpoint rollback — lives in
-// internal/engine; SolveJacobi is a thin client that adapts the
-// machine to the engine's Fabric interface, compiles each distinct
-// slab once (ranks with the same slab, and later solves on the same
-// machine, share its instructions), and supplies the scheme (the sweep
-// Step, the checkpoint hooks, and the state planes and slab rebuild the
-// engine's recovery protocol needs).
+// reduction, fault injection, retry, and taking, keeping and restoring
+// checkpoints — lives in internal/engine; SolveJacobi is a thin client
+// that adapts the machine to the engine's Fabric interface, compiles
+// each distinct slab once (ranks with the same slab, and later solves
+// on the same machine, share its instructions), and supplies the
+// scheme: the sweep Step, the state planes and slab rebuild the
+// engine's recovery protocol needs, and the conversion between the
+// engine's snapshots and the on-disk Checkpoint.
 package hypercube
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -68,20 +70,18 @@ type Machine struct {
 	// (engine.MustFaultPlan()) both inject nothing: no extra simulated
 	// cycles, no counters.
 	Faults *engine.FaultPlan
-	// CheckpointEvery, when positive, snapshots the solve at every
-	// sweep boundary divisible by it (sweep 0 included, so a restore
-	// point always exists once the solve starts).
+	// CheckpointEvery, when positive, makes the engine checkpoint the
+	// solve at every sweep boundary divisible by it (sweep 0 included,
+	// so a restore point always exists once the solve starts) and keep
+	// the latest for rollback and recovery.
 	CheckpointEvery int
-	// CheckpointSink, when non-nil, receives every snapshot as it is
+	// CheckpointSink, when non-nil, receives every checkpoint as it is
 	// taken — e.g. SaveCheckpointFile for crash-consistent persistence.
 	CheckpointSink func(*Checkpoint) error
-	// LastCheckpoint is the current solve's most recent snapshot;
-	// retry-budget exhaustion rolls the solve back to it, and so does a
-	// recovery whose buddy mirror died.
-	LastCheckpoint *Checkpoint
 	// Restore, when non-nil, makes the next SolveJacobi resume from
 	// this snapshot (typically loaded from disk into a fresh machine)
-	// instead of the problem's initial guess.
+	// instead of the problem's initial guess; the engine keeps it as
+	// the solve's checkpoint until it takes a newer one.
 	Restore *Checkpoint
 	// FaultCounters accumulates fault/recovery counters across
 	// completed solves on this machine.
@@ -302,20 +302,21 @@ type JacobiResult struct {
 // programs its slab through the same visual-environment pipelines as
 // the single-node solver (ghost planes enter as masked-off boundary);
 // the engine then drives the sweep → combine → exchange loop, with
-// this client supplying the per-sweep instructions and the
-// checkpoint/rollback hooks.
+// this client supplying the per-sweep instructions and persisting the
+// engine's checkpoints through CheckpointSink.
 //
 // When a FaultPlan is armed, faulted operations retry within the
 // engine's fixed budget; a retry budget that exhausts rolls the solve
-// back to LastCheckpoint (when one exists and the restore budget
-// allows) instead of failing. A permanent kill (FaultKillForever) instead
-// triggers the engine's degraded-mode recovery: the dead slot is
-// refilled from the spare pool or deleted by a shrinking re-partition,
-// the iterate is restored from the buddy mirror (or LastCheckpoint),
-// and the solve resumes. Recovered runs produce bit-identical grids and
-// residual histories to fault-free runs; only the cycle counts grow.
-// Every solve starts with no LastCheckpoint but the one it restores,
-// so rollback and recovery never reach an earlier solve's iterate.
+// back to the engine's latest checkpoint (when one exists and the
+// restore budget allows) instead of failing. A permanent kill
+// (FaultKillForever) instead triggers the engine's degraded-mode
+// recovery: the dead slot is refilled from the spare pool or deleted
+// by a shrinking re-partition, the iterate is restored from the buddy
+// mirror (or that checkpoint), and the solve resumes. Recovered runs
+// produce bit-identical grids and residual histories to fault-free
+// runs; only the cycle counts grow. The engine keeps checkpoints per
+// solve, starting from the one Restore names, so rollback and recovery
+// never reach an earlier solve's iterate.
 func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	p := m.P()
 	for _, nd := range m.participants() {
@@ -336,26 +337,22 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 		return nil, err
 	}
 
-	var startSeries []float64
-	startIt, skipAt := 0, -1
-	m.LastCheckpoint = nil
+	var resume *engine.Snapshot
 	if ck := m.Restore; ck != nil {
 		if err := ck.compatible(part); err != nil {
 			return nil, err
 		}
-		if err := m.applyCheckpoint(ck); err != nil {
+		if err := m.ValidateCheckpoint(ck); err != nil {
 			return nil, err
 		}
-		startIt, skipAt = ck.Sweep, ck.Sweep
-		startSeries = ck.Residuals
+		resume = ck.resume()
 		m.MachineCycles, m.CommCycles = ck.MachineCycles, ck.CommCycles
 		m.Faults.SetFired(ck.FaultFired)
 		s.base = ck.Faults
 		s.nodeBase = engine.NodeTotals{PlanCache: ck.PlanCache, Traps: ck.Traps}
-		m.LastCheckpoint = ck
 	}
 
-	er, err := engine.Run(s.engineConfig(startIt, startSeries, skipAt))
+	er, err := engine.Run(s.engineConfig(resume))
 	if err != nil {
 		return nil, err
 	}
@@ -413,17 +410,18 @@ func (m *Machine) participants() []*sim.Node {
 	return append(append([]*sim.Node(nil), m.Nodes...), m.activated...)
 }
 
-// snapshot captures a sweep-boundary checkpoint: every rank's u and v
-// planes, the residual history, the machine clocks and the fault/plan
-// counters. An uneven partition (the shape a shrink leaves behind)
-// records its per-rank plane counts and serializes as version 3.
-func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Problem,
-	series []float64, faults engine.FaultStats, base engine.NodeTotals) (*Checkpoint, error) {
-	nn := global.N * global.N
+// checkpoint cuts an engine snapshot of the u and v planes into a
+// Checkpoint over part: every rank's slab, ghosts included, with the
+// residual history, the machine clocks and the fault/plan counters. An
+// uneven partition (the shape a shrink leaves behind) records its
+// per-rank plane counts and serializes as version 3.
+func (m *Machine) checkpoint(snap *engine.Snapshot, part *engine.Partition,
+	faults engine.FaultStats, base engine.NodeTotals) *Checkpoint {
+	nn := part.NN()
 	ck := &Checkpoint{
-		Sweep: it, P: part.P, N: global.N, Nz: global.Nz,
+		Sweep: snap.Sweep, P: part.P, N: part.N, Nz: part.Nz,
 		Topology:      m.Topo.Name(),
-		Residuals:     append([]float64(nil), series...),
+		Residuals:     append([]float64(nil), snap.Series...),
 		MachineCycles: m.MachineCycles,
 		CommCycles:    m.CommCycles,
 		Faults:        faults,
@@ -435,24 +433,16 @@ func (m *Machine) snapshot(it int, part *engine.Partition, global *jacobi.Proble
 		ck.Planes = append([]int(nil), part.Planes...)
 	}
 	for r := 0; r < part.P; r++ {
-		words := (part.Planes[r] + 2) * nn
-		u, err := m.ring[r].ReadWords(jacobi.PlaneU, 0, words)
-		if err != nil {
-			return nil, err
-		}
-		v, err := m.ring[r].ReadWords(jacobi.PlaneV, 0, words)
-		if err != nil {
-			return nil, err
-		}
-		ck.U = append(ck.U, u)
-		ck.V = append(ck.V, v)
+		lo, hi := (part.Lo[r]-1)*nn, (part.Lo[r]+part.Planes[r]+1)*nn
+		ck.U = append(ck.U, slices.Clone(snap.Images[0][lo:hi]))
+		ck.V = append(ck.V, slices.Clone(snap.Images[1][lo:hi]))
 	}
 	tot := base
 	for _, nd := range m.participants() {
 		tot.AddNode(nd)
 	}
 	ck.PlanCache, ck.Traps = tot.PlanCache, tot.Traps
-	return ck, nil
+	return ck
 }
 
 // ValidateCheckpoint rejects snapshots whose header declares more
@@ -478,23 +468,6 @@ func (m *Machine) ValidateCheckpoint(ck *Checkpoint) error {
 	if w := int64(ck.maxPlaneWords()); w > m.Cfg.PlaneWords() {
 		return fmt.Errorf("hypercube: checkpoint planes of %d words exceed the machine's %d-word planes",
 			w, m.Cfg.PlaneWords())
-	}
-	return nil
-}
-
-// applyCheckpoint writes a snapshot's iterate planes back into the
-// live ring's nodes.
-func (m *Machine) applyCheckpoint(ck *Checkpoint) error {
-	if err := m.ValidateCheckpoint(ck); err != nil {
-		return err
-	}
-	for r := 0; r < ck.P; r++ {
-		if err := m.ring[r].WriteWords(jacobi.PlaneU, 0, ck.U[r]); err != nil {
-			return err
-		}
-		if err := m.ring[r].WriteWords(jacobi.PlaneV, 0, ck.V[r]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

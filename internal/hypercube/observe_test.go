@@ -42,7 +42,7 @@ func TestObserveHookCoverage(t *testing.T) {
 		if err := js.build(part); err != nil {
 			t.Fatal(err)
 		}
-		cfg := js.engineConfig(0, nil, -1)
+		cfg := js.engineConfig(nil)
 		cfg.Observe = func(phase string, sweep int, cycles int64) {
 			if atomic.AddInt64(&calls, 1) != atomic.LoadInt64(&calls) {
 				t.Errorf("workers=%d: Observe invoked concurrently", workers)

@@ -131,11 +131,6 @@ type jacobiSolve struct {
 	// sweeps stay allocation-free; they read fwd/bwd at call time.
 	fwdAt, bwdAt func(rank int) *microcode.Instr
 
-	// snapAt, when not -1, is a boundary a recovery restored; the next
-	// step snapshots it with snapSeries (see rebuild).
-	snapAt     int
-	snapSeries []float64
-
 	// Restore bases (from m.Restore), added to live engine counters.
 	base     engine.FaultStats
 	nodeBase engine.NodeTotals
@@ -144,7 +139,7 @@ type jacobiSolve struct {
 // newJacobiSolve starts the state of one SolveJacobi call, binding its
 // dispatch lookups.
 func newJacobiSolve(m *Machine, global *jacobi.Problem) *jacobiSolve {
-	s := &jacobiSolve{m: m, global: global, snapAt: -1}
+	s := &jacobiSolve{m: m, global: global}
 	s.fwdAt = func(r int) *microcode.Instr { return s.fwd[r] }
 	s.bwdAt = func(r int) *microcode.Instr { return s.bwd[r] }
 	return s
@@ -159,8 +154,9 @@ type slabCode struct{ fwd, bwd *microcode.Instr }
 // whose script matches another's shares its instructions, and so does
 // a later build on this machine: it looks each script up in the
 // previous build's compiles first, then keeps its own. Loading
-// rewrites PlaneU with the initial guess, so a rebuild mid-run must be
-// followed by an iterate restore.
+// rewrites PlaneU with the initial guess, so a rebuild mid-run (the
+// engine's Rebuild hook after a recovery) must be followed by an
+// iterate restore, which the engine does.
 func (s *jacobiSolve) build(part *engine.Partition) error {
 	m := s.m
 	inv, err := arch.NewInventory(m.Cfg)
@@ -202,39 +198,33 @@ func (s *jacobiSolve) build(part *engine.Partition) error {
 	return nil
 }
 
-// engineConfig builds the engine configuration of the solve. All
-// hooks read the solve state through s, so the generation the engine
-// resumes after a recovery drives the rebuilt partition.
-func (s *jacobiSolve) engineConfig(startSweep int, series []float64, skipAt int) *engine.Config {
+// engineConfig builds the engine configuration of the solve, resuming
+// from resume when it is non-nil. All hooks read the solve state
+// through s, so the generation the engine resumes after a recovery
+// drives the rebuilt partition.
+func (s *jacobiSolve) engineConfig(resume *engine.Snapshot) *engine.Config {
 	m := s.m
-	return &engine.Config{
+	cfg := &engine.Config{
 		Fabric: m.Fabric(), Part: s.part, Workers: m.Workers,
 		Faults: m.Faults, Obs: m.Obs,
 		ResidualFU: arch.FUID(11), // T4 slot 2 under the default triplet layout
 		Step:       s.step,
 		MaxSweeps:  s.global.MaxIter, StopAfter: m.StopAfter, Tol: s.global.Tol,
+		State:           []int{jacobi.PlaneU, jacobi.PlaneV},
 		CheckpointEvery: m.CheckpointEvery,
-		StartSweep:      startSweep, StartSeries: series, SkipSnapshotAt: skipAt,
-		Take:     s.take,
-		Rollback: s.rollback,
-		State:    []int{jacobi.PlaneU, jacobi.PlaneV},
-		Rebuild:  s.rebuild,
+		Resume:          resume,
+		Rebuild:         s.build,
 	}
+	if m.CheckpointSink != nil {
+		cfg.Take = s.take
+	}
+	return cfg
 }
 
 // step is the engine's iteration hook: one sweep, forward on even
 // iterations (writing v) and backward on odd ones (writing u), whose
-// written plane is the one exchanged after the combine. The first step
-// after a recovery first takes the snapshot rebuild asked for, now
-// that the engine has restored the state.
+// written plane is the one exchanged after the combine.
 func (s *jacobiSolve) step(lp *engine.Loop, it int) (int, *engine.BudgetError, error) {
-	if s.snapAt >= 0 {
-		ck, err := s.m.snapshot(s.snapAt, s.part, s.global, s.snapSeries, s.base, s.nodeBase)
-		if err != nil {
-			return -1, nil, err
-		}
-		s.m.LastCheckpoint, s.snapAt = ck, -1
-	}
 	plane, instr := jacobi.PlaneV, s.fwdAt
 	if it%2 == 1 {
 		plane, instr = jacobi.PlaneU, s.bwdAt
@@ -243,54 +233,13 @@ func (s *jacobiSolve) step(lp *engine.Loop, it int) (int, *engine.BudgetError, e
 	return plane, be, err
 }
 
-// take is the engine's checkpoint hook.
-func (s *jacobiSolve) take(sweep int, series []float64, live engine.FaultStats) error {
-	m := s.m
-	combined := s.base
-	combined.Add(live)
-	ck, err := m.snapshot(sweep, s.part, s.global, series, combined, s.nodeBase)
-	if err != nil {
-		return err
-	}
-	m.LastCheckpoint = ck
-	if m.CheckpointSink != nil {
-		if err := m.CheckpointSink(ck); err != nil {
-			return fmt.Errorf("hypercube: checkpoint sink at sweep %d: %w", sweep, err)
-		}
-	}
-	return nil
-}
-
-// rollback is the engine's rollback hook: it writes LastCheckpoint onto
-// the ring after a retry budget exhausts or a death the buddy mirror
-// cannot cover.
-func (s *jacobiSolve) rollback() (int, []float64, bool, error) {
-	m := s.m
-	ck := m.LastCheckpoint
-	if ck == nil {
-		return 0, nil, false, nil
-	}
-	if err := ck.compatible(s.part); err != nil {
-		return 0, nil, false, err
-	}
-	if err := m.applyCheckpoint(ck); err != nil {
-		return 0, nil, false, err
-	}
-	return ck.Sweep, ck.Residuals, true, nil
-}
-
-// rebuild is the engine's recovery hook: it rebuilds the slabs over
-// the repaired ring. A checkpoint taken before the recovery cannot
-// restore the new shape, so when the solve keeps checkpoints the next
-// step snapshots the resume boundary; that snapshot is internal, so it
-// reaches neither the sink nor the Checkpoints counter, and its
-// counters are the restore base, which rollback never reads.
-func (s *jacobiSolve) rebuild(part *engine.Partition, sweep int, series []float64) error {
-	if err := s.build(part); err != nil {
-		return err
-	}
-	if s.m.CheckpointEvery > 0 || s.m.LastCheckpoint != nil {
-		s.snapAt, s.snapSeries = sweep, series
+// take is the engine's checkpoint hook: it cuts the snapshot into a
+// Checkpoint over the current partition and hands it to the sink.
+func (s *jacobiSolve) take(snap *engine.Snapshot, live engine.FaultStats) error {
+	faults := s.base
+	faults.Add(live)
+	if err := s.m.CheckpointSink(s.m.checkpoint(snap, s.part, faults, s.nodeBase)); err != nil {
+		return fmt.Errorf("hypercube: checkpoint sink at sweep %d: %w", snap.Sweep, err)
 	}
 	return nil
 }

@@ -197,14 +197,15 @@ func TestRecoveryCheckpointFallback(t *testing.T) {
 	}
 }
 
-// TestRollbackAfterShrink: a rollback after a shrinking recovery needs
-// a snapshot of the new ring's shape. The kill-forever at sweep 4
-// shrinks the 4-node ring to three, and the transient kill at sweep 5
-// exhausts its budget before the next checkpoint boundary, so the
-// solve rolls back to the snapshot recovery took at its resume
-// boundary and must still match the clean run bit for bit. That
-// snapshot is internal: it reaches neither the sink nor the
-// Checkpoints counter.
+// TestRollbackAfterShrink: a rollback after a shrinking recovery
+// restores a checkpoint taken on the old ring onto the new one. The
+// kill-forever at sweep 4 shrinks the 4-node ring to three, and the
+// transient kill at sweep 5 exhausts its budget before the next
+// checkpoint boundary, so the solve rolls back to the sweep-4
+// checkpoint taken on the four-rank ring and must still match the
+// clean run bit for bit. The resumed boundary takes no new checkpoint:
+// no snapshot of the three-rank ring at sweep 4 reaches the sink, and
+// the sink sees exactly the checkpoints counted.
 func TestRollbackAfterShrink(t *testing.T) {
 	clean, _ := recoverySolve(t, 2, 0, 0, 0, nil)
 	m, err := New(smallCfg(), 2)
@@ -240,9 +241,8 @@ func TestRollbackAfterShrink(t *testing.T) {
 	}
 }
 
-// TestCheckpointDoesNotOutliveItsSolve: a standing machine keeps
-// LastCheckpoint between solves, but a solve may restore only its own
-// snapshots. The first solve (F = 3, checkpoints every two sweeps)
+// TestCheckpointDoesNotOutliveItsSolve: a standing machine runs many
+// solves, but a solve may restore only its own snapshots. The first solve (F = 3, checkpoints every two sweeps)
 // leaves one behind; the second solves the model problem without
 // checkpoints under a plan that needs one — a transient kill that
 // exhausts its budget, or adjacent deaths that take the buddy mirror

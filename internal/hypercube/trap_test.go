@@ -208,8 +208,9 @@ func TestValidateCheckpointRejectsOversize(t *testing.T) {
 	if err := m.ValidateCheckpoint(ck); err == nil || !strings.Contains(err.Error(), "ranks") {
 		t.Errorf("8-rank checkpoint on a 2-node machine: %v", err)
 	}
-	if err := m.applyCheckpoint(ck); err == nil {
-		t.Error("applyCheckpoint accepted an oversized rank count")
+	m.Restore = ck
+	if _, err := m.SolveJacobi(parallelProblem(m.P())); err == nil {
+		t.Error("SolveJacobi restored an oversized rank count")
 	}
 
 	// Planes larger than the machine's memory planes (grid payloads left

@@ -359,7 +359,7 @@ func (d *Distributed) Run() (*DistResult, error) {
 		MaxSweeps:  d.MaxCycles,
 		Tol:        d.Tol,
 		State:      []int{jacobi.PlaneU},
-		Rebuild:    func(part *engine.Partition, _ int, _ []float64) error { return d.build(part) },
+		Rebuild:    d.build,
 	})
 	if err != nil {
 		return nil, err

@@ -62,9 +62,7 @@ func FuzzPipeline(f *testing.F) {
 		// Two independent pipelines (no shared cache) must agree on
 		// success/failure, program bits and diagnostics.
 		run := func() (*Result, error) {
-			pl := New(inv)
-			pl.Cache = nil
-			return pl.CompileSource([]string{src}, opt)
+			return New(inv).CompileSource([]string{src}, opt)
 		}
 		res1, err1 := run()
 		res2, err2 := run()

@@ -90,8 +90,7 @@ type Pipeline struct {
 	// ChkCache memoizes per-pipeline check results; the same cache an
 	// interactive editor uses for incremental re-checks.
 	ChkCache *checker.CheckCache
-	// Cache memoizes whole compilations by content address. Nil
-	// disables compile caching.
+	// Cache memoizes whole compilations by content address.
 	Cache *Cache
 	// Obs, when non-nil, routes pass runs and compile-cache probes into
 	// the unified observability layer: a "pipeline.pass.<name>" counter
@@ -188,12 +187,7 @@ func (pl *Pipeline) buildDiagram(st *state) error {
 }
 
 func (pl *Pipeline) check(st *state) error {
-	var ds []checker.Diagnostic
-	if pl.ChkCache != nil {
-		ds = pl.ChkCache.CheckDocument(pl.Chk, st.Doc)
-	} else {
-		ds = pl.Chk.CheckDocument(st.Doc)
-	}
+	ds := pl.ChkCache.CheckDocument(pl.Chk, st.Doc)
 	st.Diags = append(st.Diags, ds...)
 	if es := checker.Errors(ds); len(es) > 0 {
 		// The same error type direct codegen clients receive.
@@ -223,18 +217,15 @@ func (pl *Pipeline) validate(st *state) error {
 // compiled before. The returned Result always carries the diagnostics;
 // err is non-nil when a pass failed.
 func (pl *Pipeline) CompileSource(stmts []string, opt compiler.Options) (*Result, error) {
-	key := ""
-	if pl.Cache != nil {
-		key = sourceCacheKey(pl.Inv.Cfg, stmts, opt)
-		if res, ok := pl.Cache.lookup(key); ok {
-			pl.Obs.Inc("pipeline.cache.hit")
-			return res, nil
-		}
-		pl.Obs.Inc("pipeline.cache.miss")
+	key := sourceCacheKey(pl.Inv.Cfg, stmts, opt)
+	if res, ok := pl.Cache.lookup(key); ok {
+		pl.Obs.Inc("pipeline.cache.hit")
+		return res, nil
 	}
+	pl.Obs.Inc("pipeline.cache.miss")
 	st := &state{Stmts: stmts, Opt: opt}
 	res, err := pl.run(st, sourcePasses)
-	if err == nil && pl.Cache != nil {
+	if err == nil {
 		pl.Cache.store(key, res)
 	}
 	return res, err
@@ -244,23 +235,19 @@ func (pl *Pipeline) CompileSource(stmts []string, opt compiler.Options) (*Result
 // check → codegen → validate, with the same caching contract as
 // CompileSource (keyed by config plus the document's semantic JSON).
 func (pl *Pipeline) CompileDocument(doc *diagram.Document) (*Result, error) {
-	key := ""
-	if pl.Cache != nil {
-		var err error
-		key, err = documentCacheKey(pl.Inv.Cfg, doc)
-		if err == nil {
-			if res, ok := pl.Cache.lookup(key); ok {
-				pl.Obs.Inc("pipeline.cache.hit")
-				return res, nil
-			}
-			pl.Obs.Inc("pipeline.cache.miss")
-		} else {
-			key = "" // unhashable document: compile uncached
+	key, err := documentCacheKey(pl.Inv.Cfg, doc)
+	if err == nil {
+		if res, ok := pl.Cache.lookup(key); ok {
+			pl.Obs.Inc("pipeline.cache.hit")
+			return res, nil
 		}
+		pl.Obs.Inc("pipeline.cache.miss")
+	} else {
+		key = "" // unhashable document: compile uncached
 	}
 	st := &state{Doc: doc}
 	res, err := pl.run(st, documentPasses)
-	if err == nil && pl.Cache != nil && key != "" {
+	if err == nil && key != "" {
 		pl.Cache.store(key, res)
 	}
 	return res, err
