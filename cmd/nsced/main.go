@@ -7,8 +7,10 @@
 //
 //	nsced [-subset] [-script file] [-o doc.json] [-window] [-render n] [-svg n] [-check]
 //
-// With no -script, commands are read from standard input, echoing the
-// message strip after each line (an interactive session).
+// -script runs the whole file as one undoable edit, each line checked
+// as it is entered. With no -script, commands are read from standard
+// input, echoing the message strip after each line (an interactive
+// session, one edit per command).
 package main
 
 import (

@@ -43,6 +43,7 @@ func (e *Editor) exec1(cmd string, args []string) (string, error) {
 		if len(args) != 1 {
 			return "", fmt.Errorf("usage: doc <name>")
 		}
+		e.mark()
 		e.Doc.Name = args[0]
 		return "document " + args[0], nil
 
@@ -414,9 +415,16 @@ func (e *Editor) execPipe(args []string) (string, error) {
 }
 
 // ExecScript runs a whole command script (one command per line, '#'
-// comments). It stops at the first error and returns the
-// message-strip events generated.
+// comments) as one edit: the first line that changes the document
+// pushes one undo entry, the document as it stood before the script,
+// and later lines push none, so one Undo reverts the whole script. An
+// undo or redo line ends that edit, and the next changing line starts
+// another. Every line is still checked as it is entered. ExecScript
+// stops at the first error, leaving the lines before it applied and
+// undoable, and returns the message-strip events generated.
 func (e *Editor) ExecScript(r io.Reader) ([]Event, error) {
+	e.scripting = true
+	defer func() { e.scripting, e.scriptMarked = false, false }()
 	start := len(e.Log)
 	sc := bufio.NewScanner(r)
 	lineNo := 0

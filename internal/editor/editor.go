@@ -40,7 +40,10 @@ func (e Event) String() string {
 	return "error: " + e.Cmd + ": " + e.Err
 }
 
-// Editor binds a document to the machine knowledge base.
+// Editor binds a document to the machine knowledge base. Its undo
+// history holds one entry per edit: a mutating command run through
+// Exec, or a script run through ExecScript, which is one edit up to its
+// end or to an undo or redo line.
 type Editor struct {
 	Inv *arch.Inventory
 	Chk *checker.Checker
@@ -52,6 +55,10 @@ type Editor struct {
 	// markedRedo is the redo stack the latest mark cleared, which
 	// undoLastMark puts back when the command turns out not to mutate.
 	markedRedo []string
+	// scripting is set while ExecScript runs, and scriptMarked once a
+	// script line has pushed the script's undo entry: until an undo or
+	// redo line ends that edit, later marks push nothing.
+	scripting, scriptMarked bool
 	// Log is the message-strip history of the session.
 	Log []Event
 	// checkCache memoizes per-pipeline check results so interactive
@@ -110,31 +117,41 @@ func (e *Editor) restore(s string) error {
 }
 
 // mark records the pre-state of a mutating operation and clears the
-// redo stack, keeping it aside for undoLastMark.
-func (e *Editor) mark() {
+// redo stack, keeping it aside for undoLastMark. Inside a script only
+// the first mark of an edit pushes. It reports whether it pushed.
+func (e *Editor) mark() bool {
+	if e.scriptMarked {
+		return false
+	}
 	e.undo = append(e.undo, e.snapshot())
 	if len(e.undo) > 256 {
 		e.undo = e.undo[1:]
 	}
 	e.markedRedo, e.redo = e.redo, nil
+	e.scriptMarked = e.scripting
+	return true
 }
 
-// Undo reverts the most recent mutating operation.
+// Undo reverts the most recent edit: one mutating command, or a whole
+// script. Inside a script it also ends the script's current edit.
 func (e *Editor) Undo() error {
 	if len(e.undo) == 0 {
 		return fmt.Errorf("editor: nothing to undo")
 	}
+	e.scriptMarked = false
 	e.redo = append(e.redo, e.snapshot())
 	s := e.undo[len(e.undo)-1]
 	e.undo = e.undo[:len(e.undo)-1]
 	return e.restore(s)
 }
 
-// Redo re-applies the most recently undone operation.
+// Redo re-applies the most recently undone edit. Inside a script it
+// also ends the script's current edit.
 func (e *Editor) Redo() error {
 	if len(e.redo) == 0 {
 		return fmt.Errorf("editor: nothing to redo")
 	}
+	e.scriptMarked = false
 	e.undo = append(e.undo, e.snapshot())
 	s := e.redo[len(e.redo)-1]
 	e.redo = e.redo[:len(e.redo)-1]
@@ -257,24 +274,27 @@ func (e *Editor) Place(kind diagram.IconKind, name string, x, y, plane int) (*di
 	if err := e.Chk.CanPlace(p, kind, plane); err != nil {
 		return nil, err
 	}
-	e.mark()
+	pushed := e.mark()
 	ic, err := p.AddIcon(kind, name, x, y)
 	if err != nil {
-		e.undoLastMark()
+		e.undoLastMark(pushed)
 		return nil, err
 	}
 	ic.Plane = plane
 	return ic, nil
 }
 
-// undoLastMark drops the most recent undo entry after a failed
-// operation that turned out not to mutate, and restores the redo stack
-// that mark cleared.
-func (e *Editor) undoLastMark() {
-	if len(e.undo) > 0 {
-		e.undo = e.undo[:len(e.undo)-1]
+// undoLastMark drops the undo entry a failed operation's own mark
+// pushed, when the operation turned out not to mutate, and restores the
+// redo stack that mark cleared. An entry an earlier script line pushed
+// stays: it still reverts the lines before this one.
+func (e *Editor) undoLastMark(pushed bool) {
+	if !pushed {
+		return
 	}
+	e.undo = e.undo[:len(e.undo)-1]
 	e.redo, e.markedRedo = e.markedRedo, nil
+	e.scriptMarked = false
 }
 
 // Move drags an existing icon to a new position (display data only).
@@ -337,9 +357,9 @@ func (e *Editor) Connect(from, to string, delay int) error {
 	if err := e.Chk.CanConnect(e.Current(), fp, tp, delay); err != nil {
 		return err
 	}
-	e.mark()
+	pushed := e.mark()
 	if _, err := e.Current().Connect(fp, tp, delay); err != nil {
-		e.undoLastMark()
+		e.undoLastMark(pushed)
 		return err
 	}
 	return nil
@@ -351,9 +371,9 @@ func (e *Editor) Disconnect(at string) error {
 	if err != nil {
 		return err
 	}
-	e.mark()
+	pushed := e.mark()
 	if err := e.Current().Disconnect(pr); err != nil {
-		e.undoLastMark()
+		e.undoLastMark(pushed)
 		return err
 	}
 	return nil
@@ -387,14 +407,14 @@ func (e *Editor) SetDMA(iconName, dir string, spec diagram.DMASpec) error {
 	if err := e.Chk.CanSetDMA(e.Doc, ic, spec); err != nil {
 		return err
 	}
-	e.mark()
+	pushed := e.mark()
 	switch dir {
 	case "rd":
 		ic.RdDMA = &spec
 	case "wr":
 		ic.WrDMA = &spec
 	default:
-		e.undoLastMark()
+		e.undoLastMark(pushed)
 		return fmt.Errorf("editor: DMA direction %q (rd or wr)", dir)
 	}
 	return nil
@@ -426,12 +446,12 @@ func (e *Editor) SetCompare(iconName string, slot int, op string, threshold floa
 	}
 	p := e.Current()
 	prev := p.Compare
-	e.mark()
+	pushed := e.mark()
 	p.Compare = &diagram.CompareSpec{Icon: ic.ID, Slot: slot, Op: op, Threshold: threshold, Flag: flag}
 	if ds := e.Chk.CheckPipeline(e.Doc, p); hasRule(ds, checker.RuleCompareSpec) {
 		// Roll back an invalid spec immediately, leaving redo as it was.
 		p.Compare = prev
-		e.undoLastMark()
+		e.undoLastMark(pushed)
 		return fmt.Errorf("editor: invalid compare specification")
 	}
 	return nil

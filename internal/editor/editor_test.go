@@ -121,6 +121,19 @@ func TestRedoClearedByNewEdit(t *testing.T) {
 	}
 }
 
+// TestDocIsOneUndoStep: renaming the document is an edit of its own,
+// so undo reverts the rename and not the edit before it.
+func TestDocIsOneUndoStep(t *testing.T) {
+	e := newEd(t)
+	execAll(t, e, "place singlet A at 1 1", "doc renamed", "undo")
+	if e.Doc.Name != "test" {
+		t.Errorf("name after undo %q, want test", e.Doc.Name)
+	}
+	if _, err := e.Current().IconByName("A"); err != nil {
+		t.Error("undo of the rename also removed icon A")
+	}
+}
+
 func TestPipelineOps(t *testing.T) {
 	e := newEd(t)
 	p1 := e.NewPipeline("second")

@@ -117,24 +117,32 @@ func (ck *Checkpoint) planeWords(r int) int { return (ck.planesOf(r) + 2) * ck.N
 // maxPlaneWords returns the largest per-rank iterate size.
 func (ck *Checkpoint) maxPlaneWords() int { return (ck.maxPlanes() + 2) * ck.N * ck.N }
 
-// compatible checks a snapshot against a solve's decomposition.
+// compatible checks a snapshot against a solve's grid and its own
+// consistency. Its rank count and plane split need not be the solve's:
+// resume cuts it into global images, which the engine writes onto any
+// partition, so a file a shrink left uneven restores on a full ring.
 func (ck *Checkpoint) compatible(part *engine.Partition) error {
-	if ck.P != part.P || ck.N != part.N || ck.Nz != part.Nz {
-		return fmt.Errorf("hypercube: checkpoint shape P=%d N=%d Nz=%d does not match solve P=%d N=%d Nz=%d",
-			ck.P, ck.N, ck.Nz, part.P, part.N, part.Nz)
+	if ck.N != part.N || ck.Nz != part.Nz {
+		return fmt.Errorf("hypercube: checkpoint grid N=%d Nz=%d does not match solve N=%d Nz=%d",
+			ck.N, ck.Nz, part.N, part.Nz)
 	}
-	if len(ck.U) != part.P || len(ck.V) != part.P {
-		return fmt.Errorf("hypercube: checkpoint holds %d/%d node grids, want %d", len(ck.U), len(ck.V), part.P)
+	if len(ck.U) != ck.P || len(ck.V) != ck.P || ck.Planes != nil && len(ck.Planes) != ck.P {
+		return fmt.Errorf("hypercube: checkpoint holds %d/%d node grids and %d plane counts, header declares %d ranks",
+			len(ck.U), len(ck.V), len(ck.Planes), ck.P)
 	}
-	for r := 0; r < part.P; r++ {
-		if ck.planesOf(r) != part.Planes[r] {
-			return fmt.Errorf("hypercube: checkpoint rank %d owns %d planes, solve partition gives it %d",
-				r, ck.planesOf(r), part.Planes[r])
+	sum := 0
+	for r := 0; r < ck.P; r++ {
+		if ck.planesOf(r) < 1 {
+			return fmt.Errorf("hypercube: checkpoint rank %d owns %d planes", r, ck.planesOf(r))
 		}
 		if len(ck.U[r]) != ck.planeWords(r) || len(ck.V[r]) != ck.planeWords(r) {
 			return fmt.Errorf("hypercube: checkpoint rank %d grid has %d/%d words, want %d",
 				r, len(ck.U[r]), len(ck.V[r]), ck.planeWords(r))
 		}
+		sum += ck.planesOf(r)
+	}
+	if sum != ck.Nz-2 {
+		return fmt.Errorf("hypercube: checkpoint plane counts sum to %d, grid has %d interior planes", sum, ck.Nz-2)
 	}
 	return nil
 }

@@ -216,8 +216,15 @@ func TestCheckpointCompatible(t *testing.T) {
 	if err := ck.compatible(mustPart(2, 4, 6)); err != nil {
 		t.Errorf("matching shape rejected: %v", err)
 	}
-	if err := ck.compatible(mustPart(4, 4, 6)); err == nil {
-		t.Error("wrong P accepted")
+	if err := ck.compatible(mustPart(2, 8, 6)); err == nil {
+		t.Error("wrong N accepted")
+	}
+	if err := ck.compatible(mustPart(2, 4, 10)); err == nil {
+		t.Error("wrong Nz accepted")
+	}
+	// The file's images cut onto any partition of the same grid.
+	if err := ck.compatible(mustPart(4, 4, 6)); err != nil {
+		t.Errorf("another P over the same grid rejected: %v", err)
 	}
 	ck.U[1] = ck.U[1][:10]
 	if err := ck.compatible(mustPart(2, 4, 6)); err == nil {

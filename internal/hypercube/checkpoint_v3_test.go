@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // captureUnevenCheckpoint shrinks a 4-node machine down to 3 by killing
@@ -69,6 +71,50 @@ func TestUnevenCheckpointRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(buf.Bytes(), []byte(checkpointMagic)) {
 		t.Fatalf("uniform snapshot magic %q, want %q", buf.Bytes()[:8], checkpointMagic)
 	}
+}
+
+// TestUnevenCheckpointRestoresOnFullRing: a file written on a torus that
+// a permanent kill shrank to 7 ranks restores on a fresh 8-rank torus,
+// and the resumed solve's grid and residual series equal the clean
+// solve's bit for bit.
+func TestUnevenCheckpointRestoresOnFullRing(t *testing.T) {
+	clean := machineOn(t, "torus2d", 3, 16)
+	want, err := clean.SolveJacobi(parallelProblem(clean.P()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := machineOn(t, "torus2d", 3, 16)
+	m.CheckpointEvery = 4
+	if m.Faults, err = engine.ParseFaultPlan("dispatch:kill-forever@6:3,dispatch:kill@9:0:repeat=4"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	m.CheckpointSink = func(ck *Checkpoint) error {
+		if buf.Len() == 0 && ck.Planes != nil {
+			_, err := ck.WriteTo(&buf)
+			return err
+		}
+		return nil
+	}
+	if _, err := m.SolveJacobi(parallelProblem(m.P())); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.P != 7 || ck.Sweep != 8 {
+		t.Fatalf("first uneven checkpoint has P=%d at sweep %d, want P=7 at sweep 8", ck.P, ck.Sweep)
+	}
+
+	fresh := machineOn(t, "torus2d", 3, 16)
+	fresh.Restore = ck
+	got, err := fresh.SolveJacobi(parallelProblem(fresh.P()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSolve(t, got, want)
 }
 
 // TestV3RejectsBadPlanes: the reader refuses plane-count sections that

@@ -457,14 +457,6 @@ func (m *Machine) ValidateCheckpoint(ck *Checkpoint) error {
 	if ck.P > m.P() {
 		return fmt.Errorf("hypercube: checkpoint declares %d ranks, machine has %d nodes", ck.P, m.P())
 	}
-	if len(ck.U) != ck.P || len(ck.V) != ck.P {
-		return fmt.Errorf("hypercube: checkpoint holds %d/%d node grids, header declares %d ranks",
-			len(ck.U), len(ck.V), ck.P)
-	}
-	if ck.Planes != nil && len(ck.Planes) != ck.P {
-		return fmt.Errorf("hypercube: checkpoint carries %d plane counts, header declares %d ranks",
-			len(ck.Planes), ck.P)
-	}
 	if w := int64(ck.maxPlaneWords()); w > m.Cfg.PlaneWords() {
 		return fmt.Errorf("hypercube: checkpoint planes of %d words exceed the machine's %d-word planes",
 			w, m.Cfg.PlaneWords())

@@ -1,6 +1,7 @@
 package jacobi
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/checker"
 	"repro/internal/codegen"
+	"repro/internal/editor"
 	"repro/internal/render"
 	"repro/internal/sim"
 )
@@ -144,6 +146,33 @@ func TestScriptBuildsCleanDocument(t *testing.T) {
 	}
 	if info.VectorLen != int64(p.Cells()+p.N*p.N) {
 		t.Errorf("vector len = %d", info.VectorLen)
+	}
+}
+
+// TestBuildDocumentIsOneEdit: the build script is one edit, so one
+// Undo gives back the document a fresh editor starts from, and nothing
+// is left to undo.
+func TestBuildDocumentIsOneEdit(t *testing.T) {
+	cfg := arch.Default()
+	_, ed, err := NewModelProblem(8, 1e-4, 100).BuildDocument(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ed.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := ed.Doc.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := editor.New(arch.MustInventory(cfg), "jacobi3d").Doc.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("one undo left\n%s\nwant a fresh editor's\n%s", got.String(), want.String())
+	}
+	if ed.Undo() == nil {
+		t.Error("a second undo succeeded: the build script made more than one edit")
 	}
 }
 

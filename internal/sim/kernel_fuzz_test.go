@@ -116,14 +116,17 @@ func (r *fuzzBytes) next() byte {
 }
 
 // val derives a float64 operand, mostly ordinary magnitudes with a
-// sprinkling of the special values the trap layer cares about.
+// sprinkling of the special values the trap layer cares about. A NaN
+// takes its sign and payload from the byte that chose it, so a
+// constant and a stream can carry different NaN bits; byte 1 gives
+// math.NaN() itself.
 func (r *fuzzBytes) val() float64 {
 	b := r.next()
 	switch b % 17 {
 	case 0:
 		return 0
 	case 1:
-		return math.NaN()
+		return math.Float64frombits(0x7ff8000000000000 | uint64(b>>7)<<63 | uint64(b))
 	case 2:
 		return math.Inf(1)
 	case 3:
