@@ -1,6 +1,10 @@
 package multigrid
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"repro/internal/arch"
@@ -13,7 +17,10 @@ import (
 // counters and both simulated clocks are pinned, so a driver rewrite
 // that changes the phase sequence, the host-transfer pricing or the
 // code each rank runs fails here even when the solution still matches
-// the single-node solver. The values are the same at every worker
+// the single-node solver. The final grid and the residual series are
+// pinned too, as one SHA-256 over their bits: the single-node oracle
+// calls the same grid transfers, so a transfer change would otherwise
+// move both sides at once. The values are the same at every worker
 // count.
 func TestDistributedGolden(t *testing.T) {
 	const (
@@ -21,6 +28,7 @@ func TestDistributedGolden(t *testing.T) {
 		flops   = 38493214
 		hits    = 3086
 		misses  = 42
+		bits    = "339f3247658922ae085110f292052cc8cf763eb70a947021ca62edecb2ebb922"
 	)
 	clocks := map[string][2]int64{ // machine, comm
 		"hypercube": {1056298, 1306906},
@@ -55,6 +63,9 @@ func TestDistributedGolden(t *testing.T) {
 					name, workers, res.VCycles, res.TotalFLOPs, res.PlanCache.Hits, res.PlanCache.Misses,
 					vcycles, flops, hits, misses)
 			}
+			if got := gridSum(res); got != bits {
+				t.Errorf("%s workers=%d: grid and residual series hash %s, want %s", name, workers, got, bits)
+			}
 			want := clocks[name]
 			if m.MachineCycles != want[0] || m.CommCycles != want[1] {
 				t.Errorf("%s workers=%d: clocks machine=%d comm=%d, want %d/%d",
@@ -62,4 +73,18 @@ func TestDistributedGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gridSum hashes the bits of a solve's final grid followed by its
+// residual series, each word little-endian.
+func gridSum(res *DistResult) string {
+	h := sha256.New()
+	var w [8]byte
+	for _, xs := range [][]float64{res.U, res.ResidualSeries} {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(w[:], math.Float64bits(x))
+			h.Write(w[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
