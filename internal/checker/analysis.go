@@ -282,7 +282,7 @@ func (c *Checker) CheckPipeline(doc *diagram.Document, p *diagram.Pipeline) []Di
 	diags = append(diags, c.checkConnectivity(p)...)
 	diags = append(diags, c.checkStreams(p)...)
 	diags = append(diags, c.checkDelays(p, an)...)
-	diags = append(diags, c.checkCompare(p)...)
+	diags = append(diags, c.CheckCompare(p)...)
 	return diags
 }
 
@@ -431,7 +431,11 @@ func (c *Checker) checkDelays(p *diagram.Pipeline, an *Analysis) []Diagnostic {
 	return diags
 }
 
-func (c *Checker) checkCompare(p *diagram.Pipeline) []Diagnostic {
+// CheckCompare checks the pipeline's convergence comparison alone
+// (R021): it must name a reducing unit slot, a known operator and a
+// flag in range. CheckPipeline runs it unless the pipeline has a
+// cycle; the editor runs it on every compare line.
+func (c *Checker) CheckCompare(p *diagram.Pipeline) []Diagnostic {
 	if p.Compare == nil {
 		return nil
 	}

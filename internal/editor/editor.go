@@ -448,22 +448,13 @@ func (e *Editor) SetCompare(iconName string, slot int, op string, threshold floa
 	prev := p.Compare
 	pushed := e.mark()
 	p.Compare = &diagram.CompareSpec{Icon: ic.ID, Slot: slot, Op: op, Threshold: threshold, Flag: flag}
-	if ds := e.Chk.CheckPipeline(e.Doc, p); hasRule(ds, checker.RuleCompareSpec) {
+	if len(e.Chk.CheckCompare(p)) > 0 {
 		// Roll back an invalid spec immediately, leaving redo as it was.
 		p.Compare = prev
 		e.undoLastMark(pushed)
 		return fmt.Errorf("editor: invalid compare specification")
 	}
 	return nil
-}
-
-func hasRule(ds []checker.Diagnostic, rule string) bool {
-	for _, d := range ds {
-		if d.Rule == rule {
-			return true
-		}
-	}
-	return false
 }
 
 // Declare records a variable declaration (the left region of the

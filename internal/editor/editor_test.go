@@ -284,6 +284,22 @@ func TestSetCompareRollsBackInvalid(t *testing.T) {
 	}
 }
 
+// TestSetCompareOnCyclicPipeline: the compare spec is checked on its
+// own, so an invalid one is rejected on a pipeline with a
+// combinational cycle too. A whole-pipeline check stops at the cycle
+// (R010) and never reaches the compare rule.
+func TestSetCompareOnCyclicPipeline(t *testing.T) {
+	e := newEd(t)
+	execAll(t, e, "place singlet A at 1 1", "place singlet B at 20 1", "op A.u0 mov", "op B.u0 mov",
+		"connect A.u0.o -> B.u0.a", "connect B.u0.o -> A.u0.a")
+	if _, err := e.Exec("compare A.u0 lt 0.5 flag=1"); err == nil {
+		t.Error("compare on a non-reducing unit of a cyclic pipeline accepted")
+	}
+	if e.Current().Compare != nil {
+		t.Error("invalid compare left in the document")
+	}
+}
+
 // execAll runs editor commands that must succeed.
 func execAll(t *testing.T, e *Editor, lines ...string) {
 	t.Helper()

@@ -13,7 +13,9 @@
 // ranks onto real machine topology (the hypercube adapter routes them
 // through the Gray code so ring neighbours are one hop apart) and owns
 // the cost model and the machine-wide clocks. All per-rank work runs
-// through a bounded worker pool, and each rank touches only its own
+// on a bounded worker pool that lives as long as the loop: the calling
+// goroutine takes a share of every barrier, and its helpers spin
+// between barriers instead of parking. Each rank touches only its own
 // node and its own slots inside a barrier. Fault events are played
 // host-side, in rank order, before a phase's barrier, and the clocks
 // are charged after it, so results are bit-identical at every worker
@@ -82,8 +84,13 @@ type Fabric interface {
 // Config parameterizes a Loop (and Run, the iteration driver on top
 // of it).
 type Config struct {
-	Fabric  Fabric
-	Part    *Partition
+	Fabric Fabric
+	Part   *Partition
+	// Workers bounds the goroutines that run a barrier's per-rank
+	// work, the calling goroutine included: 0 or 1 runs every rank on
+	// the caller and -1 means GOMAXPROCS. Helpers beyond GOMAXPROCS or
+	// the rank count are not started. Results are bit-identical at
+	// every setting.
 	Workers int
 
 	// Faults, when non-nil, arms deterministic fault injection. Faulted
@@ -173,6 +180,21 @@ type Loop struct {
 	// critical-path cycles accumulated by observed phases, used as span
 	// timestamps so traces replay the machine's time, not the host's.
 	simTS int64
+
+	// pool runs every barrier's per-rank work for the loop's whole
+	// life. The barrier in flight is in cur, which the rank functions
+	// bound once in NewLoop read, so a barrier allocates nothing.
+	pool                      *pool
+	cur                       barrier
+	dispatchRank, scatterRank func(r int) error
+}
+
+// barrier is the phase a Loop's pool is running: its sweep, the
+// dispatched instruction per rank, and the plane whose faces it
+// gathers or scatters (-1 for none).
+type barrier struct {
+	sweep, plane int
+	instr        func(rank int) *microcode.Instr
 }
 
 // NewLoop builds a loop over the configured fabric and partition.
@@ -188,7 +210,9 @@ func NewLoop(cfg *Config) (*Loop, error) {
 		cfg:   cfg,
 		sweep: make([]int64, p),
 		skip:  make([]bool, p),
+		pool:  newPool(cfg.Workers, p),
 	}
+	lp.dispatchRank, lp.scatterRank = lp.dispatch, lp.scatter
 	if o := cfg.Obs; o != nil {
 		o.Inc("engine.topology." + cfg.Fabric.Topology())
 	}
@@ -306,21 +330,8 @@ func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gat
 			be = a.be
 		}
 	}
-	if err := ParallelFor(cfg.Workers, p, func(r int) error {
-		if lp.skip[r] {
-			return nil
-		}
-		nd := f.Node(r)
-		before := nd.Stats.Cycles
-		if err := nd.Exec(instr(r)); err != nil {
-			return fmt.Errorf("engine: node %d sweep %d: %w", r, sweepNo, err)
-		}
-		lp.sweep[r] += nd.Stats.Cycles - before
-		if gatherPlane >= 0 {
-			return lp.gather(r, gatherPlane)
-		}
-		return nil
-	}); err != nil {
+	lp.cur = barrier{sweep: sweepNo, plane: gatherPlane, instr: instr}
+	if err := lp.pool.run(p, lp.dispatchRank); err != nil {
 		return nil, err
 	}
 	var maxNode int64
@@ -344,6 +355,25 @@ func (lp *Loop) Dispatch(sweepNo int, instr func(rank int) *microcode.Instr, gat
 		}
 	}
 	return be, &DeadRankError{Sweep: sweepNo, Ranks: dead}
+}
+
+// dispatch runs rank r's share of the Dispatch barrier in lp.cur: its
+// instruction, then the gather of its outgoing faces.
+func (lp *Loop) dispatch(r int) error {
+	if lp.skip[r] {
+		return nil
+	}
+	b := &lp.cur
+	nd := lp.cfg.Fabric.Node(r)
+	before := nd.Stats.Cycles
+	if err := nd.Exec(b.instr(r)); err != nil {
+		return fmt.Errorf("engine: node %d sweep %d: %w", r, b.sweep, err)
+	}
+	lp.sweep[r] += nd.Stats.Cycles - before
+	if b.plane >= 0 {
+		return lp.gather(r, b.plane)
+	}
+	return nil
 }
 
 // gather copies rank r's outgoing ghost faces into the pooled halo
@@ -451,26 +481,33 @@ func (lp *Loop) Exchange(sweepNo, plane int) (*BudgetError, error) {
 			be = a.be
 		}
 	}
-	if err := ParallelFor(cfg.Workers, p, func(r int) error {
-		nd := f.Node(r)
-		if r > 0 { // low ghost from the left neighbour's down face
-			if err := nd.WriteWords(plane, 0, lp.halo[2*(r-1)]); err != nil {
-				return err
-			}
-		}
-		if r+1 < p { // high ghost from the right neighbour's up face
-			if err := nd.WriteWords(plane, int64((pt.Planes[r]+1)*nn), lp.halo[2*(r+1)+1]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	lp.cur = barrier{sweep: sweepNo, plane: plane}
+	if err := lp.pool.run(p, lp.scatterRank); err != nil {
 		return nil, err
 	}
 	f.AddCommCycles(comm)
 	f.AddMachineCycles(pairClean + worstExtra)
 	lp.observe("exchange", sweepNo, pairClean+worstExtra)
 	return be, nil
+}
+
+// scatter writes rank r's ghost planes of the Exchange barrier in
+// lp.cur from its neighbours' gathered faces.
+func (lp *Loop) scatter(r int) error {
+	pt := lp.cfg.Part
+	nd := lp.cfg.Fabric.Node(r)
+	plane, nn := lp.cur.plane, pt.NN()
+	if r > 0 { // low ghost from the left neighbour's down face
+		if err := nd.WriteWords(plane, 0, lp.halo[2*(r-1)]); err != nil {
+			return err
+		}
+	}
+	if r+1 < pt.P { // high ghost from the right neighbour's up face
+		if err := nd.WriteWords(plane, int64((pt.Planes[r]+1)*nn), lp.halo[2*(r+1)+1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunResult reports a Run.
@@ -587,6 +624,9 @@ func (rn *run) once(from *Snapshot) (*RunResult, *DeadRankError, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// The generation's last phase has run when once returns: its
+	// helpers exit now, not at the end of their spin window.
+	defer lp.pool.close()
 	lp.simTS = rn.ts
 	res := &RunResult{}
 	// restore writes a snapshot onto the ring, free in simulated time,

@@ -57,10 +57,11 @@ type Machine struct {
 
 	// Workers bounds the host-side goroutine pool that dispatches
 	// per-node work in SolveJacobi: 0 or 1 runs sequentially, larger
-	// values run up to that many node sweeps concurrently, and -1 uses
-	// GOMAXPROCS. Simulated results are bit-identical at every setting:
-	// nodes share no mutable simulator state, and all cycle/FLOP
-	// accounting is merged in rank order after each barrier.
+	// values run up to that many node sweeps concurrently, the calling
+	// goroutine included, and -1 uses GOMAXPROCS. Helpers beyond
+	// GOMAXPROCS are not started. Simulated results are bit-identical
+	// at every setting: nodes share no mutable simulator state, and all
+	// cycle/FLOP accounting is merged in rank order after each barrier.
 	Workers int
 
 	// Faults, when non-nil, injects the plan's deterministic faults
@@ -126,8 +127,8 @@ type Machine struct {
 	activated []*sim.Node
 	deadAddrs []int
 	// slabs holds the last Jacobi build's compiled sweeps by slab
-	// script, so a later solve compiles only slabs it has not seen.
-	slabs map[string]slabCode
+	// script key, so a later solve compiles only slabs it has not seen.
+	slabs map[jacobi.ScriptKey]slabCode
 }
 
 // maxBoards bounds a machine's node count, and separately its spare

@@ -150,13 +150,14 @@ type slabCode struct{ fwd, bwd *microcode.Instr }
 
 // build partitions the problem, compiles both sweep pipelines once per
 // distinct slab and loads the slabs onto the ring. A compile is a pure
-// function of the machine and the slab's editor script, so every rank
-// whose script matches another's shares its instructions, and so does
-// a later build on this machine: it looks each script up in the
-// previous build's compiles first, then keeps its own. Loading
-// rewrites PlaneU with the initial guess, so a rebuild mid-run (the
-// engine's Rebuild hook after a recovery) must be followed by an
-// iterate restore, which the engine does.
+// function of the machine and the slab's editor script, which is a
+// function of the slab's jacobi.ScriptKey. So every rank whose key
+// matches another's shares its instructions, and so does a later build
+// on this machine: it looks each key up in the previous build's
+// compiles first, then keeps its own. Loading rewrites PlaneU with the
+// initial guess, so a rebuild mid-run (the engine's Rebuild hook after
+// a recovery) must be followed by an iterate restore, which the engine
+// does.
 func (s *jacobiSolve) build(part *engine.Partition) error {
 	m := s.m
 	inv, err := arch.NewInventory(m.Cfg)
@@ -167,24 +168,24 @@ func (s *jacobiSolve) build(part *engine.Partition) error {
 	locals := make([]*jacobi.Problem, part.P)
 	fwd := make([]*microcode.Instr, part.P)
 	bwd := make([]*microcode.Instr, part.P)
-	slabs := map[string]slabCode{}
+	slabs := map[jacobi.ScriptKey]slabCode{}
 	for r := 0; r < part.P; r++ {
 		lp, err := part.Local(m.Cfg, s.global, r)
 		if err != nil {
 			return err
 		}
 		locals[r] = lp
-		script := lp.Script()
-		c, ok := slabs[script]
+		key := lp.ScriptKey()
+		c, ok := slabs[key]
 		if !ok {
-			c, ok = m.slabs[script]
+			c, ok = m.slabs[key]
 		}
 		if !ok {
 			if c.fwd, c.bwd, err = lp.Sweeps(gen); err != nil {
 				return err
 			}
 		}
-		slabs[script] = c
+		slabs[key] = c
 		fwd[r], bwd[r] = c.fwd, c.bwd
 	}
 	fab := m.Fabric()

@@ -75,9 +75,28 @@ func TestSharedSlabCompile(t *testing.T) {
 		if len(m.slabs) != len(scripts) {
 			t.Errorf("machine keeps %d slabs after a build of %d", len(m.slabs), len(scripts))
 		}
-		for script := range scripts {
-			if _, ok := m.slabs[script]; !ok {
+		for key := range scripts {
+			if _, ok := m.slabs[key]; !ok {
 				t.Error("machine does not keep a slab of its last build")
+			}
+		}
+	})
+
+	// Another grid spacing alone changes the h² constant of every slab
+	// script, so a build that changes only H compiles afresh.
+	t.Run("another H", func(t *testing.T) {
+		m, err := New(smallCfg(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := buildSolve(t, m, boxProblem(17, 17))
+		wider := boxProblem(17, 17)
+		wider.H *= 2
+		other := buildSolve(t, m, wider)
+		soloCompilesMatch(t, other)
+		for r := 0; r < other.part.P; r++ {
+			if other.fwd[r] == first.fwd[r] || other.bwd[r] == first.bwd[r] {
+				t.Errorf("rank %d: a build with another H reused the old compile", r)
 			}
 		}
 	})
@@ -98,17 +117,19 @@ func buildSolve(t *testing.T, m *Machine, global *jacobi.Problem) *jacobiSolve {
 }
 
 // soloCompilesMatch checks every rank's instructions against the
-// rank's solo compile and returns the build's distinct slab scripts.
-func soloCompilesMatch(t *testing.T, s *jacobiSolve) map[string]bool {
+// rank's solo compile and returns the script keys of the build's
+// distinct slab scripts, checking that the keys tell the same slabs
+// apart as the script texts do.
+func soloCompilesMatch(t *testing.T, s *jacobiSolve) map[jacobi.ScriptKey]bool {
 	t.Helper()
 	cfg := s.m.Cfg
-	scripts := map[string]bool{}
+	scripts, keys := map[string]bool{}, map[jacobi.ScriptKey]bool{}
 	for r := 0; r < s.part.P; r++ {
 		lp, err := s.part.Local(cfg, s.global, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scripts[lp.Script()] = true
+		scripts[lp.Script()], keys[lp.ScriptKey()] = true, true
 		doc, _, err := lp.BuildDocument(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -124,5 +145,8 @@ func soloCompilesMatch(t *testing.T, s *jacobiSolve) map[string]bool {
 			}
 		}
 	}
-	return scripts
+	if len(keys) != len(scripts) {
+		t.Errorf("%d distinct script keys for %d distinct slab scripts", len(keys), len(scripts))
+	}
+	return keys
 }

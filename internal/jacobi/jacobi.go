@@ -259,6 +259,21 @@ func (p *Problem) Script() string {
 	return sb.String()
 }
 
+// ScriptKey is every field of a Problem that Script reads: two
+// problems with equal keys generate the same script, so a slab
+// compile can be shared by key without generating the script text.
+// Floats are kept as their bits.
+type ScriptKey struct {
+	N, Nz   int
+	VarBase int64
+	H, Tol  uint64
+}
+
+// ScriptKey returns the problem's script key.
+func (p *Problem) ScriptKey() ScriptKey {
+	return ScriptKey{N: p.N, Nz: p.Nz, VarBase: p.VarBase, H: math.Float64bits(p.H), Tol: math.Float64bits(p.Tol)}
+}
+
 // BuildDocument drives the visual environment with the generated
 // script and returns the resulting semantic document and the editor
 // (whose Log is the interaction transcript).

@@ -57,10 +57,12 @@ type Distributed struct {
 	n      int
 	u0     []float64 // global fine initial guess (boundary assembly)
 
-	// Host-transfer scratch, reused every cycle.
-	fineR []float64
-	zeroU []float64
-	words []int64
+	// Host-transfer buffers, reused every cycle: the gathered fine
+	// residual and prolonged correction, and the coarse right-hand
+	// side, zero guess and correction.
+	fineR, fineE            []float64
+	coarseF, zeroU, coarseU []float64
+	words                   []int64
 }
 
 // DistConfig parameterizes NewDistributed.
@@ -73,7 +75,8 @@ type DistConfig struct {
 	N, Levels int
 	Tol       float64
 	MaxCycles int
-	// Workers bounds the host worker pool, as in hypercube.Machine.
+	// Workers bounds the host worker pool, as in hypercube.Machine:
+	// helpers beyond GOMAXPROCS are not started.
 	Workers int
 	// Faults injects a deterministic fault plan into the engine loop;
 	// an event's sweep names the V-cycle it fires in. Transient faults
@@ -123,7 +126,7 @@ func NewDistributed(dc DistConfig) (*Distributed, error) {
 		Fabric: dc.Fabric, Cfg: dc.Cfg, dc: dc,
 		Pre: 2, Post: 2, Tol: dc.Tol, MaxCycles: dc.MaxCycles,
 		n: n, u0: append([]float64(nil), gp.U0...),
-		fineR: make([]float64, n*n*n),
+		fineR: make([]float64, n*n*n), fineE: make([]float64, n*n*n),
 	}
 	part, err := engine.NewPartition(dc.Fabric.P(), n, n)
 	if err != nil {
@@ -152,10 +155,12 @@ func (d *Distributed) build(part *engine.Partition) error {
 	d.slabs = make([]*Level, p)
 	d.words = make([]int64, p)
 	// Compile each distinct slab once: a level's five instructions are
-	// a pure function of the machine and its two editor scripts, so a
-	// rank whose scripts match an earlier rank's shares its code.
+	// a pure function of the machine and its two editor scripts, and
+	// the scripts of the slab's jacobi.ScriptKey (the tolerance is the
+	// build's), so a rank whose key matches an earlier rank's shares
+	// its code.
 	gen := codegen.New(dc.Fabric.Node(0).Inv)
-	compiled := map[string]*Level{}
+	compiled := map[jacobi.ScriptKey]*Level{}
 	for r := 0; r < p; r++ {
 		lp, err := part.Local(dc.Cfg, gp, r)
 		if err != nil {
@@ -166,7 +171,7 @@ func (d *Distributed) build(part *engine.Partition) error {
 			lp.Mask[i] = mv * DefaultOmega
 		}
 		d.slabs[r] = lv
-		key := lp.Script() + auxScript(lp, dc.Tol)
+		key := lp.ScriptKey()
 		if c, ok := compiled[key]; ok {
 			lv.fwd, lv.bwd, lv.residual, lv.correct, lv.copyVU = c.fwd, c.bwd, c.residual, c.correct, c.copyVU
 			continue
@@ -202,7 +207,8 @@ func (d *Distributed) build(part *engine.Partition) error {
 		if err != nil {
 			return err
 		}
-		d.zeroU = make([]float64, d.coarse.Levels[0].P.Cells())
+		cells := d.coarse.Levels[0].P.Cells()
+		d.coarseF, d.zeroU, d.coarseU = make([]float64, cells), make([]float64, cells), make([]float64, cells)
 	}
 	return nil
 }
@@ -282,9 +288,9 @@ func (d *Distributed) vcycle(lp *engine.Loop, it int) (*engine.BudgetError, erro
 	}
 	engine.ChargeScatter(f, d.words)
 	coarse := d.coarse.Levels[0]
-	cf := Restrict(d.fineR, d.n, coarse.P.N)
+	restrictInto(d.coarseF, d.fineR, d.n, coarse.P.N)
 	nd0 := f.Node(0)
-	if err := nd0.WriteWords(jacobi.PlaneF, coarse.P.VarBase, cf); err != nil {
+	if err := nd0.WriteWords(jacobi.PlaneF, coarse.P.VarBase, d.coarseF); err != nil {
 		return nil, err
 	}
 	if err := nd0.WriteWords(jacobi.PlaneU, coarse.P.VarBase, d.zeroU); err != nil {
@@ -297,17 +303,16 @@ func (d *Distributed) vcycle(lp *engine.Loop, it int) (*engine.BudgetError, erro
 		return nil, err
 	}
 	f.AddMachineCycles(nd0.Stats.Cycles - before)
-	cu, err := nd0.ReadWords(jacobi.PlaneU, coarse.P.VarBase, coarse.P.Cells())
-	if err != nil {
+	if err := nd0.ReadWordsInto(jacobi.PlaneU, coarse.P.VarBase, d.coarseU); err != nil {
 		return nil, err
 	}
 	// Prolong the correction and scatter each rank's whole slab —
 	// ghost planes included, so the correction leaves them globally
 	// consistent and no exchange is needed before post-smoothing.
-	e := Prolong(cu, coarse.P.N, d.n)
+	prolongInto(d.fineE, d.coarseU, coarse.P.N, d.n)
 	for r := 0; r < f.P(); r++ {
 		lo := pt.Lo[r]
-		if err := f.Node(r).WriteWords(PlaneE, 0, e[(lo-1)*nn:(lo+pt.Planes[r]+1)*nn]); err != nil {
+		if err := f.Node(r).WriteWords(PlaneE, 0, d.fineE[(lo-1)*nn:(lo+pt.Planes[r]+1)*nn]); err != nil {
 			return nil, err
 		}
 		d.words[r] = int64((pt.Planes[r] + 2) * nn)

@@ -365,83 +365,100 @@ func (s *Solver) Run() (*Result, error) {
 }
 
 // Restrict applies 27-point full weighting from an nf³ grid to an nc³
-// grid (nf = 2·nc − 1). Coarse boundary values are zero.
+// grid, nf = 2·nc − 1. Coarse boundary values are zero.
 func Restrict(fine []float64, nf, nc int) []float64 {
 	out := make([]float64, nc*nc*nc)
-	at := func(i, j, k int) float64 {
-		if i < 0 || j < 0 || k < 0 || i >= nf || j >= nf || k >= nf {
-			return 0
-		}
-		return fine[i+j*nf+k*nf*nf]
-	}
+	restrictInto(out, fine, nf, nc)
+	return out
+}
+
+// restrictInto writes Restrict's interior points into out and leaves
+// its boundary points as they are. Each coarse point sums its 27 fine
+// neighbours from 0.0, offset k slowest and i fastest, each term its
+// weight times the fine value: the weight is 1/8, halved once per
+// nonzero offset. The loop walks a coarse row's nine fine rows in that
+// order, adding each one's three terms to every point of the row.
+func restrictInto(out, fine []float64, nf, nc int) {
+	nn, ncc := nf*nf, nc*nc
 	for K := 1; K < nc-1; K++ {
 		for J := 1; J < nc-1; J++ {
-			for I := 1; I < nc-1; I++ {
-				sum := 0.0
-				for dk := -1; dk <= 1; dk++ {
-					for dj := -1; dj <= 1; dj++ {
-						for di := -1; di <= 1; di++ {
-							w := 1.0 / 8
-							if di != 0 {
-								w /= 2
-							}
-							if dj != 0 {
-								w /= 2
-							}
-							if dk != 0 {
-								w /= 2
-							}
-							sum += w * at(2*I+di, 2*J+dj, 2*K+dk)
-						}
-					}
+			// o[x] is coarse point x+1, and r[2x..2x+2] are its fine
+			// neighbours 2x+1..2x+3 in the fine row at offsets dj, dk.
+			o := out[J*nc+K*ncc+1 : (J+1)*nc+K*ncc-1]
+			clear(o)
+			for q := 0; q < 9; q++ {
+				dj, dk := q%3-1, q/3-1
+				at := (2*J+dj)*nf + (2*K+dk)*nn
+				r := fine[at+1 : at+nf-1]
+				mid := 1.0 / 8
+				if dk != 0 {
+					mid /= 2
 				}
-				out[I+J*nc+K*nc*nc] = sum
+				if dj != 0 {
+					mid /= 2
+				}
+				side := mid / 2
+				for x := range o {
+					o[x] = add(add(add(o[x], side*r[2*x]), mid*r[2*x+1]), side*r[2*x+2])
+				}
 			}
 		}
 	}
-	return out
 }
 
 // Prolong applies trilinear interpolation from an nc³ grid to an nf³
-// grid (nf = 2·nc − 1).
+// grid, nf = 2·nc − 1.
 func Prolong(coarse []float64, nc, nf int) []float64 {
 	out := make([]float64, nf*nf*nf)
-	at := func(i, j, k int) float64 {
-		if i < 0 || j < 0 || k < 0 || i >= nc || j >= nc || k >= nc {
-			return 0
-		}
-		return coarse[i+j*nc+k*nc*nc]
-	}
-	for k := 0; k < nf; k++ {
-		for j := 0; j < nf; j++ {
-			for i := 0; i < nf; i++ {
-				sum := 0.0
-				for _, ck := range halves(k) {
-					for _, cj := range halves(j) {
-						for _, ci := range halves(i) {
-							w := ci.w * cj.w * ck.w
-							sum += w * at(ci.i, cj.i, ck.i)
-						}
-					}
-				}
-				out[i+j*nf+k*nf*nf] = sum
-			}
-		}
-	}
+	prolongInto(out, coarse, nc, nf)
 	return out
 }
 
-type cw struct {
-	i int
-	w float64
+// prolongInto writes Prolong's every point into out. A fine index i
+// reads coarse index i/2 with weight 1 when i is even, and i/2 and
+// i/2+1 with weight 1/2 each when it is odd. Each fine point sums its
+// one to eight coarse contributors from 0.0, coarse k slowest and i
+// fastest, each term the product of its three weights times the coarse
+// value. The loop walks a fine row's one to four coarse rows in that
+// order, adding each one's terms to every point of the row.
+func prolongInto(out, coarse []float64, nc, nf int) {
+	nn, ncc := nf*nf, nc*nc
+	for k := 0; k < nf; k++ {
+		for j := 0; j < nf; j++ {
+			o := out[j*nf+k*nn : (j+1)*nf+k*nn]
+			clear(o)
+			w := halfIfOdd(j) * halfIfOdd(k) // an even i's weight; an odd i's is half
+			h := 0.5 * w
+			for ck := k / 2; ck <= (k+1)/2; ck++ {
+				for cj := j / 2; cj <= (j+1)/2; cj++ {
+					at := cj*nc + ck*ncc
+					r := coarse[at : at+nc]
+					for c := 0; c < nc-1; c++ {
+						o[2*c] = add(o[2*c], w*r[c])
+						o[2*c+1] = add(add(o[2*c+1], h*r[c]), h*r[c+1])
+					}
+					o[nf-1] = add(o[nf-1], w*r[nc-1])
+				}
+			}
+		}
+	}
 }
 
-// halves returns the coarse contributors of fine index i.
-func halves(i int) []cw {
-	if i%2 == 0 {
-		return []cw{{i / 2, 1}}
+// add returns sum + t but keeps sum once it is NaN, so the first NaN
+// term of a sum survives whichever operand the compiler puts first.
+func add(sum, t float64) float64 {
+	if sum != sum {
+		return sum
 	}
-	return []cw{{i / 2, 0.5}, {i/2 + 1, 0.5}}
+	return sum + t
+}
+
+// halfIfOdd is the weight of each coarse contributor to fine index i.
+func halfIfOdd(i int) float64 {
+	if i%2 == 1 {
+		return 0.5
+	}
+	return 1
 }
 
 // ReferenceVCycle mirrors the solver on the host, bit for bit, for
