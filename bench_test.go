@@ -387,22 +387,7 @@ func BenchmarkP2HypercubeScaling(b *testing.B) {
 		"nodes", "iters", "cycles", "comm-cycles", "GFLOPS", "peak-GF", "eff%")}
 	run := func(dim, workers int) (*hypercube.JacobiResult, *hypercube.Machine) {
 		p := 1 << uint(dim)
-		g := jacobi.NewModelProblem(n, 1e-9, 4000)
-		g.Nz = p*slab + 2
-		g.F = make([]float64, g.Cells())
-		g.U0 = make([]float64, g.Cells())
-		g.Mask = make([]float64, g.Cells())
-		for k := 0; k < g.Nz; k++ {
-			for j := 0; j < g.N; j++ {
-				for i := 0; i < g.N; i++ {
-					idx := g.Index(i, j, k)
-					g.F[idx] = 1
-					if i > 0 && i < g.N-1 && j > 0 && j < g.N-1 && k > 0 && k < g.Nz-1 {
-						g.Mask[idx] = 1
-					}
-				}
-			}
-		}
+		g := jacobi.NewBoxProblem(n, p*slab+2, 1e-9, 4000)
 		m, err := hypercube.New(cfg, dim)
 		if err != nil {
 			b.Fatal(err)
@@ -879,7 +864,7 @@ func BenchmarkM1MultigridVCycle(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(res.VCycles), "vcycles")
-	fineSweeps := res.VCycles * (s.Pre + s.Post)
+	fineSweeps := res.VCycles * (multigrid.PreSweeps + multigrid.PostSweeps)
 	reportOnce("M1 multigrid (reference [6])", fmt.Sprintf(`V(%d,%d), ω=%.4f, levels 17³/9³/5³ on one node:
   converged in %d V-cycles (%d fine-grid sweeps; plain Jacobi needs ~1400)
   NSC residual register %.3e; host mirror bit-identical
@@ -887,7 +872,7 @@ func BenchmarkM1MultigridVCycle(b *testing.B) {
 smoothing, residual and correction all execute as visual-environment
 pipelines; restriction/prolongation run on the host — the
 between-phase data reformatting of §3.`,
-		s.Pre, s.Post, s.Omega, res.VCycles, fineSweeps, res.Residual,
+		multigrid.PreSweeps, multigrid.PostSweeps, multigrid.DefaultOmega, res.VCycles, fineSweeps, res.Residual,
 		res.Stats.Instructions, res.Stats.Cycles, res.Stats.MFLOPS(cfg.ClockHz)))
 }
 
@@ -904,23 +889,7 @@ between-phase data reformatting of §3.`,
 func BenchmarkS11FaultOverhead(b *testing.B) {
 	cfg := arch.Default()
 	build := func() *jacobi.Problem {
-		g := jacobi.NewModelProblem(8, 1e-4, 400)
-		g.Nz = 10 // 8 interior planes over the 4-node cube
-		g.F = make([]float64, g.Cells())
-		g.U0 = make([]float64, g.Cells())
-		g.Mask = make([]float64, g.Cells())
-		for k := 0; k < g.Nz; k++ {
-			for j := 0; j < g.N; j++ {
-				for i := 0; i < g.N; i++ {
-					idx := g.Index(i, j, k)
-					g.F[idx] = 1
-					if i > 0 && i < g.N-1 && j > 0 && j < g.N-1 && k > 0 && k < g.Nz-1 {
-						g.Mask[idx] = 1
-					}
-				}
-			}
-		}
-		return g
+		return jacobi.NewBoxProblem(8, 10, 1e-4, 400) // 8 interior planes over the 4-node cube
 	}
 	run := func(plan *engine.FaultPlan, every int) (*hypercube.JacobiResult, *hypercube.Machine) {
 		m, err := hypercube.New(cfg, 2)

@@ -28,22 +28,7 @@ var chaosSeeds = []int64{1, 2, 3, 4}
 // chaosProblem is the 8×8×(2p+2) slab fixture shared with the
 // differential harness.
 func chaosProblem(p int) *jacobi.Problem {
-	g := jacobi.NewModelProblem(8, 1e-4, 400)
-	g.Nz = p*2 + 2
-	g.F = make([]float64, g.Cells())
-	g.U0 = make([]float64, g.Cells())
-	g.Mask = make([]float64, g.Cells())
-	for k := 1; k < g.Nz-1; k++ {
-		for j := 1; j < g.N-1; j++ {
-			for i := 1; i < g.N-1; i++ {
-				g.Mask[g.Index(i, j, k)] = 1
-			}
-		}
-	}
-	for c := range g.F {
-		g.F[c] = 1
-	}
-	return g
+	return jacobi.NewBoxProblem(8, p*2+2, 1e-4, 400)
 }
 
 // chaosPlan draws a seeded transient plan over sweeps [0,permSweep)

@@ -434,22 +434,7 @@ func runJacobi(stdout io.Writer, cfg arch.Config, n, dim int, topology string, s
 
 	// The model problem: n×n planes, two interior planes per node, unit
 	// source, homogeneous boundary — the parallel driver's test shape.
-	g := jacobi.NewModelProblem(n, 1e-4, 400)
-	g.Nz = 2*m.P() + 2
-	g.F = make([]float64, g.Cells())
-	g.U0 = make([]float64, g.Cells())
-	g.Mask = make([]float64, g.Cells())
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.N; j++ {
-			for i := 0; i < g.N; i++ {
-				idx := g.Index(i, j, k)
-				g.F[idx] = 1
-				if i > 0 && i < g.N-1 && j > 0 && j < g.N-1 && k > 0 && k < g.Nz-1 {
-					g.Mask[idx] = 1
-				}
-			}
-		}
-	}
+	g := jacobi.NewBoxProblem(n, 2*m.P()+2, 1e-4, 400)
 	fmt.Fprintf(stdout, "%s: %d node(s) (%s), grid %d×%d×%d, %d plane(s) per node\n",
 		m.Topo.Name(), m.P(), m.Topo.Shape(), g.N, g.N, g.Nz, (g.Nz-2)/m.P())
 	res, err := m.SolveJacobi(g)

@@ -31,9 +31,7 @@ func main() {
 
 	for dim := 0; dim <= *maxDim; dim++ {
 		p := 1 << uint(dim)
-		g := jacobi.NewModelProblem(*n, 1e-3, 4000)
-		g.Nz = p**slab + 2
-		rebuild(g)
+		g := jacobi.NewBoxProblem(*n, p**slab+2, 1e-3, 4000)
 
 		m, err := hypercube.New(cfg, dim)
 		if err != nil {
@@ -49,23 +47,4 @@ func main() {
 	}
 	fmt.Printf("\npaper's 64-node system: %.2f GFLOPS peak, %d GB memory\n",
 		arch.Default().PeakSystemFLOPS()/1e9, arch.Default().TotalMemoryBytes()>>30)
-}
-
-// rebuild resizes the model problem's arrays after changing Nz.
-func rebuild(g *jacobi.Problem) {
-	cells := g.Cells()
-	g.F = make([]float64, cells)
-	g.U0 = make([]float64, cells)
-	g.Mask = make([]float64, cells)
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.N; j++ {
-			for i := 0; i < g.N; i++ {
-				idx := g.Index(i, j, k)
-				g.F[idx] = 1
-				if i > 0 && i < g.N-1 && j > 0 && j < g.N-1 && k > 0 && k < g.Nz-1 {
-					g.Mask[idx] = 1
-				}
-			}
-		}
-	}
 }

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"repro/internal/arch"
-	"repro/internal/jacobi"
 	"repro/internal/multigrid"
 )
 
@@ -29,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("V(%d,%d) cycle, ω=%.4f, levels:", s.Pre, s.Post, s.Omega)
+	fmt.Printf("V(%d,%d) cycle, ω=%.4f, levels:", multigrid.PreSweeps, multigrid.PostSweeps, multigrid.DefaultOmega)
 	for _, lv := range s.Levels {
 		fmt.Printf(" %d³", lv.P.N)
 	}
@@ -60,9 +59,7 @@ func main() {
 		refCycles, refRes, exact, len(refU))
 
 	// Versus plain Jacobi on the machine (the ref [6] motivation).
-	p := jacobi.NewModelProblem(*n, 0, 1)
-	_ = p
-	fineSweeps := res.VCycles * (s.Pre + s.Post)
+	fineSweeps := res.VCycles * (multigrid.PreSweeps + multigrid.PostSweeps)
 	kappa := 1 - math.Pow(math.Sin(math.Pi/(2*float64(*n-1))), 2) // Jacobi spectral radius estimate
 	estJacobi := math.Log(*tol) / math.Log(kappa)
 	fmt.Printf("fine-grid sweeps: %d (plain Jacobi would need on the order of %.0f)\n",

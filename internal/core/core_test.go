@@ -224,22 +224,7 @@ func TestHypercubeSession(t *testing.T) {
 	// show up in the environment.
 	m.Faults = engine.MustFaultPlan(engine.FaultEvent{
 		Sweep: 1, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKill, Repeat: 2})
-	g := jacobi.NewModelProblem(8, 1e-4, 400)
-	g.Nz = 10 // 8 interior planes over 4 nodes
-	g.F = make([]float64, g.Cells())
-	g.U0 = make([]float64, g.Cells())
-	g.Mask = make([]float64, g.Cells())
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.N; j++ {
-			for i := 0; i < g.N; i++ {
-				idx := g.Index(i, j, k)
-				g.F[idx] = 1
-				if i > 0 && i < g.N-1 && j > 0 && j < g.N-1 && k > 0 && k < g.Nz-1 {
-					g.Mask[idx] = 1
-				}
-			}
-		}
-	}
+	g := jacobi.NewBoxProblem(8, 10, 1e-4, 400) // 8 interior planes over 4 nodes
 	res, err := m.SolveJacobi(g)
 	if err != nil {
 		t.Fatal(err)

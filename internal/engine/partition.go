@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/jacobi"
@@ -13,7 +14,9 @@ import (
 // driver's inline slab math lifted into a separately testable value,
 // generalized to uneven slabs (front ranks take the remainder) so that
 // 2^k+1 multigrid grids — whose odd interior plane counts never divide
-// evenly — partition too.
+// evenly — partition too. It is the one map between a rank's slab and
+// the global grid: Slab, Gather, Scatter and Local are the only code
+// that moves planes between the ring and a global image.
 type Partition struct {
 	P, N, Nz int
 	// Lo[r] is the first global interior plane rank r owns; Planes[r]
@@ -56,10 +59,52 @@ func (pt *Partition) NN() int { return pt.N * pt.N }
 // LocalNz returns rank r's local grid depth, ghosts included.
 func (pt *Partition) LocalNz(r int) int { return pt.Planes[r] + 2 }
 
-// Local extracts rank r's slab problem from the global one: planes
-// [Lo[r]-1, Lo[r]+Planes[r]] of F and U0, with the mask kept only on
-// the owned interior planes so ghost planes enter the pipelines as
-// masked-off boundary.
+// Slab returns rank r's window of a global N×N×Nz image: global
+// planes [Lo[r]-1, Lo[r]+Planes[r]], ghosts included. The window
+// aliases img.
+func (pt *Partition) Slab(img []float64, r int) []float64 {
+	nn := pt.NN()
+	return img[(pt.Lo[r]-1)*nn : (pt.Lo[r]+pt.Planes[r]+1)*nn]
+}
+
+// Gather reads plane `plane` of the ring into img, a global N×N×Nz
+// image: every rank's owned planes, and the two global boundary planes
+// from the edge ranks' outer ghosts. It reads no interior ghost, so
+// the image is right even when the last sweep's faces were never
+// exchanged. A host-side copy: it charges no simulated cycles.
+func (pt *Partition) Gather(f Fabric, plane int, img []float64) error {
+	nn := pt.NN()
+	last := pt.P - 1
+	if err := f.Node(0).ReadWordsInto(plane, 0, img[:nn]); err != nil {
+		return err
+	}
+	if err := f.Node(last).ReadWordsInto(plane, int64((pt.Planes[last]+1)*nn), img[(pt.Nz-1)*nn:]); err != nil {
+		return err
+	}
+	for r := 0; r < pt.P; r++ {
+		lo := pt.Lo[r] * nn
+		if err := f.Node(r).ReadWordsInto(plane, int64(nn), img[lo:lo+pt.Planes[r]*nn]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Scatter writes every rank's Slab of img, ghosts included, into plane
+// `plane` of its node. A host-side copy: it charges no simulated
+// cycles.
+func (pt *Partition) Scatter(f Fabric, plane int, img []float64) error {
+	for r := 0; r < pt.P; r++ {
+		if err := f.Node(r).WriteWords(plane, 0, pt.Slab(img, r)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Local extracts rank r's slab problem from the global one: the Slab
+// windows of F, U0 and Mask, with the mask cleared on the two ghost
+// planes so they enter the pipelines as masked-off boundary.
 func (pt *Partition) Local(cfg arch.Config, global *jacobi.Problem, r int) (*jacobi.Problem, error) {
 	if r < 0 || r >= pt.P {
 		return nil, fmt.Errorf("engine: local slab rank %d outside %d ranks", r, pt.P)
@@ -68,25 +113,20 @@ func (pt *Partition) Local(cfg arch.Config, global *jacobi.Problem, r int) (*jac
 		return nil, fmt.Errorf("engine: problem %d×%d×%d does not match partition %d×%d×%d",
 			global.N, global.N, global.Nz, pt.N, pt.N, pt.Nz)
 	}
-	nn := pt.NN()
-	planes := pt.Planes[r]
-	lp := &jacobi.Problem{
-		N: pt.N, Nz: planes + 2, H: global.H, Tol: global.Tol, MaxIter: global.MaxIter,
-		F:    make([]float64, nn*(planes+2)),
-		U0:   make([]float64, nn*(planes+2)),
-		Mask: make([]float64, nn*(planes+2)),
-	}
-	for kz := 0; kz < planes+2; kz++ {
-		gk := pt.Lo[r] - 1 + kz
-		copy(lp.F[kz*nn:(kz+1)*nn], global.F[gk*nn:(gk+1)*nn])
-		copy(lp.U0[kz*nn:(kz+1)*nn], global.U0[gk*nn:(gk+1)*nn])
-		if kz > 0 && kz < planes+1 {
-			// Interior planes keep the global x/y mask.
-			copy(lp.Mask[kz*nn:(kz+1)*nn], global.Mask[gk*nn:(gk+1)*nn])
-		}
-	}
-	if err := lp.Validate(cfg); err != nil {
+	// Validating the global problem covers every slab: a slab has its
+	// N and at least three planes, and the array lengths checked here
+	// keep Slab from reslicing past an array's end into its capacity.
+	if err := global.Validate(cfg); err != nil {
 		return nil, err
 	}
+	lp := &jacobi.Problem{
+		N: pt.N, Nz: pt.LocalNz(r), H: global.H, Tol: global.Tol, MaxIter: global.MaxIter,
+		F:    slices.Clone(pt.Slab(global.F, r)),
+		U0:   slices.Clone(pt.Slab(global.U0, r)),
+		Mask: slices.Clone(pt.Slab(global.Mask, r)),
+	}
+	nn := pt.NN()
+	clear(lp.Mask[:nn])
+	clear(lp.Mask[len(lp.Mask)-nn:])
 	return lp, nil
 }

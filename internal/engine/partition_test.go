@@ -3,6 +3,9 @@ package engine
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/jacobi"
 )
 
 func TestNewPartitionEven(t *testing.T) {
@@ -63,5 +66,20 @@ func TestNewPartitionTooManyRanks(t *testing.T) {
 	_, err := NewPartition(8, 5, 5)
 	if err == nil || !strings.Contains(err.Error(), "cannot partition") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestLocalRejectsShortArrays: Local checks the global arrays before it
+// cuts them, so an array one word short is an error even where its
+// capacity would let the last rank's Slab window reach past its end.
+func TestLocalRejectsShortArrays(t *testing.T) {
+	part, err := NewPartition(2, 4, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := jacobi.NewBoxProblem(4, 6, 1e-3, 1)
+	g.F = g.F[:len(g.F)-1]
+	if _, err := part.Local(arch.Default(), g, 1); err == nil || !strings.Contains(err.Error(), "array lengths") {
+		t.Errorf("short F: err = %v", err)
 	}
 }

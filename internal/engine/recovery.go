@@ -112,8 +112,9 @@ var ErrNoRestorePoint = errors.New("no buddy mirror and no checkpoint to restore
 // every interior ghost plane equals its neighbour's owned plane, so an
 // image holds each rank's slab, ghosts included, under any partition
 // of the grid: a snapshot taken on one ring restores onto the ring a
-// recovery left behind. Taking and writing one is host-side
-// bookkeeping and costs no simulated cycles.
+// recovery left behind. Partition.Gather takes each image and
+// Partition.Scatter writes it back; both are host-side bookkeeping and
+// cost no simulated cycles.
 //
 // The mirror models rank r's share as held by its ring buddy (r+1) mod
 // P, so it survives a death exactly when the dead rank's buddy does.
@@ -124,31 +125,17 @@ type Snapshot struct {
 	Images [][]float64
 }
 
-// take gathers the ring's State planes into s, reusing its images:
-// every rank's owned planes, and the global boundary planes from the
-// edge ranks' outer ghosts.
+// take gathers the ring's State planes into s, reusing its images.
 func (s *Snapshot) take(f Fabric, part *Partition, planes []int, sweep int, series []float64) error {
-	nn := part.NN()
 	if s.Images == nil {
 		s.Images = make([][]float64, len(planes))
 		for i := range s.Images {
-			s.Images[i] = make([]float64, part.Nz*nn)
+			s.Images[i] = make([]float64, part.Nz*part.NN())
 		}
 	}
-	last := part.P - 1
 	for i, pl := range planes {
-		g := s.Images[i]
-		if err := f.Node(0).ReadWordsInto(pl, 0, g[:nn]); err != nil {
+		if err := part.Gather(f, pl, s.Images[i]); err != nil {
 			return err
-		}
-		if err := f.Node(last).ReadWordsInto(pl, int64((part.Planes[last]+1)*nn), g[(part.Nz-1)*nn:]); err != nil {
-			return err
-		}
-		for r := 0; r < part.P; r++ {
-			lo := part.Lo[r] * nn
-			if err := f.Node(r).ReadWordsInto(pl, int64(nn), g[lo:lo+part.Planes[r]*nn]); err != nil {
-				return err
-			}
 		}
 	}
 	s.Sweep = sweep
@@ -159,13 +146,9 @@ func (s *Snapshot) take(f Fabric, part *Partition, planes []int, sweep int, seri
 // restore writes s into every rank's slab of part, ghost planes
 // included.
 func (s *Snapshot) restore(f Fabric, part *Partition, planes []int) error {
-	nn := part.NN()
-	for r := 0; r < part.P; r++ {
-		lo, hi := (part.Lo[r]-1)*nn, (part.Lo[r]+part.Planes[r]+1)*nn
-		for i, pl := range planes {
-			if err := f.Node(r).WriteWords(pl, 0, s.Images[i][lo:hi]); err != nil {
-				return err
-			}
+	for i, pl := range planes {
+		if err := part.Scatter(f, pl, s.Images[i]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -210,7 +193,7 @@ func (rn *run) recover(dre *DeadRankError) (*Snapshot, error) {
 	words := make([]int64, part.P)
 	for r := range words {
 		if shrunk > 0 || slices.Contains(dre.Ranks, r) {
-			words[r] = int64(len(cfg.State) * (part.Planes[r] + 2) * part.NN())
+			words[r] = int64(len(cfg.State) * part.LocalNz(r) * part.NN())
 		}
 	}
 	ChargeScatter(f, words)

@@ -305,3 +305,48 @@ func TestCheckpointBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreIsConsumed: a restored solve consumes Machine.Restore.
+// The next solve on the machine starts from U0, so it matches a fresh
+// machine's solve bit for bit and adds that solve's clocks, instead of
+// resuming from the same checkpoint and rewinding the clocks to the
+// file's.
+func TestRestoreIsConsumed(t *testing.T) {
+	ck, full := captureCheckpoint(t, 3, 6)
+	m, err := New(smallCfg(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Restore = ck
+	restored, err := m.SolveJacobi(parallelProblem(m.P()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSolve(t, restored, full)
+	if m.Restore != nil {
+		t.Error("a restored solve left Machine.Restore set")
+	}
+	machine, comm := m.MachineCycles, m.CommCycles
+
+	fresh, err := New(smallCfg(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.SolveJacobi(parallelProblem(fresh.P()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.SolveJacobi(parallelProblem(m.P()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Iterations != want.Iterations {
+		t.Fatalf("second solve ran %d sweeps, a fresh one %d", again.Iterations, want.Iterations)
+	}
+	sameBits(t, "residual series", again.ResidualSeries, want.ResidualSeries)
+	sameBits(t, "grid", again.U, want.U)
+	if m.MachineCycles != machine+fresh.MachineCycles || m.CommCycles != comm+fresh.CommCycles {
+		t.Errorf("after the second solve: machine/comm cycles %d/%d, want %d/%d",
+			m.MachineCycles, m.CommCycles, machine+fresh.MachineCycles, comm+fresh.CommCycles)
+	}
+}

@@ -13,13 +13,16 @@
 // pristine embedding) and a residual combine over the topology's tree.
 // The sweep loop itself — partitioning, halo exchange, convergence
 // reduction, fault injection, retry, and taking, keeping and restoring
-// checkpoints — lives in internal/engine; SolveJacobi is a thin client
-// that adapts the machine to the engine's Fabric interface, compiles
-// each distinct slab once (ranks with the same slab, and later solves
-// on the same machine, share its instructions), and supplies the
-// scheme: the sweep Step, the state planes and slab rebuild the
-// engine's recovery protocol needs, and the conversion between the
-// engine's snapshots and the on-disk Checkpoint.
+// checkpoints — lives in internal/engine, and so does the slab map:
+// engine.Partition alone decides which global planes each rank holds
+// and moves them between the ring and the global grid. SolveJacobi is a
+// thin client that adapts the machine to the engine's Fabric
+// interface, compiles each distinct slab once (ranks with the same
+// slab, and later solves on the same machine, share its instructions),
+// supplies the scheme — the sweep Step, the state planes and slab
+// rebuild the engine's recovery protocol needs, and the conversion
+// between the engine's snapshots and the on-disk Checkpoint — and
+// gathers the result through the partition.
 package hypercube
 
 import (
@@ -82,7 +85,10 @@ type Machine struct {
 	// Restore, when non-nil, makes the next SolveJacobi resume from
 	// this snapshot (typically loaded from disk into a fresh machine)
 	// instead of the problem's initial guess; the engine keeps it as
-	// the solve's checkpoint until it takes a newer one.
+	// the solve's checkpoint until it takes a newer one. That solve
+	// consumes it: once the snapshot passes its checks, SolveJacobi
+	// clears Restore, so a later solve starts from its own U0 and the
+	// clocks keep moving forward.
 	Restore *Checkpoint
 	// FaultCounters accumulates fault/recovery counters across
 	// completed solves on this machine.
@@ -298,13 +304,16 @@ type JacobiResult struct {
 }
 
 // SolveJacobi runs the paper's example problem on the hypercube with a
-// 1-D decomposition along k. The global grid is N×N×Nz; the Nz−2
-// interior planes must divide evenly by the node count. Each node
+// 1-D decomposition along k. The global grid is N×N×Nz; engine.Partition
+// splits its Nz−2 interior planes across the live ranks, at least one
+// each, the first (Nz−2) mod P ranks taking one more. Each node
 // programs its slab through the same visual-environment pipelines as
 // the single-node solver (ghost planes enter as masked-off boundary);
 // the engine then drives the sweep → combine → exchange loop, with
 // this client supplying the per-sweep instructions and persisting the
-// engine's checkpoints through CheckpointSink.
+// engine's checkpoints through CheckpointSink. The result's U is
+// gathered from the ring by the partition's slab map, boundary planes
+// included, so it matches Problem.Reference bit for bit.
 //
 // When a FaultPlan is armed, faulted operations retry within the
 // engine's fixed budget; a retry budget that exhausts rolls the solve
@@ -319,17 +328,11 @@ type JacobiResult struct {
 // solve, starting from the one Restore names, so rollback and recovery
 // never reach an earlier solve's iterate.
 func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
-	p := m.P()
 	for _, nd := range m.participants() {
 		nd.TrapCfg = m.Trap
 	}
 	m.ArmObs()
-	inner := global.Nz - 2
-	if inner <= 0 || inner%p != 0 {
-		return nil, fmt.Errorf("hypercube: %d interior planes do not divide across %d nodes", inner, p)
-	}
-	n, nn := global.N, global.N*global.N
-	part, err := engine.NewPartition(p, n, global.Nz)
+	part, err := engine.NewPartition(m.P(), global.N, global.Nz)
 	if err != nil {
 		return nil, err
 	}
@@ -347,6 +350,7 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 			return nil, err
 		}
 		resume = ck.resume()
+		m.Restore = nil // consumed: the next solve starts from its U0
 		m.MachineCycles, m.CommCycles = ck.MachineCycles, ck.CommCycles
 		m.Faults.SetFired(ck.FaultFired)
 		s.base = ck.Faults
@@ -357,27 +361,19 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	part = s.part // recovery may have re-partitioned
 
-	// Assemble the global field from the owned planes; the global
-	// boundary planes keep their initial values.
 	res := &JacobiResult{
 		Iterations: er.Sweeps, Converged: er.Converged,
 		Residual: er.Residual, ResidualSeries: er.Series,
-		U: make([]float64, len(global.U0)),
+		U: make([]float64, global.Cells()),
 	}
 	finalPlane := jacobi.PlaneU
 	if res.Iterations%2 == 1 {
 		finalPlane = jacobi.PlaneV
 	}
-	copy(res.U[:nn], global.U0[:nn])
-	copy(res.U[(global.Nz-1)*nn:], global.U0[(global.Nz-1)*nn:])
-	for r := 0; r < part.P; r++ {
-		data, err := m.ring[r].ReadWords(finalPlane, int64(nn), part.Planes[r]*nn)
-		if err != nil {
-			return nil, err
-		}
-		copy(res.U[part.Lo[r]*nn:(part.Lo[r]+part.Planes[r])*nn], data)
+	// s.part: recovery may have re-partitioned.
+	if err := s.part.Gather(m.Fabric(), finalPlane, res.U); err != nil {
+		return nil, err
 	}
 	tot := s.nodeBase
 	for _, nd := range m.participants() {
@@ -418,7 +414,6 @@ func (m *Machine) participants() []*sim.Node {
 // per-rank plane counts and serializes as version 3.
 func (m *Machine) checkpoint(snap *engine.Snapshot, part *engine.Partition,
 	faults engine.FaultStats, base engine.NodeTotals) *Checkpoint {
-	nn := part.NN()
 	ck := &Checkpoint{
 		Sweep: snap.Sweep, P: part.P, N: part.N, Nz: part.Nz,
 		Topology:      m.Topo.Name(),
@@ -434,9 +429,8 @@ func (m *Machine) checkpoint(snap *engine.Snapshot, part *engine.Partition,
 		ck.Planes = append([]int(nil), part.Planes...)
 	}
 	for r := 0; r < part.P; r++ {
-		lo, hi := (part.Lo[r]-1)*nn, (part.Lo[r]+part.Planes[r]+1)*nn
-		ck.U = append(ck.U, slices.Clone(snap.Images[0][lo:hi]))
-		ck.V = append(ck.V, slices.Clone(snap.Images[1][lo:hi]))
+		ck.U = append(ck.U, slices.Clone(part.Slab(snap.Images[0], r)))
+		ck.V = append(ck.V, slices.Clone(part.Slab(snap.Images[1], r)))
 	}
 	tot := base
 	for _, nd := range m.participants() {

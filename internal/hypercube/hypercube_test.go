@@ -78,22 +78,7 @@ func TestSendCost(t *testing.T) {
 func TestMultiNodeMatchesGlobalReference(t *testing.T) {
 	cfg := smallCfg()
 	// Global grid 8×8×10: 8 interior planes over 4 nodes = 2 each.
-	g := jacobi.NewModelProblem(8, 1e-4, 400)
-	g.Nz = 10
-	g.F = make([]float64, g.Cells())
-	g.U0 = make([]float64, g.Cells())
-	g.Mask = make([]float64, g.Cells())
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.N; j++ {
-			for i := 0; i < g.N; i++ {
-				idx := g.Index(i, j, k)
-				g.F[idx] = 1
-				if i > 0 && i < g.N-1 && j > 0 && j < g.N-1 && k > 0 && k < g.Nz-1 {
-					g.Mask[idx] = 1
-				}
-			}
-		}
-	}
+	g := jacobi.NewBoxProblem(8, 10, 1e-4, 400)
 	ref := g.Reference()
 	if !ref.Converged {
 		t.Fatal("reference did not converge")
@@ -149,15 +134,6 @@ func TestSingleNodeDegenerateCase(t *testing.T) {
 	}
 	if m.CommCycles != 0 {
 		t.Error("single node charged communication")
-	}
-}
-
-func TestSolveJacobiRejectsUnevenDecomposition(t *testing.T) {
-	m, _ := New(smallCfg(), 2) // 4 nodes
-	g := jacobi.NewModelProblem(8, 1e-4, 100)
-	// 6 interior planes over 4 nodes: uneven.
-	if _, err := m.SolveJacobi(g); err == nil {
-		t.Error("uneven decomposition accepted")
 	}
 }
 

@@ -13,23 +13,7 @@ func parallelProblem(p int) *jacobi.Problem { return boxProblem(8, p*2+2) }
 
 // boxProblem is the N=n model problem stretched to nz planes.
 func boxProblem(n, nz int) *jacobi.Problem {
-	g := jacobi.NewModelProblem(n, 1e-4, 400)
-	g.Nz = nz
-	g.F = make([]float64, g.Cells())
-	g.U0 = make([]float64, g.Cells())
-	g.Mask = make([]float64, g.Cells())
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.N; j++ {
-			for i := 0; i < g.N; i++ {
-				idx := g.Index(i, j, k)
-				g.F[idx] = 1
-				if i > 0 && i < g.N-1 && j > 0 && j < g.N-1 && k > 0 && k < g.Nz-1 {
-					g.Mask[idx] = 1
-				}
-			}
-		}
-	}
-	return g
+	return jacobi.NewBoxProblem(n, nz, 1e-4, 400)
 }
 
 // TestSolveJacobiParallelMatchesSequential is the contract of the

@@ -76,17 +76,25 @@ func (p *Problem) Cells() int { return p.N * p.N * p.Nz }
 // NewModelProblem returns the standard test instance: f ≡ 1 inside the
 // unit cube, u₀ ≡ 0, h = 1/(N−1).
 func NewModelProblem(n int, tol float64, maxIter int) *Problem {
-	p := &Problem{N: n, Nz: n, H: 1 / float64(n-1), Tol: tol, MaxIter: maxIter}
+	return NewBoxProblem(n, n, tol, maxIter)
+}
+
+// NewBoxProblem returns the model problem stretched to nz planes along
+// k: f ≡ 1, u₀ ≡ 0 and the mask 1 at interior points of an N×N×Nz
+// grid, with h = 1/(N−1). The distributed drivers size nz by their
+// rank count.
+func NewBoxProblem(n, nz int, tol float64, maxIter int) *Problem {
+	p := &Problem{N: n, Nz: nz, H: 1 / float64(n-1), Tol: tol, MaxIter: maxIter}
 	cells := p.Cells()
 	p.F = make([]float64, cells)
 	p.U0 = make([]float64, cells)
 	p.Mask = make([]float64, cells)
-	for k := 0; k < n; k++ {
+	for k := 0; k < nz; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
 				g := p.Index(i, j, k)
 				p.F[g] = 1
-				if i > 0 && i < n-1 && j > 0 && j < n-1 && k > 0 && k < p.Nz-1 {
+				if i > 0 && i < n-1 && j > 0 && j < n-1 && k > 0 && k < nz-1 {
 					p.Mask[g] = 1
 				}
 			}

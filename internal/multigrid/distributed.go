@@ -41,21 +41,12 @@ import (
 // death the mirror does not cover (a dead rank's buddy died too) is an
 // error.
 type Distributed struct {
-	Fabric engine.Fabric
-	Cfg    arch.Config
-	Part   *engine.Partition
-
-	// Pre and Post mirror Solver: smoothing sweeps around the
-	// coarse-grid correction, both even.
-	Pre, Post int
-	Tol       float64
-	MaxCycles int
+	// Part is the fine grid's slab map over the ring in force.
+	Part *engine.Partition
 
 	dc     DistConfig
 	slabs  []*Level // per-rank fine-grid slab levels
 	coarse *Solver  // coarse chain on rank 0's node; nil when levels=1
-	n      int
-	u0     []float64 // global fine initial guess (boundary assembly)
 
 	// Host-transfer buffers, reused every cycle: the gathered fine
 	// residual and prolonged correction, and the coarse right-hand
@@ -121,11 +112,8 @@ func NewDistributed(dc DistConfig) (*Distributed, error) {
 		return nil, fmt.Errorf("multigrid: need at least one level")
 	}
 	n := dc.N
-	gp := jacobi.NewModelProblem(n, dc.Tol, 1)
 	d := &Distributed{
-		Fabric: dc.Fabric, Cfg: dc.Cfg, dc: dc,
-		Pre: 2, Post: 2, Tol: dc.Tol, MaxCycles: dc.MaxCycles,
-		n: n, u0: append([]float64(nil), gp.U0...),
+		dc:    dc,
 		fineR: make([]float64, n*n*n), fineE: make([]float64, n*n*n),
 	}
 	part, err := engine.NewPartition(dc.Fabric.P(), n, n)
@@ -145,7 +133,7 @@ func NewDistributed(dc DistConfig) (*Distributed, error) {
 // boundaries may have changed.
 func (d *Distributed) build(part *engine.Partition) error {
 	dc := d.dc
-	n := d.n
+	n := dc.N
 	p := part.P
 	// The global fine problem, built exactly like the single-node
 	// solver's finest level: model problem, ω-damped interior mask.
@@ -265,30 +253,30 @@ func (d *Distributed) residual(lp *engine.Loop, it int) (*engine.BudgetError, er
 func (d *Distributed) vcycle(lp *engine.Loop, it int) (*engine.BudgetError, error) {
 	if d.coarse == nil {
 		// Single level: the finest grid is also the coarsest.
-		return d.smooth(lp, it, d.Pre+d.Post)
+		return d.smooth(lp, it, PreSweeps+PostSweeps)
 	}
-	if be, err := d.smooth(lp, it, d.Pre); be != nil || err != nil {
+	if be, err := d.smooth(lp, it, PreSweeps); be != nil || err != nil {
 		return be, err
 	}
 	if be, err := d.residual(lp, it); be != nil || err != nil {
 		return be, err
 	}
-	// Gather the owned residual planes to the host (boundary planes
-	// stay zero; restriction never reads them), restrict, and seed the
-	// coarse solve on rank 0.
-	f := d.Fabric
-	nn := d.n * d.n
+	// Gather the residual to the host, restrict, and seed the coarse
+	// solve on rank 0. Only the owned planes are priced: restriction
+	// never reads the boundary planes.
+	f := d.dc.Fabric
+	n := d.dc.N
+	nn := n * n
 	pt := d.Part
-	for r := 0; r < f.P(); r++ {
-		lo := pt.Lo[r]
-		if err := f.Node(r).ReadWordsInto(PlaneR, int64(nn), d.fineR[lo*nn:(lo+pt.Planes[r])*nn]); err != nil {
-			return nil, err
-		}
+	if err := pt.Gather(f, PlaneR, d.fineR); err != nil {
+		return nil, err
+	}
+	for r := range d.words {
 		d.words[r] = int64(pt.Planes[r] * nn)
 	}
 	engine.ChargeScatter(f, d.words)
 	coarse := d.coarse.Levels[0]
-	restrictInto(d.coarseF, d.fineR, d.n, coarse.P.N)
+	restrictInto(d.coarseF, d.fineR, n, coarse.P.N)
 	nd0 := f.Node(0)
 	if err := nd0.WriteWords(jacobi.PlaneF, coarse.P.VarBase, d.coarseF); err != nil {
 		return nil, err
@@ -309,13 +297,12 @@ func (d *Distributed) vcycle(lp *engine.Loop, it int) (*engine.BudgetError, erro
 	// Prolong the correction and scatter each rank's whole slab —
 	// ghost planes included, so the correction leaves them globally
 	// consistent and no exchange is needed before post-smoothing.
-	prolongInto(d.fineE, d.coarseU, coarse.P.N, d.n)
-	for r := 0; r < f.P(); r++ {
-		lo := pt.Lo[r]
-		if err := f.Node(r).WriteWords(PlaneE, 0, d.fineE[(lo-1)*nn:(lo+pt.Planes[r]+1)*nn]); err != nil {
-			return nil, err
-		}
-		d.words[r] = int64((pt.Planes[r] + 2) * nn)
+	prolongInto(d.fineE, d.coarseU, coarse.P.N, n)
+	if err := pt.Scatter(f, PlaneE, d.fineE); err != nil {
+		return nil, err
+	}
+	for r := range d.words {
+		d.words[r] = int64(pt.LocalNz(r) * nn)
 	}
 	engine.ChargeScatter(f, d.words)
 	if be, err := lp.Dispatch(it, func(r int) *microcode.Instr {
@@ -328,23 +315,7 @@ func (d *Distributed) vcycle(lp *engine.Loop, it int) (*engine.BudgetError, erro
 	}, -1); be != nil || err != nil {
 		return be, err
 	}
-	return d.smooth(lp, it, d.Post)
-}
-
-// fineU assembles the global fine iterate: each rank's owned interior
-// planes plus the fixed boundary planes from the initial guess.
-func (d *Distributed) fineU() ([]float64, error) {
-	nn := d.n * d.n
-	u := make([]float64, d.n*nn)
-	copy(u[:nn], d.u0[:nn])
-	copy(u[(d.n-1)*nn:], d.u0[(d.n-1)*nn:])
-	for r := 0; r < d.Fabric.P(); r++ {
-		lo := d.Part.Lo[r]
-		if err := d.Fabric.Node(r).ReadWordsInto(jacobi.PlaneU, int64(nn), u[lo*nn:(lo+d.Part.Planes[r])*nn]); err != nil {
-			return nil, err
-		}
-	}
-	return u, nil
+	return d.smooth(lp, it, PostSweeps)
 }
 
 // Run iterates distributed V-cycles on engine.Run until the combined
@@ -361,8 +332,8 @@ func (d *Distributed) Run() (*DistResult, error) {
 		Observe:    dc.Observe,
 		Obs:        dc.Obs,
 		Step:       d.step,
-		MaxSweeps:  d.MaxCycles,
-		Tol:        d.Tol,
+		MaxSweeps:  dc.MaxCycles,
+		Tol:        dc.Tol,
 		State:      []int{jacobi.PlaneU},
 		Rebuild:    d.build,
 	})
@@ -373,12 +344,13 @@ func (d *Distributed) Run() (*DistResult, error) {
 		VCycles: er.Sweeps, Residual: er.Residual, Converged: er.Converged,
 		ResidualSeries: er.Series, Faults: er.Faults, Recovery: er.Recovery,
 	}
-	if res.U, err = d.fineU(); err != nil {
+	res.U = make([]float64, dc.N*dc.N*dc.N)
+	if err := d.Part.Gather(dc.Fabric, jacobi.PlaneU, res.U); err != nil {
 		return nil, err
 	}
 	var tot engine.NodeTotals
-	for r := 0; r < d.Fabric.P(); r++ {
-		tot.AddNode(d.Fabric.Node(r))
+	for r := 0; r < dc.Fabric.P(); r++ {
+		tot.AddNode(dc.Fabric.Node(r))
 	}
 	res.TotalFLOPs, res.PlanCache = tot.FLOPs, tot.PlanCache
 	if !res.Converged {

@@ -39,6 +39,11 @@ const (
 // 7-point 3-D Laplacian.
 const DefaultOmega = 6.0 / 7.0
 
+// PreSweeps and PostSweeps are the smoothing sweeps around the
+// coarse-grid correction, on one node and distributed alike. Both are
+// even, so each phase leaves the iterate in the u plane.
+const PreSweeps, PostSweeps = 2, 2
+
 // Level is one grid of the hierarchy with its NSC instructions.
 type Level struct {
 	P *jacobi.Problem
@@ -53,14 +58,9 @@ type Level struct {
 
 // Solver is a V-cycle solver over a level hierarchy on one node.
 type Solver struct {
-	Cfg    arch.Config
-	Node   *sim.Node
-	Levels []*Level
-	// Pre and Post are the smoothing sweeps around coarse-grid
-	// correction; both must be even so each phase leaves the iterate in
-	// the u plane.
-	Pre, Post int
-	Omega     float64
+	Cfg       arch.Config
+	Node      *sim.Node
+	Levels    []*Level
 	Tol       float64
 	MaxCycles int
 }
@@ -105,7 +105,7 @@ func NewOnNode(cfg arch.Config, node *sim.Node, n, levels int, tol float64, maxC
 	if levels < 1 {
 		return nil, fmt.Errorf("multigrid: need at least one level")
 	}
-	s := &Solver{Cfg: cfg, Node: node, Pre: 2, Post: 2, Omega: DefaultOmega, Tol: tol, MaxCycles: maxCycles}
+	s := &Solver{Cfg: cfg, Node: node, Tol: tol, MaxCycles: maxCycles}
 	gen := codegen.New(node.Inv)
 
 	base := varBase
@@ -124,7 +124,7 @@ func NewOnNode(cfg arch.Config, node *sim.Node, n, levels int, tol float64, maxC
 		lv := &Level{P: p, BinMask: append([]float64(nil), p.Mask...)}
 		// Damp the smoother by scaling the interior mask.
 		for i, m := range p.Mask {
-			p.Mask[i] = m * s.Omega
+			p.Mask[i] = m * DefaultOmega
 		}
 		if l > 0 {
 			// Coarse levels solve error equations: zero RHS until
@@ -287,9 +287,9 @@ func (s *Solver) vcycle(l int) error {
 	if l == len(s.Levels)-1 {
 		// Coarsest grid: a few extra sweeps act as the direct solve
 		// (for a 3³ grid two sweeps are exact).
-		return s.smooth(l, s.Pre+s.Post)
+		return s.smooth(l, PreSweeps+PostSweeps)
 	}
-	if err := s.smooth(l, s.Pre); err != nil {
+	if err := s.smooth(l, PreSweeps); err != nil {
 		return err
 	}
 	if err := s.Node.Exec(lv.residual); err != nil {
@@ -326,7 +326,7 @@ func (s *Solver) vcycle(l int) error {
 	if err := s.Node.Exec(lv.copyVU); err != nil {
 		return err
 	}
-	return s.smooth(l, s.Post)
+	return s.smooth(l, PostSweeps)
 }
 
 // Run iterates V-cycles until the finest residual (computed on the
@@ -494,10 +494,10 @@ func (s *Solver) ReferenceVCycle(maxCycles int) ([]float64, int, float64, bool) 
 	vc = func(l int) {
 		hl := levels[l]
 		if l == len(levels)-1 {
-			smooth(hl, s.Pre+s.Post)
+			smooth(hl, PreSweeps+PostSweeps)
 			return
 		}
-		smooth(hl, s.Pre)
+		smooth(hl, PreSweeps)
 		r := residual(hl)
 		coarse := levels[l+1]
 		coarse.f = Restrict(r, hl.p.N, coarse.p.N)
@@ -507,7 +507,7 @@ func (s *Solver) ReferenceVCycle(maxCycles int) ([]float64, int, float64, bool) 
 		for i := range hl.u {
 			hl.u[i] = hl.u[i] + e[i]
 		}
-		smooth(hl, s.Post)
+		smooth(hl, PostSweeps)
 	}
 
 	fine := levels[0]

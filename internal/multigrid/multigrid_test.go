@@ -130,7 +130,7 @@ func TestMultigridBeatsPlainJacobi(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fine-grid work: (pre+post) sweeps per V-cycle.
-	mgFineSweeps := res.VCycles * (s.Pre + s.Post)
+	mgFineSweeps := res.VCycles * (PreSweeps + PostSweeps)
 
 	// Plain Jacobi on the same problem to a comparable update-residual
 	// tolerance. Tolerances measure different quantities (residual vs

@@ -39,9 +39,9 @@ func TestDistributedSharedSlabCompile(t *testing.T) {
 		distinct[i] = map[*microcode.Instr]bool{}
 	}
 	for r, lv := range d.slabs {
-		scripts[lv.P.Script()+auxScript(lv.P, d.Tol)] = true
+		scripts[lv.P.Script()+auxScript(lv.P, d.dc.Tol)] = true
 		solo := &Level{P: lv.P}
-		if err := buildLevel(codegen.New(arch.MustInventory(cfg)), solo, d.Tol); err != nil {
+		if err := buildLevel(codegen.New(arch.MustInventory(cfg)), solo, d.dc.Tol); err != nil {
 			t.Fatal(err)
 		}
 		want := code(solo)

@@ -202,23 +202,7 @@ func smallCfg() arch.Config {
 // slabProblem builds an 8×8×(2p+2) model problem whose interior planes
 // decompose evenly over p nodes (the parallel-equivalence fixture).
 func slabProblem(p int) *jacobi.Problem {
-	g := jacobi.NewModelProblem(8, 1e-4, 400)
-	g.Nz = p*2 + 2
-	g.F = make([]float64, g.Cells())
-	g.U0 = make([]float64, g.Cells())
-	g.Mask = make([]float64, g.Cells())
-	for k := 1; k < g.Nz-1; k++ {
-		for j := 1; j < g.N-1; j++ {
-			for i := 1; i < g.N-1; i++ {
-				idx := g.Index(i, j, k)
-				g.Mask[idx] = 1
-			}
-		}
-	}
-	for c := range g.F {
-		g.F[c] = 1
-	}
-	return g
+	return jacobi.NewBoxProblem(8, p*2+2, 1e-4, 400)
 }
 
 // newMachine builds the harness's 8-node machine over the named
