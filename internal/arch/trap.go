@@ -22,10 +22,10 @@ const (
 	// structured error naming the unit, element and cycle.
 	TrapHalt
 	// TrapRetry re-dispatches the faulted instruction up to
-	// TrapConfig.MaxRetries times, pricing every attempt and its
-	// exponential backoff in simulated cycles. Transient faults (an
-	// expired ECC event) recover to bit-identical results; persistent
-	// ones (a deterministic 0/0) exhaust the budget and halt.
+	// TrapRetries times, pricing every attempt and its exponential
+	// Backoff in simulated cycles. Transient faults (an expired ECC
+	// event) recover to bit-identical results; persistent ones (a
+	// deterministic 0/0) exhaust the budget and halt.
 	TrapRetry
 	// TrapQuietNaN records the exception and continues: invalid results
 	// stream on as quiet NaNs, uncorrectable ECC reads are substituted
@@ -68,14 +68,6 @@ func ParseTrapPolicy(s string) (TrapPolicy, error) {
 // exactly and charges zero extra simulated cycles.
 type TrapConfig struct {
 	Policy TrapPolicy
-	// MaxRetries bounds re-dispatches under TrapRetry (0 means
-	// DefaultTrapRetries).
-	MaxRetries int
-	// RetryBackoffCycles is the base simulated-cycle penalty of a
-	// re-dispatch; it doubles per attempt up to MaxBackoffCycles.
-	// Zero fields take the defaults below.
-	RetryBackoffCycles int64
-	MaxBackoffCycles   int64
 	// WatchdogCycles, when positive, arms the sequencer watchdog: an
 	// instruction whose drain point (plus issue overhead) exceeds this
 	// budget raises a watchdog trap — fatal under TrapHalt, an alarm
@@ -83,39 +75,22 @@ type TrapConfig struct {
 	WatchdogCycles int64
 }
 
-// Default trap-retry parameters, mirroring the hypercube link layer's
-// retry policy so node- and link-level recovery price time alike.
-const (
-	DefaultTrapRetries       = 3
-	DefaultTrapBackoffCycles = 64
-	DefaultTrapBackoffCap    = 4096
-)
-
-// WithDefaults fills zero retry fields with the defaults.
-func (tc TrapConfig) WithDefaults() TrapConfig {
-	if tc.MaxRetries == 0 {
-		tc.MaxRetries = DefaultTrapRetries
-	}
-	if tc.RetryBackoffCycles == 0 {
-		tc.RetryBackoffCycles = DefaultTrapBackoffCycles
-	}
-	if tc.MaxBackoffCycles == 0 {
-		tc.MaxBackoffCycles = DefaultTrapBackoffCap
-	}
-	return tc
-}
+// TrapRetries is how many times a node re-dispatches a trapped
+// instruction under TrapRetry before it halts.
+const TrapRetries = 3
 
 // Backoff returns the simulated-cycle penalty of retry `attempt`
-// (0-based): RetryBackoffCycles·2^attempt, capped.
-func (tc TrapConfig) Backoff(attempt int) int64 {
-	b := tc.RetryBackoffCycles
-	for i := 0; i < attempt && b < tc.MaxBackoffCycles; i++ {
+// (0-based): 64 cycles, doubling per attempt, capped at 4096. A node
+// re-dispatching a trapped instruction and the engine retrying a
+// faulted operation both charge it, so node- and link-level recovery
+// price time alike.
+func Backoff(attempt int) int64 {
+	const base, limit = 64, 4096
+	b := int64(base)
+	for i := 0; i < attempt && b < limit; i++ {
 		b <<= 1
 	}
-	if b > tc.MaxBackoffCycles {
-		b = tc.MaxBackoffCycles
-	}
-	return b
+	return min(b, limit)
 }
 
 // Armed reports whether the policy performs exception detection.

@@ -41,29 +41,18 @@ func TestTrapPolicyStringRoundTrip(t *testing.T) {
 }
 
 func TestTrapConfigDefaultsAndBackoff(t *testing.T) {
-	tc := TrapConfig{Policy: TrapRetry}.WithDefaults()
-	if tc.MaxRetries != DefaultTrapRetries ||
-		tc.RetryBackoffCycles != DefaultTrapBackoffCycles ||
-		tc.MaxBackoffCycles != DefaultTrapBackoffCap {
-		t.Fatalf("defaults not filled: %+v", tc)
+	if TrapRetries != 3 {
+		t.Errorf("node retry budget %d, want 3", TrapRetries)
 	}
 	// Exponential, capped.
-	if b := tc.Backoff(0); b != 64 {
+	if b := Backoff(0); b != 64 {
 		t.Errorf("backoff(0) = %d", b)
 	}
-	if b := tc.Backoff(3); b != 512 {
+	if b := Backoff(3); b != 512 {
 		t.Errorf("backoff(3) = %d", b)
 	}
-	if b := tc.Backoff(20); b != DefaultTrapBackoffCap {
-		t.Errorf("backoff(20) = %d, want cap %d", b, DefaultTrapBackoffCap)
-	}
-	// Explicit fields survive.
-	tc2 := TrapConfig{MaxRetries: 7, RetryBackoffCycles: 10, MaxBackoffCycles: 15}.WithDefaults()
-	if tc2.MaxRetries != 7 || tc2.RetryBackoffCycles != 10 || tc2.MaxBackoffCycles != 15 {
-		t.Errorf("explicit fields overwritten: %+v", tc2)
-	}
-	if b := tc2.Backoff(4); b != 15 {
-		t.Errorf("custom cap backoff = %d", b)
+	if b := Backoff(20); b != 4096 {
+		t.Errorf("backoff(20) = %d, want cap 4096", b)
 	}
 }
 

@@ -204,86 +204,65 @@ func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis
 	return a, diags
 }
 
-// CheckPipeline runs the thorough per-pipeline pass: everything the
-// edit-time checks cover, plus connectivity, stream-length, delay-bound
-// and convergence-spec rules that need the whole diagram.
-func (c *Checker) CheckPipeline(doc *diagram.Document, p *diagram.Pipeline) []Diagnostic {
+// CheckPipeline runs the thorough per-pipeline pass. It first replays
+// the editor's edit-time checks over the stored state in placement
+// order, so a document assembled without the editor (or loaded from
+// JSON) meets the same rules as one built through it: CanPlace against
+// the icons placed before each icon; CanSetOp, CanSetDMA and CanSetTaps
+// on the units, DMA programs and taps the icon carries; then CanConnect
+// on every wire. It then elaborates the pipeline and adds the
+// connectivity, stream-length, delay-bound and convergence-spec rules
+// that need the whole diagram. It returns the analysis it built with
+// the findings; the analysis is nil when a cycle stops the pass.
+func (c *Checker) CheckPipeline(doc *diagram.Document, p *diagram.Pipeline) (*Analysis, []Diagnostic) {
 	var diags []Diagnostic
-	err2diag := func(icon diagram.IconID, err error) {
-		if err == nil {
-			return
+	report := func(icon diagram.IconID, err error) {
+		if err != nil {
+			diags = append(diags, finding(p.ID, icon, err))
 		}
-		rule := "R000"
-		msg := err.Error()
-		switch e := err.(type) {
-		case *RuleError:
-			rule, msg = e.Rule, e.Msg
-		case *diag.DiagError:
-			rule = e.Rule()
-		}
-		diags = append(diags, Diagnostic{Rule: rule, Severity: Error, Pipe: p.ID, Icon: icon, Msg: msg})
 	}
-
-	// Re-run the edit-time rules over the stored state, so documents
-	// assembled without the editor (or loaded from JSON) get the same
-	// scrutiny.
-	planesSeen := map[[2]int]diagram.IconID{}
-	alsUsed := map[arch.ALSKind]int{}
-	sduUsed := 0
-	for _, ic := range p.Icons {
-		switch ic.Kind {
-		case diagram.IconMemPlane, diagram.IconCache:
-			kindTag := 0
-			limit := c.Inv.Cfg.MemPlanes
-			if ic.Kind == diagram.IconCache {
-				kindTag, limit = 1, c.Inv.Cfg.CachePlanes
-			}
-			if ic.Plane < 0 || ic.Plane >= limit {
-				err2diag(ic.ID, ruleErr(RulePlaneRange, "plane %d outside 0..%d", ic.Plane, limit-1))
-			} else if prev, dup := planesSeen[[2]int{kindTag, ic.Plane}]; dup {
-				err2diag(ic.ID, ruleErr(RulePlaneBusy, "plane %d already used by icon #%d", ic.Plane, prev))
-			} else {
-				planesSeen[[2]int{kindTag, ic.Plane}] = ic.ID
-			}
-			for _, spec := range []*diagram.DMASpec{ic.RdDMA, ic.WrDMA} {
-				if spec != nil {
-					err2diag(ic.ID, c.CanSetDMA(doc, ic, *spec))
-				}
-			}
-		case diagram.IconSDU:
-			sduUsed++
-			if sduUsed > c.Inv.Cfg.ShiftDelayUnits {
-				err2diag(ic.ID, ruleErr(RuleInventory, "more SDU icons than the %d units available", c.Inv.Cfg.ShiftDelayUnits))
-			}
-			if len(ic.Taps) > 0 {
-				err2diag(ic.ID, c.CanSetTaps(ic, ic.Taps))
-			}
-		default:
-			if k, ok := ic.Kind.ALSKind(); ok {
-				alsUsed[k]++
-				if alsUsed[k] > c.Inv.Cfg.ALSOfKind(k) {
-					err2diag(ic.ID, ruleErr(RuleInventory, "more %ss than the %d available", k, c.Inv.Cfg.ALSOfKind(k)))
-				}
-				for slot, u := range ic.Units {
-					if u.Op != arch.OpNop {
-						err2diag(ic.ID, c.CanSetOp(ic, slot, u))
-					}
-				}
+	placed := diagram.Pipeline{ID: p.ID}
+	for i, ic := range p.Icons {
+		placed.Icons = p.Icons[:i]
+		report(ic.ID, c.CanPlace(&placed, ic.Kind, ic.Plane))
+		for slot, u := range ic.Units {
+			report(ic.ID, c.CanSetOp(ic, slot, u))
+		}
+		for _, spec := range [2]*diagram.DMASpec{ic.RdDMA, ic.WrDMA} {
+			if spec != nil {
+				report(ic.ID, c.CanSetDMA(doc, ic, *spec))
 			}
 		}
+		if len(ic.Taps) > 0 {
+			report(ic.ID, c.CanSetTaps(ic, ic.Taps))
+		}
+	}
+	for _, w := range p.Wires {
+		report(w.To.Icon, c.CanConnect(p, w.From, w.To, w.Delay))
 	}
 
 	an, cycleDiags := c.Analyze(doc, p)
 	diags = append(diags, cycleDiags...)
 	if len(cycleDiags) > 0 {
-		return diags
+		return nil, diags
 	}
 
 	diags = append(diags, c.checkConnectivity(p)...)
 	diags = append(diags, c.checkStreams(p)...)
 	diags = append(diags, c.checkDelays(p, an)...)
 	diags = append(diags, c.CheckCompare(p)...)
-	return diags
+	return an, diags
+}
+
+// finding turns an edit-time check's error into an error diagnostic
+// anchored at the pipeline and icon.
+func finding(pipe int, icon diagram.IconID, err error) Diagnostic {
+	d := diag.AsDiagnostic(err, "R000")
+	if re, ok := err.(*RuleError); ok {
+		d.Rule, d.Msg = re.Rule, re.Msg
+	}
+	d.Pipe, d.Icon = pipe, icon
+	return d
 }
 
 func (c *Checker) checkConnectivity(p *diagram.Pipeline) []Diagnostic {
@@ -464,21 +443,36 @@ func (c *Checker) CheckCompare(p *diagram.Pipeline) []Diagnostic {
 	return nil
 }
 
-// CheckDocument checks every pipeline plus the control-flow region.
+// CheckDocument checks every pipeline plus the declaration and
+// control-flow regions.
 func (c *Checker) CheckDocument(doc *diagram.Document) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range doc.Pipes {
-		diags = append(diags, c.CheckPipeline(doc, p)...)
+		_, ds := c.CheckPipeline(doc, p)
+		diags = append(diags, ds...)
 	}
+	diags = append(diags, c.checkDecls(doc)...)
 	diags = append(diags, c.CheckFlow(doc)...)
+	return diags
+}
+
+// checkDecls replays CanDeclare over the document's stored variable
+// declarations.
+func (c *Checker) checkDecls(doc *diagram.Document) []Diagnostic {
+	var diags []Diagnostic
+	for _, v := range doc.Decls {
+		if err := c.CanDeclare(v); err != nil {
+			diags = append(diags, finding(-1, -1, err))
+		}
+	}
 	return diags
 }
 
 // CheckFlow checks the document-level control-flow region: label
 // uniqueness and reference validity, conditional branch targets, and
-// counter ranges. It is the non-pipeline half of CheckDocument, split
-// out so the incremental cache can reuse per-pipeline results while
-// always re-checking the (cheap) flow region.
+// counter ranges. With the declaration check it is the non-pipeline
+// half of CheckDocument, split out so the incremental cache can reuse
+// per-pipeline results while always re-checking the (cheap) regions.
 func (c *Checker) CheckFlow(doc *diagram.Document) []Diagnostic {
 	var diags []Diagnostic
 	labels := map[string]int{}

@@ -88,7 +88,7 @@ func (cc *CheckCache) CheckPipeline(c *Checker, doc *diagram.Document, p *diagra
 	cc.misses++
 	cc.mu.Unlock()
 
-	ds := c.CheckPipeline(doc, p)
+	_, ds := c.CheckPipeline(doc, p)
 	cc.mu.Lock()
 	cc.entries[key] = append([]Diagnostic(nil), ds...)
 	cc.mu.Unlock()
@@ -97,14 +97,15 @@ func (cc *CheckCache) CheckPipeline(c *Checker, doc *diagram.Document, p *diagra
 
 // CheckDocument is the cached variant of Checker.CheckDocument:
 // per-pipeline results come from the cache when their inputs are
-// unchanged; the document-level flow check always re-runs (it is cheap
-// and depends on the whole flow region). The diagnostic order matches
-// the uncached pass exactly.
+// unchanged; the declaration and flow checks always re-run (they are
+// cheap and depend on whole document regions). The diagnostic order
+// matches the uncached pass exactly.
 func (cc *CheckCache) CheckDocument(c *Checker, doc *diagram.Document) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range doc.Pipes {
 		diags = append(diags, cc.CheckPipeline(c, doc, p)...)
 	}
+	diags = append(diags, c.checkDecls(doc)...)
 	diags = append(diags, c.CheckFlow(doc)...)
 	return diags
 }

@@ -4,12 +4,13 @@
 // constraints, asymmetries and other restrictions".
 //
 // The graphical editor calls the edit-time entry points (CanPlace,
-// CanConnect, CanSetOp, CanSetDMA, CanSetTaps) during interaction so
-// illegal inputs are rejected as soon as they are attempted; the
-// microcode generator calls CheckPipeline / CheckDocument for the
-// thorough global pass. Keeping the rules here — not in the editor —
-// is what makes the environment "robust in the face of changes to the
-// machine design": a new Config re-derives every limit.
+// CanConnect, CanSetOp, CanSetDMA, CanSetTaps, CanDeclare) during
+// interaction so illegal inputs are rejected as soon as they are
+// attempted; the microcode generator calls CheckPipeline /
+// CheckDocument for the thorough global pass, which replays the same
+// entry points over the stored document. Keeping the rules here — not
+// in the editor — is what makes the environment "robust in the face of
+// changes to the machine design": a new Config re-derives every limit.
 package checker
 
 import (
@@ -306,6 +307,23 @@ func (c *Checker) CanSetDMA(doc *diagram.Document, ic *diagram.Icon, spec diagra
 	}
 	if lo < 0 || hi >= limit {
 		return ruleErr(RuleDMABounds, "access range [%d,%d] outside [0,%d)", lo, hi, limit)
+	}
+	return nil
+}
+
+// CanDeclare validates a variable declaration (R033): it needs a name
+// and must lie inside one of the node's memory planes.
+func (c *Checker) CanDeclare(v diagram.VarDecl) error {
+	cfg := c.Inv.Cfg
+	if v.Name == "" {
+		return diag.Errorf(diag.RuleCapacity, "variable needs a name")
+	}
+	if v.Plane < 0 || v.Plane >= cfg.MemPlanes {
+		return diag.Errorf(diag.RuleCapacity, "variable %q plane %d outside 0..%d", v.Name, v.Plane, cfg.MemPlanes-1)
+	}
+	if v.Len <= 0 || v.Base < 0 || v.Len > cfg.PlaneWords()-v.Base {
+		return diag.Errorf(diag.RuleCapacity, "variable %q (%d words at %d) does not fit its plane of %d words",
+			v.Name, v.Len, v.Base, cfg.PlaneWords())
 	}
 	return nil
 }

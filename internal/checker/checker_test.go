@@ -61,9 +61,15 @@ func buildAXPY(t testing.TB) (*diagram.Document, *diagram.Pipeline) {
 	return d, p
 }
 
+// pipeDiags returns CheckPipeline's findings alone.
+func pipeDiags(c *Checker, d *diagram.Document, p *diagram.Pipeline) []Diagnostic {
+	_, diags := c.CheckPipeline(d, p)
+	return diags
+}
+
 func mustClean(t *testing.T, c *Checker, d *diagram.Document, p *diagram.Pipeline) {
 	t.Helper()
-	diags := c.CheckPipeline(d, p)
+	diags := pipeDiags(c, d, p)
 	if es := Errors(diags); len(es) > 0 {
 		for _, e := range es {
 			t.Errorf("unexpected: %s", e)
@@ -248,7 +254,7 @@ func TestNonFiniteConstants(t *testing.T) {
 	}
 	db.Units[0].ConstB = &inf
 	var found bool
-	for _, dg := range c.CheckPipeline(d, p) {
+	for _, dg := range pipeDiags(c, d, p) {
 		found = found || (dg.Rule == diag.RuleNonFinite && dg.Severity == Error && dg.Icon == db.ID)
 	}
 	if !found {
@@ -435,6 +441,31 @@ func TestCanSetDMAFieldWidths(t *testing.T) {
 	}
 }
 
+// TestCanDeclare: a declaration needs a name and must lie inside one
+// memory plane; every refusal is R033. A base and length whose sum
+// wraps int64 are refused too.
+func TestCanDeclare(t *testing.T) {
+	c := newChecker(t)
+	words := c.Inv.Cfg.PlaneWords()
+	if err := c.CanDeclare(diagram.VarDecl{Name: "u", Plane: 15, Base: words - 16, Len: 16}); err != nil {
+		t.Fatalf("declaration filling a plane's last 16 words refused: %v", err)
+	}
+	for _, v := range []diagram.VarDecl{
+		{Plane: 0, Len: 16},
+		{Name: "u", Plane: -1, Len: 16},
+		{Name: "u", Plane: 16, Len: 16},
+		{Name: "u", Len: 0},
+		{Name: "u", Base: -1, Len: 16},
+		{Name: "u", Base: words - 15, Len: 16},
+		{Name: "u", Base: 1 << 62, Len: 1 << 62},
+	} {
+		var de *diag.DiagError
+		if err := c.CanDeclare(v); !errors.As(err, &de) || de.Rule() != diag.RuleCapacity {
+			t.Errorf("CanDeclare(%+v) = %v, want %s", v, err, diag.RuleCapacity)
+		}
+	}
+}
+
 func TestCanSetTaps(t *testing.T) {
 	c := newChecker(t)
 	d := diagram.NewDocument("x")
@@ -475,7 +506,7 @@ func TestCheckPipelineFindsCycle(t *testing.T) {
 	if _, err := p.Connect(diagram.PadRef{Icon: b.ID, Pad: "u0.o"}, diagram.PadRef{Icon: a.ID, Pad: "u0.a"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	wantRule(t, c.CheckPipeline(d, p), RuleCycle)
+	wantRule(t, pipeDiags(c, d, p), RuleCycle)
 }
 
 func TestCheckPipelineConnectivityRules(t *testing.T) {
@@ -487,14 +518,14 @@ func TestCheckPipelineConnectivityRules(t *testing.T) {
 		if err := p.Disconnect(diagram.PadRef{Icon: db.ID, Pad: "u1.b"}); err != nil {
 			t.Fatal(err)
 		}
-		wantRule(t, c.CheckPipeline(d, p), RuleUnconnected)
+		wantRule(t, pipeDiags(c, d, p), RuleUnconnected)
 	})
 
 	t.Run("missing DMA", func(t *testing.T) {
 		d, p := buildAXPY(t)
 		mu, _ := p.IconByName("Mu")
 		mu.RdDMA = nil
-		wantRule(t, c.CheckPipeline(d, p), RuleMissingDMA)
+		wantRule(t, pipeDiags(c, d, p), RuleMissingDMA)
 	})
 
 	t.Run("read-write same plane icon", func(t *testing.T) {
@@ -512,14 +543,14 @@ func TestCheckPipelineConnectivityRules(t *testing.T) {
 		if _, err := p.Connect(diagram.PadRef{Icon: db.ID, Pad: "u1.o"}, diagram.PadRef{Icon: mu.ID, Pad: "wr"}, 0); err != nil {
 			t.Fatal(err)
 		}
-		wantRule(t, c.CheckPipeline(d, p), RulePlaneBusy)
+		wantRule(t, pipeDiags(c, d, p), RulePlaneBusy)
 	})
 
 	t.Run("wired unit without op", func(t *testing.T) {
 		d, p := buildAXPY(t)
 		db, _ := p.IconByName("D1")
 		db.Units[1].Op = arch.OpNop
-		wantRule(t, c.CheckPipeline(d, p), RuleUnconnected)
+		wantRule(t, pipeDiags(c, d, p), RuleUnconnected)
 	})
 
 	t.Run("const and wire conflict", func(t *testing.T) {
@@ -527,7 +558,7 @@ func TestCheckPipelineConnectivityRules(t *testing.T) {
 		db, _ := p.IconByName("D1")
 		v := 1.0
 		db.Units[1].ConstB = &v
-		wantRule(t, c.CheckPipeline(d, p), RuleConstConfl)
+		wantRule(t, pipeDiags(c, d, p), RuleConstConfl)
 	})
 
 	t.Run("reduce with wired B", func(t *testing.T) {
@@ -537,7 +568,7 @@ func TestCheckPipelineConnectivityRules(t *testing.T) {
 		if _, err := p.Connect(diagram.PadRef{Icon: mw.ID, Pad: "rd"}, diagram.PadRef{Icon: sg.ID, Pad: "u0.b"}, 0); err != nil {
 			t.Fatal(err)
 		}
-		wantRule(t, c.CheckPipeline(d, p), RuleReduceWire)
+		wantRule(t, pipeDiags(c, d, p), RuleReduceWire)
 	})
 
 	t.Run("unused icon warns", func(t *testing.T) {
@@ -545,7 +576,7 @@ func TestCheckPipelineConnectivityRules(t *testing.T) {
 		if _, err := p.AddIcon(diagram.IconSinglet, "lonely", 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		diags := c.CheckPipeline(d, p)
+		diags := pipeDiags(c, d, p)
 		if len(Errors(diags)) > 0 {
 			t.Errorf("unused icon should not be an error: %v", diags)
 		}
@@ -556,14 +587,14 @@ func TestCheckPipelineConnectivityRules(t *testing.T) {
 		d, p := buildAXPY(t)
 		mw, _ := p.IconByName("Mw")
 		mw.Plane = 0 // collides with Mu
-		wantRule(t, c.CheckPipeline(d, p), RulePlaneBusy)
+		wantRule(t, pipeDiags(c, d, p), RulePlaneBusy)
 	})
 
 	t.Run("stream count skew", func(t *testing.T) {
 		d, p := buildAXPY(t)
 		mw, _ := p.IconByName("Mw")
 		mw.RdDMA.Count = 999
-		wantRule(t, c.CheckPipeline(d, p), RuleCountSkew)
+		wantRule(t, pipeDiags(c, d, p), RuleCountSkew)
 	})
 
 	t.Run("stream skew compensated by skip passes", func(t *testing.T) {
@@ -586,7 +617,7 @@ func TestCheckPipelineSDURules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tap wired, no input, no tap config.
-	diags := c.CheckPipeline(d, p)
+	diags := pipeDiags(c, d, p)
 	wantRule(t, diags, RuleUnconnected)
 
 	m, _ := p.AddIcon(diagram.IconMemPlane, "M", 0, 0)
@@ -597,7 +628,7 @@ func TestCheckPipelineSDURules(t *testing.T) {
 	z.Taps = []int{5}
 	// Need somewhere for the data to go to avoid unused warnings being
 	// the only finding; the pipeline is now structurally fine.
-	if es := Errors(c.CheckPipeline(d, p)); len(es) > 0 {
+	if es := Errors(pipeDiags(c, d, p)); len(es) > 0 {
 		t.Errorf("configured SDU pipeline has errors: %v", es)
 	}
 	// Wire tap t1 but configure only one tap.
@@ -606,7 +637,7 @@ func TestCheckPipelineSDURules(t *testing.T) {
 	if _, err := p.Connect(diagram.PadRef{Icon: z.ID, Pad: "t1"}, diagram.PadRef{Icon: s2.ID, Pad: "u0.a"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	wantRule(t, c.CheckPipeline(d, p), RuleUnconnected)
+	wantRule(t, pipeDiags(c, d, p), RuleUnconnected)
 }
 
 func TestCheckCompareSpec(t *testing.T) {
@@ -622,24 +653,24 @@ func TestCheckCompareSpec(t *testing.T) {
 
 	d, p = good()
 	p.Compare.Op = "approx"
-	wantRule(t, c.CheckPipeline(d, p), RuleCompareSpec)
+	wantRule(t, pipeDiags(c, d, p), RuleCompareSpec)
 
 	d, p = good()
 	p.Compare.Icon = 99
-	wantRule(t, c.CheckPipeline(d, p), RuleCompareSpec)
+	wantRule(t, pipeDiags(c, d, p), RuleCompareSpec)
 
 	d, p = good()
 	p.Compare.Slot = 5
-	wantRule(t, c.CheckPipeline(d, p), RuleCompareSpec)
+	wantRule(t, pipeDiags(c, d, p), RuleCompareSpec)
 
 	d, p = good()
 	p.Compare.Flag = 16
-	wantRule(t, c.CheckPipeline(d, p), RuleCompareSpec)
+	wantRule(t, pipeDiags(c, d, p), RuleCompareSpec)
 
 	d, p = good()
 	db, _ := p.IconByName("D1")
 	p.Compare.Icon = db.ID // unit 0 is not a reduction
-	wantRule(t, c.CheckPipeline(d, p), RuleCompareSpec)
+	wantRule(t, pipeDiags(c, d, p), RuleCompareSpec)
 }
 
 func TestCheckDocumentFlow(t *testing.T) {
@@ -765,7 +796,7 @@ func TestCheckHWDelayOverflow(t *testing.T) {
 	if _, err := p.Connect(diagram.PadRef{Icon: m.ID, Pad: "rd"}, diagram.PadRef{Icon: join.ID, Pad: "u0.b"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	diags := c.CheckPipeline(d, p)
+	diags := pipeDiags(c, d, p)
 	wantRule(t, diags, RuleHWDelay)
 	wantRule(t, diags, RuleInventory) // 6 singlets placed, 4 exist
 }

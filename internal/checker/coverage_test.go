@@ -32,7 +32,7 @@ var ruleCoverage = map[string]ruleCase{
 		b.Units[0] = diagram.UnitConfig{Op: arch.OpMov}
 		mustConnect(t, p, a.ID, "u0.o", b.ID, "u0.a", 0)
 		mustConnect(t, p, b.ID, "u0.o", a.ID, "u0.a", 0)
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 	RuleUnconnected: {Error, func(t *testing.T, c *Checker) []Diagnostic {
 		d, p := buildAXPY(t)
@@ -40,39 +40,39 @@ var ruleCoverage = map[string]ruleCase{
 		if err := p.Disconnect(diagram.PadRef{Icon: db.ID, Pad: "u1.b"}); err != nil {
 			t.Fatal(err)
 		}
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 	RuleMissingDMA: {Error, func(t *testing.T, c *Checker) []Diagnostic {
 		d, p := buildAXPY(t)
 		mu, _ := p.IconByName("Mu")
 		mu.RdDMA = nil
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 	RuleCountSkew: {Error, func(t *testing.T, c *Checker) []Diagnostic {
 		d, p := buildAXPY(t)
 		mw, _ := p.IconByName("Mw")
 		mw.RdDMA.Count = 999
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 	RuleUnusedIcon: {Warning, func(t *testing.T, c *Checker) []Diagnostic {
 		d, p := buildAXPY(t)
 		if _, err := p.AddIcon(diagram.IconSinglet, "lonely", 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 	RuleConstConfl: {Error, func(t *testing.T, c *Checker) []Diagnostic {
 		d, p := buildAXPY(t)
 		db, _ := p.IconByName("D1")
 		v := 1.0
 		db.Units[1].ConstB = &v
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 	RuleCompareSpec: {Error, func(t *testing.T, c *Checker) []Diagnostic {
 		d, p := buildAXPY(t)
 		sg, _ := p.IconByName("R1")
 		p.Compare = &diagram.CompareSpec{Icon: sg.ID, Slot: 0, Op: "approx", Threshold: 1e-6, Flag: 1}
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 	RuleHWDelay: {Error, func(t *testing.T, c *Checker) []Diagnostic {
 		// Chain high-latency divides on one side of a join so the other
@@ -96,7 +96,7 @@ var ruleCoverage = map[string]ruleCase{
 		join.Units[0] = diagram.UnitConfig{Op: arch.OpAdd}
 		mustConnect(t, p, prev.Icon, prev.Pad, join.ID, "u0.a", 0)
 		mustConnect(t, p, m.ID, "rd", join.ID, "u0.b", 0)
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 	RuleFlow: {Error, func(t *testing.T, c *Checker) []Diagnostic {
 		d, _ := buildAXPY(t)
@@ -108,7 +108,7 @@ var ruleCoverage = map[string]ruleCase{
 		sg, _ := p.IconByName("R1")
 		mw, _ := p.IconByName("Mw")
 		mustConnect(t, p, mw.ID, "rd", sg.ID, "u0.b", 0)
-		return c.CheckPipeline(d, p)
+		return pipeDiags(c, d, p)
 	}},
 }
 

@@ -82,18 +82,20 @@ type elaboration struct {
 	tapIndex map[diagram.PadRef]int
 }
 
-// Pipeline elaborates a single diagram into one microcode instruction
-// (without sequencer fields, which belong to the control flow). The
-// returned instruction has CondHalt set so it is runnable standalone.
+// Pipeline checks a single diagram and elaborates it into one
+// microcode instruction (without sequencer fields, which belong to the
+// control flow). The returned instruction has CondHalt set so it is
+// runnable standalone.
 func (g *Generator) Pipeline(doc *diagram.Document, p *diagram.Pipeline) (*microcode.Instr, *PipeInfo, error) {
-	diags := g.Chk.CheckPipeline(doc, p)
+	an, diags := g.Chk.CheckPipeline(doc, p)
 	if es := checker.Errors(diags); len(es) > 0 {
 		return nil, nil, &CheckError{Diags: es}
 	}
-	an, cyc := g.Chk.Analyze(doc, p)
-	if len(cyc) > 0 {
-		return nil, nil, &CheckError{Diags: cyc}
-	}
+	return g.elaborate(doc, p, an)
+}
+
+// elaborate lowers a checked pipeline from its analysis.
+func (g *Generator) elaborate(doc *diagram.Document, p *diagram.Pipeline, an *checker.Analysis) (*microcode.Instr, *PipeInfo, error) {
 	e := &elaboration{
 		g: g, doc: doc, p: p, an: an, in: g.F.NewInstr(),
 		info:   PipeInfo{Pipe: p.ID, VectorLen: an.VectorLen, ALSMap: map[diagram.IconID]arch.ALSID{}, SDUMap: map[diagram.IconID]int{}},
@@ -451,10 +453,11 @@ func (g *Generator) Validate(prog *microcode.Program) error {
 	return nil
 }
 
-// Lower is the codegen pass alone: elaborate an already-checked
-// document into a microcode program, without re-running the document
-// check or the final program validation. The caller fills the report's
-// Warnings.
+// Lower is the codegen pass alone: elaborate a document that has
+// passed Checker.CheckDocument into a microcode program. It analyses
+// each referenced pipeline for its timing but runs neither the checker's
+// rules nor the final program validation; a combinational cycle is
+// still refused. The caller fills the report's Warnings.
 func (g *Generator) Lower(doc *diagram.Document) (*microcode.Program, *Report, error) {
 	rep := &Report{}
 
@@ -484,7 +487,12 @@ func (g *Generator) Lower(doc *diagram.Document) (*microcode.Program, *Report, e
 	}
 	instrs := map[int]*microcode.Instr{}
 	for _, id := range order {
-		in, info, err := g.Pipeline(doc, doc.Pipes[id])
+		p := doc.Pipes[id]
+		an, cyc := g.Chk.Analyze(doc, p)
+		if len(cyc) > 0 {
+			return nil, nil, &CheckError{Diags: cyc}
+		}
+		in, info, err := g.elaborate(doc, p, an)
 		if err != nil {
 			return nil, nil, err
 		}

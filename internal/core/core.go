@@ -66,15 +66,12 @@ func New(cfg arch.Config) (*Environment, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := codegen.New(inv)
 	pipe := pipeline.New(inv)
-	pipe.Gen = gen
-	pipe.Chk = gen.Chk
 	return &Environment{
 		Cfg:  cfg,
 		Inv:  inv,
 		Ed:   editor.New(inv, "untitled"),
-		Gen:  gen,
+		Gen:  pipe.Gen,
 		Pipe: pipe,
 		Node: node,
 	}, nil
@@ -107,12 +104,6 @@ func (env *Environment) Generate() (*microcode.Program, *codegen.Report, error) 
 		return nil, nil, err
 	}
 	return res.Prog, res.Rep, nil
-}
-
-// CompileCacheStats reports the session pipeline's content-addressed
-// compile cache counters, the front-end mirror of PlanCacheStats.
-func (env *Environment) CompileCacheStats() pipeline.CacheStats {
-	return env.Pipe.Cache.Stats()
 }
 
 // CheckCacheStats reports the editor's incremental check cache

@@ -23,7 +23,10 @@ const (
 	// machine: too many shifted variables for the SDUs, too many taps,
 	// a span beyond the SDU buffer, more operations than the node's
 	// function units, or a variable mapped to a plane the node lacks or
-	// padded past the end of its plane.
+	// padded past the end of its plane. It also marks a variable
+	// declaration, typed in the editor or stored in a document, that
+	// has no name, names a plane the node lacks or does not fit its
+	// plane (checker.CanDeclare).
 	RuleCapacity = "R033"
 	// RuleGenResource marks microcode generation running out of a
 	// physical resource (ALSs, shift/delay units, constant-pool slots).

@@ -16,7 +16,6 @@ package diag
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 )
 
 // Severity grades a diagnostic.
@@ -121,39 +120,6 @@ func (ds Diagnostics) Errors() Diagnostics {
 		}
 	}
 	return es
-}
-
-// HasErrors reports whether any finding is an error.
-func (ds Diagnostics) HasErrors() bool {
-	for _, d := range ds {
-		if d.Severity == Error {
-			return true
-		}
-	}
-	return false
-}
-
-// Err returns the list as an error (nil when no finding is an error).
-func (ds Diagnostics) Err() error {
-	es := ds.Errors()
-	if len(es) == 0 {
-		return nil
-	}
-	return &ListError{Diags: es}
-}
-
-// ListError is the error form of a diagnostic list: what a pipeline
-// run returns when one or more passes reported error findings.
-type ListError struct {
-	Diags Diagnostics
-}
-
-func (e *ListError) Error() string {
-	msgs := make([]string, 0, len(e.Diags))
-	for _, d := range e.Diags {
-		msgs = append(msgs, d.String())
-	}
-	return fmt.Sprintf("%d diagnostic(s):\n%s", len(e.Diags), strings.Join(msgs, "\n"))
 }
 
 // DiagError is a single diagnostic in error clothing: the typed

@@ -399,11 +399,8 @@ func (d *Document) Declare(v VarDecl) {
 // AddIcon places a new icon of the given kind and returns it. Names
 // must be unique within the pipeline.
 func (p *Pipeline) AddIcon(kind IconKind, name string, x, y int) (*Icon, error) {
-	if name == "" {
-		return nil, diag.Errorf(diag.RuleDiagram, "diagram: icon needs a name")
-	}
-	if _, err := p.IconByName(name); err == nil {
-		return nil, diag.Errorf(diag.RuleDiagram, "diagram: icon %q already exists in pipeline %d", name, p.ID)
+	if err := p.nameErr(diag.RuleDiagram, name, p.Icons); err != nil {
+		return nil, err
 	}
 	ic := &Icon{ID: p.nextID, Kind: kind, Name: name, X: x, Y: y}
 	if n := kind.ActiveUnits(); n > 0 {
@@ -462,36 +459,65 @@ func (p *Pipeline) RemoveIcon(id IconID) error {
 
 // Connect adds a wire from a producing pad to a consuming pad. The
 // structural legality of the connection is the checker's concern; this
-// method only verifies that the pads exist and have the right
-// directions, and that the consuming pad is not already driven.
+// method only applies the diagram's own wire rules (see wireErr).
 func (p *Pipeline) Connect(from, to PadRef, delay int) (*Wire, error) {
-	fi, err := p.Icon(from.Icon)
-	if err != nil {
+	if err := p.wireErr(diag.RuleDiagram, from, to, delay, p.Wires); err != nil {
 		return nil, err
-	}
-	ti, err := p.Icon(to.Icon)
-	if err != nil {
-		return nil, err
-	}
-	if in, ok := fi.Kind.PadDir(from.Pad); !ok {
-		return nil, diag.Errorf(diag.RuleDiagram, "diagram: %s has no pad %q", fi.Name, from.Pad)
-	} else if in {
-		return nil, diag.Errorf(diag.RuleDiagram, "diagram: pad %s.%s is an input, cannot source a wire", fi.Name, from.Pad)
-	}
-	if in, ok := ti.Kind.PadDir(to.Pad); !ok {
-		return nil, diag.Errorf(diag.RuleDiagram, "diagram: %s has no pad %q", ti.Name, to.Pad)
-	} else if !in {
-		return nil, diag.Errorf(diag.RuleDiagram, "diagram: pad %s.%s is an output, cannot terminate a wire", ti.Name, to.Pad)
-	}
-	if w := p.WireTo(to); w != nil {
-		return nil, diag.Errorf(diag.RuleDiagram, "diagram: pad %s.%s is already driven", ti.Name, to.Pad)
-	}
-	if delay < 0 {
-		return nil, diag.Errorf(diag.RuleDiagram, "diagram: negative delay %d", delay)
 	}
 	w := &Wire{From: from, To: to, Delay: delay}
 	p.Wires = append(p.Wires, w)
 	return w, nil
+}
+
+// nameErr applies AddIcon's naming rule, which Load replays: an icon
+// needs a name that none of icons carries. It reports a violation
+// under rule.
+func (p *Pipeline) nameErr(rule, name string, icons []*Icon) error {
+	if name == "" {
+		return diag.Errorf(rule, "diagram: pipeline %d: icon needs a name", p.ID)
+	}
+	for _, ic := range icons {
+		if ic.Name == name {
+			return diag.Errorf(rule, "diagram: icon %q already exists in pipeline %d", name, p.ID)
+		}
+	}
+	return nil
+}
+
+// wireErr applies the wire rules Connect and Load share: both ends
+// name icons of the pipeline and pads of those icons, the wire runs
+// from an output to an input, no wire among wires already drives the
+// input, and the delay is not negative. It reports a violation under
+// rule, and allocates nothing for a legal wire.
+func (p *Pipeline) wireErr(rule string, from, to PadRef, delay int, wires []*Wire) error {
+	fi, errFrom := p.Icon(from.Icon)
+	ti, errTo := p.Icon(to.Icon)
+	if errFrom != nil || errTo != nil {
+		absent := from.Icon
+		if errFrom == nil {
+			absent = to.Icon
+		}
+		return diag.Errorf(rule, "diagram: pipeline %d wire %s -> %s names absent icon #%d", p.ID, from, to, absent)
+	}
+	if in, ok := fi.Kind.PadDir(from.Pad); !ok {
+		return diag.Errorf(rule, "diagram: pipeline %d: %s has no pad %q", p.ID, fi.Name, from.Pad)
+	} else if in {
+		return diag.Errorf(rule, "diagram: pipeline %d: pad %s.%s is an input, cannot source a wire", p.ID, fi.Name, from.Pad)
+	}
+	if in, ok := ti.Kind.PadDir(to.Pad); !ok {
+		return diag.Errorf(rule, "diagram: pipeline %d: %s has no pad %q", p.ID, ti.Name, to.Pad)
+	} else if !in {
+		return diag.Errorf(rule, "diagram: pipeline %d: pad %s.%s is an output, cannot terminate a wire", p.ID, ti.Name, to.Pad)
+	}
+	for _, w := range wires {
+		if w.To == to {
+			return diag.Errorf(rule, "diagram: pipeline %d: pad %s.%s is already driven", p.ID, ti.Name, to.Pad)
+		}
+	}
+	if delay < 0 {
+		return diag.Errorf(rule, "diagram: pipeline %d: wire %s -> %s has negative delay %d", p.ID, from, to, delay)
+	}
+	return nil
 }
 
 // Disconnect removes the wire terminating at pad to.
@@ -551,7 +577,9 @@ func (d *Document) Save(w io.Writer) error {
 // pipeline bookkeeping. It rejects (R039) shapes the editor never
 // produces and later stages cannot handle: a null pipeline, icon or
 // wire, an unknown icon kind, an ALS icon with fewer units than its
-// kind exposes, an undefined opcode, and a wire naming an absent icon.
+// kind exposes, an undefined opcode, two icons with one ID, an icon
+// AddIcon would refuse for its name, and a wire Connect would refuse
+// given the wires before it.
 func Load(r io.Reader) (*Document, error) {
 	var d Document
 	if err := json.NewDecoder(r).Decode(&d); err != nil {
@@ -569,9 +597,10 @@ func Load(r io.Reader) (*Document, error) {
 }
 
 // checkLoaded validates a decoded pipeline's icons and wires and rebuilds
-// its next icon ID.
+// its next icon ID. It allocates nothing for a valid pipeline: undo and
+// redo restore through Load.
 func (p *Pipeline) checkLoaded() error {
-	for _, ic := range p.Icons {
+	for i, ic := range p.Icons {
 		if ic == nil {
 			return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d has a null icon", p.ID)
 		}
@@ -586,18 +615,24 @@ func (p *Pipeline) checkLoaded() error {
 				return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d icon #%d %q unit %d: invalid opcode %d", p.ID, ic.ID, ic.Name, slot, uint8(u.Op))
 			}
 		}
+		if err := p.nameErr(diag.RuleDocIO, ic.Name, p.Icons[:i]); err != nil {
+			return err
+		}
+		for _, prev := range p.Icons[:i] {
+			if prev.ID == ic.ID {
+				return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d icons %q and %q share icon #%d", p.ID, prev.Name, ic.Name, ic.ID)
+			}
+		}
 		if ic.ID >= p.nextID {
 			p.nextID = ic.ID + 1
 		}
 	}
-	for _, w := range p.Wires {
+	for i, w := range p.Wires {
 		if w == nil {
 			return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d has a null wire", p.ID)
 		}
-		for _, end := range [2]PadRef{w.From, w.To} {
-			if _, err := p.Icon(end.Icon); err != nil {
-				return diag.Errorf(diag.RuleDocIO, "diagram: pipeline %d wire %s -> %s names absent icon #%d", p.ID, w.From, w.To, end.Icon)
-			}
+		if err := p.wireErr(diag.RuleDocIO, w.From, w.To, w.Delay, p.Wires[:i]); err != nil {
+			return err
 		}
 	}
 	return nil

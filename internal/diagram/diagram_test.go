@@ -408,6 +408,25 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestLoadCheckAllocatesNothing: Load's icon and wire rules cost no
+// allocation on a valid pipeline; undo and redo restore through Load.
+func TestLoadCheckAllocatesNothing(t *testing.T) {
+	_, p := buildSample(t)
+	for _, w := range [][2]PadRef{{{0, "rd"}, {1, "u0.a"}}, {{1, "u0.o"}, {2, "wr"}}} {
+		if _, err := p.Connect(w[0], w[1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := p.checkLoaded(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("checking a valid pipeline makes %v allocs, want 0", allocs)
+	}
+}
+
 func f64(v float64) *float64 { return &v }
 
 // Property: Connect never allows two wires into the same pad, for

@@ -386,9 +386,6 @@ func (e *Editor) SetOp(iconName string, slot int, u diagram.UnitConfig) error {
 	if err != nil {
 		return err
 	}
-	if slot < 0 || slot >= ic.Kind.ActiveUnits() {
-		return fmt.Errorf("editor: %s has no unit %d", iconName, slot)
-	}
 	if err := e.Chk.CanSetOp(ic, slot, u); err != nil {
 		return err
 	}
@@ -460,14 +457,8 @@ func (e *Editor) SetCompare(iconName string, slot int, op string, threshold floa
 // Declare records a variable declaration (the left region of the
 // Figure 5 window).
 func (e *Editor) Declare(v diagram.VarDecl) error {
-	if v.Name == "" {
-		return fmt.Errorf("editor: variable needs a name")
-	}
-	if v.Plane < 0 || v.Plane >= e.Inv.Cfg.MemPlanes {
-		return fmt.Errorf("editor: variable plane %d outside 0..%d", v.Plane, e.Inv.Cfg.MemPlanes-1)
-	}
-	if v.Len <= 0 || v.Base < 0 || v.Base+v.Len > e.Inv.Cfg.PlaneWords() {
-		return fmt.Errorf("editor: variable %q does not fit its plane", v.Name)
+	if err := e.Chk.CanDeclare(v); err != nil {
+		return err
 	}
 	e.mark()
 	e.Doc.Declare(v)

@@ -2,6 +2,7 @@ package editor
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -99,7 +100,8 @@ func (r *fuzzBytes) next() byte {
 
 // FuzzScriptEdit pins ExecScript's one-edit rule against the same
 // lines entered one at a time through Exec on a twin editor: both
-// stop at the same line with the same document. When the twin's undo
+// stop at the same line with the same document, which loads back and
+// checks to the same findings after Save and Load. When the twin's undo
 // stack grew, the script pushed exactly one entry: one Undo gives the
 // pre-script bytes, Redo the post-script bytes, and after a second
 // Undo the next place gives the bytes it gives on an editor opened on
@@ -162,6 +164,13 @@ func FuzzScriptEdit(f *testing.F) {
 		post := saved(t, se)
 		if post != saved(t, tw) {
 			t.Fatal("the script and its lines one at a time built different documents")
+		}
+		loaded, err := diagram.Load(strings.NewReader(post))
+		if err != nil {
+			t.Fatalf("Load refuses the document the editor built: %v", err)
+		}
+		if built, back := se.Chk.CheckDocument(se.Doc), se.Chk.CheckDocument(loaded); !reflect.DeepEqual(built, back) {
+			t.Fatalf("findings change across Save and Load:\n%v\n%v", built, back)
 		}
 
 		if len(tw.undo) == twinUndo {

@@ -292,7 +292,7 @@ func (lp *Loop) retry(sweep int, ph Phase, rank int) (a attempt) {
 			return a
 		}
 		fs.Retries++
-		b := backoff(failed - 1)
+		b := arch.Backoff(failed - 1)
 		fs.BackoffCycles += b
 		a.delay += b
 	}

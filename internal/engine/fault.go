@@ -493,30 +493,17 @@ func parseFaultEvent(tok string) (FaultEvent, error) {
 	return ev, nil
 }
 
-// The fault-recovery budget. Backoff is expressed in simulated machine
-// cycles: retry a (0-based) charges min(retryBackoff·2^a,
-// retryBackoffCap) to the faulted operation's critical path, the
-// classic exponential schedule.
+// The fault-recovery budget. Retry a (0-based) charges arch.Backoff(a)
+// simulated cycles to the faulted operation's critical path, the same
+// exponential schedule a node's trap retries pay.
 const (
 	// maxAttempts is the per-operation attempt budget per sweep,
 	// initial try included.
-	maxAttempts     = 3
-	retryBackoff    = 64
-	retryBackoffCap = 4096
+	maxAttempts = 3
 	// maxRestores bounds checkpoint restores per loop generation, so a
 	// permanent fault cannot restore forever.
 	maxRestores = 4
 )
-
-// backoff returns the simulated-cycle penalty of retry `attempt`
-// (0-based).
-func backoff(attempt int) int64 {
-	b := int64(retryBackoff)
-	for i := 0; i < attempt && b < retryBackoffCap; i++ {
-		b <<= 1
-	}
-	return min(b, retryBackoffCap)
-}
 
 // BudgetError reports a retry budget exhausted by injected faults. The
 // loop converts it into a checkpoint restore when one is available;

@@ -1,6 +1,10 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/arch"
+)
 
 // These tests exercise the plan/retry internals (trigger, backoff, the
 // event parser) and moved here with the fault machinery; the hypercube
@@ -106,18 +110,18 @@ func TestParseFaultPlan(t *testing.T) {
 }
 
 // TestRetryPolicyBackoff pins the fixed recovery budget: three
-// attempts, four restores, and a 64-cycle backoff doubling to at most
-// 4096.
+// attempts, four restores, and the 64-cycle backoff doubling to at most
+// 4096 that nodes and the engine share.
 func TestRetryPolicyBackoff(t *testing.T) {
 	if maxAttempts != 3 || maxRestores != 4 {
 		t.Fatalf("budget: %d attempts, %d restores", maxAttempts, maxRestores)
 	}
 	for attempt, want := range []int64{64, 128, 256, 512, 1024, 2048, 4096, 4096} {
-		if got := backoff(attempt); got != want {
+		if got := arch.Backoff(attempt); got != want {
 			t.Errorf("backoff(%d) = %d, want %d", attempt, got, want)
 		}
 	}
-	if got := backoff(100); got != retryBackoffCap {
+	if got := arch.Backoff(100); got != 4096 {
 		t.Errorf("backoff uncapped: %d", got)
 	}
 }

@@ -437,7 +437,7 @@ func TestRollbackRestoresCheckpoint(t *testing.T) {
 	if !slices.Equal(dispatched, []int{0, 1, 2, 3, 2, 3}) {
 		t.Errorf("dispatched sweeps %v, want a rollback from 3 to 2", dispatched)
 	}
-	want := FaultStats{Injected: 3, Kills: 3, Retries: 2, BackoffCycles: backoff(0) + backoff(1), Exhausted: 1, Checkpoints: 2, Restores: 1}
+	want := FaultStats{Injected: 3, Kills: 3, Retries: 2, BackoffCycles: arch.Backoff(0) + arch.Backoff(1), Exhausted: 1, Checkpoints: 2, Restores: 1}
 	if res.Sweeps != 4 || res.Faults != want {
 		t.Errorf("%d sweeps, faults %s; want 4 sweeps, %s", res.Sweeps, res.Faults, want)
 	}

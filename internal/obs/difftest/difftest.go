@@ -299,7 +299,7 @@ func Scenarios() []Scenario {
 			Name: "jacobi/ecc-retry",
 			Run: func(workers int) (*Signature, error) {
 				return jacobiSignature(workers, func(m *hypercube.Machine) error {
-					m.Trap = arch.TrapConfig{Policy: arch.TrapRetry, MaxRetries: 4}
+					m.Trap = arch.TrapConfig{Policy: arch.TrapRetry}
 					if err := m.InjectECC(1, sim.ECCFault{Plane: 0, Addr: 3}); err != nil {
 						return err
 					}
@@ -478,7 +478,7 @@ func KernelBattery(topology string) []Scenario {
 			// must still match the fully-pinned one.
 			Name: "kernel/jacobi-ecc-retry@" + topology,
 			Run: jacobiPair(func(m *hypercube.Machine) error {
-				m.Trap = arch.TrapConfig{Policy: arch.TrapRetry, MaxRetries: 4}
+				m.Trap = arch.TrapConfig{Policy: arch.TrapRetry}
 				if err := m.InjectECC(1, sim.ECCFault{Plane: 0, Addr: 3}); err != nil {
 					return err
 				}

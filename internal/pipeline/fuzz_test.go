@@ -118,10 +118,10 @@ dma Mv wr var=v stride=1 count=1
 // FuzzLoadCompile feeds document JSON through diagram.Load and
 // CompileDocument, the nscasm -in path: every input must either
 // compile to valid microcode or fail with a typed diagnostic, never
-// panic. The seeds are the smoke document and variants that once
-// crashed the checker or codegen: DMA values wider than their field,
+// panic. The seeds are the smoke document, variants that once
+// crashed the checker or codegen (DMA values wider than their field,
 // an invalid opcode, an unknown icon kind, missing units, and a wire
-// between absent icons.
+// between absent icons), and the storedRows edits the editor refuses.
 func FuzzLoadCompile(f *testing.F) {
 	inv := arch.MustInventory(arch.Default())
 	seed := func(script string, mutate func(p *diagram.Pipeline)) {
@@ -152,6 +152,9 @@ func FuzzLoadCompile(f *testing.F) {
 	seed(smokeScript, func(p *diagram.Pipeline) {
 		p.Wires = append(p.Wires, &diagram.Wire{From: diagram.PadRef{Icon: 99, Pad: "rd"}, To: diagram.PadRef{Icon: 98, Pad: "u0.a"}})
 	})
+	for _, row := range storedRows(inv.Cfg) {
+		f.Add(storedBytes(f, inv, row))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := diagram.Load(bytes.NewReader(data))
 		if err != nil {

@@ -9,10 +9,13 @@
 // document) — the same self-invalidating design as the simulator's
 // decoded-instruction plan cache.
 //
-// compiler.Compile/CompileProgram, codegen generation and the
-// interactive editor's re-checks are all clients of this package's
-// stages; the package composes them without changing what they emit —
-// a pipeline compile is bit-identical to calling the stages by hand.
+// The passes are the stages compiler.BuildProgram,
+// checker.Checker.CheckDocument and codegen.Generator.Lower/Validate
+// expose, composed without changing what they emit: a pipeline compile
+// is bit-identical to calling the stages by hand. The check pass runs
+// the checker once over the whole document, and the codegen pass
+// lowers each referenced pipeline from its timing analysis without
+// running the rules again.
 package pipeline
 
 import (
@@ -85,11 +88,9 @@ type Result struct {
 // Pipeline orchestrates the passes over one machine description.
 type Pipeline struct {
 	Inv *arch.Inventory
+	// Gen is the generator the codegen and validate passes run; the
+	// check pass runs its checker, once per compile.
 	Gen *codegen.Generator
-	Chk *checker.Checker
-	// ChkCache memoizes per-pipeline check results; the same cache an
-	// interactive editor uses for incremental re-checks.
-	ChkCache *checker.CheckCache
 	// Cache memoizes whole compilations by content address.
 	Cache *Cache
 	// Obs, when non-nil, routes pass runs and compile-cache probes into
@@ -103,16 +104,9 @@ type Pipeline struct {
 }
 
 // New returns a pipeline for the inventory with compile caching
-// enabled and its own generator and checker.
+// enabled and its own generator.
 func New(inv *arch.Inventory) *Pipeline {
-	gen := codegen.New(inv)
-	return &Pipeline{
-		Inv:      inv,
-		Gen:      gen,
-		Chk:      gen.Chk,
-		ChkCache: checker.NewCheckCache(),
-		Cache:    NewCache(),
-	}
+	return &Pipeline{Inv: inv, Gen: codegen.New(inv), Cache: NewCache()}
 }
 
 // run executes the passes in order, timing each and converting a pass
@@ -187,7 +181,7 @@ func (pl *Pipeline) buildDiagram(st *state) error {
 }
 
 func (pl *Pipeline) check(st *state) error {
-	ds := pl.ChkCache.CheckDocument(pl.Chk, st.Doc)
+	ds := pl.Gen.Chk.CheckDocument(st.Doc)
 	st.Diags = append(st.Diags, ds...)
 	if es := checker.Errors(ds); len(es) > 0 {
 		// The same error type direct codegen clients receive.

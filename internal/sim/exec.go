@@ -87,7 +87,6 @@ func (n *Node) run(pl *ExecPlan) error {
 		n.kernelSlow++
 		n.Obs.Inc("sim.kernel.slow")
 		n.Obs.Inc(slow)
-		rc := tc.WithDefaults()
 		for attempt := 0; ; attempt++ {
 			tr, err := n.evaluate(pl, sc, detect)
 			if err != nil {
@@ -100,8 +99,8 @@ func (n *Node) run(pl *ExecPlan) error {
 			// streamed before the trap fired.
 			wasted := int64(cfg.IssueOverheadCycles) + int64(tr.Cycle) + 1
 			n.Stats.Cycles += wasted
-			if tc.Policy == arch.TrapRetry && tr.Kind != TrapUnknownOp && attempt < rc.MaxRetries {
-				b := rc.Backoff(attempt)
+			if tc.Policy == arch.TrapRetry && tr.Kind != TrapUnknownOp && attempt < arch.TrapRetries {
+				b := arch.Backoff(attempt)
 				n.Stats.Cycles += b
 				n.TrapCounters.Retries++
 				n.TrapCounters.RetryCycles += wasted + b

@@ -166,12 +166,12 @@ func TestFPEdgeTable(t *testing.T) {
 		if !errors.As(err, &te) {
 			t.Fatalf("retry of a deterministic 0/0 returned %v, want *TrapError", err)
 		}
-		if te.Attempts != 1+arch.DefaultTrapRetries {
-			t.Errorf("attempts = %d, want %d", te.Attempts, 1+arch.DefaultTrapRetries)
+		if te.Attempts != 1+arch.TrapRetries {
+			t.Errorf("attempts = %d, want %d", te.Attempts, 1+arch.TrapRetries)
 		}
 		tc := n.TrapCounters
-		if tc.Retries != arch.DefaultTrapRetries || tc.Halts != 1 {
-			t.Errorf("retries=%d halts=%d, want %d and 1", tc.Retries, tc.Halts, arch.DefaultTrapRetries)
+		if tc.Retries != arch.TrapRetries || tc.Halts != 1 {
+			t.Errorf("retries=%d halts=%d, want %d and 1", tc.Retries, tc.Halts, arch.TrapRetries)
 		}
 		if tc.Invalid != int64(te.Attempts) {
 			t.Errorf("invalid counted %d times over %d attempts", tc.Invalid, te.Attempts)

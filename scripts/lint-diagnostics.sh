@@ -2,9 +2,10 @@
 # lint-diagnostics.sh — the typed-diagnostics lint gate.
 #
 # The compilation front end (diagram model, checker, compiler, codegen)
-# reports every problem as a typed diag.Diagnostic with a stable rule
-# code; a bare fmt.Errorf there would produce an untyped error that
-# -diag-json consumers and the editor message strip cannot key on.
+# and the pass pipeline that composes it report every problem as a
+# typed diag.Diagnostic with a stable rule code; a bare fmt.Errorf
+# there would produce an untyped error that -diag-json consumers and
+# the editor message strip cannot key on.
 # This script rejects any fmt.Errorf in those packages. Construct
 # errors with diag.Errorf / diag.ErrorfAt (or checker.ruleErr) instead.
 #
@@ -13,7 +14,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-gated="internal/diagram internal/checker internal/compiler internal/codegen"
+gated="internal/diagram internal/checker internal/compiler internal/codegen internal/pipeline"
 
 bad=0
 for pkg in $gated; do
