@@ -709,7 +709,7 @@ func BenchmarkA4DebugTrace(b *testing.B) {
 	// element e = g + N² = 43+36 = 79 for N=6.
 	elem := int64(p.Index(1, 1, 1) + p.N*p.N)
 	for i := 0; i < b.N; i++ {
-		samples, err = trace.Capture(node, in, doc, doc.Pipes[0], info, elem)
+		samples, err = trace.Capture(node, in, doc.Pipes[0], info, elem)
 		if err != nil {
 			b.Fatal(err)
 		}

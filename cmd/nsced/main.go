@@ -11,6 +11,12 @@
 // as it is entered. With no -script, commands are read from standard
 // input, echoing the message strip after each line (an interactive
 // session, one edit per command).
+//
+// A command refuses an argument it does not take: a misspelt or
+// unknown name=value or flag ("place memplane Mu at 1 1 plnae=3"), a
+// name given twice, a key with no value ("count=") and a flag given
+// one ("reduce=1"). The refused line changes nothing, and in a script
+// it stops the run there like any other failing line.
 package main
 
 import (

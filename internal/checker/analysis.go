@@ -52,11 +52,6 @@ const (
 // unitArity returns how many operand sides the configured op consumes.
 func unitArity(u diagram.UnitConfig) int { return u.Op.Info().Arity }
 
-// driverOf returns the wire driving pad (icon,pad), or nil.
-func driverOf(p *diagram.Pipeline, icon diagram.IconID, pad string) *diagram.Wire {
-	return p.WireTo(diagram.PadRef{Icon: icon, Pad: pad})
-}
-
 // Analyze elaborates the pipeline: topological order over producing
 // pads, logical epochs, balanced hardware delays, and the vector
 // length. It reports an error diagnostic (R010) if the wires form a
@@ -85,7 +80,7 @@ func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis
 		case diagram.IconMemPlane, diagram.IconCache:
 			return nil // read channels are graph sources
 		case diagram.IconSDU:
-			if w := driverOf(p, ic.ID, "in"); w != nil {
+			if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: "in"}); w != nil {
 				return []*diagram.Wire{w}
 			}
 			return nil
@@ -95,10 +90,10 @@ func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis
 				return nil
 			}
 			var ws []*diagram.Wire
-			if w := driverOf(p, ic.ID, fmt.Sprintf("u%d.a", slot)); w != nil {
+			if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 0)}); w != nil {
 				ws = append(ws, w)
 			}
-			if w := driverOf(p, ic.ID, fmt.Sprintf("u%d.b", slot)); w != nil {
+			if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 1)}); w != nil {
 				ws = append(ws, w)
 			}
 			return ws
@@ -136,7 +131,7 @@ func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis
 			a.L[pr] = 0
 		case diagram.IconSDU:
 			base := 0
-			if w := driverOf(p, ic.ID, "in"); w != nil {
+			if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: "in"}); w != nil {
 				base = a.L[w.From] + 1
 			} else {
 				base = 1
@@ -149,8 +144,8 @@ func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis
 				u = ic.Units[slot]
 			}
 			lat := u.Op.Info().Latency
-			wa := driverOf(p, ic.ID, fmt.Sprintf("u%d.a", slot))
-			wb := driverOf(p, ic.ID, fmt.Sprintf("u%d.b", slot))
+			wa := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 0)})
+			wb := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 1)})
 			need := 0
 			if wa != nil {
 				if v := a.L[wa.From] - wa.Delay; v > need {
@@ -274,19 +269,20 @@ func (c *Checker) checkConnectivity(p *diagram.Pipeline) []Diagnostic {
 		diags = append(diags, Diagnostic{Rule: rule, Severity: Warning, Pipe: p.ID, Icon: icon, Msg: fmt.Sprintf(format, args...)})
 	}
 	for _, ic := range p.Icons {
-		touched := false
+		// touched: any pad of the icon has a wire; drives: any output.
+		touched, drives := false, false
 		for _, pad := range ic.Kind.Pads() {
 			pr := diagram.PadRef{Icon: ic.ID, Pad: pad.Name}
 			if pad.Input && p.WireTo(pr) != nil {
 				touched = true
 			}
-			if !pad.Input && len(p.WiresFrom(pr)) > 0 {
-				touched = true
+			if !pad.Input && p.Drives(pr) {
+				touched, drives = true, true
 			}
 		}
 		switch {
 		case ic.Kind == diagram.IconMemPlane || ic.Kind == diagram.IconCache:
-			rdWired := len(p.WiresFrom(diagram.PadRef{Icon: ic.ID, Pad: "rd"})) > 0
+			rdWired := p.Drives(diagram.PadRef{Icon: ic.ID, Pad: "rd"})
 			wrWired := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: "wr"}) != nil
 			if rdWired && ic.RdDMA == nil {
 				add(ic.ID, RuleMissingDMA, "%s read channel wired but no DMA program (Figure 9 subwindow)", ic.Name)
@@ -301,20 +297,18 @@ func (c *Checker) checkConnectivity(p *diagram.Pipeline) []Diagnostic {
 				warn(ic.ID, RuleUnusedIcon, "%s placed but not wired", ic.Name)
 			}
 		case ic.Kind == diagram.IconSDU:
+			// An SDU's outputs are its tap pads, every one the icon has
+			// whatever the machine's tap count.
 			inWired := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: "in"}) != nil
-			tapsWired := 0
-			for t := 0; t < c.Inv.Cfg.SDUTaps; t++ {
-				tapsWired += len(p.WiresFrom(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("t%d", t)}))
-			}
-			if tapsWired > 0 && !inWired {
+			if drives && !inWired {
 				add(ic.ID, RuleUnconnected, "%s taps wired but input not driven", ic.Name)
 			}
-			if tapsWired > 0 && len(ic.Taps) == 0 {
+			if drives && len(ic.Taps) == 0 {
 				add(ic.ID, RuleUnconnected, "%s has wired taps but no tap delays configured", ic.Name)
 			}
-			for t := 0; t < c.Inv.Cfg.SDUTaps; t++ {
-				if t >= len(ic.Taps) && len(p.WiresFrom(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("t%d", t)})) > 0 {
-					add(ic.ID, RuleUnconnected, "%s tap t%d wired but not configured", ic.Name, t)
+			for _, pad := range ic.Kind.Pads() {
+				if t, isTap := diagram.TapPad(pad.Name); isTap && t >= len(ic.Taps) && p.Drives(diagram.PadRef{Icon: ic.ID, Pad: pad.Name}) {
+					add(ic.ID, RuleUnconnected, "%s tap %s wired but not configured", ic.Name, pad.Name)
 				}
 			}
 			if !touched {
@@ -323,9 +317,9 @@ func (c *Checker) checkConnectivity(p *diagram.Pipeline) []Diagnostic {
 		default:
 			for slot := 0; slot < ic.Kind.ActiveUnits(); slot++ {
 				u := ic.Units[slot]
-				outWired := len(p.WiresFrom(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.o", slot)})) > 0
-				aw := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.a", slot)})
-				bw := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.b", slot)})
+				outWired := p.Drives(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 2)})
+				aw := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 0)})
+				bw := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 1)})
 				if u.Op == arch.OpNop {
 					if outWired || aw != nil || bw != nil {
 						add(ic.ID, RuleUnconnected, "%s unit %d is wired but has no operation (Figure 10 menu)", ic.Name, slot)
@@ -443,16 +437,26 @@ func (c *Checker) CheckCompare(p *diagram.Pipeline) []Diagnostic {
 	return nil
 }
 
-// CheckDocument checks every pipeline plus the declaration and
-// control-flow regions.
-func (c *Checker) CheckDocument(doc *diagram.Document) []Diagnostic {
+// Check checks every pipeline plus the declaration and control-flow
+// regions. With the findings it returns each pipeline's analysis,
+// indexed by pipeline ID as doc.Pipes is, for the generator to lower
+// from; an entry is nil where a cycle stopped that pipeline's pass.
+func (c *Checker) Check(doc *diagram.Document) ([]Diagnostic, []*Analysis) {
 	var diags []Diagnostic
-	for _, p := range doc.Pipes {
-		_, ds := c.CheckPipeline(doc, p)
+	ans := make([]*Analysis, len(doc.Pipes))
+	for i, p := range doc.Pipes {
+		an, ds := c.CheckPipeline(doc, p)
+		ans[i] = an
 		diags = append(diags, ds...)
 	}
 	diags = append(diags, c.checkDecls(doc)...)
 	diags = append(diags, c.CheckFlow(doc)...)
+	return diags, ans
+}
+
+// CheckDocument is Check's findings alone.
+func (c *Checker) CheckDocument(doc *diagram.Document) []Diagnostic {
+	diags, _ := c.Check(doc)
 	return diags
 }
 

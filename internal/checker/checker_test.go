@@ -640,6 +640,44 @@ func TestCheckPipelineSDURules(t *testing.T) {
 	wantRule(t, pipeDiags(c, d, p), RuleUnconnected)
 }
 
+// TestUnconfiguredTapEveryMachine wires tap t6 of an SDU configured
+// with two taps. Every SDU icon has the palette's eight tap pads, so
+// the wire is R011 at check on a machine with four taps per unit just
+// as on the default eight, not a tap codegen first finds unconfigured.
+func TestUnconfiguredTapEveryMachine(t *testing.T) {
+	for _, taps := range []int{8, 4} {
+		cfg := arch.Default()
+		cfg.SDUTaps = taps
+		c := New(arch.MustInventory(cfg))
+		d := diagram.NewDocument("x")
+		d.Declare(diagram.VarDecl{Name: "u", Plane: 0, Base: 0, Len: 64})
+		d.Declare(diagram.VarDecl{Name: "v", Plane: 1, Base: 0, Len: 64})
+		p := d.AddPipeline("p")
+		mu, _ := p.AddIcon(diagram.IconMemPlane, "Mu", 0, 0)
+		mu.RdDMA = &diagram.DMASpec{Var: "u", Stride: 1, Count: 64}
+		mv, _ := p.AddIcon(diagram.IconMemPlane, "Mv", 0, 0)
+		mv.Plane = 1
+		mv.WrDMA = &diagram.DMASpec{Var: "v", Stride: 1, Count: 64}
+		z, _ := p.AddIcon(diagram.IconSDU, "Z", 0, 0)
+		z.Taps = []int{0, 1}
+		s, _ := p.AddIcon(diagram.IconSinglet, "S", 0, 0)
+		s.Units[0] = diagram.UnitConfig{Op: arch.OpMov}
+		for _, w := range [][2]diagram.PadRef{
+			{{Icon: mu.ID, Pad: "rd"}, {Icon: z.ID, Pad: "in"}},
+			{{Icon: z.ID, Pad: "t6"}, {Icon: s.ID, Pad: "u0.a"}},
+			{{Icon: s.ID, Pad: "u0.o"}, {Icon: mv.ID, Pad: "wr"}},
+		} {
+			if _, err := p.Connect(w[0], w[1], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		es := Errors(pipeDiags(c, d, p))
+		if len(es) != 1 || es[0].Rule != RuleUnconnected || es[0].Msg != "Z tap t6 wired but not configured" {
+			t.Errorf("%d taps per unit: findings %v, want one R011 for Z.t6", taps, es)
+		}
+	}
+}
+
 func TestCheckCompareSpec(t *testing.T) {
 	c := newChecker(t)
 	good := func() (*diagram.Document, *diagram.Pipeline) {

@@ -79,6 +79,15 @@ func scriptDoc(t *testing.T, script string) *diagram.Document {
 	return ed.Doc
 }
 
+// lowerChecked runs the codegen pass on a document from the analyses
+// its check returns, as the pipeline's check and codegen passes do.
+func lowerChecked(doc *diagram.Document) error {
+	gen := codegen.New(arch.MustInventory(arch.Default()))
+	_, ans := gen.Chk.Check(doc)
+	_, _, err := gen.Lower(doc, ans)
+	return err
+}
+
 var gridOpt = compiler.Options{N: 8, Nz: 4, Planes: map[string]int{"u": 0, "v": 1}}
 
 // frontendCoverage maps each R030+ code to a trigger that must emit it.
@@ -128,9 +137,7 @@ connect T3.u2.o -> Mv.wr
 dma Mu rd var=u stride=1 count=64
 dma Mv wr var=v stride=1 count=64
 `
-		gen := codegen.New(arch.MustInventory(arch.Default()))
-		_, _, err := gen.Lower(scriptDoc(t, script))
-		return err
+		return lowerChecked(scriptDoc(t, script))
 	},
 	diag.RuleGenStruct: func(t *testing.T) error { // R035
 		// A write-side DMA program with nothing wired to the write
@@ -146,14 +153,10 @@ connect Mu.rd -> S.u0.a
 dma Mu rd var=u stride=1 count=64
 dma Mv wr var=v stride=1 count=64
 `
-		gen := codegen.New(arch.MustInventory(arch.Default()))
-		_, _, err := gen.Lower(scriptDoc(t, script))
-		return err
+		return lowerChecked(scriptDoc(t, script))
 	},
 	diag.RuleFlowGen: func(t *testing.T) error { // R036
-		gen := codegen.New(arch.MustInventory(arch.Default()))
-		_, _, err := gen.Lower(diagram.NewDocument("empty"))
-		return err
+		return lowerChecked(diagram.NewDocument("empty"))
 	},
 	diag.RuleDiagram: func(t *testing.T) error { // R037
 		d := diagram.NewDocument("x")

@@ -58,6 +58,43 @@ type PipeInfo struct {
 	ALSMap map[diagram.IconID]arch.ALSID
 	// SDUMap records physical shift/delay unit assignment.
 	SDUMap map[diagram.IconID]int
+	// Epochs is the analysis's logical epoch of each producing pad, in
+	// cycles (checker.Analysis.L, shared).
+	Epochs map[diagram.PadRef]int
+}
+
+// Source maps producing pad pad of icon ic to the switch source port
+// that carries it under this pipeline's hardware assignment: a memory
+// or cache plane's read channel, a configured tap of the icon's
+// shift/delay unit, or the output of a unit of the icon's ALS. ok is
+// false for any other pad. It is the one map from a diagram pad to a
+// switch port; the generator routes by it and the debugger observes by
+// it.
+func (pi *PipeInfo) Source(inv *arch.Inventory, ic *diagram.Icon, pad string) (arch.SourceID, bool) {
+	cfg := inv.Cfg
+	switch ic.Kind {
+	case diagram.IconMemPlane:
+		if pad == "rd" {
+			return cfg.SrcMemRead(ic.Plane), true
+		}
+	case diagram.IconCache:
+		if pad == "rd" {
+			return cfg.SrcCacheRead(ic.Plane), true
+		}
+	case diagram.IconSDU:
+		u, assigned := pi.SDUMap[ic.ID]
+		if t, isTap := diagram.TapPad(pad); assigned && isTap && t < len(ic.Taps) {
+			return cfg.SrcSDUTap(u, t), true
+		}
+	default:
+		als, assigned := pi.ALSMap[ic.ID]
+		if slot, side, isUnit := diagram.UnitPad(pad); assigned && isUnit && side == 2 && slot < ic.Kind.ActiveUnits() {
+			if fu, err := inv.UnitAt(als, slot); err == nil {
+				return cfg.SrcFUOut(fu.ID), true
+			}
+		}
+	}
+	return arch.InvalidSource, false
 }
 
 // Report aggregates generation results for a document.
@@ -75,11 +112,8 @@ type elaboration struct {
 	in   *microcode.Instr
 	info PipeInfo
 
-	consts   map[float64]int
-	padSrc   map[diagram.PadRef]arch.SourceID
-	unitOf   map[diagram.IconID][]arch.FUID
-	sduOf    map[diagram.IconID]int
-	tapIndex map[diagram.PadRef]int
+	consts map[float64]int
+	unitOf map[diagram.IconID][]arch.FUID
 }
 
 // Pipeline checks a single diagram and elaborates it into one
@@ -98,10 +132,9 @@ func (g *Generator) Pipeline(doc *diagram.Document, p *diagram.Pipeline) (*micro
 func (g *Generator) elaborate(doc *diagram.Document, p *diagram.Pipeline, an *checker.Analysis) (*microcode.Instr, *PipeInfo, error) {
 	e := &elaboration{
 		g: g, doc: doc, p: p, an: an, in: g.F.NewInstr(),
-		info:   PipeInfo{Pipe: p.ID, VectorLen: an.VectorLen, ALSMap: map[diagram.IconID]arch.ALSID{}, SDUMap: map[diagram.IconID]int{}},
-		consts: map[float64]int{}, padSrc: map[diagram.PadRef]arch.SourceID{},
-		unitOf: map[diagram.IconID][]arch.FUID{}, sduOf: map[diagram.IconID]int{},
-		tapIndex: map[diagram.PadRef]int{},
+		info: PipeInfo{Pipe: p.ID, VectorLen: an.VectorLen, ALSMap: map[diagram.IconID]arch.ALSID{},
+			SDUMap: map[diagram.IconID]int{}, Epochs: an.L},
+		consts: map[float64]int{}, unitOf: map[diagram.IconID][]arch.FUID{},
 	}
 	if err := e.assignHardware(); err != nil {
 		return nil, nil, err
@@ -151,7 +184,6 @@ func (e *elaboration) assignHardware() error {
 			if sduNext >= e.g.Inv.Cfg.ShiftDelayUnits {
 				return diag.Errorf(diag.RuleGenResource, "codegen: out of shift/delay units for icon %q", ic.Name)
 			}
-			e.sduOf[ic.ID] = sduNext
 			e.info.SDUMap[ic.ID] = sduNext
 			sduNext++
 		}
@@ -175,52 +207,21 @@ func (e *elaboration) constSlot(v float64) (int, error) {
 
 // sourceOf resolves a producing pad to its switch source port.
 func (e *elaboration) sourceOf(pr diagram.PadRef) (arch.SourceID, error) {
-	if s, ok := e.padSrc[pr]; ok {
-		return s, nil
-	}
 	ic, err := e.p.Icon(pr.Icon)
 	if err != nil {
 		return arch.InvalidSource, err
 	}
-	cfg := e.g.Inv.Cfg
-	var src arch.SourceID
-	switch ic.Kind {
-	case diagram.IconMemPlane:
-		src = cfg.SrcMemRead(ic.Plane)
-	case diagram.IconCache:
-		src = cfg.SrcCacheRead(ic.Plane)
-	case diagram.IconSDU:
-		u := e.sduOf[ic.ID]
-		t, ok := e.tapIndex[pr]
-		if !ok {
-			return arch.InvalidSource, diag.Errorf(diag.RuleGenStruct, "codegen: tap %s not configured", pr)
-		}
-		src = cfg.SrcSDUTap(u, t)
-	default:
-		slot, side, ok := diagram.UnitPad(pr.Pad)
-		if !ok || side != 2 {
-			return arch.InvalidSource, diag.Errorf(diag.RuleGenStruct, "codegen: %s is not a producing pad", pr)
-		}
-		src = cfg.SrcFUOut(e.unitOf[ic.ID][slot])
+	if src, ok := e.info.Source(e.g.Inv, ic, pr.Pad); ok {
+		return src, nil
 	}
-	e.padSrc[pr] = src
-	return src, nil
+	if ic.Kind == diagram.IconSDU {
+		return arch.InvalidSource, diag.Errorf(diag.RuleGenStruct, "codegen: tap %s not configured", pr)
+	}
+	return arch.InvalidSource, diag.Errorf(diag.RuleGenStruct, "codegen: %s is not a producing pad", pr)
 }
 
 func (e *elaboration) emit() error {
 	cfg := e.g.Inv.Cfg
-	// Pre-register SDU tap indices: tap pad "t<i>" maps to physical
-	// tap i directly (diagram taps are already physical positions).
-	for _, ic := range e.p.Icons {
-		if ic.Kind != diagram.IconSDU {
-			continue
-		}
-		for t := range ic.Taps {
-			pr := diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("t%d", t)}
-			e.tapIndex[pr] = t
-		}
-	}
-
 	// Function units: ops, operand bindings, reductions.
 	for _, ic := range e.p.Icons {
 		units, isALS := e.unitOf[ic.ID]
@@ -235,10 +236,10 @@ func (e *elaboration) emit() error {
 			e.in.SetFUOp(fu, u.Op)
 			e.info.FUsUsed++
 			e.info.FLOPsPerElement += u.Op.Info().FLOPs
-			outPad := diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.o", slot)}
+			outPad := diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 2)}
 
 			// Operand A.
-			if wa := e.p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.a", slot)}); wa != nil {
+			if wa := e.p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 0)}); wa != nil {
 				src, err := e.sourceOf(wa.From)
 				if err != nil {
 					return err
@@ -263,7 +264,7 @@ func (e *elaboration) emit() error {
 				e.in.SetFUInput(fu, 1, microcode.InFeedback, 0, 0)
 				e.in.SetFUReduce(fu, true, k)
 			default:
-				if wb := e.p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.b", slot)}); wb != nil {
+				if wb := e.p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 1)}); wb != nil {
 					src, err := e.sourceOf(wb.From)
 					if err != nil {
 						return err
@@ -286,7 +287,7 @@ func (e *elaboration) emit() error {
 		if ic.Kind != diagram.IconSDU {
 			continue
 		}
-		u := e.sduOf[ic.ID]
+		u := e.info.SDUMap[ic.ID]
 		if w := e.p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: "in"}); w != nil {
 			src, err := e.sourceOf(w.From)
 			if err != nil {
@@ -428,11 +429,11 @@ func (e *elaboration) emitCompare() error {
 // the document check, Lower, and Validate — kept as one call for
 // callers that do not need the passes individually.
 func (g *Generator) Document(doc *diagram.Document) (*microcode.Program, *Report, error) {
-	docDiags := g.Chk.CheckDocument(doc)
+	docDiags, ans := g.Chk.Check(doc)
 	if es := checker.Errors(docDiags); len(es) > 0 {
 		return nil, nil, &CheckError{Diags: es}
 	}
-	prog, rep, err := g.Lower(doc)
+	prog, rep, err := g.Lower(doc, ans)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -454,11 +455,12 @@ func (g *Generator) Validate(prog *microcode.Program) error {
 }
 
 // Lower is the codegen pass alone: elaborate a document that has
-// passed Checker.CheckDocument into a microcode program. It analyses
-// each referenced pipeline for its timing but runs neither the checker's
-// rules nor the final program validation; a combinational cycle is
-// still refused. The caller fills the report's Warnings.
-func (g *Generator) Lower(doc *diagram.Document) (*microcode.Program, *Report, error) {
+// passed Checker.Check into a microcode program, lowering each
+// referenced pipeline from the analysis Check returned for it (ans,
+// indexed by pipeline ID). It runs neither the checker's rules nor the
+// final program validation; a referenced pipeline without an analysis
+// is refused (R035). The caller fills the report's Warnings.
+func (g *Generator) Lower(doc *diagram.Document, ans []*checker.Analysis) (*microcode.Program, *Report, error) {
 	rep := &Report{}
 
 	flow := doc.Flow
@@ -487,12 +489,10 @@ func (g *Generator) Lower(doc *diagram.Document) (*microcode.Program, *Report, e
 	}
 	instrs := map[int]*microcode.Instr{}
 	for _, id := range order {
-		p := doc.Pipes[id]
-		an, cyc := g.Chk.Analyze(doc, p)
-		if len(cyc) > 0 {
-			return nil, nil, &CheckError{Diags: cyc}
+		if id >= len(ans) || ans[id] == nil {
+			return nil, nil, diag.Errorf(diag.RuleGenStruct, "codegen: pipeline %d has no analysis to lower from", id)
 		}
-		in, info, err := g.elaborate(doc, p, an)
+		in, info, err := g.elaborate(doc, doc.Pipes[id], ans[id])
 		if err != nil {
 			return nil, nil, err
 		}

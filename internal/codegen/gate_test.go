@@ -5,14 +5,14 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/codegen"
+	"repro/internal/diagram"
 	"repro/internal/jacobi"
 )
 
-// TestPipelineAllocGate holds Generator.Pipeline on the 8×8×4 Jacobi
-// forward sweep to its allocation budget, which leaves room for one
-// check and one analysis of the pipeline: a second of each costs about
-// a hundred allocations more.
-func TestPipelineAllocGate(t *testing.T) {
+// gateDoc builds the 8×8×4 Jacobi document the allocation gates
+// measure, and a generator for it.
+func gateDoc(t *testing.T) (*diagram.Document, *codegen.Generator) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation adds allocations")
 	}
@@ -21,7 +21,17 @@ func TestPipelineAllocGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := codegen.New(arch.MustInventory(cfg))
+	return doc, codegen.New(arch.MustInventory(cfg))
+}
+
+// TestPipelineAllocGate holds Generator.Pipeline on the 8×8×4 Jacobi
+// forward sweep to its allocation budget, which leaves room for one
+// check and one analysis of the pipeline, with pad names and switch
+// ports looked up rather than formatted or mapped per compile: a second
+// analysis costs about seventy allocations more, and formatted pad
+// names and per-compile port maps about two hundred.
+func TestPipelineAllocGate(t *testing.T) {
+	doc, gen := gateDoc(t)
 	generate := func() {
 		if _, _, err := gen.Pipeline(doc, doc.Pipes[0]); err != nil {
 			t.Fatal(err)
@@ -29,8 +39,26 @@ func TestPipelineAllocGate(t *testing.T) {
 	}
 	generate() // warm-up: the Config's first use builds the shared tables
 	allocs := testing.AllocsPerRun(20, generate)
-	if allocs > 320 {
-		t.Errorf("Generator.Pipeline makes %v allocs on the Jacobi forward sweep, want at most 320", allocs)
+	if allocs > 120 {
+		t.Errorf("Generator.Pipeline makes %v allocs on the Jacobi forward sweep, want at most 120", allocs)
 	}
 	t.Logf("Generator.Pipeline on the 8×8×4 Jacobi forward sweep: %v allocs", allocs)
+}
+
+// TestDocumentAllocGate holds Generator.Document on the same document
+// to its budget: one check that hands each pipeline's analysis to the
+// lowering, which analyses nothing again.
+func TestDocumentAllocGate(t *testing.T) {
+	doc, gen := gateDoc(t)
+	generate := func() {
+		if _, _, err := gen.Document(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	generate()
+	allocs := testing.AllocsPerRun(20, generate)
+	if allocs > 250 {
+		t.Errorf("Generator.Document makes %v allocs on the Jacobi document, want at most 250", allocs)
+	}
+	t.Logf("Generator.Document on the 8×8×4 Jacobi document: %v allocs", allocs)
 }

@@ -335,7 +335,7 @@ func compileStmt(ed *editor.Editor, st *Stmt, inv *arch.Inventory, opt Options, 
 		taps := make([]int, len(offs))
 		for t, o := range offs {
 			taps[t] = base - o
-			leafPad[fmt.Sprintf("%s@%d", vi.name, o)] = diagram.PadRef{Icon: z.ID, Pad: fmt.Sprintf("t%d", t)}
+			leafPad[fmt.Sprintf("%s@%d", vi.name, o)] = diagram.PadRef{Icon: z.ID, Pad: diagram.TapPadName(t)}
 		}
 		if err := ed.SetTaps(z.Name, taps); err != nil {
 			return nil, err
@@ -421,16 +421,16 @@ func compileStmt(ed *editor.Editor, st *Stmt, inv *arch.Inventory, opt Options, 
 			return nil, err
 		}
 		if wireA != nil {
-			if err := ed.Connect(padName(*wireA), fmt.Sprintf("%s.u%d.a", sr.icon.Name, sr.slot), 0); err != nil {
+			if err := ed.Connect(padName(*wireA), sr.icon.Name+"."+diagram.UnitPadName(sr.slot, 0), 0); err != nil {
 				return nil, err
 			}
 		}
 		if wireB != nil {
-			if err := ed.Connect(padName(*wireB), fmt.Sprintf("%s.u%d.b", sr.icon.Name, sr.slot), 0); err != nil {
+			if err := ed.Connect(padName(*wireB), sr.icon.Name+"."+diagram.UnitPadName(sr.slot, 1), 0); err != nil {
 				return nil, err
 			}
 		}
-		d.pad = diagram.PadRef{Icon: sr.icon.ID, Pad: fmt.Sprintf("u%d.o", sr.slot)}
+		d.pad = diagram.PadRef{Icon: sr.icon.ID, Pad: diagram.UnitPadName(sr.slot, 2)}
 		d.mapped = true
 		res.FUsUsed++
 	}

@@ -286,7 +286,7 @@ func (env *Environment) Trace(n int, element int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	samples, err := trace.Capture(env.Node, in, env.Ed.Doc, p, info, element)
+	samples, err := trace.Capture(env.Node, in, p, info, element)
 	if err != nil {
 		return "", err
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/diag"
@@ -148,6 +149,19 @@ func (k IconKind) Pads() []PadInfo {
 	return padTable[k]
 }
 
+// unitPadNames and tapPadNames are the palette's whole pad vocabulary
+// beyond the plane and SDU-input pads: the operand and output pads of
+// each unit slot an ALS icon can have (a triplet's three), indexed
+// [slot][side], and the shift/delay taps.
+var (
+	unitPadNames = [...][3]string{
+		{"u0.a", "u0.b", "u0.o"},
+		{"u1.a", "u1.b", "u1.o"},
+		{"u2.a", "u2.b", "u2.o"},
+	}
+	tapPadNames = [...]string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
+)
+
 // padTable holds every icon kind's pad list, built once.
 var padTable = func() (t [numIconKinds][]PadInfo) {
 	t[IconSinglet] = unitPads(1)
@@ -157,8 +171,8 @@ var padTable = func() (t [numIconKinds][]PadInfo) {
 	t[IconMemPlane] = []PadInfo{{Name: "rd"}, {Name: "wr", Input: true}}
 	t[IconCache] = []PadInfo{{Name: "rd"}, {Name: "wr", Input: true}}
 	sdu := []PadInfo{{Name: "in", Input: true}}
-	for tap := 0; tap < 8; tap++ {
-		sdu = append(sdu, PadInfo{Name: fmt.Sprintf("t%d", tap)})
+	for _, name := range tapPadNames {
+		sdu = append(sdu, PadInfo{Name: name})
 	}
 	t[IconSDU] = sdu
 	for k, pads := range t {
@@ -169,11 +183,11 @@ var padTable = func() (t [numIconKinds][]PadInfo) {
 
 func unitPads(n int) []PadInfo {
 	var pads []PadInfo
-	for u := 0; u < n; u++ {
+	for _, names := range unitPadNames[:n] {
 		pads = append(pads,
-			PadInfo{Name: fmt.Sprintf("u%d.a", u), Input: true},
-			PadInfo{Name: fmt.Sprintf("u%d.b", u), Input: true},
-			PadInfo{Name: fmt.Sprintf("u%d.o", u)},
+			PadInfo{Name: names[0], Input: true},
+			PadInfo{Name: names[1], Input: true},
+			PadInfo{Name: names[2]},
 		)
 	}
 	return pads
@@ -192,22 +206,36 @@ func (k IconKind) PadDir(pad string) (input, ok bool) {
 // UnitPad decomposes a function-unit pad name ("u1.b") into slot and
 // side (0=a, 1=b, 2=output).
 func UnitPad(pad string) (slot, side int, ok bool) {
-	if len(pad) != 4 || pad[0] != 'u' || pad[2] != '.' {
+	if len(pad) != 4 || pad[0] != 'u' || pad[1] < '0' || pad[1] > '9' || pad[2] != '.' {
 		return 0, 0, false
 	}
-	if pad[1] < '0' || pad[1] > '9' {
-		return 0, 0, false
+	side = strings.IndexByte("abo", pad[3])
+	return int(pad[1] - '0'), side, side >= 0
+}
+
+// UnitPadName is the inverse of UnitPad: the name of side side (0=a,
+// 1=b, 2=output) of unit slot slot, or "" for a slot or side no icon
+// has, which names no pad and so matches no wire.
+func UnitPadName(slot, side int) string {
+	if slot < 0 || slot >= len(unitPadNames) || side < 0 || side >= len(unitPadNames[slot]) {
+		return ""
 	}
-	slot = int(pad[1] - '0')
-	switch pad[3] {
-	case 'a':
-		return slot, 0, true
-	case 'b':
-		return slot, 1, true
-	case 'o':
-		return slot, 2, true
+	return unitPadNames[slot][side]
+}
+
+// TapPad decomposes a shift/delay tap pad name ("t3") into its tap
+// index; ok is false for any other pad.
+func TapPad(pad string) (t int, ok bool) {
+	t = slices.Index(tapPadNames[:], pad)
+	return t, t >= 0
+}
+
+// TapPadName is the inverse of TapPad, or "" for a tap no SDU icon has.
+func TapPadName(t int) string {
+	if t < 0 || t >= len(tapPadNames) {
+		return ""
 	}
-	return 0, 0, false
+	return tapPadNames[t]
 }
 
 // UnitConfig is the per-function-unit detail entered through the
@@ -541,16 +569,15 @@ func (p *Pipeline) WireTo(to PadRef) *Wire {
 	return nil
 }
 
-// WiresFrom returns every wire sourced at pad from (fan-out is legal
-// through the switch network).
-func (p *Pipeline) WiresFrom(from PadRef) []*Wire {
-	var ws []*Wire
+// Drives reports whether any wire is sourced at pad from (fan-out is
+// legal through the switch network).
+func (p *Pipeline) Drives(from PadRef) bool {
 	for _, w := range p.Wires {
 		if w.From == from {
-			ws = append(ws, w)
+			return true
 		}
 	}
-	return ws
+	return false
 }
 
 // CountKind returns how many icons of the given kind are placed.

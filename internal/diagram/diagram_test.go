@@ -137,6 +137,51 @@ func TestUnitPadParsing(t *testing.T) {
 	}
 }
 
+// TestPadNamesRoundTrip checks the pad vocabulary: every pad of every
+// icon kind decomposes through UnitPad or TapPad and the name functions
+// give it back, and a slot, side or tap no icon has names no pad.
+func TestPadNamesRoundTrip(t *testing.T) {
+	for _, k := range AllKinds() {
+		for _, p := range k.Pads() {
+			if slot, side, ok := UnitPad(p.Name); ok {
+				if got := UnitPadName(slot, side); got != p.Name {
+					t.Errorf("%s pad %q: UnitPadName(%d, %d) = %q", k, p.Name, slot, side, got)
+				}
+				if p.Input != (side != 2) {
+					t.Errorf("%s pad %q: input %v, but side %d", k, p.Name, p.Input, side)
+				}
+				continue
+			}
+			if tap, ok := TapPad(p.Name); ok {
+				if got := TapPadName(tap); got != p.Name {
+					t.Errorf("%s pad %q: TapPadName(%d) = %q", k, p.Name, tap, got)
+				}
+				continue
+			}
+			switch p.Name {
+			case "rd", "wr", "in":
+			default:
+				t.Errorf("%s pad %q is neither a unit, a tap nor a channel pad", k, p.Name)
+			}
+		}
+	}
+	for _, bad := range [][2]int{{-1, 0}, {3, 0}, {0, -1}, {0, 3}} {
+		if got := UnitPadName(bad[0], bad[1]); got != "" {
+			t.Errorf("UnitPadName(%d, %d) = %q, want \"\"", bad[0], bad[1], got)
+		}
+	}
+	for _, bad := range []int{-1, 8} {
+		if got := TapPadName(bad); got != "" {
+			t.Errorf("TapPadName(%d) = %q, want \"\"", bad, got)
+		}
+	}
+	for _, bad := range []string{"t8", "t-1", "t", "t01", "u0.a", "in"} {
+		if _, ok := TapPad(bad); ok {
+			t.Errorf("TapPad(%q) ok", bad)
+		}
+	}
+}
+
 func buildSample(t testing.TB) (*Document, *Pipeline) {
 	t.Helper()
 	d := NewDocument("sample")
@@ -226,8 +271,14 @@ func TestConnectRules(t *testing.T) {
 	if _, err := p.Connect(PadRef{m0.ID, "rd"}, PadRef{s1.ID, "u0.b"}, 2); err != nil {
 		t.Errorf("fan-out rejected: %v", err)
 	}
-	if got := len(p.WiresFrom(PadRef{m0.ID, "rd"})); got != 2 {
-		t.Errorf("WiresFrom = %d, want 2", got)
+	fanOut := 0
+	for _, w := range p.Wires {
+		if w.From == (PadRef{m0.ID, "rd"}) {
+			fanOut++
+		}
+	}
+	if fanOut != 2 {
+		t.Errorf("wires from M0.rd = %d, want 2", fanOut)
 	}
 }
 

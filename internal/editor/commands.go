@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,7 +34,11 @@ func (e *Editor) Exec(line string) (string, error) {
 	fields := strings.Fields(line)
 	cmd, args := fields[0], fields[1:]
 	msg, err := e.exec1(cmd, args)
-	e.logf(err, "%s", line)
+	ev := Event{Cmd: line}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	e.Log = append(e.Log, ev)
 	return msg, err
 }
 
@@ -51,7 +56,7 @@ func (e *Editor) exec1(cmd string, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf("usage: var <name> plane=<p> base=<b> len=<l>")
 		}
-		kv, err := keyvals(args[1:])
+		kv, err := keyvals(args[1:], []string{"plane", "base", "len"}, nil)
 		if err != nil {
 			return "", err
 		}
@@ -93,7 +98,7 @@ func (e *Editor) exec1(cmd string, args []string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("y: %v", err)
 		}
-		kv, err := keyvals(args[5:])
+		kv, err := keyvals(args[5:], []string{"plane"}, nil)
 		if err != nil {
 			return "", err
 		}
@@ -137,7 +142,7 @@ func (e *Editor) exec1(cmd string, args []string) (string, error) {
 		if len(args) < 3 || args[1] != "->" {
 			return "", fmt.Errorf("usage: connect <icon.pad> -> <icon.pad> [delay=<d>]")
 		}
-		kv, err := keyvals(args[3:])
+		kv, err := keyvals(args[3:], []string{"delay"}, nil)
 		if err != nil {
 			return "", err
 		}
@@ -164,7 +169,7 @@ func (e *Editor) exec1(cmd string, args []string) (string, error) {
 		if len(args) < 3 {
 			return "", fmt.Errorf("usage: dma <name> rd|wr var=<v> offset=<o> stride=<s> count=<c> [skip=<k>] [buf=<b>] [swap]")
 		}
-		kv, err := keyvals(args[2:])
+		kv, err := keyvals(args[2:], []string{"var", "offset", "stride", "count", "skip", "buf"}, []string{"swap"})
 		if err != nil {
 			return "", err
 		}
@@ -221,7 +226,7 @@ func (e *Editor) exec1(cmd string, args []string) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("unknown operation %q", opName)
 		}
-		kv, err := keyvals(args[2:])
+		kv, err := keyvals(args[2:], []string{"consta", "constb", "init"}, []string{"reduce"})
 		if err != nil {
 			return "", err
 		}
@@ -259,7 +264,7 @@ func (e *Editor) exec1(cmd string, args []string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("threshold: %v", err)
 		}
-		kv, err := keyvals(args[3:])
+		kv, err := keyvals(args[3:], []string{"flag"}, nil)
 		if err != nil {
 			return "", err
 		}
@@ -282,7 +287,7 @@ func (e *Editor) exec1(cmd string, args []string) (string, error) {
 
 	case "flow":
 		// flow [label=<l>] pipe=<n> [cond=always|set|clear|halt] [flag=<f>] [next=<l>] [branch=<l>]
-		kv, err := keyvals(args)
+		kv, err := keyvals(args, []string{"label", "pipe", "cond", "flag", "ctr", "loadctr", "next", "branch"}, nil)
 		if err != nil {
 			return "", err
 		}
@@ -453,34 +458,51 @@ func splitUnit(ref string) (string, int, error) {
 	return ref[:i], slot, nil
 }
 
-// kvmap holds parsed key=value arguments.
-type kvmap struct {
-	vals  map[string]string
-	flags map[string]bool
-}
+// kvargs holds a command's checked key=value and flag arguments.
+type kvargs []string
 
-func keyvals(args []string) (kvmap, error) {
-	kv := kvmap{vals: map[string]string{}, flags: map[string]bool{}}
-	for _, a := range args {
-		if i := strings.IndexByte(a, '='); i > 0 {
-			kv.vals[a[:i]] = a[i+1:]
-		} else {
-			kv.flags[a] = true
+// keyvals checks a command's optional arguments against the ones it
+// takes: each is key=value for a name in keys or a bare name in flags.
+// It refuses an unknown name, a name given twice, a key with no value
+// and a flag given one, so a misspelt argument is an error rather than
+// silently dropped.
+func keyvals(args, keys, flags []string) (kvargs, error) {
+	for i, a := range args {
+		name, val, hasVal := strings.Cut(a, "=")
+		switch {
+		case !slices.Contains(keys, name) && !slices.Contains(flags, name):
+			return nil, fmt.Errorf("unknown argument %q", a)
+		case slices.Contains(keys, name) && val == "":
+			return nil, fmt.Errorf("%s needs a value", name)
+		case slices.Contains(flags, name) && hasVal:
+			return nil, fmt.Errorf("%s is a flag and takes no value", name)
+		case slices.ContainsFunc(args[:i], func(b string) bool { n, _, _ := strings.Cut(b, "="); return n == name }):
+			return nil, fmt.Errorf("%s given twice", name)
 		}
 	}
-	return kv, nil
+	return kvargs(args), nil
 }
 
-func (kv kvmap) flag(name string) bool { return kv.flags[name] }
-func (kv kvmap) strOr(name, d string) string {
-	if v, ok := kv.vals[name]; ok {
+// value returns the value of key name, if given.
+func (kv kvargs) value(name string) (string, bool) {
+	for _, a := range kv {
+		if k, v, ok := strings.Cut(a, "="); ok && k == name {
+			return v, true
+		}
+	}
+	return "", false
+}
+
+func (kv kvargs) flag(name string) bool { return slices.Contains(kv, name) }
+func (kv kvargs) strOr(name, d string) string {
+	if v, ok := kv.value(name); ok {
 		return v
 	}
 	return d
 }
 
-func (kv kvmap) intOr(name string, d int) (int, error) {
-	v, ok := kv.vals[name]
+func (kv kvargs) intOr(name string, d int) (int, error) {
+	v, ok := kv.value(name)
 	if !ok {
 		return d, nil
 	}
@@ -491,8 +513,8 @@ func (kv kvmap) intOr(name string, d int) (int, error) {
 	return n, nil
 }
 
-func (kv kvmap) int64Or(name string, d int64) (int64, error) {
-	v, ok := kv.vals[name]
+func (kv kvargs) int64Or(name string, d int64) (int64, error) {
+	v, ok := kv.value(name)
 	if !ok {
 		return d, nil
 	}
@@ -503,8 +525,8 @@ func (kv kvmap) int64Or(name string, d int64) (int64, error) {
 	return n, nil
 }
 
-func (kv kvmap) floatOpt(name string) (float64, bool, error) {
-	v, ok := kv.vals[name]
+func (kv kvargs) floatOpt(name string) (float64, bool, error) {
+	v, ok := kv.value(name)
 	if !ok {
 		return 0, false, nil
 	}

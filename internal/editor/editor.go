@@ -493,13 +493,3 @@ func (e *Editor) Check() []checker.Diagnostic {
 func (e *Editor) CheckCacheStats() checker.CheckCacheStats {
 	return e.checkCache.Stats()
 }
-
-// logf appends to the message strip and passes the error through.
-func (e *Editor) logf(err error, format string, args ...any) error {
-	ev := Event{Cmd: fmt.Sprintf(format, args...)}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	e.Log = append(e.Log, ev)
-	return err
-}

@@ -531,6 +531,45 @@ func TestCommandErrors(t *testing.T) {
 	}
 }
 
+// TestRefusedArguments: a command refuses an argument it does not
+// take, a name given twice, a key with no value and a flag given one,
+// where each line would otherwise apply with the argument dropped. A
+// refused line leaves the document and the undo history as they were.
+func TestRefusedArguments(t *testing.T) {
+	e := newEd(t)
+	execAll(t, e,
+		"var u plane=0 base=0 len=64",
+		"var v plane=1 base=0 len=64",
+		"place memplane Mu at 1 1 plane=0",
+		"place memplane Mv at 40 1 plane=1",
+		"place singlet S at 20 1",
+		"place singlet R at 30 1",
+		"op R.u0 add reduce",
+	)
+	for _, tc := range []struct{ line, want string }{
+		{"place cache C at 1 5 plnae=1", `unknown argument "plnae=1"`},
+		{"connect Mu.rd -> S.u0.a dealy=4", `unknown argument "dealy=4"`},
+		{"op S.u0 add constb=2 reduec", `unknown argument "reduec"`},
+		{"dma Mu rd var=u count=64 cuont=8", `unknown argument "cuont=8"`},
+		{"var w plane=2 base=0 len=8 len=16", "len given twice"},
+		{"dma Mv wr var=v count=8 swap swap", "swap given twice"},
+		{"place singlet T at 1 9 plane", "plane needs a value"},
+		{"dma Mv wr var=v count=", "count needs a value"},
+		{"op S.u0 mul reduce=1", "reduce is a flag and takes no value"},
+		{"flow pipe=0 cond=halt lable=x", `unknown argument "lable=x"`},
+		{"compare R.u0 lt 0.5 flag=1 flga=2", `unknown argument "flga=2"`},
+	} {
+		before, depth := saved(t, e), len(e.undo)
+		_, err := e.Exec(tc.line)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %v, want %q", tc.line, err, tc.want)
+		}
+		if saved(t, e) != before || len(e.undo) != depth {
+			t.Errorf("%q changed the document or the undo history", tc.line)
+		}
+	}
+}
+
 func TestExecScriptStopsAtError(t *testing.T) {
 	e := newEd(t)
 	script := "place singlet A at 0 0\nbogus command\nplace singlet B at 1 1\n"

@@ -19,8 +19,9 @@ type scriptCmd struct{ format, args string }
 
 // scriptVocab covers every command but undo and redo. Lines fail
 // before the undo mark (an unknown name, a checker veto, a missing
-// pipeline) and after it (a duplicate icon name, a bad DMA direction, a
-// missing wire, a compare on a non-reducing unit).
+// pipeline, a misspelt argument) and after it (a duplicate icon name, a
+// bad DMA direction, a missing wire, a compare on a non-reducing unit).
+// Lines are appended, never inserted, so the seeds keep their meaning.
 var scriptVocab = []scriptCmd{
 	{"doc d%d", "i"},
 	{"var v%d plane=%d base=0 len=64", "ii"},
@@ -51,6 +52,10 @@ var scriptVocab = []scriptCmd{
 	{"check", ""},
 	{"bogus %d", "i"},
 	{"# note", ""},
+	{"place memplane %s at %d 1 plnae=%d", "nii"},
+	{"connect %s.rd -> %s.u0.a dealy=%d", "nni"},
+	{"op %s.u0 add constb=2 reduec", "n"},
+	{"dma %s rd var=v%d count=64 cuont=%d", "nii"},
 }
 
 // scriptFromBytes deals a session from the fuzz input. The first byte
@@ -133,6 +138,10 @@ func FuzzScriptEdit(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 1, 0, 3, 1, 2, 5, 2, 3, 8, 0, 1, 10, 0, 2, 16, 2, 3, 12, 1, 18, 20, 0, 0, 26, 19, 28})
 	// Set up A and undo it; a script that edits nothing keeps the redo.
 	f.Add([]byte{5, 3, 0, 1, 26, 22, 0, 28})
+	// Memory plane A, singlet B and variable v0; the script's first
+	// line, a legal wire with its delay misspelt, fails before its mark,
+	// so the script makes no edit.
+	f.Add([]byte{3, 2, 0, 1, 0, 3, 1, 2, 1, 0, 0, 30, 0, 1, 4, 31, 1, 32, 0, 0, 8, 29, 2, 1, 1})
 
 	inv := arch.MustInventory(arch.Default())
 	f.Fuzz(func(t *testing.T, data []byte) {

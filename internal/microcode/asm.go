@@ -223,12 +223,11 @@ func (f *Format) asmLine(in *Instr, line string) error {
 			case tok == "trap":
 				s.Trap = true
 			case strings.HasPrefix(tok, "ldctr(") && strings.HasSuffix(tok, ")"):
-				var c int
-				var v int64
-				if _, err := fmt.Sscanf(tok, "ldctr(%d=%d)", &c, &v); err != nil {
+				var c, v int
+				if !scan(tok, "ldctr(%d=%d)", &c, &v) {
 					return fmt.Errorf("bad ldctr clause %q", tok)
 				}
-				s.Ctr, s.CtrLoad, s.CtrValue = c, true, v
+				s.Ctr, s.CtrLoad, s.CtrValue = c, true, int64(v)
 			case strings.HasPrefix(tok, "loopctr="):
 				s.Ctr = asmInt(tok[8:])
 			case strings.HasPrefix(tok, "irq="):
@@ -352,13 +351,13 @@ func (f *Format) parseSource(name string) (arch.SourceID, error) {
 	c := f.Cfg
 	var n, t int
 	switch {
-	case scan1(name, "M%d.rd", &n) && n >= 0 && n < c.MemPlanes:
+	case scan(name, "M%d.rd", &n) && n >= 0 && n < c.MemPlanes:
 		return c.SrcMemRead(n), nil
-	case scan1(name, "C%d.rd", &n) && n >= 0 && n < c.CachePlanes:
+	case scan(name, "C%d.rd", &n) && n >= 0 && n < c.CachePlanes:
 		return c.SrcCacheRead(n), nil
-	case scan2(name, "SDU%d.t%d", &n, &t) && n >= 0 && n < c.ShiftDelayUnits && t >= 0 && t < c.SDUTaps:
+	case scan(name, "SDU%d.t%d", &n, &t) && n >= 0 && n < c.ShiftDelayUnits && t >= 0 && t < c.SDUTaps:
 		return c.SrcSDUTap(n, t), nil
-	case scan1(name, "FU%d.out", &n) && n >= 0 && n < c.TotalFUs:
+	case scan(name, "FU%d.out", &n) && n >= 0 && n < c.TotalFUs:
 		return c.SrcFUOut(arch.FUID(n)), nil
 	}
 	return arch.InvalidSource, fmt.Errorf("unknown source port %q", name)
@@ -369,34 +368,39 @@ func (f *Format) parseSink(name string) (arch.SinkID, error) {
 	c := f.Cfg
 	var n int
 	switch {
-	case scan1(name, "M%d.wr", &n) && n >= 0 && n < c.MemPlanes:
+	case scan(name, "M%d.wr", &n) && n >= 0 && n < c.MemPlanes:
 		return c.SnkMemWrite(n), nil
-	case scan1(name, "C%d.wr", &n) && n >= 0 && n < c.CachePlanes:
+	case scan(name, "C%d.wr", &n) && n >= 0 && n < c.CachePlanes:
 		return c.SnkCacheWrite(n), nil
-	case scan1(name, "SDU%d.in", &n) && n >= 0 && n < c.ShiftDelayUnits:
+	case scan(name, "SDU%d.in", &n) && n >= 0 && n < c.ShiftDelayUnits:
 		return c.SnkSDUIn(n), nil
-	case scan1(name, "FU%d.a", &n) && n >= 0 && n < c.TotalFUs:
+	case scan(name, "FU%d.a", &n) && n >= 0 && n < c.TotalFUs:
 		return c.SnkFUIn(arch.FUID(n), 0), nil
-	case scan1(name, "FU%d.b", &n) && n >= 0 && n < c.TotalFUs:
+	case scan(name, "FU%d.b", &n) && n >= 0 && n < c.TotalFUs:
 		return c.SnkFUIn(arch.FUID(n), 1), nil
 	}
 	return arch.InvalidSink, fmt.Errorf("unknown sink port %q", name)
 }
 
-// scan1/scan2 are strict Sscanf wrappers: the parse must reproduce the
-// whole input, rejecting trailing garbage.
-func scan1(s, format string, a *int) bool {
-	if n, err := fmt.Sscanf(s, format, a); n == 1 && err == nil {
-		return fmt.Sprintf(format, *a) == s
+// scan matches all of s against format, whose only verbs are %d, one
+// per value: each %d takes a decimal in the form %d prints, so the
+// parse reproduces the whole input and rejects trailing garbage.
+func scan(s, format string, vals ...*int) bool {
+	for _, v := range vals {
+		lit, rest, _ := strings.Cut(format, "%d")
+		var ok bool
+		if s, ok = strings.CutPrefix(s, lit); !ok {
+			return false
+		}
+		tail := strings.TrimLeft(s, "-0123456789")
+		num := s[:len(s)-len(tail)]
+		n, err := strconv.Atoi(num)
+		if err != nil || strconv.Itoa(n) != num {
+			return false
+		}
+		*v, s, format = n, tail, rest
 	}
-	return false
-}
-
-func scan2(s, format string, a, b *int) bool {
-	if n, err := fmt.Sscanf(s, format, a, b); n == 2 && err == nil {
-		return fmt.Sprintf(format, *a, *b) == s
-	}
-	return false
+	return s == format
 }
 
 // AssembleProgram parses a multi-instruction listing using the

@@ -138,6 +138,7 @@ func TestAssembleErrors(t *testing.T) {
 		"seq cmp(fu1 < constx -> flag1)",
 		"seq cmp(fu1 < const0 => flag1)",
 		"seq wat=1",
+		"seq ldctr(1=5)x)",
 	}
 	for _, src := range bad {
 		if _, err := f.Assemble(strings.NewReader(src)); err == nil {

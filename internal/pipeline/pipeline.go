@@ -10,12 +10,12 @@
 // decoded-instruction plan cache.
 //
 // The passes are the stages compiler.BuildProgram,
-// checker.Checker.CheckDocument and codegen.Generator.Lower/Validate
-// expose, composed without changing what they emit: a pipeline compile
-// is bit-identical to calling the stages by hand. The check pass runs
-// the checker once over the whole document, and the codegen pass
-// lowers each referenced pipeline from its timing analysis without
-// running the rules again.
+// checker.Checker.Check and codegen.Generator.Lower/Validate expose,
+// composed without changing what they emit: a pipeline compile is
+// bit-identical to calling the stages by hand. The check pass runs the
+// checker once over the whole document, and the codegen pass lowers
+// each referenced pipeline from the timing analysis the check built,
+// without running the rules or the analysis again.
 package pipeline
 
 import (
@@ -45,8 +45,10 @@ type state struct {
 	Parsed []*compiler.Stmt
 	// Build product: per-statement mapping statistics.
 	StmtInfo []*compiler.Result
-	// Check product: every finding (warnings included).
+	// Check product: every finding (warnings included) and each
+	// pipeline's analysis, which the codegen pass lowers from.
 	Diags diag.Diagnostics
+	Ans   []*checker.Analysis
 	// Codegen/validate product.
 	Prog *microcode.Program
 	Rep  *codegen.Report
@@ -181,8 +183,9 @@ func (pl *Pipeline) buildDiagram(st *state) error {
 }
 
 func (pl *Pipeline) check(st *state) error {
-	ds := pl.Gen.Chk.CheckDocument(st.Doc)
+	ds, ans := pl.Gen.Chk.Check(st.Doc)
 	st.Diags = append(st.Diags, ds...)
+	st.Ans = ans
 	if es := checker.Errors(ds); len(es) > 0 {
 		// The same error type direct codegen clients receive.
 		return &codegen.CheckError{Diags: es}
@@ -191,7 +194,7 @@ func (pl *Pipeline) check(st *state) error {
 }
 
 func (pl *Pipeline) lower(st *state) error {
-	prog, rep, err := pl.Gen.Lower(st.Doc)
+	prog, rep, err := pl.Gen.Lower(st.Doc, st.Ans)
 	if err != nil {
 		return err
 	}

@@ -146,11 +146,8 @@ func PadPos(ic *diagram.Icon, pad string) (x, y int, ok bool) {
 		if pad == "in" {
 			return ic.X, ic.Y + 2, true
 		}
-		var t int
-		if _, err := fmt.Sscanf(pad, "t%d", &t); err != nil {
-			return 0, 0, false
-		}
-		return ic.X + w - 1, ic.Y + 2 + t, true
+		t, ok := diagram.TapPad(pad)
+		return ic.X + w - 1, ic.Y + 2 + t, ok
 	default:
 		slot, side, good := diagram.UnitPad(pad)
 		if !good || slot >= ic.Kind.ActiveUnits() {
@@ -365,7 +362,7 @@ func Netlist(p *diagram.Pipeline) string {
 					continue
 				}
 				fmt.Fprintf(&sb, "  %s.u%d = %s(", ic.Name, slot, u.Op)
-				if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.a", slot)}); w != nil {
+				if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 0)}); w != nil {
 					sb.WriteString(name(w.From))
 					if w.Delay > 0 {
 						fmt.Fprintf(&sb, " z%d", w.Delay)
@@ -379,7 +376,7 @@ func Netlist(p *diagram.Pipeline) string {
 					case u.Reduce:
 						fmt.Fprintf(&sb, "acc init=%g", u.RedInit)
 					default:
-						if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.b", slot)}); w != nil {
+						if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 1)}); w != nil {
 							sb.WriteString(name(w.From))
 							if w.Delay > 0 {
 								fmt.Fprintf(&sb, " z%d", w.Delay)

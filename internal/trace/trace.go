@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/checker"
 	"repro/internal/codegen"
 	"repro/internal/diagram"
 	"repro/internal/microcode"
@@ -35,66 +34,35 @@ type Sample struct {
 }
 
 // padSources maps every producing pad of the pipeline to its physical
-// switch source, using the generator's hardware assignment.
-func padSources(inv *arch.Inventory, p *diagram.Pipeline, info *codegen.PipeInfo) (map[diagram.PadRef]arch.SourceID, error) {
-	cfg := inv.Cfg
+// switch source under the generator's hardware assignment.
+func padSources(inv *arch.Inventory, p *diagram.Pipeline, info *codegen.PipeInfo) map[diagram.PadRef]arch.SourceID {
 	m := map[diagram.PadRef]arch.SourceID{}
 	for _, ic := range p.Icons {
-		switch ic.Kind {
-		case diagram.IconMemPlane:
-			m[diagram.PadRef{Icon: ic.ID, Pad: "rd"}] = cfg.SrcMemRead(ic.Plane)
-		case diagram.IconCache:
-			m[diagram.PadRef{Icon: ic.ID, Pad: "rd"}] = cfg.SrcCacheRead(ic.Plane)
-		case diagram.IconSDU:
-			u, ok := info.SDUMap[ic.ID]
-			if !ok {
-				continue
-			}
-			for t := range ic.Taps {
-				m[diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("t%d", t)}] = cfg.SrcSDUTap(u, t)
-			}
-		default:
-			als, ok := info.ALSMap[ic.ID]
-			if !ok {
-				continue
-			}
-			for slot := 0; slot < ic.Kind.ActiveUnits(); slot++ {
-				fu, err := inv.UnitAt(als, slot)
-				if err != nil {
-					return nil, err
-				}
-				m[diagram.PadRef{Icon: ic.ID, Pad: fmt.Sprintf("u%d.o", slot)}] = cfg.SrcFUOut(fu.ID)
+		for _, pad := range ic.Kind.Pads() {
+			if src, ok := info.Source(inv, ic, pad.Name); ok {
+				m[diagram.PadRef{Icon: ic.ID, Pad: pad.Name}] = src
 			}
 		}
 	}
-	return m, nil
+	return m
 }
 
 // Capture executes the instruction on the node with tracing enabled
 // and returns, for each producing pad, the value of logical element
 // `element` (pads whose streams never carry that element are absent).
-// The node's planes must already hold the input data; the instruction
-// executes fully, so memory is updated as usual. If the node traps
-// mid-instruction, Capture returns the samples observed before the
-// abort together with the *sim.TrapError.
-func Capture(node *sim.Node, in *microcode.Instr, doc *diagram.Document, p *diagram.Pipeline,
+// The pads' epochs come from info, the generator's report for the
+// instruction. The node's planes must already hold the input data; the
+// instruction executes fully, so memory is updated as usual. If the
+// node traps mid-instruction, Capture returns the samples observed
+// before the abort together with the *sim.TrapError.
+func Capture(node *sim.Node, in *microcode.Instr, p *diagram.Pipeline,
 	info *codegen.PipeInfo, element int64) (map[diagram.PadRef]Sample, error) {
-
-	chk := checker.New(node.Inv)
-	an, diags := chk.Analyze(doc, p)
-	if len(diags) > 0 {
-		return nil, fmt.Errorf("trace: diagram has cycles: %v", diags)
-	}
-	pads, err := padSources(node.Inv, p, info)
-	if err != nil {
-		return nil, err
-	}
 
 	// Element e of pad P appears at cycle L(P) + e.
 	wantCycle := map[arch.SourceID][]diagram.PadRef{}
 	cycleOf := map[diagram.PadRef]int{}
-	for pr, src := range pads {
-		c := an.L[pr] + int(element)
+	for pr, src := range padSources(node.Inv, p, info) {
+		c := info.Epochs[pr] + int(element)
 		cycleOf[pr] = c
 		wantCycle[src] = append(wantCycle[src], pr)
 	}
@@ -176,12 +144,12 @@ func elementOf(list []Sample) int64 {
 // through the pipeline" animation, one frame per element. Each call to
 // Capture re-executes the instruction; the node state is rewound by
 // the caller if that matters.
-func Animate(node *sim.Node, in *microcode.Instr, doc *diagram.Document, p *diagram.Pipeline,
+func Animate(node *sim.Node, in *microcode.Instr, p *diagram.Pipeline,
 	info *codegen.PipeInfo, first, count int64) (string, error) {
 
 	frames := make([]map[diagram.PadRef]Sample, 0, count)
 	for e := first; e < first+count; e++ {
-		s, err := Capture(node, in, doc, p, info, e)
+		s, err := Capture(node, in, p, info, e)
 		if err != nil {
 			return "", err
 		}

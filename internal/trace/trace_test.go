@@ -73,8 +73,8 @@ func setup(t testing.TB) (*sim.Node, *diagram.Document, *diagram.Pipeline, *code
 }
 
 func TestCaptureValuesAtElement(t *testing.T) {
-	node, d, p, info, in := setup(t)
-	samples, err := Capture(node, in, d, p, info, 5)
+	node, _, p, info, in := setup(t)
+	samples, err := Capture(node, in, p, info, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestCaptureValuesAtElement(t *testing.T) {
 }
 
 func TestAnnotateRendersOrdered(t *testing.T) {
-	node, d, p, info, in := setup(t)
-	samples, err := Capture(node, in, d, p, info, 3)
+	node, _, p, info, in := setup(t)
+	samples, err := Capture(node, in, p, info, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,8 @@ func TestAnnotateRendersOrdered(t *testing.T) {
 }
 
 func TestAnimateTable(t *testing.T) {
-	node, d, p, info, in := setup(t)
-	out, err := Animate(node, in, d, p, info, 0, 4)
+	node, _, p, info, in := setup(t)
+	out, err := Animate(node, in, p, info, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +167,14 @@ func TestAnnotateEmpty(t *testing.T) {
 // with the structured error — the annotated prefix is what pinpoints
 // the bad operand.
 func TestCapturePartialSamplesOnTrap(t *testing.T) {
-	node, d, p, info, in := setup(t)
+	node, _, p, info, in := setup(t)
 	// Element 10 overflows at the doubler (2·MaxFloat64 → +Inf with a
 	// finite operand); the halt policy aborts the instruction there.
 	if err := node.WriteWords(0, 10, []float64{math.MaxFloat64}); err != nil {
 		t.Fatal(err)
 	}
 	node.TrapCfg = arch.TrapConfig{Policy: arch.TrapHalt}
-	samples, err := Capture(node, in, d, p, info, 5)
+	samples, err := Capture(node, in, p, info, 5)
 	if err == nil {
 		t.Fatal("overflow at element 10 did not trap")
 	}
