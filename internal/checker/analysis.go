@@ -59,45 +59,46 @@ func unitArity(u diagram.UnitConfig) int { return u.Op.Info().Arity }
 // CheckPipeline. Analyze is tolerant of incomplete diagrams — missing
 // drivers simply contribute epoch 0 — so it can run during editing.
 func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis, []Diagnostic) {
+	// Every producing pad is visited once; the maps are sized for them
+	// all up front.
+	icons := append([]*diagram.Icon(nil), p.Icons...)
+	sort.Slice(icons, func(i, j int) bool { return icons[i].ID < icons[j].ID })
+	pads := 0
+	for _, ic := range icons {
+		for _, pad := range ic.Kind.Pads() {
+			if !pad.Input {
+				pads++
+			}
+		}
+	}
 	a := &Analysis{
-		L:        make(map[diagram.PadRef]int),
-		HWDelayA: make(map[diagram.PadRef]int),
-		HWDelayB: make(map[diagram.PadRef]int),
+		Order:    make([]diagram.PadRef, 0, pads),
+		L:        make(map[diagram.PadRef]int, pads),
+		HWDelayA: make(map[diagram.PadRef]int, pads),
+		HWDelayB: make(map[diagram.PadRef]int, pads),
 	}
 	var diags []Diagnostic
 
-	color := make(map[diagram.PadRef]padColor)
+	color := make(map[diagram.PadRef]padColor, pads)
 	var visit func(pr diagram.PadRef) bool
 
-	// inputsOf returns the pads that the producing pad pr depends on,
-	// with their wire delays.
-	inputsOf := func(pr diagram.PadRef) []*diagram.Wire {
-		ic, err := p.Icon(pr.Icon)
-		if err != nil {
-			return nil
-		}
+	// drivers returns the wires into the operands the producing pad pr
+	// depends on, with their wire delays: an SDU tap's input wire, or a
+	// unit's A and B wires; nil where unwired. Read channels are graph
+	// sources.
+	drivers := func(ic *diagram.Icon, pr diagram.PadRef) (wa, wb *diagram.Wire) {
 		switch ic.Kind {
 		case diagram.IconMemPlane, diagram.IconCache:
-			return nil // read channels are graph sources
+			return nil, nil
 		case diagram.IconSDU:
-			if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: "in"}); w != nil {
-				return []*diagram.Wire{w}
-			}
-			return nil
-		default:
-			slot, _, ok := diagram.UnitPad(pr.Pad)
-			if !ok {
-				return nil
-			}
-			var ws []*diagram.Wire
-			if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 0)}); w != nil {
-				ws = append(ws, w)
-			}
-			if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 1)}); w != nil {
-				ws = append(ws, w)
-			}
-			return ws
+			return p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: "in"}), nil
 		}
+		slot, _, ok := diagram.UnitPad(pr.Pad)
+		if !ok {
+			return nil, nil
+		}
+		return p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 0)}),
+			p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 1)})
 	}
 
 	visit = func(pr diagram.PadRef) bool {
@@ -112,29 +113,22 @@ func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis
 			return true
 		}
 		color[pr] = colorGray
-		ok := true
-		for _, w := range inputsOf(pr) {
-			if !visit(w.From) {
-				ok = false
-				break
-			}
-		}
+		ic, _ := p.Icon(pr.Icon)
+		wa, wb := drivers(ic, pr)
+		ok := (wa == nil || visit(wa.From)) && (wb == nil || visit(wb.From))
 		color[pr] = colorBlack
 		if !ok {
 			return false
 		}
 
 		// Compute epoch and hardware delays now that inputs are final.
-		ic, _ := p.Icon(pr.Icon)
 		switch ic.Kind {
 		case diagram.IconMemPlane, diagram.IconCache:
 			a.L[pr] = 0
 		case diagram.IconSDU:
-			base := 0
-			if w := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: "in"}); w != nil {
-				base = a.L[w.From] + 1
-			} else {
-				base = 1
+			base := 1
+			if wa != nil {
+				base = a.L[wa.From] + 1
 			}
 			a.L[pr] = base
 		default:
@@ -144,8 +138,6 @@ func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis
 				u = ic.Units[slot]
 			}
 			lat := u.Op.Info().Latency
-			wa := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 0)})
-			wb := p.WireTo(diagram.PadRef{Icon: ic.ID, Pad: diagram.UnitPadName(slot, 1)})
 			need := 0
 			if wa != nil {
 				if v := a.L[wa.From] - wa.Delay; v > need {
@@ -174,8 +166,6 @@ func (c *Checker) Analyze(doc *diagram.Document, p *diagram.Pipeline) (*Analysis
 	}
 
 	// Enumerate every producing pad in a deterministic order.
-	icons := append([]*diagram.Icon(nil), p.Icons...)
-	sort.Slice(icons, func(i, j int) bool { return icons[i].ID < icons[j].ID })
 	for _, ic := range icons {
 		for _, pad := range ic.Kind.Pads() {
 			if !pad.Input {

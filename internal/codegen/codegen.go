@@ -113,7 +113,6 @@ type elaboration struct {
 	info PipeInfo
 
 	consts map[float64]int
-	unitOf map[diagram.IconID][]arch.FUID
 }
 
 // Pipeline checks a single diagram and elaborates it into one
@@ -134,7 +133,7 @@ func (g *Generator) elaborate(doc *diagram.Document, p *diagram.Pipeline, an *ch
 		g: g, doc: doc, p: p, an: an, in: g.F.NewInstr(),
 		info: PipeInfo{Pipe: p.ID, VectorLen: an.VectorLen, ALSMap: map[diagram.IconID]arch.ALSID{},
 			SDUMap: map[diagram.IconID]int{}, Epochs: an.L},
-		consts: map[float64]int{}, unitOf: map[diagram.IconID][]arch.FUID{},
+		consts: map[float64]int{},
 	}
 	if err := e.assignHardware(); err != nil {
 		return nil, nil, err
@@ -152,36 +151,28 @@ func (g *Generator) elaborate(doc *diagram.Document, p *diagram.Pipeline, an *ch
 }
 
 // assignHardware maps ALS icons to physical ALSs of the right kind and
-// SDU icons to physical shift/delay units, in icon order.
+// SDU icons to physical shift/delay units, in icon order: each ALS icon
+// takes the first ALS of its kind, in inventory order, that no earlier
+// icon took.
 func (e *elaboration) assignHardware() error {
-	free := map[arch.ALSKind][]arch.ALSID{
-		arch.Singlet: e.g.Inv.ALSByKind(arch.Singlet),
-		arch.Doublet: e.g.Inv.ALSByKind(arch.Doublet),
-		arch.Triplet: e.g.Inv.ALSByKind(arch.Triplet),
-	}
+	inv := e.g.Inv
+	var next [arch.Triplet + 1]int // per kind: where the search for a free ALS resumes
 	sduNext := 0
 	for _, ic := range e.p.Icons {
 		if kind, ok := ic.Kind.ALSKind(); ok {
-			pool := free[kind]
-			if len(pool) == 0 {
+			i := next[kind]
+			for i < len(inv.ALSs) && inv.ALSs[i].Kind != kind {
+				i++
+			}
+			if i == len(inv.ALSs) {
 				return diag.Errorf(diag.RuleGenResource, "codegen: out of %ss for icon %q", kind, ic.Name)
 			}
-			als := pool[0]
-			free[kind] = pool[1:]
-			e.info.ALSMap[ic.ID] = als
-			units := make([]arch.FUID, ic.Kind.ActiveUnits())
-			for slot := range units {
-				fu, err := e.g.Inv.UnitAt(als, slot)
-				if err != nil {
-					return diag.Errorf(diag.RuleGenResource, "codegen: %v", err)
-				}
-				units[slot] = fu.ID
-			}
-			e.unitOf[ic.ID] = units
+			next[kind] = i + 1
+			e.info.ALSMap[ic.ID] = inv.ALSs[i].ID
 			continue
 		}
 		if ic.Kind == diagram.IconSDU {
-			if sduNext >= e.g.Inv.Cfg.ShiftDelayUnits {
+			if sduNext >= inv.Cfg.ShiftDelayUnits {
 				return diag.Errorf(diag.RuleGenResource, "codegen: out of shift/delay units for icon %q", ic.Name)
 			}
 			e.info.SDUMap[ic.ID] = sduNext
@@ -189,6 +180,20 @@ func (e *elaboration) assignHardware() error {
 		}
 	}
 	return nil
+}
+
+// unit returns the functional unit in slot of the ALS that ALS icon id
+// was assigned.
+func (e *elaboration) unit(id diagram.IconID, slot int) (arch.FUID, error) {
+	als, ok := e.info.ALSMap[id]
+	if !ok {
+		return 0, diag.Errorf(diag.RuleGenStruct, "codegen: icon #%d has no ALS", id)
+	}
+	fu, err := e.g.Inv.UnitAt(als, slot)
+	if err != nil {
+		return 0, diag.Errorf(diag.RuleGenResource, "codegen: %v", err)
+	}
+	return fu.ID, nil
 }
 
 // constSlot interns a constant into the instruction's pool.
@@ -224,15 +229,17 @@ func (e *elaboration) emit() error {
 	cfg := e.g.Inv.Cfg
 	// Function units: ops, operand bindings, reductions.
 	for _, ic := range e.p.Icons {
-		units, isALS := e.unitOf[ic.ID]
-		if !isALS {
+		if _, isALS := e.info.ALSMap[ic.ID]; !isALS {
 			continue
 		}
 		for slot, u := range ic.Units {
 			if u.Op == arch.OpNop {
 				continue
 			}
-			fu := units[slot]
+			fu, err := e.unit(ic.ID, slot)
+			if err != nil {
+				return err
+			}
 			e.in.SetFUOp(fu, u.Op)
 			e.info.FUsUsed++
 			e.info.FLOPsPerElement += u.Op.Info().FLOPs
@@ -392,7 +399,10 @@ func (e *elaboration) resolveAddr(ic *diagram.Icon, spec *diagram.DMASpec) (int6
 
 func (e *elaboration) emitCompare() error {
 	cmp := e.p.Compare
-	units := e.unitOf[cmp.Icon]
+	fu, err := e.unit(cmp.Icon, cmp.Slot)
+	if err != nil {
+		return err
+	}
 	k, err := e.constSlot(cmp.Threshold)
 	if err != nil {
 		return err
@@ -412,7 +422,7 @@ func (e *elaboration) emitCompare() error {
 	}
 	s := e.in.SeqOf()
 	s.CmpEnable = true
-	s.CmpFU = units[cmp.Slot]
+	s.CmpFU = fu
 	s.CmpConst = k
 	s.CmpOp = op
 	s.CmpFlag = cmp.Flag
@@ -548,8 +558,7 @@ func (g *Generator) Lower(doc *diagram.Document, ans []*checker.Analysis) (*micr
 		if op.Branch != "" {
 			s.Branch = labels[op.Branch]
 		}
-		p, err := doc.Pipe(op.Pipe)
-		if err == nil && p.IRQ {
+		if op.Pipe >= 0 && op.Pipe < len(doc.Pipes) && doc.Pipes[op.Pipe].IRQ {
 			s.IRQ = true
 		}
 		in.SetSeq(s)

@@ -27,9 +27,12 @@ func gateDoc(t *testing.T) (*diagram.Document, *codegen.Generator) {
 // TestPipelineAllocGate holds Generator.Pipeline on the 8×8×4 Jacobi
 // forward sweep to its allocation budget, which leaves room for one
 // check and one analysis of the pipeline, with pad names and switch
-// ports looked up rather than formatted or mapped per compile: a second
-// analysis costs about seventy allocations more, and formatted pad
-// names and per-compile port maps about two hundred.
+// ports looked up rather than formatted or mapped per compile. The
+// analysis sizes its maps once and visits each pad's drivers without
+// building a slice (about twenty allocations; one slice per pad visited
+// and maps grown pad by pad cost about forty more), and hardware
+// assignment takes ALSs by index over the inventory instead of copying
+// its pools and a unit slice per ALS icon (about fifteen more).
 func TestPipelineAllocGate(t *testing.T) {
 	doc, gen := gateDoc(t)
 	generate := func() {
@@ -39,15 +42,16 @@ func TestPipelineAllocGate(t *testing.T) {
 	}
 	generate() // warm-up: the Config's first use builds the shared tables
 	allocs := testing.AllocsPerRun(20, generate)
-	if allocs > 120 {
-		t.Errorf("Generator.Pipeline makes %v allocs on the Jacobi forward sweep, want at most 120", allocs)
+	if allocs > 35 {
+		t.Errorf("Generator.Pipeline makes %v allocs on the Jacobi forward sweep, want at most 35", allocs)
 	}
 	t.Logf("Generator.Pipeline on the 8×8×4 Jacobi forward sweep: %v allocs", allocs)
 }
 
 // TestDocumentAllocGate holds Generator.Document on the same document
 // to its budget: one check that hands each pipeline's analysis to the
-// lowering, which analyses nothing again.
+// lowering, which analyses nothing again and formats no diagnostic it
+// would drop.
 func TestDocumentAllocGate(t *testing.T) {
 	doc, gen := gateDoc(t)
 	generate := func() {
@@ -57,8 +61,8 @@ func TestDocumentAllocGate(t *testing.T) {
 	}
 	generate()
 	allocs := testing.AllocsPerRun(20, generate)
-	if allocs > 250 {
-		t.Errorf("Generator.Document makes %v allocs on the Jacobi document, want at most 250", allocs)
+	if allocs > 85 {
+		t.Errorf("Generator.Document makes %v allocs on the Jacobi document, want at most 85", allocs)
 	}
 	t.Logf("Generator.Document on the 8×8×4 Jacobi document: %v allocs", allocs)
 }

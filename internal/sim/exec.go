@@ -38,10 +38,14 @@ func (n *Node) ExecUncached(in *microcode.Instr) error {
 	return n.run(pl)
 }
 
-// run executes a compiled plan against the node state. Sink writes,
-// reduction registers and cache swaps commit only after evaluate
-// completes, so an attempt aborted by a trap is side-effect free and a
-// re-dispatch under the retry policy starts from identical state.
+// run executes a compiled plan against the node state. On the
+// interpreter, sink writes, reduction registers and cache swaps commit
+// only after evaluate completes, so an attempt aborted by a trap is
+// side-effect free and a re-dispatch under the retry policy starts from
+// identical state. The kernel, which never traps, commits its sinks as
+// it runs. On both paths a sink that leaves its plane writes its
+// in-range prefix and ends the dispatch with later sinks, the registers,
+// the statistics and cache swaps untouched.
 func (n *Node) run(pl *ExecPlan) error {
 	cfg := n.Cfg
 	start := n.Stats.Cycles
@@ -82,7 +86,11 @@ func (n *Node) run(pl *ExecPlan) error {
 	if kernel {
 		n.kernelFast++
 		n.Obs.Inc("sim.kernel.fast")
-		n.runKernel(pl, sc.val)
+		// The kernel commits sinks block by block, and the reduction
+		// registers once its last block has run.
+		if err := n.runKernel(pl); err != nil {
+			return err
+		}
 	} else {
 		n.kernelSlow++
 		n.Obs.Inc("sim.kernel.slow")
@@ -111,21 +119,16 @@ func (n *Node) run(pl *ExecPlan) error {
 			n.Obs.Inc("sim.trap.halts")
 			return &TrapError{Trap: *tr, Attempts: attempt + 1}
 		}
-	}
-
-	// --- Commit sinks and reduction registers: the same code on both
-	// paths, reading each producer where that path left it. ---
-	for i := range pl.sinks {
-		s := &pl.sinks[i]
-		val, off := sc.result(pl, kernel, s.from)
-		if err := n.commitSink(s, val, off); err != nil {
-			return err
+		// Commit sinks and reduction registers from the lanes evaluate
+		// left, stopping at the first sink that leaves its plane.
+		for i := range pl.sinks {
+			s := &pl.sinks[i]
+			if err := n.commitSink(s, sc.result(pl.T, s.from)); err != nil {
+				return err
+			}
 		}
-	}
-	for _, r := range pl.reduces {
-		// A reduction register reads its unit's own lane, at offset 0.
-		if val, _ := sc.result(pl, kernel, r.from); len(val) > 0 {
-			n.RedReg[r.fu] = val[len(val)-1]
+		for _, r := range pl.reduces {
+			n.RedReg[r.fu] = sc.result(pl.T, r.from)[pl.T-1]
 		}
 	}
 
@@ -172,27 +175,23 @@ func (n *Node) slowReason(pl *ExecPlan, detect bool) string {
 	return ""
 }
 
-// commitSink writes one DMA write channel: element j takes the value
-// its producer holds at cycle start+skip+j, read from val through off
-// (zero below off and past the lane's end). Stride-1 memory sinks move
-// a page at a time; the rest go word by word. Either way a walk that
-// leaves its plane or buffer writes the in-range prefix and stops with
-// the error of the first word out of range.
-func (n *Node) commitSink(s *planSink, val []float64, off int) error {
-	c0 := s.start + int(s.skip)
+// commitSink writes one interpreter DMA write channel: element j takes
+// the value its producer's lane val holds at cycle start+skip+j.
+// Stride-1 memory sinks move a page at a time; the rest go word by
+// word. Either way a walk that leaves its plane or buffer writes the
+// in-range prefix and stops with the error of the first word out of
+// range.
+func (n *Node) commitSink(s *planSink, val []float64) error {
+	val = val[s.start+int(s.skip):]
 	if s.kind == srcMem && s.strd == 1 {
-		return n.Mem[s.plane].writeStream(s.addr, s.count, val, off, c0)
+		return n.Mem[s.plane].writeStream(s.addr, s.count, val)
 	}
 	for j := int64(0); j < s.count; j++ {
-		var v float64
-		if c := c0 + int(j); c >= off && c < len(val) {
-			v = val[c-off]
-		}
 		var err error
 		if s.kind == srcMem {
-			err = n.Mem[s.plane].Write(s.addr+j*s.strd, v)
+			err = n.Mem[s.plane].Write(s.addr+j*s.strd, val[j])
 		} else {
-			err = n.Cache[s.plane].Write(s.buf, s.addr+j*s.strd, v)
+			err = n.Cache[s.plane].Write(s.buf, s.addr+j*s.strd, val[j])
 		}
 		if err != nil {
 			return err

@@ -2,18 +2,25 @@ package sim
 
 import "repro/internal/microcode"
 
-// KernelLanes reports the physical lanes in's kernel lowers to on n,
-// or -1 when lowering declines.
+// KernelLanes reports the lane windows in's kernel lowers to on n, or
+// -1 when lowering declines. Sources read in place take none.
 func KernelLanes(n *Node, in *microcode.Instr) (int, error) {
 	pl, err := n.plan(in)
 	if err != nil || pl.kern == nil {
 		return -1, err
 	}
-	return pl.kern.lanes, nil
+	windows := 0
+	for _, l := range pl.kern.lanes {
+		if l.w > 0 {
+			windows++
+		}
+	}
+	return windows, nil
 }
 
-// ScratchBytes reports the bytes of value lanes and of validity lanes
-// n's working set holds.
+// ScratchBytes reports the bytes of value lanes (the kernel's windows
+// and accumulators among them) and of validity lanes n's working set
+// holds.
 func ScratchBytes(n *Node) (val, ok int) { return 8 * len(n.scratch.val), len(n.scratch.ok) }
 
 // Demand is one kernel op's need as lowered: the cycles [Lo,Hi) of its
@@ -24,7 +31,7 @@ type Demand struct {
 }
 
 // SinkRead is one sink's committed cycles [Lo,Hi) and the index of the
-// op whose lane it reads.
+// op whose lane it reads, or -1 for a source read in place.
 type SinkRead struct{ Op, Lo, Hi int }
 
 // KernelDemand reports the stream length of in's kernel on n, each
@@ -39,17 +46,15 @@ func KernelDemand(n *Node, in *microcode.Instr) (T int, ops []Demand, sinks []Si
 	for _, op := range k.ops {
 		ops = append(ops, Demand{FU: op.kind == kFU, Reduce: op.reduce, Lo: op.need.lo, Hi: op.need.hi})
 	}
-	for _, s := range pl.sinks {
-		// A lane a sink reads is never released, so its producer is the
-		// last op to write it.
-		lane, from := k.views[s.from].lane, 0
-		for i, op := range k.ops {
-			if op.out == lane {
-				from = i
+	for i, s := range k.sinks {
+		from := -1
+		for j, op := range k.ops {
+			if s.in.lane >= 0 && op.out == s.in.lane {
+				from = j
 			}
 		}
-		c0 := s.start + int(s.skip)
-		sinks = append(sinks, SinkRead{Op: from, Lo: c0, Hi: c0 + int(s.count)})
+		c0 := pl.sinks[i].start + int(pl.sinks[i].skip)
+		sinks = append(sinks, SinkRead{Op: from, Lo: c0, Hi: c0 + int(s.fit)})
 	}
 	return pl.T, ops, sinks, nil
 }

@@ -115,27 +115,32 @@ func TestNewNodeGates(t *testing.T) {
 
 // TestKernelLanes pins the kernel's working set. The Jacobi forward
 // sweep has 3 sources, one SDU whose 8 taps take no lanes, 12 FUs and
-// a sink; liveness folds its 15 lanes into 7. A node that only runs
-// the kernel holds no validity lanes, and a warm 48×48×6 slab (one
-// rank of a 48×48×34 grid on 8 ranks) holds at most 1.2 MB.
+// a sink. Its stride-1 sources are read in place and its residual
+// reduction is read by its register alone, so 11 FUs need lanes. A
+// stream of one block shares windows as liveness allows: 12³ (T =
+// 2184) runs as one block in 5 windows of T cycles. A longer stream
+// runs in blocks, each of the 11 lanes a window of one block plus its
+// reach, so a warm slab holds at most 256 KiB however long its stream:
+// 48×48×6 (one rank of a 48×48×34 grid on 8 ranks) and 128×128×4 (the
+// paper's 64-node machine at 128×128×130) alike. A node that only runs
+// the kernel holds no validity lanes.
 func TestKernelLanes(t *testing.T) {
-	slab := &jacobi.Problem{N: 48, Nz: 6, H: 1.0 / 47, Tol: 1e-6, MaxIter: 1,
-		F: make([]float64, 48*48*6), U0: make([]float64, 48*48*6), Mask: make([]float64, 48*48*6)}
 	for _, tc := range []struct {
-		name     string
-		p        *jacobi.Problem
-		maxBytes int
+		name  string
+		p     *jacobi.Problem
+		lanes int
 	}{
-		{"12³", jacobi.NewModelProblem(12, 1e-6, 1), 1 << 20},
-		{"48×48×6", slab, 1_200_000},
+		{"12³", jacobi.NewModelProblem(12, 1e-6, 1), 5},
+		{"48×48×6", slab48(), 11},
+		{"128×128×4", slab128(), 11},
 	} {
 		node, in := sweepNode(t, tc.p, false)
 		lanes, err := sim.KernelLanes(node, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lanes != 7 {
-			t.Errorf("%s: forward sweep lowers to %d lanes, want 7", tc.name, lanes)
+		if lanes != tc.lanes {
+			t.Errorf("%s: forward sweep lowers to %d lanes, want %d", tc.name, lanes, tc.lanes)
 		}
 		for i := 0; i < 2; i++ {
 			if err := node.Exec(in); err != nil {
@@ -146,8 +151,8 @@ func TestKernelLanes(t *testing.T) {
 		if ok != 0 {
 			t.Errorf("%s: kernel-only node holds %d bytes of validity lanes", tc.name, ok)
 		}
-		if val == 0 || val > tc.maxBytes {
-			t.Errorf("%s: warm scratch %d bytes, want (0, %d]", tc.name, val, tc.maxBytes)
+		if val == 0 || val > 256<<10 {
+			t.Errorf("%s: warm scratch %d bytes, want (0, %d]", tc.name, val, 256<<10)
 		}
 		t.Logf("%s: %d lanes, %d bytes of scratch", tc.name, lanes, val)
 	}
@@ -155,9 +160,16 @@ func TestKernelLanes(t *testing.T) {
 
 // slab48 is one rank's slab of a 48×48×34 grid on 8 ranks: 48×48×6
 // with its ghost planes.
-func slab48() *jacobi.Problem {
-	return &jacobi.Problem{N: 48, Nz: 6, H: 1.0 / 47, Tol: 1e-6, MaxIter: 1,
-		F: make([]float64, 48*48*6), U0: make([]float64, 48*48*6), Mask: make([]float64, 48*48*6)}
+func slab48() *jacobi.Problem { return slab(48, 6) }
+
+// slab128 is one rank's slab of a 128×128×130 grid on 64 ranks:
+// 128×128×4 with its ghost planes.
+func slab128() *jacobi.Problem { return slab(128, 4) }
+
+// slab is an n×n×nz slab with zero inputs.
+func slab(n, nz int) *jacobi.Problem {
+	return &jacobi.Problem{N: n, Nz: nz, H: 1.0 / float64(n-1), Tol: 1e-6, MaxIter: 1,
+		F: make([]float64, n*n*nz), U0: make([]float64, n*n*nz), Mask: make([]float64, n*n*nz)}
 }
 
 // TestKernelDemand pins what the Jacobi forward sweep computes under
@@ -216,8 +228,9 @@ func TestKernelDemand(t *testing.T) {
 }
 
 // BenchmarkKernelSweep times one warm forward-sweep Exec through the
-// kernel on the 12³ model problem and a 48×48×6 slab: the go test
-// probe for kernel work, beside nscbench's whole-solve record.
+// kernel on the 12³ model problem, a 48×48×6 slab and a 128×128×4 slab:
+// the go test probe for kernel work, beside nscbench's whole-solve
+// record.
 func BenchmarkKernelSweep(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -225,6 +238,7 @@ func BenchmarkKernelSweep(b *testing.B) {
 	}{
 		{"12³", jacobi.NewModelProblem(12, 1e-6, 1)},
 		{"48×48×6", slab48()},
+		{"128×128×4", slab128()},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			node, in := sweepNode(b, bc.p, false)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/microcode"
@@ -10,18 +9,19 @@ import (
 
 // This file is the specialization layer below the decode-once /
 // execute-many split: a compiled ExecPlan is lowered once more into an
-// execKernel, a topologically ordered list of lane micro-ops executed
-// as branch-free loops over contiguous lane-major scratch.
+// execKernel, a topologically ordered list of micro-ops executed block
+// by block as branch-free loops over short lane windows.
 //
 // Why lane evaluation is bit-identical to the interpreter's
 // cycle-major sweep: every dependency in a plan points strictly
 // backward in time (functional units have latency ≥ 1, SDU taps delay
 // ≥ 1 cycle) and the producer graph is a DAG (compilePlan's depth
-// fixpoint rejects routing cycles). Evaluating each producer's lane in
-// topological order therefore performs exactly the same floating-point
-// operations on exactly the same operands in the same per-lane order
-// as the interpreter — reduction accumulators are sequential within a
-// single lane, and non-reduce ops are pure.
+// fixpoint rejects routing cycles). Evaluating each producer over a
+// block in topological order, block after block, therefore performs
+// exactly the same floating-point operations on exactly the same
+// operands in the same per-lane order as the interpreter — reduction
+// accumulators are sequential within a lane and carried from block to
+// block, and non-reduce ops are pure.
 //
 // Each op computes only its need: the cycles its readers read (see
 // demand). A pure op's value at a cycle depends on no other cycle of
@@ -29,18 +29,31 @@ import (
 // reduction still accumulates from its operand's first valid cycle,
 // storing only the cycles a reader reads.
 //
-// Only DMA sources and functional-unit outputs own lanes. A delay tap
-// is its input read through a larger offset, so taps cost nothing at
-// run time, and every operand is read in place from its producer's
-// lane. Validity never needs a lane either: each producer is valid on
-// one interval of cycles, derived at lowering time (see span).
+// Storage is bounded by the block, not by the stream. A stride-1
+// memory source owns no storage: its lane is a view on its plane's
+// pages, read in place as the hardware's DMA controller streams it. Every other
+// producer a reader reads — a functional unit, a strided memory or a
+// cache source — owns a ring window of kernBlock cycles plus the
+// longest offset any reader reads it through. A delay tap is its input
+// read through a larger offset, so taps cost nothing at run time, and
+// every operand is read in place from its producer's window or pages.
+// Validity never needs a lane either: each producer is valid on one
+// interval of cycles, derived at lowering time (see span). Sinks commit
+// each block's words as soon as the block has run.
 //
 // The kernel carries none of the per-cycle detection machinery (FP
 // trap classification, ECC take-down, tracer callbacks); the run layer
 // dispatches through it only when all of those are provably inert for
 // the whole instruction, which is known before cycle 0 streams.
 
-// kernKind discriminates the whole-lane micro-op classes.
+// kernBlock is the number of cycles every op runs before the next op
+// takes its turn. A window holds one block plus its reach, so a node's
+// kernel scratch is about lanes × kernBlock × 8 B whatever its slab.
+// Half a page keeps the Jacobi sweep's 11 windows near 180 KiB, and a
+// warm 48×48×6 sweep runs no slower than with whole-stream lanes.
+const kernBlock = pageWords / 2
+
+// kernKind discriminates the micro-op classes.
 type kernKind uint8
 
 const (
@@ -74,58 +87,85 @@ func (s span) hull(o span) span {
 	return span{min(s.lo, o.lo), max(s.hi, o.hi)}
 }
 
-// kernView locates a producer slot's values: cycle c reads lane[c-off],
-// and cycles below off read zero.
+// kernLane is where a producer's values are read from. With w > 0 it
+// is a ring window of w cycles at val[base:base+w] in the node's
+// scratch, cycle x at base + x mod w. With w == 0 it is a stride-1
+// memory source read in place: cycle x reads word addr+x-lead of its
+// plane on [lead,live) and zero elsewhere; an absent page reads as the
+// shared zero page.
+type kernLane struct {
+	base, w    int
+	plane      int
+	addr       int64
+	lead, live int
+}
+
+// kernView locates a producer slot's values while lowering: cycle c
+// reads lane cycle c-off, and cycles below off read zero.
 type kernView struct {
 	lane  int
 	off   int
 	valid span
 }
 
-// kernOperand is one functional-unit operand: a lane read in place
-// through a fixed backward offset (latency + register-file delay + any
-// tap shifts), or, when lane < 0, the scalar konst — a constant, or
-// zero for an unconnected input.
+// kernOperand is one read of a producer: a lane read in place through
+// a fixed backward offset (latency + register-file delay + any tap
+// shifts), or, when lane < 0, the scalar konst — a constant, or zero
+// for an unconnected input or a producer no reader reads as a lane.
 type kernOperand struct {
 	lane  int
 	off   int
 	konst float64
 }
 
-// cut returns the first region boundary the operand imposes in
-// (lo,hi): its offset, where it turns from zero into a lane read; or hi.
-func (o *kernOperand) cut(lo, hi int) int {
-	if o.lane >= 0 && o.off > lo && o.off < hi {
-		return o.off
-	}
-	return hi
-}
-
-// region returns the operand over cycles [lo,hi), which lie wholly on
-// one side of its offset: a subslice of its producer's lane, or nil and
-// a scalar.
-func (o *kernOperand) region(val []float64, T, lo, hi int) ([]float64, float64) {
+// at returns operand o from cycle lo up to its next region boundary or
+// hi, whichever comes first, and that region's length m. Inside a
+// region the operand is one slice of its window or source page, or nil
+// and a scalar: zero below its offset, through a source's lead-in and
+// after it drains. Boundaries are the offset, a window's wrap, and a
+// source's lead-in end, page ends and drain point.
+func (n *Node) at(k *execKernel, o *kernOperand, lo, hi int) (v []float64, s float64, m int) {
 	if o.lane < 0 {
-		return nil, o.konst
+		return nil, o.konst, hi - lo
 	}
 	if lo < o.off {
-		return nil, 0
+		return nil, 0, min(hi, o.off) - lo
 	}
-	base := o.lane*T - o.off
-	return val[base+lo : base+hi], 0
+	x, m := lo-o.off, hi-lo
+	l := &k.lanes[o.lane]
+	if l.w > 0 {
+		p := x % l.w
+		m = min(m, l.w-p)
+		return n.scratch.val[l.base+p : l.base+p+m], 0, m
+	}
+	switch {
+	case x < l.lead:
+		return nil, 0, min(m, l.lead-x)
+	case x >= l.live:
+		return nil, 0, m
+	}
+	a := l.addr + int64(x-l.lead)
+	p := int(a % pageWords)
+	m = min(m, l.live-x, pageWords-p)
+	pg := n.Mem[l.plane].pages[a/pageWords]
+	if pg == nil {
+		pg = &zeroPage
+	}
+	return pg[p : p+m], 0, m
 }
 
-// kernOp is one lane micro-op writing lane out over the cycles need.
+// kernOp is one micro-op writing lane out over the cycles need.
 // Exactly one of the other field groups is live, selected by kind; the
 // FU group's byte-sized op and reduce sit beside kind, where they pack.
 type kernOp struct {
 	kind   kernKind
 	op     arch.Op
 	reduce bool
-	out    int
+	out    int // lane; -1 for a reduction only its register reads
 	need   span
 
-	// Sources (kSrcMem/kSrcCache).
+	// Sources that keep a lane (kSrcMem at a stride other than 1,
+	// kSrcCache).
 	plane int
 	buf   int
 	addr  int64
@@ -135,20 +175,54 @@ type kernOp struct {
 
 	// Functional units (kFU), with op and reduce above. b is the scalar
 	// zero for unary ops and reductions, whose values never read it;
-	// valid is a reduction's operand interval.
+	// valid is a reduction's operand interval, and acc the index of its
+	// accumulator among the plan's reductions.
 	a, b  kernOperand
 	init  float64
 	valid span
+	acc   int
+}
+
+// kernSink is how the kernel commits the plan's sink of the same
+// index: word j takes cycle start+skip+j of in, for the first fit words,
+// which lie inside the sink's plane or buffer. Lowering decides which
+// words commit before the first cycle streams.
+type kernSink struct {
+	in  kernOperand
+	fit int64
 }
 
 // execKernel is the lowered form of one ExecPlan: micro-ops in
-// topological producer order over lanes physical lanes, and the view
-// of every producer slot for the sinks and reduction registers. Like
-// the plan it hangs off, it is immutable and carries no node state.
+// topological producer order, the lanes they read and write, and what
+// the sinks read. Like the plan it hangs off, it is immutable and
+// carries no node state. A dispatch's scratch is words long: the windows, then
+// from accs on one accumulator per reduction.
 type execKernel struct {
 	ops   []kernOp
-	lanes int
-	views []kernView
+	lanes []kernLane
+	// sinks are the plan's sinks up to the first whose walk leaves its
+	// plane or buffer. With fail set that last one commits its in-range
+	// prefix, and the dispatch then stops with its error: later sinks,
+	// the registers, the statistics and cache swaps stay untouched.
+	sinks []kernSink
+	fail  bool
+	// block is the cycles every op runs before the next takes its turn:
+	// kernBlock, or T when one block takes less scratch.
+	block       int
+	accs, words int
+}
+
+// laneInfo is one lane's bookkeeping while a plan is lowered. Entry i
+// also holds, for windows, the size of window i and the i-th entry of
+// its stack of free windows.
+type laneInfo struct {
+	writer int  // the op that writes the lane; -1 for a source read in place
+	need   span // the cycles its readers read
+	reach  int  // the longest offset it is read through; -1 when no reader reads it
+	last   int  // the last op that reads it, len(ops) when a sink does; -1 if none
+	final  int  // its window, then its index in the kernel's lanes
+	size   int
+	free   int
 }
 
 // lowerKernel lowers a compiled plan into an execKernel, or returns
@@ -156,7 +230,7 @@ type execKernel struct {
 // a malformed DMA descriptor, or (defensively) a producer ordering the
 // topological emitter cannot resolve. A nil kernel simply pins the
 // plan to the interpreter; it is never an error.
-func lowerKernel(pl *ExecPlan) *execKernel {
+func lowerKernel(cfg arch.Config, pl *ExecPlan) *execKernel {
 	for i := range pl.sources {
 		s := &pl.sources[i]
 		if s.skip < 0 || s.count < 0 {
@@ -172,22 +246,38 @@ func lowerKernel(pl *ExecPlan) *execKernel {
 		}
 	}
 
-	// Lanes are first numbered by the op that writes them; allocLanes
-	// maps them onto physical lanes afterwards.
+	// Every source and FU first gets a lane of its own; allocLanes keeps
+	// the lanes some reader reads once demand is known. A slot is placed
+	// once its view names a lane.
 	T := pl.T
-	k := &execKernel{ops: make([]kernOp, 0, len(pl.sources)+len(pl.fus)), views: make([]kernView, pl.slots)}
-	done := make([]bool, pl.slots+len(pl.taps)+len(pl.fus))
-	placed, tapDone, fuDone := done[:pl.slots], done[pl.slots:pl.slots+len(pl.taps)], done[pl.slots+len(pl.taps):]
+	n := len(pl.sources) + len(pl.fus)
+	k := &execKernel{ops: make([]kernOp, 0, n), lanes: make([]kernLane, 0, n), sinks: make([]kernSink, 0, len(pl.sinks))}
+	info := make([]laneInfo, 0, n)
+	views := make([]kernView, pl.slots)
+	for i := range views {
+		views[i].lane = -1
+	}
+	placed := func(slot int) bool { return views[slot].lane >= 0 }
+	lane := func(l kernLane, writer int) int {
+		k.lanes = append(k.lanes, l)
+		info = append(info, laneInfo{writer: writer, reach: -1, last: -1})
+		return len(k.lanes) - 1
+	}
 	for i := range pl.sources {
 		s := &pl.sources[i]
+		live := int(min(int64(T), s.skip+s.count))
+		if s.kind == srcMem && s.strd == 1 {
+			l := kernLane{plane: s.plane, addr: s.addr, lead: int(min(int64(live), s.skip)), live: live}
+			views[s.slot] = kernView{lane: lane(l, -1), valid: span{0, live}}
+			continue
+		}
 		kind := kSrcMem
 		if s.kind == srcCache {
 			kind = kSrcCache
 		}
-		k.views[s.slot] = kernView{lane: len(k.ops), valid: span{0, int(min(int64(T), s.skip+s.count))}}
-		placed[s.slot] = true
+		views[s.slot] = kernView{lane: lane(kernLane{}, len(k.ops)), valid: span{0, live}}
 		k.ops = append(k.ops, kernOp{
-			kind: kind, out: len(k.ops), plane: s.plane, buf: s.buf,
+			kind: kind, out: views[s.slot].lane, plane: s.plane, buf: s.buf,
 			addr: s.addr, strd: s.strd, skip: s.skip, count: s.count,
 			a: kernOperand{lane: -1}, b: kernOperand{lane: -1},
 		})
@@ -200,23 +290,22 @@ func lowerKernel(pl *ExecPlan) *execKernel {
 		progress := false
 		for i := range pl.taps {
 			tp := &pl.taps[i]
-			if tapDone[i] || !placed[tp.in] {
+			if placed(tp.out) || !placed(tp.in) {
 				continue
 			}
-			v := k.views[tp.in]
-			k.views[tp.out] = kernView{lane: v.lane, off: v.off + tp.shift, valid: v.valid.delayed(tp.shift, T)}
-			placed[tp.out], tapDone[i] = true, true
+			v := views[tp.in]
+			views[tp.out] = kernView{lane: v.lane, off: v.off + tp.shift, valid: v.valid.delayed(tp.shift, T)}
 			remaining--
 			progress = true
 		}
 		for i := range pl.fus {
 			p := &pl.fus[i]
-			if fuDone[i] || (p.aKind == microcode.InSwitch && !placed[p.aSlot]) ||
-				(!p.reduce && p.bKind == microcode.InSwitch && !placed[p.bSlot]) {
+			if placed(p.out) || (p.aKind == microcode.InSwitch && !placed(p.aSlot)) ||
+				(!p.reduce && p.bKind == microcode.InSwitch && !placed(p.bSlot)) {
 				continue
 			}
-			a, aValid := k.operand(p.aKind, p.aSlot, p.aConst, p.lat+p.aDelay, T)
-			op := kernOp{kind: kFU, out: len(k.ops), op: p.op, a: a, b: kernOperand{lane: -1},
+			a, aValid := operand(views, p.aKind, p.aSlot, p.aConst, p.lat+p.aDelay, T)
+			op := kernOp{kind: kFU, op: p.op, a: a, b: kernOperand{lane: -1},
 				reduce: p.reduce, init: p.init}
 			valid := span{0, T}
 			switch {
@@ -225,16 +314,23 @@ func lowerKernel(pl *ExecPlan) *execKernel {
 				if aValid.lo >= aValid.hi {
 					valid = span{}
 				}
+				// Accumulators are numbered in FU order, as the
+				// registers (pl.reduces) are.
+				for _, q := range pl.fus[:i] {
+					if q.reduce {
+						op.acc++
+					}
+				}
 			case p.arity > 0:
-				b, bValid := k.operand(p.bKind, p.bSlot, p.bConst, p.lat+p.bDelay, T)
+				b, bValid := operand(views, p.bKind, p.bSlot, p.bConst, p.lat+p.bDelay, T)
 				if p.arity >= 2 {
 					op.b = b
 				}
 				valid = aValid.and(bValid)
 			}
-			k.views[p.out] = kernView{lane: len(k.ops), valid: valid}
+			op.out = lane(kernLane{}, len(k.ops))
+			views[p.out] = kernView{lane: op.out, valid: valid}
 			k.ops = append(k.ops, op)
-			placed[p.out], fuDone[i] = true, true
 			remaining--
 			progress = true
 		}
@@ -242,18 +338,41 @@ func lowerKernel(pl *ExecPlan) *execKernel {
 			return nil
 		}
 	}
-	k.demand(pl)
-	k.allocLanes(pl)
+
+	for i := range pl.sinks {
+		s := &pl.sinks[i]
+		v := views[s.from]
+		ks := kernSink{in: kernOperand{lane: v.lane, off: v.off}}
+		switch {
+		case s.kind == srcMem:
+			ks.fit = inRange(s.addr, s.strd, s.count, cfg.PlaneWords())
+		case s.buf == 0 || s.buf == 1:
+			ks.fit = inRange(s.addr, s.strd, s.count, cfg.CacheWords())
+		}
+		k.sinks = append(k.sinks, ks)
+		if ks.fit < s.count {
+			k.fail = true
+			break
+		}
+	}
+	// A register reads its reduction's accumulator at cycle T-1, not a
+	// lane.
+	for _, r := range pl.reduces {
+		l := views[r.from].lane
+		info[l].need = info[l].need.hull(span{T - 1, T})
+	}
+	k.demand(pl, info)
+	k.allocLanes(T, len(pl.reduces), info)
 	return k
 }
 
 // operand resolves one FU input read d cycles behind its producer: a
 // placed slot's lane through the combined offset, a constant, or the
 // interpreter's default (zero) — with the cycles on which it is valid.
-func (k *execKernel) operand(kind microcode.InKind, slot int, konst float64, d, T int) (kernOperand, span) {
+func operand(views []kernView, kind microcode.InKind, slot int, konst float64, d, T int) (kernOperand, span) {
 	switch kind {
 	case microcode.InSwitch:
-		v := k.views[slot]
+		v := views[slot]
 		return kernOperand{lane: v.lane, off: v.off + d}, v.valid.delayed(d, T)
 	case microcode.InConst:
 		return kernOperand{lane: -1, konst: konst}, span{0, T}
@@ -261,23 +380,51 @@ func (k *execKernel) operand(kind microcode.InKind, slot int, konst float64, d, 
 	return kernOperand{lane: -1}, span{0, T}
 }
 
-// demand gives every op its need, the hull of the cycles its readers
-// read: a sink reads its committed cycles, a reduction register cycle
-// T-1, a reduction its operand over the operand's valid interval, and
-// any other FU its operands over its own need. Ops are in topological
-// order, so one backward pass meets every reader of an op before the
-// op itself. An op with an empty need is never run.
-func (k *execKernel) demand(pl *ExecPlan) {
-	T := pl.T
-	for _, s := range pl.sinks {
-		c0 := s.start + int(s.skip)
-		k.read(k.views[s.from], c0, c0+int(s.count), T)
+// inRange counts the leading words of the walk addr, addr+strd, … of
+// count words that lie in [0,words): the prefix a sink writes before
+// its first word out of range.
+func inRange(addr, strd, count, words int64) int64 {
+	switch {
+	case addr < 0 || addr >= words:
+		return 0
+	case strd > 0:
+		return min(count, (words-addr+strd-1)/strd)
+	case strd < 0:
+		return min(count, addr/-strd+1)
 	}
-	for _, r := range pl.reduces {
-		k.read(k.views[r.from], T-1, T, T)
+	return count
+}
+
+// demand gives every op its need, the hull of the cycles its readers
+// read: a sink reads the cycles it commits, a reduction register cycle
+// T-1 (entered by the caller), a reduction its operand over the
+// operand's valid interval, and any other FU its operands over its own
+// need. Ops are in topological order, so one backward pass meets every
+// reader of an op before the op itself. An op with an empty need is
+// never run. Along the way it records every lane's reach and last
+// reader.
+func (k *execKernel) demand(pl *ExecPlan, info []laneInfo) {
+	T := pl.T
+	// Below the offset a reader sees zero and past T nothing, so only
+	// [max(lo,off), min(hi,T)) reaches the lane.
+	read := func(o kernOperand, lo, hi, reader int) {
+		if o.lane < 0 {
+			return
+		}
+		in := &info[o.lane]
+		if s := (span{max(lo, o.off) - o.off, min(hi, T) - o.off}); s.lo < s.hi {
+			in.need = in.need.hull(s)
+			in.reach = max(in.reach, o.off)
+			in.last = max(in.last, reader)
+		}
+	}
+	for i, s := range k.sinks {
+		c0 := pl.sinks[i].start + int(pl.sinks[i].skip)
+		read(s.in, c0, c0+int(s.fit), len(k.ops))
 	}
 	for i := len(k.ops) - 1; i >= 0; i-- {
 		op := &k.ops[i]
+		op.need = info[op.out].need
 		if op.kind != kFU || op.need.lo >= op.need.hi {
 			continue
 		}
@@ -285,135 +432,176 @@ func (k *execKernel) demand(pl *ExecPlan) {
 		if op.reduce {
 			c = op.valid
 		}
-		for _, o := range [2]kernOperand{op.a, op.b} {
-			if o.lane >= 0 {
-				k.read(kernView{lane: o.lane, off: o.off}, c.lo, c.hi, T)
-			}
-		}
+		read(op.a, c.lo, c.hi, i)
+		read(op.b, c.lo, c.hi, i)
 	}
 }
 
-// read adds to the need of v's lane the cycles a reader reads through
-// v over [lo,hi): below v's offset the reader sees zero and past T
-// nothing, so only [max(lo,off), min(hi,T)) reaches the lane.
-func (k *execKernel) read(v kernView, lo, hi, T int) {
-	op := &k.ops[v.lane]
-	op.need = op.need.hull(span{max(lo, v.off) - v.off, min(hi, T) - v.off})
-}
-
-// allocLanes maps the per-op lanes onto as few physical lanes as
-// liveness allows, reusing the lowest free one. A lane is released
-// after its last reader; an op's output is allocated while its inputs
-// are still held, so it never shares a lane with them; lanes the sinks
-// and reduction registers read stay live to the end.
-func (k *execKernel) allocLanes(pl *ExecPlan) {
-	ints := make([]int, 2*len(k.ops))
-	last, phys := ints[:len(k.ops)], ints[len(k.ops):]
-	for i := range k.ops {
-		last[i] = i // unread: released right after it is written
-		for _, l := range [2]int{k.ops[i].a.lane, k.ops[i].b.lane} {
-			if l >= 0 {
-				last[l] = i
-			}
+// allocLanes keeps the lanes some reader reads and lays them out: the
+// sources read in place first, then the windows (see windows), with
+// reds accumulators after the windows. A stream runs in blocks of
+// kernBlock cycles only when that takes less scratch than running it as
+// one block. A lane no reader reads is dropped: its writer stores
+// nothing, and every read through it lies below its offset and is zero.
+func (k *execKernel) allocLanes(T, reds int, info []laneInfo) {
+	k.block = T
+	words, nwin := k.windows(T, T, info)
+	if T > kernBlock {
+		if w, n := k.windows(T, kernBlock, info); w < words {
+			k.block, nwin = kernBlock, n
+		} else {
+			k.windows(T, T, info)
 		}
 	}
-	for _, s := range pl.sinks {
-		last[k.views[s.from].lane] = len(k.ops)
+	lanes := k.lanes[:0]
+	for i, l := range k.lanes {
+		if info[i].writer < 0 && info[i].reach >= 0 {
+			info[i].final = len(lanes)
+			lanes = append(lanes, l)
+		}
 	}
-	for _, r := range pl.reduces {
-		last[k.views[r.from].lane] = len(k.ops)
+	inPlace := len(lanes)
+	for w := range nwin {
+		lanes = append(lanes, kernLane{base: k.accs, w: info[w].size})
+		k.accs += info[w].size
 	}
-
-	busy := make([]bool, 0, len(k.ops))
+	k.lanes = lanes
+	k.words = k.accs + reds
+	remap := func(l *int) {
+		if *l < 0 {
+			return
+		}
+		switch in := &info[*l]; {
+		case in.reach < 0:
+			*l = -1
+		case in.writer >= 0:
+			*l = inPlace + in.final
+		default:
+			*l = in.final
+		}
+	}
 	for i := range k.ops {
 		op := &k.ops[i]
-		l := slices.Index(busy, false)
-		if l < 0 {
-			l = len(busy)
-			busy = append(busy, false)
-		}
-		busy[l], phys[i], op.out = true, l, l
-		for _, o := range [2]*kernOperand{&op.a, &op.b} {
-			if o.lane < 0 {
-				continue
-			}
-			if last[o.lane] == i {
-				busy[phys[o.lane]] = false
-			}
-			o.lane = phys[o.lane]
-		}
-		if last[i] == i {
-			busy[l] = false
-		}
+		remap(&op.out)
+		remap(&op.a.lane)
+		remap(&op.b.lane)
 	}
-	for s := range k.views {
-		k.views[s].lane = phys[k.views[s].lane]
+	for i := range k.sinks {
+		remap(&k.sinks[i].in.lane)
 	}
-	k.lanes = len(busy)
 }
 
-// runKernel executes pl's lowered kernel against the node state over
-// the lane-major scratch val. It is the fast path of run(): no traps,
-// no ECC, no tracer — the caller has already proven all three inert
-// for this dispatch.
-func (n *Node) runKernel(pl *ExecPlan, val []float64) {
-	T := pl.T
-	ops := pl.kern.ops
-	for i := range ops {
-		op := &ops[i]
-		if op.need.lo >= op.need.hi {
+// windows gives every lane an op writes and some reader reads a window
+// for blocks of the given length, setting its final to the window's
+// number, and returns the windows' total words and count. A window
+// holds block cycles plus the lane's reach, capped at T; cycle x sits
+// at x mod its size. In a stream of one block no lane is read in a
+// later block than the one that wrote it, so windows are shared as
+// liveness allows: a window is freed after its last reader, an op's
+// output is placed while its inputs are still held, so it never shares
+// a window with them, and windows the sinks read stay held to the end.
+// In blocks, every window carries cycles from one block to the next and
+// is the lane's own.
+func (k *execKernel) windows(T, block int, info []laneInfo) (words, nwin int) {
+	nfree := 0
+	for i := range k.ops {
+		op := &k.ops[i]
+		if l := op.out; info[l].reach >= 0 {
+			if block >= T && nfree > 0 {
+				nfree--
+				info[l].final = info[nfree].free
+			} else {
+				size := min(T, block+info[l].reach)
+				info[nwin].size, info[l].final = size, nwin
+				nwin++
+				words += size
+			}
+		}
+		if block < T {
 			continue
 		}
-		out := val[op.out*T : (op.out+1)*T : (op.out+1)*T]
-		switch {
-		case op.kind == kSrcMem:
-			n.kernMemSource(op, out)
-		case op.kind == kSrcCache:
-			n.kernCacheSource(op, out)
-		case op.reduce:
-			kernReduce(op, val, out)
-		default:
-			kernFU(op, val, out)
+		for j, l := range [2]int{op.a.lane, op.b.lane} {
+			if l >= 0 && info[l].writer >= 0 && info[l].reach >= 0 && info[l].last == i && (j == 0 || l != op.a.lane) {
+				info[nfree].free = info[l].final
+				nfree++
+			}
 		}
 	}
+	return words, nwin
 }
 
-// srcRegions splits a source lane into lead-in [0,lead), live
-// [lead,live) and drained [live,T) regions.
-func srcRegions(skip, count int64, T int) (lead, live int) {
-	live = T
-	if end := skip + count; end < int64(T) {
-		live = int(end)
+// runKernel executes pl's lowered kernel against the node state. It
+// is the fast path of run(): no traps, no ECC, no tracer — the caller
+// has already proven all three inert for this dispatch. It runs every
+// op over each block of k.block cycles in turn, commits the block's
+// sink words, and after the last block sets the reduction registers —
+// unless a sink leaves its plane, whose error it returns once that
+// sink's in-range prefix is written.
+func (n *Node) runKernel(pl *ExecPlan) error {
+	k, T := pl.kern, pl.T
+	acc := n.scratch.val[k.accs:k.words]
+	for i := range k.ops {
+		if op := &k.ops[i]; op.reduce {
+			acc[op.acc] = op.init
+		}
 	}
-	lead = live
-	if skip < int64(lead) {
-		lead = int(skip)
+	for b0 := 0; b0 < T; b0 += k.block {
+		b1 := min(b0+k.block, T)
+		for i := range k.ops {
+			op := &k.ops[i]
+			if op.reduce {
+				acc[op.acc] = n.reduce(k, op, acc[op.acc], b0, b1)
+				continue
+			}
+			out := kernOperand{lane: op.out}
+			for lo, hi := max(b0, op.need.lo), min(b1, op.need.hi); lo < hi; {
+				v, _, m := n.at(k, &out, lo, hi)
+				switch op.kind {
+				case kSrcMem:
+					n.kernMemSource(op, lo, v)
+				case kSrcCache:
+					n.kernCacheSource(op, lo, v)
+				default:
+					m = n.fu(k, op, lo, v)
+				}
+				lo += m
+			}
+		}
+		for i := range k.sinks {
+			n.commitBlock(k, &pl.sinks[i], k.sinks[i], b0, b1)
+		}
 	}
+	if k.fail {
+		s, fit := &pl.sinks[len(k.sinks)-1], k.sinks[len(k.sinks)-1].fit
+		if s.kind == srcMem {
+			return n.Mem[s.plane].addrErr(s.addr + fit*s.strd)
+		}
+		return n.Cache[s.plane].check(s.buf, s.addr+fit*s.strd)
+	}
+	for i, r := range pl.reduces {
+		n.RedReg[r.fu] = acc[i]
+	}
+	return nil
+}
+
+// srcRegions splits the cycles [lo,hi) of a source into lead-in
+// [lo,lead), live [lead,live) and drained [live,hi).
+func srcRegions(skip, count int64, lo, hi int) (lead, live int) {
+	live = int(min(max(skip+count, int64(lo)), int64(hi)))
+	lead = int(min(max(skip, int64(lo)), int64(live)))
 	return lead, live
 }
 
-// needRegions is srcRegions clipped to the op's need: lead-in
-// [need.lo,lead), live [lead,live) and drained [live,need.hi).
-func needRegions(op *kernOp, T int) (lead, live int) {
-	lead, live = srcRegions(op.skip, op.count, T)
-	lo, hi := op.need.lo, op.need.hi
-	return min(max(lead, lo), hi), min(max(live, lo), hi)
-}
-
-// kernMemSource streams one memory-plane DMA read channel over its
-// need: zeros through the suppressed lead-in and after the stream
-// drains, and the programmed address walk in between — a page at a
-// time for stride 1, else word by word with a cached page pointer.
-func (n *Node) kernMemSource(op *kernOp, out []float64) {
-	lead, live := needRegions(op, len(out))
-	clear(out[op.need.lo:lead])
-	clear(out[live:op.need.hi])
+// kernMemSource fills out with a strided memory-plane DMA read
+// channel's cycles from lo on: zeros through the suppressed lead-in and
+// after the stream drains, and the programmed address walk in between,
+// word by word with a cached page pointer.
+func (n *Node) kernMemSource(op *kernOp, lo int, out []float64) {
+	lead, live := srcRegions(op.skip, op.count, lo, lo+len(out))
+	clear(out[:lead-lo])
+	clear(out[live-lo:])
 	mem := n.Mem[op.plane]
 	addr := op.addr + (int64(lead)-op.skip)*op.strd
-	if op.strd == 1 && addr >= 0 && addr+int64(live-lead) <= mem.words {
-		mem.readPages(addr, out[lead:live])
-		return
-	}
 	var pg *[pageWords]float64
 	pgIdx := int64(-1)
 	for c := lead; c < live; c++ {
@@ -426,18 +614,18 @@ func (n *Node) kernMemSource(op *kernOp, out []float64) {
 				v = pg[addr%pageWords]
 			}
 		}
-		out[c] = v
+		out[c-lo] = v
 		addr += op.strd
 	}
 }
 
-// kernCacheSource streams one cache DMA read channel over its need
-// from the pipeline-facing buffer selected by the instruction. An
-// unwritten buffer is nil, so every word reads as zero.
-func (n *Node) kernCacheSource(op *kernOp, out []float64) {
-	lead, live := needRegions(op, len(out))
-	clear(out[op.need.lo:lead])
-	clear(out[live:op.need.hi])
+// kernCacheSource fills out with a cache DMA read channel's cycles from
+// lo on, read from the pipeline-facing buffer the instruction selects.
+// An unwritten buffer is nil, so every word reads as zero.
+func (n *Node) kernCacheSource(op *kernOp, lo int, out []float64) {
+	lead, live := srcRegions(op.skip, op.count, lo, lo+len(out))
+	clear(out[:lead-lo])
+	clear(out[live-lo:])
 	buf := n.Cache[op.plane].bufs[op.buf]
 	addr := op.addr + (int64(lead)-op.skip)*op.strd
 	for c := lead; c < live; c++ {
@@ -445,23 +633,114 @@ func (n *Node) kernCacheSource(op *kernOp, out []float64) {
 		if addr >= 0 && addr < int64(len(buf)) {
 			v = buf[addr]
 		}
-		out[c] = v
+		out[c-lo] = v
 		addr += op.strd
 	}
 }
 
-// kernFU applies one functional unit over its need. The need is split
-// at the operands' offsets into at most three regions; in each, every
-// operand is either a subslice of its producer's lane or a scalar, and
-// the region runs the op's slice×slice or slice×scalar loop.
-func kernFU(op *kernOp, val, out []float64) {
-	T := len(out)
-	for lo, end := op.need.lo, op.need.hi; lo < end; {
-		hi := min(op.a.cut(lo, end), op.b.cut(lo, end))
-		av, as := op.a.region(val, T, lo, hi)
-		bv, bs := op.b.region(val, T, lo, hi)
-		fuRegion(op.op, out[lo:hi], av, as, bv, bs)
-		lo = hi
+// fu applies a functional unit to the cycles from lo on that both
+// operands hold in one region, writing them to the front of out, and
+// returns how many it wrote. In a region every operand is a slice of
+// its producer's window or pages, or a scalar, and the region runs the
+// op's slice×slice or slice×scalar loop.
+func (n *Node) fu(k *execKernel, op *kernOp, lo int, out []float64) int {
+	hi := lo + len(out)
+	av, as, na := n.at(k, &op.a, lo, hi)
+	bv, bs, nb := n.at(k, &op.b, lo, hi)
+	m := min(na, nb)
+	fuRegion(op.op, out[:m], av, as, bv, bs)
+	return m
+}
+
+// reduce runs one reduction unit over the block [b0,b1) from the
+// accumulator acc and returns it: the initial value before its
+// operand's valid interval, the accumulation inside it, and the held
+// result after. The accumulator lives in the node's scratch and is
+// carried from block to block in cycle order — exactly the
+// interpreter's per-cycle order, which commits op(a, acc) only on
+// cycles where a is valid. It stores only the need, which ends at T
+// because the register reads cycle T-1: the cycles before the need fold
+// without a store, and a reduction only its register reads has no lane
+// and stores nothing.
+func (n *Node) reduce(k *execKernel, op *kernOp, acc float64, b0, b1 int) float64 {
+	from := b1 // the first cycle stored
+	if op.out >= 0 {
+		from = max(b0, op.need.lo)
+	}
+	out := kernOperand{lane: op.out}
+	for lo := b0; lo < b1; {
+		hi := b1
+		for _, e := range [3]int{op.valid.lo, op.valid.hi, from} {
+			if e > lo && e < hi {
+				hi = e
+			}
+		}
+		valid := op.valid.lo <= lo && lo < op.valid.hi
+		var av, run []float64
+		var as float64
+		m := hi - lo
+		if valid {
+			var na int
+			av, as, na = n.at(k, &op.a, lo, hi)
+			m = min(m, na)
+		}
+		if lo >= from {
+			var nr int
+			run, _, nr = n.at(k, &out, lo, hi)
+			m = min(m, nr)
+			run = run[:m]
+		}
+		if av != nil {
+			av = av[:m]
+		}
+		switch {
+		case !valid:
+			fill(run, acc)
+		case av == nil:
+			for i := range m {
+				acc, _ = apply(op.op, as, acc)
+				if run != nil {
+					run[i] = acc
+				}
+			}
+		case run == nil:
+			acc = reduceFold(op.op, acc, av)
+		default:
+			acc = reduceRun(op.op, acc, av, run)
+		}
+		lo += m
+	}
+	return acc
+}
+
+// commitBlock writes the words of sink s whose cycles fall in [b0,b1)
+// and inside its fit: stride-1 memory sinks a page at a time, the rest
+// word by word. A sink reads a producer, never a constant, so a scalar
+// region is zero.
+func (n *Node) commitBlock(k *execKernel, s *planSink, ks kernSink, b0, b1 int) {
+	c0 := s.start + int(s.skip)
+	for lo, hi := max(b0, c0), min(b1, c0+int(ks.fit)); lo < hi; {
+		v, _, m := n.at(k, &ks.in, lo, hi)
+		j := int64(lo - c0)
+		if s.kind == srcMem && s.strd == 1 {
+			n.Mem[s.plane].writePages(s.addr+j, int64(m), v)
+			lo += m
+			continue
+		}
+		for i := range m {
+			var x float64
+			if v != nil {
+				x = v[i]
+			}
+			// fit keeps every word in range, so no write can fail.
+			addr := s.addr + (j+int64(i))*s.strd
+			if s.kind == srcMem {
+				_ = n.Mem[s.plane].Write(addr, x)
+			} else {
+				_ = n.Cache[s.plane].Write(s.buf, addr, x)
+			}
+		}
+		lo += m
 	}
 }
 
@@ -630,39 +909,6 @@ func fuSV(op arch.Op, out []float64, a float64, b []float64) bool {
 		return false
 	}
 	return true
-}
-
-// kernReduce runs one reduction unit: the initial value before its
-// operand's valid interval, the accumulation inside it, and the held
-// result after. The accumulator is local — sequential within the lane,
-// exactly the interpreter's per-cycle order, which commits op(a, acc)
-// only on cycles where a is valid. It always accumulates from the
-// interval's first cycle but stores only the need, which ends at T
-// because the register reads cycle T-1: the cycles before the need fold
-// without a store, so a reduction only its register reads keeps no
-// running lane and writes out[T-1] alone.
-func kernReduce(op *kernOp, val, out []float64) {
-	T := len(out)
-	lo, hi := op.valid.lo, op.valid.hi
-	acc := op.init
-	if lo >= hi {
-		lo, hi = T, T
-	}
-	from := op.need.lo
-	fill(out[from:max(from, lo)], acc)
-	mid := min(max(from, lo), hi)
-	if av, as := op.a.region(val, T, lo, hi); av != nil {
-		acc = reduceFold(op.op, acc, av[:mid-lo])
-		acc = reduceRun(op.op, acc, av[mid-lo:], out[mid:hi])
-	} else {
-		for c := lo; c < hi; c++ {
-			acc, _ = apply(op.op, as, acc)
-			if c >= from {
-				out[c] = acc
-			}
-		}
-	}
-	fill(out[max(hi, from):], acc)
 }
 
 // fill sets every element of s to v.

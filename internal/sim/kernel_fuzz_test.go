@@ -34,6 +34,21 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{3, 2, 7, 1, 2, 0, 2, 5, 3, 5, 3, 5, 2, 6, 5, 6, 2, 0, 1, 5, 5, 6, 5, 2, 1, 4, 1, 1, 3, 7, 1, 2, 0, 0, 1, 7, 4, 7, 3, 1})
 	f.Add([]byte{7, 2, 2, 0, 0, 4, 3, 6, 5, 7, 4, 4, 2, 6, 1, 6, 2, 0, 5, 7, 2, 3, 4, 6, 2, 4, 7, 1, 5, 1, 7, 3, 2, 3, 1, 5, 0, 3, 3, 6})
 	f.Add([]byte{2, 5, 1, 3, 0, 3, 5, 0, 7, 6, 2, 6, 6, 0, 5, 6, 5, 2, 5, 0, 3, 5, 6, 5, 5, 5, 2, 1, 7, 6, 3, 4, 4, 2, 6, 2, 6, 0, 6, 2})
+	// Layouts, on a main unit reading a 34-word stride-1 walk from 61
+	// beside a second memory source: walks that straddle a page boundary
+	// with data on both pages; straddling into an absent page; a lead-in
+	// skip of 23 cycles past a page end 6 words from the walk's start;
+	// walks over absent pages alone, with the first sink leaving its
+	// plane ahead of a second one. Then a 4,177-cycle stream, over two
+	// blocks, through a divide pre-unit the main unit reads through a
+	// 2,368-cycle SDU tap and an add reduction the sink reads.
+	walk := []byte{33, 3, 1, 61, 7, 5, 2, 5, 2, 1, 1, 6, 0, 0, 0, 6, 4, 2, 6, 3, 3, 4, 4, 2, 4, 3, 4, 5, 1, 7, 1, 3, 0}
+	f.Add(fuzzSeed(walk, 1, 80, 0, 0, 0))
+	f.Add(fuzzSeed(walk, 2, 80, 0, 0, 0))
+	f.Add(fuzzSeed(walk, 1, 66, 1, 20, 0, 0))
+	f.Add(fuzzSeed(walk, 3, 0, 0, 1, 5, 0))
+	f.Add(fuzzSeed([]byte{35, 0, 7, 0, 0, 2, 6, 4, 1, 7, 5, 2, 6, 0, 5, 2, 5, 2, 5, 2, 2, 4, 0, 4, 2, 4, 2, 2, 3, 3, 2, 1, 2,
+		2, 1, 2, 7, 5, 6, 1, 4, 5, 3, 7}, 0, 0, 1, 10, 1, 40, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{d: data}
@@ -95,6 +110,17 @@ func FuzzKernelEquivalence(f *testing.F) {
 			compareNodes(t, p.name, base, n)
 		}
 	})
+}
+
+// fuzzSeed is a fuzz input that makes fuzzInstr's structural decisions
+// from structure, then backing words of ordinary magnitudes, then the
+// layout draws from layout.
+func fuzzSeed(structure []byte, layout ...byte) []byte {
+	b := append([]byte(nil), structure...)
+	for i := 0; i < 256; i++ {
+		b = append(b, byte(6+i*7%11+17*(i/11%15)), byte(i)) // b%17 ≥ 6: two bytes, no special value
+	}
+	return append(b, layout...)
 }
 
 // fuzzBytes deals bytes from the fuzz input, rewindable so every node
@@ -326,20 +352,86 @@ func fuzzInstr(t *testing.T, r *fuzzBytes, n *Node) *microcode.Instr {
 		in.SetConst(2, r.val())
 		in.SetFUInput(fu, 0, microcode.InConst, 2, 0)
 	}
-	if in.SeqOf().Cond != microcode.CondHalt {
-		in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
-	}
-
-	// Backing data for the source walks (and the ECC probe's word 1).
 	words := make([]float64, 0, 256)
 	for i := 0; i < 256; i++ {
 		words = append(words, r.val())
 	}
-	if err := n.WriteWords(0, 0, words); err != nil {
-		t.Fatal(err)
+
+	// Layouts the kernel's in-place sources, blocks and per-block sink
+	// commits must meet, drawn after the backing data so that inputs
+	// which end earlier, every older seed among them, keep their
+	// pipelines and data: memory source walks that straddle a page
+	// boundary, with data on both pages or the second one absent, or
+	// that read absent pages alone; a lead-in skip past a page end; a
+	// stream longer than two blocks, its data tiled along the walks, with
+	// an SDU tap longer than a block; and a first sink that leaves its
+	// plane ahead of a second one.
+	shift, dataAt, dataEnd := int64(0), int64(0), int64(math.MaxInt64)
+	switch lay := r.next() % 4; lay {
+	case 1, 2:
+		shift = pageWords - 1 - int64(r.next()%128)
+		dataAt = shift
+		if lay == 2 {
+			dataEnd = pageWords
+		}
+	case 3:
+		shift = 2 * pageWords
 	}
-	if err := n.WriteWords(1, 0, words[:128]); err != nil {
-		t.Fatal(err)
+	var skipMore, long int64
+	if r.next()%3 == 1 {
+		skipMore = 1 + int64(r.next())
+	}
+	if src == cfg.SrcMemRead(0) && r.next()%3 == 1 {
+		long = 2*kernBlock + 1 + 8*int64(r.next())
+	}
+	for p := 0; p < 3; p++ {
+		d := in.MemDMAOf(p)
+		if !d.Enable || d.Write != (p == 2) { // sources on planes 0 and 1, the sink on 2
+			continue
+		}
+		if p < 2 {
+			d.Addr += shift
+		}
+		if p == 0 {
+			d.Skip += skipMore
+		}
+		if long > 0 {
+			if d.Stride < 0 {
+				d.Addr += (long - d.Count) * -d.Stride
+			}
+			d.Count = long
+		}
+		in.SetMemDMA(p, d)
+	}
+	if en, delays := in.SDUOf(0); long > 0 && en && r.next()%2 == 1 {
+		delays[0] = kernBlock + 8*int(r.next())
+		in.SetSDU(0, true, delays)
+	}
+	if r.next()%4 == 1 {
+		d := in.MemDMAOf(2)
+		d.Addr, d.Stride = cfg.PlaneWords()-1-int64(r.next()%64), 1+int64(r.next()%2)
+		in.SetMemDMA(2, d)
+		if !in.MemDMAOf(3).Enable {
+			in.Route(cfg.SnkMemWrite(3), src)
+			in.SetMemDMA(3, microcode.MemDMA{Enable: true, Write: true, Stride: 1, Count: 16})
+		}
+	}
+	if in.SeqOf().Cond != microcode.CondHalt {
+		in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
+	}
+
+	// Backing data for the source walks (and the ECC probe's word 1),
+	// tiled along a long stream's walks.
+	for p, w := range [2][]float64{words, words[:128]} {
+		extent := int64(len(w))
+		if long > 0 {
+			extent = 3*long + 256
+		}
+		for at := dataAt; at < min(dataAt+extent, dataEnd); at += int64(len(w)) {
+			if err := n.WriteWords(p, at, w[:min(int64(len(w)), dataEnd-at)]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	for i, v := range words {
 		for half := 0; half < 2; half++ {

@@ -365,6 +365,122 @@ func TestKernelEquivalenceTable(t *testing.T) {
 		}
 	})
 
+	t.Run("reduce-multi-block", func(t *testing.T) {
+		// Each hot reduction over a stream of more than two blocks, on
+		// finite data with ±Inf and then with NaN payloads too, at
+		// positions on both sides of the block edges. The sink reads the
+		// running value from a late cycle on, so the cycles before it fold
+		// without a store and the rest store block by block; the register
+		// takes the final value.
+		const count = 2*kernBlock + 777
+		finite := seq(count, func(i int) float64 { return math.Sin(float64(i)) * 100 })
+		finite[kernBlock-1], finite[kernBlock+3], finite[2*kernBlock+5] = math.Inf(1), math.Inf(-1), math.Inf(1)
+		nans := append([]float64(nil), finite...)
+		nans[kernBlock-3] = math.Float64frombits(0x7ff8dead0000beef)
+		nans[2*kernBlock+1] = math.Float64frombits(0xfff8000000000022)
+		for _, op := range reduceOps {
+			for name, data := range map[string][]float64{"finite": finite, "nan": nans} {
+				execEqual(t, "reduce-multi-block/"+op.String()+"/"+name, func(n *Node) []*microcode.Instr {
+					if err := n.WriteWords(0, 0, data); err != nil {
+						t.Fatal(err)
+					}
+					cfg := n.Cfg
+					in := n.F.NewInstr()
+					red := arch.FUID(2)
+					in.SetFUOp(red, op)
+					in.SetFUInput(red, 0, microcode.InSwitch, 0, 1)
+					in.SetFUInput(red, 1, microcode.InFeedback, 0, 0)
+					in.SetFUReduce(red, true, 0)
+					in.SetConst(0, 0.5)
+					in.Route(cfg.SnkFUIn(red, 0), cfg.SrcMemRead(0))
+					in.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: 0, Stride: 1, Count: count})
+					in.Route(cfg.SnkMemWrite(1), cfg.SrcFUOut(red))
+					in.SetMemDMA(1, microcode.MemDMA{Enable: true, Write: true, Addr: 0, Stride: 1,
+						Skip: kernBlock + 500, Count: count - kernBlock - 500, Start: op.Info().Latency + 1})
+					in.SetSeq(microcode.Seq{Cond: microcode.CondHalt, CmpEnable: true, CmpFU: red,
+						CmpOp: microcode.CmpGT, CmpConst: 0, CmpFlag: 1})
+					return []*microcode.Instr{in}
+				})
+			}
+		}
+	})
+
+	t.Run("chain-multi-block", func(t *testing.T) {
+		// Three chained units over more than two blocks: the first unit's
+		// lane has no reader after the second unit, yet the second reads
+		// cycles it wrote a block earlier, so no later op may take its
+		// window.
+		const count = 2*kernBlock + 300
+		execEqual(t, "chain-multi-block", func(n *Node) []*microcode.Instr {
+			if err := n.WriteWords(0, 0, seq(count, func(i int) float64 { return math.Cos(float64(i)) * 10 })); err != nil {
+				t.Fatal(err)
+			}
+			cfg := n.Cfg
+			in := n.F.NewInstr()
+			in.SetMemDMA(0, microcode.MemDMA{Enable: true, Addr: 0, Stride: 1, Count: count})
+			in.SetConst(0, 0.75)
+			from := cfg.SrcMemRead(0)
+			for i, op := range []arch.Op{arch.OpMul, arch.OpAdd, arch.OpSub} {
+				fu := arch.FUID([]int{0, 1, 4}[i])
+				in.SetFUOp(fu, op)
+				in.SetFUInput(fu, 0, microcode.InSwitch, 0, 1)
+				in.SetFUInput(fu, 1, microcode.InConst, 0, 0)
+				in.Route(cfg.SnkFUIn(fu, 0), from)
+				from = cfg.SrcFUOut(fu)
+			}
+			in.Route(cfg.SnkMemWrite(1), from)
+			in.SetMemDMA(1, microcode.MemDMA{Enable: true, Write: true, Addr: 0, Stride: 1, Count: count,
+				Start: 3 + arch.OpMul.Info().Latency + arch.OpAdd.Info().Latency + arch.OpSub.Info().Latency})
+			in.SetSeq(microcode.Seq{Cond: microcode.CondHalt})
+			return []*microcode.Instr{in}
+		})
+	})
+
+	t.Run("first-sink-leaves-plane", func(t *testing.T) {
+		// Two sinks and a reduction register, the first sink leaving its
+		// plane after about a block: the kernel commits sinks block by
+		// block, yet it must write just that sink's in-range prefix and
+		// leave the second sink's plane, the register and the statistics
+		// as the interpreter does — untouched.
+		const count = 2*kernBlock + 100
+		build := func(n *Node) []*microcode.Instr {
+			if err := n.WriteWords(0, 0, seq(count, func(i int) float64 { return float64(i) + 0.5 })); err != nil {
+				t.Fatal(err)
+			}
+			n.RedReg[2] = 42
+			cfg := n.Cfg
+			in := buildCopy(n, 0, 1, count)
+			in.SetMemDMA(1, microcode.MemDMA{Enable: true, Write: true, Addr: cfg.PlaneWords() - kernBlock - 50,
+				Stride: 1, Count: count, Start: arch.OpMov.Info().Latency})
+			in.Route(cfg.SnkMemWrite(2), cfg.SrcFUOut(0))
+			in.SetMemDMA(2, microcode.MemDMA{Enable: true, Write: true, Addr: 0, Stride: 1, Count: count,
+				Start: arch.OpMov.Info().Latency})
+			red := arch.FUID(2)
+			in.SetFUOp(red, arch.OpAdd)
+			in.SetFUInput(red, 0, microcode.InSwitch, 0, 0)
+			in.SetFUInput(red, 1, microcode.InFeedback, 0, 0)
+			in.SetFUReduce(red, true, 0)
+			in.Route(cfg.SnkFUIn(red, 0), cfg.SrcMemRead(0))
+			return []*microcode.Instr{in}
+		}
+		errs := execEqual(t, "first-sink-leaves-plane", build)
+		end := arch.Default().PlaneWords()
+		if errs[0] == nil || !strings.Contains(errs[0].Error(), fmt.Sprintf("address %d outside", end)) {
+			t.Errorf("error %v, want the first sink to stop at address %d", errs[0], end)
+		}
+		n := newNode(t)
+		if err := n.Exec(build(n)[0]); err == nil {
+			t.Fatal("a sink leaving its plane must fail the dispatch")
+		}
+		if got, _ := n.Mem[1].Read(end - 1); got != kernBlock+49.5 {
+			t.Errorf("last in-range word of the first sink = %v, want %v", got, kernBlock+49.5)
+		}
+		if n.Mem[2].PagesResident() != 0 || n.RedReg[2] != 42 || n.Stats.Instructions != 0 {
+			t.Errorf("second sink %d pages, register %v, %d instructions: want all untouched",
+				n.Mem[2].PagesResident(), n.RedReg[2], n.Stats.Instructions)
+		}
+	})
+
 	t.Run("nonfinite-stream", func(t *testing.T) {
 		// NaN and Inf flow through untrapped when no policy is armed;
 		// the kernel must propagate the exact same bit patterns.

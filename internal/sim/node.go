@@ -105,29 +105,20 @@ func (pl *Plane) writePages(addr, count int64, src []float64) {
 }
 
 // writeStream commits a stride-1 sink: word j of [addr, addr+count)
-// takes cycle c0+j of lane val read through off — zero below off and
-// past the lane's end. It writes the prefix that lies inside the plane
-// and returns the error word-by-word writes would stop at.
-func (pl *Plane) writeStream(addr, count int64, val []float64, off, c0 int) error {
-	n := count
-	if addr < 0 {
-		n = 0
-	} else if room := pl.words - addr; n > room {
-		n = max(room, 0)
-	}
-	// Words [0,j1) precede the lane, [j1,j2) read it, [j2,n) follow it.
-	j1 := min(max(int64(off-c0), 0), n)
-	j2 := min(max(int64(len(val)-c0), j1), n)
-	pl.writePages(addr, j1, nil)
-	if j2 > j1 {
-		pl.writePages(addr+j1, j2-j1, val[c0+int(j1)-off:])
-	}
-	pl.writePages(addr+j2, n-j2, nil)
+// takes src[j]. It writes the prefix that lies inside the plane and
+// returns the error word-by-word writes would stop at.
+func (pl *Plane) writeStream(addr, count int64, src []float64) error {
+	n := inRange(addr, 1, count, pl.words)
+	pl.writePages(addr, n, src)
 	if n < count {
 		return pl.addrErr(addr + n)
 	}
 	return nil
 }
+
+// zeroPage is what an absent page reads as to a kernel, which reads it
+// in place and never writes it.
+var zeroPage [pageWords]float64
 
 // PagesResident reports how many pages have been touched (memory
 // footprint accounting).

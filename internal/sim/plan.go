@@ -451,7 +451,7 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 		}
 		s.from = from
 	}
-	pl.kern = lowerKernel(pl)
+	pl.kern = lowerKernel(cfg, pl)
 	return pl, nil
 }
 
@@ -522,12 +522,14 @@ type redState struct {
 	accOK bool
 }
 
-// runScratch is the node's reusable working set, stored lane-major in
-// one contiguous array (lane l occupies val[l*T : (l+1)*T]). The kernel
-// uses execKernel.lanes value lanes; the interpreter uses one value
-// lane and one validity lane per producer slot. It belongs to the run
+// runScratch is the node's reusable working set. It belongs to the run
 // layer's mutable state (it lives on the node, never on the plan), so
-// two nodes executing the same plan concurrently never share it.
+// two nodes executing the same plan concurrently never share it. The
+// interpreter stores one value lane and one validity lane per producer
+// slot, lane-major (slot s occupies val[s*T : (s+1)*T]). The kernel
+// keeps its windows and reduction accumulators in val, and reads its
+// stride-1 sources in place, so its share does not grow with the
+// stream.
 type runScratch struct {
 	val []float64
 	ok  []bool // interpreter only: ok[slot*T+c]
@@ -537,17 +539,8 @@ type runScratch struct {
 	reds []redState
 }
 
-// result returns the lane holding producer slot s's values after a
-// dispatch, and the offset it is read through: cycle c reads
-// lane[c-off], and cycles below off read zero.
-func (sc *runScratch) result(pl *ExecPlan, kernel bool, s int) ([]float64, int) {
-	T := pl.T
-	if kernel {
-		v := pl.kern.views[s]
-		return sc.val[v.lane*T : (v.lane+1)*T], v.off
-	}
-	return sc.val[s*T : (s+1)*T], 0
-}
+// result returns the interpreter's lane of producer slot s.
+func (sc *runScratch) result(T, s int) []float64 { return sc.val[s*T : (s+1)*T] }
 
 // sample reads producer slot `slot` at cycle c; cycles outside [0,T)
 // (pipeline lead-in seen through a delay, or an unconnected operand)
@@ -560,27 +553,28 @@ func (sc *runScratch) sample(T, slot, c int) (float64, bool) {
 }
 
 // scratchFor returns the node's working set, grown to fit pl on the
-// chosen path: the kernel's lanes, or the interpreter's value and
-// validity lane per producer slot — validity lanes are allocated only
-// once the interpreter runs. Every plan the node runs shares the set,
-// so the node holds one working set the size of its largest plan.
-// Reuse is safe without zeroing: every lane is written at every cycle
-// a reader reads, before that read. The interpreter writes every cycle;
-// a kernel op writes its need, which holds every cycle its readers
-// read, and no other op writes its lane until the last of them has run.
+// chosen path: the kernel's windows and accumulators, or the
+// interpreter's value and validity lane per producer slot — validity
+// lanes are allocated only once the interpreter runs. Every plan the
+// node runs shares the set, so the node holds one working set the size
+// of its largest plan. Reuse is safe without zeroing: every lane is
+// written at every cycle a reader reads, before that read. The
+// interpreter writes every cycle; a kernel op writes its need, which
+// holds every cycle its readers read, and its window keeps each such
+// cycle until the last reader has read it.
 func (n *Node) scratchFor(pl *ExecPlan, kernel bool) *runScratch {
 	sc := &n.scratch
-	lanes := pl.slots
 	if kernel {
-		lanes = pl.kern.lanes
-	}
-	if need := lanes * pl.T; len(sc.val) < need {
-		sc.val = make([]float64, need)
-	}
-	if kernel {
+		if len(sc.val) < pl.kern.words {
+			sc.val = make([]float64, pl.kern.words)
+		}
 		return sc
 	}
-	if need := pl.slots * pl.T; len(sc.ok) < need {
+	need := pl.slots * pl.T
+	if len(sc.val) < need {
+		sc.val = make([]float64, need)
+	}
+	if len(sc.ok) < need {
 		sc.ok = make([]bool, need)
 	}
 	if len(sc.reds) < pl.nReds {
