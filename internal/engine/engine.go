@@ -666,7 +666,7 @@ func (rn *run) once(from *Snapshot) (*RunResult, *DeadRankError, error) {
 		if cfg.CheckpointEvery > 0 && it%cfg.CheckpointEvery == 0 && it != skipAt {
 			lp.fst.Checkpoints++
 			ck := &Snapshot{}
-			if err := ck.take(cfg.Fabric, cfg.Part, cfg.State, it, res.Series); err != nil {
+			if err := lp.take(ck, it, res.Series); err != nil {
 				return nil, nil, err
 			}
 			rn.ck = ck
@@ -680,7 +680,7 @@ func (rn *run) once(from *Snapshot) (*RunResult, *DeadRankError, error) {
 			lp.observe("checkpoint", it, 0)
 		}
 		if rn.mr != nil {
-			if err := rn.mr.take(cfg.Fabric, cfg.Part, cfg.State, it, res.Series); err != nil {
+			if err := lp.take(rn.mr, it, res.Series); err != nil {
 				return nil, nil, err
 			}
 			lp.observe("buddy", it, 0)

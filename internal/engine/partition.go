@@ -73,21 +73,28 @@ func (pt *Partition) Slab(img []float64, r int) []float64 {
 // the image is right even when the last sweep's faces were never
 // exchanged. A host-side copy: it charges no simulated cycles.
 func (pt *Partition) Gather(f Fabric, plane int, img []float64) error {
-	nn := pt.NN()
-	last := pt.P - 1
-	if err := f.Node(0).ReadWordsInto(plane, 0, img[:nn]); err != nil {
-		return err
-	}
-	if err := f.Node(last).ReadWordsInto(plane, int64((pt.Planes[last]+1)*nn), img[(pt.Nz-1)*nn:]); err != nil {
-		return err
-	}
 	for r := 0; r < pt.P; r++ {
-		lo := pt.Lo[r] * nn
-		if err := f.Node(r).ReadWordsInto(plane, int64(nn), img[lo:lo+pt.Planes[r]*nn]); err != nil {
+		if err := pt.gatherRank(f, plane, img, r); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// gatherRank reads rank r's share of Gather's image in one host
+// transfer: its owned planes, with the outer ghost next to them on an
+// edge rank. Ranks write disjoint words of img, so they may gather at
+// once.
+func (pt *Partition) gatherRank(f Fabric, plane int, img []float64, r int) error {
+	nn := pt.NN()
+	lo, hi, at := pt.Lo[r], pt.Lo[r]+pt.Planes[r], nn // global planes [lo,hi) from local word at
+	if r == 0 {
+		lo, at = 0, 0
+	}
+	if r == pt.P-1 {
+		hi = pt.Nz
+	}
+	return f.Node(r).ReadWordsInto(plane, int64(at), img[lo*nn:hi*nn])
 }
 
 // Scatter writes every rank's Slab of img, ghosts included, into plane
@@ -102,9 +109,11 @@ func (pt *Partition) Scatter(f Fabric, plane int, img []float64) error {
 	return nil
 }
 
-// Local extracts rank r's slab problem from the global one: the Slab
-// windows of F, U0 and Mask, with the mask cleared on the two ghost
-// planes so they enter the pipelines as masked-off boundary.
+// Local extracts rank r's slab problem from the global one. Its F and
+// U0 are the Slab windows of the global arrays, capped so that an
+// append copies them instead of writing past the slab; callers only
+// read them. Its Mask is a copy of the window, cleared on the two
+// ghost planes so they enter the pipelines as masked-off boundary.
 func (pt *Partition) Local(cfg arch.Config, global *jacobi.Problem, r int) (*jacobi.Problem, error) {
 	if r < 0 || r >= pt.P {
 		return nil, fmt.Errorf("engine: local slab rank %d outside %d ranks", r, pt.P)
@@ -121,8 +130,8 @@ func (pt *Partition) Local(cfg arch.Config, global *jacobi.Problem, r int) (*jac
 	}
 	lp := &jacobi.Problem{
 		N: pt.N, Nz: pt.LocalNz(r), H: global.H, Tol: global.Tol, MaxIter: global.MaxIter,
-		F:    slices.Clone(pt.Slab(global.F, r)),
-		U0:   slices.Clone(pt.Slab(global.U0, r)),
+		F:    slices.Clip(pt.Slab(global.F, r)),
+		U0:   slices.Clip(pt.Slab(global.U0, r)),
 		Mask: slices.Clone(pt.Slab(global.Mask, r)),
 	}
 	nn := pt.NN()

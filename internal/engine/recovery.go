@@ -112,9 +112,9 @@ var ErrNoRestorePoint = errors.New("no buddy mirror and no checkpoint to restore
 // every interior ghost plane equals its neighbour's owned plane, so an
 // image holds each rank's slab, ghosts included, under any partition
 // of the grid: a snapshot taken on one ring restores onto the ring a
-// recovery left behind. Partition.Gather takes each image and
-// Partition.Scatter writes it back; both are host-side bookkeeping and
-// cost no simulated cycles.
+// recovery left behind. The per-rank reads of Partition.Gather take
+// each image and Partition.Scatter writes it back; both are host-side
+// bookkeeping and cost no simulated cycles.
 //
 // The mirror models rank r's share as held by its ring buddy (r+1) mod
 // P, so it survives a death exactly when the dead rank's buddy does.
@@ -123,22 +123,45 @@ type Snapshot struct {
 	Series []float64
 	// Images[i] is the global image of State[i].
 	Images [][]float64
+
+	// by is the loop that last took the snapshot, and copied[i*P+r]
+	// the write count of rank r's plane State[i] when by last copied
+	// that share.
+	by     *Loop
+	copied []uint64
 }
 
-// take gathers the ring's State planes into s, reusing its images.
-func (s *Snapshot) take(f Fabric, part *Partition, planes []int, sweep int, series []float64) error {
+// take gathers the ring's State planes into s at boundary sweep,
+// reusing its images. Within one loop the ring and the partition stay
+// fixed, so a later take by the loop that took s last copies only the
+// shares whose planes were written since: a Jacobi boundary copies the
+// plane the last sweep wrote and keeps the other.
+func (lp *Loop) take(s *Snapshot, sweep int, series []float64) error {
+	cfg := lp.cfg
+	f, part := cfg.Fabric, cfg.Part
 	if s.Images == nil {
-		s.Images = make([][]float64, len(planes))
+		s.Images = make([][]float64, len(cfg.State))
 		for i := range s.Images {
 			s.Images[i] = make([]float64, part.Nz*part.NN())
 		}
 	}
-	for i, pl := range planes {
-		if err := part.Gather(f, pl, s.Images[i]); err != nil {
-			return err
+	all := s.by != lp
+	if all {
+		s.copied = make([]uint64, len(cfg.State)*part.P)
+	}
+	for i, pl := range cfg.State {
+		for r := 0; r < part.P; r++ {
+			nd, k := f.Node(r), i*part.P+r
+			if !all && s.copied[k] == nd.Mem[pl].Writes() {
+				continue // unwritten since this loop copied it
+			}
+			if err := part.gatherRank(f, pl, s.Images[i], r); err != nil {
+				return err
+			}
+			s.copied[k] = nd.Mem[pl].Writes()
 		}
 	}
-	s.Sweep = sweep
+	s.by, s.Sweep = lp, sweep
 	s.Series = append(s.Series[:0], series...)
 	return nil
 }

@@ -350,6 +350,57 @@ func newImageRun(t *testing.T, maxSweeps int, evs ...FaultEvent) *imageRun {
 	return ir
 }
 
+// TestTakeCopiesWrittenShares: a loop's later takes into a snapshot
+// copy only the shares written since its last one and still hold the
+// ring's image; a take by another loop copies every share.
+func TestTakeCopiesWrittenShares(t *testing.T) {
+	ir := newImageRun(t, 1)
+	part := ir.cur
+	lp, err := NewLoop(ir.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Snapshot{}
+	take := func(lp *Loop, it int) {
+		t.Helper()
+		if err := lp.take(s, it, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	take(lp, 0)
+	for i, pl := range imgPlanes {
+		if !slices.Equal(s.Images[i], image(0, pl)) {
+			t.Fatalf("first take: plane %d image %v", pl, s.Images[i])
+		}
+	}
+
+	// Nothing written: a scribble on the images survives the take.
+	s.Images[0][0], s.Images[1][0] = -1, -1
+	// Rank 1 writes boundary 1's words into its slab of plane 1.
+	if err := ir.f.Node(1).WriteWords(1, 0, slab(part, 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	take(lp, 1)
+	want := image(0, 1)
+	lo, hi := part.Lo[1]*imgNN, (part.Lo[1]+part.Planes[1])*imgNN
+	copy(want[lo:hi], image(1, 1)[lo:hi])
+	want[0] = -1
+	if s.Images[0][0] != -1 || !slices.Equal(s.Images[1], want) {
+		t.Errorf("second take copied more or less than rank 1's share of plane 1: plane 0 word 0 = %v, plane 1 image %v",
+			s.Images[0][0], s.Images[1])
+	}
+
+	other, err := NewLoop(ir.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	take(other, 1)
+	want[0] = image(0, 1)[0]
+	if !slices.Equal(s.Images[0], image(0, 0)) || !slices.Equal(s.Images[1], want) {
+		t.Errorf("another loop's take left stale words: %v / %v", s.Images[0], s.Images[1])
+	}
+}
+
 // killsAt returns kill-forever events for ranks at one sweep.
 func killsAt(sweep int, ranks ...int) []FaultEvent {
 	var evs []FaultEvent

@@ -15,8 +15,10 @@ import (
 // holding its slab, ghosts included, as explicit plane loops build
 // it; Gather must return the image bit for bit from the owned planes
 // and the edge ranks' outer ghosts, after every interior ghost has been
-// overwritten with junk; and Local's F, U0 and Mask must be copies of
-// their Slab windows, with the mask cleared on both ghost planes.
+// overwritten with junk; and Local's F and U0 must hold their Slab
+// windows, capped so that an append to one cannot reach the global
+// array, and its Mask a copy of its window, cleared on both ghost
+// planes.
 func FuzzSlabMap(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(3), uint8(3), uint8(1), int64(2))
@@ -96,7 +98,8 @@ func FuzzSlabMap(f *testing.F) {
 		}
 		sameWords(t, "gather", -1, got, img)
 
-		// Local copies the Slab windows and clears the mask ghosts.
+		// Local caps the F and U0 windows, copies the mask and clears
+		// its ghosts.
 		g := &jacobi.Problem{N: n, Nz: nz, H: 0.25, Tol: 1e-3, MaxIter: 7,
 			F: img, U0: randomImage(), Mask: randomImage()}
 		for r := 0; r < p; r++ {
@@ -119,9 +122,18 @@ func FuzzSlabMap(f *testing.F) {
 					}
 				}
 			}
-			lp.F[0], lp.U0[0], lp.Mask[nn] = junk, junk, junk
-			if part.Slab(g.F, r)[0] == junk || part.Slab(g.U0, r)[0] == junk || mask[nn] == junk {
-				t.Fatalf("rank %d: local arrays alias the global problem", r)
+			past := (part.Lo[r] + part.Planes[r] + 1) * nn // the first global word past the slab
+			for _, c := range []struct {
+				name          string
+				local, global []float64
+			}{{"F", lp.F, g.F}, {"U0", lp.U0, g.U0}} {
+				if grown := append(c.local, junk); &grown[0] == &c.local[0] || past < len(c.global) && c.global[past] == junk {
+					t.Fatalf("rank %d: an append to the local %s reached the global array", r, c.name)
+				}
+			}
+			lp.Mask[nn] = junk
+			if mask[nn] == junk {
+				t.Fatalf("rank %d: the local mask aliases the global one", r)
 			}
 		}
 	})

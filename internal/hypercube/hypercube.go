@@ -18,8 +18,9 @@
 // and moves them between the ring and the global grid. SolveJacobi is a
 // thin client that adapts the machine to the engine's Fabric
 // interface, compiles each distinct slab once (ranks with the same
-// slab, and later solves on the same machine, share its instructions),
-// supplies the scheme — the sweep Step, the state planes and slab
+// slab, and later solves on the same machine, share its instructions;
+// the boards, peers of one another, share one plan table, so the
+// machine decodes each distinct instruction once), supplies the scheme — the sweep Step, the state planes and slab
 // rebuild the engine's recovery protocol needs, and the conversion
 // between the engine's snapshots and the on-disk Checkpoint — and
 // gathers the result through the partition.
@@ -63,8 +64,10 @@ type Machine struct {
 	// values run up to that many node sweeps concurrently, the calling
 	// goroutine included, and -1 uses GOMAXPROCS. Helpers beyond
 	// GOMAXPROCS are not started. Simulated results are bit-identical
-	// at every setting: nodes share no mutable simulator state, and all
-	// cycle/FLOP accounting is merged in rank order after each barrier.
+	// at every setting: the only simulator state nodes share is their
+	// plan table, which hands every node the same immutable plan for an
+	// instruction, and all cycle/FLOP accounting is merged in rank
+	// order after each barrier.
 	Workers int
 
 	// Faults, when non-nil, injects the plan's deterministic faults
@@ -166,13 +169,16 @@ func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 	if p < 1 || p > maxBoards {
 		return nil, fmt.Errorf("hypercube: %s node count %d out of range", t.Name(), p)
 	}
-	m := &Machine{Cfg: cfg, Topo: t}
-	for i := 0; i < p; i++ {
-		n, err := sim.NewNode(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.Nodes = append(m.Nodes, n)
+	first, err := sim.NewNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Every later board is a peer of the first: the machine's nodes
+	// share one plan table, so it decodes each instruction once.
+	m := &Machine{Cfg: cfg, Topo: t, Nodes: make([]*sim.Node, p)}
+	m.Nodes[0] = first
+	for i := 1; i < p; i++ {
+		m.Nodes[i] = first.NewPeer()
 	}
 	m.ring = make([]*sim.Node, p)
 	m.ringAddr = make([]int, p)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
-	"repro/internal/sim"
 )
 
 // Degraded-mode recovery: the machine half of surviving permanent node
@@ -26,20 +25,18 @@ import (
 
 // AddSpares provisions n cold standby boards for degraded-mode
 // recovery. Spares are idle until a permanent kill fires: they cost no
-// simulated cycles and join no aggregation before activation. The pool
-// holds at most maxBoards spares; a negative n, or one that would
-// overfill the pool, is an R040 diagnostic before any board is built.
+// simulated cycles and join no aggregation before activation. Each is
+// a peer of the machine's boards, so an activated spare reuses the
+// plans they decoded. The pool holds at most maxBoards spares; a
+// negative n, or one that would overfill the pool, is an R040
+// diagnostic before any board is built.
 func (m *Machine) AddSpares(n int) error {
 	if n < 0 || n > maxBoards-len(m.Spares) {
 		return diag.Errorf(diag.RuleFaultPlan, "hypercube: cannot add %d spares to a pool of %d: the pool holds 0..%d boards",
 			n, len(m.Spares), maxBoards)
 	}
 	for i := 0; i < n; i++ {
-		nd, err := sim.NewNode(m.Cfg)
-		if err != nil {
-			return err
-		}
-		m.Spares = append(m.Spares, nd)
+		m.Spares = append(m.Spares, m.Nodes[0].NewPeer())
 	}
 	return nil
 }

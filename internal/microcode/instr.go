@@ -215,13 +215,19 @@ func (in *Instr) SetSDU(u int, enable bool, taps []int) {
 
 // SDUOf reads back shift/delay unit u's configuration.
 func (in *Instr) SDUOf(u int) (enable bool, taps []int) {
-	enable = in.W.Get(in.F.sduEn[u]) == 1
 	taps = make([]int, len(in.F.sduTap[u]))
 	for t := range taps {
-		taps[t] = int(in.W.Get(in.F.sduTap[u][t]))
+		taps[t] = in.SDUTap(u, t)
 	}
-	return enable, taps
+	return in.SDUEnabled(u), taps
 }
+
+// SDUEnabled reports whether shift/delay unit u is enabled.
+func (in *Instr) SDUEnabled(u int) bool { return in.W.Get(in.F.sduEn[u]) == 1 }
+
+// SDUTap returns the delay programmed on tap t of shift/delay unit u.
+// Unlike SDUOf it allocates nothing.
+func (in *Instr) SDUTap(u, t int) int { return int(in.W.Get(in.F.sduTap[u][t])) }
 
 // --- Sequencer ---
 

@@ -143,8 +143,8 @@ func (n *Node) run(pl *ExecPlan) error {
 	if n.Stats.FUBusy == nil {
 		n.Stats.FUBusy = make([]int64, cfg.TotalFUs)
 	}
-	for _, i := range pl.activeFU {
-		n.Stats.FUBusy[i] += pl.vecLen
+	for i := range pl.fus {
+		n.Stats.FUBusy[pl.fus[i].fu] += pl.vecLen
 	}
 	n.Stats.FLOPs += pl.flopsPerElem * pl.vecLen
 

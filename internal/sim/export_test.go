@@ -58,3 +58,21 @@ func KernelDemand(n *Node, in *microcode.Instr) (T int, ops []Demand, sinks []Si
 	}
 	return pl.T, ops, sinks, nil
 }
+
+// Compile decodes in as a first dispatch on n would, bypassing every
+// cache.
+func Compile(n *Node, in *microcode.Instr) error {
+	_, err := compilePlan(n.Cfg, n.Inv, in)
+	return err
+}
+
+// TableStats reports how many plans n's table holds and how many
+// decodes it has run.
+func TableStats(n *Node) (plans, compiles int) {
+	n.table.mu.Lock()
+	defer n.table.mu.Unlock()
+	return len(n.table.plans), n.table.compiles
+}
+
+// SameTable reports whether a and b find their plans in one table.
+func SameTable(a, b *Node) bool { return a.table == b.table }

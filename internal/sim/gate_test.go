@@ -113,6 +113,29 @@ func TestNewNodeGates(t *testing.T) {
 	t.Logf("warm NewNode: %v allocs, %d bytes", allocs, bytes)
 }
 
+// TestCompileAllocGate holds the decode of the 12³ forward Jacobi
+// sweep to its allocation budget: the plan and its slices, each
+// allocated once at the size a counting pass found, one table of
+// per-port slots and depths, and the kernel lowering's own. Slices
+// grown by append, ports kept in maps and SDU taps read into fresh
+// slices cost about 35 more. The two compiles left in a fresh
+// machine's solve sit on its first two dispatches.
+func TestCompileAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation adds allocations")
+	}
+	node, in := gateNode(t, false)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := sim.Compile(node, in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("decoding the Jacobi forward sweep makes %v allocs, want at most 20", allocs)
+	}
+	t.Logf("decoding the 12³ Jacobi forward sweep: %v allocs", allocs)
+}
+
 // TestKernelLanes pins the kernel's working set. The Jacobi forward
 // sweep has 3 sources, one SDU whose 8 taps take no lanes, 12 FUs and
 // a sink. Its stride-1 sources are read in place and its residual

@@ -26,6 +26,8 @@ const pageWords = 4096
 type Plane struct {
 	words int64
 	pages map[int64]*[pageWords]float64
+	// writes counts the writes that have reached the plane (see Writes).
+	writes uint64
 }
 
 // NewPlane returns an empty plane holding `words` machine words.
@@ -50,6 +52,7 @@ func (pl *Plane) Write(addr int64, v float64) error {
 	if addr < 0 || addr >= pl.words {
 		return pl.addrErr(addr)
 	}
+	pl.writes++
 	pg, ok := pl.pages[addr/pageWords]
 	if !ok {
 		pg = new([pageWords]float64)
@@ -58,6 +61,12 @@ func (pl *Plane) Write(addr int64, v float64) error {
 	pg[addr%pageWords] = v
 	return nil
 }
+
+// Writes counts the writes that have reached the plane, host writes
+// and sink commits alike, a write of many words counting once. A
+// reader that copied the plane can tell from it whether the plane has
+// changed since.
+func (pl *Plane) Writes() uint64 { return pl.writes }
 
 // addrErr is the error for a word access at addr outside the plane.
 func (pl *Plane) addrErr(addr int64) error {
@@ -85,6 +94,7 @@ func (pl *Plane) readPages(addr int64, dst []float64) {
 // words, or zeros when src is nil. It allocates exactly the pages
 // word-by-word writes would. The caller has checked the range.
 func (pl *Plane) writePages(addr, count int64, src []float64) {
+	pl.writes++
 	for count > 0 {
 		p, o := addr/pageWords, addr%pageWords
 		k := min(count, pageWords-o)
@@ -242,12 +252,17 @@ type Node struct {
 	IRQs  []Interrupt
 	Stats Stats
 
-	// plans is the decoded-instruction cache: instruction bit pattern →
-	// compiled ExecPlan, with hit/miss accounting. scratch is the run
-	// layer's working set, shared by every plan and sized to the
-	// largest. Both are node-private, keeping concurrent multi-node
-	// execution free of shared mutable state.
+	// plans is the node's decoded-instruction cache: instruction bit
+	// pattern → compiled ExecPlan, with hit/miss accounting. It is
+	// node-private, so the hit path takes no lock. table is where a
+	// miss finds the plan: the content-addressed store the node shares
+	// with its peers (see NewPeer), which compiles each instruction
+	// once under its own lock. The plans are immutable; scratch, the
+	// run layer's working set, shared by every plan and sized to the
+	// largest, is node-private too. So the mutable state concurrent
+	// nodes share is the table alone.
 	plans                map[string]*ExecPlan
+	table                *planTable
 	scratch              runScratch
 	planHits, planMisses int64
 	// keyBuf is the reusable plan-cache key serialization buffer; the
@@ -289,7 +304,8 @@ type Node struct {
 }
 
 // NewNode builds a node for the configuration. Every node of one
-// Config shares that Config's Inventory and Format.
+// Config shares that Config's Inventory and Format; its plan table is
+// its own, so it shares no decode with any other node.
 func NewNode(cfg arch.Config) (*Node, error) {
 	inv, err := arch.NewInventory(cfg)
 	if err != nil {
@@ -299,7 +315,18 @@ func NewNode(cfg arch.Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{Cfg: cfg, Inv: inv, F: f, RedReg: make([]float64, cfg.TotalFUs),
+	return buildNode(cfg, inv, f, &planTable{}), nil
+}
+
+// NewPeer builds another board of n's machine: a fresh node of n's
+// configuration that shares n's plan table, so an instruction one of
+// them has decoded is decoded for the other. Each keeps its own
+// planes, caches, counters and working set.
+func (n *Node) NewPeer() *Node { return buildNode(n.Cfg, n.Inv, n.F, n.table) }
+
+// buildNode builds an empty node that finds its plans in table.
+func buildNode(cfg arch.Config, inv *arch.Inventory, f *microcode.Format, table *planTable) *Node {
+	n := &Node{Cfg: cfg, Inv: inv, F: f, table: table, RedReg: make([]float64, cfg.TotalFUs),
 		Mem: make([]*Plane, cfg.MemPlanes), Cache: make([]*DoubleBuffer, cfg.CachePlanes)}
 	for i := range n.Mem {
 		n.Mem[i] = NewPlane(cfg.PlaneWords())
@@ -307,7 +334,7 @@ func NewNode(cfg arch.Config) (*Node, error) {
 	for i := range n.Cache {
 		n.Cache[i] = NewDoubleBuffer(cfg.CacheWords())
 	}
-	return n, nil
+	return n
 }
 
 // MustNode is NewNode for known-good configurations.

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/microcode"
@@ -15,9 +16,10 @@ import (
 // — live sources, switch routes, structural depths, producer graph,
 // FU latencies, stream length — is a pure function of the instruction
 // bits and the machine configuration. compilePlan derives it all once
-// into an immutable ExecPlan; the run layer (exec.go) then replays the
-// plan against mutable node state as many times as the sequencer
-// dispatches it.
+// into an immutable ExecPlan, kept in a table the boards of a machine
+// share (planTable), so a machine decodes each distinct instruction
+// once; the run layer (exec.go) then replays the plan against mutable
+// node state as many times as the sequencer dispatches it.
 
 // planSourceKind distinguishes the two DMA read-channel classes.
 type planSourceKind uint8
@@ -110,9 +112,8 @@ type ExecPlan struct {
 	reduces []planReduce
 	swaps   []int // cache planes swapped at completion
 
-	// activeFU lists the functional units charged with vecLen busy
-	// elements each; flopsPerElem is their summed per-element FLOP cost.
-	activeFU     []int
+	// flopsPerElem is the summed per-element FLOP cost of the units in
+	// fus, each of which is charged vecLen busy elements.
 	flopsPerElem int64
 	// elements is the per-dispatch source-element count added to
 	// Stats.Elements.
@@ -133,12 +134,18 @@ type ExecPlan struct {
 	// layer dispatches through it only when per-cycle detection
 	// (traps, ECC, tracer) is provably unnecessary.
 	kern *execKernel
+
+	// key is the cache key the plan was compiled under (see below);
+	// plans from ExecUncached have none.
+	key string
 }
 
 // The plan-cache key is the instruction's exact bit pattern,
 // serialized little-endian (see Node.plan). Content addressing makes
 // the cache self-invalidating — any field mutation produces a
-// different key and therefore a fresh decode.
+// different key and therefore a fresh decode — and lets nodes that
+// share a table share the plans of equal instructions, whichever
+// Instr values carry them.
 
 // PlanCacheStats reports a node's compiled-plan cache behaviour.
 type PlanCacheStats struct {
@@ -151,7 +158,10 @@ type PlanCacheStats struct {
 // every static check the hardware would trap on — undefined opcodes,
 // capability violations, dangling switch routes, DMA ranges outside
 // the plane, routing cycles, out-of-range loop-counter indices — so
-// the run layer can execute without re-validating.
+// the run layer can execute without re-validating. It counts the
+// active units and channels before it fills the plan, so each of the
+// plan's slices is allocated once at its final size, and it keeps
+// per-port state in slices indexed by arch.SourceID.
 func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*ExecPlan, error) {
 	pl := &ExecPlan{seq: in.SeqOf()}
 	pl.trapArmed = pl.seq.Trap
@@ -161,10 +171,12 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 		return nil, fmt.Errorf("sim: seq.ctr %d out of range [0,%d)", pl.seq.Ctr, microcode.NumCounters)
 	}
 
-	// --- Functional-unit decode: opcode validity and capabilities. ---
-	activeFU := make([]bool, cfg.TotalFUs)
+	// --- Functional-unit decode: opcode validity and capabilities.
+	// fuLat[i] is unit i's latency, or -1 while it idles. ---
 	fuLat := make([]int, cfg.TotalFUs)
-	for i := 0; i < cfg.TotalFUs; i++ {
+	nFU := 0
+	for i := range fuLat {
+		fuLat[i] = -1
 		op := in.FUOp(arch.FUID(i))
 		if !op.Valid() {
 			return nil, fmt.Errorf("sim: fu%d has undefined opcode %d", i, op)
@@ -176,20 +188,48 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 			return nil, fmt.Errorf("sim: fu%d (%s) cannot perform %s: hardware fault trap",
 				i, inv.FUs[i].Cap, op)
 		}
-		activeFU[i] = true
 		fuLat[i] = op.Info().Latency
+		nFU++
+		if red, _ := in.FUReduce(arch.FUID(i)); red {
+			pl.nReds++
+		}
+	}
+
+	// --- Channel counts. ---
+	reads, writes := 0, 0
+	tally := func(enable, write bool) {
+		switch {
+		case enable && write:
+			writes++
+		case enable:
+			reads++
+		}
+	}
+	for p := 0; p < cfg.MemPlanes; p++ {
+		d := in.MemDMAOf(p)
+		tally(d.Enable, d.Write)
+	}
+	for p := 0; p < cfg.CachePlanes; p++ {
+		d := in.CacheDMAOf(p)
+		tally(d.Enable, d.Write)
+	}
+
+	// slot[s] and depth[s] are producer port s's slot and structural
+	// depth, -1 while it has none.
+	ports := make([]int, 2*cfg.NumSources())
+	for i := range ports {
+		ports[i] = -1
+	}
+	slot, depth := ports[:len(ports)/2], ports[len(ports)/2:]
+	addSlot := func(src arch.SourceID) int {
+		slot[src] = pl.slots
+		pl.slots++
+		return pl.slots - 1
 	}
 
 	// --- DMA decode: sources, sinks, vector length. ---
-	slot := map[arch.SourceID]int{}
-	addSlot := func(src arch.SourceID) int {
-		s := pl.slots
-		slot[src] = s
-		pl.srcID = append(pl.srcID, src)
-		pl.slots++
-		return s
-	}
-
+	pl.sources = make([]planSource, 0, reads)
+	pl.sinks = make([]planSink, 0, writes)
 	for p := 0; p < cfg.MemPlanes; p++ {
 		d := in.MemDMAOf(p)
 		if !d.Enable {
@@ -259,9 +299,10 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 	// --- Structural depth: cycle offset at which each producer's
 	// element stream begins (source = 0; SDU tap = in+1+tap;
 	// FU = max(input depth + register delay) + latency). ---
-	depth := map[arch.SourceID]int{}
-	for s := range slot {
-		depth[s] = 0
+	for s, sl := range slot { // the sources, so far
+		if sl >= 0 {
+			depth[s] = 0
+		}
 	}
 	// Iterate to fixpoint: a unit's depth resolves once every producer
 	// it consumes has resolved. The graph is finite, so at least one
@@ -271,32 +312,25 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 	for {
 		changed := false
 		for u := 0; u < cfg.ShiftDelayUnits; u++ {
-			en, taps := in.SDUOf(u)
-			if !en {
-				continue
-			}
-			if _, done := depth[cfg.SrcSDUTap(u, 0)]; done {
+			if !in.SDUEnabled(u) || depth[cfg.SrcSDUTap(u, 0)] >= 0 {
 				continue
 			}
 			src := in.SinkSource(cfg.SnkSDUIn(u))
 			if src == arch.InvalidSource {
 				return nil, fmt.Errorf("sim: SDU%d enabled without an input route", u)
 			}
-			base, ok := depth[src]
-			if !ok {
+			base := portAt(depth, src)
+			if base < 0 {
 				continue // producer not resolved yet
 			}
-			for t, tapDelay := range taps {
-				depth[cfg.SrcSDUTap(u, t)] = base + 1 + tapDelay
+			for t := 0; t < cfg.SDUTaps; t++ {
+				depth[cfg.SrcSDUTap(u, t)] = base + 1 + in.SDUTap(u, t)
 			}
 			changed = true
 		}
-		for i := 0; i < cfg.TotalFUs; i++ {
-			if !activeFU[i] {
-				continue
-			}
+		for i, lat := range fuLat {
 			fu := arch.FUID(i)
-			if _, done := depth[cfg.SrcFUOut(fu)]; done {
+			if lat < 0 || depth[cfg.SrcFUOut(fu)] >= 0 {
 				continue
 			}
 			need, ready := 0, true
@@ -309,19 +343,17 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 				if src == arch.InvalidSource {
 					return nil, fmt.Errorf("sim: fu%d side %d expects a switch operand but none routed", i, side)
 				}
-				d, ok := depth[src]
-				if !ok {
+				d := portAt(depth, src)
+				if d < 0 {
 					ready = false
 					break
 				}
-				if v := d + hw; v > need {
-					need = v
-				}
+				need = max(need, d+hw)
 			}
 			if !ready {
 				continue
 			}
-			depth[cfg.SrcFUOut(fu)] = need + fuLat[i]
+			depth[cfg.SrcFUOut(fu)] = need + lat
 			changed = true
 		}
 		if !changed {
@@ -330,23 +362,17 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 	}
 	maxDepth := 0
 	for _, d := range depth {
-		if d > maxDepth {
-			maxDepth = d
-		}
+		maxDepth = max(maxDepth, d)
 	}
 	for u := 0; u < cfg.ShiftDelayUnits; u++ {
-		if en, _ := in.SDUOf(u); en {
-			if _, ok := depth[cfg.SrcSDUTap(u, 0)]; !ok {
-				src := in.SinkSource(cfg.SnkSDUIn(u))
-				return nil, fmt.Errorf("sim: SDU%d input routed from inactive source %s", u, cfg.SourceName(src))
-			}
+		if in.SDUEnabled(u) && depth[cfg.SrcSDUTap(u, 0)] < 0 {
+			src := in.SinkSource(cfg.SnkSDUIn(u))
+			return nil, fmt.Errorf("sim: SDU%d input routed from inactive source %s", u, cfg.SourceName(src))
 		}
 	}
-	for i := 0; i < cfg.TotalFUs; i++ {
-		if activeFU[i] {
-			if _, ok := depth[cfg.SrcFUOut(arch.FUID(i))]; !ok {
-				return nil, fmt.Errorf("sim: fu%d depends on an inactive source or a routing cycle", i)
-			}
+	for i, lat := range fuLat {
+		if lat >= 0 && depth[cfg.SrcFUOut(arch.FUID(i))] < 0 {
+			return nil, fmt.Errorf("sim: fu%d depends on an inactive source or a routing cycle", i)
 		}
 	}
 
@@ -362,40 +388,48 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 
 	// --- Producer slots for SDU taps and FU outputs. ---
 	for u := 0; u < cfg.ShiftDelayUnits; u++ {
-		if en, _ := in.SDUOf(u); en {
+		if in.SDUEnabled(u) {
 			for t := 0; t < cfg.SDUTaps; t++ {
 				addSlot(cfg.SrcSDUTap(u, t))
 			}
 		}
 	}
-	for i := 0; i < cfg.TotalFUs; i++ {
-		if activeFU[i] {
+	for i, lat := range fuLat {
+		if lat >= 0 {
 			addSlot(cfg.SrcFUOut(arch.FUID(i)))
 		}
 	}
+	pl.srcID = make([]arch.SourceID, pl.slots)
+	for s, sl := range slot {
+		if sl >= 0 {
+			pl.srcID[sl] = arch.SourceID(s)
+		}
+	}
 
-	// --- SDU tap micro-ops. ---
+	// --- SDU tap micro-ops. Every producer with a depth has a slot. ---
+	pl.taps = make([]planTap, 0, pl.slots-len(pl.sources)-nFU)
 	for u := 0; u < cfg.ShiftDelayUnits; u++ {
-		en, tapDelays := in.SDUOf(u)
-		if !en {
+		if !in.SDUEnabled(u) {
 			continue
 		}
 		inSlot := slot[in.SinkSource(cfg.SnkSDUIn(u))]
-		for t, d := range tapDelays {
+		for t := 0; t < cfg.SDUTaps; t++ {
 			pl.taps = append(pl.taps, planTap{
-				in: inSlot, out: slot[cfg.SrcSDUTap(u, t)], shift: 1 + d,
+				in: inSlot, out: slot[cfg.SrcSDUTap(u, t)], shift: 1 + in.SDUTap(u, t),
 			})
 		}
 	}
 
 	// --- FU micro-ops with resolved operand bindings. ---
-	for i := 0; i < cfg.TotalFUs; i++ {
-		if !activeFU[i] {
+	pl.fus = make([]planFU, 0, nFU)
+	pl.reduces = make([]planReduce, 0, pl.nReds)
+	for i, lat := range fuLat {
+		if lat < 0 {
 			continue
 		}
 		fu := arch.FUID(i)
 		p := planFU{
-			fu: fu, op: in.FUOp(fu), lat: fuLat[i], arity: in.FUOp(fu).Info().Arity,
+			fu: fu, op: in.FUOp(fu), lat: lat, arity: in.FUOp(fu).Info().Arity,
 			aSlot: -1, bSlot: -1, out: slot[cfg.SrcFUOut(fu)],
 		}
 		ak, ac, ad := in.FUInput(fu, 0)
@@ -418,7 +452,6 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 			p.reduce = true
 			p.init = in.Const(init)
 			pl.reduces = append(pl.reduces, planReduce{fu: i, from: p.out})
-			pl.nReds++
 		}
 		if p.arity >= 1 && p.aKind == microcode.InNone {
 			return nil, fmt.Errorf("sim: fu%d (%s) operand A unconnected", i, p.op)
@@ -427,7 +460,6 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 			return nil, fmt.Errorf("sim: fu%d (%s) operand B unconnected", i, p.op)
 		}
 		pl.fus = append(pl.fus, p)
-		pl.activeFU = append(pl.activeFU, i)
 		pl.flopsPerElem += int64(p.op.Info().FLOPs)
 	}
 
@@ -444,8 +476,8 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 		if src == arch.InvalidSource {
 			return nil, fmt.Errorf("sim: write DMA on %s has no switch route", cfg.SinkName(snk))
 		}
-		from, ok := slot[src]
-		if !ok {
+		from := portAt(slot, src)
+		if from < 0 {
 			return nil, fmt.Errorf("sim: sink %s routed from inactive source %s",
 				cfg.SinkName(snk), cfg.SourceName(src))
 		}
@@ -455,13 +487,61 @@ func compilePlan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr) (*Ex
 	return pl, nil
 }
 
-// plan returns the compiled plan for in, decoding it at most once per
-// distinct instruction content. The cache is per-node, so concurrent
-// nodes never share mutable state. The lookup key is serialized into a
-// pooled buffer and probed with an in-place string conversion, so the
-// hit path — every dispatch of an iterative solver after the first —
-// performs no allocation; the key string is only materialized when a
-// miss inserts a new plan.
+// portAt reads per-port state v at src, or -1 for a port the
+// configuration lacks: a switch field can encode more sources than
+// exist.
+func portAt(v []int, src arch.SourceID) int {
+	if src < 0 || int(src) >= len(v) {
+		return -1
+	}
+	return v[src]
+}
+
+// planTable is the content-addressed store of compiled plans behind
+// the node caches. The boards of one machine share a table (see
+// NewPeer), so the machine decodes each distinct instruction once; a
+// node built alone by NewNode holds a private one. A plan is
+// immutable, so peers run one plan at once. The mutex is held across
+// a compile, so peers whose first dispatches of one instruction meet
+// compile it once and share the plan.
+type planTable struct {
+	mu    sync.Mutex
+	plans map[string]*ExecPlan
+	// compiles counts the decodes the table has run.
+	compiles int
+}
+
+// plan returns the table's plan for in, whose cache key is key,
+// compiling it on the table's first request. A failed compile is not
+// kept.
+func (t *planTable) plan(cfg arch.Config, inv *arch.Inventory, in *microcode.Instr, key []byte) (*ExecPlan, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if pl, ok := t.plans[string(key)]; ok {
+		return pl, nil
+	}
+	t.compiles++
+	pl, err := compilePlan(cfg, inv, in)
+	if err != nil {
+		return nil, err
+	}
+	pl.key = string(key)
+	if t.plans == nil {
+		t.plans = make(map[string]*ExecPlan)
+	}
+	t.plans[pl.key] = pl
+	return pl, nil
+}
+
+// plan returns the compiled plan for in. The node's own map answers
+// every dispatch after the node's first of an instruction without a
+// lock and counts it a hit. A first dispatch counts a miss and takes
+// the plan from the node's table, which decodes each distinct
+// instruction content once for all the peers that share it. The
+// lookup key is serialized into a pooled buffer and probed with an
+// in-place string conversion, so the hit path — every dispatch of an
+// iterative solver after the first — performs no allocation; a miss
+// indexes the node's map by the table's copy of the key.
 func (n *Node) plan(in *microcode.Instr) (*ExecPlan, error) {
 	if need := 8 * len(in.W); cap(n.keyBuf) < need {
 		n.keyBuf = make([]byte, need)
@@ -475,25 +555,30 @@ func (n *Node) plan(in *microcode.Instr) (*ExecPlan, error) {
 		return pl, nil
 	}
 	n.planMisses++
-	pl, err := compilePlan(n.Cfg, n.Inv, in)
+	pl, err := n.table.plan(n.Cfg, n.Inv, in, key)
 	if err != nil {
 		return nil, err
 	}
 	if n.plans == nil {
 		n.plans = make(map[string]*ExecPlan)
 	}
-	n.plans[string(key)] = pl
+	n.plans[pl.key] = pl
 	return pl, nil
 }
 
 // PlanCacheStats reports the node's plan-cache hit/miss counters and
-// resident entry count.
+// the entry count of its own map: the distinct instructions it has
+// dispatched since its last reset.
 func (n *Node) PlanCacheStats() PlanCacheStats {
 	return PlanCacheStats{Hits: n.planHits, Misses: n.planMisses, Entries: len(n.plans)}
 }
 
-// ResetPlanCache drops every compiled plan and zeroes the counters,
-// including the kernel path counters.
+// ResetPlanCache empties the node's map of plans, drops its working
+// set and zeroes its counters, including the kernel path counters, so
+// its next dispatch of each instruction counts a miss again. The plans
+// stay in the node's table, which its peers may share; they are pure
+// functions of the instruction and the configuration, so a later
+// dispatch reuses them.
 func (n *Node) ResetPlanCache() {
 	n.plans = nil
 	n.scratch = runScratch{}
