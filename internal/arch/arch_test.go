@@ -201,15 +201,26 @@ func TestUnitAtBounds(t *testing.T) {
 	}
 }
 
+// alsCount counts the inventory's ALSs of kind k.
+func alsCount(inv *Inventory, k ALSKind) int {
+	n := 0
+	for _, a := range inv.ALSs {
+		if a.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestALSByKind(t *testing.T) {
 	inv := MustInventory(Default())
-	if got := len(inv.ALSByKind(Triplet)); got != 4 {
+	if got := alsCount(inv, Triplet); got != 4 {
 		t.Errorf("triplets = %d, want 4", got)
 	}
-	if got := len(inv.ALSByKind(Doublet)); got != 8 {
+	if got := alsCount(inv, Doublet); got != 8 {
 		t.Errorf("doublets = %d, want 8", got)
 	}
-	if got := len(inv.ALSByKind(Singlet)); got != 4 {
+	if got := alsCount(inv, Singlet); got != 4 {
 		t.Errorf("singlets = %d, want 4", got)
 	}
 }

@@ -69,8 +69,8 @@ func TestKnowledgeBaseEvolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inv.ALSByKind(Triplet)) != 6 {
-		t.Errorf("revised machine has %d triplets", len(inv.ALSByKind(Triplet)))
+	if got := alsCount(inv, Triplet); got != 6 {
+		t.Errorf("revised machine has %d triplets", got)
 	}
 	if len(inv.FUs) != 32 {
 		t.Errorf("revised machine has %d units", len(inv.FUs))

@@ -110,17 +110,6 @@ func MustInventory(cfg Config) *Inventory {
 	return inv
 }
 
-// ALSByKind returns the IDs of all ALSs of the given kind.
-func (inv *Inventory) ALSByKind(k ALSKind) []ALSID {
-	var ids []ALSID
-	for _, a := range inv.ALSs {
-		if a.Kind == k {
-			ids = append(ids, a.ID)
-		}
-	}
-	return ids
-}
-
 // UnitAt returns the functional unit in slot of ALS a.
 func (inv *Inventory) UnitAt(a ALSID, slot int) (FU, error) {
 	if int(a) < 0 || int(a) >= len(inv.ALSs) {

@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/engine"
 	"repro/internal/jacobi"
 )
 
@@ -192,105 +190,4 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		}
 	}()
 	MustNew(cfg)
-}
-
-// TestHypercubeSession: the environment builds the multi-node machine
-// on demand, caches it per dimension, and surfaces its cumulative
-// fault counters.
-func TestHypercubeSession(t *testing.T) {
-	env := MustNew(arch.Default())
-	if env.FaultStats() != (engine.FaultStats{}) {
-		t.Error("fresh session has fault counters")
-	}
-	m, err := env.Hypercube(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.P() != 4 {
-		t.Fatalf("P = %d", m.P())
-	}
-	again, err := env.Hypercube(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != m {
-		t.Error("same dimension rebuilt the machine")
-	}
-	if _, err := env.Hypercube(20); err == nil {
-		t.Error("dimension 20 accepted")
-	}
-
-	// Run a faulted solve through the session machine; its counters
-	// show up in the environment.
-	m.Faults = engine.MustFaultPlan(engine.FaultEvent{
-		Sweep: 1, Phase: engine.PhaseDispatch, Rank: 0, Kind: engine.FaultKill, Repeat: 2})
-	g := jacobi.NewBoxProblem(8, 10, 1e-4, 400) // 8 interior planes over 4 nodes
-	res, err := m.SolveJacobi(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Faults.Kills != 2 {
-		t.Errorf("solve counters %+v, want 2 kills", res.Faults)
-	}
-	if env.FaultStats() != res.Faults {
-		t.Errorf("environment counters %+v != solve counters %+v", env.FaultStats(), res.Faults)
-	}
-}
-
-// TestTrapSession: the session-level trap policy reaches the node
-// immediately and any cube built later; TrapStats aggregates both.
-func TestTrapSession(t *testing.T) {
-	env := MustNew(arch.Default())
-	if !env.TrapStats().Zero() {
-		t.Error("fresh session has trap counters")
-	}
-	env.SetTrapPolicy(arch.TrapConfig{Policy: arch.TrapQuietNaN})
-
-	// Overflow two elements of the saxpy input: 3·MaxFloat64 → +Inf
-	// with finite operands, quieted and counted.
-	u := make([]float64, 256)
-	u[7], u[20] = math.MaxFloat64, math.MaxFloat64
-	if err := env.Node.WriteWords(0, 0, u); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := env.BuildAndRun(saxpyScript, 10); err != nil {
-		t.Fatal(err)
-	}
-	if st := env.TrapStats(); st.Overflow != 2 || st.Quieted != 2 {
-		t.Errorf("session traps = %s, want two quieted overflows", st)
-	}
-
-	// A cube built after SetTrapPolicy inherits the policy, and its
-	// nodes' counters fold into the session total.
-	m, err := env.Hypercube(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Trap.Policy != arch.TrapQuietNaN {
-		t.Errorf("cube policy = %v, want quiet", m.Trap.Policy)
-	}
-	m.Nodes[1].TrapCounters.ECCCorrected = 3
-	if st := env.TrapStats(); st.ECCCorrected != 3 || st.Overflow != 2 {
-		t.Errorf("aggregate traps = %s", st)
-	}
-}
-
-// TestDistributedMultigridSession: the environment drives the
-// engine-backed distributed V-cycle over its cube and the solve
-// converges with sensible accounting.
-func TestDistributedMultigridSession(t *testing.T) {
-	env := MustNew(arch.Default())
-	res, err := env.DistributedMultigrid(1, 9, 2, 1e-6, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.Residual >= 1e-6 {
-		t.Fatalf("residual %g after %d V-cycles (converged=%v)", res.Residual, res.VCycles, res.Converged)
-	}
-	if len(res.U) != 9*9*9 {
-		t.Fatalf("field has %d words", len(res.U))
-	}
-	if res.TotalFLOPs == 0 || env.Cube.MachineCycles == 0 {
-		t.Errorf("accounting empty: flops=%d cycles=%d", res.TotalFLOPs, env.Cube.MachineCycles)
-	}
 }

@@ -144,6 +144,9 @@ func TestFaultMatrix(t *testing.T) {
 				assertSameSolve(t, res, cleanRes)
 
 				f := res.Faults
+				if m.FaultCounters != f {
+					t.Errorf("workers=%d: machine counters %+v, want the solve's %+v", workers, m.FaultCounters, f)
+				}
 				wantFires := int64(tc.ev.Repeat)
 				if wantFires == 0 {
 					wantFires = 1 // NewFaultPlan normalizes Repeat 0 to 1

@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/jacobi"
 	"repro/internal/obs"
@@ -97,9 +98,11 @@ type Machine struct {
 	// completed solves on this machine.
 	FaultCounters engine.FaultStats
 
-	// Trap is the node-level exception policy, applied to every node at
-	// the start of each solve. The zero value (policy off) keeps the
-	// exact seed behaviour.
+	// Trap is the node-level exception policy. SolveJacobi applies it
+	// to every live node at its start and RecoverRanks to each spare it
+	// wires in; a multigrid run over Fabric() leaves the live nodes'
+	// TrapCfg as their caller set it. The zero value (policy off) keeps
+	// the exact seed behaviour.
 	Trap arch.TrapConfig
 
 	// Obs, when non-nil, arms the unified observability layer on every
@@ -481,7 +484,8 @@ type RankECCFault struct {
 }
 
 // ParseRankECCFaults parses the nscsim -ecc-faults syntax: a
-// comma-separated list of "rank:plane:addr:single|double".
+// comma-separated list of "rank:plane:addr:single|double". Errors are
+// typed diagnostics (diag.RuleFaultPlan) naming the bad field.
 func ParseRankECCFaults(spec string) ([]RankECCFault, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -490,19 +494,19 @@ func ParseRankECCFaults(spec string) ([]RankECCFault, error) {
 	var out []RankECCFault
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
-		i := strings.Index(tok, ":")
-		if i < 0 {
-			return nil, fmt.Errorf("hypercube: ECC fault %q: want rank:plane:addr:single|double", tok)
+		rank, event, ok := strings.Cut(tok, ":")
+		if !ok {
+			return nil, diag.Errorf(diag.RuleFaultPlan, "hypercube: ECC fault %q: want rank:plane:addr:single|double", tok)
 		}
-		rank, err := strconv.Atoi(tok[:i])
+		r, err := strconv.Atoi(rank)
 		if err != nil {
-			return nil, fmt.Errorf("hypercube: ECC fault rank %q: %w", tok[:i], err)
+			return nil, diag.Errorf(diag.RuleFaultPlan, "hypercube: ECC fault rank %q: %w", rank, err)
 		}
-		fs, err := sim.ParseECCFaults(tok[i+1:])
-		if err != nil || len(fs) != 1 {
-			return nil, fmt.Errorf("hypercube: ECC fault %q: want rank:plane:addr:single|double", tok)
+		f, err := sim.ParseECCFault(event)
+		if err != nil {
+			return nil, diag.Errorf(diag.RuleFaultPlan, "hypercube: ECC fault %q: %w", tok, err)
 		}
-		out = append(out, RankECCFault{Rank: rank, Fault: fs[0]})
+		out = append(out, RankECCFault{Rank: r, Fault: f})
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/jacobi"
 	"repro/internal/sim"
 )
@@ -137,9 +138,19 @@ func TestParseRankECCFaults(t *testing.T) {
 	if fs, err := ParseRankECCFaults("  "); err != nil || fs != nil {
 		t.Errorf("blank spec = %v, %v", fs, err)
 	}
-	for _, bad := range []string{"1", "1:0:70", "x:0:70:double", "1:0:70:triple", "1:0:70:double:extra"} {
-		if _, err := ParseRankECCFaults(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
+	for _, tc := range []struct{ spec, names string }{
+		{"1", `"1"`},
+		{"1:0:70", `"0:70"`},
+		{"x:0:70:double", `rank "x"`},
+		{"0:1:x:single", `addr "x"`},
+		{"1:0:70:triple", `kind "triple"`},
+		{"1:0:70:double:extra", `"0:70:double:extra"`},
+		{"1:0:70:double,", `""`},
+	} {
+		_, err := ParseRankECCFaults(tc.spec)
+		var de *diag.DiagError
+		if !errors.As(err, &de) || de.Rule() != diag.RuleFaultPlan || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%q: error %v, want a %s diagnostic naming %s", tc.spec, err, diag.RuleFaultPlan, tc.names)
 		}
 	}
 }

@@ -135,17 +135,23 @@ type RefResult struct {
 // Reference runs point Jacobi on the host, bit-for-bit mirroring the
 // pipeline's arithmetic (same blend, same residual), so the simulator
 // result can be compared exactly.
-func (p *Problem) Reference() *RefResult {
-	cells := p.Cells()
+func (p *Problem) Reference() *RefResult { return p.reference(false) }
+
+// reference iterates Sweep from U0 until the stopping metric, the
+// max-abs norm or with l1 the L1 norm, falls below Tol.
+func (p *Problem) reference(l1 bool) *RefResult {
 	u := append([]float64(nil), p.U0...)
-	v := make([]float64, cells)
+	v := make([]float64, p.Cells())
 	res := &RefResult{}
 	for it := 0; it < p.MaxIter; it++ {
-		maxRes := p.sweep(u, v)
+		r, rl1 := p.Sweep(u, v, p.F)
+		if l1 {
+			r = rl1
+		}
 		u, v = v, u
 		res.Iters++
-		res.Residuals = append(res.Residuals, maxRes)
-		if maxRes < p.Tol {
+		res.Residuals = append(res.Residuals, r)
+		if r < p.Tol {
 			res.Converged = true
 			break
 		}
@@ -154,23 +160,26 @@ func (p *Problem) Reference() *RefResult {
 	return res
 }
 
-// sweep computes one Jacobi update u → v and returns the masked
-// max-abs residual, in the exact operation order of the pipeline.
-func (p *Problem) sweep(u, v []float64) float64 {
+// Sweep is the host mirror of the sweep pipeline: one Jacobi update
+// u → v with right-hand side f, in the pipeline's exact operation
+// order. It returns the masked update's max-abs norm (the full
+// program's stopping metric) and its L1 norm (the subset program's).
+// Every host reference solver calls it; a multigrid level passes its
+// own f and an ω-scaled Mask.
+func (p *Problem) Sweep(u, v, f []float64) (maxAbs, l1 float64) {
 	n, nn := p.N, p.N*p.N
 	h2 := p.H * p.H
-	maxRes := 0.0
 	at := func(g int) float64 {
 		if g < 0 || g >= len(u) {
 			return 0
 		}
 		return u[g]
 	}
-	for g := 0; g < len(u); g++ {
+	for g := range u {
 		a1 := at(g+1) + at(g-1)
 		a2 := at(g+n) + at(g-n)
 		a3 := at(g+nn) + at(g-nn)
-		fh := p.F[g] * h2
+		fh := f[g] * h2
 		a4 := a1 + a2
 		a5 := a3 + fh
 		a6 := a4 + a5
@@ -178,9 +187,14 @@ func (p *Problem) sweep(u, v []float64) float64 {
 		dif := upd - u[g]
 		mdf := dif * p.Mask[g]
 		v[g] = u[g] + mdf
-		maxRes = math.Max(maxRes, math.Abs(mdf))
+		maxAbs = math.Max(maxAbs, math.Abs(mdf))
+		if mdf < 0 {
+			l1 -= mdf
+		} else {
+			l1 += mdf
+		}
 	}
-	return maxRes
+	return maxAbs, l1
 }
 
 // Script emits the complete editor command script that programs the

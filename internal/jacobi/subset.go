@@ -142,53 +142,7 @@ func (p *Problem) SubsetValidate(cfg arch.Config) error {
 
 // SubsetReference mirrors the subset program on the host: identical
 // arithmetic with the L1 stopping metric.
-func (p *Problem) SubsetReference() *RefResult {
-	u := append([]float64(nil), p.U0...)
-	v := make([]float64, p.Cells())
-	res := &RefResult{}
-	for it := 0; it < p.MaxIter; it++ {
-		l1 := p.subsetSweep(u, v)
-		u, v = v, u
-		res.Iters++
-		res.Residuals = append(res.Residuals, l1)
-		if l1 < p.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	res.U = u
-	return res
-}
-
-func (p *Problem) subsetSweep(u, v []float64) float64 {
-	n, nn := p.N, p.N*p.N
-	h2 := p.H * p.H
-	at := func(g int) float64 {
-		if g < 0 || g >= len(u) {
-			return 0
-		}
-		return u[g]
-	}
-	l1 := 0.0
-	for g := range u {
-		a1 := at(g+1) + at(g-1)
-		a2 := at(g+n) + at(g-n)
-		a3 := at(g+nn) + at(g-nn)
-		fh := p.F[g] * h2
-		a4 := a1 + a2
-		a5 := a3 + fh
-		upd := (a4 + a5) * (1.0 / 6.0)
-		dif := upd - u[g]
-		mdf := dif * p.Mask[g]
-		v[g] = u[g] + mdf
-		if mdf < 0 {
-			l1 -= mdf
-		} else {
-			l1 += mdf
-		}
-	}
-	return l1
-}
+func (p *Problem) SubsetReference() *RefResult { return p.reference(true) }
 
 // SubsetBuild programs the subset machine through the editor.
 func (p *Problem) SubsetBuild(cfg arch.Config) (*diagram.Document, *editor.Editor, error) {

@@ -134,21 +134,22 @@ func (f *Format) asmLine(in *Instr, line string) error {
 			return fmt.Errorf("bad plane %q", head)
 		}
 		d := MemDMA{Enable: true}
-		kv := asmKV(fields[1:], &d.Write)
-		d.Addr = kv.i64("addr")
-		d.Stride = kv.i64("stride")
-		d.Count = kv.i64("count")
-		d.Skip = kv.i64("skip")
-		d.Start = int(kv.i64("start"))
+		var start int64
+		if err := asmKV(fields[1:], &d.Write, nil, map[string]*int64{
+			"addr": &d.Addr, "stride": &d.Stride, "count": &d.Count, "skip": &d.Skip, "start": &start,
+		}); err != nil {
+			return err
+		}
 		if err := errors.Join(
 			fits(f.memAddr[p], d.Addr),
 			fitsSigned(f.memStrd[p], d.Stride),
 			fits(f.memCnt[p], d.Count),
 			fits(f.memSkip[p], d.Skip),
-			fits(f.memStrt[p], int64(d.Start)),
+			fits(f.memStrt[p], start),
 		); err != nil {
 			return err
 		}
+		d.Start = int(start)
 		in.SetMemDMA(p, d)
 		return nil
 
@@ -158,24 +159,23 @@ func (f *Format) asmLine(in *Instr, line string) error {
 			return fmt.Errorf("bad cache %q", head)
 		}
 		d := CacheDMA{Enable: true}
-		kv := asmKV(fields[1:], &d.Write)
-		d.Buf = int(kv.i64("buf"))
-		d.Addr = kv.i64("addr")
-		d.Stride = kv.i64("stride")
-		d.Count = kv.i64("count")
-		d.Skip = kv.i64("skip")
-		d.Start = int(kv.i64("start"))
-		d.Swap = kv.flags["swap"] || kv.vals["swap"] == "true"
+		var buf, start int64
+		if err := asmKV(fields[1:], &d.Write, &d.Swap, map[string]*int64{
+			"buf": &buf, "addr": &d.Addr, "stride": &d.Stride, "count": &d.Count, "skip": &d.Skip, "start": &start,
+		}); err != nil {
+			return err
+		}
 		if err := errors.Join(
-			fits(f.cchBuf[p], int64(d.Buf)),
+			fits(f.cchBuf[p], buf),
 			fits(f.cchAddr[p], d.Addr),
 			fitsSigned(f.cchStrd[p], d.Stride),
 			fits(f.cchCnt[p], d.Count),
 			fits(f.cchSkip[p], d.Skip),
-			fits(f.cchStrt[p], int64(d.Start)),
+			fits(f.cchStrt[p], start),
 		); err != nil {
 			return err
 		}
+		d.Buf, d.Start = int(buf), int(start)
 		in.SetCacheDMA(p, d)
 		return nil
 
@@ -207,19 +207,24 @@ func (f *Format) asmLine(in *Instr, line string) error {
 	case head == "seq":
 		s := in.SeqOf()
 		rest := fields[1:]
+		cond := int(s.Cond)
+		nums := map[string]*int{"next": &s.Next, "branch": &s.Branch, "cond": &cond, "flag": &s.Flag, "loopctr": &s.Ctr}
 		for i := 0; i < len(rest); i++ {
 			tok := rest[i]
+			key, val, hasVal := strings.Cut(tok, "=")
 			switch {
-			case strings.HasPrefix(tok, "next="):
-				s.Next = asmInt(tok[5:])
-			case strings.HasPrefix(tok, "branch="):
-				s.Branch = asmInt(tok[7:])
-			case strings.HasPrefix(tok, "cond="):
-				s.Cond = uint64(asmInt(tok[5:]))
-			case strings.HasPrefix(tok, "flag="):
-				s.Flag = asmInt(tok[5:])
-			case tok == "irq" || strings.HasPrefix(tok, "irq=true"):
-				s.IRQ = true
+			case hasVal && nums[key] != nil:
+				v, err := strconv.Atoi(val)
+				if err != nil {
+					return fmt.Errorf("bad number in %q", tok)
+				}
+				*nums[key] = v
+			case key == "irq":
+				irq, err := asmFlag(tok, val, hasVal)
+				if err != nil {
+					return err
+				}
+				s.IRQ = irq
 			case tok == "trap":
 				s.Trap = true
 			case strings.HasPrefix(tok, "ldctr(") && strings.HasSuffix(tok, ")"):
@@ -228,10 +233,6 @@ func (f *Format) asmLine(in *Instr, line string) error {
 					return fmt.Errorf("bad ldctr clause %q", tok)
 				}
 				s.Ctr, s.CtrLoad, s.CtrValue = c, true, int64(v)
-			case strings.HasPrefix(tok, "loopctr="):
-				s.Ctr = asmInt(tok[8:])
-			case strings.HasPrefix(tok, "irq="):
-				// irq=false: leave unset.
 			case strings.HasPrefix(tok, "cmp(fu"):
 				// cmp(fu<N> <op> const<K> -> flag<F>) across 5 tokens.
 				if i+4 >= len(rest) {
@@ -255,25 +256,25 @@ func (f *Format) asmLine(in *Instr, line string) error {
 				default:
 					return fmt.Errorf("bad cmp operator %q", rest[i+1])
 				}
-				k, err := strconv.Atoi(strings.TrimPrefix(rest[i+2], "const"))
-				if err != nil {
+				if !scan(rest[i+2], "const%d", &s.CmpConst) {
 					return fmt.Errorf("bad cmp constant %q", rest[i+2])
 				}
-				s.CmpConst = k
 				if rest[i+3] != "->" {
 					return fmt.Errorf("cmp syntax: cmp(fuN < constK -> flagF)")
 				}
-				fl := strings.TrimSuffix(strings.TrimPrefix(rest[i+4], "flag"), ")")
-				s.CmpFlag = asmInt(fl)
+				if !scan(rest[i+4], "flag%d)", &s.CmpFlag) {
+					return fmt.Errorf("bad cmp flag %q", rest[i+4])
+				}
 				i += 4
 			default:
 				return fmt.Errorf("unknown seq token %q", tok)
 			}
 		}
+		s.Cond = uint64(cond)
 		if err := errors.Join(
 			fits(f.seqNext, int64(s.Next)),
 			fits(f.seqBranch, int64(s.Branch)),
-			fits(f.seqCond, int64(s.Cond)),
+			fits(f.seqCond, int64(cond)),
 			fits(f.seqFlag, int64(s.Flag)),
 			fits(f.seqCtr, int64(s.Ctr)),
 			fits(f.seqCtrVal, s.CtrValue),
@@ -444,39 +445,45 @@ func (f *Format) AssembleProgram(r io.Reader) (*Program, error) {
 	return prog, nil
 }
 
-type asmKVMap struct {
-	vals  map[string]string
-	flags map[string]bool
-}
-
-func asmKV(fields []string, write *bool) asmKVMap {
-	kv := asmKVMap{vals: map[string]string{}, flags: map[string]bool{}}
+// asmKV reads the fields of a mem or cache statement: the direction
+// read or write, a decimal for each key=value token into keys, and,
+// where swap is not nil, a bare swap or swap=true|false. A key left
+// out keeps its zero; a malformed value or any other token is an
+// error naming the token.
+func asmKV(fields []string, write, swap *bool, keys map[string]*int64) error {
 	for _, tok := range fields {
-		switch tok {
-		case "read":
-			*write = false
-		case "write":
-			*write = true
-		default:
-			if i := strings.IndexByte(tok, '='); i > 0 {
-				kv.vals[tok[:i]] = tok[i+1:]
-			} else {
-				kv.flags[tok] = true
+		key, val, hasVal := strings.Cut(tok, "=")
+		switch {
+		case tok == "read" || tok == "write":
+			*write = tok == "write"
+		case hasVal && keys[key] != nil:
+			v, err := strconv.ParseInt(val, 10, 64)
+			if err != nil {
+				return fmt.Errorf("bad number in %q", tok)
 			}
+			*keys[key] = v
+		case swap != nil && key == "swap":
+			b, err := asmFlag(tok, val, hasVal)
+			if err != nil {
+				return err
+			}
+			*swap = b
+		default:
+			return fmt.Errorf("unknown token %q", tok)
 		}
 	}
-	return kv
+	return nil
 }
 
-func (kv asmKVMap) i64(name string) int64 {
-	v, err := strconv.ParseInt(kv.vals[name], 10, 64)
-	if err != nil {
-		return 0
+// asmFlag reads a flag token, bare or as flag=true|false, which is
+// how Disassemble writes it.
+func asmFlag(tok, val string, hasVal bool) (bool, error) {
+	if !hasVal {
+		return true, nil
 	}
-	return v
-}
-
-func asmInt(s string) int {
-	v, _ := strconv.Atoi(s)
-	return v
+	b, err := strconv.ParseBool(val)
+	if err != nil || val != strconv.FormatBool(b) {
+		return false, fmt.Errorf("bad flag %q: want true or false", tok)
+	}
+	return b, nil
 }

@@ -111,38 +111,56 @@ seq   next=0 branch=0 cond=3 flag=0
 
 func TestAssembleErrors(t *testing.T) {
 	f := MustFormat(arch.Default())
-	bad := []string{
-		"frobnicate the switch",
-		"route FU0.a -> M1.rd",
-		"route FU0.a <- M99.rd",
-		"route FU99.a <- M1.rd",
-		"route FU0.a <- M1.rdX",
-		"fu99 add",
-		"fu0 notanop",
-		"fu0 add a=xyz",
-		"fu0 add a=const99",
-		"fu0 add a=sw+zfoo",
-		"fu0 add reduce(init=const99)",
-		"fu0 add weird=1",
-		"const99 = 1",
-		"const0 == 1",
-		"const0 = abc",
-		"mem99 read addr=0 stride=1 count=1",
-		"cache99 read addr=0 stride=1 count=1",
-		"sdu9 taps=[1]",
-		"sdu0 taps=(1)",
-		"sdu0 taps=[x]",
-		"seq cmp(fu1",
-		"seq cmp(fux < const0 -> flag1)",
-		"seq cmp(fu1 ~ const0 -> flag1)",
-		"seq cmp(fu1 < constx -> flag1)",
-		"seq cmp(fu1 < const0 => flag1)",
-		"seq wat=1",
-		"seq ldctr(1=5)x)",
+	// want, when set, is the token the error must name.
+	bad := []struct{ src, want string }{
+		{"frobnicate the switch", ""},
+		{"route FU0.a -> M1.rd", ""},
+		{"route FU0.a <- M99.rd", ""},
+		{"route FU99.a <- M1.rd", ""},
+		{"route FU0.a <- M1.rdX", ""},
+		{"fu99 add", ""},
+		{"fu0 notanop", ""},
+		{"fu0 add a=xyz", ""},
+		{"fu0 add a=const99", ""},
+		{"fu0 add a=sw+zfoo", ""},
+		{"fu0 add reduce(init=const99)", ""},
+		{"fu0 add weird=1", ""},
+		{"const99 = 1", ""},
+		{"const0 == 1", ""},
+		{"const0 = abc", ""},
+		{"mem99 read addr=0 stride=1 count=1", ""},
+		{"cache99 read addr=0 stride=1 count=1", ""},
+		{"sdu9 taps=[1]", ""},
+		{"sdu0 taps=(1)", ""},
+		{"sdu0 taps=[x]", ""},
+		{"seq cmp(fu1", ""},
+		{"seq cmp(fux < const0 -> flag1)", ""},
+		{"seq cmp(fu1 ~ const0 -> flag1)", ""},
+		{"seq cmp(fu1 < constx -> flag1)", ""},
+		{"seq cmp(fu1 < const0 => flag1)", ""},
+		{"seq wat=1", ""},
+		{"seq ldctr(1=5)x)", ""},
+		{"mem0 read addr=12x stride=1 count=10", `"addr=12x"`},
+		{"mem0 read adr=5 stride=1 count=10", `"adr=5"`},
+		{"mem0 read addr=0 stride=1 count=2 swap", `"swap"`},
+		{"mem0 read addr= stride=1 count=2", `"addr="`},
+		{"cache0 read buf=x addr=1 stride=1 count=2", `"buf=x"`},
+		{"cache0 read addr=1 stride=1 count=2 swap=yes", `"swap=yes"`},
+		{"cache0 read addr=1 stride=1 count=2 =1", `"=1"`},
+		{"seq next=abc", `"next=abc"`},
+		{"seq cond=1.5", `"cond=1.5"`},
+		{"seq loopctr=x", `"loopctr=x"`},
+		{"seq irq=maybe", `"irq=maybe"`},
+		{"seq cmp(fu1 < const0 -> flagx)", `"flagx)"`},
+		{"seq cmp(fu1 < const0 -> flag1", `"flag1"`},
+		{"seq cmp(fu1 < 0 -> flag1)", `"0"`},
 	}
-	for _, src := range bad {
-		if _, err := f.Assemble(strings.NewReader(src)); err == nil {
-			t.Errorf("assembled %q", src)
+	for _, tc := range bad {
+		_, err := f.Assemble(strings.NewReader(tc.src))
+		if err == nil {
+			t.Errorf("assembled %q", tc.src)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %q does not name %s", tc.src, err, tc.want)
 		}
 	}
 	if _, err := f.AssembleProgram(strings.NewReader("")); err == nil {

@@ -482,7 +482,7 @@ func (s *Solver) ReferenceVCycle(maxCycles int) ([]float64, int, float64, bool) 
 	smooth := func(hl *hostLevel, sweeps int) {
 		v := make([]float64, len(hl.u))
 		for s := 0; s < sweeps; s++ {
-			sweepHost(hl.p, hl.u, v, hl.f)
+			hl.p.Sweep(hl.u, v, hl.f)
 			hl.u, v = v, hl.u
 		}
 	}
@@ -528,32 +528,6 @@ func (s *Solver) ReferenceVCycle(maxCycles int) ([]float64, int, float64, bool) 
 		}
 	}
 	return fine.u, cycles, res, converged
-}
-
-// sweepHost mirrors the smoothing pipeline's arithmetic (the ω-scaled
-// mask is already in p.Mask).
-func sweepHost(p *jacobi.Problem, u, v, f []float64) {
-	n, nn := p.N, p.N*p.N
-	h2 := p.H * p.H
-	at := func(g int) float64 {
-		if g < 0 || g >= len(u) {
-			return 0
-		}
-		return u[g]
-	}
-	for g := range u {
-		a1 := at(g+1) + at(g-1)
-		a2 := at(g+n) + at(g-n)
-		a3 := at(g+nn) + at(g-nn)
-		fh := f[g] * h2
-		a4 := a1 + a2
-		a5 := a3 + fh
-		a6 := a4 + a5
-		upd := a6 * (1.0 / 6.0)
-		dif := upd - u[g]
-		mdf := dif * p.Mask[g]
-		v[g] = u[g] + mdf
-	}
 }
 
 // residualHost mirrors the residual pipeline's arithmetic.

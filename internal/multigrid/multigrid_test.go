@@ -144,7 +144,7 @@ func TestMultigridBeatsPlainJacobi(t *testing.T) {
 	copy(bin, p.Mask)
 	jacIters := 0
 	for it := 0; it < 100000; it++ {
-		sweepHost(p, u, v, p.F)
+		p.Sweep(u, v, p.F)
 		u, v = v, u
 		jacIters++
 		r := residualHost(p, u, p.F, bin)

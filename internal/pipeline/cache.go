@@ -17,8 +17,7 @@ import (
 // document's JSON form). Content addressing makes the cache
 // self-invalidating — any change to the inputs is a different key —
 // exactly like the simulator's decoded-instruction plan cache, and the
-// hit/miss counters surface the same way (core.Environment,
-// nscasm/nscsim -stats).
+// hit/miss counters surface the same way (nscasm/nscsim -stats).
 //
 // A Cache is safe for concurrent use. Hits return defensive copies of
 // the program (instruction words are cloned) so callers may mutate

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 )
 
 // This file is the node's exception subsystem: typed trap records for
@@ -349,44 +350,31 @@ func (n *Node) takeECC(plane int, addr int64) (ECCFault, bool) {
 	return f, true
 }
 
-// ParseECCFaults parses a comma-separated event list, each event
-// "plane:addr:single" or "plane:addr:double" (the nscsim -ecc-faults
-// syntax, minus the leading rank the multi-node driver adds).
-func ParseECCFaults(spec string) ([]ECCFault, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	var out []ECCFault
-	for _, tok := range strings.Split(spec, ",") {
-		f, err := parseECCFault(strings.TrimSpace(tok))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-func parseECCFault(tok string) (ECCFault, error) {
+// ParseECCFault parses one ECC event, "plane:addr:single" or
+// "plane:addr:double" with surrounding space ignored: the nscsim
+// -ecc-faults syntax minus the leading rank, which
+// hypercube.ParseRankECCFaults reads. Errors are typed diagnostics
+// (diag.RuleFaultPlan) naming the bad field.
+func ParseECCFault(tok string) (ECCFault, error) {
 	var f ECCFault
+	tok = strings.TrimSpace(tok)
 	parts := strings.Split(tok, ":")
 	if len(parts) != 3 {
-		return f, fmt.Errorf("sim: ECC fault %q: want plane:addr:single|double", tok)
+		return f, diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault %q: want plane:addr:single|double", tok)
 	}
 	var err error
 	if f.Plane, err = strconv.Atoi(parts[0]); err != nil {
-		return f, fmt.Errorf("sim: ECC fault plane %q: %w", parts[0], err)
+		return f, diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault plane %q: %w", parts[0], err)
 	}
 	if f.Addr, err = strconv.ParseInt(parts[1], 10, 64); err != nil {
-		return f, fmt.Errorf("sim: ECC fault addr %q: %w", parts[1], err)
+		return f, diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault addr %q: %w", parts[1], err)
 	}
 	switch parts[2] {
 	case "single":
 	case "double":
 		f.Double = true
 	default:
-		return f, fmt.Errorf("sim: ECC fault kind %q: want single or double", parts[2])
+		return f, diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault kind %q: want single or double", parts[2])
 	}
 	return f, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/diag"
 	"repro/internal/microcode"
 )
 
@@ -315,24 +316,30 @@ func TestInjectECCValidates(t *testing.T) {
 	}
 }
 
+// TestParseECCFaults: one event parses to its fields and prints back;
+// a malformed event is an R040 diagnostic naming the bad field.
 func TestParseECCFaults(t *testing.T) {
-	fs, err := ParseECCFaults(" 0:5:single, 2:100:double ")
-	if err != nil {
-		t.Fatal(err)
+	for spec, want := range map[string]ECCFault{
+		" 0:5:single":  {Plane: 0, Addr: 5},
+		"2:100:double": {Plane: 2, Addr: 100, Double: true},
+	} {
+		f, err := ParseECCFault(spec)
+		if err != nil || f != want || f.String() != strings.TrimSpace(spec) {
+			t.Errorf("%q parsed to %+v (%q), %v", spec, f, f, err)
+		}
 	}
-	if len(fs) != 2 || fs[0] != (ECCFault{Plane: 0, Addr: 5}) ||
-		fs[1] != (ECCFault{Plane: 2, Addr: 100, Double: true}) {
-		t.Errorf("parsed %+v", fs)
-	}
-	if fs[1].String() != "2:100:double" {
-		t.Errorf("String = %q", fs[1].String())
-	}
-	if fs, err := ParseECCFaults(""); err != nil || fs != nil {
-		t.Errorf("empty spec = %v, %v", fs, err)
-	}
-	for _, bad := range []string{"0:5", "0:5:triple", "x:5:single", "0:y:double", "0:5:single:extra"} {
-		if _, err := ParseECCFaults(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
+	for _, tc := range []struct{ spec, names string }{
+		{"", `""`},
+		{"0:5", `"0:5"`},
+		{"0:5:single:extra", `"0:5:single:extra"`},
+		{"x:5:single", `plane "x"`},
+		{"0:y:double", `addr "y"`},
+		{"0:5:triple", `kind "triple"`},
+	} {
+		_, err := ParseECCFault(tc.spec)
+		var de *diag.DiagError
+		if !errors.As(err, &de) || de.Rule() != diag.RuleFaultPlan || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%q: error %v, want a %s diagnostic naming %s", tc.spec, err, diag.RuleFaultPlan, tc.names)
 		}
 	}
 }
