@@ -30,6 +30,7 @@ import (
 	"os"
 
 	"repro/internal/arch"
+	"repro/internal/checker"
 	"repro/internal/diag"
 	"repro/internal/diagram"
 	"repro/internal/microcode"
@@ -158,11 +159,12 @@ func writeDiagJSON(w io.Writer, ds diag.Diagnostics) error {
 	if ds == nil {
 		ds = diag.Diagnostics{}
 	}
+	errs := len(checker.Errors(ds))
 	report := struct {
 		Diagnostics diag.Diagnostics `json:"diagnostics"`
 		Errors      int              `json:"errors"`
 		Warnings    int              `json:"warnings"`
-	}{ds, len(ds.Errors()), len(ds) - len(ds.Errors())}
+	}{ds, errs, len(ds) - errs}
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err

@@ -60,12 +60,16 @@ func codeOf(t *testing.T, err error) string {
 	return de.D.Rule
 }
 
-// sourceErr compiles statements through the full pipeline and returns
-// the failure.
+// sourceErr compiles statements through compiler.CompileProgram and
+// the pipeline and returns the failure.
 func sourceErr(t *testing.T, stmts []string, opt compiler.Options) error {
 	t.Helper()
-	pl := pipeline.New(arch.MustInventory(arch.Default()))
-	_, err := pl.CompileSource(stmts, opt)
+	inv := arch.MustInventory(arch.Default())
+	prog, err := compiler.CompileProgram(stmts, inv, opt)
+	if err != nil {
+		return err
+	}
+	_, err = pipeline.New(inv).CompileDocument(prog.Doc)
 	return err
 }
 

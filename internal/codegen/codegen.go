@@ -430,30 +430,6 @@ func (e *elaboration) emitCompare() error {
 	return nil
 }
 
-// Document generates the full program: one instruction per flow op
-// (pipelines may be referenced several times), with sequencer fields
-// realizing the control-flow region. A document without flow ops
-// degenerates to executing its pipelines in order and halting.
-//
-// Document is the composition of the three back-end pipeline passes —
-// the document check, Lower, and Validate — kept as one call for
-// callers that do not need the passes individually.
-func (g *Generator) Document(doc *diagram.Document) (*microcode.Program, *Report, error) {
-	docDiags, ans := g.Chk.Check(doc)
-	if es := checker.Errors(docDiags); len(es) > 0 {
-		return nil, nil, &CheckError{Diags: es}
-	}
-	prog, rep, err := g.Lower(doc, ans)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Warnings = docDiags
-	if err := g.Validate(prog); err != nil {
-		return nil, nil, err
-	}
-	return prog, rep, nil
-}
-
 // Validate is the validate pass: the generated program through the
 // microcode format's structural validator, reported as a typed
 // diagnostic on failure.
@@ -467,9 +443,13 @@ func (g *Generator) Validate(prog *microcode.Program) error {
 // Lower is the codegen pass alone: elaborate a document that has
 // passed Checker.Check into a microcode program, lowering each
 // referenced pipeline from the analysis Check returned for it (ans,
-// indexed by pipeline ID). It runs neither the checker's rules nor the
-// final program validation; a referenced pipeline without an analysis
-// is refused (R035). The caller fills the report's Warnings.
+// indexed by pipeline ID). The program has one instruction per flow op
+// (a pipeline may be referenced several times), with sequencer fields
+// realizing the control-flow region; a document without flow ops runs
+// its pipelines in order and halts. It runs neither the checker's
+// rules nor the final program validation; a referenced pipeline
+// without an analysis is refused (R035). The caller fills the report's
+// Warnings.
 func (g *Generator) Lower(doc *diagram.Document, ans []*checker.Analysis) (*microcode.Program, *Report, error) {
 	rep := &Report{}
 

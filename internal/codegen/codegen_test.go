@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/checker"
 	"repro/internal/diagram"
 	"repro/internal/microcode"
 	"repro/internal/sim"
@@ -14,6 +15,20 @@ import (
 func gen(t testing.TB) *Generator {
 	t.Helper()
 	return New(arch.MustInventory(arch.Default()))
+}
+
+// document compiles d through the three stages pipeline.CompileDocument
+// runs — the document check, Lower and Validate — called directly.
+func document(g *Generator, d *diagram.Document) (*microcode.Program, *Report, error) {
+	ds, ans := g.Chk.Check(d)
+	if es := checker.Errors(ds); len(es) > 0 {
+		return nil, nil, &CheckError{Diags: es}
+	}
+	prog, rep, err := g.Lower(d, ans)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, rep, g.Validate(prog)
 }
 
 // buildSAXPY: v = a*u + w, with a sum reduction and convergence compare.
@@ -344,7 +359,7 @@ func TestDocumentFlowGeneration(t *testing.T) {
 		{Label: "loop", Pipe: 0, Cond: diagram.CondFlagClear, Flag: 3, Branch: "loop"},
 		{Pipe: -1, Cond: diagram.CondHalt},
 	}
-	prog, rep, err := g.Document(d)
+	prog, rep, err := document(g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +402,7 @@ func TestDocumentFlowGeneration(t *testing.T) {
 func TestDocumentWithoutFlowRunsPipesInOrder(t *testing.T) {
 	g := gen(t)
 	d, _ := buildSAXPY(t, 1.0, 10)
-	prog, _, err := g.Document(d)
+	prog, _, err := document(g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +417,7 @@ func TestDocumentWithoutFlowRunsPipesInOrder(t *testing.T) {
 func TestDocumentEmptyFails(t *testing.T) {
 	g := gen(t)
 	d := diagram.NewDocument("empty")
-	if _, _, err := g.Document(d); err == nil {
+	if _, _, err := document(g, d); err == nil {
 		t.Error("empty document generated")
 	}
 }
@@ -411,7 +426,7 @@ func TestDocumentChecksFlowReferences(t *testing.T) {
 	g := gen(t)
 	d, _ := buildSAXPY(t, 1.0, 10)
 	d.Flow = []diagram.FlowOp{{Pipe: 9}}
-	if _, _, err := g.Document(d); err == nil {
+	if _, _, err := document(g, d); err == nil {
 		t.Error("bad flow reference generated")
 	}
 }
@@ -419,7 +434,7 @@ func TestDocumentChecksFlowReferences(t *testing.T) {
 func TestGeneratedProgramSurvivesValidateAndDisassemble(t *testing.T) {
 	g := gen(t)
 	d, _ := buildSAXPY(t, 2.0, 100)
-	prog, _, err := g.Document(d)
+	prog, _, err := document(g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +552,7 @@ func TestDocumentFlowEdgeCases(t *testing.T) {
 	// IRQ pipelines propagate to the sequencer field.
 	d, p := buildSAXPY(t, 1.0, 10)
 	p.IRQ = true
-	prog, _, err := g.Document(d)
+	prog, _, err := document(g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,14 +565,14 @@ func TestDocumentFlowEdgeCases(t *testing.T) {
 	d2.Flow = []diagram.FlowOp{
 		{Label: "x", Pipe: 0, Cond: diagram.CondFlagSet, Flag: 1, Branch: "x"},
 	}
-	if _, _, err := g.Document(d2); err == nil {
+	if _, _, err := document(g, d2); err == nil {
 		t.Error("conditional falling off the end accepted")
 	}
 
 	// An unconditional final op quietly becomes a halt.
 	d3, _ := buildSAXPY(t, 1.0, 10)
 	d3.Flow = []diagram.FlowOp{{Pipe: 0, Cond: diagram.CondAlways}}
-	prog3, _, err := g.Document(d3)
+	prog3, _, err := document(g, d3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +587,7 @@ func TestDocumentFlowEdgeCases(t *testing.T) {
 		{Label: "b", Pipe: 0, Cond: diagram.CondHalt},
 		{Label: "c", Pipe: 0, Next: "b"},
 	}
-	prog4, _, err := g.Document(d4)
+	prog4, _, err := document(g, d4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +605,7 @@ func TestDocumentFlowEdgeCases(t *testing.T) {
 		{Pipe: 0},
 		{Pipe: 0, Cond: diagram.CondHalt},
 	}
-	prog5, rep5, err := g.Document(d5)
+	prog5, rep5, err := document(g, d5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/checker"
 	"repro/internal/codegen"
 	"repro/internal/diagram"
 	"repro/internal/jacobi"
@@ -48,21 +49,30 @@ func TestPipelineAllocGate(t *testing.T) {
 	t.Logf("Generator.Pipeline on the 8×8×4 Jacobi forward sweep: %v allocs", allocs)
 }
 
-// TestDocumentAllocGate holds Generator.Document on the same document
-// to its budget: one check that hands each pipeline's analysis to the
-// lowering, which analyses nothing again and formats no diagnostic it
-// would drop.
+// TestDocumentAllocGate holds a whole-document compile — the document
+// check, Lower and Validate, the three stages pipeline.CompileDocument
+// runs — on the same document to its budget: one check that hands each
+// pipeline's analysis to the lowering, which analyses nothing again and
+// formats no diagnostic it would drop.
 func TestDocumentAllocGate(t *testing.T) {
 	doc, gen := gateDoc(t)
 	generate := func() {
-		if _, _, err := gen.Document(doc); err != nil {
+		ds, ans := gen.Chk.Check(doc)
+		if es := checker.Errors(ds); len(es) > 0 {
+			t.Fatal(es)
+		}
+		prog, _, err := gen.Lower(doc, ans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gen.Validate(prog); err != nil {
 			t.Fatal(err)
 		}
 	}
 	generate()
 	allocs := testing.AllocsPerRun(20, generate)
 	if allocs > 85 {
-		t.Errorf("Generator.Document makes %v allocs on the Jacobi document, want at most 85", allocs)
+		t.Errorf("compiling the Jacobi document makes %v allocs, want at most 85", allocs)
 	}
-	t.Logf("Generator.Document on the 8×8×4 Jacobi document: %v allocs", allocs)
+	t.Logf("check, Lower and Validate on the 8×8×4 Jacobi document: %v allocs", allocs)
 }

@@ -60,32 +60,64 @@ type ProgramResult struct {
 // CompileProgram translates a sequence of stencil assignments into one
 // document: one pipeline per statement, executed in order by the
 // control-flow region, with shared variable declarations padded to the
-// largest alignment base any statement needs. It is the parse pass
-// (ParseProgram) followed by the build-diagram pass (BuildProgram).
+// largest alignment base any statement needs. Parse errors are tagged
+// with the offending statement's index so diagnostics carry a full
+// source span.
 func CompileProgram(stmts []string, inv *arch.Inventory, opt Options) (*ProgramResult, error) {
-	parsed, err := ParseProgram(stmts)
-	if err != nil {
-		return nil, err
-	}
-	return BuildProgram(parsed, inv, opt)
-}
-
-// ParseProgram is the parse pass: every statement through the stencil
-// grammar, errors tagged with the offending statement's index so
-// diagnostics carry a full source span.
-func ParseProgram(stmts []string) ([]*Stmt, error) {
 	if len(stmts) == 0 {
 		return nil, diag.Errorf(diag.RuleProgram, "compiler: empty program")
 	}
 	parsed := make([]*Stmt, len(stmts))
+	bases := make([]int, len(stmts))
+	maxBase := 0
 	for i, src := range stmts {
 		st, err := Parse(src)
 		if err != nil {
 			return nil, stmtErr(err, i)
 		}
 		parsed[i] = st
+		bases[i] = stmtBase(st, opt)
+		if bases[i] > maxBase {
+			maxBase = bases[i]
+		}
 	}
-	return parsed, nil
+	if opt.N < 1 || opt.Nz < 1 {
+		return nil, diag.Errorf(diag.RuleProgram, "compiler: grid %dx%dx%d invalid", opt.N, opt.N, opt.Nz)
+	}
+	decls, err := programDecls(parsed, opt, maxBase)
+	if err != nil {
+		return nil, err
+	}
+
+	ed := editor.New(inv, "compiled")
+	for _, d := range decls {
+		if err := ed.Declare(d); err != nil {
+			// A plane outside the node, or a variable whose padded
+			// length overflows its plane.
+			return nil, diag.Errorf(diag.RuleCapacity, "compiler: %w", err)
+		}
+	}
+	out := &ProgramResult{}
+	for i, st := range parsed {
+		if i > 0 {
+			ed.NewPipeline(fmt.Sprintf("stmt%d", i))
+		}
+		res, err := compileStmt(ed, st, inv, opt, bases[i])
+		if err != nil {
+			return nil, stmtErr(err, i)
+		}
+		out.Stmts = append(out.Stmts, res)
+		if err := ed.AddFlow(diagram.FlowOp{Pipe: i}); err != nil {
+			return nil, err
+		}
+	}
+	ed.Doc.Flow[len(ed.Doc.Flow)-1].Cond = diagram.CondHalt
+	ed.Doc.Name = "compiled-program"
+	out.Doc = ed.Doc
+	for _, r := range out.Stmts {
+		r.Doc = ed.Doc
+	}
+	return out, nil
 }
 
 // stmtErr wraps a statement-scoped error the way the compiler always
@@ -123,60 +155,6 @@ func programDecls(parsed []*Stmt, opt Options, maxBase int) ([]diagram.VarDecl, 
 		}
 	}
 	return decls, nil
-}
-
-// BuildProgram is the build-diagram pass: parsed statements to one
-// multi-pipeline document, one pipeline per statement in statement
-// order, over the shared declarations.
-func BuildProgram(parsed []*Stmt, inv *arch.Inventory, opt Options) (*ProgramResult, error) {
-	if len(parsed) == 0 {
-		return nil, diag.Errorf(diag.RuleProgram, "compiler: empty program")
-	}
-	if opt.N < 1 || opt.Nz < 1 {
-		return nil, diag.Errorf(diag.RuleProgram, "compiler: grid %dx%dx%d invalid", opt.N, opt.N, opt.Nz)
-	}
-	bases := make([]int, len(parsed))
-	maxBase := 0
-	for i, st := range parsed {
-		bases[i] = stmtBase(st, opt)
-		if bases[i] > maxBase {
-			maxBase = bases[i]
-		}
-	}
-	decls, err := programDecls(parsed, opt, maxBase)
-	if err != nil {
-		return nil, err
-	}
-
-	ed := editor.New(inv, "compiled")
-	for _, d := range decls {
-		if err := ed.Declare(d); err != nil {
-			// A plane outside the node, or a variable whose padded
-			// length overflows its plane.
-			return nil, diag.Errorf(diag.RuleCapacity, "compiler: %w", err)
-		}
-	}
-	out := &ProgramResult{}
-	for i, st := range parsed {
-		if i > 0 {
-			ed.NewPipeline(fmt.Sprintf("stmt%d", i))
-		}
-		res, err := compileStmt(ed, st, inv, opt, bases[i])
-		if err != nil {
-			return nil, stmtErr(err, i)
-		}
-		out.Stmts = append(out.Stmts, res)
-		if err := ed.AddFlow(diagram.FlowOp{Pipe: i}); err != nil {
-			return nil, err
-		}
-	}
-	ed.Doc.Flow[len(ed.Doc.Flow)-1].Cond = diagram.CondHalt
-	ed.Doc.Name = "compiled-program"
-	out.Doc = ed.Doc
-	for _, r := range out.Stmts {
-		r.Doc = ed.Doc
-	}
-	return out, nil
 }
 
 // stmtBase computes a statement's alignment base (max positive

@@ -10,6 +10,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/codegen"
 	"repro/internal/jacobi"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -315,11 +316,11 @@ func TestCompileProgramTwoStage(t *testing.T) {
 	if es := checker.Errors(chk.CheckDocument(prog.Doc)); len(es) > 0 {
 		t.Fatalf("program has errors: %v", es)
 	}
-	gen := codegen.New(inv)
-	mc, _, err := gen.Document(prog.Doc)
+	res, err := pipeline.New(inv).CompileDocument(prog.Doc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mc := res.Prog
 	if mc.Len() != 2 {
 		t.Fatalf("microcode length %d", mc.Len())
 	}

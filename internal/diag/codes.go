@@ -56,9 +56,11 @@ const (
 	// it before the first sweep for an event outside the starting
 	// machine: a dispatch rank ≥ P, an exchange pair ≥ P−1 or a merge
 	// round ≥ the combine tree's depth. Machine.AddSpares raises it for
-	// a -spares pool below 0 or past 1<<10 boards, and the -ecc-faults
+	// a -spares pool below 0 or past 1<<10 boards, the -ecc-faults
 	// parsers (sim.ParseECCFault, hypercube.ParseRankECCFaults) for a
-	// malformed event, naming its bad field.
+	// malformed event, naming its bad field, and InjectECC
+	// (sim.Node's, hypercube.Machine's) for an event outside the
+	// machine, naming its rank, plane or address.
 	RuleFaultPlan = "R040"
 	// RuleNonFinite marks a NaN or ±Inf operation constant, reduction
 	// initial value or compare threshold. A document's JSON form cannot

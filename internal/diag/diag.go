@@ -111,17 +111,6 @@ func (d Diagnostic) String() string {
 // pass appends to.
 type Diagnostics []Diagnostic
 
-// Errors filters the list down to error-severity findings.
-func (ds Diagnostics) Errors() Diagnostics {
-	var es Diagnostics
-	for _, d := range ds {
-		if d.Severity == Error {
-			es = append(es, d)
-		}
-	}
-	return es
-}
-
 // DiagError is a single diagnostic in error clothing: the typed
 // replacement for the front end's bare fmt.Errorf sites. Its message
 // is the diagnostic message verbatim, so existing error-string

@@ -202,14 +202,6 @@ func NewWithTopology(cfg arch.Config, t topo.Topology) (*Machine, error) {
 // permanent node loss shrinks the ring.
 func (m *Machine) P() int { return len(m.ring) }
 
-// checkRank validates a live ring rank.
-func (m *Machine) checkRank(what string, r int) error {
-	if r < 0 || r >= m.P() {
-		return fmt.Errorf("hypercube: %s node %d outside %d nodes", what, r, m.P())
-	}
-	return nil
-}
-
 // SendCost models one message: per-hop router latency plus
 // bandwidth-limited payload time.
 func (m *Machine) SendCost(bytes int64, hops int) int64 {
@@ -468,12 +460,18 @@ func (m *Machine) ValidateCheckpoint(ck *Checkpoint) error {
 	return nil
 }
 
-// InjectECC arms seeded memory-plane ECC events on ring rank r.
+// InjectECC arms seeded memory-plane ECC events on ring rank r. A rank
+// outside the ring, or an event outside the node's planes, is a typed
+// diagnostic (diag.RuleFaultPlan) naming the bad rank, plane or
+// address.
 func (m *Machine) InjectECC(r int, faults ...sim.ECCFault) error {
-	if err := m.checkRank("ECC fault", r); err != nil {
-		return err
+	if r < 0 || r >= m.P() {
+		return diag.Errorf(diag.RuleFaultPlan, "hypercube: ECC fault names rank %d, but the %d-rank machine's ranks are 0..%d", r, m.P(), m.P()-1)
 	}
-	return m.ring[r].InjectECC(faults...)
+	if err := m.ring[r].InjectECC(faults...); err != nil {
+		return diag.Errorf(diag.RuleFaultPlan, "hypercube: rank %d: %w", r, err)
+	}
+	return nil
 }
 
 // RankECCFault is one parsed -ecc-faults entry: an ECC event aimed at

@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -115,14 +116,67 @@ func TestECCCorrectedIsFree(t *testing.T) {
 	}
 }
 
+// TestInjectECCChecksRank: an ECC event aimed outside the 2-node
+// machine fails with an R040 diagnostic naming the bad field, as the
+// same mistake in a fault plan does.
 func TestInjectECCChecksRank(t *testing.T) {
 	m, err := New(smallCfg(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.InjectECC(5, sim.ECCFault{}); err == nil {
-		t.Error("rank 5 accepted on a 2-node machine")
+	words := m.Cfg.PlaneWords()
+	for _, tc := range []struct {
+		rank  int
+		fault sim.ECCFault
+		names string
+	}{
+		{5, sim.ECCFault{}, "rank 5"},
+		{-1, sim.ECCFault{}, "rank -1"},
+		{0, sim.ECCFault{Plane: 99, Addr: 70, Double: true}, "plane 99"},
+		{1, sim.ECCFault{Addr: words, Double: true}, fmt.Sprintf("address %d", words)},
+		{0, sim.ECCFault{Addr: -1}, "address -1"},
+	} {
+		err := m.InjectECC(tc.rank, tc.fault)
+		var de *diag.DiagError
+		if !errors.As(err, &de) || de.Rule() != diag.RuleFaultPlan || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("rank %d, fault %s: error %v, want a %s diagnostic naming %s", tc.rank, tc.fault, err, diag.RuleFaultPlan, tc.names)
+		}
 	}
+}
+
+// FuzzRankECCFaults drives the whole -ecc-faults path: a spec parsed
+// by ParseRankECCFaults, then every event injected on a 2-node
+// machine. Every rejection must be an R040 diagnostic: no untyped
+// error, no panic.
+func FuzzRankECCFaults(f *testing.F) {
+	for _, spec := range []string{
+		"9:0:70:double",
+		"0:99:70:double",
+		"0:0:99999999999:double",
+		"0:1:x:single",
+		"1:0:70:double,",
+		"1:0:70:double, 0:3:5:single",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		faults, err := ParseRankECCFaults(spec)
+		if err == nil {
+			m, merr := New(smallCfg(), 1)
+			if merr != nil {
+				t.Fatal(merr)
+			}
+			for _, ev := range faults {
+				if err = m.InjectECC(ev.Rank, ev.Fault); err != nil {
+					break
+				}
+			}
+		}
+		var de *diag.DiagError
+		if err != nil && (!errors.As(err, &de) || de.Rule() != diag.RuleFaultPlan) {
+			t.Fatalf("spec %q: error %v, want a %s diagnostic", spec, err, diag.RuleFaultPlan)
+		}
+	})
 }
 
 func TestParseRankECCFaults(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"repro/internal/diagram"
 	"repro/internal/editor"
 	"repro/internal/microcode"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -369,41 +370,12 @@ func (p *Problem) Run(cfg arch.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	inv, err := arch.NewInventory(cfg)
+	node, executed, out, err := run(cfg, doc, p.Load, p.Trap, int64(2*p.MaxIter+4))
 	if err != nil {
-		return nil, err
-	}
-	prog, rep, err := codegen.New(inv).Document(doc)
-	if err != nil {
-		return nil, err
-	}
-	node, err := sim.NewNode(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Load(node); err != nil {
-		return nil, err
-	}
-	node.TrapCfg = p.Trap
-	res, err := node.Run(prog, int64(2*p.MaxIter+4))
-	if err != nil {
-		// Surface the counters gathered before the abort — a trap
-		// error's context (events quieted, retries priced) is exactly
-		// what the caller needs to report.
-		return &Result{Stats: node.Stats, PlanCache: node.PlanCacheStats(),
-			Traps: res.Traps}, err
-	}
-
-	out := &Result{Stats: node.Stats, MFLOPS: node.Stats.MFLOPS(cfg.ClockHz),
-		PlanCache: node.PlanCacheStats(), Traps: res.Traps}
-	for _, pi := range rep.Pipes {
-		if pi.FillCycles > out.FillCycles {
-			out.FillCycles = pi.FillCycles
-		}
+		return out, err
 	}
 	// Iterations = executed instructions minus the halt op.
-	out.Iterations = int(res.Executed) - 1
-	out.Converged = node.Flag(1)
+	out.Iterations = int(executed) - 1
 	// The latest iterate lives in u after an even number of sweeps,
 	// in v after an odd number.
 	plane := PlaneU
@@ -420,4 +392,43 @@ func (p *Problem) Run(cfg arch.Config) (*Result, error) {
 	// fourth triplet's third unit is FU 11 under the default layout.
 	out.Residual = node.RedReg[11]
 	return out, nil
+}
+
+// run compiles doc through the pipeline, loads a fresh node with load
+// and runs the program under trap for at most limit instructions. It
+// returns the node, the instructions executed and a result holding the
+// node's counters, the run's traps, the convergence flag and the
+// deepest pipeline fill; the caller reads the iterate and residual. On
+// a run error the result holds the counters gathered before the abort
+// (a trap error's context: events quieted, retries priced); any other
+// error returns none.
+func run(cfg arch.Config, doc *diagram.Document, load func(*sim.Node) error, trap arch.TrapConfig, limit int64) (*sim.Node, int64, *Result, error) {
+	inv, err := arch.NewInventory(cfg)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	comp, err := pipeline.New(inv).CompileDocument(doc)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	node, err := sim.NewNode(cfg)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if err := load(node); err != nil {
+		return nil, 0, nil, err
+	}
+	node.TrapCfg = trap
+	res, err := node.Run(comp.Prog, limit)
+	if err != nil {
+		return nil, 0, &Result{Stats: node.Stats, PlanCache: node.PlanCacheStats(), Traps: res.Traps}, err
+	}
+	out := &Result{Stats: node.Stats, MFLOPS: node.Stats.MFLOPS(cfg.ClockHz),
+		PlanCache: node.PlanCacheStats(), Traps: res.Traps, Converged: node.Flag(1)}
+	for _, pi := range comp.Rep.Pipes {
+		if pi.FillCycles > out.FillCycles {
+			out.FillCycles = pi.FillCycles
+		}
+	}
+	return node, res.Executed, out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/codegen"
 	"repro/internal/diagram"
 	"repro/internal/editor"
 	"repro/internal/sim"
@@ -175,42 +174,20 @@ func (p *Problem) SubsetLoad(n *sim.Node) error {
 	return n.WriteWords(subsetPlaneF, 0, p.F)
 }
 
-// SubsetRun executes the three-instruction-per-sweep subset solve.
+// SubsetRun executes the three-instruction-per-sweep subset solve,
+// with trap detection off.
 func (p *Problem) SubsetRun(cfg arch.Config) (*Result, error) {
 	doc, _, err := p.SubsetBuild(cfg)
 	if err != nil {
 		return nil, err
 	}
-	inv, err := arch.NewInventory(cfg)
+	node, executed, out, err := run(cfg, doc, p.SubsetLoad, arch.TrapConfig{}, int64(3*p.MaxIter+4))
 	if err != nil {
 		return nil, err
-	}
-	prog, rep, err := codegen.New(inv).Document(doc)
-	if err != nil {
-		return nil, err
-	}
-	node, err := sim.NewNode(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.SubsetLoad(node); err != nil {
-		return nil, err
-	}
-	res, err := node.Run(prog, int64(3*p.MaxIter+4))
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Stats: node.Stats, MFLOPS: node.Stats.MFLOPS(cfg.ClockHz),
-		PlanCache: node.PlanCacheStats()}
-	for _, pi := range rep.Pipes {
-		if pi.FillCycles > out.FillCycles {
-			out.FillCycles = pi.FillCycles
-		}
 	}
 	// Each full sweep dispatches 3 instructions; the final sweep stops
 	// after the blend, and the halt op adds one more.
-	out.Iterations = int(res.Executed) / 3
-	out.Converged = node.Flag(1)
+	out.Iterations = int(executed) / 3
 	u, err := node.ReadWords(subsetPlaneT2, 0, p.Cells())
 	if err != nil {
 		return nil, err

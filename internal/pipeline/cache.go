@@ -6,18 +6,16 @@ import (
 	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/compiler"
 	"repro/internal/diagram"
 	"repro/internal/microcode"
 )
 
 // Cache memoizes whole compilations by content address: the key hashes
-// the machine configuration together with the compilation's semantic
-// input (source statements plus grid and plane mapping, or a diagram
-// document's JSON form). Content addressing makes the cache
-// self-invalidating — any change to the inputs is a different key —
-// exactly like the simulator's decoded-instruction plan cache, and the
-// hit/miss counters surface the same way (nscasm/nscsim -stats).
+// the machine configuration together with the diagram document's JSON
+// form. Content addressing makes the cache self-invalidating — any
+// change to the inputs is a different key — exactly like the
+// simulator's decoded-instruction plan cache, and the hit/miss
+// counters surface through nscasm -stats.
 //
 // A Cache is safe for concurrent use. Hits return defensive copies of
 // the program (instruction words are cloned) so callers may mutate
@@ -95,23 +93,6 @@ func cloneProgram(p *microcode.Program) *microcode.Program {
 		out.Append(in.Clone())
 	}
 	return out
-}
-
-// sourceCacheKey content-addresses a source compilation by its
-// semantic inputs: configuration, statements, grid and planes.
-func sourceCacheKey(cfg arch.Config, stmts []string, opt compiler.Options) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	key := struct {
-		Cfg    arch.Config
-		Stmts  []string
-		N, Nz  int
-		Planes map[string]int
-	}{cfg, stmts, opt.N, opt.Nz, opt.Planes}
-	if err := enc.Encode(key); err != nil {
-		panic("pipeline: hashing source key: " + err.Error())
-	}
-	return "src:" + string(h.Sum(nil))
 }
 
 // documentCacheKey content-addresses a document compilation via the

@@ -18,7 +18,8 @@ import (
 )
 
 // FuzzPipeline feeds the parser's fuzz corpus through the whole
-// source-to-microcode path: whatever the front end accepts must either
+// source-to-microcode path, compiler.CompileProgram and then
+// CompileDocument: whatever the front end accepts must either
 // compile to validated microcode or fail with a typed diagnostic —
 // never panic — and a second run of the same input must produce the
 // identical program and diagnostics (the determinism the compile
@@ -59,10 +60,14 @@ func FuzzPipeline(f *testing.F) {
 		}
 		opt := compiler.Options{N: 8, Nz: 4, Planes: planes}
 
-		// Two independent pipelines (no shared cache) must agree on
+		// Two independent compiles (no shared cache) must agree on
 		// success/failure, program bits and diagnostics.
 		run := func() (*Result, error) {
-			return New(inv).CompileSource([]string{src}, opt)
+			prog, err := compiler.CompileProgram([]string{src}, inv, opt)
+			if err != nil {
+				return nil, err
+			}
+			return New(inv).CompileDocument(prog.Doc)
 		}
 		res1, err1 := run()
 		res2, err2 := run()

@@ -1,21 +1,21 @@
-// Package pipeline owns the whole source-to-microcode path of the
-// visual programming environment as a sequence of explicit, observable
-// passes: parse → build-diagram → check → codegen → validate. Each
-// pass reports problems as typed diag.Diagnostic records, each run is
-// timed per pass (Result.Passes and, when armed, the obs layer's
-// "pipeline.pass.<name>" metrics), and whole compilations
-// are memoized in a content-addressed Cache keyed by the semantic
-// inputs (machine configuration plus source statements or diagram
-// document) — the same self-invalidating design as the simulator's
-// decoded-instruction plan cache.
+// Package pipeline owns the one path from a diagram document to
+// validated microcode as a sequence of explicit, observable passes:
+// check → codegen → validate. Each pass reports problems as typed
+// diag.Diagnostic records, each run is timed per pass (Result.Passes
+// and, when armed, the obs layer's "pipeline.pass.<name>" metrics),
+// and whole compilations are memoized in a content-addressed Cache
+// keyed by the machine configuration and the document — the same
+// self-invalidating design as the simulator's decoded-instruction plan
+// cache. Stencil source reaches the pipeline as a document built by
+// compiler.CompileProgram.
 //
-// The passes are the stages compiler.BuildProgram,
-// checker.Checker.Check and codegen.Generator.Lower/Validate expose,
-// composed without changing what they emit: a pipeline compile is
-// bit-identical to calling the stages by hand. The check pass runs the
-// checker once over the whole document, and the codegen pass lowers
-// each referenced pipeline from the timing analysis the check built,
-// without running the rules or the analysis again.
+// The passes are the stages checker.Checker.Check and
+// codegen.Generator.Lower/Validate expose, composed without changing
+// what they emit: a pipeline compile is bit-identical to calling the
+// stages by hand. The check pass runs the checker once over the whole
+// document, and the codegen pass lowers each referenced pipeline from
+// the timing analysis the check built, without running the rules or
+// the analysis again.
 package pipeline
 
 import (
@@ -24,27 +24,18 @@ import (
 	"repro/internal/arch"
 	"repro/internal/checker"
 	"repro/internal/codegen"
-	"repro/internal/compiler"
 	"repro/internal/diag"
 	"repro/internal/diagram"
 	"repro/internal/microcode"
 	"repro/internal/obs"
 )
 
-// state is the working set a run threads through its passes: inputs on
-// top, pass products below. Each pass reads what earlier passes wrote.
+// state is the working set a run threads through its passes: the
+// document on top, pass products below. Each pass reads what earlier
+// passes wrote.
 type state struct {
-	// Source inputs (CompileSource).
-	Stmts []string
-	Opt   compiler.Options
-
-	// Document input (CompileDocument) or the build-diagram product.
 	Doc *diagram.Document
 
-	// Parse product.
-	Parsed []*compiler.Stmt
-	// Build product: per-statement mapping statistics.
-	StmtInfo []*compiler.Result
 	// Check product: every finding (warnings included) and each
 	// pipeline's analysis, which the codegen pass lowers from.
 	Diags diag.Diagnostics
@@ -70,20 +61,17 @@ type PassTiming struct {
 
 // Result is the outcome of one pipeline run.
 type Result struct {
-	// Doc is the diagram document (input or built from source).
-	Doc *diagram.Document
 	// Prog is the validated microcode program.
 	Prog *microcode.Program
 	// Rep is the generator's report (hardware maps, fill cycles).
 	Rep *codegen.Report
 	// Diags collects every finding from every pass, warnings included.
 	Diags diag.Diagnostics
-	// Stmts holds per-statement mapping statistics for source compiles.
-	Stmts []*compiler.Result
 	// Passes records per-pass wall-clock timings, in run order.
 	Passes []PassTiming
 	// CacheHit reports whether the run was served from the compile
-	// cache (Passes then holds only the cache probe).
+	// cache (Passes then holds the timings of the compile that filled
+	// it).
 	CacheHit bool
 }
 
@@ -113,7 +101,7 @@ func New(inv *arch.Inventory) *Pipeline {
 
 // run executes the passes in order, timing each and converting a pass
 // failure into a diagnostic on the result.
-func (pl *Pipeline) run(st *state, passes []pass) (*Result, error) {
+func (pl *Pipeline) run(st *state) (*Result, error) {
 	res := &Result{}
 	var failed error
 	var runTS int64 // span timeline: μs into this run
@@ -139,47 +127,19 @@ func (pl *Pipeline) run(st *state, passes []pass) (*Result, error) {
 			break
 		}
 	}
-	res.Doc = st.Doc
 	res.Prog = st.Prog
 	res.Rep = st.Rep
 	res.Diags = st.Diags
-	res.Stmts = st.StmtInfo
 	return res, failed
 }
 
 // --- The passes ---
 
-// sourcePasses is the full front-to-back pass list. documentPasses is
-// its check → codegen → validate tail, for a compile that starts from
-// an existing diagram document.
-var (
-	sourcePasses = []pass{
-		{"parse", (*Pipeline).parse},
-		{"build-diagram", (*Pipeline).buildDiagram},
-		{"check", (*Pipeline).check},
-		{"codegen", (*Pipeline).lower},
-		{"validate", (*Pipeline).validate},
-	}
-	documentPasses = sourcePasses[2:]
-)
-
-func (pl *Pipeline) parse(st *state) error {
-	parsed, err := compiler.ParseProgram(st.Stmts)
-	if err != nil {
-		return err
-	}
-	st.Parsed = parsed
-	return nil
-}
-
-func (pl *Pipeline) buildDiagram(st *state) error {
-	out, err := compiler.BuildProgram(st.Parsed, pl.Inv, st.Opt)
-	if err != nil {
-		return err
-	}
-	st.Doc = out.Doc
-	st.StmtInfo = out.Stmts
-	return nil
+// passes is the pass list every compile runs.
+var passes = []pass{
+	{"check", (*Pipeline).check},
+	{"codegen", (*Pipeline).lower},
+	{"validate", (*Pipeline).validate},
 }
 
 func (pl *Pipeline) check(st *state) error {
@@ -208,29 +168,11 @@ func (pl *Pipeline) validate(st *state) error {
 	return pl.Gen.Validate(st.Prog)
 }
 
-// CompileSource compiles stencil statements to validated microcode:
-// parse → build-diagram → check → codegen → validate, served from the
-// compile cache when the same (config, statements, grid, planes) were
-// compiled before. The returned Result always carries the diagnostics;
-// err is non-nil when a pass failed.
-func (pl *Pipeline) CompileSource(stmts []string, opt compiler.Options) (*Result, error) {
-	key := sourceCacheKey(pl.Inv.Cfg, stmts, opt)
-	if res, ok := pl.Cache.lookup(key); ok {
-		pl.Obs.Inc("pipeline.cache.hit")
-		return res, nil
-	}
-	pl.Obs.Inc("pipeline.cache.miss")
-	st := &state{Stmts: stmts, Opt: opt}
-	res, err := pl.run(st, sourcePasses)
-	if err == nil {
-		pl.Cache.store(key, res)
-	}
-	return res, err
-}
-
 // CompileDocument compiles a diagram document to validated microcode:
-// check → codegen → validate, with the same caching contract as
-// CompileSource (keyed by config plus the document's semantic JSON).
+// check → codegen → validate, served from the compile cache when the
+// same (config, document) was compiled before. The returned Result
+// always carries the diagnostics; err is non-nil when a pass failed,
+// and a failed compile is never cached.
 func (pl *Pipeline) CompileDocument(doc *diagram.Document) (*Result, error) {
 	key, err := documentCacheKey(pl.Inv.Cfg, doc)
 	if err == nil {
@@ -243,7 +185,7 @@ func (pl *Pipeline) CompileDocument(doc *diagram.Document) (*Result, error) {
 		key = "" // unhashable document: compile uncached
 	}
 	st := &state{Doc: doc}
-	res, err := pl.run(st, documentPasses)
+	res, err := pl.run(st)
 	if err == nil && key != "" {
 		pl.Cache.store(key, res)
 	}

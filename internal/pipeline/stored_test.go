@@ -152,7 +152,7 @@ func TestStoredDocumentsMeetEditRules(t *testing.T) {
 			}
 			res, err := New(inv).CompileDocument(doc)
 			var rules []string
-			for _, d := range res.Diags.Errors() {
+			for _, d := range checker.Errors(res.Diags) {
 				rules = append(rules, d.Rule)
 			}
 			if err == nil || !slices.Contains(rules, row.want) {

@@ -308,13 +308,15 @@ type eccKey struct {
 
 // InjectECC arms seeded ECC events on the node's memory planes. Each
 // event fires once, on the first DMA read of its word after arming.
+// An event outside the node's planes is a typed diagnostic
+// (diag.RuleFaultPlan) naming the bad plane or address.
 func (n *Node) InjectECC(faults ...ECCFault) error {
 	for _, f := range faults {
 		if f.Plane < 0 || f.Plane >= len(n.Mem) {
-			return fmt.Errorf("sim: ECC fault %s: plane outside %d planes", f, len(n.Mem))
+			return diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault %s names plane %d, but the node's planes are 0..%d", f, f.Plane, len(n.Mem)-1)
 		}
-		if f.Addr < 0 || f.Addr >= n.Cfg.PlaneWords() {
-			return fmt.Errorf("sim: ECC fault %s: address outside plane of %d words", f, n.Cfg.PlaneWords())
+		if words := n.Cfg.PlaneWords(); f.Addr < 0 || f.Addr >= words {
+			return diag.Errorf(diag.RuleFaultPlan, "sim: ECC fault %s names address %d, but a plane's addresses are 0..%d", f, f.Addr, words-1)
 		}
 		if n.ecc == nil {
 			n.ecc = make(map[eccKey][]ECCFault)

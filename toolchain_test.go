@@ -9,13 +9,13 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/diagram"
 	"repro/internal/editor"
 	"repro/internal/hypercube"
 	"repro/internal/jacobi"
 	"repro/internal/microcode"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -67,11 +67,11 @@ dma Mv wr var=v stride=1 count=512
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := codegen.New(arch.MustInventory(cfg))
-	prog, _, err := gen.Document(doc)
+	res, err := pipeline.New(arch.MustInventory(cfg)).CompileDocument(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog := res.Prog
 	binPath := filepath.Join(dir, "prog.nscm")
 	bf, err := os.Create(binPath)
 	if err != nil {
@@ -193,7 +193,7 @@ check
 `)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := codegen.New(inv).Document(ed.Doc); err != nil {
+	if _, err := pipeline.New(inv).CompileDocument(ed.Doc); err != nil {
 		t.Fatal(err)
 	}
 
