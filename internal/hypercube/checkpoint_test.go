@@ -3,8 +3,10 @@ package hypercube
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -232,14 +234,38 @@ func TestCheckpointCompatible(t *testing.T) {
 	}
 }
 
+// restoreContent writes to w what a restore of ck reads: the resume
+// point's sweep, series and images, the fabric and grid it must match,
+// and the clocks and counters the resumed solve carries forward. Every
+// slice is prefixed with its length.
+func restoreContent(w io.Writer, ck *Checkpoint) error {
+	snap := ck.resume()
+	vs := []any{int64(snap.Sweep), int64(len(ck.Topology)), []byte(ck.Topology), int64(ck.N), int64(ck.Nz),
+		ck.MachineCycles, ck.CommCycles, ck.Faults,
+		ck.PlanCache.Hits, ck.PlanCache.Misses, int64(ck.PlanCache.Entries), ck.Traps,
+		int64(len(ck.FaultFired)), ck.FaultFired, int64(len(snap.Series)), snap.Series,
+		int64(len(snap.Images))}
+	for _, img := range snap.Images {
+		vs = append(vs, int64(len(img)), img)
+	}
+	for _, v := range vs {
+		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestCheckpointBytes pins every snapshot a solve hands its sink — how
-// many, and a SHA-256 over their serialized bytes in order — with the
-// solve's final machine and comm clocks, on the three fabrics and on
-// each path that restores a snapshot: a recovery whose buddy mirror
-// died, a rollback on a ring a shrink left uneven, seeded rollbacks, a
-// rollback between a mirror recovery and the next checkpoint (it
-// resumes at the recovery's boundary), and a spare activation. Each
-// row holds at every worker count.
+// many, a SHA-256 over their serialized bytes in order, and a SHA-256
+// over the restore content each file reads back as (restoreContent) —
+// with the solve's final machine and comm clocks, on the three fabrics
+// and on each path that restores a snapshot: a recovery whose buddy
+// mirror died, a rollback on a ring a shrink left uneven, seeded
+// rollbacks, a rollback between a mirror recovery and the next
+// checkpoint (it resumes at the recovery's boundary), and a spare
+// activation. Each row holds at every worker count. The content column
+// is independent of the file layout: a format change re-pins only sha.
 func TestCheckpointBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name, topology     string
@@ -247,26 +273,37 @@ func TestCheckpointBytes(t *testing.T) {
 		spares             int
 		faults             string
 		snaps              int
-		sha                string
+		sha, content       string
 		machine, comm      int64
 	}{
-		{"hypercube", "hypercube", 2, 12, 3, 0, "", 4, "d6ede90311af4828303f50c984aab561317cf8163c27913959d39437e5d5c7ec", 7656, 4968},
-		{"mesh2d", "mesh2d", 3, 12, 3, 0, "", 4, "242b12faa392389a9b21871961bc97a25479618da181e24e53ccaa2f377e4b4e", 8148, 11796},
-		{"torus2d", "torus2d", 3, 12, 3, 0, "", 4, "5918c9e57123c9a81bfea39a0e0ee8e08297003004282cdb0e6a66f6cd7cfd05", 7956, 11604},
+		{"hypercube", "hypercube", 2, 12, 3, 0, "", 4,
+			"d6ede90311af4828303f50c984aab561317cf8163c27913959d39437e5d5c7ec",
+			"3103506e9eb76c46d3fb57a7b94c0d827e3ed2323f9b03246b8891e1ce9de352", 7656, 4968},
+		{"mesh2d", "mesh2d", 3, 12, 3, 0, "", 4,
+			"242b12faa392389a9b21871961bc97a25479618da181e24e53ccaa2f377e4b4e",
+			"0805935e97999cc12d6e2aa7a1a1e0316ce57855bfb52cf20df702bd6080b79d", 8148, 11796},
+		{"torus2d", "torus2d", 3, 12, 3, 0, "", 4,
+			"5918c9e57123c9a81bfea39a0e0ee8e08297003004282cdb0e6a66f6cd7cfd05",
+			"2234bce8fc745c0a6781155056f4d60c1b40c7b1281b36829e56f7000ffb1a99", 7956, 11604},
 		{"checkpoint-source", "hypercube", 2, 12, 2, 0,
 			"dispatch:kill-forever@5:1,dispatch:kill-forever@5:2", 6,
-			"dd17cd9b5b1fc543b8c07f175172cfb4c162f7ff00b7c01810c44d05b8e5a28c", 10522, 4106},
+			"dd17cd9b5b1fc543b8c07f175172cfb4c162f7ff00b7c01810c44d05b8e5a28c",
+			"76fa015a6b0119dee4aa187525c3e991c14e8e4ba3edbff5e4878cc0cda292a4", 10522, 4106},
 		{"shrink-then-rollback", "torus2d", 3, 16, 4, 0,
 			"dispatch:kill-forever@6:3,dispatch:kill@9:0:repeat=4", 4,
-			"c30214eaced50edcf711d61acc80b3344d2a9f4b6fa3f2cc07458726e4d6c724", 14486, 19406},
+			"c30214eaced50edcf711d61acc80b3344d2a9f4b6fa3f2cc07458726e4d6c724",
+			"5b4b25712f21962290448b9694d3375d28dfd1ddee568e596d30d42d719e539e", 14486, 19406},
 		{"seeded-rollbacks", "hypercube", 2, 20, 3, 0,
 			"seed@7:sweeps=12:ranks=4:events=6", 7,
-			"25309878cf46f97ae6b17502c73cc0a40adeeeb0a48ed5db6e8fa7332615399c", 13176, 8824},
+			"25309878cf46f97ae6b17502c73cc0a40adeeeb0a48ed5db6e8fa7332615399c",
+			"165352fc62b9560774f14cb4347cb26ac7760f4aea4e9860932f8eed04e068e4", 13176, 8824},
 		{"mirror-then-rollback", "hypercube", 2, 12, 4, 0,
 			"dispatch:kill-forever@6:1,dispatch:kill@7:0:repeat=4", 3,
-			"8defb594314ca4312fcd827f08517b7eaabb27625dfa153cbd3f6d58808ba762", 10610, 5826},
+			"8defb594314ca4312fcd827f08517b7eaabb27625dfa153cbd3f6d58808ba762",
+			"18f65cc920af77614ddf852987e5359b12d41b5f170826cab417f73305d79be6", 10610, 5826},
 		{"spare", "hypercube", 2, 12, 2, 1, "dispatch:kill-forever@3:1", 6,
-			"01390384d93d3bdf20bbf57d1f647ff5cd4437e76cfd3eea115bdfc71bce9d04", 8664, 5488},
+			"01390384d93d3bdf20bbf57d1f647ff5cd4437e76cfd3eea115bdfc71bce9d04",
+			"92ac754998e405c29dfe8bf880552c2343ed9281596cad418206e7bad35af7e6", 8664, 5488},
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
@@ -283,12 +320,19 @@ func TestCheckpointBytes(t *testing.T) {
 				if err := m.AddSpares(tc.spares); err != nil {
 					t.Fatal(err)
 				}
-				h := sha256.New()
+				h, content := sha256.New(), sha256.New()
 				snaps := 0
 				m.CheckpointSink = func(ck *Checkpoint) error {
 					snaps++
-					_, err := ck.WriteTo(h)
-					return err
+					var buf bytes.Buffer
+					if _, err := ck.WriteTo(io.MultiWriter(h, &buf)); err != nil {
+						return err
+					}
+					back, err := ReadCheckpoint(&buf)
+					if err != nil {
+						return err
+					}
+					return restoreContent(content, back)
 				}
 				if _, err := m.SolveJacobi(parallelProblem(m.P())); err != nil {
 					t.Fatal(err)
@@ -296,6 +340,9 @@ func TestCheckpointBytes(t *testing.T) {
 				sum := hex.EncodeToString(h.Sum(nil))
 				if snaps != tc.snaps || sum != tc.sha {
 					t.Errorf("%d snapshots hashing %s, want %d hashing %s", snaps, sum, tc.snaps, tc.sha)
+				}
+				if got := hex.EncodeToString(content.Sum(nil)); got != tc.content {
+					t.Errorf("restore content hashing %s, want %s", got, tc.content)
 				}
 				if m.MachineCycles != tc.machine || m.CommCycles != tc.comm {
 					t.Errorf("machine/comm cycles %d/%d, want %d/%d",
