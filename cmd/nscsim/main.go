@@ -45,9 +45,11 @@
 // -ecc-faults, which seeds memory-plane ECC events on the -jacobi
 // driver ("rank:plane:addr:single|double", comma-separated). The
 // report then carries a "traps:" line with the event counters.
-// -verify-checkpoint checks every section checksum of a snapshot file
-// and exits; any flipped bit or truncation is reported with the
-// section name and byte offset.
+// -verify-checkpoint reads a snapshot file with the reader -restore
+// uses, checking every section checksum, and exits, printing its sweep,
+// fabric and grid; any flipped bit, truncation, trailing byte or
+// earlier file version is reported as an R042 diagnostic, a damaged
+// section with its name and byte offset.
 //
 // nscsim runs no benchmarks. Performance is measured by the whole-solve
 // workloads of the nscbench module; the kernel's allocation and speed
@@ -181,13 +183,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *verifyCk != "" {
-		ck, err := hypercube.VerifyCheckpointFile(*verifyCk)
+		ck, err := hypercube.LoadCheckpointFile(*verifyCk)
 		if err != nil {
 			fmt.Fprintln(stderr, "nscsim:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "checkpoint %s: ok (sweep %d, %d rank(s), grid %d×%d×%d)\n",
-			*verifyCk, ck.Sweep, ck.P, ck.N, ck.N, ck.Nz)
+		fmt.Fprintf(stdout, "checkpoint %s: ok (sweep %d, %s, grid %d×%d×%d)\n",
+			*verifyCk, ck.Sweep, ck.Topology, ck.N, ck.N, ck.Nz)
 		return 0
 	}
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/diagram"
 	"repro/internal/editor"
 	"repro/internal/engine"
+	"repro/internal/hypercube"
 	"repro/internal/pipeline"
 )
 
@@ -181,6 +182,10 @@ dma Mv wr var=v stride=1 count=64
 	},
 	diag.RuleNonFinite: func(t *testing.T) error { // R041
 		return sourceErr(t, []string{"v = u * (1e308 * 10)"}, gridOpt)
+	},
+	diag.RuleCheckpoint: func(t *testing.T) error { // R042
+		_, err := hypercube.ReadCheckpoint(strings.NewReader("not a checkpoint"))
+		return err
 	},
 }
 

@@ -67,4 +67,12 @@ const (
 	// hold one, and the editor's undo stack and the compile-cache key
 	// both serialize the document.
 	RuleNonFinite = "R041"
+	// RuleCheckpoint marks a checkpoint that cannot be restored:
+	// hypercube.ReadCheckpoint and LoadCheckpointFile raise it for a
+	// file they cannot open or read, a magic other than the current
+	// version's, a section that is truncated or fails its checksum
+	// (naming the section and byte offset), a header out of range, or
+	// trailing bytes; Machine.SolveJacobi raises it for a snapshot
+	// whose fabric, grid or image lengths do not match the solve.
+	RuleCheckpoint = "R042"
 )

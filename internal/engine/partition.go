@@ -48,11 +48,6 @@ func NewPartition(p, n, nz int) (*Partition, error) {
 	return pt, nil
 }
 
-// Uniform reports whether every rank owns the same number of planes.
-func (pt *Partition) Uniform() bool {
-	return (pt.Nz-2)%pt.P == 0
-}
-
 // NN returns the words in one face (an N×N plane).
 func (pt *Partition) NN() int { return pt.N * pt.N }
 

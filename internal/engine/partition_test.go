@@ -13,7 +13,7 @@ func TestNewPartitionEven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !part.Uniform() {
+	if part.Planes[0] != part.Planes[part.P-1] {
 		t.Error("12 planes over 4 ranks should be uniform")
 	}
 	wantLo := []int{1, 4, 7, 10}
@@ -38,7 +38,7 @@ func TestNewPartitionUneven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.Uniform() {
+	if part.Planes[0] == part.Planes[part.P-1] {
 		t.Error("15 planes over 8 ranks must not be uniform")
 	}
 	next := 1

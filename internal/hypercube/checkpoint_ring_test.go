@@ -5,16 +5,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/jacobi"
 )
 
 // captureUnevenCheckpoint shrinks a 4-node machine down to 3 by killing
-// a rank permanently, then keeps the first post-recovery snapshot — the
-// uneven decomposition (8 interior planes over 3 ranks) that forces the
-// version-3 format.
+// a rank permanently, then keeps the first snapshot taken on the
+// shrunk ring: the uneven decomposition (8 interior planes over 3
+// ranks).
 func captureUnevenCheckpoint(t *testing.T) *Checkpoint {
 	t.Helper()
 	m, err := New(smallCfg(), 2)
@@ -25,7 +25,7 @@ func captureUnevenCheckpoint(t *testing.T) *Checkpoint {
 	m.CheckpointEvery = 2
 	var keep *Checkpoint
 	m.CheckpointSink = func(ck *Checkpoint) error {
-		if keep == nil && ck.Planes != nil {
+		if keep == nil && m.P() == 3 {
 			keep = ck
 		}
 		return nil
@@ -34,42 +34,29 @@ func captureUnevenCheckpoint(t *testing.T) *Checkpoint {
 		t.Fatal(err)
 	}
 	if keep == nil {
-		t.Fatal("shrink solve produced no uneven checkpoint")
+		t.Fatal("shrink solve produced no checkpoint on the shrunk ring")
 	}
 	return keep
 }
 
-// TestUnevenCheckpointRoundTrip: snapshots of a shrunk (uneven) machine
-// serialize as version 3, carry the per-rank plane counts, and round
-// trip bit-exactly — while uniform snapshots keep writing version 2,
-// byte-compatible with every pre-existing file.
+// TestUnevenCheckpointRoundTrip: a snapshot of a shrunk (uneven)
+// machine holds the same two global images as any other and round
+// trips bit-exactly through the one file format.
 func TestUnevenCheckpointRoundTrip(t *testing.T) {
 	ck := captureUnevenCheckpoint(t)
-	if ck.Slab != 0 || len(ck.Planes) != 3 {
-		t.Fatalf("uneven snapshot shape: slab=%d planes=%v", ck.Slab, ck.Planes)
+	if words := ck.N * ck.N * ck.Nz; len(ck.U) != words || len(ck.V) != words {
+		t.Fatalf("uneven snapshot images hold %d/%d words, want %d", len(ck.U), len(ck.V), words)
 	}
 	var buf bytes.Buffer
 	if _, err := ck.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(checkpointMagicV3)) {
-		t.Fatalf("uneven snapshot magic %q, want %q", buf.Bytes()[:8], checkpointMagicV3)
-	}
-	got, err := VerifyCheckpoint(&buf)
+	got, err := ReadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, ck) {
-		t.Errorf("v3 round trip mismatch:\n got %+v\nwant %+v", got, ck)
-	}
-
-	uniform, _ := captureCheckpoint(t, 2, 4)
-	buf.Reset()
-	if _, err := uniform.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(checkpointMagic)) {
-		t.Fatalf("uniform snapshot magic %q, want %q", buf.Bytes()[:8], checkpointMagic)
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, ck)
 	}
 }
 
@@ -91,7 +78,7 @@ func TestUnevenCheckpointRestoresOnFullRing(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	m.CheckpointSink = func(ck *Checkpoint) error {
-		if buf.Len() == 0 && ck.Planes != nil {
+		if buf.Len() == 0 && m.P() == 7 {
 			_, err := ck.WriteTo(&buf)
 			return err
 		}
@@ -104,8 +91,8 @@ func TestUnevenCheckpointRestoresOnFullRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.P != 7 || ck.Sweep != 8 {
-		t.Fatalf("first uneven checkpoint has P=%d at sweep %d, want P=7 at sweep 8", ck.P, ck.Sweep)
+	if ck.Sweep != 8 {
+		t.Fatalf("first checkpoint of the 7-rank ring is at sweep %d, want 8", ck.Sweep)
 	}
 
 	fresh := machineOn(t, "torus2d", 3, 16)
@@ -117,32 +104,43 @@ func TestUnevenCheckpointRestoresOnFullRing(t *testing.T) {
 	assertSameSolve(t, got, want)
 }
 
-// TestV3RejectsBadPlanes: the reader refuses plane-count sections that
-// contradict the header before it touches a single grid word.
-func TestV3RejectsBadPlanes(t *testing.T) {
-	ck := captureUnevenCheckpoint(t)
-	render := func() []byte {
-		var buf bytes.Buffer
-		if _, err := ck.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+// TestCheckpointRestoresOnAnyRing: a checkpoint holds global images,
+// not per-rank slabs, so a sweep-4 checkpoint of an 8-rank hypercube
+// solve restores on a fresh 4-rank hypercube solving the same 8×8×18
+// grid, and the resumed solve equals the clean 4-rank solve bit for
+// bit.
+func TestCheckpointRestoresOnAnyRing(t *testing.T) {
+	grid := func() *jacobi.Problem { return parallelProblem(8) }
+	want, err := machineOn(t, "hypercube", 2, 12).SolveJacobi(grid())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wide := machineOn(t, "hypercube", 3, 12)
+	wide.CheckpointEvery = 4
+	var buf bytes.Buffer
+	wide.CheckpointSink = func(ck *Checkpoint) error {
+		if ck.Sweep != 4 {
+			return nil
 		}
-		return buf.Bytes()
+		_, err := ck.WriteTo(&buf)
+		return err
+	}
+	if _, err := wide.SolveJacobi(grid()); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	orig := append([]int(nil), ck.Planes...)
-	ck.Planes[0]++ // sum no longer matches Nz-2
-	if _, err := ReadCheckpoint(bytes.NewReader(render())); err == nil ||
-		!strings.Contains(err.Error(), "sum") {
-		t.Errorf("wrong plane sum: %v", err)
+	narrow := machineOn(t, "hypercube", 2, 12)
+	narrow.Restore = ck
+	got, err := narrow.SolveJacobi(grid())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	copy(ck.Planes, orig)
-	ck.Planes[1] += ck.Planes[0]
-	ck.Planes[0] = 0 // sum intact, but a rank owning nothing is invalid
-	if _, err := ReadCheckpoint(bytes.NewReader(render())); err == nil ||
-		!strings.Contains(err.Error(), "out of range") {
-		t.Errorf("zero plane count: %v", err)
-	}
+	assertSameSolve(t, got, want)
 }
 
 // TestSaveCheckpointCrashSafe simulates a process killed at arbitrary
@@ -191,7 +189,7 @@ func TestSaveCheckpointCrashSafe(t *testing.T) {
 	if err := SaveCheckpointFile(path, next); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := VerifyCheckpointFile(path); err != nil || !reflect.DeepEqual(got, next) {
+	if got, err := LoadCheckpointFile(path); err != nil || !reflect.DeepEqual(got, next) {
 		t.Fatalf("completed save: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/engine"
 )
 
@@ -212,26 +214,31 @@ func TestCheckpointCompatible(t *testing.T) {
 		}
 		return pt
 	}
-	ck := &Checkpoint{P: 2, N: 4, Nz: 6, Slab: 2,
-		U: [][]float64{make([]float64, 64), make([]float64, 64)},
-		V: [][]float64{make([]float64, 64), make([]float64, 64)}}
-	if err := ck.compatible(mustPart(2, 4, 6)); err != nil {
+	ck := &Checkpoint{Topology: "hypercube", N: 4, Nz: 6, U: make([]float64, 96), V: make([]float64, 96)}
+	if err := ck.compatible("hypercube", mustPart(2, 4, 6)); err != nil {
 		t.Errorf("matching shape rejected: %v", err)
 	}
-	if err := ck.compatible(mustPart(2, 8, 6)); err == nil {
-		t.Error("wrong N accepted")
-	}
-	if err := ck.compatible(mustPart(2, 4, 10)); err == nil {
-		t.Error("wrong Nz accepted")
-	}
-	// The file's images cut onto any partition of the same grid.
-	if err := ck.compatible(mustPart(4, 4, 6)); err != nil {
+	// The file's images restore onto any partition of the same grid.
+	if err := ck.compatible("hypercube", mustPart(4, 4, 6)); err != nil {
 		t.Errorf("another P over the same grid rejected: %v", err)
 	}
-	ck.U[1] = ck.U[1][:10]
-	if err := ck.compatible(mustPart(2, 4, 6)); err == nil {
-		t.Error("short grid accepted")
+	refuse := func(what string, err error) {
+		t.Helper()
+		if !isCheckpointDiag(err) {
+			t.Errorf("%s: got %v, want an R042 refusal", what, err)
+		}
 	}
+	refuse("wrong topology", ck.compatible("mesh2d", mustPart(2, 4, 6)))
+	refuse("wrong N", ck.compatible("hypercube", mustPart(2, 8, 6)))
+	refuse("wrong Nz", ck.compatible("hypercube", mustPart(2, 4, 10)))
+	ck.V = ck.V[:10]
+	refuse("short image", ck.compatible("hypercube", mustPart(2, 4, 6)))
+}
+
+// isCheckpointDiag reports whether err is an R042 diagnostic.
+func isCheckpointDiag(err error) bool {
+	var de *diag.DiagError
+	return errors.As(err, &de) && de.D.Rule == diag.RuleCheckpoint
 }
 
 // restoreContent writes to w what a restore of ck reads: the resume
@@ -277,32 +284,32 @@ func TestCheckpointBytes(t *testing.T) {
 		machine, comm      int64
 	}{
 		{"hypercube", "hypercube", 2, 12, 3, 0, "", 4,
-			"d6ede90311af4828303f50c984aab561317cf8163c27913959d39437e5d5c7ec",
+			"634faf734eeab028f27e3cfc84beb42ac60766ed547b0b74bd3a4434d04b454b",
 			"3103506e9eb76c46d3fb57a7b94c0d827e3ed2323f9b03246b8891e1ce9de352", 7656, 4968},
 		{"mesh2d", "mesh2d", 3, 12, 3, 0, "", 4,
-			"242b12faa392389a9b21871961bc97a25479618da181e24e53ccaa2f377e4b4e",
+			"08b482e4994f8d811342a9ba73c4966d1de78a66830d21b2592ca1f18cb9bb27",
 			"0805935e97999cc12d6e2aa7a1a1e0316ce57855bfb52cf20df702bd6080b79d", 8148, 11796},
 		{"torus2d", "torus2d", 3, 12, 3, 0, "", 4,
-			"5918c9e57123c9a81bfea39a0e0ee8e08297003004282cdb0e6a66f6cd7cfd05",
+			"e158dec60c0067ed36126fb29904f641716dcd115e2926bad577a79114c7a737",
 			"2234bce8fc745c0a6781155056f4d60c1b40c7b1281b36829e56f7000ffb1a99", 7956, 11604},
 		{"checkpoint-source", "hypercube", 2, 12, 2, 0,
 			"dispatch:kill-forever@5:1,dispatch:kill-forever@5:2", 6,
-			"dd17cd9b5b1fc543b8c07f175172cfb4c162f7ff00b7c01810c44d05b8e5a28c",
+			"37752857001230601346239545b62e58fb6ed03c4d6264b37f6c7b3d25bc6c45",
 			"76fa015a6b0119dee4aa187525c3e991c14e8e4ba3edbff5e4878cc0cda292a4", 10522, 4106},
 		{"shrink-then-rollback", "torus2d", 3, 16, 4, 0,
 			"dispatch:kill-forever@6:3,dispatch:kill@9:0:repeat=4", 4,
-			"c30214eaced50edcf711d61acc80b3344d2a9f4b6fa3f2cc07458726e4d6c724",
+			"181fb8f0c34c1498ade63b6011358ef680ce35b3475235f9ab063ca4b1257037",
 			"5b4b25712f21962290448b9694d3375d28dfd1ddee568e596d30d42d719e539e", 14486, 19406},
 		{"seeded-rollbacks", "hypercube", 2, 20, 3, 0,
 			"seed@7:sweeps=12:ranks=4:events=6", 7,
-			"25309878cf46f97ae6b17502c73cc0a40adeeeb0a48ed5db6e8fa7332615399c",
+			"bb2dba4e8041c86a804c818ff22b80b931f564e004ba6475a30673de9748f558",
 			"165352fc62b9560774f14cb4347cb26ac7760f4aea4e9860932f8eed04e068e4", 13176, 8824},
 		{"mirror-then-rollback", "hypercube", 2, 12, 4, 0,
 			"dispatch:kill-forever@6:1,dispatch:kill@7:0:repeat=4", 3,
-			"8defb594314ca4312fcd827f08517b7eaabb27625dfa153cbd3f6d58808ba762",
+			"6d895bbf36908f80f8d68b231e1c9718c0c1f2e3fd5f4e27e6f43ea5ec431447",
 			"18f65cc920af77614ddf852987e5359b12d41b5f170826cab417f73305d79be6", 10610, 5826},
 		{"spare", "hypercube", 2, 12, 2, 1, "dispatch:kill-forever@3:1", 6,
-			"01390384d93d3bdf20bbf57d1f647ff5cd4437e76cfd3eea115bdfc71bce9d04",
+			"bccf9c395a3105dc3e8548894b8f6a7a3e03e521ee2ad9a45fe75dbe06fbbe9c",
 			"92ac754998e405c29dfe8bf880552c2343ed9281596cad418206e7bad35af7e6", 8664, 5488},
 	} {
 		for _, workers := range []int{1, 4} {

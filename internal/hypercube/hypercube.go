@@ -21,9 +21,9 @@
 // slab, and later solves on the same machine, share its instructions;
 // the boards, peers of one another, share one plan table, so the
 // machine decodes each distinct instruction once), supplies the scheme — the sweep Step, the state planes and slab
-// rebuild the engine's recovery protocol needs, and the conversion
-// between the engine's snapshots and the on-disk Checkpoint — and
-// gathers the result through the partition.
+// rebuild the engine's recovery protocol needs, and the on-disk
+// Checkpoint, which holds an engine snapshot with the counters a
+// restart carries — and gathers the result through the partition.
 package hypercube
 
 import (
@@ -344,10 +344,7 @@ func (m *Machine) SolveJacobi(global *jacobi.Problem) (*JacobiResult, error) {
 
 	var resume *engine.Snapshot
 	if ck := m.Restore; ck != nil {
-		if err := ck.compatible(part); err != nil {
-			return nil, err
-		}
-		if err := m.ValidateCheckpoint(ck); err != nil {
+		if err := ck.compatible(m.Topo.Name(), part); err != nil {
 			return nil, err
 		}
 		resume = ck.resume()
@@ -408,56 +405,28 @@ func (m *Machine) participants() []*sim.Node {
 	return append(append([]*sim.Node(nil), m.Nodes...), m.activated...)
 }
 
-// checkpoint cuts an engine snapshot of the u and v planes into a
-// Checkpoint over part: every rank's slab, ghosts included, with the
-// residual history, the machine clocks and the fault/plan counters. An
-// uneven partition (the shape a shrink leaves behind) records its
-// per-rank plane counts and serializes as version 3.
+// checkpoint copies an engine snapshot of the u and v planes over
+// part into a Checkpoint, with the machine clocks and the fault, plan
+// and trap counters. It clones the images and the series: the sink may
+// keep what it is handed, and the engine keeps the snapshot.
 func (m *Machine) checkpoint(snap *engine.Snapshot, part *engine.Partition,
 	faults engine.FaultStats, base engine.NodeTotals) *Checkpoint {
-	ck := &Checkpoint{
-		Sweep: snap.Sweep, P: part.P, N: part.N, Nz: part.Nz,
-		Topology:      m.Topo.Name(),
-		Residuals:     append([]float64(nil), snap.Series...),
-		MachineCycles: m.MachineCycles,
-		CommCycles:    m.CommCycles,
-		Faults:        faults,
-		FaultFired:    m.Faults.FiredSnapshot(),
-	}
-	if part.Uniform() {
-		ck.Slab = part.Planes[0]
-	} else {
-		ck.Planes = append([]int(nil), part.Planes...)
-	}
-	for r := 0; r < part.P; r++ {
-		ck.U = append(ck.U, slices.Clone(part.Slab(snap.Images[0], r)))
-		ck.V = append(ck.V, slices.Clone(part.Slab(snap.Images[1], r)))
-	}
 	tot := base
 	for _, nd := range m.participants() {
 		tot.AddNode(nd)
 	}
-	ck.PlanCache, ck.Traps = tot.PlanCache, tot.Traps
-	return ck
-}
-
-// ValidateCheckpoint rejects snapshots whose header declares more
-// ranks or larger planes than this machine provides — a forged or
-// mismatched file must fail with a clear error, never an index panic
-// or a partial restore.
-func (m *Machine) ValidateCheckpoint(ck *Checkpoint) error {
-	if ck.Topology != "" && ck.Topology != m.Topo.Name() {
-		return fmt.Errorf("hypercube: checkpoint recorded topology %q, machine runs %q",
-			ck.Topology, m.Topo.Name())
+	return &Checkpoint{
+		Sweep: snap.Sweep, Topology: m.Topo.Name(), N: part.N, Nz: part.Nz,
+		Residuals:     append([]float64(nil), snap.Series...),
+		MachineCycles: m.MachineCycles,
+		CommCycles:    m.CommCycles,
+		Faults:        faults,
+		PlanCache:     tot.PlanCache,
+		Traps:         tot.Traps,
+		FaultFired:    m.Faults.FiredSnapshot(),
+		U:             slices.Clone(snap.Images[0]),
+		V:             slices.Clone(snap.Images[1]),
 	}
-	if ck.P > m.P() {
-		return fmt.Errorf("hypercube: checkpoint declares %d ranks, machine has %d nodes", ck.P, m.P())
-	}
-	if w := int64(ck.maxPlaneWords()); w > m.Cfg.PlaneWords() {
-		return fmt.Errorf("hypercube: checkpoint planes of %d words exceed the machine's %d-word planes",
-			w, m.Cfg.PlaneWords())
-	}
-	return nil
 }
 
 // InjectECC arms seeded memory-plane ECC events on ring rank r. A rank

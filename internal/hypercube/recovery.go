@@ -231,8 +231,8 @@ func (s *jacobiSolve) step(lp *engine.Loop, it int) (int, *engine.BudgetError, e
 	return plane, be, err
 }
 
-// take is the engine's checkpoint hook: it cuts the snapshot into a
-// Checkpoint over the current partition and hands it to the sink.
+// take is the engine's checkpoint hook: it copies the snapshot into a
+// Checkpoint and hands it to the sink.
 func (s *jacobiSolve) take(snap *engine.Snapshot, live engine.FaultStats) error {
 	faults := s.base
 	faults.Add(live)

@@ -254,43 +254,3 @@ func TestCheckpointCarriesTrapCounters(t *testing.T) {
 		t.Errorf("resumed traps %s, uninterrupted %s", res.Traps, fullRes.Traps)
 	}
 }
-
-func TestValidateCheckpointRejectsOversize(t *testing.T) {
-	m, err := New(smallCfg(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grids := func(p, words int) [][]float64 {
-		out := make([][]float64, p)
-		for i := range out {
-			out[i] = make([]float64, words)
-		}
-		return out
-	}
-
-	// More ranks than nodes.
-	ck := &Checkpoint{P: 8, N: 4, Nz: 18, Slab: 2, U: grids(8, 64), V: grids(8, 64)}
-	if err := m.ValidateCheckpoint(ck); err == nil || !strings.Contains(err.Error(), "ranks") {
-		t.Errorf("8-rank checkpoint on a 2-node machine: %v", err)
-	}
-	m.Restore = ck
-	if _, err := m.SolveJacobi(parallelProblem(m.P())); err == nil {
-		t.Error("SolveJacobi restored an oversized rank count")
-	}
-
-	// Planes larger than the machine's memory planes (grid payloads left
-	// empty: the size check reads the header shape, not the slices).
-	ck = &Checkpoint{P: 1, N: 8192, Nz: 3, Slab: 1, U: grids(1, 0), V: grids(1, 0)}
-	if int64(ck.maxPlaneWords()) <= m.Cfg.PlaneWords() {
-		t.Fatal("test shape no longer oversizes the default planes; enlarge it")
-	}
-	if err := m.ValidateCheckpoint(ck); err == nil || !strings.Contains(err.Error(), "words") {
-		t.Errorf("oversize planes: %v", err)
-	}
-
-	// A matching shape passes.
-	ck = &Checkpoint{P: 2, N: 4, Nz: 6, Slab: 2, U: grids(2, 64), V: grids(2, 64)}
-	if err := m.ValidateCheckpoint(ck); err != nil {
-		t.Errorf("matching checkpoint rejected: %v", err)
-	}
-}

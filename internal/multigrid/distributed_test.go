@@ -110,7 +110,7 @@ func TestDistributedUnevenSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Part.Uniform() {
+	if d.Part.Planes[0] == d.Part.Planes[d.Part.P-1] {
 		t.Fatal("15 planes over 8 ranks should be uneven")
 	}
 	total := 0

@@ -6,8 +6,12 @@
 # typed diag.Diagnostic with a stable rule code; a bare fmt.Errorf
 # there would produce an untyped error that -diag-json consumers and
 # the editor message strip cannot key on.
-# This script rejects any fmt.Errorf in those packages. Construct
-# errors with diag.Errorf / diag.ErrorfAt (or checker.ruleErr) instead.
+# The checkpoint reader (internal/hypercube/checkpoint.go) reads files
+# from outside the program, so it is gated file by file the same way:
+# every checkpoint error is an R042 diagnostic.
+# This script rejects any fmt.Errorf in those packages and files.
+# Construct errors with diag.Errorf / diag.ErrorfAt (or
+# checker.ruleErr) instead.
 #
 # Exit status: 0 clean, 1 violations found.
 set -eu
@@ -15,6 +19,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 gated="internal/diagram internal/checker internal/compiler internal/codegen internal/pipeline"
+gated_files="internal/hypercube/checkpoint.go"
 
 bad=0
 for pkg in $gated; do
@@ -28,6 +33,14 @@ for pkg in $gated; do
         fi
     done
 done
+for f in $gated_files; do
+    if [ ! -f "$f" ]; then
+        echo "lint-diagnostics: gated file $f is missing" >&2
+        bad=1
+    elif grep -Hn 'fmt\.Errorf' "$f"; then
+        bad=1
+    fi
+done
 
 if [ "$bad" -ne 0 ]; then
     echo "lint-diagnostics: bare fmt.Errorf in a diagnostic-typed package." >&2
@@ -35,4 +48,4 @@ if [ "$bad" -ne 0 ]; then
     echo "error carries a stable rule code (see internal/diag/codes.go)." >&2
     exit 1
 fi
-echo "lint-diagnostics: ok (no bare fmt.Errorf in $gated)"
+echo "lint-diagnostics: ok (no bare fmt.Errorf in $gated $gated_files)"
