@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
@@ -154,4 +155,45 @@ func TestBuddyOverheadBudget(t *testing.T) {
 		}
 	}
 	t.Errorf("buddy mirror wall overhead %.2f%% exceeds the 3%% budget (median of 41 paired solves)", 100*over)
+}
+
+// TestFreshSolveBytes holds a fresh machine's solve to its allocation
+// budget: a fresh 8-rank hypercube machine solving a seeded 8×8×18
+// problem for 12 sweeps, the shape nscbench's jacobi-cold op solves,
+// allocates at most 512 KiB on average, machine build included. Each
+// rank touches four planes of 256 words; a plane page holds only the
+// words written to it, where whole 4,096-word pages would cost 32 KiB
+// a plane, 1 MiB a solve.
+func TestFreshSolveBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is meaningless under the race detector")
+	}
+	p := boxProblem(8, 18)
+	rng := rand.New(rand.NewSource(1))
+	for i := range p.F {
+		p.F[i], p.U0[i] = rng.Float64(), rng.Float64()
+	}
+	solve := func() {
+		m, err := New(smallCfg(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.StopAfter = 12
+		if _, err := m.SolveJacobi(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve() // warm-up: the first solve fills the process-wide caches
+	const solves = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range solves {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	perSolve := (after.TotalAlloc - before.TotalAlloc) / solves
+	t.Logf("fresh 8-rank solve of 8×8×18 for 12 sweeps: %d KiB", perSolve>>10)
+	if perSolve > 512<<10 {
+		t.Errorf("a fresh solve allocates %d KiB, want at most 512 KiB", perSolve>>10)
+	}
 }

@@ -78,7 +78,13 @@ type Checkpoint struct {
 
 // compatible checks a snapshot against a solve on the named fabric
 // over part. Its images restore onto any partition of the same grid.
+// Every snapshot the engine takes at sweep s holds s residuals, so a
+// file whose count differs was cut or relabelled.
 func (ck *Checkpoint) compatible(topology string, part *engine.Partition) error {
+	if len(ck.Residuals) != ck.Sweep {
+		return diag.Errorf(diag.RuleCheckpoint, "hypercube: checkpoint at sweep %d holds %d residuals, want %d",
+			ck.Sweep, len(ck.Residuals), ck.Sweep)
+	}
 	if ck.Topology != topology {
 		return diag.Errorf(diag.RuleCheckpoint, "hypercube: checkpoint recorded topology %q, machine runs %q",
 			ck.Topology, topology)

@@ -231,8 +231,52 @@ func TestCheckpointCompatible(t *testing.T) {
 	refuse("wrong topology", ck.compatible("mesh2d", mustPart(2, 4, 6)))
 	refuse("wrong N", ck.compatible("hypercube", mustPart(2, 8, 6)))
 	refuse("wrong Nz", ck.compatible("hypercube", mustPart(2, 4, 10)))
+	// A snapshot at sweep s holds s residuals.
+	ck.Sweep, ck.Residuals = 2, []float64{3, 2}
+	if err := ck.compatible("hypercube", mustPart(2, 4, 6)); err != nil {
+		t.Errorf("sweep 2 with 2 residuals rejected: %v", err)
+	}
+	ck.Residuals = ck.Residuals[:1]
+	refuse("residuals cut short", ck.compatible("hypercube", mustPart(2, 4, 6)))
+	ck.Sweep, ck.Residuals = 1, []float64{3, 2}
+	refuse("sweep relabelled down", ck.compatible("hypercube", mustPart(2, 4, 6)))
+	ck.Sweep = 2
 	ck.V = ck.V[:10]
 	refuse("short image", ck.compatible("hypercube", mustPart(2, 4, 6)))
+}
+
+// TestRestoreRejectsResidualMismatch: a CRC-valid file whose residual
+// count disagrees with its sweep, cut short or relabelled to another
+// sweep, fails the restore with R042 instead of resuming silently on a
+// shortened history or a different trajectory.
+func TestRestoreRejectsResidualMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(*Checkpoint)
+	}{
+		{"cut to 2 residuals", func(ck *Checkpoint) { ck.Residuals = ck.Residuals[:2] }},
+		{"relabelled sweep 7", func(ck *Checkpoint) { ck.Sweep = 7 }},
+	} {
+		ck, _ := captureCheckpoint(t, 3, 6)
+		tc.forge(ck)
+		var buf bytes.Buffer
+		if _, err := ck.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadCheckpoint(&buf)
+		if err != nil {
+			t.Fatalf("%s: the forged file does not read back: %v", tc.name, err)
+		}
+		m, err := New(smallCfg(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Restore = loaded
+		res, err := m.SolveJacobi(parallelProblem(m.P()))
+		if !isCheckpointDiag(err) {
+			t.Errorf("%s: restore gave %v (result %v), want an R042 refusal", tc.name, err, res != nil)
+		}
+	}
 }
 
 // isCheckpointDiag reports whether err is an R042 diagnostic.

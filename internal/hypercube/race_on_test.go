@@ -3,5 +3,5 @@
 package hypercube
 
 // raceEnabled reports whether the race detector instruments this test
-// binary; wall-clock budgets are skipped under it.
+// binary; wall-clock and allocation budgets are skipped under it.
 const raceEnabled = true

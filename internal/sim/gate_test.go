@@ -84,9 +84,10 @@ func TestKernelGates(t *testing.T) {
 }
 
 // TestNewNodeGates holds a warm NewNode to its allocation budget:
-// nodes of one Config share its Inventory and Format, and a cache
-// buffer is allocated only when first written, so a node costs its
-// plane and cache headers and little else.
+// nodes of one Config share its Inventory and Format, a node's planes
+// sit in one slice and its caches in another, and a plane's page map
+// and pages and a cache's buffers are allocated only when first
+// written, so a node costs a few allocations for its headers.
 func TestNewNodeGates(t *testing.T) {
 	cfg := arch.Default()
 	newNode := func() {
@@ -96,8 +97,8 @@ func TestNewNodeGates(t *testing.T) {
 	}
 	newNode() // warm-up: the Config's first node builds the shared tables
 	allocs := testing.AllocsPerRun(20, newNode)
-	if allocs > 100 {
-		t.Errorf("warm NewNode makes %v allocs, want at most 100", allocs)
+	if allocs > 10 {
+		t.Errorf("warm NewNode makes %v allocs, want at most 10", allocs)
 	}
 	const runs = 20
 	var before, after runtime.MemStats

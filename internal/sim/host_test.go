@@ -84,7 +84,8 @@ func TestHostTransferRejectsBadRanges(t *testing.T) {
 // panic, must fail exactly when its plane is out of range or its
 // range leaves the plane, must leave the plane untouched when it
 // fails, and must otherwise match the reference word for word and
-// page for page.
+// page for page: each resident page holds exactly one word past its
+// highest written word.
 func FuzzHostTransfer(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 16, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 16, 0})
@@ -100,7 +101,7 @@ func FuzzHostTransfer(f *testing.F) {
 			addr  int64
 		}
 		ref := map[key]float64{}
-		pages := map[key]bool{}
+		held := map[key]int64{} // page → one past its highest written word
 		r := &fuzzBytes{d: data}
 		for step := 0; step < 8 && r.i < len(r.d); step++ {
 			kind := r.next() % 3
@@ -143,8 +144,10 @@ func FuzzHostTransfer(f *testing.F) {
 				}
 				if err = n.WriteWords(plane, addr, vals); err == nil {
 					for i, v := range vals {
-						ref[key{plane, addr + int64(i)}] = v
-						pages[key{plane, (addr + int64(i)) / pageWords}] = true
+						w := addr + int64(i)
+						ref[key{plane, w}] = v
+						pg := key{plane, w / pageWords}
+						held[pg] = max(held[pg], w%pageWords+1)
 					}
 				}
 			case 1:
@@ -167,13 +170,18 @@ func FuzzHostTransfer(f *testing.F) {
 		}
 		for p := range n.Mem {
 			want := 0
-			for k := range pages {
+			for k := range held {
 				if k.plane == p {
 					want++
 				}
 			}
 			if got := n.Mem[p].PagesResident(); got != want {
 				t.Fatalf("plane %d: %d resident pages, reference %d", p, got, want)
+			}
+		}
+		for k, want := range held {
+			if got := len(n.Mem[k.plane].pages[k.addr]); int64(got) != want {
+				t.Fatalf("plane %d page %d holds %d words, reference %d", k.plane, k.addr, got, want)
 			}
 		}
 	})

@@ -91,8 +91,8 @@ func (s span) hull(o span) span {
 // is a ring window of w cycles at val[base:base+w] in the node's
 // scratch, cycle x at base + x mod w. With w == 0 it is a stride-1
 // memory source read in place: cycle x reads word addr+x-lead of its
-// plane on [lead,live) and zero elsewhere; an absent page reads as the
-// shared zero page.
+// plane on [lead,live) and zero elsewhere; an absent page, and the
+// words past a page's written prefix, read as the shared zero page.
 type kernLane struct {
 	base, w    int
 	plane      int
@@ -123,7 +123,7 @@ type kernOperand struct {
 // region the operand is one slice of its window or source page, or nil
 // and a scalar: zero below its offset, through a source's lead-in and
 // after it drains. Boundaries are the offset, a window's wrap, and a
-// source's lead-in end, page ends and drain point.
+// source's lead-in end, page ends, written-prefix ends and drain point.
 func (n *Node) at(k *execKernel, o *kernOperand, lo, hi int) (v []float64, s float64, m int) {
 	if o.lane < 0 {
 		return nil, o.konst, hi - lo
@@ -148,9 +148,10 @@ func (n *Node) at(k *execKernel, o *kernOperand, lo, hi int) (v []float64, s flo
 	p := int(a % pageWords)
 	m = min(m, l.live-x, pageWords-p)
 	pg := n.Mem[l.plane].pages[a/pageWords]
-	if pg == nil {
-		pg = &zeroPage
+	if p >= len(pg) {
+		return zeroPage[p : p+m], 0, m
 	}
+	m = min(m, len(pg)-p)
 	return pg[p : p+m], 0, m
 }
 
@@ -602,7 +603,7 @@ func (n *Node) kernMemSource(op *kernOp, lo int, out []float64) {
 	clear(out[live-lo:])
 	mem := n.Mem[op.plane]
 	addr := op.addr + (int64(lead)-op.skip)*op.strd
-	var pg *[pageWords]float64
+	var pg []float64
 	pgIdx := int64(-1)
 	for c := lead; c < live; c++ {
 		var v float64
@@ -610,8 +611,8 @@ func (n *Node) kernMemSource(op *kernOp, lo int, out []float64) {
 			if p := addr / pageWords; p != pgIdx {
 				pg, pgIdx = mem.pages[p], p
 			}
-			if pg != nil {
-				v = pg[addr%pageWords]
+			if o := addr % pageWords; o < int64(len(pg)) {
+				v = pg[o]
 			}
 		}
 		out[c-lo] = v

@@ -49,6 +49,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(fuzzSeed(walk, 3, 0, 0, 1, 5, 0))
 	f.Add(fuzzSeed([]byte{35, 0, 7, 0, 0, 2, 6, 4, 1, 7, 5, 2, 6, 0, 5, 2, 5, 2, 5, 2, 2, 4, 0, 4, 2, 4, 2, 2, 3, 3, 2, 1, 2,
 		2, 1, 2, 7, 5, 6, 1, 4, 5, 3, 7}, 0, 0, 1, 10, 1, 40, 0))
+	// Walks past the written prefix of a held page: plane 0's page holds
+	// the 256 backing words alone, and a mov unit reads a 48-word walk
+	// from word 240 at stride 1, then one from word 200 at stride 2.
+	f.Add(fuzzSeed([]byte{47, 0, 1, 240, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0}))
+	f.Add(fuzzSeed([]byte{47, 1, 1, 200, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{d: data}

@@ -46,9 +46,9 @@ func execEqual(t *testing.T, name string, build func(n *Node) []*microcode.Instr
 }
 
 // compareNodes checks every piece of architectural state the paper's
-// machine exposes: plane words and resident pages, cache words and
-// which cache buffers are allocated, reduction registers, flags,
-// counters, statistics and the trap log.
+// machine exposes: plane words, resident pages and the words each page
+// holds, cache words and which cache buffers are allocated, reduction
+// registers, flags, counters, statistics and the trap log.
 func compareNodes(t *testing.T, name string, a, b *Node) {
 	t.Helper()
 	for p := range a.Mem {
@@ -56,6 +56,9 @@ func compareNodes(t *testing.T, name string, a, b *Node) {
 			t.Fatalf("%s: plane %d: %d resident pages vs %d", name, p, pa, pb)
 		}
 		for _, pgIdx := range pagesOf(a.Mem[p], b.Mem[p]) {
+			if ha, hb := len(a.Mem[p].pages[pgIdx]), len(b.Mem[p].pages[pgIdx]); ha != hb {
+				t.Fatalf("%s: plane %d page %d holds %d words vs %d", name, p, pgIdx, ha, hb)
+			}
 			for w := int64(0); w < pageWords; w++ {
 				addr := pgIdx*pageWords + w
 				av, _ := a.Mem[p].Read(addr)

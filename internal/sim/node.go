@@ -22,17 +22,16 @@ import (
 const pageWords = 4096
 
 // Plane is one memory plane with sparse paged backing, so the full
-// 128 MB address space is addressable at laptop scale.
+// 128 MB address space is addressable at laptop scale. A page holds
+// only its written prefix: page p holds the words from p·pageWords up
+// to one past the highest word any write has reached in it, and every
+// word past that reads as zero.
 type Plane struct {
 	words int64
-	pages map[int64]*[pageWords]float64
+	// pages is made on the plane's first write.
+	pages map[int64][]float64
 	// writes counts the writes that have reached the plane (see Writes).
 	writes uint64
-}
-
-// NewPlane returns an empty plane holding `words` machine words.
-func NewPlane(words int64) *Plane {
-	return &Plane{words: words, pages: make(map[int64]*[pageWords]float64)}
 }
 
 // Read returns the word at addr (unwritten words read as zero).
@@ -40,11 +39,11 @@ func (pl *Plane) Read(addr int64) (float64, error) {
 	if addr < 0 || addr >= pl.words {
 		return 0, pl.addrErr(addr)
 	}
-	pg, ok := pl.pages[addr/pageWords]
-	if !ok {
-		return 0, nil
+	pg := pl.pages[addr/pageWords]
+	if o := addr % pageWords; o < int64(len(pg)) {
+		return pg[o], nil
 	}
-	return pg[addr%pageWords], nil
+	return 0, nil
 }
 
 // Write stores v at addr.
@@ -53,13 +52,25 @@ func (pl *Plane) Write(addr int64, v float64) error {
 		return pl.addrErr(addr)
 	}
 	pl.writes++
-	pg, ok := pl.pages[addr/pageWords]
-	if !ok {
-		pg = new([pageWords]float64)
-		pl.pages[addr/pageWords] = pg
-	}
-	pg[addr%pageWords] = v
+	o := addr % pageWords
+	pl.page(addr/pageWords, o+1)[o] = v
 	return nil
+}
+
+// page returns page p grown to hold at least its first end words,
+// 0 < end ≤ pageWords, making it resident. It grows the page by
+// appending zeros, so word-by-word writes amortize.
+func (pl *Plane) page(p, end int64) []float64 {
+	pg := pl.pages[p]
+	if int64(len(pg)) >= end {
+		return pg
+	}
+	if pl.pages == nil {
+		pl.pages = make(map[int64][]float64)
+	}
+	pg = append(pg, make([]float64, end-int64(len(pg)))...)
+	pl.pages[p] = pg
+	return pg
 }
 
 // Writes counts the writes that have reached the plane, host writes
@@ -74,35 +85,29 @@ func (pl *Plane) addrErr(addr int64) error {
 }
 
 // readPages copies len(dst) words from addr on into dst, a page at a
-// time; unwritten pages read as zero. The caller has checked that the
-// range lies inside the plane.
+// time; words no page holds read as zero. The caller has checked that
+// the range lies inside the plane.
 func (pl *Plane) readPages(addr int64, dst []float64) {
 	for len(dst) > 0 {
 		p, o := addr/pageWords, addr%pageWords
 		k := min(int64(len(dst)), pageWords-o)
-		if pg := pl.pages[p]; pg != nil {
-			copy(dst[:k], pg[o:o+k])
-		} else {
-			clear(dst[:k])
-		}
+		pg := pl.pages[p]
+		held := copy(dst[:k], pg[min(o, int64(len(pg))):])
+		clear(dst[held:k])
 		dst = dst[k:]
 		addr += k
 	}
 }
 
 // writePages stores count words from addr on, a page at a time: src's
-// words, or zeros when src is nil. It allocates exactly the pages
+// words, or zeros when src is nil. It grows each page to exactly what
 // word-by-word writes would. The caller has checked the range.
 func (pl *Plane) writePages(addr, count int64, src []float64) {
 	pl.writes++
 	for count > 0 {
 		p, o := addr/pageWords, addr%pageWords
 		k := min(count, pageWords-o)
-		pg := pl.pages[p]
-		if pg == nil {
-			pg = new([pageWords]float64)
-			pl.pages[p] = pg
-		}
+		pg := pl.page(p, o+k)
 		if src != nil {
 			copy(pg[o:o+k], src)
 			src = src[k:]
@@ -126,12 +131,12 @@ func (pl *Plane) writeStream(addr, count int64, src []float64) error {
 	return nil
 }
 
-// zeroPage is what an absent page reads as to a kernel, which reads it
-// in place and never writes it.
+// zeroPage is what a kernel reads in place of an absent page and past
+// a page's written prefix. It is read in place and never written.
 var zeroPage [pageWords]float64
 
-// PagesResident reports how many pages have been touched (memory
-// footprint accounting).
+// PagesResident reports how many pages any write has reached, a write
+// of zeros included (memory footprint accounting).
 func (pl *Plane) PagesResident() int { return len(pl.pages) }
 
 // DoubleBuffer is one data cache: two buffers of equal size, one facing
@@ -141,12 +146,6 @@ func (pl *Plane) PagesResident() int { return len(pl.pages) }
 type DoubleBuffer struct {
 	words int64
 	bufs  [2][]float64
-}
-
-// NewDoubleBuffer returns a cache of two `words`-word buffers, both
-// unwritten.
-func NewDoubleBuffer(words int64) *DoubleBuffer {
-	return &DoubleBuffer{words: words}
 }
 
 // Read returns word addr of buffer b (zero while b is unwritten).
@@ -328,11 +327,14 @@ func (n *Node) NewPeer() *Node { return buildNode(n.Cfg, n.Inv, n.F, n.table) }
 func buildNode(cfg arch.Config, inv *arch.Inventory, f *microcode.Format, table *planTable) *Node {
 	n := &Node{Cfg: cfg, Inv: inv, F: f, table: table, RedReg: make([]float64, cfg.TotalFUs),
 		Mem: make([]*Plane, cfg.MemPlanes), Cache: make([]*DoubleBuffer, cfg.CachePlanes)}
-	for i := range n.Mem {
-		n.Mem[i] = NewPlane(cfg.PlaneWords())
+	planes, caches := make([]Plane, len(n.Mem)), make([]DoubleBuffer, len(n.Cache))
+	for i := range planes {
+		planes[i].words = cfg.PlaneWords()
+		n.Mem[i] = &planes[i]
 	}
-	for i := range n.Cache {
-		n.Cache[i] = NewDoubleBuffer(cfg.CacheWords())
+	for i := range caches {
+		caches[i].words = cfg.CacheWords()
+		n.Cache[i] = &caches[i]
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,7 +29,7 @@ func seq(n int, f func(i int) float64) []float64 {
 }
 
 func TestPlaneReadWrite(t *testing.T) {
-	pl := NewPlane(1 << 20)
+	pl := &Plane{words: 1 << 20}
 	if v, err := pl.Read(12345); err != nil || v != 0 {
 		t.Errorf("fresh read = %v,%v", v, err)
 	}
@@ -52,8 +53,61 @@ func TestPlaneReadWrite(t *testing.T) {
 	}
 }
 
+// TestPlaneHoldsWrittenWords: a page holds the words from its start up
+// to one past the highest word written to it, grows when a write
+// reaches past that, and reads as zero beyond it through every reader.
+func TestPlaneHoldsWrittenWords(t *testing.T) {
+	n := newNode(t)
+	pl := n.Mem[4]
+	held := func(want int) {
+		t.Helper()
+		if got := len(pl.pages[1]); got != want {
+			t.Errorf("page holds %d words, want %d", got, want)
+		}
+	}
+	if err := n.WriteWords(4, pageWords, seq(256, func(i int) float64 { return float64(i + 1) })); err != nil {
+		t.Fatal(err)
+	}
+	held(256)
+	if err := pl.Write(pageWords+1000, -2); err != nil {
+		t.Fatal(err)
+	}
+	held(1001)
+
+	// Past the prefix every reader sees zeros; inside it, the words.
+	if v, err := pl.Read(pageWords + 1001); err != nil || v != 0 {
+		t.Errorf("Read past the prefix = %v, %v", v, err)
+	}
+	got, err := n.ReadWords(4, pageWords+998, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{0, 0, -2, 0, 0, 0}; !slices.Equal(got, want) {
+		t.Errorf("ReadWords across the prefix end = %v, want %v", got, want)
+	}
+	dst := []float64{7, 7, 7, 7}
+	if err := n.ReadWordsInto(4, pageWords+254, dst); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{255, 256, 0, 0}; !slices.Equal(dst, want) {
+		t.Errorf("ReadWordsInto across the written words = %v, want %v", dst, want)
+	}
+	if dst, err = n.ReadWords(4, 2*pageWords-4, 8); err != nil || !slices.Equal(dst, make([]float64, 8)) {
+		t.Errorf("ReadWords past the prefix into an absent page = %v, %v", dst, err)
+	}
+	held(1001)
+
+	if err := pl.Write(2*pageWords-1, 5); err != nil {
+		t.Fatal(err)
+	}
+	held(pageWords)
+	if pl.PagesResident() != 1 {
+		t.Errorf("resident pages = %d, want 1", pl.PagesResident())
+	}
+}
+
 func TestDoubleBuffer(t *testing.T) {
-	db := NewDoubleBuffer(64)
+	db := &DoubleBuffer{words: 64}
 	if err := db.Write(0, 5, 1.5); err != nil {
 		t.Fatal(err)
 	}
